@@ -1,9 +1,11 @@
 """Assemble and execute one simulation run.
 
-The runner is the composition root: it builds the substrate (topology,
-failure schedule, network, monitor), the workload, the strategy under test
-and the broker runtimes, wires the periodic processes (publishers, the
-monitoring cycle), runs the event loop, and reduces the collector into a
+The runner builds what is an experiment's own — the topology, the
+hazard schedules, the simulated network and the workload — hands them to
+the shared composition root (:func:`repro.stack.wire_stack`) for the
+broker stack of the strategy under test, adds the periodic processes
+(publishers, the monitoring cycle), runs the event loop inside one
+:class:`~repro.stack.observed` session, and reduces the collector into a
 :class:`~repro.metrics.summary.MetricsSummary`.
 
 Fairness across strategies: everything environmental — topology, link
@@ -23,12 +25,10 @@ from repro import sanity as _sanity
 from repro import trace as _trace
 from repro.core.forwarding import DcrdStrategy
 from repro.experiments.config import ExperimentConfig
-from repro.metrics.collector import MetricsCollector
 from repro.metrics.summary import MetricsSummary, summarize
 from repro.ordering.plan import OrderingPlan
 from repro.overlay.failures import FailureSchedule, NodeFailureSchedule
 from repro.overlay.links import OverlayNetwork
-from repro.overlay.monitor import LinkMonitor
 from repro.overlay.topology import (
     Topology,
     erdos_renyi,
@@ -50,6 +50,7 @@ from repro.routing.trees import DTreeStrategy, PriorityDTreeStrategy, RTreeStrat
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 from repro.sim.random import RandomStreams
+from repro.stack import observed, wire_stack
 from repro.util.errors import ConfigurationError
 
 #: All strategies of the paper's comparison, by report name.
@@ -108,50 +109,23 @@ class SimulationEnvironment:
     monitor_process: PeriodicProcess
     sanitizer: Optional[_sanity.Sanitizer] = None
     tracer: Optional[_trace.FrameTracer] = None
-    ordering: Optional[OrderingPlan] = None
 
     def execute(self) -> MetricsSummary:
         """Run to the configured end time and summarise.
 
-        With ``config.sanitize`` on, the environment's sanitizer is
-        attached to the :mod:`repro.probes` bus for the duration of the
-        run; invariant violations raise
-        :class:`~repro.sanity.InvariantViolation` mid-run, and the
+        Runs inside one :class:`~repro.stack.observed` session: with
+        ``config.sanitize`` on, invariant violations raise
+        :class:`~repro.sanity.InvariantViolation` mid-run and the
         end-of-drain checks (timer orphans, frame conservation) run before
-        the summary is assembled. With ``config.trace`` on, the
-        environment's :class:`~repro.trace.FrameTracer` is attached for
-        the run *and* through the sanitizer's end-of-drain checks, so
-        orphan/conservation violations still capture trace excerpts. The
-        install order (sanitizer before tracer) fixes the fused callback
-        order at every shared probe site. Observers attached to the bus
-        directly (``repro.probes.attach``) are left untouched and keep
-        observing across runs.
+        the summary is assembled; with ``config.trace`` on, the
+        environment's :class:`~repro.trace.FrameTracer` records the run
+        and stays attached through those checks.
         """
-        # Assign unconditionally: a stale sanitizer/tracer from an aborted
-        # run must never observe an unrelated environment.
-        _sanity.install(self.sanitizer)
-        _trace.install(self.tracer)
-        plan = self.ordering
-        try:
-            try:
-                if plan is not None:
-                    plan.activate()
-                for publisher in self.publishers:
-                    publisher.start()
-                self.monitor_process.start()
-                self.ctx.sim.run(until=self.config.end_time)
-                # Drain any residual hold-back state while the sanitizer is
-                # still attached, so "flush" releases are observed too.
-                if plan is not None:
-                    plan.flush()
-            finally:
-                if plan is not None:
-                    plan.deactivate()
-                _sanity.uninstall()
-            if self.sanitizer is not None:
-                self.sanitizer.finish(self.ctx.metrics, self.ctx.sim.now)
-        finally:
-            _trace.uninstall()
+        with observed(self.ctx, self.sanitizer, self.tracer):
+            for publisher in self.publishers:
+                publisher.start()
+            self.monitor_process.start()
+            self.ctx.sim.run(until=self.config.end_time)
         return summarize(
             self.ctx.metrics,
             self.ctx.network.stats.data_sent(),
@@ -200,8 +174,8 @@ class SimulationEnvironment:
             perf.update(self.sanitizer.perf_counters())
         if self.tracer is not None:
             perf.update(self.tracer.perf_counters())
-        if self.ordering is not None:
-            perf.update(self.ordering.perf_counters())
+        if self.ctx.ordering is not None:
+            perf.update(self.ctx.ordering.perf_counters())
         # External bus observers (attached via repro.probes.attach) surface
         # their counters too, e.g. ProbeCounters' probes.* entries.
         for observer in _probes.observers():
@@ -281,52 +255,28 @@ def build_environment(
         queue_discipline=config.queue_discipline,
         edf_drop_expired=config.edf_drop_expired,
     )
-    monitor = LinkMonitor(topology, network, streams, mode=config.monitor_mode)
-    metrics = MetricsCollector()
-    ordering = OrderingPlan.from_text(config.ordering)
-    ctx = RuntimeContext(
-        sim=sim,
-        topology=topology,
-        network=network,
-        monitor=monitor,
-        workload=workload,
-        metrics=metrics,
-        streams=streams,
-        params=ProtocolParams(
-            m=config.m, ack_timeout_factor=config.ack_timeout_factor
-        ),
-        ordering=ordering,
-    )
     # The sanitizer must watch the *build* too: strategy.setup() solves the
-    # initial control tables (Theorem-1 order checks) right here. Installed
-    # unconditionally — None clears any stale hook from an aborted run.
+    # initial control tables (Theorem-1 order checks) right here.
     sanitizer = _sanity.Sanitizer() if config.sanitize else None
-    _sanity.install(sanitizer)
-    try:
-        strategy = STRATEGIES[strategy_name](ctx)
-        strategy.setup()
-        brokers = [BrokerRuntime(node, ctx, strategy) for node in topology.nodes]
-    finally:
-        _sanity.uninstall()
-    # Intern every link direction now that all handlers are attached, so
-    # the run itself never falls back to lazy resolution
-    # (perf["flat.dir_fallbacks"] stays 0 for a steady-state run).
-    network.prewarm_directions()
-    # Every node hosts a broker that ACKs delivered DATA synchronously, so
-    # the ARQ layer may keep its per-copy timeouts latent (pushed into the
-    # calendar queue only when the copy or its ACK is actually lost).
-    arq = getattr(strategy, "arq", None)
-    if arq is not None and strategy.uses_acks:
-        enable = getattr(arq, "enable_timer_elision", None)
-        if enable is not None:
-            enable()
+    with observed(sanitizer=sanitizer):
+        ctx, strategy, brokers = wire_stack(
+            sim,
+            topology,
+            network,
+            streams,
+            workload,
+            ProtocolParams(m=config.m, ack_timeout_factor=config.ack_timeout_factor),
+            strategy=STRATEGIES[strategy_name],
+            monitor_mode=config.monitor_mode,
+            ordering=OrderingPlan.from_text(config.ordering),
+        )
     publishers = [
         PublisherProcess(ctx, strategy, spec, stop_time=config.duration)
         for spec in workload.topics
     ]
 
     def monitor_cycle() -> None:
-        monitor.refresh()
+        ctx.monitor.refresh()
         strategy.on_monitor_refresh()
 
     monitor_process = PeriodicProcess(sim, config.monitor_period, monitor_cycle)
@@ -340,7 +290,6 @@ def build_environment(
         monitor_process=monitor_process,
         sanitizer=sanitizer,
         tracer=_trace.FrameTracer() if config.trace else None,
-        ordering=ordering,
     )
 
 

@@ -14,11 +14,12 @@ discrete-event kernel, deployed over real loopback TCP:
 * :mod:`repro.live.config` — :class:`LiveConfig`, validated runtime knobs;
 * :mod:`repro.live.scenarios` — scripted differential scenarios shared
   with the sim substrate;
-* :mod:`repro.live.runtime` — the live composition root
-  (:func:`run_live_scenario`);
-* :mod:`repro.live.broker` — the standalone multi-process broker
-  entrypoint (``python -m repro.live.broker``) and its in-process
-  testable :class:`PartitionRuntime`;
+* :mod:`repro.live.broker` — :class:`PartitionRuntime`, the one place
+  the live stack is assembled (via :func:`repro.stack.wire_stack`), and
+  the standalone multi-process broker entrypoint
+  (``python -m repro.live.broker``) around it;
+* :mod:`repro.live.runtime` — :func:`run_live_scenario`, the
+  single-process driver over one partition hosting every node;
 * :mod:`repro.live.cluster` — the multi-process coordinator
   (:class:`LiveCluster`, :func:`run_cluster_scenario`).
 

@@ -8,11 +8,13 @@ newline-delimited-JSON TCP control channel::
     python -m repro.live.broker --node-id 0 --node-id 3 \\
         --peers addr.json --scenario scenario.json --control 127.0.0.1:9000
 
-The protocol stack inside a partition is byte-for-byte the stack of the
-single-process live runtime (:mod:`repro.live.runtime`): the same
-:class:`DcrdStrategy` + :class:`ArqSender` + :class:`BrokerRuntime` +
-analytic :class:`LinkMonitor` composition, the same probe/sanitizer
-install order — only the *deployment* differs. That is the claim the
+The protocol stack inside a partition is wired by the shared composition
+root (:func:`repro.stack.wire_stack`, observed through one
+:class:`repro.stack.observed` session) — the stack of every other
+world-builder — and :class:`PartitionRuntime` is the only place the live
+stack is assembled: the single-process live runtime
+(:mod:`repro.live.runtime`) is an in-process driver over one partition
+hosting every node. Only the *deployment* differs. That is the claim the
 three-way conformance suite pins: sim, single-process live, and
 multi-process live must produce identical delivered-pair sets with zero
 changes to the protocol modules.
@@ -33,11 +35,11 @@ Multi-process glue, all of it outside the protocol code:
   expected ``(message, subscriber)`` pairs at start (with the scheduled
   publish times), so deliveries and give-ups are recorded in whichever
   process they happen; the coordinator merges by union.
-* **Partitioned sanitizer** — :class:`repro.sanity.Sanitizer` runs in
-  ``partitioned`` mode (remote transmissions legitimately arrive without
-  a local send record); timer settlement is checked locally, frame
-  conservation is re-proved over the merged fleet ledgers at the
-  coordinator.
+* **Partitioned sanitizer** — a partition hosting only part of the
+  overlay runs :class:`repro.sanity.Sanitizer` in ``partitioned`` mode
+  (remote transmissions legitimately arrive without a local send
+  record); timer settlement is checked locally, frame conservation is
+  re-proved over the merged fleet ledgers at the coordinator.
 
 The control channel understands ``start``, ``status``, ``report`` and
 ``shutdown``; see :mod:`repro.live.cluster` for the coordinator side.
@@ -53,23 +55,20 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import probes as _probes
 from repro import sanity as _sanity
 from repro import trace as _trace
 from repro.core.forwarding import DcrdStrategy
 from repro.live.clock import WallClock
 from repro.live.config import LiveConfig
 from repro.live.faults import FaultInjector
-from repro.live.scenarios import AcceptLedger, Scenario, scenario_from_dict
+from repro.live.scenarios import AcceptLedger, Scenario, reduce_run, scenario_from_dict
 from repro.live.transport import LiveTransport
-from repro.metrics.collector import MetricsCollector
-from repro.ordering.plan import OrderingPlan, plan_from_scenario
-from repro.overlay.monitor import LinkMonitor
+from repro.ordering.plan import plan_from_scenario
 from repro.pubsub import messages as _messages
-from repro.pubsub.broker import BrokerRuntime
 from repro.pubsub.messages import next_message_id, reset_message_ids
 from repro.routing.base import RuntimeContext
 from repro.sim.random import RandomStreams
+from repro.stack import observed, wire_stack
 from repro.util.errors import ConfigurationError, SimulationError
 
 #: Transfer ids are striped per partition: the high bits carry the group
@@ -107,12 +106,17 @@ def split_transfer_id(transfer_id: int) -> Tuple[int, int]:
 class PartitionRuntime:
     """One partition of a live deployment: the hosted brokers + glue.
 
-    Composes the full protocol stack over a partitioned
+    Composes the full protocol stack over a (possibly partitioned)
     :class:`LiveTransport` and owns the partition-local observability
-    (accept ledger, partitioned sanitizer, optional tracer). The class is
+    (accept ledger, sanitizer, optional tracer). The class is
     loop-agnostic and in-process testable: the cluster coordinator drives
-    it inside :func:`broker_main`, while the test suite runs two
+    it inside :func:`broker_main`, :func:`repro.live.runtime.run_live_scenario`
+    drives one instance hosting every node, and the test suite runs two
     instances on one loop to cover the partition seams under coverage.
+
+    Lifecycle: :meth:`start` wires the stack, opens the observer session
+    and — last — the sockets; :meth:`close` must run on every path,
+    including a failed :meth:`start`.
     """
 
     def __init__(
@@ -122,9 +126,8 @@ class PartitionRuntime:
         local_nodes: Sequence[int],
         config: Optional[LiveConfig] = None,
         sanitize: bool = True,
-        trace: bool = False,
+        tracer: Optional[_trace.FrameTracer] = None,
         stripe_group: Optional[int] = None,
-        manage_observers: bool = True,
     ) -> None:
         self.scenario = scenario
         self.seed = seed
@@ -134,21 +137,17 @@ class PartitionRuntime:
         self.config = config if config is not None else LiveConfig()
         self.sanitize = sanitize
         self.stripe_group = stripe_group
-        self.manage_observers = manage_observers
         self.clock: Optional[WallClock] = None
         self.transport: Optional[LiveTransport] = None
         self.strategy: Optional[DcrdStrategy] = None
         self.ctx: Optional[RuntimeContext] = None
-        self.ordering: Optional[OrderingPlan] = None
         self.sanitizer: Optional[_sanity.Sanitizer] = None
         self.ledger = AcceptLedger()
-        self.tracer: Optional[_trace.FrameTracer] = (
-            _trace.FrameTracer() if trace else None
-        )
+        self.tracer = tracer
         self.published = 0
         self.done_publishing = not self.hosts_publisher
         self._publish_task: Optional["asyncio.Task[None]"] = None
-        self._finished = False
+        self._session: Optional[observed] = None
 
     @property
     def hosts_publisher(self) -> bool:
@@ -156,56 +155,47 @@ class PartitionRuntime:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Boot the partition: counters, transport, stack, observers."""
+        """Boot the partition: counters, stack, observers, then sockets."""
         reset_message_ids()
         if self.stripe_group is not None:
             install_transfer_stripe(self.stripe_group)
-        loop = asyncio.get_running_loop()
-        self.clock = WallClock(loop)
+        self.clock = WallClock(asyncio.get_running_loop())
         topology = self.scenario.topology()
         rules = self.scenario.rules()
         fault = FaultInjector(seed=self.seed, rules=rules) if rules else None
+        # Hosting every broker is the single-process deployment: no peer
+        # addresses needed, and no frame ever arrives from outside.
+        partitioned = len(self.local_nodes) < topology.num_nodes
         self.transport = LiveTransport(
             topology,
             self.clock,
             self.config,
             fault,
-            local_nodes=self.local_nodes,
+            local_nodes=self.local_nodes if partitioned else None,
         )
-        streams = RandomStreams(self.seed)
-        monitor = LinkMonitor(topology, self.transport, streams, mode="analytic")
-        self.ordering = plan_from_scenario(self.scenario.ordering)
-        self.ctx = RuntimeContext(
-            sim=self.clock,
-            topology=topology,
-            network=self.transport,
-            monitor=monitor,
-            workload=self.scenario.workload(),
-            metrics=MetricsCollector(),
-            streams=streams,
-            params=self.scenario.params(),
-            ordering=self.ordering,
+        self.ctx, self.strategy, _ = wire_stack(
+            self.clock,
+            topology,
+            self.transport,
+            RandomStreams(self.seed),
+            self.scenario.workload(),
+            self.scenario.params(),
+            ordering=plan_from_scenario(self.scenario.ordering),
+            nodes=self.local_nodes,
         )
-        if self.ordering is not None and self.hosts_publisher:
-            # The stamper hook is process-global; only the publisher's
-            # partition ever runs fresh(), and activating just that one
-            # keeps co-located test partitions from clobbering each other.
-            self.ordering.activate()
-        self.strategy = DcrdStrategy(self.ctx)
-        self.strategy.setup()
-        brokers = [
-            BrokerRuntime(node, self.ctx, self.strategy)
-            for node in sorted(self.local_nodes)
-        ]
-        assert brokers  # attach side effects; the list itself is not used
-        self.sanitizer = (
-            _sanity.Sanitizer(partitioned=True) if self.sanitize else None
+        if self.sanitize:
+            self.sanitizer = _sanity.Sanitizer(partitioned=partitioned)
+        # The stamper hook is process-global; only the publisher's
+        # partition ever runs fresh(), and activating just that one keeps
+        # co-located test partitions from clobbering each other.
+        self._session = observed(
+            self.ctx,
+            self.sanitizer,
+            self.tracer,
+            observers=[self.ledger],
+            stamps=self.hosts_publisher,
         )
-        if self.manage_observers:
-            # Same install order as both single-process runners.
-            _sanity.install(self.sanitizer)
-            _trace.install(self.tracer)
-            _probes.attach(self.ledger)
+        self._session.__enter__()
         await self.transport.start()
 
     def begin(self, epoch: float, publish_times: Sequence[float]) -> None:
@@ -245,7 +235,8 @@ class PartitionRuntime:
         across consecutive sweeps (a pending retransmission always keeps
         its copy in flight, so the counters cannot be transiently flat).
         """
-        assert self.strategy is not None and self.transport is not None
+        assert self.ctx is not None and self.strategy is not None
+        assert self.transport is not None
         stats = self.transport.stats
         activity = sum(stats._sent) + sum(stats._delivered)
         return {
@@ -253,76 +244,36 @@ class PartitionRuntime:
             "in_flight": self.strategy.arq.in_flight,
             # Frames parked in hold-back pipelines: still "in flight" for
             # quiescence purposes (a stall timer will release them).
-            "held": self.ordering.held_count() if self.ordering else 0,
+            "held": self.ctx.ordering.held_count() if self.ctx.ordering else 0,
             "activity": activity,
             "done_publishing": self.done_publishing,
             "published": self.published,
         }
 
+    def finish(self) -> None:
+        """End of a settled run: flush hold-back buffers, then run the
+        sanitizer's end-of-run checks (raises on a violation; idempotent)."""
+        assert self._session is not None
+        self._session.finish()
+
     def report(self, include_trace: bool = False) -> Dict[str, Any]:
         """Reduce the partition to its mergeable end-of-run facts.
 
-        Runs the partition-local sanitizer checks first
-        (:meth:`~repro.sanity.Sanitizer.finish_partition`), which raise
-        on a violation; the fleet-wide conservation check runs at the
-        coordinator over the exported ledgers.
+        Finishes the run first (:meth:`finish`), so end-of-run releases
+        land in the metrics and the partition-local checks have passed;
+        the fleet-wide conservation check runs at the coordinator over
+        the exported ledgers.
         """
         assert self.ctx is not None and self.strategy is not None
-        assert self.clock is not None
-        if not self._finished:
-            self._finished = True
-            # Flush hold-back buffers first so end-of-run releases land in
-            # the metrics (and the sanitizer) before the partition checks.
-            if self.ordering is not None:
-                self.ordering.flush()
-            if self.sanitizer is not None:
-                self.sanitizer.finish_partition(self.clock.now)
-        metrics = self.ctx.metrics
-        local = self.local_nodes
-        outcomes = metrics.outcomes()
+        self.finish()
         result: Dict[str, Any] = {
-            "nodes": sorted(local),
+            "nodes": sorted(self.local_nodes),
             "published": self.published,
-            "delivered": sorted(
-                [o.msg_id, o.subscriber] for o in outcomes if o.delivered
+            **reduce_run(
+                self.ctx, self.strategy, self.ledger, self.sanitizer, self.local_nodes
             ),
-            "gave_up": sorted(
-                [o.msg_id, o.subscriber] for o in outcomes if o.gave_up
-            ),
-            "delays": sorted(
-                [o.msg_id, o.subscriber, o.delay]
-                for o in outcomes
-                if o.delay is not None
-            ),
-            "duplicates": metrics.duplicate_count(),
-            # The probe bus is process-global, so filter to the hosted
-            # nodes — a no-op in a real one-partition-per-process run,
-            # load-bearing when tests co-locate partitions on one loop.
-            "deliveries": sorted(
-                [msg, node] for msg, node in self.ledger.deliveries if node in local
-            ),
-            # Unsorted arrival order (local nodes only): the ordering
-            # conformance suite compares per-node subsequences of this.
-            "delivery_order": [
-                [msg, node] for msg, node in self.ledger.deliveries if node in local
-            ],
-            "accepts_max": max(
-                (
-                    count
-                    for (_, node), count in self.ledger.accepts.items()
-                    if node in local
-                ),
-                default=0,
-            ),
-            "retransmissions": self.strategy.arq.retransmissions,
-            "abandoned": self.strategy.abandoned,
-            "in_flight": self.strategy.arq.in_flight,
         }
         if self.sanitizer is not None:
-            perf = self.sanitizer.perf_counters()
-            result["timers_started"] = perf["sanity.timers_started"]
-            result["timers_settled"] = perf["sanity.timers_settled"]
-            result["violations"] = perf["sanity.violations"]
             result["sanitizer"] = self.sanitizer.export_partition()
         if include_trace and self.tracer is not None:
             result["trace"] = [
@@ -340,13 +291,12 @@ class PartitionRuntime:
             except (asyncio.CancelledError, Exception):  # pragma: no cover
                 pass
             self._publish_task = None
-        if self.ordering is not None:
-            self.ordering.deactivate()
-        if self.manage_observers:
-            _sanity.uninstall()
-            _trace.uninstall()
-            _probes.detach(self.ledger)
-        if self.transport is not None and self.transport.started:
+        if self._session is not None:
+            self._session.close()
+            self._session = None
+        if self.transport is not None:
+            # Also after a start() that failed half-way: whatever servers
+            # and connections it opened are closed here.
             await self.transport.close()
 
 
@@ -410,12 +360,12 @@ async def broker_main(args: argparse.Namespace) -> int:
         nodes,
         config,
         sanitize=not args.no_sanitize,
-        trace=args.trace,
+        tracer=_trace.FrameTracer() if args.trace else None,
         stripe_group=min(nodes) + 1,
     )
     control_host, _, control_port = args.control.rpartition(":")
-    await runtime.start()
     try:
+        await runtime.start()
         reader, writer = await asyncio.open_connection(
             control_host, int(control_port)
         )

@@ -568,7 +568,7 @@ def merge_reports(
         "gave_up": gave_up,
         "duplicates": sum(report["duplicates"] for report in reports),
         "max_accepts_per_transfer": max(
-            report["accepts_max"] for report in reports
+            report["max_accepts_per_transfer"] for report in reports
         ),
         "deliveries": deliveries,
         "delays": delays,

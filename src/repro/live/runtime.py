@@ -1,16 +1,15 @@
-"""The live composition root: one scenario over asyncio TCP.
+"""The single-process live run: one scenario over asyncio TCP.
 
 :func:`run_live_scenario` is the wall-clock twin of
-:func:`repro.live.scenarios.run_sim_scenario`. It assembles the identical
-protocol stack — :class:`DcrdStrategy` + :class:`ArqSender` +
-:class:`BrokerRuntime` + analytic :class:`LinkMonitor` — over
-:class:`~repro.live.clock.WallClock` and
-:class:`~repro.live.transport.LiveTransport` instead of the
-discrete-event kernel and :class:`OverlayNetwork`, publishes the same
-scripted workload, waits for the ARQ layer to drain, and reduces the run
-with the same :func:`~repro.live.scenarios.harvest`. The sanitizer and
-the accept ledger observe through the probe bus exactly as in the sim
-run, install order included.
+:func:`repro.live.scenarios.run_sim_scenario`: an in-process driver over
+one :class:`~repro.live.broker.PartitionRuntime` hosting every node —
+a single-process live run *is* a one-partition fleet, so the live stack
+is wired in exactly one place. What stays here is what a coordinator-less
+run needs of its own: it publishes the scripted workload paced relative
+to the previous publish (expectations registered at the actual publish
+instant — delays never leave this process, so no shared epoch is
+needed), waits locally for the ARQ layer to drain, and reduces the run
+with the same :func:`~repro.live.scenarios.harvest` as the sim.
 
 A run that does not drain within the configured settle timeout raises
 :class:`~repro.util.errors.SimulationError` — a live run with copies
@@ -22,22 +21,11 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Optional
 
-from repro import probes as _probes
-from repro import sanity as _sanity
 from repro import trace as _trace
-from repro.core.forwarding import DcrdStrategy
-from repro.live.clock import WallClock
+from repro.live.broker import PartitionRuntime
 from repro.live.config import LiveConfig
-from repro.live.faults import FaultInjector
-from repro.live.scenarios import AcceptLedger, Scenario, harvest
-from repro.live.transport import LiveTransport
-from repro.metrics.collector import MetricsCollector
-from repro.ordering.plan import OrderingPlan, plan_from_scenario
-from repro.overlay.monitor import LinkMonitor
-from repro.pubsub.broker import BrokerRuntime
-from repro.pubsub.messages import next_message_id, reset_message_ids
-from repro.routing.base import RuntimeContext
-from repro.sim.random import RandomStreams
+from repro.live.scenarios import Scenario, harvest
+from repro.pubsub.messages import next_message_id
 from repro.util.errors import SimulationError
 
 #: Consecutive idle polls required before the run counts as settled (the
@@ -54,100 +42,51 @@ async def _run(
     config: LiveConfig,
     tracer: Optional[_trace.FrameTracer] = None,
 ) -> Dict[str, Any]:
-    reset_message_ids()
-    loop = asyncio.get_running_loop()
-    clock = WallClock(loop)
-    topology = scenario.topology()
-    rules = scenario.rules()
-    fault = FaultInjector(seed=seed, rules=rules) if rules else None
-    transport = LiveTransport(topology, clock, config, fault)
-    await transport.start()
-    streams = RandomStreams(seed)
-    monitor = LinkMonitor(topology, transport, streams, mode="analytic")
-    plan = plan_from_scenario(scenario.ordering)
-    ctx = RuntimeContext(
-        sim=clock,
-        topology=topology,
-        network=transport,
-        monitor=monitor,
-        workload=scenario.workload(),
-        metrics=MetricsCollector(),
-        streams=streams,
-        params=scenario.params(),
-        ordering=plan,
+    runtime = PartitionRuntime(
+        scenario, seed, scenario.topology().nodes, config, sanitize, tracer
     )
-    strategy = DcrdStrategy(ctx)
-    strategy.setup()
-    brokers = [BrokerRuntime(node, ctx, strategy) for node in topology.nodes]
-    assert brokers  # attach side effects; the list itself is not used
-    sanitizer = _sanity.Sanitizer() if sanitize else None
-    ledger = AcceptLedger()
-    spec = ctx.workload.topic(scenario.topic)
-    deadlines = {sub.node: sub.deadline for sub in spec.subscriptions}
-    # Same install order as the sim runner (sanitizer before tracer):
-    # shared probe sites observe in a fixed callback order on both
-    # substrates.
-    _sanity.install(sanitizer)
-    _trace.install(tracer)
-    _probes.attach(ledger)
     try:
-        try:
-            try:
-                if plan is not None:
-                    plan.activate()
-                for _ in range(scenario.publishes):
-                    msg_id = next_message_id()
-                    ctx.metrics.expect(msg_id, scenario.topic, clock.now, deadlines)
-                    strategy.publish(spec, msg_id)
-                    await asyncio.sleep(scenario.publish_interval)
-                await _settle(strategy, clock, config, plan)
-                # Release any frames still held back (end-of-run "flush")
-                # while the sanitizer is attached, mirroring the sim run.
-                if plan is not None:
-                    plan.flush()
-            finally:
-                if plan is not None:
-                    plan.deactivate()
-                _sanity.uninstall()
-            if sanitizer is not None:
-                sanitizer.finish(ctx.metrics, clock.now)
-        finally:
-            _trace.uninstall()
-            _probes.detach(ledger)
+        await runtime.start()
+        ctx, strategy, clock = runtime.ctx, runtime.strategy, runtime.clock
+        spec = ctx.workload.topic(scenario.topic)
+        deadlines = {sub.node: sub.deadline for sub in spec.subscriptions}
+        for _ in range(scenario.publishes):
+            msg_id = next_message_id()
+            ctx.metrics.expect(msg_id, scenario.topic, clock.now, deadlines)
+            strategy.publish(spec, msg_id)
+            await asyncio.sleep(scenario.publish_interval)
+        await _settle(runtime, config)
+        runtime.finish()
     finally:
-        await transport.close()
-    return harvest(scenario, ctx, strategy, ledger, sanitizer)
+        await runtime.close()
+    return harvest(scenario, ctx, strategy, runtime.ledger, runtime.sanitizer)
 
 
-async def _settle(
-    strategy: DcrdStrategy,
-    clock: WallClock,
-    config: LiveConfig,
-    plan: Optional[OrderingPlan] = None,
-) -> None:
+async def _settle(runtime: PartitionRuntime, config: LiveConfig) -> None:
     """Wait until every ARQ copy is settled (ACKed or abandoned).
 
     With an ordering plan attached, quiescence also requires the
     hold-back pipelines to be empty — a frame parked behind a gap still
     has a stall timer pending, so the run has not finished delivering.
     """
+    clock = runtime.clock
     deadline = clock.now + config.settle_timeout
     stable = 0
-    while clock.now < deadline:
-        held = plan.held_count() if plan is not None else 0
-        if strategy.arq.in_flight == 0 and held == 0:
+    while True:
+        status = runtime.status()
+        if clock.now >= deadline:
+            raise SimulationError(
+                f"live run failed to settle within {config.settle_timeout}s "
+                f"({status['in_flight']} ARQ copies still in flight, "
+                f"{status['held']} frames held back)"
+            )
+        if status["in_flight"] == 0 and status["held"] == 0:
             stable += 1
             if stable >= _SETTLE_STABLE_POLLS:
                 return
         else:
             stable = 0
         await asyncio.sleep(config.settle_poll)
-    held = plan.held_count() if plan is not None else 0
-    raise SimulationError(
-        f"live run failed to settle within {config.settle_timeout}s "
-        f"({strategy.arq.in_flight} ARQ copies still in flight, "
-        f"{held} frames held back)"
-    )
 
 
 def run_live_scenario(

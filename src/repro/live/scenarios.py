@@ -26,23 +26,20 @@ counter comparisons noisy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
-from repro import probes as _probes
 from repro import sanity as _sanity
 from repro.core.forwarding import DcrdStrategy
 from repro.live.faults import DropRule, ack_loss_rules, dead_link_rules, link_filter
-from repro.metrics.collector import MetricsCollector
 from repro.ordering.plan import plan_from_scenario
 from repro.overlay.links import OverlayNetwork
-from repro.overlay.monitor import LinkMonitor
 from repro.overlay.topology import Topology, canonical_edge
-from repro.pubsub.broker import BrokerRuntime
 from repro.pubsub.messages import next_message_id, reset_message_ids
 from repro.pubsub.topics import Subscription, TopicSpec, Workload
 from repro.routing.base import ProtocolParams, RuntimeContext
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+from repro.stack import observed, wire_stack
 from repro.util.errors import ConfigurationError
 
 import networkx as nx
@@ -267,9 +264,58 @@ class AcceptLedger:
     def _on_deliver(self, t: float, node: int, frame: Any) -> None:
         self.deliveries.append((frame.msg_id, node))
 
-    @property
-    def max_accepts_per_transfer(self) -> int:
-        return max(self.accepts.values(), default=0)
+
+def reduce_run(
+    ctx: RuntimeContext,
+    strategy: DcrdStrategy,
+    ledger: AcceptLedger,
+    sanitizer: Optional[_sanity.Sanitizer],
+    nodes: Collection[int],
+) -> Dict[str, Any]:
+    """The JSON-safe end-of-run facts of one finished stack.
+
+    The one reducer behind :func:`harvest` and
+    :meth:`repro.live.broker.PartitionRuntime.report`. *nodes* are the
+    brokers the caller hosts: the probe bus is process-global, so the
+    ledger of a partition co-located with others (the in-process
+    partition tests) hears all of them and is filtered here.
+    """
+    outcomes = ctx.metrics.outcomes()
+    deliveries = tuple(pair for pair in ledger.deliveries if pair[1] in nodes)
+    facts: Dict[str, Any] = {
+        "delivered": tuple(
+            sorted((o.msg_id, o.subscriber) for o in outcomes if o.delivered)
+        ),
+        "gave_up": tuple(
+            sorted((o.msg_id, o.subscriber) for o in outcomes if o.gave_up)
+        ),
+        "delays": tuple(
+            sorted(
+                (o.msg_id, o.subscriber, o.delay)
+                for o in outcomes
+                if o.delay is not None
+            )
+        ),
+        "duplicates": ctx.metrics.duplicate_count(),
+        # At-most-once post-dedup: must never exceed 1.
+        "max_accepts_per_transfer": max(
+            (n for (_, node), n in ledger.accepts.items() if node in nodes),
+            default=0,
+        ),
+        "deliveries": tuple(sorted(deliveries)),
+        # Unsorted arrival order of (msg_id, node) pairs: per-node
+        # subsequences are what the ordering conformance suite compares.
+        "delivery_order": deliveries,
+        "retransmissions": strategy.arq.retransmissions,
+        "abandoned": strategy.abandoned,
+        "in_flight": strategy.arq.in_flight,
+    }
+    if sanitizer is not None:
+        perf = sanitizer.perf_counters()
+        facts["timers_started"] = perf["sanity.timers_started"]
+        facts["timers_settled"] = perf["sanity.timers_settled"]
+        facts["violations"] = perf["sanity.violations"]
+    return facts
 
 
 def harvest(
@@ -280,47 +326,15 @@ def harvest(
     sanitizer: Optional[_sanity.Sanitizer],
 ) -> Dict[str, Any]:
     """Reduce one finished run (either substrate) to its comparable facts."""
-    metrics = ctx.metrics
-    delivered: FrozenSet[Tuple[int, int]] = frozenset(
-        (outcome.msg_id, outcome.subscriber)
-        for outcome in metrics.outcomes()
-        if outcome.delivered
-    )
-    gave_up = frozenset(
-        (outcome.msg_id, outcome.subscriber)
-        for outcome in metrics.outcomes()
-        if outcome.gave_up
-    )
-    delays = tuple(
-        sorted(
-            (outcome.msg_id, outcome.subscriber, outcome.delay)
-            for outcome in metrics.outcomes()
-            if outcome.delay is not None
-        )
-    )
-    result: Dict[str, Any] = {
+    facts = reduce_run(ctx, strategy, ledger, sanitizer, ctx.topology.nodes)
+    return {
         "scenario": scenario.name,
-        "published": metrics.messages_published,
-        "expected": metrics.expected_deliveries,
-        "delivered": delivered,
-        "gave_up": gave_up,
-        "duplicates": metrics.duplicate_count(),
-        "max_accepts_per_transfer": ledger.max_accepts_per_transfer,
-        "deliveries": tuple(sorted(ledger.deliveries)),
-        # Unsorted arrival order of (msg_id, node) pairs: per-node
-        # subsequences are what the ordering conformance suite compares.
-        "delivery_order": tuple(ledger.deliveries),
-        "delays": delays,
-        "retransmissions": strategy.arq.retransmissions,
-        "abandoned": strategy.abandoned,
-        "in_flight": strategy.arq.in_flight,
+        "published": ctx.metrics.messages_published,
+        "expected": ctx.metrics.expected_deliveries,
+        **facts,
+        "delivered": frozenset(facts["delivered"]),
+        "gave_up": frozenset(facts["gave_up"]),
     }
-    if sanitizer is not None:
-        perf = sanitizer.perf_counters()
-        result["timers_started"] = perf["sanity.timers_started"]
-        result["timers_settled"] = perf["sanity.timers_settled"]
-        result["violations"] = perf["sanity.violations"]
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +352,18 @@ def run_sim_scenario(
     rules = scenario.rules()
     if rules:
         network.install_fault_filter(link_filter(rules))
-    monitor = LinkMonitor(topology, network, streams, mode="analytic")
-    workload = scenario.workload()
-    plan = plan_from_scenario(scenario.ordering)
-    ctx = RuntimeContext(
-        sim=sim,
-        topology=topology,
-        network=network,
-        monitor=monitor,
-        workload=workload,
-        metrics=MetricsCollector(),
-        streams=streams,
-        params=scenario.params(),
-        ordering=plan,
+    ctx, strategy, _ = wire_stack(
+        sim,
+        topology,
+        network,
+        streams,
+        scenario.workload(),
+        scenario.params(),
+        ordering=plan_from_scenario(scenario.ordering),
     )
-    strategy = DcrdStrategy(ctx)
-    strategy.setup()
-    brokers = [BrokerRuntime(node, ctx, strategy) for node in topology.nodes]
-    assert brokers  # attach side effects; the list itself is not used
     sanitizer = _sanity.Sanitizer() if sanitize else None
     ledger = AcceptLedger()
-    spec = workload.topic(scenario.topic)
+    spec = ctx.workload.topic(scenario.topic)
     deadlines = {sub.node: sub.deadline for sub in spec.subscriptions}
 
     def publish_one() -> None:
@@ -368,21 +373,6 @@ def run_sim_scenario(
 
     for i in range(scenario.publishes):
         sim.schedule(i * scenario.publish_interval, publish_one)
-    _sanity.install(sanitizer)
-    _probes.attach(ledger)
-    try:
-        try:
-            if plan is not None:
-                plan.activate()
-            sim.run(until=scenario.end_time)
-            if plan is not None:
-                plan.flush()
-        finally:
-            if plan is not None:
-                plan.deactivate()
-            _sanity.uninstall()
-        if sanitizer is not None:
-            sanitizer.finish(ctx.metrics, sim.now)
-    finally:
-        _probes.detach(ledger)
+    with observed(ctx, sanitizer, observers=[ledger]):
+        sim.run(until=scenario.end_time)
     return harvest(scenario, ctx, strategy, ledger, sanitizer)

@@ -94,6 +94,9 @@ class LiveTransport:
         self._writers: Dict[Tuple[int, int], asyncio.StreamWriter] = {}
         self._delays: Dict[Tuple[int, int], float] = {}
         self._servers: List[asyncio.AbstractServer] = []
+        # Server-side ends of the peers' connections (closed with the run:
+        # Server.close() only stops listening).
+        self._accepted: List[asyncio.StreamWriter] = []
         self._reader_tasks: List["asyncio.Task[None]"] = []
         self._ports: Dict[int, int] = {}
         self.started = False
@@ -148,6 +151,7 @@ class LiveTransport:
                 async def on_connect(
                     reader: asyncio.StreamReader, writer: asyncio.StreamWriter
                 ) -> None:
+                    self._accepted.append(writer)
                     task = asyncio.ensure_future(self._read_loop(dst, reader))
                     self._reader_tasks.append(task)
 
@@ -222,12 +226,13 @@ class LiveTransport:
             # (they never fired on_transmit — the sanitizer never saw them).
             for _ in self.fault.flush():
                 self.stats._lost_injected[FrameKind.DATA.idx] += 1
-        for writer in self._writers.values():
+        writers = [*self._writers.values(), *self._accepted]
+        for writer in writers:
             try:
                 writer.close()
             except Exception:  # pragma: no cover - teardown best effort
                 pass
-        for writer in self._writers.values():
+        for writer in writers:
             try:
                 await writer.wait_closed()
             except Exception:  # pragma: no cover - teardown best effort
@@ -243,6 +248,7 @@ class LiveTransport:
             except (asyncio.CancelledError, Exception):  # pragma: no cover
                 pass
         self._writers.clear()
+        self._accepted.clear()
         self._servers.clear()
         self._reader_tasks.clear()
         self.started = False

@@ -1,0 +1,165 @@
+"""The composition root: one stack builder, one observer session.
+
+Every broker runs the same hop-by-hop stack whatever hosts it, so every
+world-builder — the experiment runner, :class:`~repro.system.PubSubSystem`,
+the scripted sim scenarios, the live partitions — goes through this
+module and keeps only what is its own (hazard schedules, publishers,
+fault scripts, sockets, pacing): :func:`wire_stack` assembles the stack
+over whatever clock/transport pair the caller brought
+(:mod:`repro.substrate`), and :class:`observed` owns the process-global
+observer state of a run — install order on entry, idle state restored
+on every exit path.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Sequence
+
+from repro import probes as _probes
+from repro import sanity as _sanity
+from repro import trace as _trace
+from repro.core.forwarding import DcrdStrategy
+from repro.metrics.collector import MetricsCollector
+from repro.ordering.plan import OrderingPlan
+from repro.overlay.monitor import LinkMonitor
+from repro.overlay.topology import Topology
+from repro.pubsub.broker import BrokerRuntime
+from repro.pubsub.topics import Workload
+from repro.routing.base import ProtocolParams, RoutingStrategy, RuntimeContext
+from repro.sim.random import RandomStreams
+
+
+class Stack(NamedTuple):
+    """What :func:`wire_stack` hands back to its composition root."""
+
+    ctx: RuntimeContext
+    strategy: RoutingStrategy
+    brokers: List[BrokerRuntime]
+
+
+def wire_stack(
+    clock: Any,
+    topology: Topology,
+    network: Any,
+    streams: RandomStreams,
+    workload: Workload,
+    params: ProtocolParams,
+    strategy: Callable[[RuntimeContext], RoutingStrategy] = DcrdStrategy,
+    monitor_mode: str = "analytic",
+    ordering: Optional[OrderingPlan] = None,
+    nodes: Optional[Iterable[int]] = None,
+) -> Stack:
+    """``LinkMonitor`` → ``MetricsCollector`` → ``RuntimeContext`` →
+    *strategy* (a constructor; then ``setup()``) → one ``BrokerRuntime``
+    per hosted node (*nodes*; default: every node of *topology*).
+
+    The substrate's fast paths — interned link directions, latent ARQ
+    timers — are switched on whenever it offers them and every node is
+    hosted here.
+    """
+    ctx = RuntimeContext(
+        sim=clock,
+        topology=topology,
+        network=network,
+        monitor=LinkMonitor(topology, network, streams, mode=monitor_mode),
+        workload=workload,
+        metrics=MetricsCollector(),
+        streams=streams,
+        params=params,
+        ordering=ordering,
+    )
+    routing = strategy(ctx)
+    routing.setup()
+    hosted = topology.nodes if nodes is None else sorted(nodes)
+    brokers = [BrokerRuntime(node, ctx, routing) for node in hosted]
+    if len(hosted) == len(topology.nodes):
+        # Every handler of the run is attached: intern the link table so
+        # the run never falls back to lazy resolution ...
+        prewarm = getattr(network, "prewarm_directions", None)
+        if prewarm is not None:
+            prewarm()
+        # ... and every receiver ACKs delivered DATA synchronously, so ACK
+        # timeouts may stay latent (ArqSender declines by itself on a
+        # substrate that cannot reserve kernel heap keys).
+        arq = getattr(routing, "arq", None)
+        if arq is not None and routing.uses_acks:
+            arq.enable_timer_elision()
+    return Stack(ctx, routing, brokers)
+
+
+class observed:
+    """Context manager owning one run's process-global observer state.
+
+    Entry installs *sanitizer* then *tracer* (``None`` clears what an
+    aborted run left behind; the order fixes the fused callback order at
+    shared probe sites), attaches the extra *observers* and activates
+    the context's ordering stamper — unless *stamps* is false: the hook
+    is process-global and only a partition hosting a publisher stamps.
+    Observers attached to the bus directly are left untouched.
+
+    :meth:`finish` ends a run that completed: hold-back state is flushed
+    while the sanitizer watches, then its end-of-run checks run with the
+    tracer still attached (violations capture trace excerpts). A clean
+    ``with`` exit calls it; an owner whose run spans several calls (a
+    live partition) enters, calls :meth:`finish` once settled, and
+    :meth:`close` on every path — a run that failed is torn down, not
+    checked. Without a *ctx* the session only watches (a build, say).
+    """
+
+    def __init__(
+        self,
+        ctx: Optional[RuntimeContext] = None,
+        sanitizer: Optional[_sanity.Sanitizer] = None,
+        tracer: Optional[_trace.FrameTracer] = None,
+        observers: Sequence[Any] = (),
+        stamps: bool = True,
+    ) -> None:
+        self.ctx = ctx
+        self.sanitizer = sanitizer
+        self.tracer = tracer
+        self.observers = tuple(observers)
+        self.plan: Optional[OrderingPlan] = ctx.ordering if ctx is not None else None
+        self.stamps = stamps
+        self._finished = False
+
+    def __enter__(self) -> "observed":
+        _sanity.install(self.sanitizer)
+        _trace.install(self.tracer)
+        for observer in self.observers:
+            _probes.attach(observer)
+        if self.plan is not None and self.stamps:
+            self.plan.activate()
+        return self
+
+    def finish(self) -> None:
+        """Flush hold-back state, then run the end-of-run checks (once)."""
+        if self._finished or self.ctx is None:
+            return
+        self._finished = True
+        if self.plan is not None:
+            self.plan.flush()
+        sanitizer = self.sanitizer
+        if sanitizer is not None:
+            now = self.ctx.sim.now
+            if sanitizer.partitioned:
+                # Conservation needs the whole fleet's ledgers; the
+                # coordinator re-proves it over the merged exports.
+                sanitizer.finish_partition(now)
+            else:
+                sanitizer.finish(self.ctx.metrics, now)
+
+    def close(self) -> None:
+        """Return every process-global slot this session set to idle."""
+        if self.plan is not None:
+            self.plan.deactivate()
+        _sanity.uninstall()
+        _trace.uninstall()
+        for observer in self.observers:
+            _probes.detach(observer)
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        try:
+            if exc_type is None:
+                self.finish()
+        finally:
+            self.close()

@@ -29,21 +29,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.metrics.collector import MetricsCollector
 from repro.metrics.summary import MetricsSummary, summarize
 from repro.ordering.plan import OrderingPlan
 from repro.overlay.failures import FailureSchedule
 from repro.overlay.links import OverlayNetwork
-from repro.overlay.monitor import LinkMonitor
 from repro.overlay.topology import Topology, full_mesh, random_regular
-from repro.pubsub.broker import BrokerRuntime
 from repro.pubsub.endpoints import PublisherProcess
 from repro.pubsub.messages import next_message_id
 from repro.pubsub.topics import Subscription, TopicSpec, Workload
-from repro.routing.base import ProtocolParams, RoutingStrategy, RuntimeContext
+from repro.routing.base import ProtocolParams
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 from repro.sim.random import RandomStreams
+from repro.stack import wire_stack
 from repro.util.errors import ConfigurationError
 from repro.util.validation import require, require_positive
 
@@ -99,30 +97,26 @@ class PubSubSystem:
         self.network = OverlayNetwork(
             self.sim, topology, self.streams, loss_rate=loss_rate, failures=failures
         )
-        self.monitor = LinkMonitor(topology, self.network, self.streams)
-        self.metrics = MetricsCollector()
-        self.metrics.add_observer(self._on_delivery)
         self.workload = Workload(topics=[])
-        # Embedded systems stay alive indefinitely, so the plan's stamper
-        # is activated for the system's whole lifetime; call close() (or
-        # rely on a fresh system replacing the module-level stamper) when
-        # the system is done.
         self.ordering = OrderingPlan.from_text(ordering)
-        self.ctx = RuntimeContext(
-            sim=self.sim,
-            topology=topology,
-            network=self.network,
-            monitor=self.monitor,
-            workload=self.workload,
-            metrics=self.metrics,
-            streams=self.streams,
-            params=ProtocolParams(m=m, ack_timeout_factor=ack_timeout_factor),
+        self.ctx, self.strategy, self.brokers = wire_stack(
+            self.sim,
+            topology,
+            self.network,
+            self.streams,
+            self.workload,
+            ProtocolParams(m=m, ack_timeout_factor=ack_timeout_factor),
+            strategy=STRATEGIES[strategy],
             ordering=self.ordering,
         )
+        self.monitor = self.ctx.monitor
+        self.metrics = self.ctx.metrics
+        self.metrics.add_observer(self._on_delivery)
+        # Embedded systems stay alive indefinitely, so the plan's stamper
+        # is activated for the system's whole lifetime; call close() when
+        # the system is done.
         if self.ordering is not None:
             self.ordering.activate()
-        self.strategy: RoutingStrategy = STRATEGIES[strategy](self.ctx)
-        self.brokers = [BrokerRuntime(n, self.ctx, self.strategy) for n in topology.nodes]
 
         def monitor_cycle() -> None:
             self.monitor.refresh()

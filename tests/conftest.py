@@ -7,11 +7,13 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
+from repro import probes, sanity, trace
 from repro.metrics.collector import MetricsCollector
 from repro.overlay.links import OverlayNetwork
 from repro.overlay.monitor import LinkMonitor
 from repro.overlay.topology import Topology, canonical_edge
 from repro.pubsub.broker import BrokerRuntime
+from repro.pubsub import messages
 from repro.pubsub.messages import reset_message_ids
 from repro.pubsub.topics import Subscription, TopicSpec, Workload
 from repro.routing.base import ProtocolParams, RuntimeContext
@@ -27,6 +29,35 @@ def _fresh_message_ids():
     reset_message_ids()
     yield
     reset_message_ids()
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_process_globals():
+    """Every test must hand the process-global observer state back idle.
+
+    A leak is pinned on the test that caused it (as a teardown error) and
+    the state is restored, so its successors still start clean.
+    """
+    yield
+    leaks = [
+        f"probes.on_{family} is compiled"
+        for family in probes.FAMILIES
+        if getattr(probes, "on_" + family) is not None
+    ]
+    leaks += [f"observer still attached: {o!r}" for o in probes.observers()]
+    if sanity.ACTIVE is not None:
+        leaks.append("sanity.ACTIVE is set")
+    if trace.ACTIVE is not None:
+        leaks.append("trace.ACTIVE is set")
+    if messages.ORDER_STAMPER is not None:
+        leaks.append("messages.ORDER_STAMPER is set")
+    if leaks:
+        sanity.uninstall()
+        trace.uninstall()
+        for observer in probes.observers():
+            probes.detach(observer)
+        messages.set_order_stamper(None)
+        pytest.fail("test leaked process-global state:\n  " + "\n  ".join(leaks))
 
 
 @pytest.fixture

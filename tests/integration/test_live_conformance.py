@@ -28,8 +28,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.live import scenarios
 from repro.live.runtime import run_live_scenario
-from repro.live.scenarios import make_scenario, run_sim_scenario
+from repro.live.scenarios import SCENARIO_KINDS, make_scenario, run_sim_scenario
 
 #: The ISSUE's conformance matrix: >= 5 seeds x >= 3 scenario kinds.
 SEEDS = (0, 1, 2, 3, 4)
@@ -83,6 +84,32 @@ def test_adversarial_scenarios_exercise_recovery():
         sim = run_sim_scenario(make_scenario(kind), seed=0, sanitize=True)
         assert sim["retransmissions"] > 0, kind
         assert len(sim["delivered"]) == sim["expected"], kind
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_latent_timers_agree_with_eager_timers_under_the_fault_script(
+    kind, monkeypatch
+):
+    """The sim scenario runs the production wiring: ACK timers stay latent.
+
+    A sanitized run keeps every timer eager (the sanitizer observes the
+    ``timer_*`` probe families); an unsanitized one elides them, and a
+    copy whose ACK the fault script drops must materialise its timer
+    through the network's ACK-loss observer. Both must reduce to the
+    same facts.
+    """
+    elided = []
+    harvest = scenarios.harvest
+
+    def spy(scenario, ctx, strategy, ledger, sanitizer):
+        elided.append(strategy.arq.timers_elided)
+        return harvest(scenario, ctx, strategy, ledger, sanitizer)
+
+    monkeypatch.setattr(scenarios, "harvest", spy)
+    eager = run_sim_scenario(make_scenario(kind), seed=0, sanitize=True)
+    latent = run_sim_scenario(make_scenario(kind), seed=0, sanitize=False)
+    assert elided[0] == 0 and elided[1] > 0
+    assert latent == {key: eager[key] for key in latent}
 
 
 def test_launcher_differential_smoke():

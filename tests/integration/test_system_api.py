@@ -107,6 +107,23 @@ class TestStrategies:
         system.run(until=1.0)
         assert [d.payload for d in got] == [name]
 
+    def test_ordered_facade_holds_the_stamper_until_closed(self):
+        from repro.pubsub import messages
+
+        system = PubSubSystem.build(num_nodes=6, seed=3, loss_rate=0.0, ordering="fifo")
+        try:
+            assert messages.ORDER_STAMPER is not None
+            system.add_topic("t", publisher=0)
+            got = []
+            system.subscribe("t", node=4, deadline=0.5, callback=got.append)
+            for payload in range(3):
+                system.publish("t", payload=payload)
+            system.run(until=1.0)
+            assert [d.payload for d in got] == [0, 1, 2]
+        finally:
+            system.close()
+        assert messages.ORDER_STAMPER is None
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigurationError):
             PubSubSystem.build(num_nodes=6, strategy="IP-multicast")

@@ -9,14 +9,19 @@ test process where coverage (and debuggers) can see it.
 
 Co-locating partitions has one consequence the runtime is built to
 tolerate: the probe bus is process-global, so each partition's ledger
-observes both partitions' events and must filter to its hosted nodes at
-report time. The sanitizer is exercised per-partition in the
-single-partition test instead (two would contend for the global slot).
+(attached by its own observer session) hears both partitions' events and
+is filtered to the hosted nodes at report time. The sanitizer is
+exercised per-partition in the single-partition test instead (two would
+contend for the global slot).
 """
 
 from __future__ import annotations
 
+import argparse
 import asyncio
+import dataclasses
+import gc
+import json
 import time
 
 import pytest
@@ -24,14 +29,17 @@ import pytest
 from repro.live.broker import (
     PartitionRuntime,
     TRANSFER_STRIPE_BITS,
+    broker_main,
     install_transfer_stripe,
     split_transfer_id,
 )
-from repro.live.cluster import merge_reports, plan_cluster
+from repro.live.cluster import allocate_ports, merge_reports, plan_cluster
 from repro.live.config import LiveConfig
-from repro.live.scenarios import make_scenario, run_sim_scenario
+from repro.live.runtime import run_live_scenario
+from repro.live.scenarios import make_scenario, run_sim_scenario, scenario_to_dict
+from repro.live.transport import LiveTransport
 from repro.pubsub.messages import next_transfer_id, reset_message_ids
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, SimulationError
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +89,9 @@ async def _run_partitions(scenario, groups, seed=0):
             config,
             sanitize=False,  # the probe-bus sanitizer slot is process-global
             stripe_group=min(group) + 1,
-            manage_observers=(index == 0),  # one shared ledger install
         )
-        for index, (group, config) in enumerate(zip(groups, configs))
+        for group, config in zip(groups, configs)
     ]
-    shared_ledger = runtimes[0].ledger
-    for runtime in runtimes[1:]:
-        runtime.ledger = shared_ledger
     try:
         # Start concurrently: each partition binds its servers before
         # dialing, and the dial-retry loop covers the boot ordering —
@@ -133,8 +137,8 @@ def test_partition_reports_are_disjoint_by_node():
     assert reports[1]["nodes"] == [1, 3]
     # The subscriber (node 3) lives in partition 1: all deliveries and
     # delivered pairs must be recorded there and only there.
-    assert reports[0]["deliveries"] == []
-    assert reports[0]["delivered"] == []
+    assert reports[0]["deliveries"] == ()
+    assert reports[0]["delivered"] == ()
     assert len(reports[1]["delivered"]) == scenario.publishes
     # Only the publisher's partition publishes.
     assert reports[0]["published"] == scenario.publishes
@@ -182,6 +186,19 @@ def test_single_partition_is_sanitizer_clean_and_exports_ledgers():
     assert status["done_publishing"]
 
 
+def test_single_partition_matches_the_single_process_live_run():
+    """``run_live_scenario`` is a driver over one all-hosting partition:
+    the fleet-style drive (absolute publish times, merged report) and the
+    in-process drive (relative pacing, harvest) reduce to the same facts."""
+    scenario = make_scenario("failover_bounce")
+    report, _ = asyncio.run(_run_single_partition(scenario))
+    merged = merge_reports(scenario, [report], sanitize=True)
+    live = run_live_scenario(make_scenario("failover_bounce"), seed=0)
+    assert merged["delivered"] == live["delivered"]
+    assert merged["gave_up"] == live["gave_up"]
+    assert merged["deliveries"] == live["deliveries"]
+
+
 def test_partition_requires_at_least_one_node():
     with pytest.raises(ConfigurationError, match="at least one node"):
         PartitionRuntime(make_scenario("clean"), 0, [])
@@ -212,3 +229,72 @@ def test_merged_report_shape_matches_harvest_contract():
         assert key in merged, key
     assert merged["conservation"]["leaked"] == 0
     assert merged["conservation"]["delivered"] == len(merged["delivered"])
+
+
+# ---------------------------------------------------------------------------
+# A build that fails must not leak sockets (or observers: see conftest)
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def open_transports(monkeypatch):
+    """The transports started and not yet closed, via counting shims."""
+    opened = []
+    start, close = LiveTransport.start, LiveTransport.close
+
+    async def counted_start(self):
+        opened.append(self)
+        await start(self)
+
+    async def counted_close(self):
+        await close(self)
+        if self in opened:
+            opened.remove(self)
+
+    monkeypatch.setattr(LiveTransport, "start", counted_start)
+    monkeypatch.setattr(LiveTransport, "close", counted_close)
+    return opened
+
+
+_STRICT = (
+    "error::ResourceWarning",
+    # An unclosed socket warns from __del__, where the error is unraisable.
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
+
+
+@pytest.mark.filterwarnings(*_STRICT)
+def test_failed_live_build_leaks_no_sockets(open_transports):
+    """The stack is wired before any socket opens; a scenario the
+    builder rejects must leave nothing listening or connected."""
+    scenario = dataclasses.replace(make_scenario("clean"), ordering="bogus")
+    with pytest.raises(ConfigurationError, match="bogus"):
+        run_live_scenario(scenario)
+    gc.collect()
+    assert open_transports == []
+
+
+@pytest.mark.filterwarnings(*_STRICT)
+def test_broker_main_closes_a_partition_whose_start_failed(tmp_path, open_transports):
+    """``runtime.start()`` sits inside the try/finally: a dial that fails
+    after the local servers were bound still closes them."""
+    scenario = make_scenario("failover_bounce")
+    (port,) = allocate_ports(1)
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(scenario_to_dict(scenario)))
+    peers_file = tmp_path / "peers.json"
+    # Node 0 can bind, but its neighbours have no address to dial.
+    peers_file.write_text(json.dumps({"0": ["127.0.0.1", port]}))
+    args = argparse.Namespace(
+        scenario=str(scenario_file),
+        peers=str(peers_file),
+        node_id=[0],
+        seed=0,
+        no_sanitize=False,
+        trace=False,
+        connect_timeout=1.0,
+        settle_timeout=1.0,
+        control="127.0.0.1:1",
+    )
+    with pytest.raises(SimulationError, match="no peer address"):
+        asyncio.run(broker_main(args))
+    gc.collect()
+    assert open_transports == []

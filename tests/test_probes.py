@@ -226,6 +226,38 @@ def test_no_active_hook_checks_outside_registered_observers():
     )
 
 
+def _call_sites(pattern: str) -> set:
+    """Files under ``src/repro`` with a line matching *pattern*."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    regex = re.compile(pattern)
+    return {
+        str(path.relative_to(src))
+        for path in src.rglob("*.py")
+        if any(regex.search(line) for line in path.read_text().splitlines())
+    }
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        r"\bRuntimeContext\(",
+        r'(?<!")\bBrokerRuntime\(',
+        r"\b_?sanity\.(un)?install\(",
+        r"\b_?trace\.(un)?install\(",
+        r"\.prewarm_directions\(|\.enable_timer_elision\(",
+    ],
+)
+def test_the_stack_is_wired_and_observed_from_one_module(pattern):
+    """Grep-enforced: one composition root, one observer session.
+
+    Every world-builder goes through ``repro.stack``: a second place
+    that constructs the context or the broker runtimes, switches on the
+    substrate fast paths, or installs the sanitizer/tracer is a
+    composition root that can drift from the others.
+    """
+    assert _call_sites(pattern) == {"stack.py"}
+
+
 def test_module_registry_attach_detach_roundtrip():
     observer = Recorder("module")
     before = probes.observers()
