@@ -2,14 +2,10 @@
 
 from repro.analysis.convergence import ConvergenceReport, convergence_report
 from repro.analysis.stretch import StretchReport, stretch_report
-from repro.analysis.trace import MessageTrace, MessageTracer, trace_messages
 
 __all__ = [
     "ConvergenceReport",
-    "MessageTrace",
-    "MessageTracer",
     "StretchReport",
     "convergence_report",
     "stretch_report",
-    "trace_messages",
 ]

@@ -88,7 +88,6 @@ class LiveTransport:
         self.stats = LinkStats()
         self._handlers: Dict[int, FrameHandler] = {}
         self._ack_handlers: Dict[int, FrameHandler] = {}
-        self._ack_loss_observers: List[Callable[[int], None]] = []
         # Directed-edge wiring, built by start(): u -> v writer and the
         # imposed per-direction propagation delay.
         self._writers: Dict[Tuple[int, int], asyncio.StreamWriter] = {}
@@ -122,10 +121,6 @@ class LiveTransport:
         """Remove *node*'s handlers; frames to it are silently dropped."""
         self._handlers.pop(node, None)
         self._ack_handlers.pop(node, None)
-
-    def register_ack_loss_observer(self, observer: Callable[[int], None]) -> None:
-        """Notify *observer(transfer_id)* when an ACK is dropped at the seam."""
-        self._ack_loss_observers.append(observer)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -268,7 +263,7 @@ class LiveTransport:
         Mirrors ``OverlayNetwork.transmit``: counts the send, consults the
         fault shim, fires the DATA-only ``on_transmit`` probe per emitted
         copy, and returns whether at least one copy went onto the wire
-        (tests/tracing only — senders learn outcomes via ACKs).
+        (tests only — senders learn outcomes via ACKs).
         """
         if not self.topology.has_edge(src, dst):
             raise SimulationError(f"no overlay link {src} -> {dst}")
@@ -300,8 +295,6 @@ class LiveTransport:
                         self._delays.get((src, dst), 0.0),
                         None,
                     )
-            elif kind is FrameKind.ACK:
-                self._notify_ack_loss(frame)
             return False
         prop = self._delays.get((src, dst), 0.0)
         probe_tx = _probes.on_transmit if kind is FrameKind.DATA else None
@@ -332,13 +325,6 @@ class LiveTransport:
         if writer is None or writer.is_closing():  # pragma: no cover - teardown race
             return
         writer.write(message)
-
-    def _notify_ack_loss(self, frame: Any) -> None:
-        transfer_id = getattr(frame, "transfer_id", None)
-        if transfer_id is None:
-            return
-        for observer in self._ack_loss_observers:
-            observer(transfer_id)
 
     # ------------------------------------------------------------------
     # Receive side

@@ -1,7 +1,7 @@
 """Overlay-network substrate: topologies, links, failures, monitoring."""
 
 from repro.overlay.failures import FailureSchedule, NodeFailureSchedule
-from repro.overlay.links import FrameKind, LinkStats, OverlayNetwork, Transmission
+from repro.overlay.links import FrameKind, LinkStats, OverlayNetwork
 from repro.overlay.monitor import LinkEstimate, LinkMonitor
 from repro.overlay.topology import (
     Topology,
@@ -24,7 +24,6 @@ __all__ = [
     "NodeFailureSchedule",
     "OverlayNetwork",
     "Topology",
-    "Transmission",
     "clustered",
     "erdos_renyi",
     "full_mesh",

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import probes as _probes
@@ -217,27 +216,6 @@ class LinkStats:
         return 1.0 - self._delivered[kind.idx] / sent
 
 
-@dataclass(frozen=True)
-class Transmission:
-    """A record of one frame handed to the network (used by tests/tracing).
-
-    ``survived`` reflects the *link hazards at departure time* (failed
-    epoch, random loss, node down). A frame accepted onto a busy EDF
-    direction is recorded ``survived=True`` at enqueue; if the
-    ``edf_drop_expired`` overload policy later discards it, a **follow-up
-    record** with ``expired=True`` (and ``survived=False``) is appended at
-    drop time, so the trace reconciles exactly with
-    ``stats.dropped_expired``.
-    """
-
-    time: float
-    src: int
-    dst: int
-    kind: FrameKind
-    survived: bool
-    expired: bool = False
-
-
 class _LossRateMap(dict):
     """``link_loss_rates`` view that invalidates the direction cache.
 
@@ -318,9 +296,6 @@ class OverlayNetwork:
         by ``frame.priority``; ties arrival order). EDF implements the
         classical "priority-based queueing" alternative the paper's
         introduction contrasts DCRD against.
-    trace:
-        When true, every transmission is appended to :attr:`transmissions`
-        (memory-hungry; intended for tests and debugging).
     """
 
     def __init__(
@@ -335,7 +310,6 @@ class OverlayNetwork:
         link_loss_rates: Optional[Dict[tuple, float]] = None,
         queue_discipline: str = "fifo",
         edf_drop_expired: bool = False,
-        trace: bool = False,
     ) -> None:
         require_probability(loss_rate, "loss_rate")
         if link_loss_rates:
@@ -371,8 +345,6 @@ class OverlayNetwork:
         # sim-side twin of the live transport's fault-injection shim. None
         # (the default) keeps every hot path on its historical branch.
         self._fault_filter: Optional[Callable[[int, int, FrameKind, Any], bool]] = None
-        self.transmissions: list = []
-        self._trace = trace
         self._loss_rng = streams.get("loss")
         self._loss_draw = self._loss_rng.random
         # Direct calendar-queue access for the per-frame delivery push in
@@ -421,12 +393,9 @@ class OverlayNetwork:
         self._edf_queued_size: Dict[tuple, float] = {}
         self._edf_seq = 0
         # The dedicated send_data/send_ack fast paths only cover the
-        # infinite-capacity, no-crash, no-trace configuration (the paper's
-        # model and the benchmark scenario); everything else falls back to
-        # the generic transmit.
-        self._fast_sends = (
-            node_failures is None and service_time is None and not trace
-        )
+        # infinite-capacity, no-crash configuration (the paper's model);
+        # everything else falls back to the generic transmit.
+        self._fast_sends = node_failures is None and service_time is None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -596,8 +565,7 @@ class OverlayNetwork:
 
         Returns whether the frame survived the link hazards (the *caller
         must not use this for protocol decisions* — real senders learn the
-        outcome only via ACKs; the return value exists for tests and the
-        tracing layer).
+        outcome only via ACKs; the return value exists for tests).
         """
         entry = self._dir_cache.get((src << 21) | dst)
         if entry is None:
@@ -628,8 +596,6 @@ class OverlayNetwork:
                     probe_tx(now, src, dst, frame, False, "injected", entry[0], None)
             elif kind is FrameKind.ACK:
                 self._notify_ack_loss(frame)
-            if self._trace:
-                self.transmissions.append(Transmission(now, src, dst, kind, False))
             return False
         survived = True
         node_failures = self.node_failures
@@ -732,8 +698,6 @@ class OverlayNetwork:
                 self.sim._live += 1
         elif probe_tx is not None:
             probe_tx(now, src, dst, frame, False, cause, entry[0], None)
-        if self._trace:
-            self.transmissions.append(Transmission(now, src, dst, kind, survived))
         return survived
 
     def send_data(self, src: int, dst: int, frame: Any) -> Optional[bool]:
@@ -741,10 +705,10 @@ class OverlayNetwork:
 
         Behaviour-identical to ``transmit(src, dst, frame,
         FrameKind.DATA)`` restricted to the configuration it is specialised
-        for — infinite-capacity links, no node-crash schedule, no
-        transmission trace (:attr:`_fast_sends`); anything else delegates
-        to the generic path. Consumes the same loss draws in the same
-        order and fires the same ``on_transmit`` probe.
+        for — infinite-capacity links, no node-crash schedule
+        (:attr:`_fast_sends`); anything else delegates to the generic
+        path. Consumes the same loss draws in the same order and fires the
+        same ``on_transmit`` probe.
 
         Returns ``True`` when a compiled delivery closure was scheduled
         (the copy *will* reach the receiver's handler), ``False`` when the
@@ -957,10 +921,6 @@ class OverlayNetwork:
                 probe = _probes.on_expire
                 if probe is not None:
                     probe(now, key[0], key[1], dropped)
-                if self._trace:
-                    self.transmissions.append(
-                        Transmission(now, key[0], key[1], kind, False, expired=True)
-                    )
         if not queue:
             self._edf_busy[key] = False
             return

@@ -62,11 +62,6 @@ class PerfStats:
         finally:
             self.add_time(name, time.perf_counter() - start)
 
-    def merge(self, other: Mapping[str, float]) -> None:
-        """Fold another snapshot's values into this registry (key-wise sum)."""
-        for name, value in other.items():
-            self.incr(name, value)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -84,16 +79,6 @@ class PerfStats:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._values.items()))
         return f"PerfStats({body})"
-
-
-def merge_snapshots(
-    snapshots: "list[Mapping[str, float]]",
-) -> Dict[str, float]:
-    """Key-wise sum of several :meth:`PerfStats.snapshot` dicts."""
-    merged = PerfStats()
-    for snap in snapshots:
-        merged.merge(snap)
-    return merged.snapshot()
 
 
 def format_perf(values: Mapping[str, float], indent: str = "  ") -> str:

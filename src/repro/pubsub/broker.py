@@ -18,7 +18,7 @@ that are identical across DCRD and the baselines:
 
 The runtime is substrate-portable (see :mod:`repro.substrate`): it reads
 time as ``ctx.sim._now`` and sends through ``ctx.network``'s
-``attach``/``send_ack``/``transmit`` surface, both of which are satisfied
+``attach``/``send_ack`` surface, both of which are satisfied
 by the discrete-event kernel + :class:`OverlayNetwork` *and* by the live
 :class:`~repro.live.clock.WallClock` +
 :class:`~repro.live.transport.LiveTransport` pair — the same broker code
@@ -33,7 +33,6 @@ from functools import partial
 from typing import Deque, Dict, Set
 
 from repro import probes as _probes
-from repro.overlay.links import FrameKind
 from repro.pubsub.messages import AckFrame, PacketFrame
 
 # Bare allocation for the per-frame ACK reply (slots written in place).
@@ -61,16 +60,7 @@ class BrokerRuntime:
         self._uses_acks = strategy.uses_acks
         self._handle_ack = strategy.handle_ack
         self._handle_data = strategy.handle_data
-        # ACK replies go through the network's dedicated ACK fast path when
-        # it offers one (test doubles may not).
-        send_ack = getattr(ctx.network, "send_ack", None)
-        if send_ack is None:
-            network_transmit = ctx.network.transmit
-
-            def send_ack(src: int, dst: int, ack: AckFrame) -> None:
-                network_transmit(src, dst, ack, FrameKind.ACK)
-
-        self._send_ack = send_ack
+        self._send_ack = ctx.network.send_ack
         self._seen: Set[int] = set()
         self._seen_order: Deque[int] = deque()
         # FEC reassembly: msg_id -> set of distinct fragment indices seen.

@@ -19,11 +19,11 @@ never ambiguous between a transmission and its retransmission).
 This module sits on the data-plane hot path — every copy sent schedules an
 ACK-timeout event, and in healthy networks nearly every one is cancelled by
 the ACK a propagation round-trip later. Each outstanding copy therefore
-holds the raw kernel :class:`~repro.sim.engine.Event` (no
-:class:`~repro.sim.process.Timer` indirection), the static timeout policy
-memoises its per-direction answer until the link monitor publishes new
-estimates, and :attr:`ArqSender.timers_cancelled` counts the cancellations
-feeding the kernel's tombstone compaction.
+holds the raw kernel :class:`~repro.sim.engine.Event`, the sender memoises
+each direction's transmit constants (:attr:`ArqSender._dir_info`) until the
+link monitor publishes new estimates, and
+:attr:`ArqSender.timers_cancelled` counts the cancellations feeding the
+kernel's tombstone compaction.
 
 The sender is substrate-portable (see :mod:`repro.substrate`): when
 ``ctx.sim`` offers ``calendar_kernel()`` — the discrete-event kernel —
@@ -41,7 +41,6 @@ from heapq import heappush as _heappush
 from typing import Callable, Dict, Optional, Protocol, Tuple
 
 from repro import probes as _probes
-from repro.overlay.links import FrameKind
 from repro.pubsub.messages import AckFrame, PacketFrame
 from repro.routing.base import RuntimeContext
 from repro.sim.engine import Event
@@ -63,31 +62,18 @@ class MonitorTimeoutPolicy:
     """The paper's static timer: ``ack_timeout_factor * alpha`` (+slack).
 
     The timeout is a pure function of the monitor's current alpha estimate,
-    which only changes when a monitor refresh publishes new values; answers
-    are cached per direction and invalidated via ``monitor.version``.
+    which only changes when a monitor refresh publishes new values — which
+    is what lets :class:`ArqSender` memoise it per direction until
+    ``monitor.version`` moves.
     """
 
     def __init__(self, ctx: RuntimeContext) -> None:
         self.ctx = ctx
-        # Keyed by the packed direction id (src << 21 | dst) — the same
-        # interning the overlay's direction table uses — so the per-copy
-        # lookup hashes one int instead of allocating a tuple.
-        self._cache: Dict[int, float] = {}
-        self._cache_version = -1
 
     def timeout(self, src: int, dst: int) -> float:
         """Static timeout from the monitor's propagation-delay estimate."""
-        monitor = self.ctx.monitor
-        if monitor.version != self._cache_version:
-            self._cache.clear()
-            self._cache_version = monitor.version
-        key = (src << 21) | dst
-        value = self._cache.get(key)
-        if value is None:
-            alpha = monitor.estimate(src, dst).alpha
-            value = self.ctx.params.ack_timeout(alpha)
-            self._cache[key] = value
-        return value
+        ctx = self.ctx
+        return ctx.params.ack_timeout(ctx.monitor.estimate(src, dst).alpha)
 
     def on_sample(self, src: int, dst: int, rtt: float) -> None:
         """Static policy: samples are ignored."""
@@ -149,16 +135,7 @@ class ArqSender:
         # The policy and the retry budget are fixed at construction.
         self._sim = ctx.sim
         self._network = ctx.network
-        # DATA copies go out through the network's specialised fast path
-        # when it offers one (test doubles may not).
-        send_data = getattr(ctx.network, "send_data", None)
-        if send_data is None:
-            network_transmit = ctx.network.transmit
-
-            def send_data(src: int, dst: int, frame: PacketFrame) -> None:
-                network_transmit(src, dst, frame, FrameKind.DATA)
-
-        self._send_data = send_data
+        self._send_data = ctx.network.send_data
         self._timeout = self.timeout_policy.timeout
         self._m = ctx.params.m
         # Karn-filtered RTT samples cost a clock read per ACK; skip the whole
@@ -180,16 +157,15 @@ class ArqSender:
             self._sim_seq = None
             self._on_event_cancelled = None
         self._outstanding: Dict[int, _Outstanding] = {}
-        # Latent-timer elision (opt-in, see enable_timer_elision): per
-        # packed direction id, the exact (d_fwd, d_rev) delay pair when
-        # both the copy and its ACK reply run compiled fast-path
-        # deliveries, else False.
+        # Latent-timer elision (opt-in, see enable_timer_elision).
         self._elide_timers = False
-        self._rt_cache: Dict[int, object] = {}
-        # Unified per-direction transmit constants for the static timeout
-        # policy: packed direction id -> (timeout, rt_pair_or_False),
-        # invalidated when the monitor publishes new estimates. One dict
-        # probe per copy replaces the policy call plus the rt lookup.
+        # The one per-direction memo: packed direction id (src << 21 | dst,
+        # the overlay's interning) -> (timeout, rt_pair). ``timeout`` is
+        # the static policy's answer, or None for a dynamic policy, which
+        # is asked on every copy; ``rt_pair`` is the exact (d_fwd, d_rev)
+        # delay pair when both the copy and its ACK reply run compiled
+        # fast-path deliveries, else None. Cleared when the monitor
+        # publishes new estimates.
         self._static_timeout = type(self.timeout_policy) is MonitorTimeoutPolicy
         self._monitor = ctx.monitor
         self._dir_info: Dict[int, tuple] = {}
@@ -232,6 +208,7 @@ class ArqSender:
             return
         register(self._on_ack_send_lost)
         self._elide_timers = True
+        self._dir_info.clear()  # entries memoised so far carry no rt_pair
 
     def _on_ack_send_lost(self, transfer_id: int) -> None:
         """Materialise the latent timeout of a copy whose ACK was lost."""
@@ -313,43 +290,27 @@ class ArqSender:
         src = entry.src
         dst = entry.dst
         outcome = self._send_data(src, dst, entry.frame)
+        # Timeout and exact round-trip delay pair in one dict probe,
+        # refreshed when the monitor version moves (the static timeout is
+        # a pure function of the current alpha estimate).
+        monitor = self._monitor
+        if monitor.version != self._dir_version:
+            self._dir_info.clear()
+            self._dir_version = monitor.version
         key = (src << 21) | dst
-        if self._static_timeout:
-            # Unified per-direction constants: timeout value and the exact
-            # round-trip delay pair in one dict probe, refreshed when the
-            # monitor version moves (same invalidation rule as the
-            # policy's own cache — the timeout is a pure function of the
-            # current alpha estimate).
-            monitor = self._monitor
-            if monitor.version != self._dir_version:
-                self._dir_info.clear()
-                self._dir_version = monitor.version
-            info = self._dir_info.get(key)
-            if info is None:
-                timeout = self.ctx.params.ack_timeout(
-                    monitor.estimate(src, dst).alpha
-                )
-                pair: object = False
-                if self._elide_timers:
-                    rt = self._network.ack_round_trip(src, dst)
-                    if rt is not None:
-                        pair = rt
-                info = (timeout, pair)
-                self._dir_info[key] = info
-            delay = info[0]
-            time = sim._now + delay
-            pair = info[1]
-        else:
+        info = self._dir_info.get(key)
+        if info is None:
+            info = (
+                self._timeout(src, dst) if self._static_timeout else None,
+                self._network.ack_round_trip(src, dst)
+                if self._elide_timers
+                else None,
+            )
+            self._dir_info[key] = info
+        delay, pair = info
+        if delay is None:
             delay = self._timeout(src, dst)
-            time = sim._now + delay
-            pair = False
-            if outcome and self._elide_timers:
-                pair = self._rt_cache.get(key)
-                if pair is None:
-                    pair = self._network.ack_round_trip(src, dst)
-                    if pair is None:
-                        pair = False
-                    self._rt_cache[key] = pair
+        time = sim._now + delay
         if self._sim_heap is None:
             # Portable Clock path (no calendar kernel): the timeout goes
             # through the clock's schedule() API and the returned handle
@@ -366,7 +327,7 @@ class ArqSender:
         seq = next(self._sim_seq)
         if (
             outcome
-            and pair is not False
+            and pair is not None
             # The copy will reach the receiver; its ACK either arrives
             # (settling the entry before the deadline) or is lost, which
             # the network reports synchronously via _on_ack_send_lost.

@@ -15,10 +15,9 @@ transmission budget of §III-A, and the ACK-timeout factor).
 against the :mod:`repro.substrate` protocols rather than concrete
 classes: ``sim`` is any Clock (``_now`` readable as an attribute,
 ``schedule``/``schedule_fire``), ``network`` any Transport
-(``attach``/``detach``/``transmit`` and optionally the
-``send_data``/``send_ack`` fast paths). The discrete-event kernel and the
-live asyncio stack both satisfy them, so strategies never branch on the
-substrate.
+(``attach``/``detach``/``transmit``/``send_data``/``send_ack``). The
+discrete-event kernel and the live asyncio stack both satisfy them, so
+strategies never branch on the substrate.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 
 ``simpy`` is not available in this environment, so the kernel is implemented
 from scratch: a heap-based calendar queue (:class:`~repro.sim.engine.Simulator`),
-cancellable timers, periodic processes, and per-component seeded random
+cancellable events, periodic processes, and per-component seeded random
 streams (:class:`~repro.sim.random.RandomStreams`).
 """
 
 from repro.sim.engine import Event, Simulator
-from repro.sim.process import PeriodicProcess, Timer
+from repro.sim.process import PeriodicProcess
 from repro.sim.random import RandomStreams
 
-__all__ = ["Event", "PeriodicProcess", "RandomStreams", "Simulator", "Timer"]
+__all__ = ["Event", "PeriodicProcess", "RandomStreams", "Simulator"]

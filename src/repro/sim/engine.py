@@ -251,20 +251,6 @@ class Simulator:
         _heappush(self._heap, (self._now + delay, next(self._seq), callback, args))
         self._live += 1
 
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> Event:
-        """Schedule *callback* at absolute virtual time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
-            )
-        seq = next(self._seq)
-        event = Event(time, seq, callback, args, on_cancel=self._on_event_cancelled)
-        heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
-        return event
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Execute events in order.
 

@@ -1,53 +1,17 @@
-"""Timers and periodic processes layered on the raw event queue.
+"""Periodic processes layered on the raw event queue.
 
-:class:`Timer` is a restartable one-shot alarm used for ACK timeouts; the
-forwarding state machines in :mod:`repro.core.forwarding` arm one per
-in-flight transmission. :class:`PeriodicProcess` drives recurring activities
-such as per-second failure injection, publisher packet emission, and the
-5-minute link-monitoring cycle.
+:class:`PeriodicProcess` drives recurring activities such as per-second
+failure injection, publisher packet emission, and the 5-minute
+link-monitoring cycle.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.sim.engine import Event, Simulator
 from repro.util.errors import SimulationError
 from repro.util.validation import require_positive
-
-
-class Timer:
-    """A cancellable, restartable one-shot timer.
-
-    The callback fires once, ``duration`` seconds after :meth:`start`.
-    Calling :meth:`start` while armed restarts the countdown; :meth:`cancel`
-    disarms it. The timer can be reused any number of times.
-    """
-
-    def __init__(self, sim: Simulator, callback: Callable[..., None]) -> None:
-        self._sim = sim
-        self._callback = callback
-        self._event: Optional[Event] = None
-
-    @property
-    def armed(self) -> bool:
-        """Whether the timer is currently counting down."""
-        return self._event is not None and not self._event.cancelled
-
-    def start(self, duration: float, *args: Any) -> None:
-        """(Re)arm the timer to fire ``duration`` seconds from now."""
-        self.cancel()
-        self._event = self._sim.schedule(duration, self._fire, args)
-
-    def cancel(self) -> None:
-        """Disarm the timer if it is armed."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _fire(self, args: tuple) -> None:
-        self._event = None
-        self._callback(*args)
 
 
 class PeriodicProcess:

@@ -5,14 +5,20 @@ The DCRD protocol logic — :class:`~repro.pubsub.broker.BrokerRuntime`,
 :mod:`repro.core.forwarding` — is specified independently of *where* it
 runs. This module names the two seams that make that true:
 
-* :class:`Clock` — a source of time plus cancellable timers. The
-  discrete-event kernel (:class:`~repro.sim.engine.Simulator`) advances
-  virtual time by popping a calendar queue; the live runtime
+* :class:`Clock` — a source of time plus cancellable timers: ``now``
+  (and the ``_now`` attribute, below), ``schedule`` and
+  ``schedule_fire``. The discrete-event kernel
+  (:class:`~repro.sim.engine.Simulator`) advances virtual time by popping
+  a calendar queue; the live runtime
   (:class:`~repro.live.clock.WallClock`) reads the asyncio event loop's
   wall clock and arms real timers.
-* :class:`Transport` — frame delivery between adjacent brokers. The
-  simulated data plane (:class:`~repro.overlay.links.OverlayNetwork`)
-  models loss and propagation on a calendar queue; the live transport
+* :class:`Transport` — frame delivery between adjacent brokers:
+  ``attach``/``detach``, the generic ``transmit``, and the two
+  kind-specialised sends ``send_data``/``send_ack`` that carry every ARQ
+  copy and every ACK reply (required, not probed for — the stack has one
+  send path on every substrate). The simulated data plane
+  (:class:`~repro.overlay.links.OverlayNetwork`) models loss and
+  propagation on a calendar queue; the live transport
   (:class:`~repro.live.transport.LiveTransport`) moves length-prefixed
   frames over asyncio TCP sockets.
 
@@ -43,7 +49,7 @@ timer settlement, with the sanitizer clean in both modes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Optional, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -98,10 +104,13 @@ class Transport(Protocol):
 
     Implementations: :class:`~repro.overlay.links.OverlayNetwork`
     (simulated links) and :class:`~repro.live.transport.LiveTransport`
-    (asyncio TCP). Beyond this minimal surface, transports may offer the
-    optional fast-path hooks the stack probes with ``getattr``:
-    ``send_data``/``send_ack`` (kind-specialised sends),
-    ``attach_ack`` (dedicated ACK sinks),
+    (asyncio TCP). ``send_data``/``send_ack`` are what the stack sends
+    through (:class:`~repro.routing.arq.ArqSender` and
+    :class:`~repro.pubsub.broker.BrokerRuntime` bind them directly);
+    ``transmit`` is the generic form for every other frame kind and
+    caller. Beyond the contract, transports may offer capabilities the
+    stack probes with ``getattr``: ``attach_ack`` (dedicated ACK sinks),
+    ``prewarm_directions`` (interned link directions),
     ``register_ack_loss_observer``/``ack_round_trip`` (latent ARQ timer
     elision — kernel transports only), and
     ``link_success_probability`` (the link monitor's analytic estimate).
@@ -116,23 +125,21 @@ class Transport(Protocol):
         ...
 
     def transmit(self, src: int, dst: int, frame: Any, kind: Any) -> Any:
-        """Send *frame* from *src* to the adjacent *dst*."""
+        """Send *frame* of *kind* from *src* to the adjacent *dst*."""
         ...
 
+    def send_data(self, src: int, dst: int, frame: Any) -> Optional[bool]:
+        """Send a DATA *frame*: ``True`` = will reach *dst*'s handler,
+        ``False`` = lost synchronously, ``None`` = not knowable here."""
+        ...
 
-def substrate_of(clock: Any) -> str:
-    """Classify *clock* for diagnostics: ``"kernel"`` or ``"portable"``.
-
-    The broker stack itself never branches on this — hot paths probe for
-    ``calendar_kernel`` directly — but launchers and tests use it to label
-    runs.
-    """
-    return "kernel" if hasattr(clock, "calendar_kernel") else "portable"
+    def send_ack(self, src: int, dst: int, frame: Any) -> Optional[bool]:
+        """Send an ACK *frame*; same tri-state as :meth:`send_data`."""
+        ...
 
 
 __all__: Iterable[str] = (
     "Clock",
     "TimerHandle",
     "Transport",
-    "substrate_of",
 )

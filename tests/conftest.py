@@ -60,6 +60,30 @@ def _no_leaked_process_globals():
         pytest.fail("test leaked process-global state:\n  " + "\n  ".join(leaks))
 
 
+class _DataSends(probes.ProbeObserver):
+    """Records every DATA transmission the probe bus reports."""
+
+    def __init__(self) -> None:
+        self.sends: list = []
+
+    def on_transmit(self, t, src, dst, frame, survived, cause, prop, queue):
+        self.sends.append((src, dst, survived))
+
+    def on(self, src: int, dst: int) -> list:
+        """Survival flags of the DATA frames sent ``src -> dst``, in order."""
+        return [ok for s, d, ok in self.sends if (s, d) == (src, dst)]
+
+
+@pytest.fixture
+def data_sends():
+    """Observer of every DATA frame handed to a link while the test runs,
+    on whichever send path the network takes."""
+    observer = _DataSends()
+    probes.attach(observer)
+    yield observer
+    probes.detach(observer)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic numpy generator."""
@@ -153,7 +177,6 @@ def build_ctx(
         loss_rate=loss_rate,
         failures=failures,
         node_failures=node_failures,
-        trace=True,
     )
     monitor = LinkMonitor(topology, network, streams, mode=monitor_mode)
     if workload is None:

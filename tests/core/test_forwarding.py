@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.forwarding import DcrdStrategy
-from repro.overlay.links import FrameKind
 from tests.conftest import (
     ScriptedFailures,
     attach_brokers,
@@ -52,20 +51,15 @@ class TestHealthyNetwork:
         topo = diamond()
         workload = single_topic_workload(0, [(3, 1.0)])
         ctx, _ = run_once(topo, workload)
-        data = [t for t in ctx.network.transmissions if t.kind == FrameKind.DATA]
-        assert len(data) == 2  # exactly the two hops of the fast path
+        # exactly the two hops of the fast path
+        assert ctx.network.stats.data_sent() == 2
 
-    def test_destination_merging_shares_frames(self):
+    def test_destination_merging_shares_frames(self, data_sends):
         # Subscribers at 2 and 3 both behind node 1.
         topo = make_topology([(0, 1, 0.010), (1, 2, 0.010), (1, 3, 0.010)])
         workload = single_topic_workload(0, [(2, 1.0), (3, 1.0)])
         ctx, _ = run_once(topo, workload)
-        first_hop = [
-            t
-            for t in ctx.network.transmissions
-            if t.kind == FrameKind.DATA and t.src == 0 and t.dst == 1
-        ]
-        assert len(first_hop) == 1
+        assert len(data_sends.on(0, 1)) == 1
         assert ctx.metrics.outcome(1, 2).delivered
         assert ctx.metrics.outcome(1, 3).delivered
 
@@ -81,7 +75,7 @@ class TestFailureBypass:
         # Timeout on 0->1 (2*alpha + slack), then the slow path's 40 ms.
         assert outcome.delay == pytest.approx(0.021 + 0.040, abs=0.002)
 
-    def test_upstream_bounce_explores_alternate_branch(self):
+    def test_upstream_bounce_explores_alternate_branch(self, data_sends):
         # Link 1-3 dies after the packet is already at node 1; node 1 has
         # no other downstream option, so it must bounce to node 0, which
         # then uses the 0-2-3 branch.
@@ -91,25 +85,15 @@ class TestFailureBypass:
         ctx, _ = run_once(topo, workload, failures=failures)
         outcome = ctx.metrics.outcome(1, 3)
         assert outcome.delivered
-        bounce = [
-            t
-            for t in ctx.network.transmissions
-            if t.kind == FrameKind.DATA and t.src == 1 and t.dst == 0
-        ]
-        assert len(bounce) == 1
+        assert len(data_sends.on(1, 0)) == 1
 
-    def test_bounced_copy_does_not_revisit_failed_branch(self):
+    def test_bounced_copy_does_not_revisit_failed_branch(self, data_sends):
         topo = diamond()
         failures = ScriptedFailures({(1, 3): [ALWAYS]})
         workload = single_topic_workload(0, [(3, 1.0)])
         ctx, _ = run_once(topo, workload, failures=failures)
         # After the bounce, node 0 must not send the copy to node 1 again.
-        to_one = [
-            t
-            for t in ctx.network.transmissions
-            if t.kind == FrameKind.DATA and t.src == 0 and t.dst == 1
-        ]
-        assert len(to_one) == 1
+        assert len(data_sends.on(0, 1)) == 1
 
     def test_gives_up_when_origin_fully_cut(self):
         topo = diamond()

@@ -94,13 +94,10 @@ class TestDelivery:
         assert outcome.duplicates == 1
 
     def test_traffic_is_n_fragment_paths(self):
-        from repro.overlay.links import FrameKind
-
         topo = triple_diamond()
         workload = single_topic_workload(0, [(4, 1.0)])
         ctx, _ = run_once(topo, workload, k=2, r=1)
-        data = [t for t in ctx.network.transmissions if t.kind == FrameKind.DATA]
-        assert len(data) == 6  # three 2-hop fragments
+        assert ctx.network.stats.data_sent() == 6  # three 2-hop fragments
 
 
 class TestStudy:

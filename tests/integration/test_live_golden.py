@@ -9,10 +9,13 @@ its normalized frame trace is pinned as JSONL in
 Wall-clock runs cannot be pinned byte-exact, so the normalization makes
 the trace deterministic instead:
 
-* timestamps are quantized to 0.1 s buckets with *round-to-nearest* —
-  every event in this world lands **on** a bucket multiple (link delays
-  0.1/0.2, ACK timeout 3·0.1 + 0.1 = 0.4), so scheduler jitter of up to
-  ±50 ms per event cannot move an event across a bucket boundary;
+* timestamps are quantized to 0.1 s buckets. Every event in this world
+  is due **on** a bucket multiple (link delays 0.1/0.2, ACK timeout
+  3·0.1 + 0.1 = 0.4) and wall-clock timers only ever fire *late*, so the
+  bucket is ``floor((t + EARLY_MARGIN) / QUANTUM)``: 10 ms of grace for
+  clock-read noise below the multiple, 90 ms for a stalled host above it
+  (round-to-nearest would spend half the bucket on earliness that never
+  happens);
 * events are reduced to ``{"q", "kind", "node", "peer", "msg",
   "transfer"}`` and sorted by that tuple — causal order within a bucket
   is not pinned, arrival order across sockets is not pinned, but the
@@ -40,6 +43,7 @@ Regenerate after a reviewed behavioural change with::
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from repro import trace as _trace
@@ -56,6 +60,13 @@ MULTIPROC_GOLDEN_PATH = (
 
 #: Quantization bucket width; all imposed delays are multiples of it.
 QUANTUM = 0.1
+#: How far below its bucket multiple an event may read and still land in it.
+EARLY_MARGIN = 0.010
+
+
+def bucket(t: float) -> int:
+    """The bucket of an event observed at *t* (late by < 90 ms, never early)."""
+    return math.floor((t + EARLY_MARGIN) / QUANTUM)
 
 #: Frame-lifecycle kinds the pin covers (timer/bookkeeping families have
 #: substrate-specific tokens and are exercised elsewhere).
@@ -98,7 +109,7 @@ def normalize(tracer: _trace.FrameTracer):
             continue
         rows.append(
             {
-                "q": int(round(event.t / QUANTUM)),
+                "q": bucket(event.t),
                 "kind": event.kind,
                 "node": -1 if event.node is None else event.node,
                 "peer": -1 if event.peer is None else event.peer,
@@ -144,7 +155,7 @@ def normalize_multiproc(rows):
         group, seq = (0, -1) if transfer is None else split_transfer_id(transfer)
         out.append(
             {
-                "q": int(round((t - START_DELAY) / QUANTUM)),
+                "q": bucket(t - START_DELAY),
                 "kind": kind,
                 "node": -1 if node is None else node,
                 "peer": -1 if peer is None else peer,
@@ -191,7 +202,7 @@ def test_live_golden_exercises_the_full_recovery_sequence():
     # The delivery happens ~1.0 s in (0.1 publish hop + 0.4 timeout +
     # bounce and slow-branch hops); quantization must put it at bucket 10.
     deliver = next(e for e in tracer.events() if e.kind == "deliver")
-    assert int(round(deliver.t / QUANTUM)) == 10
+    assert bucket(deliver.t) == 10
 
 
 def test_multiproc_trace_matches_pinned_quantized_jsonl():

@@ -20,7 +20,6 @@ def make_network(topology, loss_rate=0.0, failures=None, node_failures=None, see
         loss_rate=loss_rate,
         failures=failures,
         node_failures=node_failures,
-        trace=True,
     )
     return sim, network
 
@@ -153,18 +152,6 @@ def test_stats_track_per_kind():
     assert network.stats.sent[FrameKind.PROBE] == 1
     assert network.stats.data_sent() == 1
     assert network.stats.delivered[FrameKind.ACK] == 1
-
-
-def test_trace_records_transmissions():
-    topo = make_topology([(0, 1, 0.01)])
-    failures = ScriptedFailures({(0, 1): [(0.0, 1.0)]})
-    sim, network = make_network(topo, failures=failures)
-    network.attach(1, lambda s, f: None)
-    network.transmit(0, 1, "x", FrameKind.DATA)
-    sim.run()
-    assert len(network.transmissions) == 1
-    record = network.transmissions[0]
-    assert record.src == 0 and record.dst == 1 and not record.survived
 
 
 def test_link_up_reflects_failure_schedule():

@@ -12,9 +12,7 @@ from tests.conftest import make_topology
 def make_network(service_time=None):
     topo = make_topology([(0, 1, 0.010), (1, 2, 0.010)])
     sim = Simulator()
-    network = OverlayNetwork(
-        sim, topo, RandomStreams(1), service_time=service_time, trace=True
-    )
+    network = OverlayNetwork(sim, topo, RandomStreams(1), service_time=service_time)
     return sim, network
 
 

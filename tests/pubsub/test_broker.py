@@ -59,9 +59,9 @@ def test_data_frame_is_acked_to_sender():
     frame = data_frame(ctx, {2})
     brokers[1].on_frame(0, frame)
     ctx.sim.run()
-    acks = [t for t in ctx.network.transmissions if t.kind == FrameKind.ACK]
-    assert len(acks) == 1
-    assert acks[0].src == 1 and acks[0].dst == 0
+    assert ctx.network.stats.sent[FrameKind.ACK] == 1
+    [(node, sender, ack)] = strategy.ack_calls  # arrived where it was owed
+    assert (node, sender, ack.transfer_id) == (0, 1, frame.transfer_id)
 
 
 def test_no_ack_when_strategy_does_not_use_acks():
@@ -69,7 +69,7 @@ def test_no_ack_when_strategy_does_not_use_acks():
     frame = data_frame(ctx, {2})
     brokers[1].on_frame(0, frame)
     ctx.sim.run()
-    assert not any(t.kind == FrameKind.ACK for t in ctx.network.transmissions)
+    assert ctx.network.stats.sent[FrameKind.ACK] == 0
 
 
 def test_forwarding_delegated_to_strategy():
@@ -88,8 +88,8 @@ def test_duplicate_copy_is_reacked_but_not_reprocessed():
     brokers[1].on_frame(0, frame)
     brokers[1].on_frame(0, frame)  # identical retransmission
     ctx.sim.run()
-    acks = [t for t in ctx.network.transmissions if t.kind == FrameKind.ACK]
-    assert len(acks) == 2  # both copies ACKed (the first ACK may have died)
+    # both copies ACKed (the first ACK may have died)
+    assert ctx.network.stats.sent[FrameKind.ACK] == 2
     assert len(strategy.data_calls) == 1
     assert brokers[1].duplicates_suppressed == 1
 

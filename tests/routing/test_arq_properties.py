@@ -1,20 +1,27 @@
-"""Property tests for the static ACK-timeout policy's memoisation.
+"""Property tests for the ARQ sender's per-direction timeout memo.
 
-:class:`~repro.routing.arq.MonitorTimeoutPolicy` sits on the data-plane
-hot path and caches its per-direction answer until the link monitor
-publishes a new estimate (``monitor.version``). The cache is only correct
-if it is *transparent*: under any interleaving of queries and monitor
-refreshes, the memoised answer must equal the unmemoised computation
-``params.ack_timeout(monitor.estimate(src, dst).alpha)`` — and the cache
-must actually cache (one estimate lookup per direction per version).
+:class:`~repro.routing.arq.ArqSender` sits on the data-plane hot path and
+memoises each direction's static ACK timeout (``ArqSender._dir_info``)
+until the link monitor publishes a new estimate (``monitor.version``). The
+memo is only correct if it is *transparent*: under any interleaving of
+sends and monitor refreshes, the timer a copy is armed with must equal the
+unmemoised computation ``params.ack_timeout(monitor.estimate(src,
+dst).alpha)`` — and the memo must actually memoise (one estimate lookup
+per direction per version). The properties drive real ``ArqSender.send``
+calls over the production ``send_data`` path; the clock stays at 0, so an
+armed deadline *is* the timeout, bit for bit.
 """
 
 from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
 
-from repro.routing.arq import MonitorTimeoutPolicy
+from repro.pubsub.messages import PacketFrame
+from repro.routing.arq import ArqSender
 from repro.routing.base import ProtocolParams
+from tests.conftest import build_ctx, make_topology
+
+MESH = make_topology([(u, v, 0.010) for u in range(6) for v in range(u + 1, 6)])
 
 
 class StubMonitor:
@@ -53,29 +60,45 @@ params_strategy = st.builds(
 )
 
 
-def _policy(monitor, params):
-    return MonitorTimeoutPolicy(SimpleNamespace(monitor=monitor, params=params))
+def _arq(monitor, params, policy=None):
+    ctx = build_ctx(MESH)
+    ctx.monitor = monitor
+    ctx.params = params
+    return ArqSender(ctx, timeout_policy=policy)
+
+
+def _ignore(frame):
+    pass
+
+
+def _armed_timeout(arq, src, dst):
+    """Send one copy ``src -> dst`` at t=0; the deadline its timer is armed for."""
+    frame = PacketFrame.fresh(
+        msg_id=1, topic=0, origin=src, publish_time=0.0, destinations=frozenset({dst})
+    )
+    arq.send(src, dst, frame, _ignore, _ignore)
+    return arq._outstanding[frame.transfer_id].event.time
 
 
 @given(alphas=alpha_maps, params=params_strategy)
 def test_memoised_answer_equals_direct_computation(alphas, params):
-    monitor = StubMonitor(alphas)
-    policy = _policy(monitor, params)
+    arq = _arq(StubMonitor(alphas), params)
     for (src, dst), alpha in alphas.items():
         expected = params.ack_timeout(alpha)
-        # First query computes, second must serve the identical cached value.
-        assert policy.timeout(src, dst) == expected
-        assert policy.timeout(src, dst) == expected
+        # First copy computes, second must be armed from the identical memo.
+        assert _armed_timeout(arq, src, dst) == expected
+        assert _armed_timeout(arq, src, dst) == expected
+        assert arq._dir_info[(src << 21) | dst][0] == expected
 
 
 @given(alphas=alpha_maps, params=params_strategy, repeats=st.integers(2, 5))
 def test_cache_hits_do_not_requery_the_monitor(alphas, params, repeats):
     monitor = StubMonitor(alphas)
-    policy = _policy(monitor, params)
+    arq = _arq(monitor, params)
     for _ in range(repeats):
         for src, dst in alphas:
-            policy.timeout(src, dst)
-    # Exactly one estimate() per direction, however many queries.
+            _armed_timeout(arq, src, dst)
+    # Exactly one estimate() per direction, however many copies.
     assert monitor.estimate_calls == len(alphas)
 
 
@@ -89,30 +112,56 @@ def test_version_bump_invalidates_the_cache(first, second, params):
     directions = set(first)
     second = {key: second.get(key, 0.5) for key in directions}
     monitor = StubMonitor(first)
-    policy = _policy(monitor, params)
+    arq = _arq(monitor, params)
     for src, dst in directions:
-        assert policy.timeout(src, dst) == params.ack_timeout(first[(src, dst)])
+        assert _armed_timeout(arq, src, dst) == params.ack_timeout(first[(src, dst)])
     monitor.refresh(second)
     for src, dst in directions:
-        assert policy.timeout(src, dst) == params.ack_timeout(second[(src, dst)])
+        assert _armed_timeout(arq, src, dst) == params.ack_timeout(second[(src, dst)])
+    assert monitor.estimate_calls == 2 * len(directions)
 
 
 @given(alphas=alpha_maps, params=params_strategy)
 def test_refresh_without_change_keeps_answers_stable(alphas, params):
     monitor = StubMonitor(alphas)
-    policy = _policy(monitor, params)
-    before = {key: policy.timeout(*key) for key in alphas}
-    monitor.refresh(alphas)  # same values, new version: cache must rebuild
-    after = {key: policy.timeout(*key) for key in alphas}
+    arq = _arq(monitor, params)
+    before = {key: _armed_timeout(arq, *key) for key in alphas}
+    monitor.refresh(alphas)  # same values, new version: memo must rebuild
+    after = {key: _armed_timeout(arq, *key) for key in alphas}
     assert before == after
 
 
 @given(alphas=alpha_maps, params=params_strategy)
 def test_samples_are_ignored_by_the_static_policy(alphas, params):
-    monitor = StubMonitor(alphas)
-    policy = _policy(monitor, params)
-    before = {key: policy.timeout(*key) for key in alphas}
+    arq = _arq(StubMonitor(alphas), params)
+    before = {key: _armed_timeout(arq, *key) for key in alphas}
     for src, dst in alphas:
-        policy.on_sample(src, dst, 123.456)
-    after = {key: policy.timeout(*key) for key in alphas}
+        arq.timeout_policy.on_sample(src, dst, 123.456)
+    after = {key: _armed_timeout(arq, *key) for key in alphas}
     assert before == after
+
+
+class _CountingPolicy:
+    """A dynamic policy double: every query answers one tick longer."""
+
+    def __init__(self):
+        self.queries = 0
+
+    def timeout(self, src, dst):
+        self.queries += 1
+        return float(self.queries)
+
+    def on_sample(self, src, dst, rtt):
+        pass
+
+
+@given(alphas=alpha_maps, params=params_strategy, repeats=st.integers(1, 4))
+def test_dynamic_policy_is_asked_on_every_copy(alphas, params, repeats):
+    monitor = StubMonitor(alphas)
+    policy = _CountingPolicy()
+    arq = _arq(monitor, params, policy)
+    armed = [_armed_timeout(arq, *key) for _ in range(repeats) for key in alphas]
+    # The memo holds the direction but never a dynamic policy's answer.
+    assert armed == [float(n) for n in range(1, len(armed) + 1)]
+    assert monitor.estimate_calls == 0
+    assert all(info[0] is None for info in arq._dir_info.values())

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.overlay.links import FrameKind
 from repro.routing.multipath import MultipathStrategy
 from repro.routing.paths import shared_links
 from tests.conftest import (
@@ -101,5 +100,4 @@ class TestForwarding:
         topo = diamond()
         workload = single_topic_workload(0, [(3, 1.0)])
         ctx, _ = run_once(topo, workload)
-        data = [t for t in ctx.network.transmissions if t.kind == FrameKind.DATA]
-        assert len(data) == 4  # two 2-hop copies
+        assert ctx.network.stats.data_sent() == 4  # two 2-hop copies

@@ -70,19 +70,12 @@ class TestTreeForwarding:
         ctx, _ = run_once(DTreeStrategy, topo, workload)
         assert ctx.metrics.outcome(1, 2).delay == pytest.approx(0.020)
 
-    def test_shared_subtree_sends_one_copy(self):
+    def test_shared_subtree_sends_one_copy(self, data_sends):
         # Both subscribers behind node 1: exactly one frame on link 0-1.
         topo = make_topology([(0, 1, 0.010), (1, 2, 0.010), (1, 3, 0.010)])
         workload = single_topic_workload(0, [(2, 1.0), (3, 1.0)])
         ctx, _ = run_once(DTreeStrategy, topo, workload)
-        from repro.overlay.links import FrameKind
-
-        first_hop = [
-            t
-            for t in ctx.network.transmissions
-            if t.kind == FrameKind.DATA and t.src == 0 and t.dst == 1
-        ]
-        assert len(first_hop) == 1
+        assert len(data_sends.on(0, 1)) == 1
 
     def test_no_reroute_on_failure(self):
         # The D-Tree path 0-1-2 is broken at link 1-2; the direct 0-2 link

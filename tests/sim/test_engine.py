@@ -85,22 +85,6 @@ def test_negative_delay_rejected():
         sim.schedule(-0.1, lambda: None)
 
 
-def test_schedule_at_absolute_time():
-    sim = Simulator()
-    fired = []
-    sim.schedule_at(3.0, fired.append, "abs")
-    sim.run()
-    assert fired == ["abs"] and sim.now == 3.0
-
-
-def test_schedule_at_in_past_rejected():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at(0.5, lambda: None)
-
-
 def test_events_scheduled_during_run_execute():
     sim = Simulator()
     fired = []

@@ -1,64 +1,10 @@
-"""Unit tests for timers and periodic processes."""
+"""Unit tests for periodic processes."""
 
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess, Timer
+from repro.sim.process import PeriodicProcess
 from repro.util.errors import ConfigurationError, SimulationError
-
-
-class TestTimer:
-    def test_fires_after_duration(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, fired.append)
-        timer.start(2.0, "ding")
-        sim.run()
-        assert fired == ["ding"]
-        assert sim.now == 2.0
-
-    def test_cancel_prevents_firing(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, fired.append)
-        timer.start(2.0, "ding")
-        timer.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_restart_resets_countdown(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(2.0)
-        sim.schedule(1.0, timer.start, 2.0)
-        sim.run()
-        assert fired == [3.0]
-
-    def test_timer_is_reusable(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, lambda tag: fired.append((tag, sim.now)))
-        timer.start(1.0, "first")
-        sim.run()
-        timer.start(1.0, "second")
-        sim.run()
-        assert fired == [("first", 1.0), ("second", 2.0)]
-
-    def test_armed_property(self):
-        sim = Simulator()
-        timer = Timer(sim, lambda: None)
-        assert not timer.armed
-        timer.start(1.0)
-        assert timer.armed
-        timer.cancel()
-        assert not timer.armed
-
-    def test_cancel_unarmed_timer_is_noop(self):
-        sim = Simulator()
-        timer = Timer(sim, lambda: None)
-        timer.cancel()
-        assert not timer.armed
 
 
 class TestPeriodicProcess:

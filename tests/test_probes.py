@@ -258,6 +258,29 @@ def test_the_stack_is_wired_and_observed_from_one_module(pattern):
     assert _call_sites(pattern) == {"stack.py"}
 
 
+def test_network_capability_probes_do_not_grow_back():
+    """Grep-enforced: the stack sends through the Transport contract.
+
+    ``send_data``/``send_ack`` are bound directly; a ``getattr(network,
+    "...", None)`` probe is a second path in waiting, so the only ones
+    allowed are the three optional capabilities that exist on one
+    substrate only.
+    """
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    regex = re.compile(r'getattr\(\s*(?:\w+\.)*network,\s*"(\w+)",\s*None\s*\)')
+    found = {
+        (str(path.relative_to(src)), name)
+        for path in src.rglob("*.py")
+        for name in regex.findall(path.read_text())
+    }
+    assert found == {
+        ("stack.py", "prewarm_directions"),
+        ("routing/arq.py", "register_ack_loss_observer"),
+        ("routing/arq.py", "ack_round_trip"),
+        ("pubsub/broker.py", "attach_ack"),
+    }
+
+
 def test_module_registry_attach_detach_roundtrip():
     observer = Recorder("module")
     before = probes.observers()

@@ -4,7 +4,9 @@ These drive the tracer directly with scripted hook calls — no simulator —
 so every query path (journeys, delay breakdowns, retransmission trees,
 excerpts, JSONL round-trips) is pinned against hand-computed expectations.
 The integration suites cover the hook *sites*; here the subject is the
-recorder itself.
+recorder itself. The one exception is :class:`TestSimulatedDiamond`, which
+reconstructs journeys from a real DCRD run over the production
+``send_data``/``send_ack`` path.
 """
 
 import io
@@ -23,6 +25,8 @@ from repro.trace import (
     TraceError,
     load_jsonl,
 )
+from tests.conftest import ScriptedFailures, single_topic_workload
+from tests.core.test_forwarding import diamond, run_once
 
 
 class FakeFrame:
@@ -185,6 +189,40 @@ class TestJourney:
         assert hop.attempts == 2
         breakdown = tracer.delay_breakdown(1, 1)
         assert breakdown.retransmission == 0.0
+
+
+class TestSimulatedDiamond:
+    """One DCRD message 0 -> 3 over the diamond (fast 0-1-3, slow 0-2-3)."""
+
+    @pytest.mark.parametrize(
+        "dead, hops, lost",
+        [
+            ((), [(0, 1), (1, 3)], []),
+            (((0, 1),), [(0, 2), (2, 3)], [(0, 1)]),
+        ],
+        ids=["clean", "dead-0-1"],
+    )
+    def test_journey_and_lost_copies(self, dead, hops, lost):
+        failures = ScriptedFailures({edge: [(0.0, 1e9)] for edge in dead})
+        tracer = FrameTracer()
+        trace.install(tracer)
+        try:
+            ctx, _ = run_once(
+                diamond(), single_topic_workload(0, [(3, 1.0)]), failures=failures
+            )
+        finally:
+            trace.uninstall()
+        journey = tracer.journey(1, 3)
+        assert [(hop.src, hop.dst) for hop in journey.hops] == hops
+        copies = tracer.retransmission_tree(1)
+        flat = []
+        while copies:
+            copy = copies.pop()
+            flat.append(copy)
+            copies.extend(copy["children"])
+        assert [(c["src"], c["dst"]) for c in flat if c["fate"] == "lost"] == lost
+        assert len(flat) == len(hops) + len(lost)
+        assert ctx.network.stats.data_sent() == len(flat)  # one attempt each
 
 
 class TestDelayBreakdown:
