@@ -4,10 +4,11 @@
 Runs the same scenario as the ``control_plane`` microbenchmark — 160
 nodes at degree 8, sampled-mode monitoring, 24 standing (publisher,
 subscriber) pairs over 5 publishers, one monitoring refresh — under
-:mod:`cProfile`, once for the per-pair from-scratch baseline and once for
-the incremental batched path, and prints the top entries by cumulative
-time for each. Use this to see *where* a control-plane regression landed
-before reaching for the microbenchmark's single number.
+:mod:`cProfile`, once for the scalar per-pair reference loop
+(``tests/core/reference_solver.py``) and once for the batched kernel, and
+prints the top entries by cumulative time for each. Use this to see
+*where* a control-plane regression landed before reaching for the
+microbenchmark's single number.
 
 Usage::
 
@@ -19,48 +20,16 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import sys
+from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT), str(ROOT / "benchmarks")]
 
-from repro.core.computation import ControlPlaneSolver, compute_dr_table
-from repro.overlay.links import OverlayNetwork
-from repro.overlay.monitor import LinkMonitor
-from repro.overlay.topology import random_regular
-from repro.perf import format_perf, PerfStats
-from repro.sim.engine import Simulator
-from repro.sim.random import RandomStreams
-
-NUM_NODES = 160
-DEGREE = 8
-NUM_PAIRS = 24
-NUM_PUBLISHERS = 5
-
-
-def build_workload():
-    """The microbenchmark's refresh scenario (see bench_kernel_performance)."""
-    rng = np.random.default_rng(7)
-    topology = random_regular(NUM_NODES, DEGREE, rng)
-    streams = RandomStreams(7)
-    sim = Simulator()
-    network = OverlayNetwork(sim, topology, streams, loss_rate=1e-4)
-    monitor = LinkMonitor(topology, network, streams, mode="sampled")
-
-    publishers = list(range(NUM_PUBLISHERS))
-    cold_solver = ControlPlaneSolver(topology, monitor.estimates())
-    pairs, previous = [], {}
-    subscriber = 10
-    while len(pairs) < NUM_PAIRS and subscriber < topology.num_nodes:
-        publisher = publishers[len(pairs) % NUM_PUBLISHERS]
-        if subscriber not in publishers:
-            deadline = 2.5 * topology.shortest_delay(publisher, subscriber)
-            table = cold_solver.solve(publisher, subscriber, deadline)
-            if table.converged:
-                pairs.append((publisher, subscriber, deadline))
-                previous[(publisher, subscriber)] = table
-        subscriber += 1
-
-    monitor.refresh()
-    return topology, monitor.snapshot(), monitor.last_changed, pairs, previous
+from bench_kernel_performance import control_plane_workload  # noqa: E402
+from repro.core.computation import ControlPlaneSolver  # noqa: E402
+from repro.perf import PerfStats, format_perf  # noqa: E402
+from tests.core.reference_solver import reference_solve  # noqa: E402
 
 
 def profile(label: str, fn, top: int) -> None:
@@ -80,31 +49,28 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    topology, estimates, changed, pairs, previous = build_workload()
+    topology, estimates, changed, pairs = control_plane_workload()
     perf = PerfStats()
 
-    def from_scratch():
+    def reference():
         return [
-            compute_dr_table(topology, estimates, pub, sub, deadline)
+            reference_solve(topology, estimates, pub, sub, deadline)
             for pub, sub, deadline in pairs
         ]
 
-    def incremental():
+    def kernel():
         solver = ControlPlaneSolver(topology, estimates, perf=perf)
-        tables = []
-        for pub, sub, deadline in pairs:
-            warm = previous[(pub, sub)]
-            if not solver.table_affected(pub, deadline, changed):
-                tables.append(warm)
-                continue
-            tables.append(
-                solver.solve(pub, sub, deadline, warm=warm, changed_edges=changed)
-            )
-        return tables
+        return solver.solve(
+            [
+                pair
+                for pair in pairs
+                if solver.table_affected(pair[0], pair[2], changed)
+            ]
+        )
 
-    profile("per-pair from-scratch baseline", from_scratch, args.top)
-    profile("incremental batched refresh", incremental, args.top)
-    print("Incremental-pass perf counters:")
+    profile("scalar per-pair reference loop", reference, args.top)
+    profile("batched kernel refresh", kernel, args.top)
+    print("Kernel-pass perf counters:")
     print(format_perf(perf.snapshot()))
     return 0
 

@@ -18,42 +18,67 @@ Batching and incrementality
 
 Algorithm 1 re-runs after every monitoring cycle, and most of the work of
 one (publisher, subscriber) solve is *pair-independent*: the Eq. 1
-``(alpha_m, gamma_m)`` link table and the pre-resolved adjacency lists
-depend only on the estimates, and the budget Dijkstra depends only on the
-publisher. :class:`ControlPlaneSolver` computes each of those artifacts
-exactly once per refresh and shares them across every pair solved against
-the same estimates — the cold path runs the *identical* arithmetic in the
-identical order as a standalone :func:`compute_dr_table` call, so batched
-results are bit-identical to per-pair results by construction.
+``(alpha_m, gamma_m)`` link table and the adjacency depend only on the
+estimates, and the budget Dijkstra depends only on the publisher.
+:class:`ControlPlaneSolver` computes each of those artifacts exactly once
+per refresh and then solves **every table of the refresh in one batched
+NumPy kernel** (:meth:`ControlPlaneSolver.solve`): the ``<d, r>`` vectors
+of all tables live in two ``(tables, nodes + 1)`` arrays, and one Jacobi
+round gathers the neighbour values of every dirty ``(table, node)`` pair,
+applies the budget filter, sorts the candidates and folds Eq. 3 — for all
+tables in lock-step, one C loop per arithmetic step instead of one Python
+call per node per round per table. A single pair is a batch of one.
 
-Two further accelerations are layered on top:
+The kernel is bit-identical to the scalar per-node loop it replaced (kept
+as the oracle in ``tests/core/reference_solver.py``), by construction:
 
-* **dirty-edge relevance** (:meth:`ControlPlaneSolver.table_affected`) —
-  a changed edge can only influence a table if at least one endpoint has a
-  positive delay budget (``dist(P, endpoint) < deadline``); a broker whose
-  budget is non-positive provably holds ``<inf, 0>`` forever and its links
-  are never read. Tables no changed edge can reach are reused verbatim
-  (bit-identical, the solve is skipped entirely);
-* **warm-started replay** — every solve records its per-round update
-  trajectory in the resulting table. A re-solve against new estimates
-  replays that trajectory: in each round, a node is actually recomputed
-  only if it touches a changed edge or a node whose value has diverged
-  from the recorded run; every other node's round outcome is *copied*
-  from the recording, because its inputs (neighbour values and link
-  parameters) are bitwise identical to what a from-scratch solve on the
-  new estimates would see. The replayed trajectory is therefore — by
-  induction over rounds — bit-for-bit the trajectory of a cold solve on
-  the new estimates, at the cost of recomputing only the changed edges'
-  influence cone. ``tests/core/test_batch_solver.py`` pins this exact
-  equivalence.
+* **operation order** — every float is produced by the same IEEE-754
+  double operations in the same order: ``alpha + d_i``, ``gamma * r_i``,
+  their quotient, and a ``for k in range(max_degree)`` fold that performs
+  Eq. 3's adds and multiplies position by position. Slots that hold no
+  candidate (padding, dead links, neighbours outside the budget) carry
+  ``d_via = r_via = 0`` and so contribute ``+ 0.0`` and ``* 1.0``, which
+  are exact;
+* **stable tie-break** — the link columns are laid out in neighbour-id
+  order and the sort is stable, so equal ``d/r`` ratios fall in
+  neighbour-id order exactly as the scalar ``(ratio, neighbour)`` tuple
+  sort placed them;
+* **same gate, same dirty sets** — a node's update is accepted by the
+  same three-clause tolerance test, and each table keeps its own dirty
+  mask (neighbours of the nodes that moved last round, never the
+  subscriber), so every table runs the rounds, and evaluates the nodes,
+  the scalar loop would have: ``rounds``, ``converged`` and the
+  ``jacobi_rounds`` / ``node_recomputes`` counters repeat exactly.
 
-A naive warm start (seeding Jacobi from the previous ``<d, r>`` values)
-was rejected: the tolerance-gated iteration parks values within ``tol``
-of budget-eligibility boundaries whenever cyclic feedback oscillates, so
-a warm fixed point that differs from the cold one by less than ``tol``
-can still flip a strict ``d_i < budget`` comparison and change a sending
-list. Replay sidesteps the problem by reproducing the cold trajectory
-itself rather than approximating its fixed point.
+One further acceleration sits on top — **dirty-edge relevance**
+(:meth:`ControlPlaneSolver.table_affected`): a changed edge can only
+influence a table if at least one endpoint has a positive delay budget
+(``dist(P, endpoint) < deadline``); a broker whose budget is non-positive
+provably holds ``<inf, 0>`` forever and its links are never read. Tables
+no changed edge can reach are reused verbatim (bit-identical, the solve
+is skipped entirely).
+
+Earlier versions also *replayed* the previous solve's recorded Jacobi
+trajectory, recomputing only the changed edges' influence cone. It was
+removed when the kernel landed: a replay is a per-table Python loop that
+cannot run inside the batch, a sampled refresh moves every estimate so the
+cone is the whole graph, and even in its best regime (7 of 640 estimates
+changed) it lost to the kernel — see ``docs/ALGORITHMS.md``. A naive warm
+start (seeding Jacobi from the previous ``<d, r>`` values) was never an
+option: the tolerance-gated iteration parks values within ``tol`` of
+budget-eligibility boundaries, so a warm fixed point within ``tol`` of the
+cold one can still flip a strict ``d_i < budget`` comparison and change a
+sending list.
+
+Tables that never converge
+--------------------------
+
+Budget eligibility is a strict comparison on values that feed back through
+cyclic sending lists, so a minority of tables fall into a *bit-exact* limit
+cycle (period 2-12) instead of a fixed point and spin to the ``max_rounds``
+backstop. The table shipped is the state after exactly ``max_rounds``
+synchronous rounds — a deterministic function of the estimates — flagged
+``converged=False`` and counted in ``control_plane.tables_unconverged``.
 """
 
 from __future__ import annotations
@@ -63,6 +88,7 @@ from dataclasses import dataclass, field
 from typing import (
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -71,9 +97,9 @@ from typing import (
 )
 
 import networkx as nx
+import numpy as np
 
 from repro.core.linkmath import link_params_m
-from repro.core.sending_list import order_sending_list
 from repro.overlay.monitor import LinkEstimate
 from repro.overlay.topology import Edge, Topology, canonical_edge
 from repro.perf import PerfStats
@@ -126,6 +152,68 @@ def aggregate_dr(vias: Sequence[ViaNeighbor]) -> Tuple[float, float]:
     return weighted / r, r
 
 
+class _SolvedStates(Mapping[int, NodeState]):
+    """The ``states`` of a solved table, read from the solver's array rows.
+
+    A refresh produces tens of thousands of (table, node) states and the
+    data plane reads a handful per table, so :class:`NodeState` and
+    :class:`ViaNeighbor` objects are built on first access and cached.
+    Being a :class:`~collections.abc.Mapping`, it iterates, compares and
+    copies (``dict(states)``) like the plain dict of a hand-built table.
+    """
+
+    __slots__ = ("_d", "_r", "_lengths", "_neighbors", "_d_via", "_r_via", "_built")
+
+    def __init__(
+        self,
+        d: np.ndarray,
+        r: np.ndarray,
+        lengths: np.ndarray,
+        neighbors: np.ndarray,
+        d_via: np.ndarray,
+        r_via: np.ndarray,
+    ) -> None:
+        # Per-node ``<d, r>``, sending-list length, and the sending list's
+        # (neighbour, d_via, r_via) columns in Theorem 1 order.
+        self._d = d
+        self._r = r
+        self._lengths = lengths
+        self._neighbors = neighbors
+        self._d_via = d_via
+        self._r_via = r_via
+        self._built: Dict[int, NodeState] = {}
+
+    def __getitem__(self, node: int) -> NodeState:
+        state = self._built.get(node)
+        if state is None:
+            if node not in range(len(self._d)):
+                raise KeyError(node)
+            length = self._lengths[node]
+            state = NodeState(
+                d=self._d[node].item(),
+                r=self._r[node].item(),
+                sending_list=tuple(
+                    map(
+                        ViaNeighbor,
+                        self._neighbors[node, :length].tolist(),
+                        self._d_via[node, :length].tolist(),
+                        self._r_via[node, :length].tolist(),
+                    )
+                ),
+            )
+            self._built[node] = state
+        return state
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._d)))
+
+    def __len__(self) -> int:
+        return len(self._d)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass
 class DrTable:
     """Control state of all brokers for one (publisher, subscriber) pair."""
@@ -133,21 +221,15 @@ class DrTable:
     publisher: int
     subscriber: int
     deadline: float
-    states: Dict[int, NodeState]
+    states: Mapping[int, NodeState]
     budgets: Dict[int, float]
     rounds: int
     converged: bool
-    #: Per-round ``(node, d, r)`` update lists of the solve that produced
-    #: this table; consumed by :meth:`ControlPlaneSolver.solve` to replay
-    #: the iteration incrementally after the next refresh. Diagnostic
-    #: payload — excluded from equality and repr.
-    trajectory: Optional[Tuple[Tuple[Tuple[int, float, float], ...], ...]] = field(
-        default=None, compare=False, repr=False
-    )
-    #: Lazy per-node cache of :meth:`sending_list` results. The forwarding
-    #: data plane asks for the same node's list once per dispatched
-    #: destination; ``NodeState.neighbor_order`` rebuilds its tuple on every
-    #: access, so memoise it here (states are immutable after the solve).
+    #: Per-node :meth:`sending_list` results. The forwarding data plane
+    #: asks for the same node's list once per dispatched destination and
+    #: ``NodeState.neighbor_order`` rebuilds its tuple on every access, so
+    #: they are kept here (states are immutable after the solve): filled by
+    #: the solver for every node, on first use for a hand-built table.
     _orders: Dict[int, Tuple[int, ...]] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -250,14 +332,14 @@ DIST_CACHE: Optional[SolverDistanceCache] = None
 
 
 class ControlPlaneSolver:
-    """Shared-artifact solver for all ``<d, r>`` tables of one refresh.
+    """Shared-artifact batch solver for all ``<d, r>`` tables of one refresh.
 
     Constructing the solver resolves everything that is independent of the
     (publisher, subscriber) pair — the Eq. 1 ``(alpha_m, gamma_m)`` table,
-    the usable-adjacency lists, and the alpha-weighted graph for budget
-    Dijkstras — exactly once. Per-publisher shortest-delay maps are then
-    computed lazily and cached, so solving all subscribers of one publisher
-    costs a single ``single_source_dijkstra_path_length`` call.
+    laid out as padded per-node link arrays, and the alpha-weighted graph
+    for budget Dijkstras — exactly once. Per-publisher shortest-delay maps
+    are then computed lazily and cached, so solving all subscribers of one
+    publisher costs a single ``single_source_dijkstra_path_length`` call.
 
     One solver instance is valid for one immutable estimates snapshot;
     build a fresh instance after every monitoring refresh.
@@ -284,23 +366,30 @@ class ControlPlaneSolver:
         self.perf = perf
 
         # Per-link m-transmission parameters (Eq. 1), symmetric.
-        link_m: Dict[Edge, Tuple[float, float]] = {}
-        for edge in topology.edges():
-            estimate = estimates[edge]
-            link_m[edge] = link_params_m(estimate.alpha, estimate.gamma, m)
-        self.link_m = link_m
+        link_m = {
+            edge: link_params_m(estimates[edge].alpha, estimates[edge].gamma, m)
+            for edge in topology.edges()
+        }
 
-        # Pre-resolve each node's usable links once: (neighbor, alpha_m,
-        # gamma_m) with dead links (gamma 0 / alpha inf) dropped up front.
-        links_of: List[List[Tuple[int, float, float]]] = [[] for _ in range(num_nodes)]
+        # Padded per-node link arrays, one column per neighbour in
+        # neighbour-id order. ``num_nodes`` is the index of a sentinel
+        # column the kernel keeps at <inf, 0>: padding points there, and so
+        # do dead links (gamma 0 / alpha inf) in ``_usable``, which the
+        # recursion reads — a sentinel neighbour is never within budget.
+        # Dirty propagation follows ``_neighbors``, dead links included.
+        width = max(topology.degree(node) for node in topology.nodes)
+        self._neighbors = np.full((num_nodes, width), num_nodes, dtype=np.intp)
+        self._usable = self._neighbors.copy()
+        self._alpha = np.zeros((num_nodes, width))
+        self._gamma = np.zeros((num_nodes, width))
         for node in topology.nodes:
-            entries = links_of[node]
-            for neighbor in topology.neighbors(node):
+            for column, neighbor in enumerate(topology.neighbors(node)):
+                self._neighbors[node, column] = neighbor
                 alpha_m, gamma_m = link_m[canonical_edge(node, neighbor)]
                 if math.isfinite(alpha_m) and gamma_m > 0.0:
-                    entries.append((neighbor, alpha_m, gamma_m))
-        self.links_of = links_of
-        self.neighbors_of = [topology.neighbors(node) for node in topology.nodes]
+                    self._usable[node, column] = neighbor
+                    self._alpha[node, column] = alpha_m
+                    self._gamma[node, column] = gamma_m
 
         self._weight_graph = _estimate_weight_graph(topology, estimates)
         # With a process-level DIST_CACHE installed, solvers built against
@@ -347,228 +436,185 @@ class ControlPlaneSolver:
         return False
 
     # ------------------------------------------------------------------
-    def solve(
+    def _candidates(
         self,
-        publisher: int,
-        subscriber: int,
-        deadline: float,
-        warm: Optional[DrTable] = None,
-        changed_edges: Optional[Iterable[Edge]] = None,
-    ) -> DrTable:
-        """Solve one (publisher, subscriber) pair against this refresh.
+        d: np.ndarray,
+        r: np.ndarray,
+        budgets: np.ndarray,
+        cells: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Eq. 2, the budget filter and the Theorem 1 order, batched.
 
-        Without *warm* this is bit-identical to :func:`compute_dr_table`.
-        With *warm* (the pair's previous table, carrying its recorded
-        trajectory) and *changed_edges*, the iteration replays the
-        recorded rounds, recomputing only nodes inside the influence cone
-        of the changed edges and copying every other round outcome from
-        the recording — producing the exact cold-solve result. A warm
-        table whose budgets or identity don't match (different deadline,
-        alpha movement, no trajectory) is ignored and the solve falls
-        back to cold.
+        *cells* are flat ``table * (num_nodes + 1) + node`` positions in
+        *d*, *r* and *budgets*. For each one, the node's link columns as
+        ``(neighbors, d_via, r_via)`` rows sorted ascending by
+        ``d_via / r_via`` (stable, so ties stay in neighbour-id order), and
+        ``eligible``, which marks the real candidates (in column order).
+        The rest — padding, dead links, neighbours that do not expect
+        delivery within the node's budget (Algorithm 1 line 4) or at all —
+        sort last and carry ``d_via = r_via = 0``.
         """
-        require_positive(deadline, "deadline")
-        topology = self.topology
-        num = topology.num_nodes
+        stride = self.topology.num_nodes + 1
+        tables, nodes = np.divmod(cells, stride)
+        neighbors = self._usable[nodes]
+        via = neighbors + (tables * stride)[:, None]
+        d_i = d.take(via)
+        r_i = r.take(via)
+        eligible = (d_i < budgets.take(cells)[:, None]) & (r_i > 0.0)
+        d_via = np.where(eligible, self._alpha[nodes] + d_i, 0.0)
+        r_via = np.where(eligible, self._gamma[nodes] * r_i, 0.0)
+        ratio = np.where(eligible, d_via / r_via, math.inf)
+        order = np.argsort(ratio, axis=1, kind="stable")
+        # take() on the flattened rows is several times faster than
+        # take_along_axis, and this runs every round.
+        order += (np.arange(len(cells)) * order.shape[1])[:, None]
+        return neighbors.take(order), d_via.take(order), r_via.take(order), eligible
+
+    def solve(self, pairs: Sequence[Tuple[int, int, float]]) -> List[DrTable]:
+        """Solve ``(publisher, subscriber, deadline)`` pairs in lock-step.
+
+        All tables advance through the same Jacobi rounds together; each
+        stops on its own (nothing left dirty) or with the batch at
+        ``max_rounds``. The result list is aligned with *pairs*, and every
+        table is independent of what else was in the batch.
+        """
+        pairs = list(pairs)
+        num = self.topology.num_nodes
+        for _, subscriber, deadline in pairs:
+            require(0 <= subscriber < num, f"no broker {subscriber}")
+            require_positive(deadline, "deadline")
+        if not pairs:
+            return []
+        count = len(pairs)
+        inf = math.inf
+        tol = self.tol
+
+        # The state of the whole batch is flat: cell ``t * stride + x`` is
+        # node x of table t, and cell ``t * stride + num`` is table t's
+        # sentinel neighbour (padded and dead links), pinned at <inf, 0>.
+        stride = num + 1
+        first_cell = np.arange(count) * stride
+        subscriber_cells = first_cell + [subscriber for _, subscriber, _ in pairs]
+        sentinel_cells = first_cell + num
+        node_cells = (first_cell[:, None] + np.arange(num)).ravel()
 
         # Remaining budget at each broker: D_XS = D_PS - shortest_delay(P, X),
         # with shortest delays taken over the monitor's alpha estimates.
-        dist_from_publisher = self.distances_from(publisher)
-        budgets = {
-            node: deadline - dist_from_publisher.get(node, float("inf"))
-            for node in topology.nodes
-        }
-        budget_of: List[float] = [budgets[node] for node in topology.nodes]
+        # The sentinel, like an unreachable broker, is infinitely far.
+        distance_rows: Dict[int, np.ndarray] = {}
+        budgets = np.empty((count, stride))
+        for index, (publisher, _, deadline) in enumerate(pairs):
+            row = distance_rows.get(publisher)
+            if row is None:
+                dist = self.distances_from(publisher)
+                row = np.array([dist.get(node, inf) for node in range(stride)])
+                distance_rows[publisher] = row
+            budgets[index] = deadline - row
 
-        inf = float("inf")
-        warm_ok = (
-            warm is not None
-            and warm.trajectory is not None
-            and warm.subscriber == subscriber
-            and warm.publisher == publisher
-            and warm.deadline == deadline
-            and changed_edges is not None
-            and warm.budgets == budgets
-        )
-        d = [inf] * num
-        r = [0.0] * num
-        d[subscriber], r[subscriber] = 0.0, 1.0
-        dirty = set(topology.nodes) - {subscriber}
-        if warm_ok:
-            # Replay state: the recorded run's values in lockstep with the
-            # live ones, the set of nodes whose live value has diverged
-            # from the recording, and the changed edges' endpoints (whose
-            # link parameters differ from the recorded run's).
-            old_trajectory = warm.trajectory  # type: ignore[union-attr]
-            old_d = [inf] * num
-            old_r = [0.0] * num
-            old_d[subscriber], old_r[subscriber] = 0.0, 1.0
-            endpoints: set = set()
-            for u, v in changed_edges:  # type: ignore[union-attr]
-                endpoints.add(u)
-                endpoints.add(v)
-            diff: set = set()
-            if self.perf is not None:
-                self.perf.incr("control_plane.tables_warm_started")
-        else:
-            old_trajectory = None
-            if self.perf is not None:
-                self.perf.incr("control_plane.tables_solved_cold")
+        d = np.full(count * stride, inf)
+        r = np.zeros(count * stride)
+        d[subscriber_cells] = 0.0
+        r[subscriber_cells] = 1.0
+        dirty = np.zeros(count * stride, dtype=bool)
+        dirty[node_cells] = True
+        dirty[subscriber_cells] = False
 
-        links_of = self.links_of
-        tol = self.tol
-
-        def recompute(node: int) -> Tuple[float, float]:
-            """One Eq. 2 + Theorem 1 + Eq. 3 evaluation from current d/r."""
-            budget = budget_of[node]
-            candidates: List[Tuple[float, int, float, float]] = []
-            for neighbor, alpha_m, gamma_m in links_of[node]:
-                d_i = d[neighbor]
-                # Algorithm 1 line 4: neighbour must expect delivery within
-                # the remaining budget; hopeless neighbours cannot help
-                # either.
-                r_i = r[neighbor]
-                if not (d_i < budget) or r_i <= 0.0:
-                    continue
-                d_via = alpha_m + d_i
-                r_via = gamma_m * r_i
-                candidates.append((d_via / r_via, neighbor, d_via, r_via))
-            if not candidates:
-                return inf, 0.0
-            candidates.sort()
-            survive = 1.0
-            weighted = 0.0
-            cumulative = 0.0
-            for _, _, d_via, r_via in candidates:
-                cumulative += d_via
-                weighted += cumulative * r_via * survive
-                survive *= 1.0 - r_via
-            r_x = 1.0 - survive
-            if r_x <= 0.0:
-                return inf, 0.0
-            return weighted / r_x, r_x
-
+        rounds = np.zeros(count, dtype=np.intp)
         recomputes = 0
-
-        def gate(node: int) -> Optional[Tuple[int, float, float]]:
-            """Recompute *node*; return its update if it moved beyond tol."""
-            nonlocal recomputes
-            recomputes += 1
-            new_d, new_r = recompute(node)
-            cur_d, cur_r = d[node], r[node]
-            if abs(new_r - cur_r) > tol:
-                return node, new_d, new_r
-            if math.isinf(new_d) != math.isinf(cur_d):
-                return node, new_d, new_r
-            if math.isfinite(new_d) and abs(new_d - cur_d) > tol:
-                return node, new_d, new_r
-            return None
-
-        rounds = 0
-        converged = False
-        trajectory: List[Tuple[Tuple[int, float, float], ...]] = []
-        # Jacobi with dirty-set propagation: a node is recomputed only when
-        # one of its neighbours changed in the previous round. A replay
-        # further narrows the recomputed set to the changed edges'
-        # influence cone; everything outside the cone is copied from the
-        # recorded trajectory (bit-identical inputs give bit-identical
-        # outcomes, so the copies ARE the cold-solve results).
-        neighbors_of = self.neighbors_of
-        while rounds < self.max_rounds and dirty:
-            rounds += 1
-            updates: List[Tuple[int, float, float]] = []
-            if old_trajectory is None:
-                for node in dirty:
-                    update = gate(node)
-                    if update is not None:
-                        updates.append(update)
-            else:
-                old_updates = (
-                    old_trajectory[rounds - 1]
-                    if rounds <= len(old_trajectory)
-                    else ()
+        # Masked slots evaluate 0/0 and unreached nodes inf - inf; both
+        # results are discarded by the np.where / isfinite guards.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Jacobi with dirty-set propagation: a node is recomputed only
+            # when one of its neighbours moved in its table's previous
+            # round. Every new value is computed before any is written.
+            for round_number in range(1, self.max_rounds + 1):
+                cells = np.flatnonzero(dirty)
+                if not len(cells):
+                    break
+                rounds[cells // stride] = round_number
+                recomputes += len(cells)
+                _, d_via, r_via, _ = self._candidates(d, r, budgets, cells)
+                # Eq. 3, position by position along the sending list.
+                survive = np.ones(len(cells))
+                weighted = np.zeros(len(cells))
+                cumulative = np.zeros(len(cells))
+                for k in range(d_via.shape[1]):
+                    cumulative = cumulative + d_via[:, k]
+                    weighted = weighted + cumulative * r_via[:, k] * survive
+                    survive = survive * (1.0 - r_via[:, k])
+                r_x = 1.0 - survive
+                reaches = r_x > 0.0
+                new_d = np.where(reaches, weighted / r_x, inf)
+                new_r = np.where(reaches, r_x, 0.0)
+                # A node moves only if it changed beyond tol.
+                old_d = d[cells]
+                moved = (
+                    (np.abs(new_r - r[cells]) > tol)
+                    | (np.isinf(new_d) != np.isinf(old_d))
+                    | (np.isfinite(new_d) & (np.abs(new_d - old_d) > tol))
                 )
-                # The cone this round: nodes whose own value or one of
-                # whose inputs (a neighbour's value, an incident link's
-                # parameters) differs from the recorded run.
-                cone = set(endpoints)
-                for node in diff:
-                    cone.add(node)
-                    cone.update(neighbors_of[node])
-                for entry in old_updates:
-                    node = entry[0]
-                    if node in dirty and node not in cone:
-                        updates.append(entry)
-                for node in dirty & cone:
-                    update = gate(node)
-                    if update is not None:
-                        updates.append(update)
-            dirty = set()
-            for node, new_d, new_r in updates:
-                d[node], r[node] = new_d, new_r
-                dirty.update(neighbors_of[node])
-            dirty.discard(subscriber)
-            if old_trajectory is not None:
-                for node, up_d, up_r in old_updates:
-                    old_d[node], old_r[node] = up_d, up_r
-                for node, _, _ in updates:
-                    if d[node] == old_d[node] and r[node] == old_r[node]:
-                        diff.discard(node)
-                    else:
-                        diff.add(node)
-                for node, _, _ in old_updates:
-                    if d[node] == old_d[node] and r[node] == old_r[node]:
-                        diff.discard(node)
-                    else:
-                        diff.add(node)
-            trajectory.append(tuple(updates))
-            if not updates:
-                converged = True
-                break
-        if not converged and not dirty:
-            converged = True
+                cells = cells[moved]
+                d[cells] = new_d[moved]
+                r[cells] = new_r[moved]
+                tables, nodes = np.divmod(cells, stride)
+                dirty[:] = False
+                dirty[self._neighbors[nodes] + (tables * stride)[:, None]] = True
+                dirty[sentinel_cells] = False
+                dirty[subscriber_cells] = False
+
+            # Sending lists of every node of every table, from the final
+            # values; the subscriber's stays empty.
+            neighbors, d_via, r_via, eligible = self._candidates(
+                d, r, budgets, node_cells
+            )
+        shape = (count, num, neighbors.shape[1])
+        neighbors = neighbors.reshape(shape)
+        d_via = d_via.reshape(shape)
+        r_via = r_via.reshape(shape)
+        lengths = eligible.sum(axis=1).reshape(count, num)
+        lengths[np.arange(count), subscriber_cells % stride] = 0
+        d = d.reshape(count, stride)
+        r = r.reshape(count, stride)
+        # A table still dirty was cut off by max_rounds.
+        converged = ~dirty.reshape(count, stride).any(axis=1)
+
         if self.perf is not None:
-            self.perf.incr("control_plane.jacobi_rounds", rounds)
+            self.perf.incr("control_plane.tables_solved_cold", count)
+            self.perf.incr(
+                "control_plane.tables_unconverged", count - int(converged.sum())
+            )
+            self.perf.incr("control_plane.jacobi_rounds", int(rounds.sum()))
             self.perf.incr("control_plane.node_recomputes", recomputes)
 
-        def final_vias(node: int) -> Tuple[ViaNeighbor, ...]:
-            budget = budget_of[node]
-            entries = []
-            for neighbor, alpha_m, gamma_m in links_of[node]:
-                d_i, r_i = d[neighbor], r[neighbor]
-                if not (d_i < budget) or r_i <= 0.0:
-                    continue
-                entries.append((neighbor, alpha_m + d_i, gamma_m * r_i))
-            ordered = order_sending_list(entries)
-            return tuple(ViaNeighbor(*item) for item in ordered)
-
-        # A replay only needs to re-derive the sending lists inside the
-        # final cone: a node whose value matches the recording, with no
-        # diverged neighbour and no changed incident link, reproduces its
-        # previous NodeState bit-for-bit, so the old state is copied.
-        rebuild: Optional[set] = None
-        if warm_ok:
-            rebuild = set(endpoints)
-            for node in diff:
-                rebuild.add(node)
-                rebuild.update(neighbors_of[node])
-        states = {}
-        for node in topology.nodes:
-            if rebuild is not None and node not in rebuild:
-                states[node] = warm.states[node]  # type: ignore[union-attr]
-                continue
-            vias = () if node == subscriber else final_vias(node)
-            states[node] = NodeState(d=d[node], r=r[node], sending_list=vias)
-        return DrTable(
-            publisher=publisher,
-            subscriber=subscriber,
-            deadline=deadline,
-            states=states,
-            budgets=budgets,
-            rounds=rounds,
-            converged=converged,
-            trajectory=tuple(trajectory),
-        )
+        # Each table owns copies of its rows, so a table reused across
+        # refreshes does not keep its whole batch alive. The neighbour
+        # orders are all the data plane reads, so they are made up front;
+        # full states are built when something asks for them.
+        return [
+            DrTable(
+                publisher=publisher,
+                subscriber=subscriber,
+                deadline=deadline,
+                states=_SolvedStates(
+                    d[index, :num].copy(),
+                    r[index, :num].copy(),
+                    lengths[index].copy(),
+                    neighbors[index].copy(),
+                    d_via[index].copy(),
+                    r_via[index].copy(),
+                ),
+                budgets=dict(enumerate(budgets[index, :num].tolist())),
+                rounds=int(rounds[index]),
+                converged=bool(converged[index]),
+                _orders={
+                    node: tuple(row[:length])
+                    for node, (row, length) in enumerate(
+                        zip(neighbors[index].tolist(), lengths[index].tolist())
+                    )
+                },
+            )
+            for index, (publisher, subscriber, deadline) in enumerate(pairs)
+        ]
 
 
 def compute_dr_table(
@@ -604,13 +650,13 @@ def compute_dr_table(
 
     This is the one-shot convenience wrapper; to solve many pairs against
     the same estimates, build one :class:`ControlPlaneSolver` (or call
-    :func:`compute_dr_tables`) so the link table, adjacency lists, and
-    per-publisher Dijkstra are shared instead of rebuilt per pair.
+    :func:`compute_dr_tables`) so the link arrays and per-publisher
+    Dijkstra are shared and the tables advance in one batch.
     """
     solver = ControlPlaneSolver(
         topology, estimates, m=m, max_rounds=max_rounds, tol=tol
     )
-    return solver.solve(publisher, subscriber, deadline)
+    return solver.solve([(publisher, subscriber, deadline)])[0]
 
 
 def compute_dr_tables(
@@ -621,39 +667,22 @@ def compute_dr_tables(
     m: int = 1,
     max_rounds: Optional[int] = None,
     tol: float = 1e-9,
-    warm_tables: Optional[Sequence[Optional[DrTable]]] = None,
-    changed_edges: Optional[Iterable[Edge]] = None,
     perf: Optional[PerfStats] = None,
 ) -> List[DrTable]:
-    """Solve all subscribers of one publisher in a single batched pass.
+    """Solve all subscribers of one publisher in a single batch.
 
     Parameters
     ----------
     pairs:
         ``(subscriber, deadline)`` tuples; the result list is aligned with
         this sequence.
-    warm_tables:
-        Optional per-pair previous tables (aligned with *pairs*) used to
-        warm-start the Jacobi iteration; entries may be ``None``.
-    changed_edges:
-        The edges whose estimates changed since the warm tables were
-        solved (required for warm-starting to engage).
 
-    The estimate weight graph, the Eq. 1 link table, the adjacency lists,
-    and the publisher's Dijkstra are computed once and shared across all
-    pairs; without warm tables the results are bit-identical to calling
-    :func:`compute_dr_table` once per pair.
+    The results are bit-identical to calling :func:`compute_dr_table` once
+    per pair.
     """
     solver = ControlPlaneSolver(
         topology, estimates, m=m, max_rounds=max_rounds, tol=tol, perf=perf
     )
-    changed = tuple(changed_edges) if changed_edges is not None else None
-    tables: List[DrTable] = []
-    for index, (subscriber, deadline) in enumerate(pairs):
-        warm = warm_tables[index] if warm_tables is not None else None
-        tables.append(
-            solver.solve(
-                publisher, subscriber, deadline, warm=warm, changed_edges=changed
-            )
-        )
-    return tables
+    return solver.solve(
+        [(publisher, subscriber, deadline) for subscriber, deadline in pairs]
+    )

@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro import probes as _probes
-from repro.core.computation import ControlPlaneSolver, DrTable, compute_dr_table
+from repro.core.computation import ControlPlaneSolver, DrTable
 from repro.perf import PerfStats
 from repro.pubsub.messages import AckFrame, PacketFrame
 from repro.pubsub.topics import TopicSpec
@@ -234,27 +234,24 @@ class DcrdStrategy(RoutingStrategy):
     #: with unbounded flow diversity; steady-state runs stay far below it).
     DISPATCH_CACHE_CAP = 65536
 
-    #: Reuse unaffected tables and warm-start re-solves between refreshes.
-    #: Flip to False (per instance) to force the from-scratch reference
-    #: behaviour: every refresh with changed estimates re-solves every pair
-    #: cold, exactly like the original per-pair Algorithm 1.
+    #: Reuse tables no changed estimate can reach between refreshes. Flip
+    #: to False (per instance) to force the from-scratch reference
+    #: behaviour: every refresh with changed estimates re-solves every
+    #: pair, exactly like the original per-pair Algorithm 1.
     incremental = True
-    #: Seed re-solved tables from their previous converged ``<d, r>``
-    #: vectors (only meaningful while ``incremental`` is on).
-    warm_start = True
 
     def __init__(self, ctx: RuntimeContext) -> None:
         super().__init__(ctx)
         self.arq = ArqSender(ctx)
-        # Both table maps are keyed by the packed pair id
-        # ``(topic << 21) | subscriber`` (node ids fit 21 bits, like the
-        # overlay's packed direction ids), so the per-subscriber dispatch
-        # lookup hashes one int instead of building a tuple.
+        # Keyed by the packed pair id ``(topic << 21) | subscriber`` (node
+        # ids fit 21 bits, like the overlay's packed direction ids), so the
+        # per-subscriber dispatch lookup hashes one int instead of building
+        # a tuple.
         self._tables: Dict[int, DrTable] = {}
-        # Raw solver outputs, kept separately from ``_tables`` so subclasses
-        # that post-process published tables (e.g. the naive-order ablation)
-        # never pollute the warm-start sources.
-        self._warm_tables: Dict[int, DrTable] = {}
+        # The solver of the monitor's current estimates, shared by the
+        # refresh and any subscription that joins before the next one.
+        self._solver: Optional[ControlPlaneSolver] = None
+        self._solver_version: int = -1
         # Flow cache for initial dispatch plans (see _DeliveryTask); any
         # table change clears it, so cached plans never outlive the control
         # state they were computed from.
@@ -282,6 +279,29 @@ class DcrdStrategy(RoutingStrategy):
         """Re-run Algorithm 1 when the monitor publishes new estimates."""
         self._rebuild_tables()
 
+    def _current_solver(self) -> ControlPlaneSolver:
+        """The solver for the monitor's current estimates (one per version)."""
+        monitor = self.ctx.monitor
+        if self._solver is None or self._solver_version != monitor.version:
+            self._solver = ControlPlaneSolver(
+                self.ctx.topology,
+                monitor.estimates(),
+                m=self.ctx.params.m,
+                perf=self.perf,
+            )
+            self._solver_version = monitor.version
+        return self._solver
+
+    def _publish_table(self, key: int, table: DrTable) -> None:
+        probe = _probes.on_table_solved
+        if probe is not None:
+            # Raw solver output, before any subclass reorders its
+            # published copy (the naive-order ablation violates Theorem 1
+            # on purpose). Filter family: handlers may substitute the
+            # table (the sanitizer's missort mutation does).
+            table = probe(table)
+        self._tables[key] = table
+
     def _rebuild_tables(self) -> None:
         monitor = self.ctx.monitor
         version = monitor.version
@@ -293,7 +313,7 @@ class DcrdStrategy(RoutingStrategy):
         # Change tracking is only valid across a single version step with
         # incrementality on; anything else (first build, missed refreshes,
         # moved latency estimates) falls back to treating every edge as
-        # changed, which disables reuse and warm-starting below.
+        # changed, which disables reuse below.
         track_changes = (
             self.incremental
             and self._monitor_version == version - 1
@@ -305,21 +325,17 @@ class DcrdStrategy(RoutingStrategy):
         self._dispatch_cache.clear()
         self.perf.incr("control_plane.refreshes")
         with self.perf.timer("control_plane.solve_time_s"):
-            solver = ControlPlaneSolver(
-                self.ctx.topology,
-                monitor.estimates(),
-                m=self.ctx.params.m,
-                perf=self.perf,
-            )
+            solver = self._current_solver()
+            keys = []
+            pairs = []
             for spec in self.ctx.workload.topics:
                 topic_key = spec.topic << 21
                 for sub in spec.subscriptions:
                     key = topic_key | sub.node
-                    previous = self._warm_tables.get(key)
+                    previous = self._tables.get(key)
                     if (
                         changed is not None
                         and previous is not None
-                        and key in self._tables
                         and previous.deadline == sub.deadline
                         and not solver.table_affected(
                             spec.publisher, sub.deadline, changed
@@ -330,24 +346,12 @@ class DcrdStrategy(RoutingStrategy):
                         # reproduce it bit for bit, so keep it.
                         self.perf.incr("control_plane.tables_reused")
                         continue
-                    warm = previous if (self.warm_start and changed is not None) else None
-                    table = solver.solve(
-                        spec.publisher,
-                        sub.node,
-                        sub.deadline,
-                        warm=warm,
-                        changed_edges=changed,
-                    )
-                    probe = _probes.on_table_solved
-                    if probe is not None:
-                        # Raw solver output, before any subclass reorders
-                        # its published copy (the naive-order ablation
-                        # violates Theorem 1 on purpose). Filter family:
-                        # handlers may substitute the table (the sanitizer's
-                        # missort mutation does).
-                        table = probe(table)
-                    self._tables[key] = table
-                    self._warm_tables[key] = table
+                    keys.append(key)
+                    pairs.append((spec.publisher, sub.node, sub.deadline))
+            # Everything that survived is solved as one batch; tables are
+            # published in workload order.
+            for key, table in zip(keys, solver.solve(pairs)):
+                self._publish_table(key, table)
 
     def table(self, topic: int, subscriber: int) -> DrTable:
         """The control state of one (topic, subscriber) pair."""
@@ -374,27 +378,16 @@ class DcrdStrategy(RoutingStrategy):
     def on_subscription_added(self, topic: int, subscription) -> None:
         """Solve the recursion for just the new (topic, subscriber) pair."""
         spec = self.ctx.workload.topic(topic)
-        table = compute_dr_table(
-            self.ctx.topology,
-            self.ctx.monitor.estimates(),
-            publisher=spec.publisher,
-            subscriber=subscription.node,
-            deadline=subscription.deadline,
-            m=self.ctx.params.m,
-        )
-        probe = _probes.on_table_solved
-        if probe is not None:
-            table = probe(table)
-        key = (topic << 21) | subscription.node
-        self._tables[key] = table
-        self._warm_tables[key] = table
+        with self.perf.timer("control_plane.solve_time_s"):
+            (table,) = self._current_solver().solve(
+                [(spec.publisher, subscription.node, subscription.deadline)]
+            )
+        self._publish_table((topic << 21) | subscription.node, table)
         self._dispatch_cache.clear()
 
     def on_subscription_removed(self, topic: int, node: int) -> None:
         """Drop the pair's control state; in-flight copies self-abandon."""
-        key = (topic << 21) | node
-        self._tables.pop(key, None)
-        self._warm_tables.pop(key, None)
+        self._tables.pop((topic << 21) | node, None)
         self._dispatch_cache.clear()
 
     # ------------------------------------------------------------------

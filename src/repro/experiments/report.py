@@ -77,7 +77,7 @@ def render_perf(summaries: Mapping[str, object]) -> str:
 
     Rows are the union of all counter names found in the summaries'
     ``perf`` snapshots (control-plane solve time, tables reused vs
-    re-solved, warm-start rounds, event counts — see :mod:`repro.perf`);
+    re-solved, Jacobi rounds, event counts — see :mod:`repro.perf`);
     strategies without a counter show ``-``.
     """
     names: List[str] = []

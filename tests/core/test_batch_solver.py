@@ -1,18 +1,23 @@
-"""Equivalence of the batched/incremental control-plane solver.
+"""Equivalence of the batched control-plane solver.
 
-The refactored control plane has three acceleration layers — shared
-per-refresh artifacts (:class:`ControlPlaneSolver`), dirty-edge table
-reuse, and warm-started trajectory replay — and all of them must be
-behaviourally invisible: batched cold solves are bit-identical to
-per-pair :func:`compute_dr_table` calls, reused tables are the exact
-previous objects, and replayed tables equal the from-scratch solution
-bit-for-bit (the replay reproduces the cold Jacobi trajectory itself).
+The control plane has two acceleration layers — one batched NumPy kernel
+that solves every table of a refresh in lock-step
+(:class:`ControlPlaneSolver`), and dirty-edge table reuse — and both must
+be behaviourally invisible: the kernel's tables are bit-identical to the
+scalar loop it replaced (``tests/core/reference_solver.py``), down to
+``rounds``, ``converged`` and the work counters; a table does not depend on
+what else was in its batch; and reused tables are exactly what a
+from-scratch solve would produce.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.computation import (
     ControlPlaneSolver,
@@ -20,14 +25,29 @@ from repro.core.computation import (
     compute_dr_tables,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_environment
+from repro.experiments.runner import build_environment, build_topology
 from repro.extensions.churn import ChurnProcess
 from repro.overlay.links import OverlayNetwork
-from repro.overlay.monitor import LinkMonitor
-from repro.overlay.topology import random_regular
+from repro.overlay.monitor import LinkEstimate, LinkMonitor
+from repro.overlay.topology import (
+    Topology,
+    canonical_edge,
+    full_mesh,
+    random_regular,
+    ring,
+)
 from repro.perf import PerfStats
+from repro.pubsub.topics import generate_workload
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+from tests.conftest import make_topology
+from tests.core.reference_solver import reference_solve
+
+WORK_COUNTERS = (
+    "control_plane.tables_solved_cold",
+    "control_plane.jacobi_rounds",
+    "control_plane.node_recomputes",
+)
 
 
 def build_world(seed, mode, loss_rate=0.02, num_nodes=30, degree=4):
@@ -53,11 +73,35 @@ def make_pairs(topology, publishers=(0, 1, 2), per_publisher=3, factor=2.5):
     return pairs
 
 
+def assert_kernel_equals_reference(topology, estimates, pairs, **solver_args):
+    """Solve *pairs* as one batch and against the loop; everything must match."""
+    kernel_perf, loop_perf = PerfStats(), PerfStats()
+    solver = ControlPlaneSolver(topology, estimates, perf=kernel_perf, **solver_args)
+    tables = solver.solve(pairs)
+    assert len(tables) == len(pairs)
+    unconverged = 0
+    for table, (publisher, subscriber, deadline) in zip(tables, pairs):
+        reference = reference_solve(
+            topology, estimates, publisher, subscriber, deadline,
+            perf=loop_perf, **solver_args,
+        )
+        assert table.rounds == reference.rounds
+        assert table.converged == reference.converged
+        assert table == reference
+        for node in topology.nodes:  # what the data plane reads
+            assert table.sending_list(node) == reference.sending_list(node)
+        unconverged += not reference.converged
+    for counter in WORK_COUNTERS:
+        assert kernel_perf.get(counter) == loop_perf.get(counter), counter
+    assert kernel_perf.get("control_plane.tables_unconverged") == unconverged
+    return solver, tables
+
+
 class TestBatchedColdSolves:
     @pytest.mark.parametrize("mode", ["analytic", "sampled"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical_to_per_pair(self, mode, seed):
-        """Batched cold solving is the identical computation, reorganised."""
+        """Batched solving is the identical computation, reorganised."""
         topology, monitor = build_world(seed, mode)
         estimates = monitor.estimates()
         pairs = make_pairs(topology)
@@ -75,8 +119,7 @@ class TestBatchedColdSolves:
         topology, monitor = build_world(0, "analytic")
         perf = PerfStats()
         solver = ControlPlaneSolver(topology, monitor.estimates(), perf=perf)
-        for publisher, subscriber, deadline in make_pairs(topology):
-            solver.solve(publisher, subscriber, deadline)
+        solver.solve(make_pairs(topology))
         assert perf.get("control_plane.dijkstra_calls") == 3
         assert perf.get("control_plane.tables_solved_cold") == 9
 
@@ -85,33 +128,25 @@ class TestIncrementalRefresh:
     @pytest.mark.parametrize("mode", ["analytic", "sampled"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_exactly_matches_from_scratch(self, mode, seed):
-        """Reuse + replay across two chained refreshes equals cold solving."""
+        """Reuse + batched re-solve across two chained refreshes equals the loop."""
         topology, monitor = build_world(seed, mode)
         pairs = make_pairs(topology)
-        cold0 = ControlPlaneSolver(topology, monitor.estimates())
-        previous = {(p, s): cold0.solve(p, s, dl) for p, s, dl in pairs}
+        previous = dict(
+            zip(pairs, ControlPlaneSolver(topology, monitor.estimates()).solve(pairs))
+        )
 
-        for _ in range(2):  # chain: replayed tables feed the next replay
+        for _ in range(2):  # chain: reused tables survive into the next refresh
             monitor.refresh()
             changed = monitor.last_changed
             estimates = monitor.estimates()
             solver = ControlPlaneSolver(topology, estimates)
-            for publisher, subscriber, deadline in pairs:
-                warm = previous[(publisher, subscriber)]
-                if not solver.table_affected(publisher, deadline, changed):
-                    incremental = warm
-                else:
-                    incremental = solver.solve(
-                        publisher, subscriber, deadline,
-                        warm=warm, changed_edges=changed,
-                    )
-                reference = compute_dr_table(
-                    topology, estimates, publisher, subscriber, deadline
-                )
-                assert incremental == reference
-                assert incremental.rounds == reference.rounds
-                assert incremental.converged == reference.converged
-                previous[(publisher, subscriber)] = incremental
+            affected = [
+                pair for pair in pairs
+                if solver.table_affected(pair[0], pair[2], changed)
+            ]
+            previous.update(zip(affected, solver.solve(affected)))
+            for pair in pairs:
+                assert previous[pair] == reference_solve(topology, estimates, *pair)
 
     def test_unaffected_table_detected_and_exact(self):
         """A changed edge outside the deadline horizon is provably inert."""
@@ -121,7 +156,7 @@ class TestIncrementalRefresh:
         # Deadline just beyond the direct link: only nearby brokers have a
         # positive budget, so a far edge cannot influence the table.
         deadline = 1.5 * topology.shortest_delay(publisher, subscriber)
-        table = solver0.solve(publisher, subscriber, deadline)
+        (table,) = solver0.solve([(publisher, subscriber, deadline)])
         distances = solver0.distances_from(publisher)
         far_edges = [
             (u, v)
@@ -131,30 +166,167 @@ class TestIncrementalRefresh:
         assert far_edges, "scenario needs at least one out-of-horizon edge"
         assert not solver0.table_affected(publisher, deadline, far_edges)
         # And indeed re-solving from scratch reproduces the table exactly.
-        assert solver0.solve(publisher, subscriber, deadline) == table
+        assert solver0.solve([(publisher, subscriber, deadline)]) == [table]
 
-    def test_warm_start_falls_back_cold_on_mismatch(self):
-        """Non-matching warm tables are ignored, not misapplied."""
-        topology, monitor = build_world(4, "sampled")
-        estimates_before = monitor.snapshot()
-        publisher, subscriber = 0, 9
-        deadline = 2.5 * topology.shortest_delay(publisher, subscriber)
-        warm = compute_dr_table(
-            topology, estimates_before, publisher, subscriber, deadline
+
+@st.composite
+def solver_cases(draw):
+    """A small world, its estimates, a batch of pairs and solver arguments.
+
+    Covers what the kernel's masking, tie-breaking and per-table
+    bookkeeping have to get right: dead links (``gamma`` 0 or ``alpha``
+    inf), a broker cut off entirely, a leaf hanging off a subscriber,
+    uniform links whose ``d/r`` ratios tie exactly, ``m`` > 1, and a
+    ``max_rounds`` that cuts some tables off mid-iteration.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["regular", "ring", "mesh"]))
+    if kind == "regular":
+        degree = draw(st.sampled_from([3, 4]))
+        base = random_regular(2 * draw(st.integers(3, 7)), degree, rng)
+    elif kind == "ring":
+        base = ring(draw(st.integers(3, 12)), rng)
+    else:
+        base = full_mesh(draw(st.integers(2, 7)), rng)
+    graph = base.graph.copy()
+    delays = {edge: base.delay(*edge) for edge in base.edges()}
+    nodes = st.integers(0, base.num_nodes - 1)
+    leaf_subscriber = draw(st.none() | nodes)
+    if leaf_subscriber is not None:
+        graph.add_edge(leaf_subscriber, base.num_nodes)
+        delays[canonical_edge(leaf_subscriber, base.num_nodes)] = 0.02
+    topology = Topology(graph, delays)
+
+    edges = sorted(topology.edges())
+    if draw(st.booleans()):  # uniform links: every ratio comparison can tie
+        gamma = draw(st.sampled_from([0.5, 0.9, 1.0]))
+        estimates = {edge: LinkEstimate(alpha=0.02, gamma=gamma) for edge in edges}
+    else:
+        estimates = {
+            edge: LinkEstimate(alpha=delays[edge], gamma=float(rng.uniform(0.3, 1.0)))
+            for edge in edges
+        }
+    for edge in draw(st.sets(st.sampled_from(edges), max_size=3)):
+        estimates[edge] = draw(
+            st.sampled_from(
+                [LinkEstimate(estimates[edge].alpha, 0.0), LinkEstimate(math.inf, 0.7)]
+            )
         )
-        monitor.refresh()
-        changed = monitor.last_changed
-        perf = PerfStats()
-        solver = ControlPlaneSolver(topology, monitor.estimates(), perf=perf)
-        # Different deadline -> different budgets -> must solve cold.
-        solver.solve(
-            publisher, subscriber, deadline * 1.5,
-            warm=warm, changed_edges=changed,
+    cut_off = draw(st.none() | nodes)
+    if cut_off is not None:
+        for neighbor in topology.neighbors(cut_off):
+            estimates[canonical_edge(cut_off, neighbor)] = LinkEstimate(math.inf, 0.0)
+
+    deadlines = st.floats(0.02, 0.4)
+    pairs = draw(st.lists(st.tuples(nodes, nodes, deadlines), min_size=1, max_size=8))
+    if leaf_subscriber is not None:
+        pairs.append((draw(nodes), leaf_subscriber, draw(deadlines)))
+    solver_args = {
+        "m": draw(st.sampled_from([1, 2, 3])),
+        "max_rounds": draw(st.sampled_from([None, 1, 2, 3, 6])),
+    }
+    return topology, estimates, pairs, solver_args, rng
+
+
+class TestKernelEqualsReference:
+    """The batched kernel against the scalar loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(solver_cases())
+    def test_kernel_equals_reference(self, case):
+        topology, estimates, pairs, solver_args, rng = case
+        solver, tables = assert_kernel_equals_reference(
+            topology, estimates, pairs, **solver_args
         )
-        # Missing changed_edges -> must solve cold.
-        solver.solve(publisher, subscriber, deadline, warm=warm)
-        assert perf.get("control_plane.tables_solved_cold") == 2
-        assert perf.get("control_plane.tables_warm_started") == 0
+        # Batch independence: alone, or anywhere in a permuted batch, a
+        # pair solves to the same table.
+        assert [solver.solve([pair])[0] for pair in pairs] == tables
+        order = rng.permutation(len(pairs)).tolist()
+        permuted = solver.solve([pairs[index] for index in order])
+        assert permuted == [tables[index] for index in order]
+
+    def test_solved_states_read_like_the_dict_they_replace(self):
+        topology, monitor = build_world(0, "analytic")
+        solver = ControlPlaneSolver(topology, monitor.estimates())
+        assert solver.solve([]) == []
+        (table,) = solver.solve(make_pairs(topology)[:1])
+        states = table.states
+        assert len(states) == topology.num_nodes
+        assert list(states) == list(topology.nodes)
+        assert states[0] is states[0]  # built once, then kept
+        assert topology.num_nodes not in states
+        with pytest.raises(KeyError):
+            states[-1]
+        assert repr(states) == repr(dict(states))
+
+    def test_batch_of_200_matches_solving_alone(self):
+        topology, monitor = build_world(5, "sampled", num_nodes=20)
+        pairs = [
+            (publisher, subscriber, 2.5 * topology.shortest_delay(publisher, subscriber))
+            for publisher in topology.nodes
+            for subscriber in topology.nodes
+            if publisher != subscriber
+        ][:200]
+        solver, tables = assert_kernel_equals_reference(
+            topology, monitor.estimates(), pairs
+        )
+        for index in range(0, 200, 23):
+            assert solver.solve([pairs[index]]) == [tables[index]]
+
+    def test_leaf_of_the_subscriber_stops_in_the_round_it_updates(self):
+        """Nothing but the subscriber neighbours the updated node, so the
+        dirty set empties in round 1: one round, not one more to notice."""
+        topology = make_topology([(0, 1, 0.010)])
+        estimates = {(0, 1): LinkEstimate(alpha=0.010, gamma=0.9)}
+        _, (table,) = assert_kernel_equals_reference(topology, estimates, [(0, 1, 1.0)])
+        assert (table.rounds, table.converged) == (1, True)
+
+    def test_cut_off_tables_stop_together_unconverged(self):
+        topology, monitor = build_world(1, "analytic")
+        pairs = make_pairs(topology)
+        _, tables = assert_kernel_equals_reference(
+            topology, monitor.estimates(), pairs, max_rounds=3
+        )
+        cut_off = [table for table in tables if not table.converged]
+        assert len(cut_off) >= 2
+        assert {table.rounds for table in cut_off} == {3}
+
+    def test_limit_cycle_table_is_pinned(self):
+        """One real table that never converges (``refresh_controlplane``'s
+        world, publisher 36 -> subscriber 75): budget eligibility flips on
+        a cyclic sending list, period 2, until ``max_rounds`` cuts it off."""
+        config = ExperimentConfig(
+            topology_kind="regular", degree=6, num_nodes=80, num_topics=6,
+            monitor_mode="sampled", monitor_period=10.0,
+            failure_probability=0.06, duration=20.0,
+        )
+        world = RandomStreams(1)
+        topology = build_topology(config, world)
+        workload = generate_workload(
+            topology,
+            world.get("workload"),
+            num_topics=config.num_topics,
+            publish_interval=config.publish_interval,
+            ps_range=config.ps_range,
+            deadline_factor=config.deadline_factor,
+            deadline_factor_choices=config.deadline_factor_choices,
+        )
+        env = build_environment(config, "DCRD", 1, topology=topology, workload=workload)
+        spec = workload.topics[0]
+        assert spec.publisher == 36
+        shipped = env.strategy.table(spec.topic, 75)
+        assert (shipped.rounds, shipped.converged) == (160, False)
+        assert env.strategy.perf.get("control_plane.tables_unconverged") == 9
+
+        estimates = env.ctx.monitor.snapshot()
+        pair = (36, 75, shipped.deadline)
+        assert shipped == reference_solve(topology, estimates, *pair)
+        earlier = {
+            cut: ControlPlaneSolver(topology, estimates, max_rounds=cut).solve([pair])[0]
+            for cut in (157, 158, 159)
+        }
+        assert earlier[158].states == shipped.states
+        assert earlier[157].states == earlier[159].states != shipped.states
 
 
 def run_dcrd(config, seed, incremental, churn_rate=None):
@@ -186,7 +358,7 @@ class TestStrategyDeterminism:
         degree=5,
         failure_probability=0.06,
         duration=20.0,
-        monitor_period=5.0,  # several refreshes, so warm-starts engage
+        monitor_period=5.0,  # several refreshes, so table reuse engages
     )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -219,7 +391,8 @@ class TestStrategyDeterminism:
         assert perf.get("control_plane.solve_time_s", 0) > 0
         assert perf.get("sim.events_processed", 0) > 0
         assert perf.get("monitor.refreshes", 0) >= 1
-        # Warm-starts engage once there is a previous refresh to start from.
-        assert perf.get("control_plane.tables_warm_started", 0) >= 1
+        assert perf.get("control_plane.refreshes", 0) >= 2
+        assert perf.get("control_plane.tables_solved_cold", 0) >= 1
+        assert "control_plane.tables_unconverged" in perf
         # The diagnostics stay out of the deterministic report dict.
         assert "perf" not in summary.as_dict()

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.computation import compute_dr_table
 from repro.core.forwarding import DcrdStrategy
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import build_environment
 from repro.extensions.churn import ChurnProcess, churn_study, run_with_churn
 from repro.pubsub.endpoints import PublisherProcess
 from repro.pubsub.topics import Subscription
@@ -84,6 +86,51 @@ class TestIncrementalHooks:
                 assert outcome.delivered
 
 
+    def test_joins_are_counted_and_solved_by_the_refresh_solver(self):
+        """Each join is one more solved table on the strategy's counters,
+        through the solver the last refresh built (no new Dijkstra), and
+        the table is what a standalone solve gives."""
+        config = ExperimentConfig(
+            topology_kind="regular", degree=4, num_nodes=12, num_topics=4,
+            duration=10.0,
+        )
+        env = build_environment(config, "DCRD", seed=3)
+        ctx, strategy = env.ctx, env.strategy
+        before = strategy.perf.snapshot()
+        solved_on_join = []
+        added = strategy.on_subscription_added
+
+        def checked_add(topic, subscription):
+            added(topic, subscription)
+            standalone = compute_dr_table(
+                ctx.topology,
+                ctx.monitor.estimates(),
+                ctx.workload.topic(topic).publisher,
+                subscription.node,
+                subscription.deadline,
+                m=ctx.params.m,
+            )
+            solved_on_join.append(
+                strategy.table(topic, subscription.node) == standalone
+            )
+
+        strategy.on_subscription_added = checked_add
+        churn = ChurnProcess(ctx, strategy, rate=4.0, stop_time=config.duration)
+        churn.start()
+        env.execute()
+        assert churn.joins >= 3
+        assert solved_on_join == [True] * churn.joins
+
+        def grew(counter):
+            name = f"control_plane.{counter}"
+            return strategy.perf.get(name) - before[name]
+
+        assert grew("refreshes") == 0
+        assert grew("tables_solved_cold") == churn.joins
+        assert grew("dijkstra_calls") == 0
+        assert grew("jacobi_rounds") > 0
+
+
 class TestChurnProcess:
     def test_flips_happen_and_population_stays_valid(self):
         config = ExperimentConfig(
@@ -99,8 +146,6 @@ class TestChurnProcess:
             topology_kind="regular", degree=4, num_nodes=10, num_topics=3,
             duration=8.0,
         )
-        from repro.experiments.runner import build_environment
-
         env = build_environment(config, "DCRD", seed=1)
         churn = ChurnProcess(env.ctx, env.strategy, rate=10.0, stop_time=8.0)
         churn.start()
