@@ -1,9 +1,12 @@
-"""Ablation bench: congestion collapse and the adaptive-RTO fix.
+"""Ablation bench: DCRD on finite-capacity links, through saturation.
 
-Not a paper figure — DESIGN.md §2 calls out the ACK-timer interpretation as
-this reproduction's main design decision, and this bench quantifies its
-consequence on finite-capacity links: the static timer melts down under
-load, the Jacobson/Karn variant tracks the fixed tree.
+Not a paper figure — the paper motivates DCRD with congestion but models
+only failures. This bench quantifies what the hop-by-hop ACK clock's
+start instant decides on links that serialise frames: started at the wire
+(see :mod:`repro.routing.arq`), the paper's static timer makes DCRD behave
+exactly like the fixed tree on loss-free congested links — it degrades by
+queueing delay only, never by amplification — and the Jacobson/Karn
+variant has nothing left to correct.
 """
 
 from repro.extensions.congestion import congestion_study
@@ -13,11 +16,7 @@ from _common import bench_duration, bench_seeds, save_report
 
 
 def run():
-    return congestion_study(
-        duration=bench_duration(10.0),
-        seeds=bench_seeds(1),
-        publish_intervals=(1.0, 0.25, 0.125),
-    )
+    return congestion_study(duration=bench_duration(10.0), seeds=bench_seeds(1))
 
 
 def test_congestion_ablation(benchmark):
@@ -26,20 +25,20 @@ def test_congestion_ablation(benchmark):
         "ext_congestion",
         render_panels(result, ("qos_delivery_ratio", "packets_per_subscriber")),
     )
-    # Regime 1 (mis-calibration): even at light load the static timer
-    # melts down while the adaptive variant matches the tree.
-    light = result.x_values[0]
-    static = result.cell(light, "DCRD")
-    adaptive = result.cell(light, "DCRD+adaptive")
-    dtree = result.cell(light, "D-Tree")
-    assert static.qos_delivery_ratio < 0.5
-    assert static.packets_per_subscriber > 3 * dtree.packets_per_subscriber
-    assert adaptive.qos_delivery_ratio >= dtree.qos_delivery_ratio - 0.02
-    assert adaptive.packets_per_subscriber < 1.2 * dtree.packets_per_subscriber
-    # At every load level the adaptive timer dominates the static one
-    # (the saturated regime is metastable, so no tree comparison there).
     for x in result.x_values:
-        assert (
-            result.cell(x, "DCRD+adaptive").qos_delivery_ratio
-            >= result.cell(x, "DCRD").qos_delivery_ratio
-        )
+        static = result.cell(x, "DCRD")
+        adaptive = result.cell(x, "DCRD+adaptive")
+        dtree = result.cell(x, "D-Tree")
+        # Silence means loss: on loss-free links DCRD never leaves the
+        # tree's hops, at any load, so it matches the tree's QoS and
+        # sends (almost) the tree's packets.
+        assert abs(static.qos_delivery_ratio - dtree.qos_delivery_ratio) <= 0.02
+        assert static.packets_per_subscriber <= 1.2 * dtree.packets_per_subscriber
+        # The adaptive timer has nothing to fix.
+        assert abs(adaptive.qos_delivery_ratio - static.qos_delivery_ratio) <= 0.02
+    # The sweep does reach saturation: queueing delay alone costs the
+    # last point on-time deliveries.
+    assert (
+        result.cell(result.x_values[-1], "D-Tree").qos_delivery_ratio
+        < result.cell(result.x_values[0], "D-Tree").qos_delivery_ratio - 0.1
+    )

@@ -1,23 +1,36 @@
-"""Adaptive ACK timeouts: fixing DCRD's congestion collapse.
+"""Adaptive ACK timeouts: a Jacobson/Karn estimator for the hop-by-hop RTO.
 
-The congestion study (:mod:`repro.extensions.congestion`) exposes a failure
-mode the paper never evaluates: on finite-capacity links, queueing delay
-makes the static ``factor * alpha`` ACK timer fire on frames that were
-merely *queued*, not lost. The sender then retransmits **and** walks its
-sending list while the original copy still arrives — every spurious timeout
-multiplies offered load, which deepens the queues, which causes more
-timeouts: classic congestion collapse (observed experimentally: QoS falls
-to <1% and traffic explodes ~25x at 2x overload).
+This extension was written against a congestion collapse that turned out to
+be a one-line arming bug, not a property of static timers: the ARQ clock
+used to start when a copy was *handed to* its link, so on finite-capacity
+links the paper's ``factor * alpha`` timer ran while the copy still sat in
+its sender's own output queue, and every copy was declared lost. The clock
+now starts when the copy's last bit leaves the sender
+(:mod:`repro.routing.arq`), for every policy, and on the congestion study
+(:mod:`repro.extensions.congestion`) ``DCRD+adaptive`` is indistinguishable
+from static DCRD: its Karn samples start at the wire too, so they measure
+the bare propagation round trip, and the estimator settles on the static
+floor (loss-free sweep, 1–33 msg/s: identical QoS and packets per
+subscriber to four digits; with ``Pf`` 0.06 at 8 msg/s: 0.867 vs 0.870
+QoS, 1.70 vs 1.69 packets per subscriber — the conservative bootstrap
+costs the first failover on each link a little time).
 
-The classical fix is TCP's retransmission-timeout estimator.
-:class:`AdaptiveTimeoutPolicy` implements Jacobson/Karn per link direction:
+What is left of its case is what a sender cannot read off its own queue: a
+round trip longer than ``factor * alpha`` for reasons *outside* it — an
+``alpha`` estimate that is stale or too low (the floor is the static
+timer, so the estimator can only lengthen it), or, on a real deployment,
+receiver processing and a queued ACK path, neither of which the simulator
+models (ACKs skip the queues). It stays as the repository's example of a
+pluggable :class:`~repro.routing.arq.TimeoutPolicy`.
+
+:class:`AdaptiveTimeoutPolicy` implements TCP's retransmission-timeout
+estimator (Jacobson/Karn) per link direction:
 
 * before any sample exists, the RTO is a deliberately *conservative*
   ``initial_rto`` (RFC 6298 starts TCP at 1 s for the same reason): if the
   very first timer undercuts the true no-load RTT, every first attempt
   "fails" before its ACK lands and — with Karn filtering — the estimator
-  can never learn. This bootstrap problem is exactly what the static paper
-  timer exhibits on finite-capacity links;
+  can never learn;
 * ``srtt`` and ``rttvar`` are EWMAs of observed ACK round trips
   (first-attempt samples only — Karn's rule — fed by the ARQ layer);
 * timeout = ``srtt + 4 * rttvar`` (+slack), clamped to
@@ -105,7 +118,7 @@ class AdaptiveTimeoutPolicy:
 
 
 class AdaptiveDcrdStrategy(DcrdStrategy):
-    """DCRD with congestion-aware (Jacobson/Karn) ACK timeouts."""
+    """DCRD with RTT-tracking (Jacobson/Karn) ACK timeouts."""
 
     name = "DCRD+adaptive"
 

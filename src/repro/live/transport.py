@@ -320,6 +320,10 @@ class LiveTransport:
         self.transmit(src, dst, frame, FrameKind.ACK)
         return None
 
+    def watch_wire(self, observer: Callable[[Any, Optional[float]], None]) -> bool:
+        """No wait: a frame goes straight to its socket, nothing to report."""
+        return False
+
     def _write(self, src: int, dst: int, message: bytes) -> None:
         writer = self._writers.get((src, dst))
         if writer is None or writer.is_closing():  # pragma: no cover - teardown race
@@ -378,7 +382,3 @@ class LiveTransport:
     def link_up(self, u: int, v: int) -> bool:
         """Live links have no scripted failure epochs."""
         return True
-
-    def queueing_backlog(self, src: int, dst: int) -> float:
-        """Loopback links are effectively infinite-capacity."""
-        return 0.0

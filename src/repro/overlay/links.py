@@ -384,13 +384,13 @@ class OverlayNetwork:
         self.link_loss_rates = _LossRateMap(dict(link_loss_rates or {}), self)
         self._queueing = service_time is not None
         self._edf = queue_discipline == "edf"
+        # Senders told when each DATA copy clears the wire (see watch_wire).
+        self._wire_observers: list = []
         # Per-direction FIFO occupancy: (src, dst) -> time the link frees up.
         self._busy_until: Dict[tuple, float] = {}
-        # EDF discipline state: per-direction waiting heaps + busy flags +
-        # aggregate queued size (keeps queueing_backlog O(1)).
+        # EDF discipline state: per-direction waiting heaps + busy flags.
         self._edf_queue: Dict[tuple, list] = {}
         self._edf_busy: Dict[tuple, bool] = {}
-        self._edf_queued_size: Dict[tuple, float] = {}
         self._edf_seq = 0
         # The dedicated send_data/send_ack fast paths only cover the
         # infinite-capacity, no-crash configuration (the paper's model);
@@ -451,6 +451,24 @@ class OverlayNetwork:
         scheduling (and almost always cancelling) a timer per copy.
         """
         self._ack_loss_observers.append(observer)
+
+    def watch_wire(self, observer: Callable[[Any, Optional[float]], None]) -> bool:
+        """Subscribe a sender to when its DATA copies leave it.
+
+        On finite-capacity links (``service_time``) every DATA copy handed
+        to the network gets exactly one ``observer(frame, wait)`` call:
+        ``wait`` seconds from the call, the copy's last bit has left its
+        sender — or ``wait`` is ``None``: the sender's own queue discarded
+        the copy (``edf_drop_expired``). FIFO knows the answer at
+        hand-over and calls back from inside the send; the EDF server
+        calls when it picks the copy. A copy lost to a link hazard never
+        occupies the link, but its sender cannot know that: it is told the
+        wait a surviving copy would have had. Returns ``False`` (and
+        never calls) on infinite-capacity links, where no copy waits.
+        """
+        if self._queueing:
+            self._wire_observers.append(observer)
+        return self._queueing
 
     def ack_round_trip(self, src: int, dst: int) -> Optional[tuple]:
         """``(d_fwd, d_rev)`` when a DATA copy ``src -> dst`` and its ACK
@@ -594,6 +612,8 @@ class OverlayNetwork:
                 probe_tx = _probes.on_transmit
                 if probe_tx is not None:
                     probe_tx(now, src, dst, frame, False, "injected", entry[0], None)
+                if self._queueing:
+                    self._wire_lost(src, dst, frame, size)
             elif kind is FrameKind.ACK:
                 self._notify_ack_loss(frame)
             return False
@@ -639,22 +659,20 @@ class OverlayNetwork:
         # traced at the ARQ layer where they are matched to their copy).
         probe_tx = _probes.on_transmit if kind is FrameKind.DATA else None
         if survived:
+            wire_wait = None
             if self._queueing and kind is FrameKind.DATA:
                 if self._edf:
                     if probe_tx is not None:
                         # The EDF server decides the wait later (queue=None).
                         probe_tx(now, src, dst, frame, True, None, entry[0], None)
                     # Delivery is scheduled by the per-direction EDF server.
-                    self._edf_enqueue(src, dst, frame, kind, size)
+                    self._edf_enqueue(src, dst, frame, size)
                     delay = None
                 else:
                     # FIFO serialisation: wait for the direction to free
                     # up, hold it for a size-scaled service time, propagate.
                     key = (src, dst)
-                    start = self._busy_until.get(key, 0.0)
-                    if start < now:
-                        start = now
-                    finish = start + self.service_time * size
+                    start, finish = self._fifo_slot(key, now, size)
                     self._busy_until[key] = finish
                     if probe_tx is not None:
                         probe_tx(
@@ -665,7 +683,8 @@ class OverlayNetwork:
                         probe_enq = _probes.on_enqueue
                         if probe_enq is not None:
                             probe_enq(now, src, dst, frame, start - now)
-                    delay = (finish - now) + delay
+                    wire_wait = finish - now
+                    delay = wire_wait + delay
             elif probe_tx is not None:
                 probe_tx(now, src, dst, frame, True, None, entry[0], 0.0)
             if delay is not None:
@@ -696,8 +715,13 @@ class OverlayNetwork:
                         ),
                     )
                 self.sim._live += 1
-        elif probe_tx is not None:
-            probe_tx(now, src, dst, frame, False, cause, entry[0], None)
+                if wire_wait is not None:
+                    self._report_wire(src, dst, frame, wire_wait)
+        else:
+            if probe_tx is not None:
+                probe_tx(now, src, dst, frame, False, cause, entry[0], None)
+            if self._queueing and kind is FrameKind.DATA:
+                self._wire_lost(src, dst, frame, size)
         return survived
 
     def send_data(self, src: int, dst: int, frame: Any) -> Optional[bool]:
@@ -889,7 +913,7 @@ class OverlayNetwork:
     # EDF link server (queue_discipline="edf")
     # ------------------------------------------------------------------
     def _edf_enqueue(
-        self, src: int, dst: int, frame: Any, kind: FrameKind, size: float
+        self, src: int, dst: int, frame: Any, size: float, lost: bool = False
     ) -> None:
         key = (src, dst)
         self._edf_seq += 1
@@ -899,66 +923,98 @@ class OverlayNetwork:
             priority = _INF
         heapq.heappush(
             self._edf_queue.setdefault(key, []),
-            (priority, self._edf_seq, frame, kind, size),
+            (priority, self._edf_seq, frame, size, lost),
         )
-        self._edf_queued_size[key] = self._edf_queued_size.get(key, 0.0) + size
         if not self._edf_busy.get(key, False):
             self._edf_serve_next(key)
 
     def _edf_serve_next(self, key: tuple) -> None:
+        """Start serving the direction's most urgent copy, if any.
+
+        Every copy popped on the way is reported to the wire observers —
+        once the server's own state is settled, because a sender told of
+        a discard may hand the next copy to this very direction.
+        """
         queue = self._edf_queue.get(key)
-        if self.edf_drop_expired and queue:
+        src, dst = key
+        now = self.sim._now
+        assert self.service_time is not None
+        expiry = -_INF
+        if self.edf_drop_expired:
             # Expired frames can no longer meet their deadline even with
             # zero further delay; dropping them frees capacity for frames
             # that still can (the textbook overload policy).
-            now = self.sim.now
-            entry = self._dir_cache.get((key[0] << 21) | key[1])
-            prop = entry[0] if entry is not None else self.topology.delay(*key)
-            while queue and queue[0][0] < now + prop:
-                _, _, dropped, kind, size = heapq.heappop(queue)
-                self.stats._dropped_expired[kind.idx] += 1
-                self._edf_queued_size[key] -= size
-                probe = _probes.on_expire
-                if probe is not None:
-                    probe(now, key[0], key[1], dropped)
-        if not queue:
-            self._edf_busy[key] = False
-            return
-        self._edf_busy[key] = True
-        _, _, frame, kind, size = heapq.heappop(queue)
-        self._edf_queued_size[key] -= size
-        assert self.service_time is not None
-        self.sim.schedule_fire(
-            self.service_time * size, self._edf_finish, key, frame, kind
-        )
+            entry = self._dir_cache.get((src << 21) | dst)
+            expiry = now + (
+                entry[0] if entry is not None else self.topology.delay(src, dst)
+            )
+        self._edf_busy[key] = False
+        reports = []
+        while queue:
+            priority, _, frame, size, lost = heapq.heappop(queue)
+            if priority < expiry:
+                reports.append((frame, None))
+                if not lost:
+                    self.stats._dropped_expired[_DATA_IDX] += 1
+                    probe = _probes.on_expire
+                    if probe is not None:
+                        probe(now, src, dst, frame)
+                continue
+            service = self.service_time * size
+            reports.append((frame, service))
+            if lost:
+                continue  # took its turn in the queue, never the link
+            self._edf_busy[key] = True
+            self.sim.schedule_fire(service, self._edf_finish, key, frame)
+            break
+        for frame, wait in reports:
+            self._report_wire(src, dst, frame, wait)
 
-    def _edf_finish(self, key: tuple, frame: Any, kind: FrameKind) -> None:
+    def _edf_finish(self, key: tuple, frame: Any) -> None:
         src, dst = key
         entry = self._dir_cache.get((src << 21) | dst)
         delay = entry[0] if entry is not None else self.topology.delay(src, dst)
-        self.sim.schedule_fire(delay, self._deliver, src, dst, frame, kind)
+        self.sim.schedule_fire(delay, self._deliver, src, dst, frame, FrameKind.DATA)
         self._edf_serve_next(key)
+
+    # ------------------------------------------------------------------
+    # Wire-clear reports (finite-capacity links, see watch_wire)
+    # ------------------------------------------------------------------
+    def _report_wire(
+        self, src: int, dst: int, frame: Any, wait: Optional[float]
+    ) -> None:
+        probe = _probes.on_wire
+        if probe is not None:
+            probe(self.sim._now, src, dst, frame, wait)
+        for observer in self._wire_observers:
+            observer(frame, wait)
+
+    def _wire_lost(self, src: int, dst: int, frame: Any, size: float) -> None:
+        """Report a DATA copy that a link hazard took before it queued.
+
+        It never occupies the link, yet its sender must be told the wait a
+        surviving copy would have had: FIFO computes it on the spot, EDF
+        lets the copy take its turn in the queue (``lost``) so that more
+        urgent arrivals overtake it like any other.
+        """
+        if self._edf:
+            self._edf_enqueue(src, dst, frame, size, lost=True)
+            return
+        now = self.sim._now
+        _, finish = self._fifo_slot((src, dst), now, size)
+        self._report_wire(src, dst, frame, finish - now)
+
+    def _fifo_slot(self, key: tuple, now: float, size: float) -> Tuple[float, float]:
+        """``(start, finish)`` of serialising a copy handed over *now*."""
+        start = self._busy_until.get(key, 0.0)
+        if start < now:
+            start = now
+        assert self.service_time is not None
+        return start, start + self.service_time * size
 
     # ------------------------------------------------------------------
     # Convenience queries used by routing layers
     # ------------------------------------------------------------------
-    def queueing_backlog(self, src: int, dst: int) -> float:
-        """Seconds until the (src, dst) direction frees up (0 = idle).
-
-        For the EDF discipline this is a lower bound: the aggregate
-        service time still queued on the direction, read from a counter
-        maintained at enqueue/dequeue time (O(1), not a heap scan).
-        """
-        if self.service_time is None:
-            return 0.0
-        if self._edf:
-            key = (src, dst)
-            backlog = self._edf_queued_size.get(key, 0.0) * self.service_time
-            if self._edf_busy.get(key, False):
-                backlog += self.service_time  # at most one service remains
-            return backlog
-        return max(0.0, self._busy_until.get((src, dst), 0.0) - self.sim.now)
-
     def link_up(self, u: int, v: int) -> bool:
         """Whether link (u, v) is outside any failed epoch right now."""
         if self.failures is None:

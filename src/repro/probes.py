@@ -58,6 +58,10 @@ enqueue             ``(t, src, dst, frame, wait)`` — FIFO wait > 0
 arrive              ``(t, src, dst, frame)`` — frame reached the receiver
 arrival_drop        ``(t, src, dst, frame, cause)`` — dropped at arrival
 expire              ``(t, src, dst, frame)`` — EDF overload drop
+wire                ``(t, src, dst, frame, wait)`` — finite-capacity
+                    links only: the copy's last bit leaves its sender at
+                    ``t + wait`` (``None``: its sender's queue discarded
+                    it); what the link tells ``watch_wire`` subscribers
 dedup_discard       ``(t, node, sender, frame)`` — duplicate suppressed
 broker_accept       ``(node, sender, frame)`` — frame passed dedup
 deliver             ``(t, node, frame)`` — first local delivery of a pair
@@ -105,6 +109,7 @@ FAMILIES: Tuple[str, ...] = (
     "arrive",
     "arrival_drop",
     "expire",
+    "wire",
     "dedup_discard",
     "broker_accept",
     "deliver",
@@ -144,6 +149,7 @@ on_enqueue: Optional[Callable[..., Any]] = None
 on_arrive: Optional[Callable[..., Any]] = None
 on_arrival_drop: Optional[Callable[..., Any]] = None
 on_expire: Optional[Callable[..., Any]] = None
+on_wire: Optional[Callable[..., Any]] = None
 on_dedup_discard: Optional[Callable[..., Any]] = None
 on_broker_accept: Optional[Callable[..., Any]] = None
 on_deliver: Optional[Callable[..., Any]] = None

@@ -9,6 +9,18 @@ to success/failure, expressed here as callbacks.
 :class:`ArqSender` is shared by all brokers of a run (transfer ids are
 globally unique, so one table suffices) and tracks every outstanding copy.
 
+**The ACK clock starts at the wire.** A copy handed to the network may sit
+in its sender's own output queue (finite-capacity links) before its last
+bit leaves; silence only means loss once the copy has left. So a copy's
+deadline is always *wire-clear instant + the policy's timeout*, and Karn's
+RTT samples run from the same instant. On a transport where no copy ever
+waits (``watch_wire`` returns ``False``: infinite-capacity and live links)
+that instant is the hand-over; on the others the link reports it — FIFO
+from inside the send, the EDF server when it picks the copy — and a copy
+the sender's own queue discards is failed on the spot, with no timeout and
+no retransmission into the queue that just discarded it.
+:meth:`ArqSender._start_clock` is the one place a deadline is computed.
+
 The *timeout policy* is pluggable: the paper's static
 ``factor * alpha`` timer is the default
 (:class:`MonitorTimeoutPolicy`); the congestion extension substitutes an
@@ -157,6 +169,16 @@ class ArqSender:
             self._sim_seq = None
             self._on_event_cancelled = None
         self._outstanding: Dict[int, _Outstanding] = {}
+        # Whether the transport reports when each copy clears the wire
+        # (finite-capacity links); the ACK clock then starts in _on_wire.
+        self._wire_reported = ctx.network.watch_wire(self._on_wire)
+        if self._wire_reported:
+            # sanity.MUTATE_ARM_AT_ENQUEUE (sanitized runs only), asked on
+            # the queueing path only. Imported late: sanity imports
+            # repro.core, which imports this module.
+            from repro import sanity
+
+            self._arms_at_enqueue = sanity.arm_at_enqueue_active
         # Latent-timer elision (opt-in, see enable_timer_elision).
         self._elide_timers = False
         # The one per-direction memo: packed direction id (src << 21 | dst,
@@ -173,6 +195,10 @@ class ArqSender:
         self.acked = 0
         self.failed = 0
         self.retransmissions = 0
+        self.ack_timeouts = 0
+        #: Total seconds copies spent at their sender — queued, then
+        #: serialising — before their ACK clock started.
+        self.wire_wait_s = 0.0
         #: ACK-timeout events cancelled because the ACK arrived first (each
         #: one leaves a tombstone for the kernel's heap compaction to reap —
         #: latent timers settled by their ACK count here too, for parity).
@@ -281,15 +307,50 @@ class ArqSender:
 
     # ------------------------------------------------------------------
     def _transmit(self, entry: _Outstanding) -> None:
+        """Hand one (re)transmission of the copy to the network."""
         entry.attempts += 1
         if entry.attempts > 1:
             self.retransmissions += 1
+        if not self._wire_reported:
+            outcome = self._send_data(entry.src, entry.dst, entry.frame)
+            self._start_clock(entry, 0.0, outcome)
+            return
+        # The link reports when the copy clears the wire: _on_wire starts
+        # the clock, and measures the wait from this hand-over.
+        entry.sent_at = self._sim._now
+        self._send_data(entry.src, entry.dst, entry.frame)
+        if self._arms_at_enqueue():
+            self._start_clock(entry, 0.0, None)
+
+    def _on_wire(self, frame: PacketFrame, wait: Optional[float]) -> None:
+        """The link's report on a copy handed to it (see ``watch_wire``)."""
+        entry = self._outstanding.get(getattr(frame, "transfer_id", None))
+        if entry is None or self._arms_at_enqueue():
+            return
+        if wait is None:
+            # Discarded by its own sender's queue: not a timeout (no
+            # probe, no retransmission into that queue) — the hop failed.
+            self._fail(entry)
+            return
+        self.wire_wait_s += (self._sim._now + wait) - entry.sent_at
+        self._start_clock(entry, wait, None)
+
+    def _start_clock(
+        self, entry: _Outstanding, wait: float, outcome: Optional[bool]
+    ) -> None:
+        """Arm the ACK timeout of the copy just handed to the network.
+
+        The clock starts when the copy's last bit leaves its sender,
+        *wait* seconds from now (0.0 where copies never wait — adding it
+        leaves every float of that schedule unchanged); the policy says
+        how long it runs. *outcome* is ``send_data``'s tri-state.
+        """
         sim = self._sim
+        start = sim._now + wait
         if self._rtt_sampling:
-            entry.sent_at = sim._now
+            entry.sent_at = start
         src = entry.src
         dst = entry.dst
-        outcome = self._send_data(src, dst, entry.frame)
         # Timeout and exact round-trip delay pair in one dict probe,
         # refreshed when the monitor version moves (the static timeout is
         # a pure function of the current alpha estimate).
@@ -310,7 +371,7 @@ class ArqSender:
         delay, pair = info
         if delay is None:
             delay = self._timeout(src, dst)
-        time = sim._now + delay
+        time = start + delay
         if self._sim_heap is None:
             # Portable Clock path (no calendar kernel): the timeout goes
             # through the clock's schedule() API and the returned handle
@@ -319,7 +380,7 @@ class ArqSender:
             # optimisation (it reserves raw heap keys), so the timer is
             # always eager here.
             entry.latent_seq = -1
-            entry.event = event = sim.schedule(delay, self._on_timeout, entry)
+            entry.event = event = sim.schedule(wait + delay, self._on_timeout, entry)
             probe = _probes.on_timer_started
             if probe is not None:
                 probe(event.seq, time, entry.frame)
@@ -364,6 +425,10 @@ class ArqSender:
             # transfer already settled must NOT count as the settlement
             # (that is exactly how a leaked cancel shows up as an orphan).
             probe(entry.event.seq)
+        # Spent: a retransmission may wait in the queue with no timer, and
+        # an ACK arriving meanwhile must find nothing to cancel.
+        entry.event = None
+        self.ack_timeouts += 1
         probe = _probes.on_ack_timeout
         if probe is not None:
             probe(
@@ -377,6 +442,10 @@ class ArqSender:
         if entry.attempts < self._m:
             self._transmit(entry)
             return
+        self._fail(entry)
+
+    def _fail(self, entry: _Outstanding) -> None:
         del self._outstanding[entry.frame.transfer_id]
         self.failed += 1
         entry.on_failed(entry.frame)
+

@@ -38,6 +38,10 @@ DUPLICATE_DELIVERY    one transfer id passed a broker's dedup twice
 TIMER_UNKNOWN         an ARQ timer settled that was never started
 TIMER_DOUBLE_SETTLE   an ARQ timer cancelled/fired more than once
 TIMER_ORPHAN          a due ARQ timer never settled (end-of-run check)
+TIMER_BEFORE_WIRE     an ARQ timer was armed to fire, or fired, before its
+                      copy's last bit left its sender (finite-capacity
+                      links: silence must not count while the copy is
+                      still in its sender's own output queue)
 SENDING_LIST_ORDER    a solved sending list violates Theorem 1 d/r order
 CONSERVATION          published != delivered + dropped + expired +
                       stranded (end-of-run check, itemised)
@@ -111,11 +115,21 @@ MUTATE_MISSORT_ORDER_RELEASE = False
 #: only one node diverges (a symmetric drop would keep total-order
 #: prefixes identical).
 MUTATE_DROP_ORDER_RELEASE = False
+#: Start every ACK clock at hand-over even on finite-capacity links,
+#: where a copy first waits in its sender's own queue, so the wire check
+#: must fire. Consulted through :func:`arm_at_enqueue_active`, which
+#: gates on an installed sanitizer — unsanitized runs are bit-inert.
+MUTATE_ARM_AT_ENQUEUE = False
 
 
 def missort_order_release_active() -> bool:
     """Whether the release-missort mutation applies (sanitized runs only)."""
     return ACTIVE is not None and MUTATE_MISSORT_ORDER_RELEASE
+
+
+def arm_at_enqueue_active() -> bool:
+    """Whether the arm-at-enqueue mutation applies (sanitized runs only)."""
+    return ACTIVE is not None and MUTATE_ARM_AT_ENQUEUE
 
 
 def consume_order_drop() -> bool:
@@ -134,6 +148,7 @@ DUPLICATE_DELIVERY = "duplicate_delivery"
 TIMER_UNKNOWN = "timer_unknown"
 TIMER_DOUBLE_SETTLE = "timer_double_settle"
 TIMER_ORPHAN = "timer_orphan"
+TIMER_BEFORE_WIRE = "timer_before_wire"
 SENDING_LIST_ORDER = "sending_list_order"
 CONSERVATION = "conservation"
 ORDER_FIFO_GAP = "order_fifo_gap"
@@ -209,7 +224,16 @@ def _describe_frame(frame: Any) -> str:
 class _TransferRecord:
     """Link-level lifecycle counters of one transfer (= one frame copy)."""
 
-    __slots__ = ("msg_id", "destinations", "sent", "delivered", "lost", "expired")
+    __slots__ = (
+        "msg_id",
+        "destinations",
+        "sent",
+        "delivered",
+        "lost",
+        "expired",
+        "wire_clear",
+        "armed",
+    )
 
     def __init__(self, msg_id: int, destinations: Any) -> None:
         self.msg_id = msg_id
@@ -218,6 +242,11 @@ class _TransferRecord:
         self.delivered = 0
         self.lost = 0
         self.expired = 0
+        # Of the copy handed over last, whichever came first: the instant
+        # the link said its last bit leaves the sender, or the deadline of
+        # the ACK timer armed for it (TIMER_BEFORE_WIRE compares the two).
+        self.wire_clear: Optional[float] = None
+        self.armed: Optional[float] = None
 
     @property
     def in_flight(self) -> int:
@@ -300,6 +329,7 @@ class Sanitizer:
             "arrive": self._probe_arrive,
             "arrival_drop": self._probe_arrival_drop,
             "expire": self._probe_expire,
+            "wire": self._probe_wire,
             "broker_accept": self.on_broker_accept,
             "timer_started": self.on_timer_started,
             "timer_cancelled": self._probe_timer_cancelled,
@@ -396,6 +426,7 @@ class Sanitizer:
             record = _TransferRecord(frame.msg_id, frame.destinations)
             self._transfers[transfer_id] = record
         record.sent += 1
+        record.wire_clear = record.armed = None  # a new copy, a new clock
         if not survived:
             record.lost += 1
             cause = cause or "unknown"
@@ -454,6 +485,29 @@ class Sanitizer:
             record.expired += 1
         self.losses_by_cause["edf_expired"] = (
             self.losses_by_cause.get("edf_expired", 0) + 1
+        )
+
+    def _probe_wire(
+        self, t: float, src: int, dst: int, frame: Any, wait: Optional[float]
+    ) -> None:
+        """The link reported when a copy's last bit leaves its sender."""
+        record = self._transfers.get(getattr(frame, "transfer_id", None))
+        if record is None or wait is None:
+            return
+        clear = t + wait
+        if record.armed is None:
+            record.wire_clear = clear  # the timer is yet to be armed
+        elif record.armed < clear:
+            self._timer_before_wire(frame, record.armed, clear)
+
+    def _timer_before_wire(self, frame: Any, deadline: float, clear: float) -> None:
+        self._violate(
+            TIMER_BEFORE_WIRE,
+            f"ARQ timer of transfer {frame.transfer_id} is due t={deadline!r}, "
+            f"before the copy's last bit leaves its sender at t={clear!r}",
+            frames=(frame,),
+            deadline=deadline,
+            wire_clear=clear,
         )
 
     # ------------------------------------------------------------------
@@ -538,6 +592,13 @@ class Sanitizer:
         """
         self.timers_started += 1
         self._timers[token] = [deadline, _PENDING, frame]
+        record = self._transfers.get(getattr(frame, "transfer_id", None))
+        if record is None:
+            return
+        if record.wire_clear is None:
+            record.armed = deadline  # the link may still report (EDF)
+        elif deadline < record.wire_clear:
+            self._timer_before_wire(frame, deadline, record.wire_clear)
 
     def on_timer_cancelled(self, token: int) -> None:
         """The ACK arrived first; the timer was cancelled."""

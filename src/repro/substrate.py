@@ -16,9 +16,12 @@ runs. This module names the two seams that make that true:
   ``attach``/``detach``, the generic ``transmit``, and the two
   kind-specialised sends ``send_data``/``send_ack`` that carry every ARQ
   copy and every ACK reply (required, not probed for — the stack has one
-  send path on every substrate). The simulated data plane
-  (:class:`~repro.overlay.links.OverlayNetwork`) models loss and
-  propagation on a calendar queue; the live transport
+  send path on every substrate), and ``watch_wire``, through which a
+  transport whose links have finite capacity tells a sender when each
+  DATA copy's last bit leaves it — the instant the sender's ACK clock
+  starts. The simulated data plane
+  (:class:`~repro.overlay.links.OverlayNetwork`) models loss, queueing
+  and propagation on a calendar queue; the live transport
   (:class:`~repro.live.transport.LiveTransport`) moves length-prefixed
   frames over asyncio TCP sockets.
 
@@ -135,6 +138,21 @@ class Transport(Protocol):
 
     def send_ack(self, src: int, dst: int, frame: Any) -> Optional[bool]:
         """Send an ACK *frame*; same tri-state as :meth:`send_data`."""
+        ...
+
+    def watch_wire(self, observer: Callable[[Any, Optional[float]], None]) -> bool:
+        """Subscribe a sender to when its DATA copies leave it.
+
+        A copy handed to ``send_data`` may wait in its sender's output
+        queue; the sender's ACK clock must not run while it does. A
+        transport on which copies can wait returns ``True`` and calls
+        ``observer(frame, wait)`` exactly once per DATA copy: ``wait``
+        seconds after the call the copy's last bit has left the sender
+        (``None``: the sender's own queue discarded the copy). The call
+        may come from inside ``send_data`` or at any later instant. A
+        transport on which no copy ever waits returns ``False`` and never
+        calls: the clock starts at hand-over.
+        """
         ...
 
 

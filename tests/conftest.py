@@ -166,8 +166,13 @@ def build_ctx(
     ack_timeout_factor: float = 2.0,
     seed: int = 99,
     monitor_mode: str = "analytic",
+    **link_options,
 ) -> RuntimeContext:
-    """Assemble a :class:`RuntimeContext` on a fresh simulator."""
+    """Assemble a :class:`RuntimeContext` on a fresh simulator.
+
+    *link_options* go to :class:`OverlayNetwork` (``service_time``,
+    ``queue_discipline``, ``edf_drop_expired``).
+    """
     sim = Simulator()
     streams = RandomStreams(seed)
     network = OverlayNetwork(
@@ -177,6 +182,7 @@ def build_ctx(
         loss_rate=loss_rate,
         failures=failures,
         node_failures=node_failures,
+        **link_options,
     )
     monitor = LinkMonitor(topology, network, streams, mode=monitor_mode)
     if workload is None:

@@ -6,13 +6,22 @@ overlay/broker/ARQ/forwarding layers) is a pure performance change: every
 run must produce *exactly* the trace the pre-change code produced — same
 event interleaving, same RNG draw order, same per-message outcomes.
 
-``data/fast_path_reference.json`` holds per-run fingerprints recorded at
-the commit immediately before the fast path landed: summary counters,
-``processed_events`` (a proxy for the exact event schedule), and an MD5
-digest over every ``(msg_id, subscriber, delivery_time, gave_up)`` outcome
-row. These cells cover both strategy families (DCRD reroute/give-up logic
-and tree forwarding) and both link disciplines (FIFO and EDF with expired
-drops), across two seeds each.
+``data/fast_path_reference.json`` holds per-run fingerprints: summary
+counters, ``processed_events`` (a proxy for the exact event schedule), and
+an MD5 digest over every ``(msg_id, subscriber, delivery_time, gave_up)``
+outcome row. These cells cover both strategy families (DCRD
+reroute/give-up logic and tree forwarding) and both link disciplines (FIFO
+and EDF with expired drops), across two seeds each.
+
+The two halves of the file have different ages. The infinite-capacity half
+(``baseline/*``, 4 entries, 16 cells) is still the recording made at the
+commit immediately before the fast path landed, byte for byte. The
+finite-capacity half (``edf_storm/DCRD``, ``edf_load/P-DTree``, 4 entries,
+16 cells) was re-recorded once, from a plain run, when the ACK clock moved
+to the wire (PR 19): the old recording pinned the retransmission storm that
+change removed — every copy timed out in its sender's own queue — and
+``edf_storm`` was lengthened from 2 s to 15 s so that, without the storm,
+the cell still pins a few thousand events of EDF/DCRD schedule.
 
 A second test pins fast-vs-legacy kernel equivalence *within* the current
 code: compaction merely reaps entries that could never fire, so disabling
@@ -49,7 +58,7 @@ CONFIGS = {
         num_nodes=20,
         num_topics=6,
         failure_probability=0.03,
-        duration=2.0,
+        duration=15.0,
         drain=2.0,
         link_service_time=0.02,
         queue_discipline="edf",
@@ -123,7 +132,7 @@ MODES = {
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("config_name,strategy", CELLS)
 def test_matches_pre_fast_path_reference(config_name, strategy, seed, mode):
-    """Every cell reproduces the recorded pre-change trace exactly, in all
+    """Every cell reproduces the recorded trace exactly, in all
     four observation modes: the probe bus is observation-only, so a
     sanitized and/or traced run pops the same event interleaving, draws
     the same RNG sequence and produces the same per-message outcomes —
@@ -149,8 +158,6 @@ def test_fast_and_legacy_kernels_trace_identically(monkeypatch):
     heap rebuild — while the "legacy" side (``compaction_ratio = None``)
     falls back to pure lazy deletion. Both must pop the same live events
     in the same order, and both must match the pre-change reference.
-    (The baseline cell is the one whose ACKs actually land; the EDF storm
-    loses every ACK, so it cancels no timers at all.)
     """
     monkeypatch.setattr(Simulator, "compaction_ratio", 0.01)
     monkeypatch.setattr(Simulator, "compaction_min", 1)

@@ -9,7 +9,12 @@ the matching kind:
 * ``MUTATE_MISSORT_SENDING_LIST`` hands the data plane a sending list out
   of Theorem-1 (d, r) order → ``sending_list_order`` at table-build time;
 * ``MUTATE_SKIP_TIMER_CANCEL`` leaks ACK timers instead of cancelling them
-  when the ACK arrives → ``timer_orphan`` in the end-of-drain check.
+  when the ACK arrives → ``timer_orphan`` in the end-of-drain check;
+* ``MUTATE_ARM_AT_ENQUEUE`` starts every ACK clock when the copy is handed
+  to its link instead of when its last bit leaves the sender →
+  ``timer_before_wire`` on finite-capacity links, at the first timer armed
+  short of its copy's serialisation (and nothing at all on
+  infinite-capacity links, where the two instants coincide).
 
 With the sanitizer *off*, the flags must be completely inert — the flags
 live inside sanitizer-guarded branches, so production runs cannot pay for
@@ -37,6 +42,15 @@ CONFIG = ExperimentConfig(
 )
 
 
+#: The same world on finite-capacity links, loss-free (every timeout the
+#: mutation provokes is spurious). Serialising a copy takes longer than
+#: the shortest links' whole static timeout, so a clock started at
+#: hand-over is short even on an idle link.
+FINITE = CONFIG.with_updates(
+    failure_probability=0.0, loss_rate=0.0, link_service_time=0.05
+)
+
+
 @pytest.fixture
 def missort_mutation(monkeypatch):
     monkeypatch.setattr(sanity, "MUTATE_MISSORT_SENDING_LIST", True)
@@ -45,6 +59,11 @@ def missort_mutation(monkeypatch):
 @pytest.fixture
 def skip_cancel_mutation(monkeypatch):
     monkeypatch.setattr(sanity, "MUTATE_SKIP_TIMER_CANCEL", True)
+
+
+@pytest.fixture
+def arm_at_enqueue_mutation(monkeypatch):
+    monkeypatch.setattr(sanity, "MUTATE_ARM_AT_ENQUEUE", True)
 
 
 def test_missorted_sending_list_is_caught(missort_mutation):
@@ -122,3 +141,40 @@ def test_mutations_inert_without_sanitizer(monkeypatch, flag):
     monkeypatch.setattr(sanity, flag, True)
     mutated = run_single(plain_config, "DCRD", seed=3).as_dict()
     assert mutated == baseline
+
+
+@pytest.mark.parametrize("discipline", ["fifo", "edf"])
+def test_clock_armed_at_enqueue_is_caught(arm_at_enqueue_mutation, discipline):
+    """A timer due before its copy has left the sender dies on the spot:
+    under FIFO when it is armed, under EDF when the server picks the copy."""
+    config = FINITE.with_updates(queue_discipline=discipline)
+    with pytest.raises(InvariantViolation) as excinfo:
+        run_single(config, "DCRD", seed=3)
+    violation = excinfo.value
+    assert violation.kind == sanity.TIMER_BEFORE_WIRE
+    assert violation.details["deadline"] < violation.details["wire_clear"]
+    assert violation.frames
+
+
+def test_clock_armed_at_enqueue_is_invisible_without_queues(monkeypatch):
+    """Infinite capacity: the wire clears at hand-over, the mutation is a
+    no-op and the invariant stays silent."""
+    baseline = run_single(CONFIG, "DCRD", seed=3)
+    monkeypatch.setattr(sanity, "MUTATE_ARM_AT_ENQUEUE", True)
+    mutated = run_single(CONFIG, "DCRD", seed=3)
+    assert mutated.perf["sanity.violations"] == 0.0
+    assert mutated == baseline
+
+
+@pytest.mark.parametrize("discipline", ["fifo", "edf"])
+def test_arm_at_enqueue_inert_without_sanitizer(monkeypatch, discipline):
+    """Unsanitized finite-capacity runs never see the flag, and the
+    sanitized run without it is clean."""
+    config = FINITE.with_updates(queue_discipline=discipline)
+    clean = run_single(config, "DCRD", seed=3)
+    assert clean.perf["sanity.violations"] == 0.0
+    assert clean.perf["arq.ack_timeouts"] == 0.0
+    plain = config.with_updates(sanitize=False)
+    baseline = run_single(plain, "DCRD", seed=3).as_dict()
+    monkeypatch.setattr(sanity, "MUTATE_ARM_AT_ENQUEUE", True)
+    assert run_single(plain, "DCRD", seed=3).as_dict() == baseline

@@ -91,9 +91,17 @@ def test_acks_bypass_edf_queue():
 def test_backlog_accounts_for_queue():
     sim, network = make_network(service_time=0.010)
     network.attach(1, lambda s, f: None)
+    clears = []
+    assert network.watch_wire(
+        lambda frame, wait: clears.append((frame.msg_id, sim.now + wait))
+    )
     network.transmit(0, 1, frame_with_priority(1.0, msg_id=1), FrameKind.DATA)
     network.transmit(0, 1, frame_with_priority(2.0, msg_id=2), FrameKind.DATA)
-    assert network.queueing_backlog(0, 1) >= 0.010
+    # The server reports a copy when it picks it: the queued one only
+    # once the first has been served.
+    assert clears == [(1, pytest.approx(0.010))]
+    sim.run()
+    assert clears == [(1, pytest.approx(0.010)), (2, pytest.approx(0.020))]
 
 
 def test_unknown_discipline_rejected():

@@ -74,17 +74,36 @@ def test_acks_skip_the_queue():
     ]
 
 
+def watched(network):
+    """Wire waits the network reports to a ``watch_wire`` subscriber."""
+    waits = []
+    assert network.watch_wire(lambda frame, wait: waits.append(wait))
+    return waits
+
+
 def test_idle_link_has_no_backlog():
     sim, network = make_network(service_time=0.005)
-    assert network.queueing_backlog(0, 1) == 0.0
+    waits = watched(network)
+    network.attach(1, lambda s, f: None)
+    network.transmit(0, 1, "a", FrameKind.DATA)
+    # Nothing ahead of it: the copy clears the wire after its own service.
+    assert waits == [0.005]
 
 
 def test_backlog_reflects_queue_depth():
     sim, network = make_network(service_time=0.005)
+    waits = watched(network)
     network.attach(1, lambda s, f: None)
     network.transmit(0, 1, "a", FrameKind.DATA)
     network.transmit(0, 1, "b", FrameKind.DATA)
-    assert network.queueing_backlog(0, 1) == pytest.approx(0.010)
+    assert waits == [pytest.approx(0.005), pytest.approx(0.010)]
+
+
+def test_infinite_capacity_reports_no_wire_wait():
+    sim, network = make_network(service_time=None)
+    assert network.watch_wire(lambda frame, wait: pytest.fail("never called")) is False
+    network.attach(1, lambda s, f: None)
+    network.transmit(0, 1, "a", FrameKind.DATA)
 
 
 def test_no_service_time_means_no_queueing():
