@@ -32,7 +32,9 @@ estimator (Jacobson/Karn) per link direction:
   "fails" before its ACK lands and — with Karn filtering — the estimator
   can never learn;
 * ``srtt`` and ``rttvar`` are EWMAs of observed ACK round trips
-  (first-attempt samples only — Karn's rule — fed by the ARQ layer);
+  (first-attempt samples only — Karn's rule — fed by the ARQ layer),
+  advanced by :func:`repro.util.rtt.jacobson_update`, the estimator the
+  total-order pipeline sizes its agreement window with;
 * timeout = ``srtt + 4 * rttvar`` (+slack), clamped to
   ``[floor, ceiling]`` where the floor is the static paper timer (never be
   *more* aggressive than the baseline) and the ceiling bounds how long a
@@ -45,21 +47,13 @@ untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.core.forwarding import DcrdStrategy
 from repro.routing.arq import ArqSender
 from repro.routing.base import RuntimeContext
+from repro.util.rtt import RttEstimate, jacobson_update
 from repro.util.validation import require, require_positive
-
-
-@dataclass
-class _RttState:
-    """Jacobson estimator state for one link direction."""
-
-    srtt: float
-    rttvar: float
 
 
 class AdaptiveTimeoutPolicy:
@@ -86,7 +80,7 @@ class AdaptiveTimeoutPolicy:
         self.var_factor = var_factor
         self.initial_rto = initial_rto
         self.ceiling = ceiling
-        self._state: Dict[Tuple[int, int], _RttState] = {}
+        self._state: Dict[Tuple[int, int], RttEstimate] = {}
         self.samples = 0
 
     def _floor(self, src: int, dst: int) -> float:
@@ -101,20 +95,17 @@ class AdaptiveTimeoutPolicy:
         if state is None:
             # Conservative bootstrap until the first unambiguous sample.
             return min(max(floor, self.initial_rto), self.ceiling)
-        rto = state.srtt + self.var_factor * state.rttvar
+        rto = state.bound(self.var_factor)
         rto += self.ctx.params.ack_timeout_slack
         return min(max(rto, floor), self.ceiling)
 
     def on_sample(self, src: int, dst: int, rtt: float) -> None:
         """Fold one unambiguous RTT observation into the estimator."""
         self.samples += 1
-        state = self._state.get((src, dst))
-        if state is None:
-            self._state[(src, dst)] = _RttState(srtt=rtt, rttvar=rtt / 2.0)
-            return
-        deviation = abs(state.srtt - rtt)
-        state.rttvar = (1.0 - self.beta) * state.rttvar + self.beta * deviation
-        state.srtt = (1.0 - self.alpha) * state.srtt + self.alpha * rtt
+        link = (src, dst)
+        self._state[link] = jacobson_update(
+            self._state.get(link), rtt, self.alpha, self.beta
+        )
 
 
 class AdaptiveDcrdStrategy(DcrdStrategy):

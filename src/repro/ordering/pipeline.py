@@ -14,9 +14,11 @@ Three guarantees, all hold-back based:
   streams; unknown streams are waived (join/leave semantics, see
   docs/ORDERING.md) so the guarantee composes with churn.
 * :class:`TotalOrderPipeline` — EpTO-style agreement: frames sort by a
-  ``(lamport_ts, origin, seq)`` key and release only after aging past a
-  fixed hold window, by which point every smaller-keyed frame has
-  arrived (late stragglers are stall-released out of band).
+  ``(ts, origin, seq)`` key whose ``ts`` follows the publish time, and a
+  frame releases once ``key time + W`` has passed, ``W`` being this
+  subscriber's own measured bound on publish-to-arrival transit — by
+  which point every smaller-keyed frame has arrived (genuinely late
+  stragglers are stall-released out of band).
 
 Every release is observable (probe families ``order_hold`` /
 ``order_release`` / ``order_stall``) and carries a *reason*:
@@ -44,6 +46,7 @@ from repro import sanity as _sanity
 from repro.ordering.spec import OrderingSpec
 from repro.ordering.tags import OrderTag, Stream
 from repro.pubsub.messages import PacketFrame
+from repro.util.rtt import RttEstimate, jacobson_update
 
 #: Slack when comparing held durations against the stall timeout, so a
 #: timer firing exactly on schedule counts its own frame as overdue.
@@ -85,6 +88,10 @@ class DeliveryPipeline:
         self.offers = 0
         self.releases = 0
         self.stall_releases = 0
+        #: Seconds frames spent buffered here, by what ended the hold.
+        self.held_s: Dict[str, float] = {"ready": 0.0, "stall": 0.0, "flush": 0.0}
+        #: Transit samples behind :meth:`window` (``total`` level only).
+        self.window_samples = 0
 
     # ------------------------------------------------------------------
     def offer(self, frame: PacketFrame) -> None:
@@ -167,7 +174,11 @@ class DeliveryPipeline:
                 stall_probe(
                     now, self._node, self.level, {"msg": frame.msg_id}
                 )
-        held_for = 0.0 if held_since is None else now - held_since
+        if held_since is None:
+            held_for = 0.0
+        else:
+            held_for = now - held_since
+            self.held_s[reason] += held_for
         probe = _probes.on_order_release
         if probe is not None:
             probe(now, self._node, frame, self.level, reason, held_for)
@@ -182,6 +193,10 @@ class DeliveryPipeline:
     def held_count(self) -> int:
         """Frames currently buffered (the cluster quiescence signal)."""
         return len(self._holding)
+
+    def window(self) -> Optional[float]:
+        """The agreement window in force, if this level has one."""
+        return None
 
     def flush(self) -> None:
         """End-of-run drain: release everything still held."""
@@ -427,64 +442,125 @@ class TotalOrderPipeline(DeliveryPipeline):
     """Total order: one agreed delivery sequence per topic set.
 
     EpTO's structure without the epidemic relay (DCRD's reliable overlay
-    already disseminates every frame): each frame carries a globally
-    comparable ``(lamport_ts, origin, seq)`` key, and a subscriber holds
-    every frame for a fixed agreement window before releasing in key
-    order. By window expiry any smaller-keyed frame has arrived, so all
-    subscribers release the same prefix; a straggler that misses its
-    window (released smaller key already passed) is stall-released out
-    of the agreed sequence rather than re-ordering it.
+    already disseminates every frame), ordered by its global-clock
+    timestamp: each frame carries a globally comparable
+    ``(ts, origin, seq)`` key whose ``ts`` is a hybrid logical clock in
+    microseconds, so the key also says when the frame was published —
+    its *key time*, ``ts * 1e-6``. A subscriber releases in key order,
+    each frame once ``key time + W`` has passed.
+
+    ``W`` is the plan's explicit ``total_hold`` when one is given;
+    otherwise it is measured: this subscriber's Jacobson/Karn bound
+    ``srtt + 4 * rttvar`` on publish-to-arrival transit
+    (:mod:`repro.util.rtt`), sampled once per message on its first offer
+    here, capped by the plan's ``stall_timeout`` and frozen per frame at
+    offer time. A frame therefore waits exactly the spread this node
+    sees between its fastest and slowest publisher, and by the time it
+    is due any smaller key has arrived — unless that one is later than
+    everything measured so far *and* a larger key was released
+    meanwhile, in which case it is stall-released: a hole in the agreed
+    order, never an inversion of it. Subscribers with different ``W``
+    still release their common frames in the same (key) order.
+
+    Transit is ``now - key time`` on the substrate's one clock (the
+    kernel's ``now``; the fleet's epoch-pinned wall clock), floored at
+    zero. A constant skew between a publisher's host and this one only
+    shifts ``srtt`` by that constant; skew that *varies* reads as
+    ``rttvar`` and widens the window.
     """
 
     level = "total"
 
-    #: Key type: (lamport timestamp, origin node, per-stream sequence).
+    #: Key type: (hybrid-clock microseconds, origin node, per-stream sequence).
     Key = Tuple[int, int, int]
 
     def __init__(self, broker, plan) -> None:
         super().__init__(broker, plan)
-        self._hold_window: float = plan.total_hold
-        # Entries: (key, frame, tag, held_since).
-        self._heap: List[Tuple["TotalOrderPipeline.Key", PacketFrame, OrderTag, float]] = []
+        self._measured = plan.total_hold is None
+        # The window in force: measured (``None`` until the first
+        # sample) or given; never above the stall timeout.
+        self._window: Optional[float] = (
+            None if self._measured else min(plan.total_hold, self._stall_timeout)
+        )
+        self._transit: Optional[RttEstimate] = None
+        # Entries: (key, due, frame, tag, held_since); keys are unique,
+        # so nothing past the key is ever compared.
+        self._heap: List[
+            Tuple["TotalOrderPipeline.Key", float, PacketFrame, OrderTag, float]
+        ] = []
         self._last_key: Optional["TotalOrderPipeline.Key"] = None
-        self._timer_armed = False
+        # The one pending timer and the due time it was armed for.
+        self._timer = None
+        self._timer_due = 0.0
+
+    def window(self) -> Optional[float]:
+        return self._window
 
     def _offer_tagged(self, frame: PacketFrame, tag: OrderTag) -> None:
+        now = self._clock._now
+        key_time = tag.ts * 1e-6
+        window = self._window
+        if self._measured:
+            transit = now - key_time
+            self._transit = estimate = jacobson_update(
+                self._transit, transit if transit > 0.0 else 0.0
+            )
+            self.window_samples += 1
+            window = estimate.bound()
+            if window > self._stall_timeout:
+                window = self._stall_timeout
+            self._window = window
         key = (tag.ts, tag.origin, tag.seq)
         if self._last_key is not None and key <= self._last_key:
             # Missed its agreement window: delivering it now in sequence
             # is impossible, so it leaves the agreed order explicitly.
             self._release(frame, tag, "stall")
             return
-        held_since = self._hold(frame, tag)
-        heapq.heappush(self._heap, (key, frame, tag, held_since))
-        self._arm()
-
-    def _arm(self) -> None:
-        if self._timer_armed or not self._heap:
+        due = key_time + window
+        heap = self._heap
+        if due <= now and (not heap or key < heap[0][0]):
+            # Already due on arrival. (Nothing smaller can still be
+            # waiting — a frame is only this late under the largest
+            # window there is — but the agreed order does not rest on
+            # that argument.)
+            self._last_key = key
+            self._release(frame, tag, "ready")
             return
-        now = self._clock._now
-        delay = max(0.0, self._heap[0][3] + self._hold_window - now)
-        self._timer_armed = True
-        self._clock.schedule(delay, self._round_fire)
+        held_since = self._hold(frame, tag)
+        heapq.heappush(heap, (key, due, frame, tag, held_since))
+        if heap[0][2] is frame:
+            self._arm(due)
+
+    def _arm(self, due: float) -> None:
+        """Keep one timer pending, for the heap top's (frozen) due time."""
+        timer = self._timer
+        if timer is not None:
+            if self._timer_due <= due:
+                return
+            timer.cancel()
+        self._timer_due = due
+        delay = due - self._clock._now
+        self._timer = self._clock.schedule(
+            delay if delay > 0.0 else 0.0, self._round_fire
+        )
 
     def _round_fire(self) -> None:
         if self._closed:
             return
-        self._timer_armed = False
+        self._timer = None
         heap = self._heap
-        now = self._clock._now
-        window = self._hold_window
-        while heap and now - heap[0][3] + _STALL_EPSILON >= window:
-            key, frame, tag, _held = heapq.heappop(heap)
+        horizon = self._clock._now + _STALL_EPSILON
+        while heap and heap[0][1] <= horizon:
+            key, _due, frame, tag, _held = heapq.heappop(heap)
             self._last_key = key
             self._release(frame, tag, "ready")
-        self._arm()
+        if heap:
+            self._arm(heap[0][1])
 
     def flush(self) -> None:
         heap = self._heap
         while heap:
-            key, frame, tag, _held = heapq.heappop(heap)
+            key, _due, frame, tag, _held = heapq.heappop(heap)
             self._last_key = key
             self._release(frame, tag, "flush")
 

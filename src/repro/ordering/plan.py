@@ -10,7 +10,9 @@ that is *not* per-node:
   persistency extension's custody *redelivery* — which re-freshens the
   same message — reuses the original tag);
 * per-publication-stream sequence counters, per-node observed vector
-  clocks (``causal``), and per-node Lamport clocks (``total``);
+  clocks (``causal``), and per-node hybrid logical clocks (``total``:
+  integer microseconds that follow the publish time and never run
+  backwards, so a key says *when* as well as *after what*);
 * the registry of per-broker pipelines it has handed out, which gives
   the run-level :meth:`flush` / :meth:`held_count` /
   :meth:`perf_counters` surface the runner, live runtime, and cluster
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro import sanity as _sanity
 from repro.ordering.pipeline import PIPELINES, DeliveryPipeline
 from repro.ordering.spec import (
     DEFAULT_STALL_TIMEOUT,
-    DEFAULT_TOTAL_HOLD,
     SCENARIO_STALL_TIMEOUT,
     SCENARIO_TOTAL_HOLD,
     OrderingSpec,
@@ -40,13 +42,19 @@ from repro.pubsub.messages import PacketFrame
 
 
 class OrderingPlan:
-    """Run-scoped ordering state for one parsed spec."""
+    """Run-scoped ordering state for one parsed spec.
+
+    *total_hold* is the ``total`` level's agreement window, counted from
+    a frame's key time (its publish instant). ``None`` — the default —
+    lets every subscriber measure its own from the transits it sees;
+    either way the window never exceeds *stall_timeout*.
+    """
 
     def __init__(
         self,
         spec: OrderingSpec,
         stall_timeout: float = DEFAULT_STALL_TIMEOUT,
-        total_hold: float = DEFAULT_TOTAL_HOLD,
+        total_hold: Optional[float] = None,
     ) -> None:
         self.spec = spec
         self.level = spec.level
@@ -59,8 +67,8 @@ class OrderingPlan:
         self._tags: Dict[int, OrderTag] = {}
         # Per-node observed vector clock (causal level).
         self._observed: Dict[int, Dict[Stream, int]] = {}
-        # Per-node Lamport clock (total level).
-        self._lamport: Dict[int, int] = {}
+        # Per-node hybrid logical clock in microseconds (total level).
+        self._hlc: Dict[int, int] = {}
         self._pipelines: List[DeliveryPipeline] = []
         self._active = False
 
@@ -99,8 +107,14 @@ class OrderingPlan:
             # The publisher observes its own publication.
             observed[stream] = seq
         elif self.level == "total":
-            ts = self._lamport.get(origin, 0) + 1
-            self._lamport[origin] = ts
+            # Hybrid logical clock: the publish time in microseconds,
+            # pushed forward past everything this node stamped or
+            # delivered before, so "smaller key" means "published
+            # earlier" while causality still holds.
+            ts = self._hlc.get(origin, 0) + 1
+            if not _sanity.logical_only_stamp_active():
+                ts = max(ts, int(frame.publish_time * 1e6))
+            self._hlc[origin] = ts
         tag = OrderTag(origin=origin, seq=seq, vc=vc, ts=ts)
         self._tags[frame.msg_id] = tag
         return tag
@@ -118,8 +132,8 @@ class OrderingPlan:
                     if count > observed.get(dep, 0):
                         observed[dep] = count
         elif self.level == "total":
-            if tag.ts > self._lamport.get(node, 0):
-                self._lamport[node] = tag.ts
+            if tag.ts > self._hlc.get(node, 0):
+                self._hlc[node] = tag.ts
 
     # ------------------------------------------------------------------
     def activate(self) -> None:
@@ -146,7 +160,7 @@ class OrderingPlan:
 
     def perf_counters(self) -> Dict[str, float]:
         """``ordering.*`` entries for ``MetricsSummary.perf``."""
-        return {
+        counters = {
             "ordering.offers": float(
                 sum(p.offers for p in self._pipelines)
             ),
@@ -157,7 +171,23 @@ class OrderingPlan:
                 sum(p.stall_releases for p in self._pipelines)
             ),
             "ordering.held_at_end": float(self.held_count()),
+            "ordering.window_samples": float(
+                sum(p.window_samples for p in self._pipelines)
+            ),
         }
+        # Hold time by what ended the hold: the cost of the guarantee
+        # (ready), of its escape hatch (stall) and of the run ending.
+        for reason in ("ready", "stall", "flush"):
+            counters[f"ordering.held_s.{reason}"] = sum(
+                p.held_s[reason] for p in self._pipelines
+            )
+        windows = [
+            w for w in (p.window() for p in self._pipelines) if w is not None
+        ]
+        counters["ordering.window_s"] = (
+            sum(windows) / len(windows) if windows else 0.0
+        )
+        return counters
 
 
 def plan_from_scenario(text: Optional[str]) -> Optional[OrderingPlan]:
@@ -169,7 +199,9 @@ def plan_from_scenario(text: Optional[str]) -> Optional[OrderingPlan]:
     timings: scenario worlds retransmit through multi-second ACK
     timeouts, and the total-order agreement window must outlast the
     worst-case recovery or the substrates' agreed prefixes would
-    legitimately diverge.
+    legitimately diverge. The window is therefore given, not measured:
+    a wall-clock substrate's transits jitter, and an estimate fed by
+    them would differ between substrates.
     """
     if not text:
         return None

@@ -28,25 +28,24 @@ from repro.util.errors import ConfigurationError
 #:             delivers before a message it causally depends on (per-stream
 #:             entries, join/leave baseline adoption under churn).
 #: ``total``  — total order: every subscriber of a topic delivers the same
-#:             message prefix, agreed through Lamport-timestamped keys and
-#:             an EpTO-style hold-back round (see docs/ORDERING.md).
+#:             message prefix, agreed through hybrid-clock keys that follow
+#:             publish time and a hold-back window each subscriber
+#:             measures for itself (see docs/ORDERING.md).
 LEVELS: Tuple[str, ...] = ("fifo", "causal", "total")
 
 #: Hold-back watchdog: a frame stuck behind a gap for longer than this is
 #: stall-released (probe family ``order_stall``) so churned-away
-#: publishers can never wedge a subscriber.
+#: publishers can never wedge a subscriber. It is also the ceiling of the
+#: ``total`` level's agreement window: no frame is held longer than this.
 DEFAULT_STALL_TIMEOUT = 2.0
-
-#: The ``total`` level's agreement window (the EpTO "round" analogue):
-#: a frame is released once it has aged past this hold, by which time any
-#: smaller-keyed frame must have arrived.
-DEFAULT_TOTAL_HOLD = 0.25
 
 #: Conservative scripted-scenario timings, shared verbatim by the sim,
 #: single-process live, and multi-process substrates so the three-way
 #: conformance suite runs the identical ordering configuration. The
 #: scenario worlds retransmit through multi-second ACK timeouts, so the
-#: total-order hold must comfortably exceed the worst recovery latency.
+#: total-order window is pinned — measured from the publish instant, like
+#: every total-order window — comfortably past the worst recovery latency
+#: instead of being estimated from wall-clock transits that jitter.
 SCENARIO_STALL_TIMEOUT = 4.0
 SCENARIO_TOTAL_HOLD = 1.0
 

@@ -7,9 +7,10 @@ live mode) the wire codec. Hold-back pipelines at subscriber nodes read
 it; nothing in the data plane ever mutates it.
 
 Fields are a superset across levels — ``fifo`` uses ``(origin, seq)``,
-``causal`` adds the vector-clock snapshot ``vc``, ``total`` adds the
-Lamport timestamp ``ts``. Unused fields stay at their neutral defaults
-so one wire shape serves all three guarantees.
+``causal`` adds the vector-clock snapshot ``vc``, ``total`` adds ``ts``,
+a hybrid logical clock in integer microseconds (the publish time, pushed
+past everything its node stamped or delivered before). Unused fields stay
+at their neutral defaults so one wire shape serves all three guarantees.
 """
 
 from __future__ import annotations

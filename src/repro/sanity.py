@@ -59,6 +59,11 @@ ORDER_TOTAL_PREFIX    two subscribers of one topic ready-released their
 ORDER_HOLD_LEAK       a hold-back pipeline buffered a frame and never
                       released it — a silently swallowed delivery
                       (end-of-run check, after the runners' flush)
+ORDER_KEY_BEHIND_CLOCK  a ``total`` tag's key time (``ts`` microseconds)
+                      lies more than 1 us before its frame's publish
+                      time — a key that does not follow time, so an idle
+                      publisher sorts into the agreed past (checked when
+                      a pipeline first holds or releases the frame)
 ====================  ====================================================
 
 The ordering checks consume the ``order_release`` probe family emitted by
@@ -115,6 +120,11 @@ MUTATE_MISSORT_ORDER_RELEASE = False
 #: only one node diverges (a symmetric drop would keep total-order
 #: prefixes identical).
 MUTATE_DROP_ORDER_RELEASE = False
+#: Stamp ``total`` keys from the logical counter alone (``previous + 1``,
+#: never the publish time), so the key-follows-clock check must fire.
+#: Consulted through :func:`logical_only_stamp_active`, which gates on an
+#: installed sanitizer — unsanitized runs are bit-inert.
+MUTATE_LOGICAL_ONLY_STAMP = False
 #: Start every ACK clock at hand-over even on finite-capacity links,
 #: where a copy first waits in its sender's own queue, so the wire check
 #: must fire. Consulted through :func:`arm_at_enqueue_active`, which
@@ -125,6 +135,11 @@ MUTATE_ARM_AT_ENQUEUE = False
 def missort_order_release_active() -> bool:
     """Whether the release-missort mutation applies (sanitized runs only)."""
     return ACTIVE is not None and MUTATE_MISSORT_ORDER_RELEASE
+
+
+def logical_only_stamp_active() -> bool:
+    """Whether the logical-only-stamp mutation applies (sanitized runs only)."""
+    return ACTIVE is not None and MUTATE_LOGICAL_ONLY_STAMP
 
 
 def arm_at_enqueue_active() -> bool:
@@ -156,6 +171,7 @@ ORDER_CAUSAL_PRECEDENCE = "order_causal_precedence"
 ORDER_TOTAL_INVERSION = "order_total_inversion"
 ORDER_TOTAL_PREFIX = "order_total_prefix"
 ORDER_HOLD_LEAK = "order_hold_leak"
+ORDER_KEY_BEHIND_CLOCK = "order_key_behind_clock"
 
 # Timer settlement states.
 _PENDING = 0
@@ -675,6 +691,8 @@ class Sanitizer:
     ) -> None:
         """A delivery pipeline buffered *frame* at *node*."""
         self._order_held[(node, frame.msg_id)] = frame
+        if level == "total":
+            self._check_order_key_clock(node, frame, frame.order_tag)
 
     def _probe_order_release(
         self,
@@ -687,7 +705,7 @@ class Sanitizer:
     ) -> None:
         """A delivery pipeline released *frame* at *node*."""
         self.order_releases += 1
-        self._order_held.pop((node, frame.msg_id), None)
+        held = self._order_held.pop((node, frame.msg_id), None)
         tag = getattr(frame, "order_tag", None)
         if tag is None:
             return
@@ -696,6 +714,9 @@ class Sanitizer:
         elif level == "causal":
             self._check_order_causal(node, frame, tag, reason)
         elif level == "total":
+            if held is None:
+                # Never held: this release is the first sight of the frame.
+                self._check_order_key_clock(node, frame, tag)
             self._check_order_total(node, frame, tag, reason)
 
     def _probe_order_stall(
@@ -777,6 +798,25 @@ class Sanitizer:
                         )
         if have is None or tag.seq > have:
             delivered[stream] = tag.seq
+
+    def _check_order_key_clock(self, node: int, frame: Any, tag: Any) -> None:
+        """Keys follow time: ``tag.ts`` microseconds is never more than
+        1 us behind the publish instant (it may run ahead — the hybrid
+        clock's logical part — but a key in the past re-opens prefixes
+        the subscribers already agreed on)."""
+        if tag.ts + 1 < frame.publish_time * 1e6:
+            self._violate(
+                ORDER_KEY_BEHIND_CLOCK,
+                f"total-order key of msg {frame.msg_id} (origin "
+                f"{tag.origin}) reads {tag.ts} us but the frame was "
+                f"published at {frame.publish_time:.6f} s",
+                frames=(frame,),
+                node=node,
+                msg=frame.msg_id,
+                origin=tag.origin,
+                ts=tag.ts,
+                publish_time=frame.publish_time,
+            )
 
     def _check_order_total(
         self, node: int, frame: Any, tag: Any, reason: str

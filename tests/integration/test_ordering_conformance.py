@@ -43,8 +43,9 @@ THREE_WAY_KIND = "link_loss"
 THREE_WAY_PROCESSES = 3
 
 #: Live settle must outlast the widened hold-back windows
-#: (SCENARIO_TOTAL_HOLD=1.0 ages every frame; SCENARIO_STALL_TIMEOUT=4.0
-#: bounds a worst-case watchdog chain) plus TCP jitter.
+#: (SCENARIO_TOTAL_HOLD=1.0 holds every frame until a second after its
+#: publish instant; SCENARIO_STALL_TIMEOUT=4.0 bounds a worst-case
+#: watchdog chain) plus TCP jitter.
 LIVE_CONFIG = LiveConfig(settle_timeout=15.0)
 CLUSTER_SETTLE = 20.0
 

@@ -9,49 +9,22 @@ interleaving, carries any causal dependency graph), the pipeline must
 * release every offered frame exactly once (no duplicate release), and
 * end up empty after the stall watchdog plus the end-of-run flush
   (no permanent stall).
+
+For ``total`` one more property pins *agreement* under the measured
+window: two subscribers that see the same messages through arbitrary,
+different transits release their common ``ready`` frames in one order.
 """
 
-import heapq
-import itertools
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import probes as _probes
 from repro.ordering.plan import OrderingPlan
 from repro.ordering.spec import LEVELS, parse_ordering
 
-
-class FakeClock:
-    def __init__(self):
-        self._now = 0.0
-        self._timers = []
-        self._seq = itertools.count()
-
-    def schedule(self, delay, callback, *args):
-        assert delay >= 0.0
-        heapq.heappush(
-            self._timers,
-            (self._now + delay, next(self._seq), callback, args),
-        )
-
-    def advance(self, until):
-        while self._timers and self._timers[0][0] <= until:
-            t, _, callback, args = heapq.heappop(self._timers)
-            self._now = t
-            callback(*args)
-        self._now = until
-
-
-class FakeBroker:
-    def __init__(self, node, clock):
-        self.node = node
-        self._sim = clock
-        self.delivered = []
-
-    def deliver_frame(self, frame):
-        self.delivered.append(frame.msg_id)
-        return True
+from tests.ordering.test_pipelines import FakeBroker, FakeClock
 
 
 @st.composite
@@ -119,12 +92,17 @@ def test_no_permanent_stall_and_no_duplicate_release(level, world):
             dep = frames[dep_index]
             plan.note_delivery(origin, dep, dep.order_tag)
         frame = SimpleNamespace(
-            msg_id=msg_index + 1, topic=0, origin=origin, order_tag=None
+            msg_id=msg_index + 1,
+            topic=0,
+            origin=origin,
+            publish_time=0.01 * msg_index,
+            order_tag=None,
         )
         frame.order_tag = plan.stamp(frame)
         frames.append(frame)
 
     offered = [frames[i] for i in arrival]
+    clock.advance(0.2)  # every frame has been published by now
     for frame in offered:
         pipeline.offer(frame)
     # Far past any stall-watchdog chain, then the end-of-run drain.
@@ -161,12 +139,17 @@ def test_join_leave_rejoin_subscriber_still_drains(level, world):
             dep = frames[dep_index]
             plan.note_delivery(origin, dep, dep.order_tag)
         frame = SimpleNamespace(
-            msg_id=msg_index + 1, topic=0, origin=origin, order_tag=None
+            msg_id=msg_index + 1,
+            topic=0,
+            origin=origin,
+            publish_time=0.01 * msg_index,
+            order_tag=None,
         )
         frame.order_tag = plan.stamp(frame)
         frames.append(frame)
 
     offered = [frames[i] for i in arrival]
+    clock.advance(0.2)
     half = len(offered) // 2
     for frame in offered[:half]:
         early_pipe.offer(frame)
@@ -182,3 +165,86 @@ def test_join_leave_rejoin_subscriber_still_drains(level, world):
     assert sorted(late.delivered) == sorted(f.msg_id for f in offered[half:])
     assert len(late.delivered) == len(set(late.delivered))
     assert plan.held_count() == 0
+
+
+class ReleaseLog:
+    """Probe observer: the (msg, reason) release stream of each node."""
+
+    def __init__(self):
+        self.by_node = {}
+
+    def on_order_release(self, t, node, frame, level, reason, held_for):
+        self.by_node.setdefault(node, []).append((frame.msg_id, reason))
+
+
+@st.composite
+def transit_worlds(draw):
+    """Messages with publish instants, and each subscriber's transit to
+    every one of them - any distribution, including transits far past
+    the stall timeout (the window's ceiling) and exact ties."""
+    count = draw(st.integers(min_value=1, max_value=12))
+    transit = st.one_of(
+        st.floats(min_value=0.0, max_value=0.2),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.sampled_from([0.0, 0.05, 1.0]),
+    )
+    published = 0.0
+    messages = []
+    for _ in range(count):
+        published += draw(st.floats(min_value=0.0, max_value=0.3))
+        origin = draw(st.integers(min_value=0, max_value=2))
+        messages.append((origin, published, draw(transit), draw(transit)))
+    return messages
+
+
+@settings(max_examples=250, deadline=None)
+@given(world=transit_worlds())
+def test_total_subscribers_agree_under_any_transit_distribution(world):
+    """Two subscribers, each sizing its own window from its own transits:
+    common ``ready`` releases appear in the same (key) order at both,
+    every frame is released exactly once, and the buffers end empty with
+    no flush - the window never outlives the stall timeout."""
+    plan = OrderingPlan(parse_ordering("total"), stall_timeout=1.0)
+    clock = FakeClock()
+    brokers = [FakeBroker(node, clock) for node in (1, 2)]
+    pipelines = [plan.pipeline_for(broker) for broker in brokers]
+    frames = []
+    arrivals = []
+    for index, (origin, published, *transits) in enumerate(world):
+        frame = SimpleNamespace(
+            msg_id=index + 1,
+            topic=0,
+            origin=origin,
+            publish_time=published,
+            order_tag=None,
+        )
+        frame.order_tag = plan.stamp(frame)
+        frames.append(frame)
+        for pipeline, transit in zip(pipelines, transits):
+            arrivals.append((published + transit, index, pipeline))
+    log = ReleaseLog()
+    _probes.attach(log)
+    try:
+        for at, index, pipeline in sorted(arrivals, key=lambda a: a[:2]):
+            clock.advance(at)
+            pipeline.offer(frames[index])
+        clock.advance(1000.0)
+    finally:
+        _probes.detach(log)
+
+    keys = {
+        f.msg_id: (f.order_tag.ts, f.order_tag.origin, f.order_tag.seq)
+        for f in frames
+    }
+    ready = []
+    for broker, pipeline in zip(brokers, pipelines):
+        assert sorted(broker.delivered) == sorted(keys)  # exactly once
+        assert pipeline.held_count() == 0
+        released = log.by_node[broker.node]
+        assert [msg for msg, _ in released] == broker.delivered
+        ready.append([msg for msg, reason in released if reason == "ready"])
+        assert pipeline.window() <= 1.0
+    for stream in ready:  # the agreed order is the key order
+        assert [keys[msg] for msg in stream] == sorted(keys[msg] for msg in stream)
+    common = set(ready[0]) & set(ready[1])
+    assert [m for m in ready[0] if m in common] == [m for m in ready[1] if m in common]

@@ -15,7 +15,14 @@ release stream in sanitized runs:
   frame ages in the hold-back buffer first) the end-of-run hold/release
   pairing must flag the swallowed delivery as a hold leak.
 
-With the sanitizer *off*, both flags must be completely inert: they
+A third mutation corrupts the *stamp*, not the release stream:
+
+* ``MUTATE_LOGICAL_ONLY_STAMP`` stamps ``total`` keys from the logical
+  counter alone, as the code did before keys followed the publish time;
+  ``ORDER_KEY_BEHIND_CLOCK`` must catch the first key that lies in its
+  own frame's past, and must stay silent on a clean run.
+
+With the sanitizer *off*, every flag must be completely inert: they
 resolve through sanitizer-gated helpers in :mod:`repro.sanity`, so
 plain runs stay bit-identical no matter what a test left behind.
 """
@@ -84,3 +91,22 @@ def test_mutations_inert_without_sanitizer(monkeypatch, level, flag):
     monkeypatch.setattr(sanity, flag, True)
     mutated = run_single(plain, "DCRD", seed=3).as_dict()
     assert mutated == baseline
+
+
+def test_logical_only_stamp_fires_the_key_clock_invariant(monkeypatch):
+    config = CONFIG.with_updates(ordering="total")
+    clean = run_single(config, "DCRD", seed=3)  # silent on a clean run
+    assert clean.perf["sanity.violations"] == 0.0
+    assert clean.perf["sanity.order_releases"] > 0.0
+    monkeypatch.setattr(sanity, "MUTATE_LOGICAL_ONLY_STAMP", True)
+    with pytest.raises(InvariantViolation) as excinfo:
+        run_single(config, "DCRD", seed=3)
+    assert excinfo.value.kind == sanity.ORDER_KEY_BEHIND_CLOCK
+    assert sanity.ORDER_KEY_BEHIND_CLOCK in excinfo.value.report()
+
+
+def test_logical_only_stamp_inert_without_sanitizer(monkeypatch):
+    plain = CONFIG.with_updates(sanitize=False, ordering="total")
+    baseline = run_single(plain, "DCRD", seed=3).as_dict()
+    monkeypatch.setattr(sanity, "MUTATE_LOGICAL_ONLY_STAMP", True)
+    assert run_single(plain, "DCRD", seed=3).as_dict() == baseline

@@ -24,6 +24,15 @@ from repro.ordering.plan import OrderingPlan
 from repro.ordering.spec import parse_ordering
 
 
+class FakeTimer:
+    """The cancellable handle ``Clock.schedule`` returns."""
+
+    cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
 class FakeClock:
     """Deterministic clock satisfying the pipeline's substrate contract."""
 
@@ -31,18 +40,28 @@ class FakeClock:
         self._now = 0.0
         self._timers = []
         self._seq = itertools.count()
+        self.fired = 0
 
     def schedule(self, delay, callback, *args):
         assert delay >= 0.0  # the WallClock contract pipelines must honor
+        timer = FakeTimer()
         heapq.heappush(
             self._timers,
-            (self._now + delay, next(self._seq), callback, args),
+            (self._now + delay, next(self._seq), callback, args, timer),
         )
+        return timer
+
+    def pending(self):
+        """Timers armed and not cancelled."""
+        return sum(1 for entry in self._timers if not entry[4].cancelled)
 
     def advance(self, until):
         while self._timers and self._timers[0][0] <= until:
-            t, _, callback, args = heapq.heappop(self._timers)
+            t, _, callback, args, timer = heapq.heappop(self._timers)
+            if timer.cancelled:
+                continue
             self._now = t
+            self.fired += 1
             callback(*args)
         self._now = until
 
@@ -66,6 +85,7 @@ class ReleaseRecorder:
     def __init__(self):
         self.holds = []
         self.releases = []
+        self.release_times = {}
         self.stalls = []
 
     def on_order_hold(self, t, node, frame, level):
@@ -73,12 +93,13 @@ class ReleaseRecorder:
 
     def on_order_release(self, t, node, frame, level, reason, held_for):
         self.releases.append((frame.msg_id, reason, held_for))
+        self.release_times[frame.msg_id] = t
 
     def on_order_stall(self, t, node, level, info):
         self.stalls.append(info["msg"])
 
 
-def make_rig(level, spec_text=None, stall_timeout=1.0, total_hold=0.5, node=9):
+def make_rig(level, spec_text=None, stall_timeout=1.0, total_hold=None, node=9):
     plan = OrderingPlan(
         parse_ordering(spec_text or level),
         stall_timeout=stall_timeout,
@@ -100,9 +121,11 @@ def _detach_recorders():
             _probes.detach(observer)
 
 
-def publish(plan, msg_id, topic=0, origin=0):
-    """A stamped frame, exactly as the publish-side stamper would make it."""
-    frame = SimpleNamespace(msg_id=msg_id, topic=topic, origin=origin, order_tag=None)
+def publish(plan, msg_id, topic=0, origin=0, at=0.0):
+    """A frame published at time *at*, stamped as the publish path would."""
+    frame = SimpleNamespace(
+        msg_id=msg_id, topic=topic, origin=origin, publish_time=at, order_tag=None
+    )
     frame.order_tag = plan.stamp(frame)
     return frame
 
@@ -336,16 +359,42 @@ def test_causal_flush_releases_in_hold_order():
 # ---------------------------------------------------------------------------
 # Total
 # ---------------------------------------------------------------------------
+def arrive(clock, pipeline, frame, at):
+    """Offer *frame* to *pipeline* at time *at*, firing what is due before."""
+    clock.advance(at)
+    pipeline.offer(frame)
+
+
+def test_total_keys_follow_publish_time_and_never_run_backwards():
+    plan = OrderingPlan(parse_ordering("total"))
+    first = publish(plan, 1, origin=1, at=2.5).order_tag
+    assert first.ts == 2_500_000  # microseconds of the publish instant
+    # Same instant again: the logical part keeps the key strictly ahead.
+    assert publish(plan, 2, origin=1, at=2.5).order_tag.ts == 2_500_001
+    # Lamport receive rule: node 3 delivered a key from its future and
+    # then publishes "earlier" (a skewed clock) - causality still holds.
+    ahead = publish(plan, 3, origin=2, at=9.0)
+    plan.note_delivery(3, ahead, ahead.order_tag)
+    assert publish(plan, 4, origin=3, at=8.0).order_tag.ts == 9_000_001
+
+
 def test_total_releases_in_key_order_after_the_window():
     plan, clock, broker, pipeline, recorder = make_rig("total", total_hold=0.5)
-    m_b = publish(plan, 10, origin=2)  # key (1, 2, 1)
-    m_a = publish(plan, 11, origin=1)  # key (1, 1, 1)
-    pipeline.offer(m_b)  # arrival order is b then a...
-    pipeline.offer(m_a)
+    m_b = publish(plan, 10, origin=2, at=0.2)  # key (200000, 2, 1)
+    m_a = publish(plan, 11, origin=1, at=0.2)  # key (200000, 1, 1)
+    arrive(clock, pipeline, m_b, 0.30)  # arrival order is b then a...
+    arrive(clock, pipeline, m_a, 0.35)
+    # The window runs from the key time (0.2), not from either arrival.
+    clock.advance(0.699)
     assert broker.delivered == []
-    clock.advance(1.0)
+    clock.advance(0.701)
     assert broker.delivered == [11, 10]  # ...release order is the key order
-    assert [r for _, r, _ in recorder.releases] == ["ready", "ready"]
+    assert recorder.releases == [
+        (11, "ready", pytest.approx(0.35)),
+        (10, "ready", pytest.approx(0.40)),
+    ]
+    assert recorder.release_times[11] == pytest.approx(0.2 + 0.5)
+    assert recorder.release_times[10] == pytest.approx(0.2 + 0.5)
 
 
 def test_total_same_subscriber_set_agrees_across_nodes():
@@ -353,21 +402,59 @@ def test_total_same_subscriber_set_agrees_across_nodes():
     clock = FakeClock()
     brokers = [FakeBroker(node, clock) for node in (4, 5)]
     pipelines = [plan.pipeline_for(broker) for broker in brokers]
-    frames = [publish(plan, 10 + i, origin=i % 3) for i in range(6)]
+    frames = [publish(plan, 10 + i, origin=i % 3, at=0.01 * i) for i in range(6)]
+    clock.advance(0.1)
     for frame in frames:  # node 4 sees publish order
         pipelines[0].offer(frame)
     for frame in reversed(frames):  # node 5 sees it fully reversed
         pipelines[1].offer(frame)
     clock.advance(2.0)
     assert brokers[0].delivered == brokers[1].delivered
-    assert set(brokers[0].delivered) == {10, 11, 12, 13, 14, 15}
+    assert brokers[0].delivered == [10, 11, 12, 13, 14, 15]  # publish order
+
+
+def test_total_inverted_arrivals_release_in_key_order_by_one_timer():
+    plan, clock, broker, pipeline, recorder = make_rig("total", total_hold=0.5)
+    m_a = publish(plan, 1, origin=1, at=0.10)
+    m_b = publish(plan, 2, origin=2, at=0.12)
+    arrive(clock, pipeline, m_b, 0.15)  # timer armed for b's due time, 0.62
+    assert clock.pending() == 1
+    arrive(clock, pipeline, m_a, 0.20)  # new top, due earlier: re-armed
+    assert clock.pending() == 1  # ...never a second pending timer
+    clock.advance(0.61)
+    assert broker.delivered == [1]
+    assert clock.pending() == 1
+    clock.advance(0.63)
+    assert broker.delivered == [1, 2]
+    assert clock.pending() == 0
+    # Same due time (one publish instant, two origins): one event, both.
+    m_c = publish(plan, 3, origin=2, at=1.0)
+    m_d = publish(plan, 4, origin=1, at=1.0)
+    fired = clock.fired
+    arrive(clock, pipeline, m_c, 1.1)
+    arrive(clock, pipeline, m_d, 1.2)
+    clock.advance(2.0)
+    assert broker.delivered == [1, 2, 4, 3]
+    assert clock.fired == fired + 1
+    assert [r for _, r, _ in recorder.releases] == ["ready"] * 4
+
+
+def test_total_frame_past_its_due_time_releases_without_a_timer():
+    plan, clock, broker, pipeline, recorder = make_rig("total", total_hold=0.5)
+    late = publish(plan, 1, origin=1, at=0.0)
+    arrive(clock, pipeline, late, 0.8)  # due at 0.5: nothing to wait for
+    assert broker.delivered == [1]
+    assert recorder.releases == [(1, "ready", 0.0)]
+    assert recorder.holds == []
+    assert clock.pending() == 0 and clock.fired == 0
+    assert pipeline.held_count() == 0
 
 
 def test_total_straggler_past_the_watermark_stalls():
     plan, clock, broker, pipeline, recorder = make_rig("total", total_hold=0.5)
-    early = publish(plan, 1, origin=1)
-    late = publish(plan, 2, origin=1)
-    pipeline.offer(late)
+    early = publish(plan, 1, origin=1, at=0.0)
+    late = publish(plan, 2, origin=1, at=0.1)
+    arrive(clock, pipeline, late, 0.2)
     clock.advance(1.0)  # late released: watermark is now its key
     assert broker.delivered == [2]
     pipeline.offer(early)  # smaller key than the watermark
@@ -376,7 +463,7 @@ def test_total_straggler_past_the_watermark_stalls():
 
 
 def test_total_flush_drains_in_key_order():
-    plan, _, broker, pipeline, _ = make_rig("total", total_hold=10.0)
+    plan, _, broker, pipeline, _ = make_rig("total", total_hold=10.0, stall_timeout=20.0)
     m1 = publish(plan, 1, origin=2)
     m2 = publish(plan, 2, origin=1)
     pipeline.offer(m1)
@@ -384,6 +471,90 @@ def test_total_flush_drains_in_key_order():
     pipeline.flush()
     assert broker.delivered == [2, 1]  # (1,1,1) before (1,2,1)
     assert pipeline.held_count() == 0
+
+
+def test_total_measured_window_is_the_jacobson_bound_of_the_transits():
+    """No explicit bound: W = srtt + 4 * rttvar over the transits offered
+    so far (RFC 6298 gains 1/8 and 1/4), frozen per frame at its offer."""
+    plan, clock, broker, pipeline, recorder = make_rig("total", stall_timeout=1.0)
+    assert plan.total_hold is None and pipeline.window() is None
+    transits = [0.030, 0.050, 0.020, 0.080, 0.040]
+    # By hand: (srtt, rttvar) after each sample.
+    #  1: 0.03,            0.015            (seed: x, x/2)
+    #  2: 0.0325,          0.01625          (dev 0.02)
+    #  3: 0.0309375,       0.0153125        (dev 0.0125)
+    #  4: 0.0370703125,    0.02375          (dev 0.0490625)
+    #  5: 0.0374365234375, 0.018544921875   (dev 0.0029296875)
+    windows = [0.09, 0.0975, 0.0921875, 0.1320703125, 0.1116162109375]
+    for index, (transit, window) in enumerate(zip(transits, windows)):
+        published = 1.0 + index
+        frame = publish(plan, index + 1, origin=index % 2, at=published)
+        arrive(clock, pipeline, frame, published + transit)
+        assert pipeline.window() == pytest.approx(window, rel=1e-9)
+        clock.advance(published + 0.9)
+        assert recorder.release_times[index + 1] == pytest.approx(published + window)
+    assert plan.perf_counters()["ordering.window_samples"] == 5.0
+    assert plan.perf_counters()["ordering.window_s"] == pytest.approx(windows[-1])
+    # One hopelessly late frame: the window stops at the stall timeout.
+    frame = publish(plan, 9, origin=0, at=10.0)
+    arrive(clock, pipeline, frame, 15.0)
+    assert pipeline.window() == 1.0
+
+
+def test_total_redelivery_sample_is_bounded_by_the_stall_timeout():
+    """A custody redelivery (persistence extension) reaches the pipeline
+    as a first offer that is seconds old. It is sampled - the pipeline
+    cannot tell it from a slow first delivery - and the damage is what
+    the clamp allows: never above ``stall_timeout``, decaying by a
+    quarter per sample back towards the real spread."""
+    plan, clock, broker, pipeline, _ = make_rig("total", stall_timeout=2.0)
+    msg = itertools.count(1)
+
+    def deliver(published, transit):
+        arrive(clock, pipeline, publish(plan, next(msg), at=published), published + transit)
+
+    for second in range(30):
+        deliver(float(second), 0.03)
+    settled = pipeline.window()
+    assert settled == pytest.approx(0.03, abs=1e-3)
+    deliver(30.0, 1.5)  # the redelivery
+    assert settled < pipeline.window() <= 2.0
+    peaks = []
+    for second in range(31, 61):
+        deliver(float(second), 0.03)
+        peaks.append(pipeline.window())
+    assert all(later < earlier for earlier, later in zip(peaks, peaks[1:]))
+    assert peaks[15] < 0.25 and peaks[-1] < 0.07
+    clock.advance(100.0)
+    assert pipeline.held_count() == 0 and len(broker.delivered) == 61
+
+
+def test_total_idle_publisher_is_not_sorted_into_the_past():
+    """A publisher whose node delivered nothing for 100 s has a logical
+    clock far behind everyone else's; its promptly arriving frames must
+    still take their place in the agreed order at every subscriber."""
+    plan = OrderingPlan(parse_ordering("total"))
+    clock = FakeClock()
+    brokers = [FakeBroker(node, clock) for node in (4, 5)]
+    pipelines = [plan.pipeline_for(broker) for broker in brokers]
+    recorder = ReleaseRecorder()
+    _probes.attach(recorder)
+    transit = {4: 0.03, 5: 0.05}
+
+    def deliver(frame):
+        for broker, pipeline in zip(brokers, pipelines):
+            arrive(clock, pipeline, frame, frame.publish_time + transit[broker.node])
+
+    for second in range(100):  # the busy publisher; the idle one hears none of it
+        deliver(publish(plan, 1000 + second, origin=1, at=float(second)))
+    idle = [publish(plan, 1 + i, origin=7, at=100.2 + i) for i in range(5)]
+    for frame in idle:
+        deliver(frame)
+    clock.advance(200.0)
+    for broker in brokers:
+        assert broker.delivered[-5:] == [1, 2, 3, 4, 5]  # publish order
+    reasons = {reason for _, reason, _ in recorder.releases}
+    assert reasons == {"ready"}
 
 
 # ---------------------------------------------------------------------------

@@ -92,3 +92,54 @@ def test_cli_rejects_unknown_ordering_level():
     args = build_parser().parse_args(["compare", "--ordering", "bogus"])
     with pytest.raises(ConfigurationError):
         _config_from(args)
+
+
+def test_cli_perf_attributes_total_order_hold_time(capsys):
+    from repro.cli import main
+
+    argv = [
+        "compare", "--strategies", "DCRD", "--duration", "6", "--nodes", "12",
+        "--seed", "2", "--ordering", "total", "--perf",
+    ]
+    assert main(argv) == 0
+    counters = {}
+    for line in capsys.readouterr().out.split("Performance counters")[1].splitlines():
+        cells = line.split()
+        if len(cells) == 2 and cells[0].startswith("ordering."):
+            counters[cells[0]] = float(cells[1])
+    # Hold time by release reason, and the measured window behind it.
+    assert counters["ordering.held_s.ready"] > 0.0
+    assert counters["ordering.held_s.stall"] == 0.0  # stragglers are never held
+    assert counters["ordering.held_s.flush"] >= 0.0
+    # One transit sample per message and node (duplicates never sample).
+    assert 0.0 < counters["ordering.window_samples"] <= counters["ordering.offers"]
+    assert 0.0 < counters["ordering.window_s"] <= 2.0  # <= DEFAULT_STALL_TIMEOUT
+
+
+# ---------------------------------------------------------------------------
+# Layering (grep-enforced)
+# ---------------------------------------------------------------------------
+def test_one_delay_estimator_below_both_of_its_users():
+    """The ordering layer sizes its window with the estimator the adaptive
+    ARQ policy uses, so the update lives below both: ``repro.ordering``
+    imports nothing from the protocol layers, and exactly one function
+    under ``src/`` advances an ``srtt``/``rttvar`` pair."""
+    import re
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    above = re.compile(r"^\s*(from|import) repro\.(extensions|core|overlay)\b")
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted((src / "ordering").glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if above.search(line)
+    ]
+    assert not offenders, offenders
+    update = re.compile(r"\.(srtt|rttvar)\s*=(?!=)")
+    updaters = {
+        str(path.relative_to(src))
+        for path in src.rglob("*.py")
+        if any(update.search(line) for line in path.read_text().splitlines())
+    }
+    assert updaters == {"util/rtt.py"}
