@@ -21,6 +21,7 @@ Examples::
     PYTHONPATH=src python scripts/run_live.py ack_loss --seed 7 --differential
     PYTHONPATH=src python scripts/run_live.py clean --no-sanitize --json
     PYTHONPATH=src python scripts/run_live.py link_loss --processes 3 --differential
+    PYTHONPATH=src python scripts/run_live.py clean --dump-wire 2>wire.txt
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ import argparse
 import json
 import sys
 
+from repro import probes
 from repro.live.cluster import run_cluster_scenario
+from repro.live.codec import FrameCodec
 from repro.live.runtime import run_live_scenario
 from repro.live.scenarios import SCENARIO_KINDS, make_scenario, run_sim_scenario
 
@@ -41,6 +44,18 @@ def _render(result: dict) -> dict:
     view["gave_up"] = sorted(list(pair) for pair in result["gave_up"])
     view["deliveries"] = [list(pair) for pair in result["deliveries"]]
     return view
+
+
+class WireDump(probes.ProbeObserver):
+    """Prints every DATA frame handed to a link as its described envelope."""
+
+    def __init__(self) -> None:
+        self.codec = FrameCodec()
+
+    def on_transmit(self, t, src, dst, frame, survived, cause, prop, queue) -> None:
+        envelope = self.codec.describe(self.codec.encode_payload(src, frame))
+        fate = "" if survived else f" lost:{cause}"
+        print(f"{t:.6f} {src}->{dst}{fate} {json.dumps(envelope)}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -66,7 +81,15 @@ def main(argv=None) -> int:
         help="run N broker OS processes (multi-process live mode) "
         "instead of the single-process runtime",
     )
+    parser.add_argument(
+        "--dump-wire",
+        action="store_true",
+        help="print each DATA frame's wire envelope, decoded, to stderr "
+        "(single-process runs: the frames of a fleet are in other processes)",
+    )
     args = parser.parse_args(argv)
+    if args.dump_wire and args.processes is not None:
+        parser.error("--dump-wire needs the single-process runtime")
     sanitize = not args.no_sanitize
     if args.processes is not None:
         live = run_cluster_scenario(
@@ -77,7 +100,13 @@ def main(argv=None) -> int:
         )
         mode = f"multiproc[{args.processes}]"
     else:
-        live = run_live_scenario(make_scenario(args.scenario), args.seed, sanitize)
+        dump = WireDump()
+        if args.dump_wire:
+            probes.attach(dump)
+        try:
+            live = run_live_scenario(make_scenario(args.scenario), args.seed, sanitize)
+        finally:
+            probes.detach(dump)
         mode = "live"
     if args.json:
         print(json.dumps({"live": _render(live)}, indent=2, sort_keys=True))

@@ -5,8 +5,9 @@ This package is the wall-clock/socket substrate behind the
 :class:`ArqSender` and DCRD forwarding logic that runs on the
 discrete-event kernel, deployed over real loopback TCP:
 
-* :mod:`repro.live.clock` — :class:`WallClock`, the asyncio-loop Clock;
-* :mod:`repro.live.codec` — length-prefixed JSON frame codec;
+* :mod:`repro.live.clock` — :class:`WallClock`, the asyncio-loop Clock
+  (its own timer calendar behind one loop handle);
+* :mod:`repro.live.codec` — length-prefixed binary frame codec;
 * :mod:`repro.live.faults` — the seeded deterministic fault-injection
   shim (drop/duplicate/reorder/delay at the transport seam);
 * :mod:`repro.live.transport` — :class:`LiveTransport`, per-peer TCP

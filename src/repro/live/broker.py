@@ -248,6 +248,7 @@ class PartitionRuntime:
             "activity": activity,
             "done_publishing": self.done_publishing,
             "published": self.published,
+            "codec_errors": self.transport.codec_errors,
         }
 
     def finish(self) -> None:
@@ -283,7 +284,7 @@ class PartitionRuntime:
         return result
 
     async def close(self) -> None:
-        """Tear down the publish task, observers, and transport."""
+        """Tear down the publish task, observers, transport and timers."""
         if self._publish_task is not None:
             self._publish_task.cancel()
             try:
@@ -298,6 +299,8 @@ class PartitionRuntime:
             # Also after a start() that failed half-way: whatever servers
             # and connections it opened are closed here.
             await self.transport.close()
+        if self.clock is not None:
+            self.clock.close()
 
 
 # ---------------------------------------------------------------------------

@@ -575,6 +575,7 @@ def merge_reports(
         "retransmissions": sum(report["retransmissions"] for report in reports),
         "abandoned": sum(report["abandoned"] for report in reports),
         "in_flight": sum(report["in_flight"] for report in reports),
+        "codec_errors": sum(report["codec_errors"] for report in reports),
         "nodes": sorted(node for report in reports for node in report["nodes"]),
         # Per-node arrival order survives the merge untouched: each node's
         # deliveries all happen in its own partition, so concatenation

@@ -309,6 +309,8 @@ def reduce_run(
         "retransmissions": strategy.arq.retransmissions,
         "abandoned": strategy.abandoned,
         "in_flight": strategy.arq.in_flight,
+        # Wire frames a live transport had to reject (the sim has no wire).
+        "codec_errors": getattr(ctx.network, "codec_errors", 0),
     }
     if sanitizer is not None:
         perf = sanitizer.perf_counters()

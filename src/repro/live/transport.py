@@ -11,10 +11,13 @@ single branch on the substrate.
 Topology and wiring
 -------------------
 One asyncio TCP server per broker node, one persistent connection per
-*directed* overlay edge (the ``u -> v`` writer is owned by ``u``; ``v``'s
-server reads it). Frames are length-prefixed JSON messages
+*directed* overlay edge (``u`` dials and writes the ``u -> v`` connection;
+``v``'s server reads it). Frames are length-prefixed binary messages
 (:mod:`repro.live.codec`); each envelope carries its sender, so
-connections need no handshake. When
+connections need no handshake. Both ends of a connection are an
+:class:`_EdgeEnd` protocol: the reading end's ``data_received`` appends
+to one buffer and dispatches every complete frame in place — no reader
+task, no per-frame await. When
 :attr:`~repro.live.config.LiveConfig.impose_link_delays` is set (the
 default) every write is postponed by the topology's propagation delay for
 its link, keeping live timings comparable to the simulated world.
@@ -45,6 +48,7 @@ optional :class:`~repro.live.faults.FaultInjector` shim surface as
 from __future__ import annotations
 
 import asyncio
+import functools
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro import probes as _probes
@@ -58,6 +62,55 @@ from repro.pubsub.messages import AckFrame
 from repro.util.errors import SimulationError
 
 FrameHandler = Callable[[int, Any], None]
+
+
+class _EdgeEnd(asyncio.Protocol):
+    """One end of a directed-edge connection.
+
+    The accepting end (*dst* is the node whose server took the connection)
+    frames and dispatches what arrives; the dialling end (``dst=None``)
+    only writes. Either end resolves :attr:`closed` when its socket is
+    gone, which is what :meth:`LiveTransport.close` awaits.
+    """
+
+    def __init__(self, owner: "LiveTransport", dst: Optional[int] = None) -> None:
+        self.owner = owner
+        self.dst = dst
+        self.transport: asyncio.Transport  # set by connection_made
+        self.closed: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
+        self._buffer = b""
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.owner._ends.append(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        owner = self.owner
+        codec = owner.codec
+        buffer = self._buffer + data if self._buffer else data
+        start, size = 0, len(buffer)
+        while size - start >= 4:
+            try:
+                stop = start + 4 + codec.split_prefix(buffer[start : start + 4])
+            except CodecError:
+                # A stream with a bad length cannot be resynchronised:
+                # give up this connection, keep every other edge running.
+                owner.codec_errors += 1
+                self.transport.close()
+                return
+            if stop > size:
+                break
+            try:
+                sender, frame = codec.decode_payload(buffer[start + 4 : stop])
+            except CodecError:
+                owner.codec_errors += 1
+            else:
+                owner._dispatch(sender, self.dst, frame)
+            start = stop
+        self._buffer = buffer[start:]
 
 
 class LiveTransport:
@@ -88,15 +141,14 @@ class LiveTransport:
         self.stats = LinkStats()
         self._handlers: Dict[int, FrameHandler] = {}
         self._ack_handlers: Dict[int, FrameHandler] = {}
-        # Directed-edge wiring, built by start(): u -> v writer and the
-        # imposed per-direction propagation delay.
-        self._writers: Dict[Tuple[int, int], asyncio.StreamWriter] = {}
+        # Directed-edge wiring, built by start(): the socket u writes the
+        # u -> v frames to and the imposed per-direction propagation delay.
+        self._writers: Dict[Tuple[int, int], asyncio.Transport] = {}
         self._delays: Dict[Tuple[int, int], float] = {}
         self._servers: List[asyncio.AbstractServer] = []
-        # Server-side ends of the peers' connections (closed with the run:
-        # Server.close() only stops listening).
-        self._accepted: List[asyncio.StreamWriter] = []
-        self._reader_tasks: List["asyncio.Task[None]"] = []
+        # Both ends of every connection this transport dialled or accepted
+        # (closed with the run: Server.close() only stops listening).
+        self._ends: List[_EdgeEnd] = []
         self._ports: Dict[int, int] = {}
         self.started = False
         #: Frames whose stream raised a codec error (observability only).
@@ -140,18 +192,8 @@ class LiveTransport:
         host = self.config.host
         local = self.local_nodes
         bind_nodes = self.topology.nodes if local is None else sorted(local)
+        loop = asyncio.get_running_loop()
         for node in bind_nodes:
-
-            def make_reader(dst: int) -> Callable[..., Any]:
-                async def on_connect(
-                    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-                ) -> None:
-                    self._accepted.append(writer)
-                    task = asyncio.ensure_future(self._read_loop(dst, reader))
-                    self._reader_tasks.append(task)
-
-                return on_connect
-
             address = self.config.address_of(node)
             if address is None and local is not None:
                 raise SimulationError(
@@ -159,7 +201,9 @@ class LiveTransport:
                     f"for local node {node}"
                 )
             bind_host, bind_port = address if address is not None else (host, 0)
-            server = await asyncio.start_server(make_reader(node), bind_host, bind_port)
+            server = await loop.create_server(
+                functools.partial(_EdgeEnd, self, node), bind_host, bind_port
+            )
             self._servers.append(server)
             self._ports[node] = server.sockets[0].getsockname()[1]
         impose = self.config.impose_link_delays
@@ -175,16 +219,13 @@ class LiveTransport:
                             f"node {dst} (needed by the {src} -> {dst} edge)"
                         )
                     address = (host, self._ports[dst])
-                _, writer = await self._dial(*address)
-                self._writers[(src, dst)] = writer
+                self._writers[(src, dst)] = await self._dial(*address)
                 self._delays[(src, dst)] = (
                     self.topology.delay(src, dst) if impose else 0.0
                 )
         self.started = True
 
-    async def _dial(
-        self, host: str, port: int
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    async def _dial(self, host: str, port: int) -> asyncio.Transport:
         """Open one peer connection, retrying refusals until the timeout.
 
         A fleet of broker processes boots in arbitrary order, so the peer
@@ -202,9 +243,10 @@ class LiveTransport:
                     f"{self.config.connect_timeout}s"
                 )
             try:
-                return await asyncio.wait_for(
-                    asyncio.open_connection(host, port), remaining
+                writer, _ = await asyncio.wait_for(
+                    loop.create_connection(functools.partial(_EdgeEnd, self), host, port), remaining
                 )
+                return writer
             except (ConnectionRefusedError, OSError, asyncio.TimeoutError):
                 if deadline - loop.time() <= 0.05:
                     raise SimulationError(
@@ -214,38 +256,24 @@ class LiveTransport:
                 await asyncio.sleep(0.05)
 
     async def close(self) -> None:
-        """Tear down connections, servers, and reader tasks."""
+        """Tear down both ends of every connection, then the servers."""
         if self.fault is not None:
             # Frames still held by the reorder shim die with the run; they
             # were adversarially withheld, so they count as injected losses
             # (they never fired on_transmit — the sanitizer never saw them).
             for _ in self.fault.flush():
                 self.stats._lost_injected[FrameKind.DATA.idx] += 1
-        writers = [*self._writers.values(), *self._accepted]
-        for writer in writers:
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        for writer in writers:
-            try:
-                await writer.wait_closed()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
         for server in self._servers:
-            server.close()
+            server.close()  # stop accepting before the ends are walked
+        for end in self._ends:
+            end.transport.close()
+        for end in self._ends:
+            await end.closed
+        for server in self._servers:
             await server.wait_closed()
-        for task in self._reader_tasks:
-            task.cancel()
-        for task in self._reader_tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # pragma: no cover
-                pass
         self._writers.clear()
-        self._accepted.clear()
+        self._ends.clear()
         self._servers.clear()
-        self._reader_tasks.clear()
         self.started = False
 
     def bound_port(self, node: int) -> int:
@@ -333,23 +361,6 @@ class LiveTransport:
     # ------------------------------------------------------------------
     # Receive side
     # ------------------------------------------------------------------
-    async def _read_loop(self, dst: int, reader: asyncio.StreamReader) -> None:
-        codec = self.codec
-        try:
-            while True:
-                header = await reader.readexactly(4)
-                payload = await reader.readexactly(codec.split_prefix(header))
-                try:
-                    sender, frame = codec.decode_payload(payload)
-                except CodecError:
-                    self.codec_errors += 1
-                    continue
-                self._dispatch(sender, dst, frame)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return  # peer closed the connection: normal teardown
-        except asyncio.CancelledError:
-            raise
-
     def _dispatch(self, src: int, dst: int, frame: Any) -> None:
         """Hand one received frame to *dst*'s sink (sim-identical dispatch)."""
         is_ack = frame.__class__ is AckFrame or isinstance(frame, AckFrame)

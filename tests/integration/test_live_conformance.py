@@ -22,6 +22,7 @@ delivered, only when.
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -132,3 +133,25 @@ def test_launcher_differential_smoke():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "AGREE" in result.stdout
+
+
+def test_launcher_dumps_the_wire_readably():
+    """`--dump-wire`: one decoded envelope per DATA frame, on stderr."""
+    repo = Path(__file__).resolve().parents[2]
+    result = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "run_live.py"), "clean", "--dump-wire"],
+        cwd=str(repo),
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stderr.splitlines()
+    assert lines, "nothing was dumped"
+    for line in lines:
+        stamp, edge, envelope = line.split(" ", 2)
+        src, dst = edge.split("->")
+        fields = json.loads(envelope)
+        assert float(stamp) >= 0.0 and fields["s"] == int(src) and fields["k"] == "d"
+        assert fields["rp"][-1] == int(src) != int(dst)

@@ -1,0 +1,150 @@
+"""Callback framing and per-connection error handling of LiveTransport."""
+
+from __future__ import annotations
+
+import asyncio
+import math
+import random
+
+from repro.live.clock import WallClock
+from repro.live.codec import LENGTH_PREFIX, FrameCodec
+from repro.live.config import LiveConfig
+from repro.live.transport import LiveTransport
+from repro.ordering.tags import OrderTag
+from repro.overlay.links import FrameKind
+from repro.pubsub.messages import AckFrame, PacketFrame
+from tests.core.test_forwarding import diamond
+
+
+def mixed_frames(count: int = 50):
+    """``(sender, frame)`` pairs: ACKs and DATA of varying length."""
+    rng = random.Random(7)
+    frames = []
+    for i in range(count):
+        sender = rng.choice((0, 2, 3))
+        if i % 3 == 0:
+            frames.append((sender, AckFrame(i, sender, (2 << 40) + i)))
+            continue
+        frames.append(
+            (
+                sender,
+                PacketFrame(
+                    msg_id=i,
+                    transfer_id=(1 << 40) + i,
+                    topic=1,
+                    origin=0,
+                    publish_time=i * 0.001,
+                    destinations=frozenset(rng.sample(range(6), rng.randint(1, 4))),
+                    routing_path=tuple(rng.sample(range(6), rng.randint(0, 3))),
+                    priority=math.inf if i % 2 else i * 0.5,
+                    order_tag=OrderTag(0, i, {(1, 0): i}) if i % 5 == 0 else None,
+                ),
+            )
+        )
+    return frames
+
+
+def _identity(sender, frame):
+    # PacketFrame equality leaves the order tag out; the wire must not.
+    return sender, frame, getattr(frame, "order_tag", None)
+
+
+async def _receive(chunks):
+    """Feed *chunks* to one accepting end; what its node's sinks saw."""
+    from repro.live.transport import _EdgeEnd
+
+    transport = LiveTransport(diamond(), WallClock(asyncio.get_running_loop()))
+    seen = []
+    transport.attach(1, lambda src, frame: seen.append(_identity(src, frame)))
+    end = _EdgeEnd(transport, 1)
+    for chunk in chunks:
+        end.data_received(chunk)
+    assert transport.codec_errors == 0
+    return seen
+
+
+def test_any_chunking_of_the_stream_dispatches_the_same_frames():
+    codec = FrameCodec()
+    stream = b"".join(codec.encode(sender, frame) for sender, frame in mixed_frames())
+    frames = [_identity(sender, frame) for sender, frame in mixed_frames()]
+
+    async def scenario():
+        assert await _receive([stream]) == frames
+        assert await _receive([stream[i : i + 1] for i in range(len(stream))]) == frames
+        for cut in range(1, len(stream)):
+            assert await _receive([stream[:cut], stream[cut:]]) == frames, cut
+
+    asyncio.run(scenario())
+
+
+async def _started_transport():
+    transport = LiveTransport(
+        diamond(), WallClock(asyncio.get_running_loop()), LiveConfig(max_frame_bytes=256)
+    )
+    seen = []
+    transport.attach(1, lambda src, frame: seen.append((src, frame)))
+    await transport.start()
+    return transport, seen
+
+
+async def _until(predicate, timeout=2.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def test_an_oversized_prefix_is_counted_and_closes_only_that_connection():
+    async def scenario():
+        transport, seen = await _started_transport()
+        try:
+            reader, writer = await asyncio.open_connection(
+                transport.config.host, transport.bound_port(1)
+            )
+            writer.write(LENGTH_PREFIX.pack(257) + b"x" * 16)
+            # The server hangs up on a stream it cannot resynchronise ...
+            assert await asyncio.wait_for(reader.read(), 2.0) == b""
+            assert transport.codec_errors == 1
+            writer.close()
+            # ... and every overlay edge into the same node still delivers.
+            frame = AckFrame(1, 0, 9)
+            transport.transmit(0, 1, frame, FrameKind.ACK)
+            await _until(lambda: seen == [(0, frame)])
+        finally:
+            await transport.close()
+
+    asyncio.run(scenario())
+
+
+def test_garbage_behind_a_good_prefix_is_counted_and_the_stream_continues():
+    async def scenario():
+        transport, seen = await _started_transport()
+        try:
+            _, writer = await asyncio.open_connection(
+                transport.config.host, transport.bound_port(1)
+            )
+            frame = AckFrame(2, 3, 11)
+            writer.write(LENGTH_PREFIX.pack(9) + b"not a frm" + transport.codec.encode(3, frame))
+            await _until(lambda: seen == [(3, frame)])
+            assert transport.codec_errors == 1
+            assert not writer.transport.is_closing()
+            writer.close()
+        finally:
+            await transport.close()
+
+    asyncio.run(scenario())
+
+
+def test_close_awaits_both_ends_and_leaves_nothing_pending():
+    async def scenario():
+        transport, _ = await _started_transport()
+        # Both directions of the diamond's four edges, dialled and accepted.
+        await _until(lambda: len(transport._ends) == 16)
+        ends = list(transport._ends)
+        await transport.close()
+        assert all(end.closed.done() for end in ends)
+        assert transport._ends == [] and transport._writers == {}
+        me = asyncio.current_task()
+        assert [t for t in asyncio.all_tasks() if t is not me] == []
+
+    asyncio.run(scenario())
