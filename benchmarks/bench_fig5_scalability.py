@@ -11,13 +11,15 @@ set ``REPRO_BENCH_FULL_FIG5=1`` for the paper's full {10..160} axis.
 Set ``REPRO_BENCH_MEGA_FIG5=1`` for the mega-scale tier: DCRD alone on
 1000- and 2000-node overlays (the flat index-addressed data plane's
 design point), reporting the kernel event rate next to the delivery
-metrics. The mega tier runs DCRD directly rather than the five-strategy
-sweep — at these sizes the table solve dominates wall time, so the
-workload is thinned (few topics, sparse subscriptions, one monitoring
-epoch) to keep the run about the data plane.
+metrics, with the time to build the world (topology, workload, the setup
+solve of every ``<d, r>`` table) and the time to execute it reported
+separately. The mega tier runs DCRD directly rather than the
+five-strategy sweep, on a thinned workload (few topics, sparse
+subscriptions, one monitoring epoch).
 """
 
 import os
+import time
 
 import pytest
 
@@ -54,25 +56,33 @@ def run_mega():
     for size in MEGA_SIZES:
         config = mega_config(size)
         for seed in bench_seeds(1):
-            summary = build_environment(config, "DCRD", seed).execute()
-            rows[size] = summary
+            start = time.perf_counter()
+            env = build_environment(config, "DCRD", seed)
+            built = time.perf_counter()
+            summary = env.execute()
+            rows[size] = summary, built - start, time.perf_counter() - built
     lines = [
         "Figure 5 mega tier: DCRD at degree 8, Pf = 0.06",
-        f"{'nodes':>6} {'delivery':>9} {'qos':>9} {'events/s':>10} "
-        f"{'events':>9} {'elided':>7} {'fallbacks':>9}",
+        f"{'nodes':>6} {'delivery':>9} {'qos':>9} {'build_s':>8} {'execute_s':>9} "
+        f"{'events/s':>10} {'events':>9} {'elided':>7} {'fallbacks':>9} "
+        f"{'tables':>7} {'jacobi_rounds':>13} {'skipped':>9}",
     ]
-    for size, summary in rows.items():
+    for size, (summary, build_s, execute_s) in rows.items():
         perf = summary.perf
         lines.append(
             f"{size:>6} {summary.delivery_ratio:>9.4f} "
             f"{summary.qos_delivery_ratio:>9.4f} "
+            f"{build_s:>8.2f} {execute_s:>9.2f} "
             f"{perf.get('sim.events_per_s', 0.0):>10.0f} "
             f"{perf['sim.events_processed']:>9.0f} "
             f"{perf['arq.timers_elided']:>7.0f} "
-            f"{perf['flat.dir_fallbacks']:>9.0f}"
+            f"{perf['flat.dir_fallbacks']:>9.0f} "
+            f"{perf['control_plane.tables_solved_cold']:>7.0f} "
+            f"{perf['control_plane.jacobi_rounds']:>13.0f} "
+            f"{perf.get('control_plane.rounds_skipped', 0.0):>9.0f}"
         )
     save_report("fig5_mega", "\n".join(lines))
-    return rows
+    return {size: summary for size, (summary, _, _) in rows.items()}
 
 
 def run():

@@ -47,8 +47,9 @@ as the oracle in ``tests/core/reference_solver.py``), by construction:
   same three-clause tolerance test, and each table keeps its own dirty
   mask (neighbours of the nodes that moved last round, never the
   subscriber), so every table runs the rounds, and evaluates the nodes,
-  the scalar loop would have: ``rounds``, ``converged`` and the
-  ``jacobi_rounds`` / ``node_recomputes`` counters repeat exactly.
+  the scalar loop would have — or, in a limit cycle (below), accounts for
+  them: ``rounds``, ``converged`` and the ``jacobi_rounds`` /
+  ``node_recomputes`` counters repeat exactly.
 
 One further acceleration sits on top — **dirty-edge relevance**
 (:meth:`ControlPlaneSolver.table_affected`): a changed edge can only
@@ -75,10 +76,21 @@ Tables that never converge
 
 Budget eligibility is a strict comparison on values that feed back through
 cyclic sending lists, so a minority of tables fall into a *bit-exact* limit
-cycle (period 2-12) instead of a fixed point and spin to the ``max_rounds``
-backstop. The table shipped is the state after exactly ``max_rounds``
-synchronous rounds — a deterministic function of the estimates — flagged
-``converged=False`` and counted in ``control_plane.tables_unconverged``.
+cycle (period 2-12) instead of a fixed point. The table shipped is the
+state after exactly ``max_rounds`` synchronous rounds — a deterministic
+function of the estimates — flagged ``converged=False`` and counted in
+``control_plane.tables_unconverged``. The rounds to that backstop are not
+run: one Jacobi round is a pure function of a table's ``d`` row, ``r`` row
+and dirty mask, so once all three equal, bit for bit, what they were ``p``
+rounds earlier (Brent's scheme: one snapshot of the batch, retaken at
+power-of-two rounds, compared after every round) the table is carried
+forward ``((max_rounds - k) // p) * p`` rounds arithmetically and only the
+remaining ``(max_rounds - k) % p`` rounds are computed. ``rounds``,
+``jacobi_rounds`` and ``node_recomputes`` advance by what the skipped
+rounds would have counted (``control_plane.cycles_detected`` and
+``control_plane.rounds_skipped`` say how much that was), so the result is
+the scalar loop's in every field. Detection reads only the table's own
+rows, so it cannot depend on what else is in the batch.
 """
 
 from __future__ import annotations
@@ -474,9 +486,10 @@ class ControlPlaneSolver:
         """Solve ``(publisher, subscriber, deadline)`` pairs in lock-step.
 
         All tables advance through the same Jacobi rounds together; each
-        stops on its own (nothing left dirty) or with the batch at
-        ``max_rounds``. The result list is aligned with *pairs*, and every
-        table is independent of what else was in the batch.
+        stops on its own, with nothing left dirty or at its round
+        ``max_rounds`` (reached early by a table in a limit cycle, see the
+        module docstring). The result list is aligned with *pairs*, and
+        every table is independent of what else was in the batch.
         """
         pairs = list(pairs)
         num = self.topology.num_nodes
@@ -519,8 +532,22 @@ class ControlPlaneSolver:
         dirty[node_cells] = True
         dirty[subscriber_cells] = False
 
+        # Per-table views of the flat state (floats as their bit patterns),
+        # and per-table bookkeeping: the last batch round a table had dirty
+        # cells in, its node recomputes, the rounds it was carried forward
+        # (a table's own round is the batch round plus those), and whether
+        # max_rounds cut it off.
+        table_shape = (count, stride)
+        d_bits = d.view(np.int64).reshape(table_shape)
+        r_bits = r.view(np.int64).reshape(table_shape)
+        dirty_rows = dirty.reshape(table_shape)
         rounds = np.zeros(count, dtype=np.intp)
-        recomputes = 0
+        recomputes = np.zeros(count, dtype=np.intp)
+        carried = np.zeros(count, dtype=np.intp)
+        cut_off = np.zeros(count, dtype=bool)
+        snapshot_round = 0
+        # Batch rounds in which some table reaches its own round max_rounds.
+        stops = {self.max_rounds}
         # Masked slots evaluate 0/0 and unreached nodes inf - inf; both
         # results are discarded by the np.where / isfinite guards.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -531,8 +558,9 @@ class ControlPlaneSolver:
                 cells = np.flatnonzero(dirty)
                 if not len(cells):
                     break
-                rounds[cells // stride] = round_number
-                recomputes += len(cells)
+                owners = cells // stride
+                rounds[owners] = round_number
+                recomputes += np.bincount(owners, minlength=count)
                 _, d_via, r_via, _ = self._candidates(d, r, budgets, cells)
                 # Eq. 3, position by position along the sending list.
                 survive = np.ones(len(cells))
@@ -562,6 +590,44 @@ class ControlPlaneSolver:
                 dirty[sentinel_cells] = False
                 dirty[subscriber_cells] = False
 
+                # Limit-cycle fast-forward (Brent). A round is a pure
+                # function of a table's d row, r row and dirty row, so a
+                # running table whose three rows equal — bit for bit — the
+                # snapshot taken ``period`` rounds ago repeats those rounds
+                # forever: carry it over every whole period that fits
+                # before max_rounds, counting the recomputes those rounds
+                # would have made, and run only the remainder for real.
+                if snapshot_round:
+                    repeats = (
+                        (dirty_rows == dirty_then)
+                        & (d_bits == d_then)
+                        & (r_bits == r_then)
+                    ).all(axis=1)
+                    cycling = np.flatnonzero(repeats & dirty_rows.any(axis=1))
+                    if len(cycling):
+                        period = round_number - snapshot_round
+                        ahead = self.max_rounds - round_number - carried[cycling]
+                        periods = ahead // period
+                        carried[cycling] += periods * period
+                        recomputes[cycling] += periods * (
+                            recomputes[cycling] - recomputes_then[cycling]
+                        )
+                        stops.update((round_number + ahead % period).tolist())
+                if round_number & (round_number - 1) == 0:
+                    snapshot_round = round_number
+                    d_then, r_then = d_bits.copy(), r_bits.copy()
+                    dirty_then = dirty_rows.copy()
+                    recomputes_then = recomputes.copy()
+                if round_number in stops:
+                    # Tables still dirty at their own round max_rounds are
+                    # cut off; the ones they were solved with run on.
+                    stopping = dirty_rows.any(axis=1) & (
+                        round_number + carried == self.max_rounds
+                    )
+                    cut_off |= stopping
+                    dirty_rows[stopping] = False
+            rounds += carried
+
             # Sending lists of every node of every table, from the final
             # values; the subscriber's stays empty.
             neighbors, d_via, r_via, eligible = self._candidates(
@@ -575,16 +641,16 @@ class ControlPlaneSolver:
         lengths[np.arange(count), subscriber_cells % stride] = 0
         d = d.reshape(count, stride)
         r = r.reshape(count, stride)
-        # A table still dirty was cut off by max_rounds.
-        converged = ~dirty.reshape(count, stride).any(axis=1)
 
         if self.perf is not None:
             self.perf.incr("control_plane.tables_solved_cold", count)
-            self.perf.incr(
-                "control_plane.tables_unconverged", count - int(converged.sum())
-            )
+            self.perf.incr("control_plane.tables_unconverged", int(cut_off.sum()))
             self.perf.incr("control_plane.jacobi_rounds", int(rounds.sum()))
-            self.perf.incr("control_plane.node_recomputes", recomputes)
+            self.perf.incr("control_plane.node_recomputes", int(recomputes.sum()))
+            self.perf.incr(
+                "control_plane.cycles_detected", int(np.count_nonzero(carried))
+            )
+            self.perf.incr("control_plane.rounds_skipped", int(carried.sum()))
 
         # Each table owns copies of its rows, so a table reused across
         # refreshes does not keep its whole batch alive. The neighbour
@@ -605,7 +671,7 @@ class ControlPlaneSolver:
                 ),
                 budgets=dict(enumerate(budgets[index, :num].tolist())),
                 rounds=int(rounds[index]),
-                converged=bool(converged[index]),
+                converged=not cut_off[index],
                 _orders={
                     node: tuple(row[:length])
                     for node, (row, length) in enumerate(

@@ -5,14 +5,15 @@ with a fixed link degree, with per-link delays drawn uniformly from
 10–50 ms (a range taken from AT&T backbone measurements). This module wraps
 :mod:`networkx` graphs in a :class:`Topology` that owns the delay assignment
 and exposes the queries the routing layers need: neighbours, link delay,
-all-pairs shortest delay/hops.
+shortest delay/hops from a source.
 
 All delays are stored in **seconds**.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple  # noqa: F401
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple  # noqa: F401
 
 import networkx as nx
 import numpy as np
@@ -72,8 +73,9 @@ class Topology:
         self._neighbors: Dict[int, Tuple[int, ...]] = {
             node: tuple(sorted(graph.neighbors(node))) for node in graph.nodes
         }
-        self._shortest_delay: Optional[Dict[int, Dict[int, float]]] = None
-        self._shortest_hops: Optional[Dict[int, Dict[int, int]]] = None
+        # Shortest-path rows, one per source, filled on first use.
+        self._shortest_delay: Dict[int, Dict[int, float]] = {}
+        self._shortest_hops: Dict[int, Dict[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -125,41 +127,53 @@ class Topology:
     # ------------------------------------------------------------------
     # Shortest paths (cached)
     # ------------------------------------------------------------------
-    def _delay_graph(self) -> nx.Graph:
+    def _weighted_graph(self, weight_of: Callable[[float], float]) -> nx.Graph:
         weighted = nx.Graph()
         weighted.add_nodes_from(self._graph.nodes)
         for (u, v), delay in self._delays.items():
-            weighted.add_edge(u, v, weight=delay)
+            weighted.add_edge(u, v, weight=weight_of(delay))
         return weighted
 
+    @cached_property
+    def _delay_graph(self) -> nx.Graph:
+        return self._weighted_graph(lambda delay: delay)
+
+    @cached_property
+    def _hop_graph(self) -> nx.Graph:
+        # Unit weights with delay as a tiny tie-breaker, so that the
+        # minimum-hop path returned is deterministic given the topology.
+        return self._weighted_graph(lambda delay: 1.0 + delay * 1e-3)
+
     def shortest_delay(self, source: int, target: int) -> float:
-        """All-pairs shortest *delay* between two nodes (seconds)."""
-        if self._shortest_delay is None:
-            weighted = self._delay_graph()
-            self._shortest_delay = dict(
-                nx.all_pairs_dijkstra_path_length(weighted, weight="weight")
+        """Shortest *delay* between two nodes (seconds).
+
+        One single-source Dijkstra per distinct *source*, run on first use
+        and kept: a workload asks for the rows of its publishers, not for
+        every pair.
+        """
+        row = self._shortest_delay.get(source)
+        if row is None:
+            row = nx.single_source_dijkstra_path_length(
+                self._delay_graph, source, weight="weight"
             )
-        return self._shortest_delay[source][target]
+            self._shortest_delay[source] = row
+        return row[target]
 
     def shortest_hops(self, source: int, target: int) -> int:
-        """All-pairs shortest *hop count* between two nodes."""
-        if self._shortest_hops is None:
-            self._shortest_hops = dict(nx.all_pairs_shortest_path_length(self._graph))
-        return self._shortest_hops[source][target]
+        """Shortest *hop count* between two nodes (one BFS per source, kept)."""
+        row = self._shortest_hops.get(source)
+        if row is None:
+            row = nx.single_source_shortest_path_length(self._graph, source)
+            self._shortest_hops[source] = row
+        return row[target]
 
     def shortest_delay_path(self, source: int, target: int) -> List[int]:
         """One minimum-delay path from *source* to *target* (list of nodes)."""
-        return nx.dijkstra_path(self._delay_graph(), source, target, weight="weight")
+        return nx.dijkstra_path(self._delay_graph, source, target, weight="weight")
 
     def shortest_hop_path(self, source: int, target: int) -> List[int]:
         """One minimum-hop path (ties broken by delay for determinism)."""
-        # Use delay as a tiny tie-breaker on top of unit weights so that the
-        # returned tree is deterministic given the topology.
-        graph = nx.Graph()
-        graph.add_nodes_from(self._graph.nodes)
-        for (u, v), delay in self._delays.items():
-            graph.add_edge(u, v, weight=1.0 + delay * 1e-3)
-        return nx.dijkstra_path(graph, source, target, weight="weight")
+        return nx.dijkstra_path(self._hop_graph, source, target, weight="weight")
 
     def edge_set(self) -> FrozenSet[Edge]:
         """All canonical edges as a frozenset (handy for schedule queries)."""

@@ -13,7 +13,8 @@ approaches do not reroute the packets when a failure occurs").
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from functools import partial
+from typing import Dict, FrozenSet, Set, Tuple
 
 import networkx as nx
 
@@ -46,21 +47,22 @@ class TreeStrategy(RoutingStrategy):
     # ------------------------------------------------------------------
     def setup(self) -> None:
         """Build the per-topic routing trees."""
+        topology = self.ctx.topology
+        if self.metric == "delay":
+            # One estimate-weighted graph for every path of this setup.
+            graph = delay_graph(topology, self.ctx.monitor.estimates())
+            path = partial(nx.dijkstra_path, graph, weight="weight")
+        elif self.metric == "hops":
+            path = topology.shortest_hop_path
+        else:
+            raise RoutingError(f"unknown tree metric {self.metric!r}")
         for spec in self.ctx.workload.topics:
             paths = {
-                sub.node: self._path(spec.publisher, sub.node)
+                sub.node: path(spec.publisher, sub.node)
                 for sub in spec.subscriptions
                 if sub.node != spec.publisher
             }
             self._tables[spec.topic] = build_path_tree(paths)
-
-    def _path(self, source: int, target: int) -> List[int]:
-        if self.metric == "delay":
-            graph = delay_graph(self.ctx.topology, self.ctx.monitor.estimates())
-            return nx.dijkstra_path(graph, source, target, weight="weight")
-        if self.metric == "hops":
-            return self.ctx.topology.shortest_hop_path(source, target)
-        raise RoutingError(f"unknown tree metric {self.metric!r}")
 
     def next_hop(self, topic: int, node: int, subscriber: int) -> int:
         """The fixed tree's next hop at *node* toward *subscriber*."""

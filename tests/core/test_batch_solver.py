@@ -329,6 +329,137 @@ class TestKernelEqualsReference:
         assert earlier[157].states == earlier[159].states != shipped.states
 
 
+#: The two benchmark worlds whose setup solves contain limit cycles
+#: (``refresh_controlplane``: 9 of 201 tables; ``dense_dataplane``: 24 of 280).
+CYCLING_WORLDS = {
+    "refresh": ExperimentConfig(
+        topology_kind="regular", degree=6, num_nodes=80, num_topics=6,
+        monitor_mode="sampled", monitor_period=10.0,
+        failure_probability=0.06, duration=20.0,
+    ),
+    "dense": ExperimentConfig(
+        topology_kind="regular", degree=8, num_nodes=160, num_topics=4,
+        publish_interval=0.2, failure_probability=0.06, duration=60.0,
+    ),
+}
+
+#: One table per cycle period the two worlds exhibit (seed 1).
+CYCLING_TABLES = [
+    ("refresh", 36, 75, 2),
+    ("dense", 75, 5, 4),
+    ("dense", 102, 45, 6),
+    ("dense", 53, 141, 8),
+    ("refresh", 54, 17, 12),
+]
+
+SKIP_COUNTERS = ("control_plane.cycles_detected", "control_plane.rounds_skipped")
+
+
+@pytest.fixture(scope="module")
+def cycling_worlds():
+    """``{name: (topology, estimates, pairs)}`` of the worlds at seed 1."""
+    worlds = {}
+    for name, config in CYCLING_WORLDS.items():
+        env = build_environment(config, "DCRD", 1)
+        pairs = [
+            (spec.publisher, sub.node, sub.deadline)
+            for spec in env.ctx.workload.topics
+            for sub in spec.subscriptions
+            if sub.node != spec.publisher
+        ]
+        worlds[name] = env.ctx.topology, env.ctx.monitor.snapshot(), pairs
+    return worlds
+
+
+class TestLimitCycleFastForward:
+    """A table in a bit-exact limit cycle is carried to ``max_rounds``
+    arithmetically; nothing the scalar loop would have produced moves."""
+
+    @pytest.mark.parametrize("world, publisher, subscriber, period", CYCLING_TABLES)
+    def test_every_landing_phase_equals_the_reference(
+        self, cycling_worlds, world, publisher, subscriber, period
+    ):
+        """``max_rounds`` swept over one full period past the detection
+        round: the table, ``rounds``, ``converged`` and both work counters
+        equal the loop's at every phase the jump can land on."""
+        topology, estimates, pairs = cycling_worlds[world]
+        (pair,) = [p for p in pairs if p[:2] == (publisher, subscriber)]
+        phases = []
+        for cut in range(100, 100 + period + 1):
+            solver, (table,) = assert_kernel_equals_reference(
+                topology, estimates, [pair], max_rounds=cut
+            )
+            assert (table.rounds, table.converged) == (cut, False)
+            assert solver.perf.get("control_plane.cycles_detected") == 1
+            skipped = solver.perf.get("control_plane.rounds_skipped")
+            assert skipped > 0 and skipped % period == 0
+            phases.append(table.states)
+        assert phases[period] == phases[0]
+        for phase, following in zip(phases, phases[1:]):
+            assert phase != following  # so landing one round off cannot pass
+
+    def test_the_dirty_mask_is_part_of_the_state(self):
+        """On this 7-ring the ``<d, r>`` values first repeat while the dirty
+        mask still differs (a node that settled is evaluated one last
+        time): a detector comparing values alone jumps a period early and
+        counts node recomputes the loop never makes."""
+        rng = np.random.default_rng(0)
+        topology = ring(7, rng)
+        estimates = {
+            edge: LinkEstimate(alpha=topology.delay(*edge), gamma=float(rng.uniform(0.1, 1.0)))
+            for edge in topology.edges()
+        }
+        for cut in range(60, 72):
+            solver, _ = assert_kernel_equals_reference(
+                topology, estimates, [(1, 4, 0.2)], m=3, max_rounds=cut
+            )
+            assert solver.perf.get("control_plane.rounds_skipped") > 0
+
+    def test_cycling_tables_leave_their_batch_mates_alone(self, cycling_worlds):
+        """Cycling and converging tables mixed: alone == batch == permuted
+        batch, and the batch counts what its tables count alone."""
+        topology, estimates, pairs = cycling_worlds["refresh"]
+        setup_perf = PerfStats()
+        tables = ControlPlaneSolver(topology, estimates, perf=setup_perf).solve(pairs)
+        cycling = [i for i, table in enumerate(tables) if not table.converged]
+        assert len(cycling) == 9
+        assert setup_perf.get("control_plane.cycles_detected") == 9
+        mixed = sorted({*cycling, *range(0, len(pairs), 8)})
+
+        batch_perf, alone_perf = PerfStats(), PerfStats()
+        batch = ControlPlaneSolver(topology, estimates, perf=batch_perf)
+        alone = ControlPlaneSolver(topology, estimates, perf=alone_perf)
+        assert batch.solve([pairs[i] for i in mixed]) == [tables[i] for i in mixed]
+        for i in mixed:
+            assert alone.solve([pairs[i]]) == [tables[i]]
+        for counter in WORK_COUNTERS + SKIP_COUNTERS:
+            assert batch_perf.get(counter) == alone_perf.get(counter), counter
+        order = np.random.default_rng(0).permutation(mixed).tolist()
+        assert batch.solve([pairs[i] for i in order]) == [tables[i] for i in order]
+
+    @pytest.mark.parametrize(
+        "make, max_rounds, rounds, converged",
+        [(lambda rng: ring(8, rng), None, 45, True),
+         (lambda rng: full_mesh(5, rng), 200, 200, False)],
+        ids=["converges-after-the-snapshots", "drifts-to-the-backstop"],
+    )
+    def test_slow_convergence_is_not_a_cycle(self, make, max_rounds, rounds, converged):
+        """Weak links (gamma 0.3): values creep for dozens of rounds, well
+        past the first snapshots, without ever repeating — never jumped."""
+        topology = make(np.random.default_rng(3))
+        estimates = {
+            edge: LinkEstimate(alpha=topology.delay(*edge), gamma=0.3)
+            for edge in topology.edges()
+        }
+        pair = (0, topology.num_nodes - 1, 5.0)
+        solver, (table,) = assert_kernel_equals_reference(
+            topology, estimates, [pair], max_rounds=max_rounds
+        )
+        assert (table.rounds, table.converged) == (rounds, converged)
+        for counter in SKIP_COUNTERS:
+            assert solver.perf.get(counter) == 0
+
+
 def run_dcrd(config, seed, incremental, churn_rate=None):
     """One DCRD run with the incremental control plane toggled."""
     env = build_environment(config, "DCRD", seed)

@@ -15,6 +15,8 @@ from repro.overlay.topology import (
     star,
     waxman,
 )
+from repro.pubsub.topics import generate_workload
+from repro.routing.paths import delay_graph
 from repro.util.errors import TopologyError
 from tests.conftest import make_topology
 
@@ -60,6 +62,43 @@ class TestTopologyQueries:
     def test_shortest_delay_to_self_is_zero(self):
         topo = make_topology([(0, 1, 0.010)])
         assert topo.shortest_delay(0, 0) == 0.0
+
+
+class TestShortestPathRows:
+    """Shortest delays and hops are computed one source at a time."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda rng: random_regular(30, 4, rng), lambda rng: full_mesh(9, rng),
+         lambda rng: ring(11, rng)],
+        ids=["regular", "mesh", "ring"],
+    )
+    def test_every_pair_equals_the_all_pairs_result(self, make):
+        topo = make(np.random.default_rng(4))
+        delays = dict(nx.all_pairs_dijkstra_path_length(delay_graph(topo), weight="weight"))
+        hops = dict(nx.all_pairs_shortest_path_length(topo.graph))
+        for u in reversed(topo.nodes):  # rows fill in any order
+            for v in topo.nodes:
+                assert topo.shortest_delay(u, v) == delays[u][v]  # exact floats
+                assert topo.shortest_hops(u, v) == hops[u][v]
+
+    def test_a_workload_costs_one_dijkstra_per_publisher(self, monkeypatch):
+        """Deadlines need the publishers' rows only: building a workload
+        of ``dense_dataplane``'s shape (4 topics on 160 nodes) runs exactly
+        ``num_topics`` single-source Dijkstras."""
+        topo = random_regular(160, 8, np.random.default_rng(1))
+        sources = []
+        single_source = nx.single_source_dijkstra_path_length
+
+        def counted(graph, source, **kwargs):
+            sources.append(source)
+            return single_source(graph, source, **kwargs)
+
+        monkeypatch.setattr(nx, "single_source_dijkstra_path_length", counted)
+        workload = generate_workload(topo, np.random.default_rng(1), num_topics=4)
+        publishers = [spec.publisher for spec in workload.topics]
+        assert len(set(publishers)) == 4
+        assert sorted(sources) == sorted(publishers)
 
 
 class TestTopologyValidation:
