@@ -71,7 +71,7 @@ def test_fanout_subgrouping(benchmark):
 
     def subgrouped():
         refresh = index.refresh
-        destinations = index._destinations
+        destinations = index._members
         deadlines = index._deadlines
         total = 0
         for topic in schedule:
@@ -87,9 +87,6 @@ def test_fanout_subgrouping(benchmark):
         assert index.deadlines(topic) == {
             sub.node: sub.deadline for sub in spec.subscriptions
         }
-        assert index.bits(topic) == sum(
-            1 << sub.node for sub in spec.subscriptions
-        )
 
     # Interleaved best-of-5 so a transient load spike hits both sides.
     brute_s = grouped_s = float("inf")

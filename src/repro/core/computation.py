@@ -277,72 +277,6 @@ def _estimate_weight_graph(
     return graph
 
 
-class SolverDistanceCache:
-    """Cross-solver memo of per-publisher Dijkstra maps.
-
-    The budget Dijkstra (:meth:`ControlPlaneSolver.distances_from`) depends
-    only on the **alpha-weighted graph** — not on gammas, ``m``, deadlines,
-    or the strategy — so neighbouring sweep cells that share a topology
-    (same strategy axis, same failure axis under analytic monitoring, a
-    different seed elsewhere in the grid) re-run byte-identical Dijkstras.
-    This cache keys the per-publisher distance maps by the exact
-    ``(num_nodes, sorted (edge, alpha))`` tuple and hands successive
-    solvers the *same* lazily filled dict, eliding the repeat calls.
-
-    Exactness: a map is only ever shared between weight graphs whose keys
-    — every edge and every alpha, compared as floats — are identical, and
-    Dijkstra is a deterministic function of that graph, so a cached map is
-    bit-for-bit the map a fresh solve would compute. Sharing is therefore
-    invisible to results (only ``control_plane.dijkstra_calls`` shrinks).
-
-    Install an instance into :data:`DIST_CACHE` to enable (the sweep
-    engine does this per worker process); the default ``None`` keeps the
-    historical per-solver behaviour.
-    """
-
-    def __init__(self, max_graphs: int = 8) -> None:
-        require(max_graphs >= 1, "max_graphs must be >= 1")
-        self._max_graphs = max_graphs
-        self._maps: Dict[tuple, Dict[int, Dict[int, float]]] = {}
-        self._order: List[tuple] = []
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def _key(topology: Topology, estimates: Mapping[Edge, LinkEstimate]) -> tuple:
-        return (
-            topology.num_nodes,
-            tuple(sorted((edge, est.alpha) for edge, est in estimates.items())),
-        )
-
-    def distances_for(
-        self, topology: Topology, estimates: Mapping[Edge, LinkEstimate]
-    ) -> Dict[int, Dict[int, float]]:
-        """The shared per-publisher distance dict of this weight graph."""
-        key = self._key(topology, estimates)
-        shared = self._maps.get(key)
-        if shared is not None:
-            self.hits += 1
-            # LRU touch.
-            self._order.remove(key)
-            self._order.append(key)
-            return shared
-        self.misses += 1
-        shared = {}
-        self._maps[key] = shared
-        self._order.append(key)
-        if len(self._order) > self._max_graphs:
-            evicted = self._order.pop(0)
-            del self._maps[evicted]
-        return shared
-
-
-#: Optional cross-solver distance cache. ``None`` (the default) gives every
-#: solver its own private memo; the sweep engine installs a per-process
-#: instance so cells sharing a topology reuse solved Dijkstra maps.
-DIST_CACHE: Optional[SolverDistanceCache] = None
-
-
 class ControlPlaneSolver:
     """Shared-artifact batch solver for all ``<d, r>`` tables of one refresh.
 
@@ -404,19 +338,15 @@ class ControlPlaneSolver:
                     self._gamma[node, column] = gamma_m
 
         self._weight_graph = _estimate_weight_graph(topology, estimates)
-        # With a process-level DIST_CACHE installed, solvers built against
-        # an identical alpha-weighted graph share one per-publisher memo:
-        # the maps are deterministic functions of that graph, so sharing is
-        # bit-identical to recomputing (see SolverDistanceCache).
-        cache = DIST_CACHE
-        if cache is not None:
-            self._dist_cache = cache.distances_for(topology, estimates)
-        else:
-            self._dist_cache: Dict[int, Dict[int, float]] = {}
+        self._dist_cache: Dict[int, Dict[int, float]] = {}
 
     # ------------------------------------------------------------------
     def distances_from(self, publisher: int) -> Dict[int, float]:
-        """Shortest alpha-weighted delays from *publisher* (cached)."""
+        """Shortest alpha-weighted delays from *publisher*.
+
+        Memoised on this solver only: the map is a function of this
+        solver's estimates snapshot, and no other solver sees it.
+        """
         dist = self._dist_cache.get(publisher)
         if dist is None:
             dist = nx.single_source_dijkstra_path_length(

@@ -406,7 +406,7 @@ class DcrdStrategy(RoutingStrategy):
         index = self.ctx.workload.index()
         index.refresh()
         if index._specs.get(spec.topic) is spec:
-            destinations = index._destinations[spec.topic]
+            destinations = index._members[spec.topic]
         else:
             destinations = frozenset(spec.subscriber_nodes)
         destinations = self._deliver_local_at_origin(spec, msg_id, destinations)

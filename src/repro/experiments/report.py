@@ -110,11 +110,10 @@ def render_cache_stats(values: Mapping[str, float], label: str = "sweep") -> str
     """
     cached = int(values.get("sweep.cells_cached", 0))
     computed = int(values.get("sweep.cells_computed", 0))
-    warm = int(values.get("sweep.solver_warm_hits", 0))
     writes = int(values.get("sweep.checkpoint_writes", 0))
     return (
         f"[{label}] cells_cached={cached} cells_computed={computed} "
-        f"solver_warm_hits={warm} checkpoint_writes={writes}"
+        f"checkpoint_writes={writes}"
     )
 
 

@@ -33,25 +33,23 @@ driver invocation:
   append-only journal *as they finish*, so a killed driver resumes from
   the last finished cell, and one failing cell (reported as
   :class:`SweepWorkerError` with its triple) no longer discards its
-  siblings' completed work;
-* **per-process warm artifacts** — each pool worker (and the serial
-  in-process path) keeps an LRU of built topologies and a
-  :class:`~repro.core.computation.SolverDistanceCache` of per-publisher
-  Dijkstra maps keyed by the exact alpha-weighted graph, and cells are
-  submitted in world-grouped order so neighbouring cells that differ only
-  in strategy or failure axis reuse those artifacts. Both reuses are
-  bit-identical by construction (deterministic builds, exact keys), so
-  ``workers > 1`` with warm sharing matches ``workers = 1`` exactly.
+  siblings' completed work.
+
+The cell cache is the engine's only memo. Every computed cell is one plain
+``run_single(config, strategy, seed)`` call — in a pool worker or in this
+process — that builds its own world and shares nothing with the cell the
+process ran before it, which is why ``workers > 1`` matches
+``workers = 1`` exactly.
 
 Engine counters land in :attr:`SweepExecutor.perf` under the ``sweep.*``
-namespace: ``cells_cached``, ``cells_computed``, ``checkpoint_writes``,
-``solver_warm_hits``, ``topology_warm_hits``.
+namespace: ``cells_cached``, ``cells_computed``, ``checkpoint_writes``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -63,14 +61,11 @@ from typing import (
     Tuple,
 )
 
-from repro.core import computation as _computation
 from repro.experiments.cache import SweepCache, cell_digest, code_fingerprint
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import DEFAULT_STRATEGIES, build_topology, run_single
+from repro.experiments.runner import DEFAULT_STRATEGIES, run_single
 from repro.metrics.summary import MetricsSummary, mean_summaries
-from repro.overlay.topology import Topology
 from repro.perf import PerfStats
-from repro.sim.random import RandomStreams
 from repro.util.errors import ConfigurationError, ReproError
 
 ProgressHook = Callable[[str], None]
@@ -108,106 +103,6 @@ def _require_workers(workers: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Per-process warm artifacts
-# ----------------------------------------------------------------------
-def _world_key(config: ExperimentConfig, seed: int) -> tuple:
-    """The fields that determine a cell's topology (plus the seed).
-
-    Cells sharing this key build bit-identical :class:`Topology` objects:
-    construction consumes only the dedicated ``"topology"`` random stream,
-    which derives from (seed, these fields) alone.
-    """
-    return (
-        config.topology_kind,
-        config.num_nodes,
-        config.degree is None,
-        config.degree or 0,
-        config.delay_range,
-        int(seed),
-    )
-
-
-class _WarmState:
-    """Warm artifacts one process carries across sweep cells.
-
-    Holds an LRU of built topologies keyed by :func:`_world_key` and a
-    :class:`~repro.core.computation.SolverDistanceCache` installed around
-    each cell run. Both are pure memos of deterministic builds, so reuse
-    is invisible to results.
-    """
-
-    def __init__(self, max_topologies: int = 8) -> None:
-        self.dist_cache = _computation.SolverDistanceCache()
-        self._topologies: Dict[tuple, Topology] = {}
-        self._order: List[tuple] = []
-        self._max = max_topologies
-        self.topology_hits = 0
-
-    def topology_for(self, config: ExperimentConfig, seed: int) -> Topology:
-        """The cell's topology, built once per world and reused.
-
-        A cache hit returns the very object a previous cell built — safe
-        because :class:`Topology` is immutable after construction (its
-        shortest-path attributes are lazy memos of deterministic values).
-        """
-        key = _world_key(config, seed)
-        topology = self._topologies.get(key)
-        if topology is not None:
-            self.topology_hits += 1
-            self._order.remove(key)
-            self._order.append(key)
-            return topology
-        topology = build_topology(config, RandomStreams(seed))
-        self._topologies[key] = topology
-        self._order.append(key)
-        if len(self._order) > self._max:
-            del self._topologies[self._order.pop(0)]
-        return topology
-
-    def counters(self) -> Dict[str, float]:
-        """Cumulative warm-reuse counters (``sweep.*`` namespace)."""
-        return {
-            "sweep.solver_warm_hits": float(self.dist_cache.hits),
-            "sweep.topology_warm_hits": float(self.topology_hits),
-        }
-
-
-#: The process's warm state: set by the pool initializer in workers, and
-#: swapped in temporarily by the serial in-process path.
-_WORKER_WARM: Optional[_WarmState] = None
-
-
-def _worker_init() -> None:
-    """Pool initializer: give the worker process persistent warm state."""
-    global _WORKER_WARM
-    _WORKER_WARM = _WarmState()
-
-
-def _run_cell_warm(task: CellTask) -> Tuple[MetricsSummary, Dict[str, float]]:
-    """Process-pool entry point (must be a picklable top-level function).
-
-    Runs one cell with the process's warm artifacts engaged and returns
-    ``(summary, warm-counter deltas)``. Without warm state (plain
-    :func:`run_single` semantics) the deltas are empty.
-    """
-    config, strategy, seed = task
-    warm = _WORKER_WARM
-    if warm is None:
-        return run_single(config, strategy, seed), {}
-    before = warm.counters()
-    topology = warm.topology_for(config, seed)
-    previous = _computation.DIST_CACHE
-    _computation.DIST_CACHE = warm.dist_cache
-    try:
-        summary = run_single(config, strategy, seed, topology=topology)
-    finally:
-        _computation.DIST_CACHE = previous
-    after = warm.counters()
-    deltas = {name: after[name] - before.get(name, 0.0) for name in after}
-    return summary, deltas
-
-
-# ----------------------------------------------------------------------
 # The executor
 # ----------------------------------------------------------------------
 class SweepExecutor:
@@ -216,8 +111,8 @@ class SweepExecutor:
     Context-manager owned: the driver creates one executor, passes it to
     every figure/study, and the pool plus cache journal are released on
     exit. ``workers=1`` runs cells in-process (no pool is ever created)
-    but still journals checkpoints and reuses warm artifacts, so serial
-    and parallel runs execute identical per-cell code.
+    but still journals checkpoints, and serial and parallel runs execute
+    identical per-cell code (:func:`run_single`).
     """
 
     def __init__(
@@ -232,7 +127,6 @@ class SweepExecutor:
         self.fresh = fresh
         self.perf = PerfStats()
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._warm = _WarmState()
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "SweepExecutor":
@@ -259,7 +153,6 @@ class SweepExecutor:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("spawn"),
-                initializer=_worker_init,
             )
         return self._pool
 
@@ -276,10 +169,10 @@ class SweepExecutor:
         """Run a grid of cells; results align with *tasks*.
 
         Cached cells are served from the cell cache (unless ``fresh``);
-        the rest run serially in-process (``workers=1``) or across the
-        shared pool, grouped by world so warm artifacts get maximal reuse.
-        Each finished cell is journalled immediately — the checkpoint that
-        makes a killed or partially failed grid resumable.
+        the rest run in task order, serially in-process (``workers=1``)
+        or across the shared pool. Each finished cell is journalled
+        immediately — the checkpoint that makes a killed or partially
+        failed grid resumable.
         """
         tasks = list(tasks)
         results: List[Optional[MetricsSummary]] = [None] * len(tasks)
@@ -302,64 +195,63 @@ class SweepExecutor:
             pending.append(index)
         if not pending:
             return results  # type: ignore[return-value]
-        # World-grouped submission order: cells sharing (topology, seed)
-        # run back to back, so the per-process warm caches see them while
-        # the artifacts are still resident. Stable within a world.
-        order = sorted(
-            pending, key=lambda i: (_world_key(tasks[i][0], tasks[i][2]), i)
-        )
         if self.workers == 1:
-            self._run_serial(tasks, order, digests, results, progress)
+            self._run_serial(tasks, pending, digests, results, progress)
         else:
-            self._run_pooled(tasks, order, digests, results)
+            self._run_pooled(tasks, pending, digests, results)
         return results  # type: ignore[return-value]
 
     def _run_serial(
         self,
         tasks: List[CellTask],
-        order: List[int],
+        pending: List[int],
         digests: List[Optional[str]],
         results: List[Optional[MetricsSummary]],
         progress: Optional[ProgressHook],
     ) -> None:
-        global _WORKER_WARM
-        previous = _WORKER_WARM
-        _WORKER_WARM = self._warm
-        try:
-            for index in order:
-                config, strategy, seed = tasks[index]
-                if progress is not None:
-                    progress(f"{strategy} seed={seed} {config.describe()}")
-                try:
-                    summary, stats = _run_cell_warm(tasks[index])
-                except Exception as exc:
-                    # Cells journalled before this point stay resumable.
-                    raise SweepWorkerError(config, strategy, seed, exc) from exc
-                self._finish(tasks, index, digests, results, summary, stats)
-        finally:
-            _WORKER_WARM = previous
+        for index in pending:
+            config, strategy, seed = tasks[index]
+            if progress is not None:
+                progress(f"{strategy} seed={seed} {config.describe()}")
+            try:
+                summary = run_single(config, strategy, seed)
+            except Exception as exc:
+                # Cells journalled before this point stay resumable.
+                raise SweepWorkerError(config, strategy, seed, exc) from exc
+            self._finish(tasks, index, digests, results, summary)
 
     def _run_pooled(
         self,
         tasks: List[CellTask],
-        order: List[int],
+        pending: List[int],
         digests: List[Optional[str]],
         results: List[Optional[MetricsSummary]],
     ) -> None:
         pool = self._ensure_pool()
-        futures = {pool.submit(_run_cell_warm, tasks[index]): index for index in order}
+        futures = {}
         failures: Dict[int, BaseException] = {}
+        for index in pending:
+            try:
+                futures[pool.submit(run_single, *tasks[index])] = index
+            except BrokenProcessPool as exc:
+                # A worker died while the pool sat idle: the cell fails
+                # like one the break catches in flight.
+                failures[index] = exc
         # Drain *every* future before reporting failures: completed cells
         # are journalled as they land, so one bad cell costs only itself.
         for future in as_completed(futures):
             index = futures[future]
             try:
-                summary, stats = future.result()
+                summary = future.result()
             except Exception as exc:
                 failures[index] = exc
                 continue
-            self._finish(tasks, index, digests, results, summary, stats)
+            self._finish(tasks, index, digests, results, summary)
         if failures:
+            if any(isinstance(exc, BrokenProcessPool) for exc in failures.values()):
+                # A broken pool refuses all further work: drop it, so the
+                # next grid on this executor builds a fresh one.
+                self.close()
             index = min(failures)  # first failing cell in task order
             config, strategy, seed = tasks[index]
             raise SweepWorkerError(
@@ -373,12 +265,9 @@ class SweepExecutor:
         digests: List[Optional[str]],
         results: List[Optional[MetricsSummary]],
         summary: MetricsSummary,
-        stats: Mapping[str, float],
     ) -> None:
         results[index] = summary
         self.perf.incr("sweep.cells_computed")
-        for name, value in stats.items():
-            self.perf.incr(name, value)
         if self.cache is not None:
             config, strategy, seed = tasks[index]
             digest = digests[index]
@@ -411,8 +300,8 @@ def run_repetitions(
     """Average one (config, strategy) cell over several seeds.
 
     Pass *executor* to reuse a driver-owned :class:`SweepExecutor` (shared
-    pool, cell cache, warm artifacts); *workers* is only consulted when no
-    executor is given.
+    pool, cell cache); *workers* is only consulted when no executor is
+    given.
     """
     tasks = [(config, strategy, seed) for seed in seeds]
     return mean_summaries(_execute(tasks, workers, executor, progress))

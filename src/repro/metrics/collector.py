@@ -174,7 +174,3 @@ class MetricsCollector:
     def delays(self) -> List[float]:
         """End-to-end delays of all delivered pairs."""
         return [o.delay for o in self._outcomes.values() if o.delay is not None]
-
-    def hop_counts(self) -> List[int]:
-        """Overlay hop counts of delivered pairs (where recorded)."""
-        return [o.hops for o in self._outcomes.values() if o.hops is not None]

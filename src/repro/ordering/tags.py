@@ -73,13 +73,3 @@ class OrderTag:
                 for stream, seq in sorted(self.vc.items())
             ]
         return [self.origin, self.seq, flat_vc, self.ts]
-
-    @classmethod
-    def from_wire(cls, wire: List) -> "OrderTag":
-        origin, seq, flat_vc, ts = wire
-        vc: Optional[Dict[Stream, int]]
-        if flat_vc is None:
-            vc = None
-        else:
-            vc = {(topic, node): count for topic, node, count in flat_vc}
-        return cls(origin=origin, seq=seq, vc=vc, ts=ts)

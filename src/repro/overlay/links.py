@@ -19,7 +19,7 @@ Loss semantics (documented in DESIGN.md §5.3):
 ACK, and retransmission goes through it), so per-direction immutable state —
 propagation delay, effective loss rate, receiver handler — is resolved once
 into :attr:`OverlayNetwork._dir_cache` and reused; the cache is invalidated
-whenever a handler attaches/detaches or ``link_loss_rates`` is mutated.
+whenever a handler attaches or detaches.
 
 :class:`OverlayNetwork` is the simulated implementation of the substrate
 :class:`~repro.substrate.Transport` contract; the live runtime substitutes
@@ -56,7 +56,6 @@ class FrameKind(enum.Enum):
 
     DATA = "data"
     ACK = "ack"
-    PROBE = "probe"
 
     # Enum's default __hash__ is a Python-level method; members are
     # singletons, so the C-level identity hash is equivalent for dict keys
@@ -70,7 +69,6 @@ class FrameKind(enum.Enum):
 #: translate a kind into a list slot with one attribute load.
 FrameKind.DATA.idx = 0
 FrameKind.ACK.idx = 1
-FrameKind.PROBE.idx = 2
 
 _DATA_IDX, _ACK_IDX = 0, 1
 
@@ -135,7 +133,7 @@ class LinkStats:
     """Aggregate transmission counters, per frame kind — flat storage.
 
     Counters live in preallocated parallel lists indexed by
-    ``FrameKind.idx`` (DATA=0, ACK=1, PROBE=2), so the per-frame hot path
+    ``FrameKind.idx`` (DATA=0, ACK=1), so the per-frame hot path
     performs one C-level list index instead of a dict probe per counter.
     The historical per-kind mappings (``sent``, ``volume``, ``delivered``,
     ...) remain available as :class:`_KindCounters` views over the same
@@ -158,14 +156,14 @@ class LinkStats:
     )
 
     def __init__(self) -> None:
-        self._sent = [0, 0, 0]
-        self._volume = [0.0, 0.0, 0.0]
-        self._delivered = [0, 0, 0]
-        self._lost_failure = [0, 0, 0]
-        self._lost_random = [0, 0, 0]
-        self._lost_node_down = [0, 0, 0]
-        self._lost_injected = [0, 0, 0]
-        self._dropped_expired = [0, 0, 0]
+        self._sent = [0, 0]
+        self._volume = [0.0, 0.0]
+        self._delivered = [0, 0]
+        self._lost_failure = [0, 0]
+        self._lost_random = [0, 0]
+        self._lost_node_down = [0, 0]
+        self._lost_injected = [0, 0]
+        self._dropped_expired = [0, 0]
 
     @property
     def sent(self) -> _KindCounters:
@@ -216,51 +214,6 @@ class LinkStats:
         return 1.0 - self._delivered[kind.idx] / sent
 
 
-class _LossRateMap(dict):
-    """``link_loss_rates`` view that invalidates the direction cache.
-
-    Tests (and future dynamic-loss extensions) mutate
-    ``network.link_loss_rates`` in place after construction; the effective
-    loss per direction is baked into ``_dir_cache``, so every mutation must
-    drop the cached entries.
-    """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, data: Dict[tuple, float], owner: "OverlayNetwork") -> None:
-        super().__init__(data)
-        self._owner = owner
-
-    def _invalidate(self) -> None:
-        self._owner._dir_cache.clear()
-
-    def __setitem__(self, key: tuple, value: float) -> None:
-        super().__setitem__(key, value)
-        self._invalidate()
-
-    def __delitem__(self, key: tuple) -> None:
-        super().__delitem__(key)
-        self._invalidate()
-
-    def update(self, *args: Any, **kwargs: Any) -> None:
-        super().update(*args, **kwargs)
-        self._invalidate()
-
-    def pop(self, *args: Any) -> Any:
-        value = super().pop(*args)
-        self._invalidate()
-        return value
-
-    def clear(self) -> None:
-        super().clear()
-        self._invalidate()
-
-    def setdefault(self, *args: Any) -> Any:
-        value = super().setdefault(*args)
-        self._invalidate()
-        return value
-
-
 class OverlayNetwork:
     """Unreliable frame delivery between adjacent brokers.
 
@@ -278,7 +231,9 @@ class OverlayNetwork:
         Optional per-link overrides (canonical edge -> Pl). Links absent
         from the mapping fall back to the uniform ``loss_rate``.
         Heterogeneous loss is what makes Theorem 1's d/r ordering differ
-        from plain delay ordering.
+        from plain delay ordering. Fixed at construction: the network
+        copies the mapping into a plain dict and bakes each link's rate
+        into its per-direction constants, so later edits are not seen.
     failures:
         Optional transient link-failure schedule (``None`` = no failures).
     node_failures:
@@ -365,7 +320,7 @@ class OverlayNetwork:
         # (src << 21 | dst): (propagation delay, effective loss, handler at
         # dst, canonical edge, compiled DATA delivery closure or None,
         # compiled ACK delivery closure or None). Resolved lazily on first
-        # use; cleared whenever handlers or loss rates change.
+        # use; cleared whenever handlers change.
         self._dir_cache: Dict[int, tuple] = {}
         #: Direction resolutions performed outside the interned table —
         #: the facade-fallback count the flat-path perf layer reports.
@@ -381,7 +336,7 @@ class OverlayNetwork:
         # compare against now replaces an int division per frame.
         self._failure_window_end = -_INF
         self._failed_edges_now: frozenset = frozenset()
-        self.link_loss_rates = _LossRateMap(dict(link_loss_rates or {}), self)
+        self.link_loss_rates = dict(link_loss_rates or {})
         self._queueing = service_time is not None
         self._edf = queue_discipline == "edf"
         # Senders told when each DATA copy clears the wire (see watch_wire).

@@ -16,10 +16,8 @@ Two kinds of entries share one flat namespace:
 The sweep engine (:class:`repro.experiments.sweeps.SweepExecutor`) reports
 its counters in the ``sweep.*`` namespace: ``sweep.cells_cached`` /
 ``sweep.cells_computed`` (grid cells served from the content-addressed
-cell cache vs actually run), ``sweep.checkpoint_writes`` (cells journalled
-to the resume log as they finished), and ``sweep.solver_warm_hits`` /
-``sweep.topology_warm_hits`` (per-process warm-artifact reuses — shared
-control-plane Dijkstra maps and rebuilt-once topologies).
+cell cache vs actually run) and ``sweep.checkpoint_writes`` (cells
+journalled to the resume log as they finished).
 
 Wall-clock values are inherently non-deterministic, which is why the
 :class:`~repro.metrics.summary.MetricsSummary` field carrying a snapshot is

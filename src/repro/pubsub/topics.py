@@ -77,13 +77,10 @@ class SubscriptionIndex:
 
     * ``members(topic)`` — a frozenset (int-set) of subscriber broker ids,
       giving O(1) membership subgroup lookups;
-    * ``bits(topic)`` — the same subgroup as an int bitmap (bit *n* set iff
-      broker *n* subscribes), the compact form equivalence tests compare
-      against brute-force iteration;
     * ``destinations(topic)`` / ``deadlines(topic)`` — the publish-time
-      fan-out set and deadline map, cached so one publish resolves all
-      subscribers with one indexed lookup instead of rebuilding
-      per-subscription collections.
+      fan-out set (the same frozenset ``members`` returns) and deadline
+      map, cached so one publish resolves all subscribers with one indexed
+      lookup instead of rebuilding per-subscription collections.
 
     The index rebuilds lazily when :attr:`Workload.version` moves (churn),
     so steady-state lookups never touch the specs. ``lookups`` counts
@@ -96,8 +93,6 @@ class SubscriptionIndex:
         "lookups",
         "_specs",
         "_members",
-        "_bits",
-        "_destinations",
         "_deadlines",
     )
 
@@ -112,20 +107,11 @@ class SubscriptionIndex:
         self.version = self.workload.version
         self._specs: Dict[int, TopicSpec] = {}
         self._members: Dict[int, frozenset] = {}
-        self._bits: Dict[int, int] = {}
-        self._destinations: Dict[int, frozenset] = {}
         self._deadlines: Dict[int, Dict[int, float]] = {}
         for spec in self.workload.topics:
             topic = spec.topic
-            nodes = spec.subscriber_nodes
-            members = frozenset(nodes)
-            bits = 0
-            for node in nodes:
-                bits |= 1 << node
             self._specs[topic] = spec
-            self._members[topic] = members
-            self._bits[topic] = bits
-            self._destinations[topic] = members
+            self._members[topic] = frozenset(spec.subscriber_nodes)
             self._deadlines[topic] = {
                 sub.node: sub.deadline for sub in spec.subscriptions
             }
@@ -149,15 +135,10 @@ class SubscriptionIndex:
         self.lookups += 1
         return self._members.get(topic, frozenset())
 
-    def bits(self, topic: int) -> int:
-        """Subscriber subgroup of *topic* as an int bitmap (0 if unknown)."""
-        self.refresh()
-        return self._bits.get(topic, 0)
-
     def destinations(self, topic: int) -> frozenset:
         """The publish-time fan-out set of *topic* (cached frozenset)."""
         self.refresh()
-        return self._destinations[topic]
+        return self._members[topic]
 
     def deadlines(self, topic: int) -> Dict[int, float]:
         """Per-subscriber deadline map of *topic* (cached; treat as read-only)."""

@@ -221,66 +221,3 @@ class TestConvergence:
         topo = make_topology([(0, 1, 0.010)])
         with pytest.raises(Exception):
             compute_dr_table(topo, uniform_estimates(topo), 0, 1, deadline=0.0)
-
-
-class TestSolverDistanceCache:
-    def _topo(self):
-        return make_topology(
-            [(0, 1, 0.010), (1, 2, 0.020), (0, 2, 0.050), (2, 3, 0.015)]
-        )
-
-    def test_shared_maps_are_bit_identical_to_private_ones(self):
-        from repro.core import computation
-        from repro.core.computation import ControlPlaneSolver, SolverDistanceCache
-
-        topo = self._topo()
-        estimates = uniform_estimates(topo, gamma=0.9)
-        plain = ControlPlaneSolver(topo, estimates)
-        expected = {p: plain.distances_from(p) for p in topo.nodes}
-
-        cache = SolverDistanceCache()
-        previous = computation.DIST_CACHE
-        computation.DIST_CACHE = cache
-        try:
-            first = ControlPlaneSolver(topo, estimates)
-            warm_first = {p: first.distances_from(p) for p in topo.nodes}
-            second = ControlPlaneSolver(topo, estimates)
-            warm_second = {p: second.distances_from(p) for p in topo.nodes}
-        finally:
-            computation.DIST_CACHE = previous
-        assert warm_first == expected
-        assert warm_second == expected
-        # The second solver reused the very same shared dict (one hit per
-        # publisher would mean per-call hits; hits count per-graph reuse).
-        assert cache.hits == 1 and cache.misses == 1
-        assert second._dist_cache is first._dist_cache
-
-    def test_different_alpha_graphs_do_not_share(self):
-        from repro.core.computation import SolverDistanceCache
-
-        topo = self._topo()
-        cache = SolverDistanceCache()
-        a = cache.distances_for(topo, uniform_estimates(topo, gamma=0.9))
-        # gamma does not enter the key: same alphas -> same shared map.
-        assert cache.distances_for(topo, uniform_estimates(topo, gamma=0.1)) is a
-        other = make_topology(
-            [(0, 1, 0.011), (1, 2, 0.020), (0, 2, 0.050), (2, 3, 0.015)]
-        )
-        assert (
-            cache.distances_for(other, uniform_estimates(other, gamma=0.9))
-            is not a
-        )
-
-    def test_lru_eviction(self):
-        from repro.core.computation import SolverDistanceCache
-
-        cache = SolverDistanceCache(max_graphs=2)
-        topos = [
-            make_topology([(0, 1, 0.010 + i * 0.001)]) for i in range(3)
-        ]
-        maps = [
-            cache.distances_for(t, uniform_estimates(t)) for t in topos
-        ]
-        # Oldest graph evicted: asking again builds a fresh (empty) dict.
-        assert cache.distances_for(topos[0], uniform_estimates(topos[0])) is not maps[0]
-        assert cache.distances_for(topos[2], uniform_estimates(topos[2])) is maps[2]

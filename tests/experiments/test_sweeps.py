@@ -155,21 +155,53 @@ def test_executor_serves_repeat_grid_from_cache(tmp_path):
             )
 
 
+GRID = [
+    (config, strategy, seed)
+    for config in (FAST, FAST.with_updates(failure_probability=0.08))
+    for strategy in ("DCRD", "D-Tree")
+    for seed in (1, 2)
+]
+
+
 def test_executor_warm_sharing_matches_plain_runs(tmp_path):
-    # Warm artifacts (shared topologies, Dijkstra maps) and the cache
-    # must be invisible: every path yields the plain run_single result.
-    configs = {0.0: FAST, 0.08: FAST.with_updates(failure_probability=0.08)}
-    kwargs = dict(seeds=(1, 2), strategies=("DCRD", "D-Tree"))
+    # The engine must be invisible: serial or pooled, computed or served
+    # from the cache, every cell is the plain run_single result.
+    want = [run_single(*task).as_dict() for task in GRID]
     with SweepExecutor(cache=SweepCache(tmp_path / "c1")) as executor:
-        serial = sweep("s", "pf", configs, executor=executor, **kwargs)
+        serial = executor.run_cells(GRID)
+        cached = executor.run_cells(GRID)
+        assert executor.counters()["sweep.cells_cached"] == len(GRID)
     with SweepExecutor(workers=2, cache=SweepCache(tmp_path / "c2")) as executor:
-        pooled = sweep("s", "pf", configs, executor=executor, **kwargs)
+        pooled = executor.run_cells(GRID)
+    for got in (serial, cached, pooled):
+        assert [summary.as_dict() for summary in got] == want
+
+
+def test_pooled_results_align_with_a_reversed_grid():
+    # Results follow the caller's task order, whatever order cells finish.
+    with SweepExecutor(workers=2) as executor:
+        forward = executor.run_cells(GRID)
+        backward = executor.run_cells(GRID[::-1])
+    assert [s.strategy for s in backward] == [task[1] for task in GRID[::-1]]
+    assert [s.as_dict() for s in backward] == [s.as_dict() for s in forward[::-1]]
+    assert len({repr(s.as_dict()) for s in forward}) == len(GRID)  # all distinct
+
+
+def test_executor_recovers_from_a_killed_worker():
+    configs = {0.0: FAST}
+    kwargs = dict(seeds=(1, 2), strategies=("DCRD",))
     plain = sweep("s", "pf", configs, **kwargs)
-    for x in plain.x_values:
-        for strategy in plain.strategies:
-            want = plain.cell(x, strategy).as_dict()
-            assert serial.cell(x, strategy).as_dict() == want
-            assert pooled.cell(x, strategy).as_dict() == want
+    with SweepExecutor(workers=2) as executor:
+        sweep("s", "pf", configs, executor=executor, **kwargs)  # spawn workers
+        for process in list(executor._pool._processes.values()):
+            process.kill()
+            process.join(timeout=30)
+        with pytest.raises(SweepWorkerError) as excinfo:
+            sweep("s", "pf", configs, executor=executor, **kwargs)
+        # The first unfinished cell, not a bare BrokenProcessPool.
+        assert (excinfo.value.strategy, excinfo.value.seed) == ("DCRD", 1)
+        again = sweep("s", "pf", configs, executor=executor, **kwargs)
+    assert again.cell(0.0, "DCRD").as_dict() == plain.cell(0.0, "DCRD").as_dict()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

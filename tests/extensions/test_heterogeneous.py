@@ -72,10 +72,10 @@ class TestNaiveStrategy:
     def test_uses_delay_order_at_runtime(self):
         topo = diamond()
         workload = single_topic_workload(0, [(3, 1.0)])
-        ctx = build_ctx(topo, workload)
         # Heterogeneous gammas through per-link loss on the network.
-        ctx.network.link_loss_rates.update({(0, 1): 0.5, (1, 3): 0.5})
-        ctx.monitor.refresh()
+        ctx = build_ctx(
+            topo, workload, link_loss_rates={(0, 1): 0.5, (1, 3): 0.5}
+        )
         strategy = NaiveOrderDcrdStrategy(ctx)
         strategy.setup()
         assert strategy.sending_list(0, 3, 0)[0] == 1  # fast-but-lossy first

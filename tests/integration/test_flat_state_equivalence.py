@@ -11,7 +11,7 @@ preserve:
   are the *same* storage, in both directions, before and after real runs;
 * packed direction ids are a pure function of the topology — identical
   across independent rebuilds of the same world;
-* subscription-subgroup bitmaps match brute-force aggregation over the
+* subscription-subgroup sets match brute-force aggregation over the
   raw specs, and follow churn;
 * a sanitized + traced run stays on the interned flat path (zero facade
   fallbacks) while the observation layers see every event;
@@ -120,7 +120,6 @@ def test_subgroup_bitmaps_match_brute_force(name):
     assert workload.topics, "generated workload must not be empty"
     for spec in workload.topics:
         nodes = [sub.node for sub in spec.subscriptions]
-        assert index.bits(spec.topic) == sum(1 << n for n in set(nodes))
         assert index.members(spec.topic) == frozenset(nodes)
         assert index.destinations(spec.topic) == frozenset(nodes)
         assert index.deadlines(spec.topic) == {
@@ -129,11 +128,10 @@ def test_subgroup_bitmaps_match_brute_force(name):
     # Topics nobody subscribes to are absent from the subgroup map but
     # answer membership queries consistently.
     assert index.members(10_000) == frozenset()
-    assert index.bits(10_000) == 0
 
 
 def test_subgroup_index_follows_churn():
-    """Bitmaps and member sets track add/remove subscription churn."""
+    """Member sets track add/remove subscription churn."""
     env = build_environment(CONFIGS["regular"], "DCRD", seed=5)
     workload = env.ctx.workload
     index = workload.index()
@@ -150,15 +148,12 @@ def test_subgroup_index_follows_churn():
     index.refresh()
     assert index.version == workload.version != before_version
     assert absent in index.members(topic)
-    assert index.bits(topic) & (1 << absent)
     assert index.deadlines(topic)[absent] == 1.0
 
     workload.remove_subscription(topic, absent)
     index.refresh()
     assert absent not in index.members(topic)
-    assert not index.bits(topic) & (1 << absent)
-    brute = sum(1 << n for n in set(workload.topic(topic).subscriber_nodes))
-    assert index.bits(topic) == brute
+    assert index.members(topic) == frozenset(workload.topic(topic).subscriber_nodes)
 
 
 def test_flat_path_holds_under_sanitize_and_trace():

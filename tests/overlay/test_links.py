@@ -145,11 +145,9 @@ def test_stats_track_per_kind():
     network.attach(0, lambda s, f: None)
     network.transmit(0, 1, "d", FrameKind.DATA)
     network.transmit(1, 0, "a", FrameKind.ACK)
-    network.transmit(0, 1, "p", FrameKind.PROBE)
     sim.run()
     assert network.stats.sent[FrameKind.DATA] == 1
     assert network.stats.sent[FrameKind.ACK] == 1
-    assert network.stats.sent[FrameKind.PROBE] == 1
     assert network.stats.data_sent() == 1
     assert network.stats.delivered[FrameKind.ACK] == 1
 

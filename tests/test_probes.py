@@ -1,5 +1,6 @@
 """Unit tests of the repro.probes instrumentation bus."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -279,6 +280,72 @@ def test_network_capability_probes_do_not_grow_back():
         ("routing/arq.py", "ack_round_trip"),
         ("pubsub/broker.py", "attach_ack"),
     }
+
+
+_EXPERIMENTS = Path(__file__).resolve().parents[1] / "src" / "repro" / "experiments"
+
+
+def test_the_sweep_engine_declares_no_globals():
+    """Grep-enforced: the engine's state lives on ``SweepExecutor``.
+
+    ``cache.py``'s source-hash memo (``_FINGERPRINT``) is the one
+    ``global`` the experiments package keeps.
+    """
+    regex = re.compile(r"^\s*global\s")
+    found = {
+        path.name
+        for path in _EXPERIMENTS.glob("*.py")
+        if any(regex.match(line) for line in path.read_text().splitlines())
+    }
+    assert found == {"cache.py"}
+
+
+def test_experiments_never_assign_into_an_imported_module():
+    """AST-enforced: no ``name.ATTR = ...`` on anything imported from repro.
+
+    Swapping another module's (or class's) attribute, under
+    ``try/finally`` or not, is process-wide state that two worlds in one
+    process would fight over.
+    """
+    offenders = []
+    for path in sorted(_EXPERIMENTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if (getattr(node, "module", None) or alias.name).split(".")[0] == "repro"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                root = target
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(root, ast.Name)
+                    and root.id in imported
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(target)}")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_experiments_reach_into_core_only_for_the_strategy_registry():
+    """Grep-enforced: ``repro.core`` enters the experiments layer once."""
+    found = {
+        (path.name, line.strip())
+        for path in _EXPERIMENTS.glob("*.py")
+        for line in path.read_text().splitlines()
+        if "repro.core" in line
+    }
+    assert found == {("runner.py", "from repro.core.forwarding import DcrdStrategy")}
 
 
 def test_module_registry_attach_detach_roundtrip():
