@@ -297,9 +297,8 @@ class DcrdStrategy(RoutingStrategy):
         if probe is not None:
             # Raw solver output, before any subclass reorders its
             # published copy (the naive-order ablation violates Theorem 1
-            # on purpose). Filter family: handlers may substitute the
-            # table (the sanitizer's missort mutation does).
-            table = probe(table)
+            # on purpose).
+            probe(table)
         self._tables[key] = table
 
     def _rebuild_tables(self) -> None:

@@ -29,11 +29,9 @@ Every release is observable (probe families ``order_hold`` /
   its slot); the sanitizer re-baselines instead of flagging.
 * ``flush`` — end-of-run drain of whatever is still held.
 
-The ``repro.sanity.MUTATE_MISSORT_ORDER_RELEASE`` /
-``MUTATE_DROP_ORDER_RELEASE`` flags (PR 3 teeth-test pattern)
-deliberately corrupt the release stream so the mutation smoke tests can
-prove each ordering invariant actually fires; both resolve through
-sanitizer-gated helpers, so unsanitized runs are bit-inert.
+:meth:`DeliveryPipeline._release` is the one place a frame leaves a
+pipeline; the ordering mutation tests corrupt the release stream by
+patching it from outside (``tests/mutations.py``).
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import probes as _probes
-from repro import sanity as _sanity
 from repro.ordering.spec import OrderingSpec
 from repro.ordering.tags import OrderTag, Stream
 from repro.pubsub.messages import PacketFrame
@@ -82,8 +79,6 @@ class DeliveryPipeline:
         # arrived while the primary was held: delivered right after it,
         # preserving the substrate-conformant duplicate counts.
         self._dup_pending: Dict[int, List[PacketFrame]] = {}
-        self._missort_stash: Optional[Tuple[PacketFrame, OrderTag]] = None
-        self._mutate_streams: Set[Stream] = set()
         self._closed = False
         self.offers = 0
         self.releases = 0
@@ -128,52 +123,17 @@ class DeliveryPipeline:
         return now
 
     def _release(self, frame: PacketFrame, tag: OrderTag, reason: str) -> None:
-        """Run the terminal stage for *frame* (mutations permitting)."""
+        """Run the terminal stage for *frame*."""
         msg_id = frame.msg_id
         held_since = self._holding.pop(msg_id, None)
         self._released.add(msg_id)
-        if reason == "ready":
-            # PR 3-style teeth tests: both mutations resolve through
-            # sanitizer-gated helpers, so unsanitized runs are bit-inert
-            # no matter what flags a test leaves behind.
-            if _sanity.MUTATE_DROP_ORDER_RELEASE:
-                # Drop a *mid-stream* release: the first release of a
-                # stream is an invisible drop (the order checks baseline-
-                # adopt it), so wait for a stream to repeat at this node.
-                stream = (frame.topic, tag.origin)
-                if stream in self._mutate_streams:
-                    if _sanity.consume_order_drop():
-                        self._dup_pending.pop(msg_id, None)
-                        return
-                else:
-                    self._mutate_streams.add(stream)
-            if _sanity.missort_order_release_active():
-                stash = self._missort_stash
-                if stash is None:
-                    self._missort_stash = (frame, tag)
-                    return
-                self._missort_stash = None
-                self._emit(frame, tag, reason, held_since)
-                self._emit(stash[0], stash[1], "ready", None)
-                return
-        self._emit(frame, tag, reason, held_since)
-
-    def _emit(
-        self,
-        frame: PacketFrame,
-        tag: OrderTag,
-        reason: str,
-        held_since: Optional[float],
-    ) -> None:
         now = self._clock._now
         self.releases += 1
         if reason == "stall":
             self.stall_releases += 1
             stall_probe = _probes.on_order_stall
             if stall_probe is not None:
-                stall_probe(
-                    now, self._node, self.level, {"msg": frame.msg_id}
-                )
+                stall_probe(now, self._node, self.level, {"msg": msg_id})
         if held_since is None:
             held_for = 0.0
         else:
@@ -184,7 +144,7 @@ class DeliveryPipeline:
             probe(now, self._node, frame, self.level, reason, held_for)
         self._plan.note_delivery(self._node, frame, tag)
         self._broker.deliver_frame(frame)
-        dups = self._dup_pending.pop(frame.msg_id, None)
+        dups = self._dup_pending.pop(msg_id, None)
         if dups:
             for dup in dups:
                 self._broker.deliver_frame(dup)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro import sanity as _sanity
 from repro.ordering.pipeline import PIPELINES, DeliveryPipeline
 from repro.ordering.spec import (
     DEFAULT_STALL_TIMEOUT,
@@ -111,9 +110,7 @@ class OrderingPlan:
             # pushed forward past everything this node stamped or
             # delivered before, so "smaller key" means "published
             # earlier" while causality still holds.
-            ts = self._hlc.get(origin, 0) + 1
-            if not _sanity.logical_only_stamp_active():
-                ts = max(ts, int(frame.publish_time * 1e6))
+            ts = max(self._hlc.get(origin, 0) + 1, int(frame.publish_time * 1e6))
             self._hlc[origin] = ts
         tag = OrderTag(origin=origin, seq=seq, vc=vc, ts=ts)
         self._tags[frame.msg_id] = tag

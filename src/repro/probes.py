@@ -25,8 +25,8 @@ An observer is any object exposing per-family handlers — either by
 subclassing :class:`ProbeObserver` (handlers are discovered by their
 ``on_<family>`` method names) or by overriding ``probe_handlers()`` to
 return an explicit ``{family: callable}`` mapping (what
-:class:`repro.sanity.Sanitizer` does to adapt its historical method
-signatures). The repository's built-in observers are:
+:class:`ProbeCounters` does to register closures). The repository's
+built-in observers are:
 
 * :class:`repro.sanity.Sanitizer` — live invariant checks;
 * :class:`repro.trace.FrameTracer` — per-frame lifecycle recording;
@@ -36,11 +36,8 @@ signatures). The repository's built-in observers are:
 Observers must be **observation-only**: draw no randomness, schedule no
 events, mutate no protocol state. The bus guarantees the *sites* are
 inert when disabled; the observers guarantee enabled runs pop the same
-event sequence as disabled ones. Two families are deliberate exceptions
-with a constrained return-value protocol (see below): ``table_solved``
-(a filter) and ``timer_cancelled`` (a veto) — both exist so the
-sanitizer's test-only mutations can exercise its own checks, and both
-behave as pure observations unless a handler opts into the protocol.
+event sequence as disabled ones. Every family is observation-only: a
+site never reads what its slot returns.
 
 Event families
 --------------
@@ -68,8 +65,7 @@ deliver             ``(t, node, frame)`` — first local delivery of a pair
 ack                 ``(t, node, sender, frame)`` — ACK matched to a copy
 ack_timeout         ``(t, src, dst, frame, attempts, will_retry)``
 timer_started       ``(token, deadline, frame)`` — ACK timer scheduled
-timer_cancelled     ``(token)`` — **veto family**: return ``False`` to
-                    keep the timer alive (sanitizer test mutation)
+timer_cancelled     ``(token)`` — ACK matched first; timer cancelled
 timer_fired         ``(token)`` — ACK timer fired and was acted on
 failover            ``(t, node, failed_hop, frame)``
 bounce              ``(t, node, upstream, copy)`` — §III-D upstream send
@@ -84,8 +80,7 @@ order_release       ``(t, node, frame, level, reason, held_for)`` — a
                     ``stall`` / ``flush``
 order_stall         ``(t, node, level, info)`` — the hold-back watchdog
                     skipped a gap or a straggler missed its slot
-table_solved        ``(table) -> table`` — **filter family**: handlers
-                    may substitute the table (``None`` = unchanged)
+table_solved        ``(table)`` — raw solver output, as it is published
 ==================  =====================================================
 
 The module imports only :mod:`repro.util.errors`, so every instrumented
@@ -128,15 +123,6 @@ FAMILIES: Tuple[str, ...] = (
     "table_solved",
 )
 
-#: Families whose handlers may return a replacement value (``None`` keeps
-#: the current one); the compiled slot threads the value through the chain
-#: and always returns it.
-FILTER_FAMILIES = frozenset({"table_solved"})
-
-#: Families whose handlers may return ``False`` to veto the site's action;
-#: the compiled slot returns ``False`` iff any handler vetoed.
-VETO_FAMILIES = frozenset({"timer_cancelled"})
-
 # ---------------------------------------------------------------------------
 # The slots. Hook sites read these and nothing else; ProbeRegistry._compile
 # is the only writer. All None (literal no-op) by default.
@@ -177,7 +163,7 @@ class ProbeObserver:
 
     The default :meth:`probe_handlers` maps every family for which the
     instance defines an ``on_<family>`` method. Override it to adapt
-    mismatched signatures (the sanitizer does) or to register closures.
+    mismatched signatures or to register closures.
     """
 
     def probe_handlers(self) -> Dict[str, Callable[..., Any]]:
@@ -217,46 +203,11 @@ def handlers_of(observer: Any) -> Dict[str, Callable[..., Any]]:
 
 
 def _fuse(handlers: List[Callable[..., Any]]) -> Callable[..., Any]:
-    """Fused chain for a plain observation family (2+ handlers)."""
+    """Fused chain for one family (2+ handlers)."""
 
     def fused(*args: Any) -> None:
         for handler in handlers:
             handler(*args)
-
-    return fused
-
-
-def _fuse_veto(handlers: List[Callable[..., Any]]) -> Callable[..., Any]:
-    """Fused chain for a veto family: ``False`` iff any handler vetoed.
-
-    Every handler is called even after a veto — a veto must not hide the
-    event from the other observers.
-    """
-    if len(handlers) == 1:
-        return handlers[0]
-
-    def fused(*args: Any) -> Any:
-        allow = True
-        for handler in handlers:
-            if handler(*args) is False:
-                allow = False
-        return allow
-
-    return fused
-
-
-def _fuse_filter(handlers: List[Callable[..., Any]]) -> Callable[..., Any]:
-    """Fused chain for a filter family: thread the value, ``None`` keeps it.
-
-    Wrapped even for a single handler so the slot always returns a value.
-    """
-
-    def fused(value: Any) -> Any:
-        for handler in handlers:
-            result = handler(value)
-            if result is not None:
-                value = result
-        return value
 
     return fused
 
@@ -315,10 +266,6 @@ class ProbeRegistry:
             slot: Optional[Callable[..., Any]]
             if not handlers:
                 slot = None
-            elif family in FILTER_FAMILIES:
-                slot = _fuse_filter(handlers)
-            elif family in VETO_FAMILIES:
-                slot = _fuse_veto(handlers)
             elif len(handlers) == 1:
                 slot = handlers[0]
             else:
@@ -326,10 +273,10 @@ class ProbeRegistry:
             namespace["on_" + family] = slot
 
 
-#: The process-wide registry the hook sites are wired to. Library users
-#: attach custom observers here (directly or via the module-level
-#: :func:`attach`/:func:`detach` aliases); ``repro.sanity.install`` and
-#: ``repro.trace.install`` do the same for the built-in observers.
+#: The process-wide registry the hook sites are wired to. Observers attach
+#: here (directly or via the module-level :func:`attach`/:func:`detach`
+#: aliases); :class:`repro.stack.observed` does so for a run's sanitizer,
+#: tracer and extra observers.
 REGISTRY = ProbeRegistry()
 
 attach = REGISTRY.attach

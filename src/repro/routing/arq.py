@@ -45,6 +45,11 @@ Any other :class:`~repro.substrate.Clock` (the live wall clock) gets the
 portable path: timeouts go through ``clock.schedule()`` and the returned
 :class:`~repro.substrate.TimerHandle` plays the Event's role. Latent
 timer elision stays kernel-only.
+
+Timer starts, cancels and fires are reported on the ``timer_*`` probe
+families and nothing else: this module reads no test flag, and an
+observer on any of those families (the sanitizer's settlement checks)
+keeps every timer eager.
 """
 
 from __future__ import annotations
@@ -172,13 +177,6 @@ class ArqSender:
         # Whether the transport reports when each copy clears the wire
         # (finite-capacity links); the ACK clock then starts in _on_wire.
         self._wire_reported = ctx.network.watch_wire(self._on_wire)
-        if self._wire_reported:
-            # sanity.MUTATE_ARM_AT_ENQUEUE (sanitized runs only), asked on
-            # the queueing path only. Imported late: sanity imports
-            # repro.core, which imports this module.
-            from repro import sanity
-
-            self._arms_at_enqueue = sanity.arm_at_enqueue_active
         # Latent-timer elision (opt-in, see enable_timer_elision).
         self._elide_timers = False
         # The one per-direction memo: packed direction id (src << 21 | dst,
@@ -281,13 +279,11 @@ class ArqSender:
         del self._outstanding[ack.transfer_id]
         event = entry.event
         if event is not None:
-            # Veto family: a handler returning False keeps the timer alive
-            # (the sanitizer's MUTATE_SKIP_TIMER_CANCEL leak, so the
-            # end-of-run orphan check must catch it).
             probe = _probes.on_timer_cancelled
-            if probe is None or probe(event.seq) is not False:
-                event.cancel()
-                self.timers_cancelled += 1
+            if probe is not None:
+                probe(event.seq)
+            event.cancel()
+            self.timers_cancelled += 1
         elif entry.latent_seq >= 0:
             # Latent timeout settled by its ACK: nothing to cancel — the
             # timer was never pushed. Count it as a cancellation so the
@@ -319,13 +315,11 @@ class ArqSender:
         # the clock, and measures the wait from this hand-over.
         entry.sent_at = self._sim._now
         self._send_data(entry.src, entry.dst, entry.frame)
-        if self._arms_at_enqueue():
-            self._start_clock(entry, 0.0, None)
 
     def _on_wire(self, frame: PacketFrame, wait: Optional[float]) -> None:
         """The link's report on a copy handed to it (see ``watch_wire``)."""
         entry = self._outstanding.get(getattr(frame, "transfer_id", None))
-        if entry is None or self._arms_at_enqueue():
+        if entry is None:
             return
         if wait is None:
             # Discarded by its own sender's queue: not a timeout (no

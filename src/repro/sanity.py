@@ -13,9 +13,9 @@ module watches them *live*, sanitizer-style:
   bus — one compiled slot per event family, ``None`` when no observer
   subscribes it — so disabled runs (the default) stay bit-identical to
   the fast path, and the fingerprint suite keeps passing unchanged.
-  :func:`install` registers the sanitizer as a bus observer (and keeps
-  the historical :data:`ACTIVE` slot in sync for callers that query it).
-* When a :class:`Sanitizer` is installed (``ExperimentConfig.sanitize`` /
+  A :class:`Sanitizer` is a plain bus observer: its ``on_<family>``
+  handlers take the bus payloads as they are.
+* When a :class:`Sanitizer` is attached (``ExperimentConfig.sanitize`` /
   CLI ``--sanitize``), every hook feeds a per-frame lifecycle ledger and a
   per-timer settlement table, and violations raise a structured
   :class:`InvariantViolation` *at the offending event*, carrying the frame
@@ -75,85 +75,21 @@ watchdog explicitly took those frames out of the guaranteed flow.
 The end-of-run checks run in :meth:`Sanitizer.finish`; totals surface as
 ``sanity.*`` perf counters through ``MetricsSummary.perf``.
 
-The module deliberately imports only leaf modules (``util.errors``,
-``core.sending_list``) so every instrumented layer — including the kernel
-itself — can import it without cycles.
+No protocol layer imports this module: a composition root
+(:class:`repro.stack.observed`) attaches the sanitizer for a run. Its
+teeth are shown from outside — ``tests/mutations.py`` patches the one
+production method each fault corrupts, and the mutation suites assert
+the matching violation.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import probes as _probes
 from repro import trace as _trace
 from repro.core.sending_list import theorem1_key
 from repro.util.errors import ReproError
-
-#: The installed sanitizer, or ``None`` (the default). Kept for
-#: compatibility and cross-observer queries (``InvariantViolation`` reads
-#: ``trace.ACTIVE`` the same way); the hook sites themselves read the
-#: compiled :mod:`repro.probes` slots instead.
-ACTIVE: Optional["Sanitizer"] = None
-
-# ---------------------------------------------------------------------------
-# Test-only mutation flags ("does the sanitizer have teeth?"). They are
-# consulted exclusively inside the sanitizer's registered handlers, so they
-# cannot affect unsanitized runs no matter what a test leaves behind.
-# ---------------------------------------------------------------------------
-#: Reverse one freshly solved sending list before it is published, so the
-#: Theorem-1 order check must fire.
-MUTATE_MISSORT_SENDING_LIST = False
-#: Skip the ARQ timer cancellation on ACK, leaking timers that the
-#: end-of-run orphan check must flag.
-MUTATE_SKIP_TIMER_CANCEL = False
-#: Swap consecutive ordering-pipeline ``ready`` releases at the first
-#: node that produces two, so the per-guarantee order checks must fire.
-#: Consulted through :func:`missort_order_release_active`, which gates on
-#: an installed sanitizer — unsanitized runs are bit-inert.
-MUTATE_MISSORT_ORDER_RELEASE = False
-#: Silently swallow one ordering-pipeline ``ready`` release — claimed
-#: through :func:`consume_order_drop` (one-shot, sanitizer-gated). The
-#: second release of whichever stream *repeats* first at one node is
-#: dropped — a genuinely mid-stream hole — so the mutation can never
-#: hide behind the order checks' first-release baseline adoption, and
-#: only one node diverges (a symmetric drop would keep total-order
-#: prefixes identical).
-MUTATE_DROP_ORDER_RELEASE = False
-#: Stamp ``total`` keys from the logical counter alone (``previous + 1``,
-#: never the publish time), so the key-follows-clock check must fire.
-#: Consulted through :func:`logical_only_stamp_active`, which gates on an
-#: installed sanitizer — unsanitized runs are bit-inert.
-MUTATE_LOGICAL_ONLY_STAMP = False
-#: Start every ACK clock at hand-over even on finite-capacity links,
-#: where a copy first waits in its sender's own queue, so the wire check
-#: must fire. Consulted through :func:`arm_at_enqueue_active`, which
-#: gates on an installed sanitizer — unsanitized runs are bit-inert.
-MUTATE_ARM_AT_ENQUEUE = False
-
-
-def missort_order_release_active() -> bool:
-    """Whether the release-missort mutation applies (sanitized runs only)."""
-    return ACTIVE is not None and MUTATE_MISSORT_ORDER_RELEASE
-
-
-def logical_only_stamp_active() -> bool:
-    """Whether the logical-only-stamp mutation applies (sanitized runs only)."""
-    return ACTIVE is not None and MUTATE_LOGICAL_ONLY_STAMP
-
-
-def arm_at_enqueue_active() -> bool:
-    """Whether the arm-at-enqueue mutation applies (sanitized runs only)."""
-    return ACTIVE is not None and MUTATE_ARM_AT_ENQUEUE
-
-
-def consume_order_drop() -> bool:
-    """Claim the one-shot release-drop mutation (sanitized runs only)."""
-    global MUTATE_DROP_ORDER_RELEASE
-    if ACTIVE is None or not MUTATE_DROP_ORDER_RELEASE:
-        return False
-    MUTATE_DROP_ORDER_RELEASE = False
-    return True
 
 # Violation kinds.
 EVENT_ORDER = "event_order"
@@ -203,13 +139,14 @@ class InvariantViolation(ReproError):
         self.kind = kind
         self.details = details or {}
         self.frames = frames
-        # When a FrameTracer is installed alongside the sanitizer, snapshot
+        # When a FrameTracer is on the bus alongside the sanitizer, snapshot
         # the offending frames' lifecycle excerpt at raise time (the tracer
         # ring buffer keeps rotating afterwards).
         self.trace_excerpt: Tuple[str, ...] = ()
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            self.trace_excerpt = tracer.excerpt(frames=frames)
+        for observer in _probes.observers():
+            if isinstance(observer, _trace.FrameTracer):
+                self.trace_excerpt = observer.excerpt(frames=frames)
+                break
         super().__init__(f"[{kind}] {message}")
 
     def report(self) -> str:
@@ -269,8 +206,8 @@ class _TransferRecord:
         return self.sent - self.delivered - self.lost - self.expired
 
 
-class Sanitizer:
-    """Live invariant checker; attach to the probe bus via :func:`install`.
+class Sanitizer(_probes.ProbeObserver):
+    """Live invariant checker, a :mod:`repro.probes` bus observer.
 
     All hooks are observation-only (no RNG draws, no scheduling), so an
     enabled run executes the identical event sequence as a disabled one.
@@ -332,77 +269,6 @@ class Sanitizer:
         self.pair_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def probe_handlers(self) -> Dict[str, Any]:
-        """The :mod:`repro.probes` families this sanitizer subscribes.
-
-        The sanitizer's public hook methods predate the bus and keep
-        their historical signatures; the explicit mapping (with a few
-        ``_probe_*`` adapters) bridges them to the unified payloads.
-        """
-        return {
-            "event_pop": self.on_event_pop,
-            "transmit": self._probe_transmit,
-            "arrive": self._probe_arrive,
-            "arrival_drop": self._probe_arrival_drop,
-            "expire": self._probe_expire,
-            "wire": self._probe_wire,
-            "broker_accept": self.on_broker_accept,
-            "timer_started": self.on_timer_started,
-            "timer_cancelled": self._probe_timer_cancelled,
-            "timer_fired": self.on_timer_fired,
-            "table_solved": self.checked_table,
-            "custody": self._probe_custody,
-            "order_hold": self._probe_order_hold,
-            "order_release": self._probe_order_release,
-            "order_stall": self._probe_order_stall,
-        }
-
-    def _probe_transmit(
-        self,
-        t: float,
-        src: int,
-        dst: int,
-        frame: Any,
-        survived: bool,
-        cause: Optional[str],
-        prop: float,
-        queue: Optional[float],
-    ) -> None:
-        self.on_data_transmit(src, dst, frame, survived, cause)
-
-    def _probe_arrive(self, t: float, src: int, dst: int, frame: Any) -> None:
-        self.on_frame_delivered(frame)
-
-    def _probe_arrival_drop(
-        self, t: float, src: int, dst: int, frame: Any, cause: str
-    ) -> None:
-        self.on_frame_lost(frame, cause)
-
-    def _probe_expire(self, t: float, src: int, dst: int, frame: Any) -> None:
-        self.on_frame_expired(frame)
-
-    def _probe_timer_cancelled(self, token: int) -> Any:
-        # Veto family: returning False keeps the ARQ timer alive, which is
-        # exactly the leak MUTATE_SKIP_TIMER_CANCEL must inject (the timer
-        # stays _PENDING here too, so the orphan check fires at finish()).
-        if MUTATE_SKIP_TIMER_CANCEL:
-            return False
-        self.on_timer_cancelled(token)
-        return True
-
-    def _probe_custody(
-        self,
-        t: float,
-        node: int,
-        frame: Any,
-        subscriber: int,
-        action: str,
-        fresh_transfer: int = -1,
-    ) -> None:
-        if action == "stored":
-            self.on_pair_custody(frame.msg_id, subscriber)
-
-    # ------------------------------------------------------------------
     def _violate(
         self,
         kind: str,
@@ -430,8 +296,16 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Overlay links (overlay/links.py)
     # ------------------------------------------------------------------
-    def on_data_transmit(
-        self, src: int, dst: int, frame: Any, survived: bool, cause: Optional[str]
+    def on_transmit(
+        self,
+        t: float,
+        src: int,
+        dst: int,
+        frame: Any,
+        survived: bool,
+        cause: Optional[str],
+        prop: float,
+        queue: Optional[float],
     ) -> None:
         """A DATA frame was handed to the (src, dst) link direction."""
         transfer_id = getattr(frame, "transfer_id", None)
@@ -448,7 +322,7 @@ class Sanitizer:
             cause = cause or "unknown"
             self.losses_by_cause[cause] = self.losses_by_cause.get(cause, 0) + 1
 
-    def on_frame_delivered(self, frame: Any) -> None:
+    def on_arrive(self, t: float, src: int, dst: int, frame: Any) -> None:
         """A DATA frame reached its receiver's handler."""
         transfer_id = getattr(frame, "transfer_id", None)
         if transfer_id is None:
@@ -481,7 +355,9 @@ class Sanitizer:
                 expired=record.expired,
             )
 
-    def on_frame_lost(self, frame: Any, cause: str) -> None:
+    def on_arrival_drop(
+        self, t: float, src: int, dst: int, frame: Any, cause: str
+    ) -> None:
         """A DATA frame was dropped after transmission (arrival hazards)."""
         transfer_id = getattr(frame, "transfer_id", None)
         if transfer_id is None:
@@ -491,7 +367,7 @@ class Sanitizer:
             record.lost += 1
         self.losses_by_cause[cause] = self.losses_by_cause.get(cause, 0) + 1
 
-    def on_frame_expired(self, frame: Any) -> None:
+    def on_expire(self, t: float, src: int, dst: int, frame: Any) -> None:
         """The EDF overload policy discarded a queued DATA frame."""
         transfer_id = getattr(frame, "transfer_id", None)
         if transfer_id is None:
@@ -503,7 +379,7 @@ class Sanitizer:
             self.losses_by_cause.get("edf_expired", 0) + 1
         )
 
-    def _probe_wire(
+    def on_wire(
         self, t: float, src: int, dst: int, frame: Any, wait: Optional[float]
     ) -> None:
         """The link reported when a copy's last bit leaves its sender."""
@@ -647,21 +523,14 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # DCRD control plane (core/forwarding.py)
     # ------------------------------------------------------------------
-    def checked_table(self, table: Any) -> Any:
-        """Validate (and, under the test mutation, corrupt) a solved table.
+    def on_table_solved(self, table: Any) -> None:
+        """Every sending list must be in Theorem-1 ``d/r`` order.
 
-        Called on every raw solver output before the strategy publishes
-        it — deliberately *before* post-processing ablations like the
+        Called on every raw solver output as the strategy publishes it —
+        deliberately *before* post-processing ablations like the
         naive-order strategy reorder their copies, which are allowed to
         violate Theorem 1 by design.
         """
-        if MUTATE_MISSORT_SENDING_LIST:
-            table = _missort_table(table)
-        self.check_dr_table(table)
-        return table
-
-    def check_dr_table(self, table: Any) -> None:
-        """Every sending list must be in Theorem-1 ``d/r`` order."""
         self.tables_checked += 1
         for node, state in table.states.items():
             previous = None
@@ -686,7 +555,7 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Ordering pipelines (ordering/pipeline.py)
     # ------------------------------------------------------------------
-    def _probe_order_hold(
+    def on_order_hold(
         self, t: float, node: int, frame: Any, level: str
     ) -> None:
         """A delivery pipeline buffered *frame* at *node*."""
@@ -694,7 +563,7 @@ class Sanitizer:
         if level == "total":
             self._check_order_key_clock(node, frame, frame.order_tag)
 
-    def _probe_order_release(
+    def on_order_release(
         self,
         t: float,
         node: int,
@@ -719,7 +588,7 @@ class Sanitizer:
                 self._check_order_key_clock(node, frame, tag)
             self._check_order_total(node, frame, tag, reason)
 
-    def _probe_order_stall(
+    def on_order_stall(
         self, t: float, node: int, level: str, info: Any
     ) -> None:
         self.order_stalls += 1
@@ -873,9 +742,19 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Strategy custody (extensions/persistence.py)
     # ------------------------------------------------------------------
-    def on_pair_custody(self, msg_id: int, subscriber: int) -> None:
-        """A strategy persisted (msg, subscriber) instead of giving up."""
-        self._custody.add((msg_id, subscriber))
+    def on_custody(
+        self,
+        t: float,
+        node: int,
+        frame: Any,
+        subscriber: int,
+        action: str,
+        fresh_transfer: int = -1,
+    ) -> None:
+        """A strategy persisted (msg, subscriber) instead of giving up
+        (``stored``); a redelivery's fresh copy is tracked as a transfer."""
+        if action == "stored":
+            self._custody.add((frame.msg_id, subscriber))
 
     # ------------------------------------------------------------------
     # End-of-run checks
@@ -1196,45 +1075,3 @@ def check_merged_order_prefixes(partitions: Any) -> None:
         raise InvariantViolation(kind, message, details=details)
 
     _compare_prefix_map(merged, violate)
-
-
-def _missort_table(table: Any) -> Any:
-    """Test mutation: reverse the first reversible sending list.
-
-    Picks the first broker whose list has two entries with *different*
-    Theorem-1 keys (reversing an all-tied list would still be validly
-    ordered) and publishes the corrupted table.
-    """
-    for node, state in table.states.items():
-        keys = [
-            (theorem1_key(via.d_via, via.r_via), via.neighbor)
-            for via in state.sending_list
-        ]
-        if len(keys) >= 2 and keys[0] != keys[-1]:
-            states = dict(table.states)
-            states[node] = dataclasses.replace(
-                state, sending_list=tuple(reversed(state.sending_list))
-            )
-            return dataclasses.replace(table, states=states, _orders={})
-    return table
-
-
-def install(sanitizer: Optional["Sanitizer"]) -> None:
-    """Attach *sanitizer* to the probe bus (``None`` detaches the current).
-
-    Also mirrors it into the legacy :data:`ACTIVE` slot so existing
-    callers (and the trace-excerpt plumbing) keep working. Installing the
-    already-installed sanitizer is a no-op; installing a different one
-    first detaches the previous.
-    """
-    global ACTIVE
-    if ACTIVE is not None and ACTIVE is not sanitizer:
-        _probes.detach(ACTIVE)
-    ACTIVE = sanitizer
-    if sanitizer is not None:
-        _probes.attach(sanitizer)
-
-
-def uninstall() -> None:
-    """Detach the installed sanitizer and clear :data:`ACTIVE`."""
-    install(None)

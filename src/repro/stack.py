@@ -7,7 +7,7 @@ module and keeps only what is its own (hazard schedules, publishers,
 fault scripts, sockets, pacing): :func:`wire_stack` assembles the stack
 over whatever clock/transport pair the caller brought
 (:mod:`repro.substrate`), and :class:`observed` owns the process-global
-observer state of a run — install order on entry, idle state restored
+observer state of a run — attach order on entry, idle state restored
 on every exit path.
 """
 
@@ -90,12 +90,13 @@ def wire_stack(
 class observed:
     """Context manager owning one run's process-global observer state.
 
-    Entry installs *sanitizer* then *tracer* (``None`` clears what an
-    aborted run left behind; the order fixes the fused callback order at
-    shared probe sites), attaches the extra *observers* and activates
-    the context's ordering stamper — unless *stamps* is false: the hook
-    is process-global and only a partition hosting a publisher stamps.
-    Observers attached to the bus directly are left untouched.
+    Entry attaches *sanitizer* then *tracer* (the order fixes the fused
+    callback order at shared probe sites) and the extra *observers* to
+    the probe bus, and activates the context's ordering stamper — unless
+    *stamps* is false: the hook is process-global and only a partition
+    hosting a publisher stamps. Exit detaches exactly what entry
+    attached: a ``None`` sanitizer or tracer detaches nothing, and
+    observers attached to the bus directly are left untouched.
 
     :meth:`finish` ends a run that completed: hold-back state is flushed
     while the sanitizer watches, then its end-of-run checks run with the
@@ -116,15 +117,15 @@ class observed:
     ) -> None:
         self.ctx = ctx
         self.sanitizer = sanitizer
-        self.tracer = tracer
-        self.observers = tuple(observers)
+        #: Everything this session attaches, in attach (= call) order.
+        self.observers = tuple(
+            o for o in (sanitizer, tracer, *observers) if o is not None
+        )
         self.plan: Optional[OrderingPlan] = ctx.ordering if ctx is not None else None
         self.stamps = stamps
         self._finished = False
 
     def __enter__(self) -> "observed":
-        _sanity.install(self.sanitizer)
-        _trace.install(self.tracer)
         for observer in self.observers:
             _probes.attach(observer)
         if self.plan is not None and self.stamps:
@@ -152,8 +153,6 @@ class observed:
         """Return every process-global slot this session set to idle."""
         if self.plan is not None:
             self.plan.deactivate()
-        _sanity.uninstall()
-        _trace.uninstall()
         for observer in self.observers:
             _probes.detach(observer)
 

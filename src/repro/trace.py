@@ -8,9 +8,9 @@ subscriber) pair can be decomposed hop by hop.
 
 The design follows :mod:`repro.sanity` exactly:
 
-* The tracer is an observer of the :mod:`repro.probes` bus —
-  :func:`install` attaches it (and mirrors it into the legacy
-  :data:`ACTIVE` slot). Hook sites read the bus's compiled per-family
+* The tracer is a plain observer of the :mod:`repro.probes` bus —
+  attach it there, or hand it to :class:`repro.stack.observed`. Hook
+  sites read the bus's compiled per-family
   slots, ``None`` when nothing subscribes — one module-attribute load and
   one identity comparison per hook when off, so disabled runs stay
   bit-identical to the untraced fast path (the fingerprint suite pins
@@ -60,9 +60,10 @@ message. :meth:`FrameTracer.export_jsonl` /
 :func:`load_jsonl` round-trip the stream, and every query works on a
 loaded trace (transmit events embed their parent transfer id).
 
-The module deliberately imports only :mod:`repro.util.errors` and the
-leaf :mod:`repro.probes` bus, so every instrumented layer — the kernel,
-the frame constructors, the sanitizer — can import it without cycles.
+The module imports only :mod:`repro.util.errors`, so the sanitizer (and
+any other layer) can import it without cycles; a
+:class:`~repro.sanity.InvariantViolation` raised while a tracer is on the
+bus embeds that tracer's :meth:`FrameTracer.excerpt`.
 """
 
 from __future__ import annotations
@@ -84,14 +85,7 @@ from typing import (
     Union,
 )
 
-from repro import probes as _probes
 from repro.util.errors import ReproError
-
-#: The installed tracer, or ``None`` (the default). Kept for
-#: compatibility and cross-observer queries (the sanitizer reads it to
-#: attach trace excerpts to violations); the hook sites themselves read
-#: the compiled :mod:`repro.probes` slots instead.
-ACTIVE: Optional["FrameTracer"] = None
 
 # Event kinds.
 PUBLISH = "publish"
@@ -336,7 +330,7 @@ def _exact_components(
 
 
 class FrameTracer:
-    """Structured per-frame lifecycle recorder; install via :data:`ACTIVE`.
+    """Structured per-frame lifecycle recorder, a probe-bus observer.
 
     All hooks are observation-only (no RNG draws, no scheduling). Events
     live in a bounded ring buffer (``capacity``); parent lineage
@@ -356,7 +350,7 @@ class FrameTracer:
         self.events_recorded = 0
         self.events_dropped = 0
         self.kind_counts: Dict[str, int] = {}
-        #: Kernel events popped while this tracer was installed.
+        #: Kernel events popped while this tracer was attached.
         self.sim_events = 0
         # Query index caches, invalidated on every new record.
         self._index_stamp = -1
@@ -1053,24 +1047,3 @@ def load_jsonl(source: Union[str, IO[str]]) -> FrameTracer:
                 tracer._parents[fresh] = event.transfer
     tracer.events_dropped = dropped
     return tracer
-
-
-def install(tracer: Optional["FrameTracer"]) -> None:
-    """Attach *tracer* to the probe bus (``None`` detaches the current).
-
-    Also mirrors it into the legacy :data:`ACTIVE` slot so existing
-    callers (and the sanitizer's excerpt plumbing) keep working.
-    Installing the already-installed tracer is a no-op; installing a
-    different one first detaches the previous.
-    """
-    global ACTIVE
-    if ACTIVE is not None and ACTIVE is not tracer:
-        _probes.detach(ACTIVE)
-    ACTIVE = tracer
-    if tracer is not None:
-        _probes.attach(tracer)
-
-
-def uninstall() -> None:
-    """Detach the installed tracer and clear :data:`ACTIVE`."""
-    install(None)

@@ -7,7 +7,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from repro import probes, sanity, trace
+from repro import probes
 from repro.metrics.collector import MetricsCollector
 from repro.overlay.links import OverlayNetwork
 from repro.overlay.monitor import LinkMonitor
@@ -45,15 +45,9 @@ def _no_leaked_process_globals():
         if getattr(probes, "on_" + family) is not None
     ]
     leaks += [f"observer still attached: {o!r}" for o in probes.observers()]
-    if sanity.ACTIVE is not None:
-        leaks.append("sanity.ACTIVE is set")
-    if trace.ACTIVE is not None:
-        leaks.append("trace.ACTIVE is set")
     if messages.ORDER_STAMPER is not None:
         leaks.append("messages.ORDER_STAMPER is set")
     if leaks:
-        sanity.uninstall()
-        trace.uninstall()
         for observer in probes.observers():
             probes.detach(observer)
         messages.set_order_stamper(None)

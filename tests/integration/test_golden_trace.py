@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import probes as _probes
 from repro import trace as _trace
 from repro.core.forwarding import DcrdStrategy
 from repro.trace import load_jsonl
@@ -76,7 +77,7 @@ def traced_run():
     workload = single_topic_workload(0, [(3, 1.0)])
     ctx = build_ctx(topo, workload, failures=failures, m=1)
     tracer = _trace.FrameTracer()
-    _trace.install(tracer)
+    _probes.attach(tracer)
     try:
         strategy = DcrdStrategy(ctx)
         strategy.setup()
@@ -88,7 +89,7 @@ def traced_run():
         strategy.publish(spec, msg_id=1)
         ctx.sim.run(until=10.0)
     finally:
-        _trace.uninstall()
+        _probes.detach(tracer)
     return ctx, tracer
 
 

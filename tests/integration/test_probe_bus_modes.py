@@ -16,8 +16,6 @@ from repro import probes
 from repro.cli import main
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_environment
-from repro import sanity as _sanity
-from repro import trace as _trace
 
 COMBINED_CONFIG = ExperimentConfig(
     topology_kind="regular",
@@ -112,5 +110,3 @@ def test_run_teardown_restores_noop_slots():
     assert probes.observers() == ()
     for family in probes.FAMILIES:
         assert getattr(probes, "on_" + family) is None
-    assert _sanity.ACTIVE is None
-    assert _trace.ACTIVE is None

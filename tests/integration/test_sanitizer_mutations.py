@@ -1,32 +1,30 @@
 """Mutation smoke: deliberately break an invariant, the sanitizer must bite.
 
 A sanitizer that never fires is indistinguishable from one that checks
-nothing. These tests flip the test-only mutation flags in
-:mod:`repro.sanity` — each one injects a specific, realistic bug — and
-assert that the run dies with an :class:`InvariantViolation` of exactly
-the matching kind:
+nothing. These tests inject faults through :mod:`tests.mutations` — each
+helper patches the one production method a specific, realistic bug would
+corrupt — and assert that the run dies with an :class:`InvariantViolation`
+of exactly the matching kind:
 
-* ``MUTATE_MISSORT_SENDING_LIST`` hands the data plane a sending list out
-  of Theorem-1 (d, r) order → ``sending_list_order`` at table-build time;
-* ``MUTATE_SKIP_TIMER_CANCEL`` leaks ACK timers instead of cancelling them
-  when the ACK arrives → ``timer_orphan`` in the end-of-drain check;
-* ``MUTATE_ARM_AT_ENQUEUE`` starts every ACK clock when the copy is handed
+* ``missort_sending_list`` hands the data plane a sending list out of
+  Theorem-1 (d, r) order → ``sending_list_order`` at table-build time;
+* ``skip_timer_cancel`` leaks ACK timers instead of cancelling them when
+  the ACK arrives → ``timer_orphan`` in the end-of-drain check;
+* ``arm_clock_at_enqueue`` starts every ACK clock when the copy is handed
   to its link instead of when its last bit leaves the sender →
   ``timer_before_wire`` on finite-capacity links, at the first timer armed
   short of its copy's serialisation (and nothing at all on
   infinite-capacity links, where the two instants coincide).
-
-With the sanitizer *off*, the flags must be completely inert — the flags
-live inside sanitizer-guarded branches, so production runs cannot pay for
-(or be bitten by) them.
 """
 
 import pytest
 
-from repro import sanity
+from repro import probes, sanity
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_environment, run_single
 from repro.sanity import InvariantViolation
+from repro.trace import FrameTracer
+from tests import mutations
 
 CONFIG = ExperimentConfig(
     topology_kind="regular",
@@ -53,17 +51,12 @@ FINITE = CONFIG.with_updates(
 
 @pytest.fixture
 def missort_mutation(monkeypatch):
-    monkeypatch.setattr(sanity, "MUTATE_MISSORT_SENDING_LIST", True)
+    mutations.missort_sending_list(monkeypatch)
 
 
 @pytest.fixture
 def skip_cancel_mutation(monkeypatch):
-    monkeypatch.setattr(sanity, "MUTATE_SKIP_TIMER_CANCEL", True)
-
-
-@pytest.fixture
-def arm_at_enqueue_mutation(monkeypatch):
-    monkeypatch.setattr(sanity, "MUTATE_ARM_AT_ENQUEUE", True)
+    mutations.skip_timer_cancel(monkeypatch)
 
 
 def test_missorted_sending_list_is_caught(missort_mutation):
@@ -78,10 +71,10 @@ def test_missorted_sending_list_is_caught(missort_mutation):
 
 
 def test_missort_does_not_leak_installed_sanitizer(missort_mutation):
-    """An aborted build must uninstall its sanitizer (try/finally)."""
+    """An aborted build must detach its sanitizer (try/finally)."""
     with pytest.raises(InvariantViolation):
         build_environment(CONFIG, "DCRD", seed=3)
-    assert sanity.ACTIVE is None
+    assert probes.observers() == ()
 
 
 def test_leaked_ack_timer_is_caught(skip_cancel_mutation):
@@ -123,6 +116,25 @@ def test_violation_report_embeds_trace_excerpt(skip_cancel_mutation):
     assert violation.trace_excerpt[-1] in report
 
 
+def test_violation_excerpt_comes_from_any_attached_tracer(skip_cancel_mutation):
+    """A tracer attached to the bus directly, not through the runner's
+    ``trace`` option, still lends the violation its excerpt."""
+    tracer = FrameTracer()
+    probes.attach(tracer)
+    try:
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_single(CONFIG, "DCRD", seed=3)
+    finally:
+        probes.detach(tracer)
+    violation = excinfo.value
+    assert violation.kind == sanity.TIMER_ORPHAN
+    assert violation.trace_excerpt
+    frame = violation.frames[0]
+    assert any(
+        f"transfer={frame.transfer_id}" in line for line in violation.trace_excerpt
+    )
+
+
 def test_excerpt_absent_without_tracer(skip_cancel_mutation):
     """Sanitize-only runs keep the old report shape (no excerpt section)."""
     with pytest.raises(InvariantViolation) as excinfo:
@@ -131,23 +143,17 @@ def test_excerpt_absent_without_tracer(skip_cancel_mutation):
     assert "trace excerpt:" not in excinfo.value.report()
 
 
-@pytest.mark.parametrize(
-    "flag", ["MUTATE_MISSORT_SENDING_LIST", "MUTATE_SKIP_TIMER_CANCEL"]
-)
-def test_mutations_inert_without_sanitizer(monkeypatch, flag):
-    """Flags only matter under the sanitizer: plain runs are bit-identical."""
-    plain_config = CONFIG.with_updates(sanitize=False)
-    baseline = run_single(plain_config, "DCRD", seed=3).as_dict()
-    monkeypatch.setattr(sanity, flag, True)
-    mutated = run_single(plain_config, "DCRD", seed=3).as_dict()
-    assert mutated == baseline
-
-
 @pytest.mark.parametrize("discipline", ["fifo", "edf"])
-def test_clock_armed_at_enqueue_is_caught(arm_at_enqueue_mutation, discipline):
-    """A timer due before its copy has left the sender dies on the spot:
-    under FIFO when it is armed, under EDF when the server picks the copy."""
+def test_clock_armed_at_enqueue_is_caught(monkeypatch, discipline):
+    """The clean finite-capacity run is violation- and timeout-free; armed
+    at hand-over, a timer due before its copy has left the sender dies on
+    the spot: under FIFO when it is armed, under EDF when the server picks
+    the copy."""
     config = FINITE.with_updates(queue_discipline=discipline)
+    clean = run_single(config, "DCRD", seed=3)
+    assert clean.perf["sanity.violations"] == 0.0
+    assert clean.perf["arq.ack_timeouts"] == 0.0
+    mutations.arm_clock_at_enqueue(monkeypatch)
     with pytest.raises(InvariantViolation) as excinfo:
         run_single(config, "DCRD", seed=3)
     violation = excinfo.value
@@ -160,21 +166,7 @@ def test_clock_armed_at_enqueue_is_invisible_without_queues(monkeypatch):
     """Infinite capacity: the wire clears at hand-over, the mutation is a
     no-op and the invariant stays silent."""
     baseline = run_single(CONFIG, "DCRD", seed=3)
-    monkeypatch.setattr(sanity, "MUTATE_ARM_AT_ENQUEUE", True)
+    mutations.arm_clock_at_enqueue(monkeypatch)
     mutated = run_single(CONFIG, "DCRD", seed=3)
     assert mutated.perf["sanity.violations"] == 0.0
     assert mutated == baseline
-
-
-@pytest.mark.parametrize("discipline", ["fifo", "edf"])
-def test_arm_at_enqueue_inert_without_sanitizer(monkeypatch, discipline):
-    """Unsanitized finite-capacity runs never see the flag, and the
-    sanitized run without it is clean."""
-    config = FINITE.with_updates(queue_discipline=discipline)
-    clean = run_single(config, "DCRD", seed=3)
-    assert clean.perf["sanity.violations"] == 0.0
-    assert clean.perf["arq.ack_timeouts"] == 0.0
-    plain = config.with_updates(sanitize=False)
-    baseline = run_single(plain, "DCRD", seed=3).as_dict()
-    monkeypatch.setattr(sanity, "MUTATE_ARM_AT_ENQUEUE", True)
-    assert run_single(plain, "DCRD", seed=3).as_dict() == baseline

@@ -114,13 +114,15 @@ def run_world(drops, m=2, elide=False, sanitize=False, publishes=2):
 
     for i in range(publishes):
         sim.schedule(i * 1.0, publish_one)
-    _sanity.install(sanitizer)
+    if sanitizer is not None:
+        _probes.attach(sanitizer)
     _probes.attach(ledger)
     try:
         try:
             sim.run(until=120.0)
         finally:
-            _sanity.uninstall()
+            if sanitizer is not None:
+                _probes.detach(sanitizer)
         if sanitizer is not None:
             sanitizer.finish(ctx.metrics, sim.now)
     finally:

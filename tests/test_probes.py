@@ -132,53 +132,6 @@ def test_non_callable_handler_rejected():
         registry.attach(Bogus())
 
 
-def test_veto_family_false_vetoes_but_all_handlers_run():
-    registry, ns = fresh_registry()
-    seen = []
-
-    def handler_factory(name, result):
-        class Vetoer:
-            def probe_handlers(self):
-                return {
-                    "timer_cancelled": lambda token: (
-                        seen.append((name, token)),
-                        result,
-                    )[1]
-                }
-
-        return Vetoer()
-
-    registry.attach(handler_factory("allow", True))
-    registry.attach(handler_factory("veto", False))
-    registry.attach(handler_factory("tail", None))
-    assert ns["on_timer_cancelled"](7) is False
-    # A veto must not hide the event from later observers.
-    assert seen == [("allow", 7), ("veto", 7), ("tail", 7)]
-
-    registry, ns = fresh_registry()
-    registry.attach(handler_factory("solo", None))
-    # Observation-only handlers (returning None) do not veto.
-    assert ns["on_timer_cancelled"](1) is not False
-
-
-def test_filter_family_threads_value():
-    registry, ns = fresh_registry()
-
-    class AddOne:
-        def probe_handlers(self):
-            return {"table_solved": lambda table: table + 1}
-
-    class Observe:
-        def probe_handlers(self):
-            return {"table_solved": lambda table: None}  # None = unchanged
-
-    registry.attach(Observe())
-    assert ns["on_table_solved"](10) == 10  # single handler still wrapped
-    registry.attach(AddOne())
-    registry.attach(AddOne())
-    assert ns["on_table_solved"](10) == 12
-
-
 def test_probe_counters_counts_every_family():
     registry, ns = fresh_registry()
     counters = ProbeCounters()
@@ -188,7 +141,7 @@ def test_probe_counters_counts_every_family():
     ns["on_transmit"](0.0, 1, 2, None, True, None, 0.01, 0.0)
     ns["on_transmit"](0.0, 1, 2, None, True, None, 0.01, 0.0)
     ns["on_deliver"](0.0, 3, None)
-    ns["on_timer_cancelled"](5)  # counting must not veto
+    ns["on_timer_cancelled"](5)
     assert counters.counts == {"transmit": 2, "deliver": 1, "timer_cancelled": 1}
     assert counters.total() == 4
     assert counters.perf_counters() == {
@@ -198,44 +151,113 @@ def test_probe_counters_counts_every_family():
     }
 
 
-#: The only modules allowed to touch the legacy ``ACTIVE`` compatibility
-#: slots: the bus itself and the two built-in observers it hosts.
-_OBSERVER_MODULES = {"probes.py", "sanity.py", "trace.py"}
+_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def test_no_active_hook_checks_outside_registered_observers():
-    """Grep-enforced: hook sites go through repro.probes slots only.
+    """Grep-enforced: no ``ACTIVE`` mirror and no ``MUTATE_`` flag in src.
 
-    Before the bus, every instrumented module guarded its hook calls with
-    ``_sanity.ACTIVE``/``_trace.ACTIVE`` checks — two branches per site,
-    and a third once perf counters joined. Any ``<module>.ACTIVE``
-    reference outside the observer modules means a site regressed to the
-    old pattern (or a new site bypassed the bus).
+    Hook sites go through the :mod:`repro.probes` slots and nothing else,
+    and faults are injected from the tests (``tests/mutations.py``), never
+    by a flag the production code consults.
     """
-    src = Path(__file__).resolve().parents[1] / "src" / "repro"
-    pattern = re.compile(r"\b\w+\.ACTIVE\b")
+    pattern = re.compile(r"\bACTIVE\b|MUTATE_")
     offenders = [
-        f"{path.relative_to(src)}:{lineno}: {line.strip()}"
-        for path in sorted(src.rglob("*.py"))
-        if path.name not in _OBSERVER_MODULES
+        f"{path.relative_to(_SRC)}:{lineno}: {line.strip()}"
+        for path in sorted(_SRC.rglob("*.py"))
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
     ]
-    assert not offenders, (
-        "legacy ACTIVE hook checks outside repro.probes observers "
-        "(instrument via a probes slot instead):\n" + "\n".join(offenders)
+    assert not offenders, "\n".join(offenders)
+
+
+def test_only_the_composition_roots_import_the_sanitizer():
+    """AST-enforced: no protocol layer depends on :mod:`repro.sanity`."""
+    importers = set()
+    for path in _SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+                names.append(node.module or "")
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.startswith("repro.sanity") for name in names):
+                importers.add(str(path.relative_to(_SRC)))
+    assert importers == {
+        "__init__.py",
+        "stack.py",
+        "experiments/runner.py",
+        "live/broker.py",
+        "live/cluster.py",
+        "live/scenarios.py",
+    }
+
+
+def _is_slot(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "_probes"
+        and node.attr.startswith("on_")
     )
+
+
+def test_probe_slot_results_are_never_used():
+    """AST-enforced: every family is observation-only at its site.
+
+    A call of a slot (or of a local bound from one) is a bare expression
+    statement: a site that reads what its observers return lets an
+    observer steer the protocol.
+    """
+    offenders = set()
+    for path in sorted(_SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {
+            child: node
+            for node in ast.walk(tree)
+            for child in ast.iter_child_nodes(node)
+        }
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = {
+                target.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign)
+                and any(_is_slot(part) for part in ast.walk(node.value))
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                if (
+                    _is_slot(callee)
+                    or (isinstance(callee, ast.Name) and callee.id in bound)
+                ) and not isinstance(parents[node], ast.Expr):
+                    offenders.add(
+                        f"{path.relative_to(_SRC)}:{node.lineno}: "
+                        f"{ast.unparse(parents[node])}"
+                    )
+    assert not offenders, "\n".join(sorted(offenders))
 
 
 def _call_sites(pattern: str) -> set:
     """Files under ``src/repro`` with a line matching *pattern*."""
-    src = Path(__file__).resolve().parents[1] / "src" / "repro"
     regex = re.compile(pattern)
     return {
-        str(path.relative_to(src))
-        for path in src.rglob("*.py")
+        str(path.relative_to(_SRC))
+        for path in _SRC.rglob("*.py")
         if any(regex.search(line) for line in path.read_text().splitlines())
     }
+
+
+#: The sanitizer's and tracer's own install/uninstall entry points, retired
+#: in favour of ``probes.attach``/``probes.detach``: no module calls them.
+_RETIRED = {r"\b_?sanity\.(un)?install\(", r"\b_?trace\.(un)?install\("}
 
 
 @pytest.mark.parametrize(
@@ -245,6 +267,7 @@ def _call_sites(pattern: str) -> set:
         r'(?<!")\bBrokerRuntime\(',
         r"\b_?sanity\.(un)?install\(",
         r"\b_?trace\.(un)?install\(",
+        r"\b_?probes\.(attach|detach)\(",
         r"\.prewarm_directions\(|\.enable_timer_elision\(",
     ],
 )
@@ -253,10 +276,12 @@ def test_the_stack_is_wired_and_observed_from_one_module(pattern):
 
     Every world-builder goes through ``repro.stack``: a second place
     that constructs the context or the broker runtimes, switches on the
-    substrate fast paths, or installs the sanitizer/tracer is a
-    composition root that can drift from the others.
+    substrate fast paths, or attaches observers to the probe bus is a
+    composition root that can drift from the others. The retired
+    per-observer install wrappers must not come back, even there.
     """
-    assert _call_sites(pattern) == {"stack.py"}
+    expected = set() if pattern in _RETIRED else {"stack.py"}
+    assert _call_sites(pattern) == expected
 
 
 def test_network_capability_probes_do_not_grow_back():
@@ -267,11 +292,10 @@ def test_network_capability_probes_do_not_grow_back():
     allowed are the three optional capabilities that exist on one
     substrate only.
     """
-    src = Path(__file__).resolve().parents[1] / "src" / "repro"
     regex = re.compile(r'getattr\(\s*(?:\w+\.)*network,\s*"(\w+)",\s*None\s*\)')
     found = {
-        (str(path.relative_to(src)), name)
-        for path in src.rglob("*.py")
+        (str(path.relative_to(_SRC)), name)
+        for path in _SRC.rglob("*.py")
         for name in regex.findall(path.read_text())
     }
     assert found == {
@@ -282,7 +306,7 @@ def test_network_capability_probes_do_not_grow_back():
     }
 
 
-_EXPERIMENTS = Path(__file__).resolve().parents[1] / "src" / "repro" / "experiments"
+_EXPERIMENTS = _SRC / "experiments"
 
 
 def test_the_sweep_engine_declares_no_globals():

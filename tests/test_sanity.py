@@ -10,9 +10,10 @@ behaviour (hooks wired into real runs) lives in
 
 import pytest
 
-from repro import sanity
+from repro import probes, sanity
 from repro.core.computation import DrTable, NodeState, ViaNeighbor
 from repro.sanity import InvariantViolation, Sanitizer
+from tests import mutations
 
 
 class Frame:
@@ -184,7 +185,7 @@ def _table(vias):
 
 def test_ordered_sending_list_is_clean():
     s = Sanitizer()
-    s.check_dr_table(_table([
+    s.on_table_solved(_table([
         ViaNeighbor(neighbor=1, d_via=0.1, r_via=0.9),   # key ~0.111
         ViaNeighbor(neighbor=2, d_via=0.2, r_via=0.9),   # key ~0.222
         ViaNeighbor(neighbor=3, d_via=0.2, r_via=0.0),   # key inf, last
@@ -195,7 +196,7 @@ def test_ordered_sending_list_is_clean():
 
 def test_missorted_sending_list_violates():
     s = Sanitizer()
-    error = violation(s.check_dr_table, _table([
+    error = violation(s.on_table_solved, _table([
         ViaNeighbor(neighbor=2, d_via=0.2, r_via=0.9),
         ViaNeighbor(neighbor=1, d_via=0.1, r_via=0.9),
     ]))
@@ -206,35 +207,36 @@ def test_missorted_sending_list_violates():
 
 def test_tie_on_ratio_breaks_by_neighbor_id():
     s = Sanitizer()
-    error = violation(s.check_dr_table, _table([
+    error = violation(s.on_table_solved, _table([
         ViaNeighbor(neighbor=2, d_via=0.1, r_via=0.9),
         ViaNeighbor(neighbor=1, d_via=0.1, r_via=0.9),  # same key, lower id
     ]))
     assert error.kind == sanity.SENDING_LIST_ORDER
 
 
-def test_missort_mutation_corrupts_a_checked_table(monkeypatch):
-    monkeypatch.setattr(sanity, "MUTATE_MISSORT_SENDING_LIST", True)
+def test_missort_mutation_corrupts_a_checked_table():
     s = Sanitizer()
     table = _table([
         ViaNeighbor(neighbor=1, d_via=0.1, r_via=0.9),
         ViaNeighbor(neighbor=2, d_via=0.2, r_via=0.9),
     ])
-    assert violation(s.checked_table, table).kind == sanity.SENDING_LIST_ORDER
+    s.on_table_solved(table)
+    missorted = mutations.missort_table(table)
+    assert violation(s.on_table_solved, missorted).kind == sanity.SENDING_LIST_ORDER
 
 
 # ---------------------------------------------------------------------------
 # Conservation
 # ---------------------------------------------------------------------------
 def _send(s, frame, survived=True, cause=None):
-    s.on_data_transmit(0, 1, frame, survived, cause)
+    s.on_transmit(0.0, 0, 1, frame, survived, cause, 0.01, 0.0)
 
 
 def test_conservation_partitions_every_pair():
     s = Sanitizer()
     carried = Frame(transfer_id=1, msg_id=10, destinations=frozenset({5, 6}))
     _send(s, carried)
-    s.on_frame_delivered(carried)
+    s.on_arrive(0.01, 0, 1, carried)
     lost = Frame(transfer_id=2, msg_id=11, destinations=frozenset({7}))
     _send(s, lost, survived=False, cause="random_loss")
     s.finish(
@@ -263,7 +265,7 @@ def test_pair_never_carried_is_leaked():
 
 def test_custody_pairs_are_not_leaked():
     s = Sanitizer()
-    s.on_pair_custody(10, 5)
+    s.on_custody(0.5, 3, Frame(msg_id=10), 5, "stored")
     s.finish(Metrics(Outcome(10, 5)), now=1.0)
     assert s.pair_counts["stranded_custody"] == 1
 
@@ -278,12 +280,12 @@ def test_in_flight_copy_explains_a_stranded_pair():
 
 def test_delivery_without_transmission_violates():
     s = Sanitizer()
-    error = violation(s.on_frame_delivered, Frame(transfer_id=3))
+    error = violation(s.on_arrive, 0.01, 0, 1, Frame(transfer_id=3))
     assert error.kind == sanity.CONSERVATION
 
 
 # ---------------------------------------------------------------------------
-# Reporting, counters, install/uninstall
+# Reporting, counters, bus subscription
 # ---------------------------------------------------------------------------
 def test_report_lists_details_and_frames():
     s = Sanitizer()
@@ -310,11 +312,12 @@ def test_perf_counters_cover_all_dimensions():
     assert perf["sanity.pairs_leaked"] == 0.0
 
 
-def test_install_uninstall_manage_the_active_slot():
-    s = Sanitizer()
-    sanity.install(s)
-    try:
-        assert sanity.ACTIVE is s
-    finally:
-        sanity.uninstall()
-    assert sanity.ACTIVE is None
+
+def test_sanitizer_subscribes_exactly_its_checked_families():
+    """Handlers are discovered by ``on_<family>`` name: none may drop out."""
+    assert set(probes.handlers_of(Sanitizer())) == {
+        "event_pop", "transmit", "arrive", "arrival_drop", "expire", "wire",
+        "broker_accept", "timer_started", "timer_cancelled", "timer_fired",
+        "table_solved", "custody", "order_hold", "order_release",
+        "order_stall",
+    }

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from repro import trace
+from repro import probes, trace
 from repro.trace import (
     ARRIVE,
     DEFAULT_CAPACITY,
@@ -205,13 +205,13 @@ class TestSimulatedDiamond:
     def test_journey_and_lost_copies(self, dead, hops, lost):
         failures = ScriptedFailures({edge: [(0.0, 1e9)] for edge in dead})
         tracer = FrameTracer()
-        trace.install(tracer)
+        probes.attach(tracer)
         try:
             ctx, _ = run_once(
                 diamond(), single_topic_workload(0, [(3, 1.0)]), failures=failures
             )
         finally:
-            trace.uninstall()
+            probes.detach(tracer)
         journey = tracer.journey(1, 3)
         assert [(hop.src, hop.dst) for hop in journey.hops] == hops
         copies = tracer.retransmission_tree(1)
@@ -375,17 +375,17 @@ class TestJsonlRoundTrip:
 
 
 class TestInstall:
-    def test_install_and_uninstall(self):
-        tracer = FrameTracer()
-        trace.install(tracer)
-        try:
-            assert trace.ACTIVE is tracer
-        finally:
-            trace.uninstall()
-        assert trace.ACTIVE is None
-
     def test_default_capacity_is_large(self):
         assert FrameTracer().capacity == DEFAULT_CAPACITY
+
+    def test_subscribes_exactly_its_recorded_families(self):
+        """Handlers are discovered by ``on_<family>`` name: none may drop out."""
+        assert set(probes.handlers_of(FrameTracer())) == {
+            "event_pop", "publish", "fork", "transmit", "enqueue", "arrive",
+            "arrival_drop", "expire", "dedup_discard", "deliver", "ack",
+            "ack_timeout", "failover", "bounce", "abandon", "custody",
+            "order_hold", "order_release", "order_stall",
+        }
 
 
 def test_publish_event_carries_topic_and_destinations():
