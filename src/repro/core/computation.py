@@ -34,11 +34,11 @@ as the oracle in ``tests/core/reference_solver.py``), by construction:
 
 * **operation order** — every float is produced by the same IEEE-754
   double operations in the same order: ``alpha + d_i``, ``gamma * r_i``,
-  their quotient, and a ``for k in range(max_degree)`` fold that performs
-  Eq. 3's adds and multiplies position by position. Slots that hold no
-  candidate (padding, dead links, neighbours outside the budget) carry
-  ``d_via = r_via = 0`` and so contribute ``+ 0.0`` and ``* 1.0``, which
-  are exact;
+  their quotient, and a fold over the sorted positions that performs
+  Eq. 3's adds and multiplies position by position, in place. Slots that
+  hold no candidate (padding, dead links, neighbours outside the budget)
+  carry ``d_via = r_via = 0`` and so contribute ``+ 0.0`` and ``* 1.0``,
+  which are exact;
 * **stable tie-break** — the link columns are laid out in neighbour-id
   order and the sort is stable, so equal ``d/r`` ratios fall in
   neighbour-id order exactly as the scalar ``(ratio, neighbour)`` tuple
@@ -47,9 +47,19 @@ as the oracle in ``tests/core/reference_solver.py``), by construction:
   same three-clause tolerance test, and each table keeps its own dirty
   mask (neighbours of the nodes that moved last round, never the
   subscriber), so every table runs the rounds, and evaluates the nodes,
-  the scalar loop would have — or, in a limit cycle (below), accounts for
-  them: ``rounds``, ``converged`` and the ``jacobi_rounds`` /
-  ``node_recomputes`` counters repeat exactly.
+  the scalar loop would have — or accounts for them: ``rounds``,
+  ``converged`` and the ``jacobi_rounds`` / ``node_recomputes`` counters
+  repeat exactly. Two kinds of evaluation are counted, not run. In round
+  1 every node but the subscriber is dirty, yet only the subscriber holds
+  ``r > 0``: a node that is not its live neighbour has no candidate and
+  evaluates to the ``<inf, 0>`` it already holds. And the rounds a table in
+  a limit cycle would spin through (below).
+
+A round allocates nothing of its ``(cells, max_degree)`` shape: the gathers,
+Eq. 2, the ratio and the sorted columns are written into buffers made once
+per solve. Allocated afresh, about ten such arrays per round went back to
+the operating system and were faulted in again every round, which cost more
+than the arithmetic on them.
 
 One further acceleration sits on top — **dirty-edge relevance**
 (:meth:`ControlPlaneSolver.table_affected`): a changed edge can only
@@ -82,10 +92,13 @@ function of the estimates — flagged ``converged=False`` and counted in
 ``control_plane.tables_unconverged``. The rounds to that backstop are not
 run: one Jacobi round is a pure function of a table's ``d`` row, ``r`` row
 and dirty mask, so once all three equal, bit for bit, what they were ``p``
-rounds earlier (Brent's scheme: one snapshot of the batch, retaken at
-power-of-two rounds, compared after every round) the table is carried
-forward ``((max_rounds - k) // p) * p`` rounds arithmetically and only the
-remaining ``(max_rounds - k) % p`` rounds are computed. ``rounds``,
+rounds earlier the table is carried forward ``((max_rounds - k) // p) * p``
+rounds arithmetically and only the remaining ``(max_rounds - k) % p``
+rounds are computed. Each running table's three rows are digested every
+round; a digest the table had at round ``s`` nominates it with period
+``p = k - s``, and the table is carried only if its rows ``p`` rounds
+later equal the copies taken at ``k`` bit for bit — a cycle that starts at
+round ``c`` is carried at ``c + 2p``, whenever it starts. ``rounds``,
 ``jacobi_rounds`` and ``node_recomputes`` advance by what the skipped
 rounds would have counted (``control_plane.cycles_detected`` and
 ``control_plane.rounds_skipped`` say how much that was), so the result is
@@ -267,6 +280,18 @@ class DrTable:
         return self.states[node].r > 0.0
 
 
+def _mixed(count: int) -> np.ndarray:
+    """*count* fixed, well-mixed int64 values: the splitmix64 finaliser of
+    ``1..count``. Cheaper than seeding a generator for every solver."""
+    mixed = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    mixed ^= mixed >> np.uint64(30)
+    mixed *= np.uint64(0xBF58476D1CE4E5B9)
+    mixed ^= mixed >> np.uint64(27)
+    mixed *= np.uint64(0x94D049BB133111EB)
+    mixed ^= mixed >> np.uint64(31)
+    return mixed.view(np.int64)
+
+
 def _estimate_weight_graph(
     topology: Topology, estimates: Mapping[Edge, LinkEstimate]
 ) -> nx.Graph:
@@ -307,9 +332,15 @@ class ControlPlaneSolver:
         num_nodes = topology.num_nodes
         if max_rounds is None:
             max_rounds = max(64, 2 * num_nodes)
+        require(max_rounds >= 1, f"max_rounds must be >= 1, got {max_rounds}")
+        # The round-1 wavefront and the two-clause gate both rely on it.
+        require(0.0 <= tol < math.inf, f"tol must be finite and >= 0, got {tol}")
         self.max_rounds = max_rounds
         self.tol = tol
         self.perf = perf
+        # One int64 weight row per row the limit-cycle detector digests
+        # (d bits, r bits, dirty mask); products wrap mod 2**64.
+        self._digest_weights = _mixed(3 * (num_nodes + 1)).reshape(3, -1)
 
         # Per-link m-transmission parameters (Eq. 1), symmetric.
         link_m = {
@@ -384,33 +415,104 @@ class ControlPlaneSolver:
         r: np.ndarray,
         budgets: np.ndarray,
         cells: np.ndarray,
+        nodes: np.ndarray,
+        buffers: Tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Eq. 2, the budget filter and the Theorem 1 order, batched.
 
         *cells* are flat ``table * (num_nodes + 1) + node`` positions in
-        *d*, *r* and *budgets*. For each one, the node's link columns as
-        ``(neighbors, d_via, r_via)`` rows sorted ascending by
-        ``d_via / r_via`` (stable, so ties stay in neighbour-id order), and
-        ``eligible``, which marks the real candidates (in column order).
+        *d*, *r* and *budgets*, and *nodes* their node ids. Over each
+        cell's link columns: ``eligible``, ``(cells, max_degree)``, marks
+        the real candidates in column order; ``order`` holds flat positions
+        into such rows, sorted ascending by ``d_via / r_via`` (stable, so
+        ties stay in neighbour-id order), and ``d_via`` and ``r_via`` are
+        taken through it. Those three are transposed, ``(max_degree,
+        cells)``: sorted position k of every cell is one contiguous row.
         The rest — padding, dead links, neighbours that do not expect
         delivery within the node's budget (Algorithm 1 line 4) or at all —
-        sort last and carry ``d_via = r_via = 0``.
+        sort last and carry ``d_via = r_via = 0``. Everything but the sort
+        itself is computed in place in *buffers* (``solve``). Called inside
+        ``np.errstate``: the ratio of a non-candidate is 0/0.
         """
-        stride = self.topology.num_nodes + 1
-        tables, nodes = np.divmod(cells, stride)
-        neighbors = self._usable[nodes]
-        via = neighbors + (tables * stride)[:, None]
-        d_i = d.take(via)
-        r_i = r.take(via)
-        eligible = (d_i < budgets.take(cells)[:, None]) & (r_i > 0.0)
-        d_via = np.where(eligible, self._alpha[nodes] + d_i, 0.0)
-        r_via = np.where(eligible, self._gamma[nodes] * r_i, 0.0)
-        ratio = np.where(eligible, d_via / r_via, math.inf)
+        shape = (len(cells), self._usable.shape[1])
+        size = shape[0] * shape[1]
+        index, floats, masks = buffers
+        via = index[:size].reshape(shape)
+        d_i, r_i, d_via, r_via = floats[:, :size].reshape(4, *shape)
+        eligible, absent = masks[:, :size].reshape(2, *shape)
+        # Indices are in range, and mode="clip" lets take() write to out
+        # without an intermediate copy.
+        self._usable.take(nodes, axis=0, out=via, mode="clip")
+        via += (cells - nodes)[:, None]
+        d.take(via, out=d_i, mode="clip")
+        r.take(via, out=r_i, mode="clip")
+        np.less(d_i, budgets.take(cells)[:, None], out=eligible)
+        eligible &= np.greater(r_i, 0.0, out=absent)
+        np.logical_not(eligible, out=absent)
+        # Eq. 2, zeroed where there is no candidate: r_via is finite, so
+        # multiplying by the mask is exact; d_via may be inf there.
+        self._alpha.take(nodes, axis=0, out=d_via, mode="clip")
+        d_via += d_i
+        np.copyto(d_via, 0.0, where=absent)
+        self._gamma.take(nodes, axis=0, out=r_via, mode="clip")
+        r_via *= r_i
+        r_via *= eligible
+        # Non-candidates divide 0/0 and sort last as inf (the stable sort
+        # is markedly slower on rows that hold nan).
+        ratio = np.divide(d_via, r_via, out=d_i)
+        np.copyto(ratio, math.inf, where=absent)
         order = np.argsort(ratio, axis=1, kind="stable")
-        # take() on the flattened rows is several times faster than
-        # take_along_axis, and this runs every round.
-        order += (np.arange(len(cells)) * order.shape[1])[:, None]
-        return neighbors.take(order), d_via.take(order), r_via.take(order), eligible
+        # The sort's rows become flat positions, transposed in the same
+        # pass; take() on flat positions is several times faster than
+        # take_along_axis.
+        transposed = shape[::-1]
+        order = np.add(
+            order.T,
+            np.arange(0, size, shape[1]),
+            out=index[:size].reshape(transposed),
+        )
+        d_sorted = d_via.take(order, out=d_i.reshape(transposed), mode="clip")
+        r_sorted = r_via.take(order, out=r_i.reshape(transposed), mode="clip")
+        return order, d_sorted, r_sorted, eligible
+
+    def _evaluate(
+        self,
+        d: np.ndarray,
+        r: np.ndarray,
+        budgets: np.ndarray,
+        cells: np.ndarray,
+        nodes: np.ndarray,
+        buffers: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One Jacobi round's work: the new ``<d, r>`` of *cells*.
+
+        Candidates as in :meth:`_candidates`, folded by Eq. 3 position by
+        position along the sending list, in place: per position
+        ``cumulative += d_via; weighted += cumulative * r_via * survive;
+        survive *= 1 - r_via`` — the scalar fold's operations in its order.
+        :meth:`solve` calls this exactly once per batch round, with the
+        cells that round evaluates, and nothing else calls it.
+        """
+        _, d_sorted, r_sorted, _ = self._candidates(
+            d, r, budgets, cells, nodes, buffers
+        )
+        size = len(cells)
+        survive = np.ones(size)
+        weighted = np.zeros(size)
+        cumulative = np.zeros(size)
+        term = np.empty(size)
+        for d_via, r_via in zip(d_sorted, r_sorted):
+            cumulative += d_via
+            np.multiply(cumulative, r_via, out=term)
+            term *= survive
+            weighted += term
+            np.subtract(1.0, r_via, out=term)
+            survive *= term
+        r_x = np.subtract(1.0, survive, out=survive)
+        reaches = r_x > 0.0
+        new_d = np.full(size, math.inf)
+        np.divide(weighted, r_x, out=new_d, where=reaches)
+        return new_d, np.where(reaches, r_x, 0.0)
 
     def solve(self, pairs: Sequence[Tuple[int, int, float]]) -> List[DrTable]:
         """Solve ``(publisher, subscriber, deadline)`` pairs in lock-step.
@@ -423,7 +525,8 @@ class ControlPlaneSolver:
         """
         pairs = list(pairs)
         num = self.topology.num_nodes
-        for _, subscriber, deadline in pairs:
+        for publisher, subscriber, deadline in pairs:
+            require(0 <= publisher < num, f"no broker {publisher}")
             require(0 <= subscriber < num, f"no broker {subscriber}")
             require_positive(deadline, "deadline")
         if not pairs:
@@ -431,15 +534,15 @@ class ControlPlaneSolver:
         count = len(pairs)
         inf = math.inf
         tol = self.tol
+        max_rounds = self.max_rounds
 
         # The state of the whole batch is flat: cell ``t * stride + x`` is
         # node x of table t, and cell ``t * stride + num`` is table t's
         # sentinel neighbour (padded and dead links), pinned at <inf, 0>.
         stride = num + 1
         first_cell = np.arange(count) * stride
-        subscriber_cells = first_cell + [subscriber for _, subscriber, _ in pairs]
-        sentinel_cells = first_cell + num
-        node_cells = (first_cell[:, None] + np.arange(num)).ravel()
+        subscribers = np.array([pair[1] for pair in pairs], dtype=np.intp)
+        subscriber_cells = first_cell + subscribers
 
         # Remaining budget at each broker: D_XS = D_PS - shortest_delay(P, X),
         # with shortest delays taken over the monitor's alpha estimates.
@@ -459,8 +562,6 @@ class ControlPlaneSolver:
         d[subscriber_cells] = 0.0
         r[subscriber_cells] = 1.0
         dirty = np.zeros(count * stride, dtype=bool)
-        dirty[node_cells] = True
-        dirty[subscriber_cells] = False
 
         # Per-table views of the flat state (floats as their bit patterns),
         # and per-table bookkeeping: the last batch round a table had dirty
@@ -475,100 +576,152 @@ class ControlPlaneSolver:
         recomputes = np.zeros(count, dtype=np.intp)
         carried = np.zeros(count, dtype=np.intp)
         cut_off = np.zeros(count, dtype=bool)
-        snapshot_round = 0
+
+        # Round 1 is a wavefront. Every node but the subscriber starts dirty,
+        # but only the subscriber holds r > 0, so only its live neighbours
+        # can have a candidate: every other node evaluates to the <inf, 0>
+        # it already holds and cannot move. Those are counted, not evaluated.
+        front = self._usable.take(subscribers, axis=0)
+        live = (front != num) & (front != subscribers[:, None])
+        nodes = front[live]
+        cells = (front + first_cell[:, None])[live]
+        # Every table runs round 1 unless its subscriber is the only node.
+        running = np.arange(count if num > 1 else 0)
+        dirty_counts = num - 1
+        # The (cells, max_degree) arrays of every round and of the final
+        # pass are views of these flat buffers: index, four float, two mask
+        # blocks (module docstring).
+        size = count * num * self._usable.shape[1]
+        buffers = (
+            np.empty(size, dtype=np.intp),
+            np.empty((4, size)),
+            np.empty((2, size), dtype=bool),
+        )
+
+        # Limit-cycle detection (module docstring). ``seen`` maps (table,
+        # digest of its three rows) to the round the digest first appeared;
+        # ``pending`` maps a table whose digest repeated to the round its
+        # rows are due to repeat again, the period, a copy of the rows and
+        # its recomputes at the repeat.
+        weights = self._digest_weights
+        seen: Dict[Tuple[int, int], int] = {}
+        pending: Dict[int, Tuple[int, int, np.ndarray, int]] = {}
+        settled = np.zeros(count, dtype=bool)
+
+        def state_of(table: int, dirty_row: np.ndarray) -> np.ndarray:
+            """A table's d bits, r bits and dirty mask as one int64 row."""
+            return np.concatenate((d_bits[table], r_bits[table], dirty_row))
+
         # Batch rounds in which some table reaches its own round max_rounds.
-        stops = {self.max_rounds}
-        # Masked slots evaluate 0/0 and unreached nodes inf - inf; both
-        # results are discarded by the np.where / isfinite guards.
+        stops = {max_rounds}
+        # Non-candidates divide 0/0 (``_candidates``), and the gate subtracts
+        # inf from inf for nodes that stay unreached.
         with np.errstate(divide="ignore", invalid="ignore"):
             # Jacobi with dirty-set propagation: a node is recomputed only
             # when one of its neighbours moved in its table's previous
             # round. Every new value is computed before any is written.
-            for round_number in range(1, self.max_rounds + 1):
-                cells = np.flatnonzero(dirty)
-                if not len(cells):
+            for round_number in range(1, max_rounds + 1):
+                if not len(running):
                     break
-                owners = cells // stride
-                rounds[owners] = round_number
-                recomputes += np.bincount(owners, minlength=count)
-                _, d_via, r_via, _ = self._candidates(d, r, budgets, cells)
-                # Eq. 3, position by position along the sending list.
-                survive = np.ones(len(cells))
-                weighted = np.zeros(len(cells))
-                cumulative = np.zeros(len(cells))
-                for k in range(d_via.shape[1]):
-                    cumulative = cumulative + d_via[:, k]
-                    weighted = weighted + cumulative * r_via[:, k] * survive
-                    survive = survive * (1.0 - r_via[:, k])
-                r_x = 1.0 - survive
-                reaches = r_x > 0.0
-                new_d = np.where(reaches, weighted / r_x, inf)
-                new_r = np.where(reaches, r_x, 0.0)
-                # A node moves only if it changed beyond tol.
-                old_d = d[cells]
-                moved = (
-                    (np.abs(new_r - r[cells]) > tol)
-                    | (np.isinf(new_d) != np.isinf(old_d))
-                    | (np.isfinite(new_d) & (np.abs(new_d - old_d) > tol))
-                )
+                rounds[running] = round_number
+                recomputes[running] += dirty_counts
+                new_d, new_r = self._evaluate(d, r, budgets, cells, nodes, buffers)
+                # A node moves only if it changed beyond tol. With tol
+                # finite this is the scalar three-clause gate: an inf/finite
+                # flip is an infinite change and inf - inf compares false.
+                moved = np.abs(new_r - r.take(cells)) > tol
+                moved |= np.abs(new_d - d.take(cells)) > tol
                 cells = cells[moved]
+                nodes = nodes[moved]
                 d[cells] = new_d[moved]
                 r[cells] = new_r[moved]
-                tables, nodes = np.divmod(cells, stride)
-                dirty[:] = False
-                dirty[self._neighbors[nodes] + (tables * stride)[:, None]] = True
-                dirty[sentinel_cells] = False
-                dirty[subscriber_cells] = False
+                # Their neighbours are dirty next round, never a sentinel or
+                # a subscriber; only the tables that ran are looked at.
+                targets = self._neighbors.take(nodes, axis=0)
+                targets += (cells - nodes)[:, None]
+                dirty[targets] = True
+                dirty[running * stride + num] = False
+                dirty[subscriber_cells.take(running)] = False
+                block = dirty_rows.take(running, axis=0)
+                still = block.any(axis=1)
+                running = running[still]
+                block = block[still]
 
-                # Limit-cycle fast-forward (Brent). A round is a pure
-                # function of a table's d row, r row and dirty row, so a
-                # running table whose three rows equal — bit for bit — the
-                # snapshot taken ``period`` rounds ago repeats those rounds
-                # forever: carry it over every whole period that fits
-                # before max_rounds, counting the recomputes those rounds
-                # would have made, and run only the remainder for real.
-                if snapshot_round:
-                    repeats = (
-                        (dirty_rows == dirty_then)
-                        & (d_bits == d_then)
-                        & (r_bits == r_then)
-                    ).all(axis=1)
-                    cycling = np.flatnonzero(repeats & dirty_rows.any(axis=1))
-                    if len(cycling):
-                        period = round_number - snapshot_round
-                        ahead = self.max_rounds - round_number - carried[cycling]
+                # Limit-cycle fast-forward. A round is a pure function of a
+                # table's d row, r row and dirty row, so a running table
+                # whose three rows equal — bit for bit — its rows ``period``
+                # rounds ago repeats those rounds forever: carry it over
+                # every whole period that fits before max_rounds, counting
+                # the recomputes those rounds would have made, and run only
+                # the remainder for real. A repeated digest only nominates
+                # the table; its rows are copied and must come back, bit for
+                # bit, one period later.
+                watched = ~settled.take(running)
+                tables = running[watched]
+                rows = block[watched]
+                keys = (
+                    d_bits.take(tables, axis=0) @ weights[0]
+                    + r_bits.take(tables, axis=0) @ weights[1]
+                    + rows @ weights[2]
+                )
+                for position, (table, key) in enumerate(
+                    zip(tables.tolist(), keys.tolist())
+                ):
+                    check = pending.get(table)
+                    if check is None:
+                        first = seen.setdefault((table, key), round_number)
+                        if first < round_number:
+                            period = round_number - first
+                            pending[table] = (
+                                round_number + period,
+                                period,
+                                state_of(table, rows[position]),
+                                recomputes[table],
+                            )
+                    elif check[0] == round_number:
+                        _, period, state, then = pending.pop(table)
+                        if not np.array_equal(state_of(table, rows[position]), state):
+                            continue  # the digests collided
+                        settled[table] = True
+                        ahead = max_rounds - round_number
                         periods = ahead // period
-                        carried[cycling] += periods * period
-                        recomputes[cycling] += periods * (
-                            recomputes[cycling] - recomputes_then[cycling]
-                        )
-                        stops.update((round_number + ahead % period).tolist())
-                if round_number & (round_number - 1) == 0:
-                    snapshot_round = round_number
-                    d_then, r_then = d_bits.copy(), r_bits.copy()
-                    dirty_then = dirty_rows.copy()
-                    recomputes_then = recomputes.copy()
+                        carried[table] = periods * period
+                        recomputes[table] += periods * (recomputes[table] - then)
+                        stops.add(round_number + ahead % period)
                 if round_number in stops:
                     # Tables still dirty at their own round max_rounds are
                     # cut off; the ones they were solved with run on.
-                    stopping = dirty_rows.any(axis=1) & (
-                        round_number + carried == self.max_rounds
-                    )
-                    cut_off |= stopping
-                    dirty_rows[stopping] = False
+                    stopping = round_number + carried.take(running) == max_rounds
+                    cut_off[running[stopping]] = True
+                    running = running[~stopping]
+                    block = block[~stopping]
+
+                positions, nodes = np.nonzero(block)
+                dirty_counts = np.bincount(positions, minlength=len(running))
+                cells = running.take(positions) * stride + nodes
+                dirty[cells] = False
             rounds += carried
 
             # Sending lists of every node of every table, from the final
             # values; the subscriber's stays empty.
-            neighbors, d_via, r_via, eligible = self._candidates(
-                d, r, budgets, node_cells
+            nodes = np.tile(np.arange(num), count)
+            order, d_via, r_via, eligible = self._candidates(
+                d,
+                r,
+                budgets,
+                (first_cell[:, None] + np.arange(num)).ravel(),
+                nodes,
+                buffers,
             )
-        shape = (count, num, neighbors.shape[1])
-        neighbors = neighbors.reshape(shape)
-        d_via = d_via.reshape(shape)
-        r_via = r_via.reshape(shape)
+        shape = (count, num, self._usable.shape[1])
+        neighbors = self._usable.take(nodes, axis=0).take(order.T).reshape(shape)
+        d_via = d_via.T.reshape(shape)
+        r_via = r_via.T.reshape(shape)
         lengths = eligible.sum(axis=1).reshape(count, num)
-        lengths[np.arange(count), subscriber_cells % stride] = 0
+        lengths[np.arange(count), subscribers] = 0
+        # Everything kept from here on is a copy: free the buffers before
+        # the tables copy their rows out.
+        del buffers, order, eligible
         d = d.reshape(count, stride)
         r = r.reshape(count, stride)
 

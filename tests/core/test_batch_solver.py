@@ -12,6 +12,7 @@ from-scratch solve would produce.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.overlay.monitor import LinkEstimate, LinkMonitor
 from repro.overlay.topology import (
     Topology,
     canonical_edge,
+    erdos_renyi,
     full_mesh,
     random_regular,
     ring,
@@ -40,6 +42,7 @@ from repro.perf import PerfStats
 from repro.pubsub.topics import generate_workload
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+from repro.util.errors import ConfigurationError
 from tests.conftest import make_topology
 from tests.core.reference_solver import reference_solve
 
@@ -169,23 +172,55 @@ class TestIncrementalRefresh:
         assert solver0.solve([(publisher, subscriber, deadline)]) == [table]
 
 
+def cycling_ring():
+    """A 7-ring on which the pair ``(1, 4, 0.2)`` at ``m = 3`` falls into a
+    limit cycle whose ``<d, r>`` values repeat one period before its dirty
+    mask does."""
+    rng = np.random.default_rng(0)
+    topology = ring(7, rng)
+    estimates = {
+        edge: LinkEstimate(
+            alpha=topology.delay(*edge), gamma=float(rng.uniform(0.1, 1.0))
+        )
+        for edge in topology.edges()
+    }
+    return topology, estimates
+
+
 @st.composite
 def solver_cases(draw):
     """A small world, its estimates, a batch of pairs and solver arguments.
 
-    Covers what the kernel's masking, tie-breaking and per-table
-    bookkeeping have to get right: dead links (``gamma`` 0 or ``alpha``
-    inf), a broker cut off entirely, a leaf hanging off a subscriber,
-    uniform links whose ``d/r`` ratios tie exactly, ``m`` > 1, and a
-    ``max_rounds`` that cuts some tables off mid-iteration.
+    Covers what the kernel's masking, tie-breaking, round-1 wavefront and
+    per-table bookkeeping have to get right: dead links (``gamma`` 0 or
+    ``alpha`` inf); a broker cut off entirely, also as a subscriber, whose
+    round-1 wavefront is then empty; a leaf hanging off a subscriber;
+    irregular degrees, so rows carry padding columns; uniform links whose
+    ``d/r`` ratios tie exactly; a deadline so short that no broker but the
+    publisher (whose budget is the whole deadline) has a positive budget;
+    ``m`` > 1; a ``max_rounds`` that cuts some tables off mid-iteration;
+    and a table in a limit cycle batched with converging ones, cut at
+    every phase of its cycle.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    kind = draw(st.sampled_from(["regular", "ring", "mesh"]))
+    kind = draw(st.sampled_from(["regular", "ring", "mesh", "irregular", "cycling"]))
+    if kind == "cycling":
+        topology, estimates = cycling_ring()
+        nodes = st.integers(0, topology.num_nodes - 1)
+        others = st.lists(st.tuples(nodes, nodes, st.floats(0.02, 0.4)), max_size=5)
+        pairs = draw(st.permutations([(1, 4, 0.2), *draw(others)]))
+        solver_args = {
+            "m": 3,
+            "max_rounds": draw(st.sampled_from([None, *range(60, 73)])),
+        }
+        return topology, estimates, pairs, solver_args, rng
     if kind == "regular":
         degree = draw(st.sampled_from([3, 4]))
         base = random_regular(2 * draw(st.integers(3, 7)), degree, rng)
     elif kind == "ring":
         base = ring(draw(st.integers(3, 12)), rng)
+    elif kind == "irregular":
+        base = erdos_renyi(draw(st.integers(4, 12)), 0.4, rng)
     else:
         base = full_mesh(draw(st.integers(2, 7)), rng)
     graph = base.graph.copy()
@@ -221,6 +256,10 @@ def solver_cases(draw):
     pairs = draw(st.lists(st.tuples(nodes, nodes, deadlines), min_size=1, max_size=8))
     if leaf_subscriber is not None:
         pairs.append((draw(nodes), leaf_subscriber, draw(deadlines)))
+    if cut_off is not None:
+        pairs.append((draw(nodes), cut_off, draw(deadlines)))
+    if draw(st.booleans()):  # shorter than any link
+        pairs.append((draw(nodes), draw(nodes), 1e-6))
     solver_args = {
         "m": draw(st.sampled_from([1, 2, 3])),
         "max_rounds": draw(st.sampled_from([None, 1, 2, 3, 6])),
@@ -244,6 +283,32 @@ class TestKernelEqualsReference:
         order = rng.permutation(len(pairs)).tolist()
         permuted = solver.solve([pairs[index] for index in order])
         assert permuted == [tables[index] for index in order]
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(2, 99, 1.0), (99, 2, 1.0), (-1, 2, 1.0), (2, -1, 1.0)],
+        ids=["subscriber", "publisher", "negative-publisher", "negative-subscriber"],
+    )
+    def test_unknown_brokers_are_rejected_at_either_end(self, pair):
+        """Both ends of a pair are validated before anything is solved; an
+        unknown publisher used to escape as ``networkx.NodeNotFound`` from
+        the budget Dijkstra."""
+        topology, monitor = build_world(5, "analytic", num_nodes=20)
+        solver = ControlPlaneSolver(topology, monitor.estimates())
+        (unknown,) = [node for node in pair[:2] if node not in topology.nodes]
+        with pytest.raises(ConfigurationError, match=f"no broker {unknown}$"):
+            solver.solve([(0, 1, 1.0), pair])
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [{"tol": -1e-9}, {"tol": math.inf}, {"tol": math.nan}, {"max_rounds": 0}],
+    )
+    def test_arguments_the_kernel_relies_on_are_validated(self, arguments):
+        """A negative ``tol`` would move the nodes round 1 only counts, and
+        an infinite one would need the gate's inf/finite clause."""
+        topology, monitor = build_world(5, "analytic", num_nodes=20)
+        with pytest.raises(ConfigurationError):
+            ControlPlaneSolver(topology, monitor.estimates(), **arguments)
 
     def test_solved_states_read_like_the_dict_they_replace(self):
         topology, monitor = build_world(0, "analytic")
@@ -398,17 +463,64 @@ class TestLimitCycleFastForward:
         for phase, following in zip(phases, phases[1:]):
             assert phase != following  # so landing one round off cannot pass
 
+    @pytest.mark.parametrize("world, publisher, subscriber, period", CYCLING_TABLES)
+    def test_carried_two_periods_after_the_cycle_starts(
+        self, cycling_worlds, world, publisher, subscriber, period
+    ):
+        """The digest sees the first repeat one period after the cycle
+        starts, and the bitwise check one period later confirms it: the
+        table is carried by round ``start + 2 * period`` wherever the cycle
+        starts (rounds 32-39 here), not at the next power of two."""
+        topology, estimates, pairs = cycling_worlds[world]
+        (pair,) = [p for p in pairs if p[:2] == (publisher, subscriber)]
+        solved = {}
+
+        def solve(cut):
+            if cut not in solved:
+                perf = PerfStats()
+                solver = ControlPlaneSolver(
+                    topology, estimates, max_rounds=cut, perf=perf
+                )
+                (table,) = solver.solve([pair])
+                solved[cut] = table.states, perf.get("control_plane.rounds_skipped")
+            return solved[cut]
+
+        start = next(
+            cut for cut in itertools.count(1) if solve(cut)[0] == solve(cut + period)[0]
+        )
+        # Carried at round k, a table skips rounds only once max_rounds
+        # leaves a whole period past k.
+        first_skip = next(cut for cut in itertools.count(start) if solve(cut)[1])
+        carried_at = first_skip - period
+        assert start + period <= carried_at <= start + 2 * period
+
+    def test_a_repeated_digest_only_nominates(self, cycling_worlds):
+        """With the digest weights zeroed, every running table's digest
+        repeats every round and nominates it under a wrong period; the
+        bitwise check alone decides what is carried, so what ships is still
+        exactly the loop's."""
+        topology, estimates, pairs = cycling_worlds["refresh"]
+        batch = [pair for pair in pairs if pair[:2] in {(36, 75), (54, 17)}]
+        batch += pairs[::25]
+        kernel_perf, loop_perf = PerfStats(), PerfStats()
+        solver = ControlPlaneSolver(topology, estimates, perf=kernel_perf)
+        solver._digest_weights[:] = 0
+        for table, pair in zip(solver.solve(batch), batch):
+            reference = reference_solve(topology, estimates, *pair, perf=loop_perf)
+            assert table.rounds == reference.rounds
+            assert table.converged == reference.converged
+            assert table == reference
+        for counter in WORK_COUNTERS:
+            assert kernel_perf.get(counter) == loop_perf.get(counter), counter
+
     def test_the_dirty_mask_is_part_of_the_state(self):
         """On this 7-ring the ``<d, r>`` values first repeat while the dirty
         mask still differs (a node that settled is evaluated one last
-        time): a detector comparing values alone jumps a period early and
-        counts node recomputes the loop never makes."""
-        rng = np.random.default_rng(0)
-        topology = ring(7, rng)
-        estimates = {
-            edge: LinkEstimate(alpha=topology.delay(*edge), gamma=float(rng.uniform(0.1, 1.0)))
-            for edge in topology.edges()
-        }
+        time): a jump from the first value repeat would come a period early
+        and count node recomputes the loop never makes. The digest and the
+        bitwise check both cover the mask, and the carry lands exactly at
+        every cut."""
+        topology, estimates = cycling_ring()
         for cut in range(60, 72):
             solver, _ = assert_kernel_equals_reference(
                 topology, estimates, [(1, 4, 0.2)], m=3, max_rounds=cut

@@ -1,11 +1,14 @@
-"""Smoke tests for the top-level experiment driver script."""
+"""Smoke tests for the top-level experiment and profiling scripts."""
 
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
 SCRIPT = REPO / "scripts" / "run_experiments.py"
+PROFILE = REPO / "scripts" / "profile_control_plane.py"
 
 
 def run_script(tmp_path, *args):
@@ -36,3 +39,26 @@ def test_extension_study_selection(tmp_path):
     )
     assert (tmp_path / "extension_node_failures.txt").exists()
     assert "node crash probability" in out
+
+
+def test_control_plane_profile_prints_both_round_tables():
+    """The profiler wraps the solver's per-round seam; a refactor that
+    renames or bypasses it must fail here, not silently print nothing."""
+    result = subprocess.run(
+        [sys.executable, str(PROFILE), "--nodes", "40", "--top", "3"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    out = result.stdout
+    assert "=== batched kernel refresh ===" in out
+    assert "kernel rounds, 40-node setup solve" in out
+    assert "first in-run refresh of refresh_controlplane (80 nodes, seed 1" in out
+    # Each table opens with round 1 alone, then the 2-10 band.
+    assert len(re.findall(r"^ +1-1 +\d+ -> \d+ +\d+ +[\d.]+$", out, re.M)) == 2
+    assert len(re.findall(r"^ +2-10 ", out, re.M)) == 2
+    summaries = re.findall(r"^(\d+) batch rounds run for (\d+) tables", out, re.M)
+    assert [int(tables) for _, tables in summaries] == [53, 201]
