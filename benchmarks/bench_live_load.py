@@ -35,8 +35,6 @@ import time
 from repro import probes
 from repro.live.broker import PartitionRuntime
 from repro.live.cluster import run_cluster_scenario
-from repro.live.config import LiveConfig
-from repro.live.runtime import _settle
 from repro.live.scenarios import harvest, make_scenario, run_sim_scenario
 
 from _common import save_report
@@ -138,19 +136,19 @@ class _PublishInstants(probes.ProbeObserver):
 
 async def _ramp_point(rate: float):
     scenario = load_scenario(rate, RAMP_MESSAGES)
-    config = LiveConfig()
-    runtime = PartitionRuntime(scenario, 0, scenario.topology().nodes, config, sanitize=False)
+    runtime = PartitionRuntime(scenario, 0, scenario.topology().nodes, sanitize=False)
     published = _PublishInstants()
     probes.attach(published)
     try:
         await runtime.start()
-        runtime.begin(time.time(), [RAMP_LEAD + i / rate for i in range(RAMP_MESSAGES)])
+        publishing = runtime.begin(
+            time.time(), [RAMP_LEAD + i / rate for i in range(RAMP_MESSAGES)]
+        )
         await asyncio.sleep(RAMP_LEAD)
         cpu, wall = time.process_time(), time.perf_counter()
-        while not runtime.done_publishing:
-            await asyncio.sleep(0.002)
+        await publishing
         cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
-        await _settle(runtime, config)
+        await runtime.settled()
         runtime.finish()
     finally:
         await runtime.close()

@@ -76,6 +76,10 @@ from repro.util.errors import ConfigurationError, SimulationError
 #: 2^40 copies per partition per run is far beyond any scenario.
 TRANSFER_STRIPE_BITS = 40
 
+#: How often :meth:`PartitionRuntime.settled` re-tests its exact predicate
+#: (seconds): a settle ends at most this long after the last copy lands.
+_SETTLE_CHECK_S = 0.001
+
 
 def install_transfer_stripe(group: int) -> None:
     """Move this process's transfer-id allocator to *group*'s stripe.
@@ -198,10 +202,13 @@ class PartitionRuntime:
         self._session.__enter__()
         await self.transport.start()
 
-    def begin(self, epoch: float, publish_times: Sequence[float]) -> None:
+    def begin(
+        self, epoch: float, publish_times: Sequence[float]
+    ) -> Optional["asyncio.Task[None]"]:
         """Apply the coordinator's ``start``: pin the clock, register all
         expectations, and (in the publisher's partition) launch the
-        scripted publish loop."""
+        scripted publish loop — returned, so an in-process driver can await
+        the last publish; :meth:`close` cancels it if it is still running."""
         assert self.clock is not None and self.ctx is not None
         self.clock.pin_epoch(epoch)
         scenario = self.scenario
@@ -213,17 +220,50 @@ class PartitionRuntime:
             self._publish_task = asyncio.ensure_future(
                 self._publish_loop(spec, publish_times)
             )
+        return self._publish_task
 
     async def _publish_loop(self, spec: Any, publish_times: Sequence[float]) -> None:
         assert self.clock is not None and self.strategy is not None
         for publish_time in publish_times:
-            wait = publish_time - self.clock.now
-            if wait > 0:
-                await asyncio.sleep(wait)
+            await self.clock.sleep_until(publish_time)
             msg_id = next_message_id()
             self.strategy.publish(spec, msg_id)
             self.published += 1
         self.done_publishing = True
+
+    async def settled(self) -> None:
+        """Return as soon as this partition is quiescent.
+
+        Quiescent means three counts are zero at once: ARQ copies awaiting
+        an ACK, frames held back by an ordering pipeline (a stall timer
+        will release them), and copies between ``transmit`` and their
+        receiver's dispatch (:attr:`LiveTransport.in_transit` — a duplicate
+        or retransmitted copy can still be on its way after its transfer
+        was ACKed). Every event that could start new work is the arrival
+        of such a copy or the timer of such a count, so the test is exact
+        and needs no stability window: an already quiescent partition
+        returns without sleeping. Only a partition hosting every node can
+        settle this way — a fleet's copies cross processes, and the
+        coordinator sweeps the fleet instead.
+
+        Raises :class:`~repro.util.errors.SimulationError` when the
+        partition is not quiescent within ``settle_timeout``: a live run
+        with copies still in flight is wedged, not slow.
+        """
+        assert self.clock is not None
+        deadline = self.clock.now + self.config.settle_timeout
+        while True:
+            status = self.status()
+            if status["in_flight"] == status["held"] == status["in_transit"] == 0:
+                return
+            if self.clock.now >= deadline:
+                raise SimulationError(
+                    f"live run failed to settle within {self.config.settle_timeout}s "
+                    f"({status['in_flight']} ARQ copies still in flight, "
+                    f"{status['held']} frames held back, "
+                    f"{status['in_transit']} copies in transit)"
+                )
+            await asyncio.sleep(_SETTLE_CHECK_S)
 
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
@@ -234,6 +274,8 @@ class PartitionRuntime:
         is in flight anywhere, and the global activity sum is unchanged
         across consecutive sweeps (a pending retransmission always keeps
         its copy in flight, so the counters cannot be transiently flat).
+        ``in_transit`` is :attr:`LiveTransport.in_transit`: exact for a
+        partition hosting every node, meaningful only summed over a fleet.
         """
         assert self.ctx is not None and self.strategy is not None
         assert self.transport is not None
@@ -245,6 +287,7 @@ class PartitionRuntime:
             # Frames parked in hold-back pipelines: still "in flight" for
             # quiescence purposes (a stall timer will release them).
             "held": self.ctx.ordering.held_count() if self.ctx.ordering else 0,
+            "in_transit": self.transport.in_transit,
             "activity": activity,
             "done_publishing": self.done_publishing,
             "published": self.published,

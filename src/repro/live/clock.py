@@ -103,6 +103,18 @@ class WallClock:
         """
         self._origin = self._loop.time() - (time.time() - epoch)
 
+    async def sleep_until(self, t: float) -> None:
+        """Return once ``now`` has reached *t*, at once if it already has.
+
+        The pacing rule of every live publish loop: message ``i`` waits for
+        its own instant on an absolute schedule, so a loop that wakes late
+        finds the overdue messages due and publishes them back to back,
+        and the lateness never shifts the rest of the schedule.
+        """
+        wait = t - self.now
+        if wait > 0:
+            await asyncio.sleep(wait)
+
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> WallTimer:

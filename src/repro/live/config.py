@@ -40,10 +40,8 @@ class LiveConfig:
         Seconds a dialing broker waits for a peer's server socket.
     settle_timeout:
         Seconds the runtime waits, after the scripted scenario ends, for
-        the ARQ layer to drain (every copy ACKed or failed) before
-        declaring the run wedged.
-    settle_poll:
-        Polling interval of the drain wait.
+        the run to settle (every copy ACKed or failed, none held back or
+        in transit) before declaring it wedged.
     max_frame_bytes:
         Upper bound on one encoded frame; oversized frames are rejected
         at both ends (a malformed length prefix must never cause an
@@ -60,7 +58,6 @@ class LiveConfig:
     peers: Dict[int, Tuple[str, int]] = field(default_factory=dict)
     connect_timeout: float = 5.0
     settle_timeout: float = 5.0
-    settle_poll: float = 0.02
     max_frame_bytes: int = 1 << 20
     impose_link_delays: bool = True
 
@@ -69,7 +66,6 @@ class LiveConfig:
         require(bool(self.host), "host must be a non-empty string")
         require_positive(self.connect_timeout, "connect_timeout")
         require_positive(self.settle_timeout, "settle_timeout")
-        require_positive(self.settle_poll, "settle_poll")
         require_type(self.max_frame_bytes, int, "max_frame_bytes")
         require_positive(self.max_frame_bytes, "max_frame_bytes")
         seen: Dict[Tuple[str, int], int] = {}

@@ -42,13 +42,17 @@ The transport fires the same probe families as the sim network —
 and the tracer work unchanged in live mode. Faults injected by the
 optional :class:`~repro.live.faults.FaultInjector` shim surface as
 ``cause="injected"`` losses, mirroring
-``OverlayNetwork.install_fault_filter`` exactly.
+``OverlayNetwork.install_fault_filter`` exactly. :attr:`LiveTransport.in_transit`
+counts the copies between ``transmit`` and their receiver's dispatch —
+one of the three counts whose zero is a settled run
+(:meth:`repro.live.broker.PartitionRuntime.settled`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
+from collections import defaultdict
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro import probes as _probes
@@ -65,17 +69,22 @@ FrameHandler = Callable[[int, Any], None]
 
 
 class _EdgeEnd(asyncio.Protocol):
-    """One end of a directed-edge connection.
+    """One end of the ``src -> dst`` connection.
 
-    The accepting end (*dst* is the node whose server took the connection)
-    frames and dispatches what arrives; the dialling end (``dst=None``)
-    only writes. Either end resolves :attr:`closed` when its socket is
-    gone, which is what :meth:`LiveTransport.close` awaits.
+    The accepting end (made by *dst*'s server) frames and dispatches what
+    arrives, and learns *src* from the frames it dispatches; the dialling
+    end knows both from the start and only writes. Either end resolves
+    :attr:`closed` when its socket is gone, which is what
+    :meth:`LiveTransport.close` awaits, and forgets the direction's copies
+    on the wire: nothing written to a closed connection is dispatched.
     """
 
-    def __init__(self, owner: "LiveTransport", dst: Optional[int] = None) -> None:
+    def __init__(
+        self, owner: "LiveTransport", dst: int, src: Optional[int] = None
+    ) -> None:
         self.owner = owner
         self.dst = dst
+        self.src = src
         self.transport: asyncio.Transport  # set by connection_made
         self.closed: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
         self._buffer = b""
@@ -85,6 +94,8 @@ class _EdgeEnd(asyncio.Protocol):
         self.owner._ends.append(self)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self.src is not None:
+            self.owner._on_wire.pop((self.src, self.dst), None)
         self.closed.set_result(None)
 
     def data_received(self, data: bytes) -> None:
@@ -108,6 +119,7 @@ class _EdgeEnd(asyncio.Protocol):
             except CodecError:
                 owner.codec_errors += 1
             else:
+                self.src = sender
                 owner._dispatch(sender, self.dst, frame)
             start = stop
         self._buffer = buffer[start:]
@@ -150,9 +162,30 @@ class LiveTransport:
         # (closed with the run: Server.close() only stops listening).
         self._ends: List[_EdgeEnd] = []
         self._ports: Dict[int, int] = {}
+        # The copies between transmit and their receiver's dispatch, in two
+        # parts: those not yet through _write, and those written to a
+        # direction's socket. A closed connection drops its direction's
+        # second part (see _EdgeEnd); the first part drains through _write.
+        self._unwritten = 0
+        self._on_wire: Dict[Tuple[int, int], int] = defaultdict(int)
         self.started = False
         #: Frames whose stream raised a codec error (observability only).
         self.codec_errors = 0
+
+    @property
+    def in_transit(self) -> int:
+        """Copies handed to a link and not yet dispatched at their receiver.
+
+        Counted per emitted copy (a fault-shim duplicate is two, a frame
+        the shim drops or holds back for reorder none), released by the
+        receiver's dispatch — also when no handler takes the frame — or
+        dropped with the copy when its connection is closing or closed:
+        a write to it is skipped, and what was written to it is forgotten
+        when it closes. Exact when this transport hosts every node. In a partition the sender counts a copy to a
+        remote node and the receiver's partition releases it, so only the
+        sum over the fleet means "in transit".
+        """
+        return self._unwritten + sum(self._on_wire.values())
 
     # ------------------------------------------------------------------
     # Handler registry (identical contract to OverlayNetwork)
@@ -219,14 +252,14 @@ class LiveTransport:
                             f"node {dst} (needed by the {src} -> {dst} edge)"
                         )
                     address = (host, self._ports[dst])
-                self._writers[(src, dst)] = await self._dial(*address)
+                self._writers[(src, dst)] = await self._dial(src, dst, *address)
                 self._delays[(src, dst)] = (
                     self.topology.delay(src, dst) if impose else 0.0
                 )
         self.started = True
 
-    async def _dial(self, host: str, port: int) -> asyncio.Transport:
-        """Open one peer connection, retrying refusals until the timeout.
+    async def _dial(self, src: int, dst: int, host: str, port: int) -> asyncio.Transport:
+        """Open the ``src -> dst`` connection, retrying refusals until the timeout.
 
         A fleet of broker processes boots in arbitrary order, so the peer
         a partition dials may not have bound its server yet; connection
@@ -244,7 +277,10 @@ class LiveTransport:
                 )
             try:
                 writer, _ = await asyncio.wait_for(
-                    loop.create_connection(functools.partial(_EdgeEnd, self), host, port), remaining
+                    loop.create_connection(
+                        functools.partial(_EdgeEnd, self, dst, src), host, port
+                    ),
+                    remaining,
                 )
                 return writer
             except (ConnectionRefusedError, OSError, asyncio.TimeoutError):
@@ -332,6 +368,7 @@ class LiveTransport:
                 probe_tx(self.clock.now, src, dst, copy_frame, True, None, prop, None)
             message = self.codec.frame_message(copy_payload)
             total = prop + extra
+            self._unwritten += 1
             if total > 0.0:
                 self.clock.schedule_fire(total, self._write, src, dst, message)
             else:
@@ -353,16 +390,20 @@ class LiveTransport:
         return False
 
     def _write(self, src: int, dst: int, message: bytes) -> None:
-        writer = self._writers.get((src, dst))
-        if writer is None or writer.is_closing():  # pragma: no cover - teardown race
-            return
+        self._unwritten -= 1
+        direction = (src, dst)
+        writer = self._writers.get(direction)
+        if writer is None or writer.is_closing():
+            return  # the connection is gone, and the copy with it
         writer.write(message)
+        self._on_wire[direction] += 1
 
     # ------------------------------------------------------------------
     # Receive side
     # ------------------------------------------------------------------
     def _dispatch(self, src: int, dst: int, frame: Any) -> None:
         """Hand one received frame to *dst*'s sink (sim-identical dispatch)."""
+        self._on_wire[(src, dst)] -= 1
         is_ack = frame.__class__ is AckFrame or isinstance(frame, AckFrame)
         kind = FrameKind.ACK if is_ack else FrameKind.DATA
         handler: Optional[FrameHandler] = None

@@ -188,8 +188,10 @@ def test_single_partition_is_sanitizer_clean_and_exports_ledgers():
 
 def test_single_partition_matches_the_single_process_live_run():
     """``run_live_scenario`` is a driver over one all-hosting partition:
-    the fleet-style drive (absolute publish times, merged report) and the
-    in-process drive (relative pacing, harvest) reduce to the same facts."""
+    the fleet-style drive (publish times fixed up front, expectations at
+    those times, merged report) and the in-process drive (the same
+    absolute schedule from its own start, expectations at each actual
+    publish, exact settle, harvest) reduce to the same facts."""
     scenario = make_scenario("failover_bounce")
     report, _ = asyncio.run(_run_single_partition(scenario))
     merged = merge_reports(scenario, [report], sanitize=True)

@@ -9,6 +9,7 @@ import random
 from repro.live.clock import WallClock
 from repro.live.codec import LENGTH_PREFIX, FrameCodec
 from repro.live.config import LiveConfig
+from repro.live.faults import FaultInjector
 from repro.live.transport import LiveTransport
 from repro.ordering.tags import OrderTag
 from repro.overlay.links import FrameKind
@@ -77,9 +78,12 @@ def test_any_chunking_of_the_stream_dispatches_the_same_frames():
     asyncio.run(scenario())
 
 
-async def _started_transport():
+async def _started_transport(config=None, fault=None):
     transport = LiveTransport(
-        diamond(), WallClock(asyncio.get_running_loop()), LiveConfig(max_frame_bytes=256)
+        diamond(),
+        WallClock(asyncio.get_running_loop()),
+        config if config is not None else LiveConfig(max_frame_bytes=256),
+        fault,
     )
     seen = []
     transport.attach(1, lambda src, frame: seen.append((src, frame)))
@@ -146,5 +150,96 @@ def test_close_awaits_both_ends_and_leaves_nothing_pending():
         assert transport._ends == [] and transport._writers == {}
         me = asyncio.current_task()
         assert [t for t in asyncio.all_tasks() if t is not me] == []
+
+    asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# in_transit: copies between transmit and their receiver's dispatch
+# ---------------------------------------------------------------------------
+def test_in_transit_counts_a_delayed_copy_until_its_dispatch():
+    async def scenario():
+        transport, seen = await _started_transport()
+        try:
+            transport.transmit(0, 1, AckFrame(1, 0, 9), FrameKind.ACK)
+            assert transport.in_transit == 1  # in the calendar for the 10 ms link
+            await _until(lambda: seen)
+            assert transport.in_transit == 0
+        finally:
+            await transport.close()
+
+    asyncio.run(scenario())
+
+
+def test_in_transit_counts_each_copy_of_a_duplicated_frame():
+    async def scenario():
+        transport, seen = await _started_transport(fault=FaultInjector(duplicate=1.0))
+        try:
+            transport.transmit(0, 1, AckFrame(1, 0, 9), FrameKind.ACK)
+            assert transport.in_transit == 2
+            await _until(lambda: len(seen) == 2)
+            assert transport.in_transit == 0
+        finally:
+            await transport.close()
+
+    asyncio.run(scenario())
+
+
+def test_in_transit_skips_a_frame_held_back_for_reorder():
+    async def scenario():
+        transport, seen = await _started_transport(fault=FaultInjector(reorder=1.0))
+        try:
+            first, second = AckFrame(1, 0, 9), AckFrame(2, 0, 10)
+            transport.transmit(0, 1, first, FrameKind.ACK)
+            assert transport.in_transit == 0  # held by the shim, not on its way
+            transport.transmit(0, 1, second, FrameKind.ACK)
+            assert transport.in_transit == 2  # released behind the next frame
+            await _until(lambda: len(seen) == 2)
+            assert [frame for _, frame in seen] == [second, first]
+            assert transport.in_transit == 0
+        finally:
+            await transport.close()
+
+    asyncio.run(scenario())
+
+
+def test_in_transit_releases_a_frame_no_handler_takes():
+    async def scenario():
+        transport, seen = await _started_transport()
+        try:
+            transport.transmit(0, 2, AckFrame(1, 0, 9), FrameKind.ACK)  # node 2 has no sink
+            assert transport.in_transit == 1
+            await _until(lambda: transport.in_transit == 0)
+            assert seen == []
+        finally:
+            await transport.close()
+
+    asyncio.run(scenario())
+
+
+def test_in_transit_forgets_the_copies_of_a_closed_connection():
+    async def scenario():
+        transport, seen = await _started_transport(LiveConfig(impose_link_delays=False))
+        try:
+            transport.transmit(0, 1, AckFrame(1, 0, 9), FrameKind.ACK)
+            await _until(lambda: seen)
+            writer = transport._writers[(0, 1)]
+            reader = next(
+                end
+                for end in transport._ends
+                if (end.src, end.dst) == (0, 1) and end.transport is not writer
+            )
+            transport.transmit(0, 1, AckFrame(2, 0, 10), FrameKind.ACK)
+            assert transport.in_transit == 1  # written, not yet read ...
+            reader.transport.close()  # ... and now it never will be
+            await reader.closed
+            assert transport.in_transit == 0 and len(seen) == 1
+            # The dialling end sees the close too: a copy written to it is
+            # dropped at the write, never counted.
+            await _until(writer.is_closing)
+            transport.transmit(0, 1, AckFrame(3, 0, 11), FrameKind.ACK)
+            assert transport.in_transit == 0
+        finally:
+            await transport.close()
 
     asyncio.run(scenario())

@@ -24,10 +24,6 @@ class TestTimeouts:
         with pytest.raises(ConfigurationError, match="settle_timeout"):
             LiveConfig(settle_timeout=value)
 
-    def test_negative_settle_poll_rejected(self):
-        with pytest.raises(ConfigurationError, match="settle_poll"):
-            LiveConfig(settle_poll=-0.01)
-
 
 class TestFrameLimit:
     @pytest.mark.parametrize("value", [0, -1, -1024])
