@@ -5,8 +5,7 @@ only failures. This bench quantifies what the hop-by-hop ACK clock's
 start instant decides on links that serialise frames: started at the wire
 (see :mod:`repro.routing.arq`), the paper's static timer makes DCRD behave
 exactly like the fixed tree on loss-free congested links — it degrades by
-queueing delay only, never by amplification — and the Jacobson/Karn
-variant has nothing left to correct.
+queueing delay only, never by amplification.
 """
 
 from repro.extensions.congestion import congestion_study
@@ -27,15 +26,12 @@ def test_congestion_ablation(benchmark):
     )
     for x in result.x_values:
         static = result.cell(x, "DCRD")
-        adaptive = result.cell(x, "DCRD+adaptive")
         dtree = result.cell(x, "D-Tree")
         # Silence means loss: on loss-free links DCRD never leaves the
         # tree's hops, at any load, so it matches the tree's QoS and
         # sends (almost) the tree's packets.
         assert abs(static.qos_delivery_ratio - dtree.qos_delivery_ratio) <= 0.02
         assert static.packets_per_subscriber <= 1.2 * dtree.packets_per_subscriber
-        # The adaptive timer has nothing to fix.
-        assert abs(adaptive.qos_delivery_ratio - static.qos_delivery_ratio) <= 0.02
     # The sweep does reach saturation: queueing delay alone costs the
     # last point on-time deliveries.
     assert (

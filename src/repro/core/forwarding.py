@@ -269,9 +269,7 @@ class DcrdStrategy(RoutingStrategy):
         """Solve the ``<d, r>`` recursion for every (topic, subscriber) pair."""
         self._rebuild_tables()
         # handle_ack is a pure delegation to the ARQ layer; skip the hop on
-        # the per-ACK hot path unless a subclass overrides it. Bound here
-        # rather than in __init__ so subclasses that swap in their own
-        # ArqSender (e.g. the adaptive-RTO extension) are honoured.
+        # the per-ACK hot path unless a subclass overrides it.
         if type(self).handle_ack is DcrdStrategy.handle_ack:
             self.handle_ack = self.arq.handle_ack
 

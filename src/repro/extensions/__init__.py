@@ -14,7 +14,6 @@ from repro.extensions.ablations import (
     ack_timeout_ablation,
     monitoring_mode_ablation,
 )
-from repro.extensions.adaptive import AdaptiveDcrdStrategy, AdaptiveTimeoutPolicy
 from repro.extensions.churn import ChurnProcess, churn_study, run_with_churn
 from repro.extensions.congestion import congestion_study
 from repro.extensions.fec import FecMultipathStrategy, fec_study, select_diverse_paths
@@ -32,13 +31,10 @@ from repro.extensions.priority import priority_queueing_study
 from repro.experiments.runner import STRATEGIES as _STRATEGIES
 
 _STRATEGIES.setdefault("DCRD+persist", PersistentDcrdStrategy)
-_STRATEGIES.setdefault("DCRD+adaptive", AdaptiveDcrdStrategy)
 _STRATEGIES.setdefault("FEC", FecMultipathStrategy)
 _STRATEGIES.setdefault("DCRD-naive-order", NaiveOrderDcrdStrategy)
 
 __all__ = [
-    "AdaptiveDcrdStrategy",
-    "AdaptiveTimeoutPolicy",
     "ChurnProcess",
     "FecMultipathStrategy",
     "NaiveOrderDcrdStrategy",

@@ -27,11 +27,8 @@ The result (measured: degree 5, 20 ms service time, 10–50 ms propagation,
   0.581 / 0.258, at 1.35–1.40 packets per subscriber throughout (the
   tree's figure plus the odd failover on a randomly lost frame). It
   degrades only by the queueing delay the tree pays too — no
-  amplification, no knob, no estimator.
-* **The adaptive timer has nothing left to fix here.**
-  ``DCRD+adaptive`` (:mod:`repro.extensions.adaptive`) is indistinguishable
-  from static DCRD on this sweep: its RTT samples start at the wire as
-  well, so they see the bare propagation round trip.
+  amplification, no knob, no estimator: the paper's static timer is the
+  only ACK timeout there is.
 
 Multipath, whose duplication doubles its own offered load, congests itself
 well before the single-copy schemes at every level.
@@ -58,7 +55,7 @@ def congestion_study(
     publish_intervals: Sequence[float] = DEFAULT_PUBLISH_INTERVALS,
     service_time: float = 0.02,
     degree: int = 5,
-    strategies: Sequence[str] = ("DCRD", "DCRD+adaptive", "D-Tree", "Multipath"),
+    strategies: Sequence[str] = ("DCRD", "D-Tree", "Multipath"),
     progress: Optional[ProgressHook] = None,
     executor: Optional[SweepExecutor] = None,
 ) -> SweepResult:

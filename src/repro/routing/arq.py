@@ -12,21 +12,19 @@ globally unique, so one table suffices) and tracks every outstanding copy.
 **The ACK clock starts at the wire.** A copy handed to the network may sit
 in its sender's own output queue (finite-capacity links) before its last
 bit leaves; silence only means loss once the copy has left. So a copy's
-deadline is always *wire-clear instant + the policy's timeout*, and Karn's
-RTT samples run from the same instant. On a transport where no copy ever
-waits (``watch_wire`` returns ``False``: infinite-capacity and live links)
-that instant is the hand-over; on the others the link reports it — FIFO
-from inside the send, the EDF server when it picks the copy — and a copy
-the sender's own queue discards is failed on the spot, with no timeout and
-no retransmission into the queue that just discarded it.
+deadline is always *wire-clear instant + timeout*. On a transport where no
+copy ever waits (``watch_wire`` returns ``False``: infinite-capacity and
+live links) that instant is the hand-over; on the others the link reports
+it — FIFO from inside the send, the EDF server when it picks the copy —
+and a copy the sender's own queue discards is failed on the spot, with no
+timeout and no retransmission into the queue that just discarded it.
 :meth:`ArqSender._start_clock` is the one place a deadline is computed.
 
-The *timeout policy* is pluggable: the paper's static
-``factor * alpha`` timer is the default
-(:class:`MonitorTimeoutPolicy`); the congestion extension substitutes an
-RTT-tracking policy (see :mod:`repro.extensions.adaptive`). Policies
-receive Karn-filtered RTT samples (first-attempt ACKs only, so a sample is
-never ambiguous between a transmission and its retransmission).
+**There is one timeout rule**, the paper's static timer:
+``params.ack_timeout(alpha)`` — ``factor * alpha`` plus slack — from the
+link monitor's propagation-delay estimate of the direction. It is a pure
+function of that estimate, so the sender memoises it per direction until
+``monitor.version`` moves.
 
 This module sits on the data-plane hot path — every copy sent schedules an
 ACK-timeout event, and in healthy networks nearly every one is cancelled by
@@ -55,45 +53,12 @@ keeps every timer eager.
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from typing import Callable, Dict, Optional
 
 from repro import probes as _probes
 from repro.pubsub.messages import AckFrame, PacketFrame
 from repro.routing.base import RuntimeContext
 from repro.sim.engine import Event
-
-
-class TimeoutPolicy(Protocol):
-    """Decides how long a sender waits for each hop-by-hop ACK."""
-
-    def timeout(self, src: int, dst: int) -> float:
-        """Current ACK timeout for the (src, dst) link direction."""
-        ...
-
-    def on_sample(self, src: int, dst: int, rtt: float) -> None:
-        """Feed one unambiguous (first-attempt) RTT observation."""
-        ...
-
-
-class MonitorTimeoutPolicy:
-    """The paper's static timer: ``ack_timeout_factor * alpha`` (+slack).
-
-    The timeout is a pure function of the monitor's current alpha estimate,
-    which only changes when a monitor refresh publishes new values — which
-    is what lets :class:`ArqSender` memoise it per direction until
-    ``monitor.version`` moves.
-    """
-
-    def __init__(self, ctx: RuntimeContext) -> None:
-        self.ctx = ctx
-
-    def timeout(self, src: int, dst: int) -> float:
-        """Static timeout from the monitor's propagation-delay estimate."""
-        ctx = self.ctx
-        return ctx.params.ack_timeout(ctx.monitor.estimate(src, dst).alpha)
-
-    def on_sample(self, src: int, dst: int, rtt: float) -> None:
-        """Static policy: samples are ignored."""
 
 
 class _Outstanding:
@@ -141,25 +106,14 @@ class _Outstanding:
 class ArqSender:
     """Reliable-ish single-hop delivery with an ``m``-transmission budget."""
 
-    def __init__(
-        self, ctx: RuntimeContext, timeout_policy: Optional[TimeoutPolicy] = None
-    ) -> None:
+    def __init__(self, ctx: RuntimeContext) -> None:
         self.ctx = ctx
-        self.timeout_policy: TimeoutPolicy = (
-            timeout_policy if timeout_policy is not None else MonitorTimeoutPolicy(ctx)
-        )
         # Hot-path bindings (one attribute hop instead of two per send/ACK).
-        # The policy and the retry budget are fixed at construction.
+        # The retry budget is fixed at construction.
         self._sim = ctx.sim
         self._network = ctx.network
         self._send_data = ctx.network.send_data
-        self._timeout = self.timeout_policy.timeout
         self._m = ctx.params.m
-        # Karn-filtered RTT samples cost a clock read per ACK; skip the whole
-        # feed when the policy's on_sample is the static policy's no-op.
-        self._rtt_sampling = (
-            type(self.timeout_policy).on_sample is not MonitorTimeoutPolicy.on_sample
-        )
         # Direct calendar-queue access for the per-copy timeout push —
         # inlined sim.schedule minus the call overhead (timeouts are always
         # positive). Both aliases stay valid: the kernel mutates its heap
@@ -180,13 +134,10 @@ class ArqSender:
         # Latent-timer elision (opt-in, see enable_timer_elision).
         self._elide_timers = False
         # The one per-direction memo: packed direction id (src << 21 | dst,
-        # the overlay's interning) -> (timeout, rt_pair). ``timeout`` is
-        # the static policy's answer, or None for a dynamic policy, which
-        # is asked on every copy; ``rt_pair`` is the exact (d_fwd, d_rev)
-        # delay pair when both the copy and its ACK reply run compiled
-        # fast-path deliveries, else None. Cleared when the monitor
-        # publishes new estimates.
-        self._static_timeout = type(self.timeout_policy) is MonitorTimeoutPolicy
+        # the overlay's interning) -> (timeout, rt_pair). ``rt_pair`` is
+        # the exact (d_fwd, d_rev) delay pair when both the copy and its
+        # ACK reply run compiled fast-path deliveries, else None. Cleared
+        # when the monitor publishes new estimates.
         self._monitor = ctx.monitor
         self._dir_info: Dict[int, tuple] = {}
         self._dir_version = -1
@@ -294,11 +245,6 @@ class ArqSender:
         probe = _probes.on_ack
         if probe is not None:
             probe(self._sim._now, node, sender, entry.frame)
-        if self._rtt_sampling and entry.attempts == 1:
-            # Karn's rule: only first-attempt ACKs give unambiguous RTTs.
-            self.timeout_policy.on_sample(
-                entry.src, entry.dst, self._sim._now - entry.sent_at
-            )
         entry.on_acked(entry.frame)
 
     # ------------------------------------------------------------------
@@ -336,18 +282,16 @@ class ArqSender:
 
         The clock starts when the copy's last bit leaves its sender,
         *wait* seconds from now (0.0 where copies never wait — adding it
-        leaves every float of that schedule unchanged); the policy says
-        how long it runs. *outcome* is ``send_data``'s tri-state.
+        leaves every float of that schedule unchanged) and runs for the
+        direction's static timeout. *outcome* is ``send_data``'s tri-state.
         """
         sim = self._sim
         start = sim._now + wait
-        if self._rtt_sampling:
-            entry.sent_at = start
         src = entry.src
         dst = entry.dst
         # Timeout and exact round-trip delay pair in one dict probe,
-        # refreshed when the monitor version moves (the static timeout is
-        # a pure function of the current alpha estimate).
+        # refreshed when the monitor version moves (the timeout is a pure
+        # function of the current alpha estimate).
         monitor = self._monitor
         if monitor.version != self._dir_version:
             self._dir_info.clear()
@@ -356,15 +300,13 @@ class ArqSender:
         info = self._dir_info.get(key)
         if info is None:
             info = (
-                self._timeout(src, dst) if self._static_timeout else None,
+                self.ctx.params.ack_timeout(monitor.estimate(src, dst).alpha),
                 self._network.ack_round_trip(src, dst)
                 if self._elide_timers
                 else None,
             )
             self._dir_info[key] = info
         delay, pair = info
-        if delay is None:
-            delay = self._timeout(src, dst)
         time = start + delay
         if self._sim_heap is None:
             # Portable Clock path (no calendar kernel): the timeout goes

@@ -41,7 +41,7 @@ from repro.routing.base import ProtocolParams
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 from repro.sim.random import RandomStreams
-from repro.stack import wire_stack
+from repro.stack import observed, wire_stack
 from repro.util.errors import ConfigurationError
 from repro.util.validation import require, require_positive
 
@@ -112,11 +112,11 @@ class PubSubSystem:
         self.monitor = self.ctx.monitor
         self.metrics = self.ctx.metrics
         self.metrics.add_observer(self._on_delivery)
-        # Embedded systems stay alive indefinitely, so the plan's stamper
-        # is activated for the system's whole lifetime; call close() when
-        # the system is done.
-        if self.ordering is not None:
-            self.ordering.activate()
+        # Embedded systems stay alive indefinitely, so one observer session
+        # (it activates the ordering stamper, if any) spans the system's
+        # whole lifetime; call close() when the system is done.
+        self._session = observed(self.ctx)
+        self._session.__enter__()
 
         def monitor_cycle() -> None:
             self.monitor.refresh()
@@ -181,7 +181,10 @@ class PubSubSystem:
     ) -> None:
         """Attach a subscriber (and optional delivery callback) to *topic*."""
         require_positive(deadline, "deadline")
-        topic_id = self._topic_ids[topic]
+        topic_id = self._topic_id(topic)
+        # Validate before the workload changes: a rejected subscriber must
+        # not stay behind as a phantom every later publish expects.
+        require(node in self.topology.nodes, f"no broker {node}")
         subscription = Subscription(node=node, deadline=deadline)
         self.workload.add_subscription(topic_id, subscription)
         self.strategy.on_subscription_added(topic_id, subscription)
@@ -190,7 +193,7 @@ class PubSubSystem:
 
     def unsubscribe(self, topic: str, node: int) -> None:
         """Detach a subscriber from *topic*."""
-        topic_id = self._topic_ids[topic]
+        topic_id = self._topic_id(topic)
         self.workload.remove_subscription(topic_id, node)
         self.strategy.on_subscription_removed(topic_id, node)
         self._callbacks.pop((topic_id, node), None)
@@ -200,7 +203,7 @@ class PubSubSystem:
     # ------------------------------------------------------------------
     def publish(self, topic: str, payload: Any = None) -> int:
         """Publish one message now; returns its message id."""
-        topic_id = self._topic_ids[topic]
+        topic_id = self._topic_id(topic)
         spec = self.workload.topic(topic_id)
         require(
             bool(spec.subscriptions), f"topic {topic!r} has no subscribers"
@@ -216,7 +219,7 @@ class PubSubSystem:
 
     def start_publisher(self, topic: str, stop_time: Optional[float] = None) -> None:
         """Publish periodically at the topic's configured interval."""
-        topic_id = self._topic_ids[topic]
+        topic_id = self._topic_id(topic)
         spec = self.workload.topic(topic_id)
         publisher = PublisherProcess(self.ctx, self.strategy, spec, stop_time=stop_time)
         publisher.start()
@@ -231,9 +234,8 @@ class PubSubSystem:
 
     def close(self) -> None:
         """Flush hold-back state and release the ordering stamper hook."""
-        if self.ordering is not None:
-            self.ordering.flush()
-            self.ordering.deactivate()
+        self._session.finish()
+        self._session.close()
 
     def summary(self) -> MetricsSummary:
         """Aggregate delivery metrics so far."""
@@ -250,6 +252,15 @@ class PubSubSystem:
         return self.sim.now
 
     # ------------------------------------------------------------------
+    def _topic_id(self, topic: str) -> int:
+        """The id of the named topic; an unknown name is a configuration error."""
+        topic_id = self._topic_ids.get(topic)
+        if topic_id is None:
+            raise ConfigurationError(
+                f"unknown topic {topic!r}; known: {sorted(self._topic_ids)}"
+            )
+        return topic_id
+
     def _on_delivery(self, msg_id: int, subscriber: int, time: float) -> None:
         outcome = self.metrics.outcome(msg_id, subscriber)
         callback = self._callbacks.get((outcome.topic, subscriber))

@@ -1,18 +1,15 @@
 """The Jacobson/Karn delay estimator (RFC 6298), in one place.
 
-Two layers bound a delay by what they have measured instead of by a
-typed constant: the adaptive ACK-timeout policy
-(:mod:`repro.extensions.adaptive`, one estimate per link direction, fed
-ACK round trips) and the total-order hold-back pipeline
-(:mod:`repro.ordering.pipeline`, one estimate per subscriber, fed
-publish-to-arrival transits). Both keep a smoothed mean ``srtt`` and a
-smoothed mean deviation ``rttvar`` and bound the next observation by
-``srtt + 4 * rttvar``; :func:`jacobson_update` is the only code that
-advances the pair.
+The total-order hold-back pipeline (:mod:`repro.ordering.pipeline`, one
+estimate per subscriber, fed publish-to-arrival transits) bounds a delay
+by what it has measured instead of by a typed constant: it keeps a
+smoothed mean ``srtt`` and a smoothed mean deviation ``rttvar`` and bounds
+the next observation by ``srtt + 4 * rttvar``; :func:`jacobson_update` is
+the only code that advances the pair.
 
 Which observations are unambiguous enough to feed in (Karn's rule) is the
-caller's business: the ARQ layer samples first attempts only, the
-pipeline samples a message's first offer at a node only.
+caller's business: the pipeline samples a message's first offer at a node
+only.
 """
 
 from __future__ import annotations
@@ -35,27 +32,22 @@ class RttEstimate:
         self.srtt = srtt
         self.rttvar = rttvar
 
-    def bound(self, k: float = RFC6298_K) -> float:
-        """``srtt + k * rttvar``: the delay the next observation should stay under."""
-        return self.srtt + k * self.rttvar
+    def bound(self) -> float:
+        """``srtt + K * rttvar``: the delay the next observation should stay under."""
+        return self.srtt + RFC6298_K * self.rttvar
 
 
-def jacobson_update(
-    state: Optional[RttEstimate],
-    sample: float,
-    alpha: float = RFC6298_ALPHA,
-    beta: float = RFC6298_BETA,
-) -> RttEstimate:
+def jacobson_update(state: Optional[RttEstimate], sample: float) -> RttEstimate:
     """Fold one *sample* into *state* (``None`` before the first) and return it.
 
     The first sample seeds ``srtt = sample`` and ``rttvar = sample / 2``.
     After that the deviation is taken from the *old* ``srtt`` and
     ``rttvar`` moves before ``srtt`` does — RFC 6298's order, which the
-    pinned ``DCRD+adaptive`` schedules depend on bit for bit.
+    measured ordering window depends on bit for bit.
     """
     if state is None:
         return RttEstimate(sample, sample / 2.0)
     deviation = abs(state.srtt - sample)
-    state.rttvar = (1.0 - beta) * state.rttvar + beta * deviation
-    state.srtt = (1.0 - alpha) * state.srtt + alpha * sample
+    state.rttvar = (1.0 - RFC6298_BETA) * state.rttvar + RFC6298_BETA * deviation
+    state.srtt = (1.0 - RFC6298_ALPHA) * state.srtt + RFC6298_ALPHA * sample
     return state

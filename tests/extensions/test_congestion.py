@@ -72,22 +72,6 @@ def test_dcrd_bypasses_failures_under_load():
     assert dcrd.packets_per_subscriber < 2.0
 
 
-def test_adaptive_timeout_restores_tree_level_behaviour():
-    config = ExperimentConfig(
-        topology_kind="regular",
-        degree=5,
-        duration=10.0,
-        failure_probability=0.0,
-        link_service_time=0.02,
-        publish_interval=0.125,
-        num_topics=8,
-    )
-    adaptive = run_single(config, "DCRD+adaptive", seed=2)
-    dtree = run_single(config, "D-Tree", seed=2)
-    assert adaptive.qos_delivery_ratio >= dtree.qos_delivery_ratio - 0.02
-    assert adaptive.packets_per_subscriber < 1.5 * dtree.packets_per_subscriber
-
-
 def test_multipath_congests_itself():
     config = ExperimentConfig(
         topology_kind="regular",

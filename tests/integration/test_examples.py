@@ -50,7 +50,8 @@ def test_failure_storm_includes_persistence_counters():
 
 def test_congestion_meltdown_shows_all_regimes():
     out = run_example("congestion_meltdown.py", "--duration", "4")
-    assert "DCRD+adaptive" in out
+    for name in ("DCRD", "D-Tree", "Multipath"):
+        assert name in out
     assert "Takeaway" in out
 
 

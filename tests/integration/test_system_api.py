@@ -32,6 +32,37 @@ class TestTopics:
         system.unsubscribe("alerts", node=3)
         assert system.workload.topic(0).subscriber_nodes == ()
 
+    def test_rejected_subscriber_leaves_no_phantom(self):
+        system = PubSubSystem.build(num_nodes=6, seed=7, loss_rate=0.0)
+        system.add_topic("t", publisher=0)
+        system.subscribe("t", node=3, deadline=0.5)
+        version = system.workload.version
+        with pytest.raises(ConfigurationError, match="no broker 42"):
+            system.subscribe("t", node=42, deadline=0.5)
+        assert system.workload.topic(0).subscriber_nodes == (3,)
+        assert system.workload.version == version
+        # Every later publish expects deliveries at the real subscriber only.
+        system.publish("t")
+        system.run(until=1.0)
+        summary = system.summary()
+        assert summary.delivered == 1
+        assert summary.delivery_ratio == 1.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: s.subscribe("nope", node=3, deadline=0.5),
+            lambda s: s.unsubscribe("nope", node=3),
+            lambda s: s.publish("nope"),
+            lambda s: s.start_publisher("nope"),
+        ],
+        ids=["subscribe", "unsubscribe", "publish", "start_publisher"],
+    )
+    def test_unknown_topic_is_a_configuration_error(self, system, call):
+        system.add_topic("alerts", publisher=0)
+        with pytest.raises(ConfigurationError, match=r"unknown topic 'nope'.*alerts"):
+            call(system)
+
 
 class TestPublishAndDeliver:
     def test_callback_receives_payload(self, system):
@@ -122,6 +153,8 @@ class TestStrategies:
             assert [d.payload for d in got] == [0, 1, 2]
         finally:
             system.close()
+        assert messages.ORDER_STAMPER is None
+        system.close()  # idempotent
         assert messages.ORDER_STAMPER is None
 
     def test_unknown_strategy_rejected(self):

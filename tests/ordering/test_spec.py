@@ -120,9 +120,9 @@ def test_cli_perf_attributes_total_order_hold_time(capsys):
 # Layering (grep-enforced)
 # ---------------------------------------------------------------------------
 def test_one_delay_estimator_below_both_of_its_users():
-    """The ordering layer sizes its window with the estimator the adaptive
-    ARQ policy uses, so the update lives below both: ``repro.ordering``
-    imports nothing from the protocol layers, and exactly one function
+    """The ordering layer, the estimator's one user, sizes its window with
+    ``repro.util.rtt``, which lives below the protocol layers:
+    ``repro.ordering`` imports nothing from them, and exactly one function
     under ``src/`` advances an ``srtt``/``rttvar`` pair."""
     import re
     from pathlib import Path

@@ -60,11 +60,11 @@ params_strategy = st.builds(
 )
 
 
-def _arq(monitor, params, policy=None):
+def _arq(monitor, params):
     ctx = build_ctx(MESH)
     ctx.monitor = monitor
     ctx.params = params
-    return ArqSender(ctx, timeout_policy=policy)
+    return ArqSender(ctx)
 
 
 def _ignore(frame):
@@ -129,39 +129,3 @@ def test_refresh_without_change_keeps_answers_stable(alphas, params):
     monitor.refresh(alphas)  # same values, new version: memo must rebuild
     after = {key: _armed_timeout(arq, *key) for key in alphas}
     assert before == after
-
-
-@given(alphas=alpha_maps, params=params_strategy)
-def test_samples_are_ignored_by_the_static_policy(alphas, params):
-    arq = _arq(StubMonitor(alphas), params)
-    before = {key: _armed_timeout(arq, *key) for key in alphas}
-    for src, dst in alphas:
-        arq.timeout_policy.on_sample(src, dst, 123.456)
-    after = {key: _armed_timeout(arq, *key) for key in alphas}
-    assert before == after
-
-
-class _CountingPolicy:
-    """A dynamic policy double: every query answers one tick longer."""
-
-    def __init__(self):
-        self.queries = 0
-
-    def timeout(self, src, dst):
-        self.queries += 1
-        return float(self.queries)
-
-    def on_sample(self, src, dst, rtt):
-        pass
-
-
-@given(alphas=alpha_maps, params=params_strategy, repeats=st.integers(1, 4))
-def test_dynamic_policy_is_asked_on_every_copy(alphas, params, repeats):
-    monitor = StubMonitor(alphas)
-    policy = _CountingPolicy()
-    arq = _arq(monitor, params, policy)
-    armed = [_armed_timeout(arq, *key) for _ in range(repeats) for key in alphas]
-    # The memo holds the direction but never a dynamic policy's answer.
-    assert armed == [float(n) for n in range(1, len(armed) + 1)]
-    assert monitor.estimate_calls == 0
-    assert all(info[0] is None for info in arq._dir_info.values())

@@ -58,7 +58,7 @@ def clocks():
     probes.detach(observer)
 
 
-def make_arq(m=1, failures=None, policy=None, echo_acks=True, **link_options):
+def make_arq(m=1, failures=None, echo_acks=True, **link_options):
     ctx = build_ctx(
         make_topology([(0, 1, PROP)]),
         failures=failures,
@@ -66,7 +66,7 @@ def make_arq(m=1, failures=None, policy=None, echo_acks=True, **link_options):
         service_time=SERVICE,
         **link_options,
     )
-    arq = ArqSender(ctx, timeout_policy=policy)
+    arq = ArqSender(ctx)
     if echo_acks:
         ctx.network.attach(
             1,
@@ -161,27 +161,6 @@ def test_an_overtaken_edf_copy_is_not_timed_out(clocks):
     assert dict(clocks.deadlines)[2] == pytest.approx(0.06 + TIMEOUT)
     assert clocks.timeouts == []
     assert sorted(outcomes) == [("acked", 1), ("acked", 2), ("acked", 3)]
-
-
-def test_karn_samples_exclude_the_queue_wait():
-    class Recording:
-        def __init__(self):
-            self.samples = []
-
-        def timeout(self, src, dst):
-            return 1.0
-
-        def on_sample(self, src, dst, rtt):
-            self.samples.append(rtt)
-
-    policy = Recording()
-    ctx, arq = make_arq(policy=policy)
-    for msg_id in (1, 2, 3):
-        send(arq, make_frame(msg_id))
-    ctx.sim.run()
-    # Queue waits were 0, 20 and 40 ms; every sample is the bare
-    # propagation round trip.
-    assert policy.samples == [pytest.approx(2 * PROP)] * 3
 
 
 def test_a_copy_its_own_queue_discards_fails_without_a_timeout(clocks):
