@@ -161,6 +161,7 @@ class _DeliveryTask:
         strategy = self.strategy
         strategy.frames_forwarded += len(groups)
         arq_send = strategy.arq.send
+        transfer_ids = strategy.ctx.transfer_ids
         hop_of_copy = self._hop_of_copy
         node = self.node
         frame = self.frame
@@ -168,7 +169,7 @@ class _DeliveryTask:
         plan = [] if record else None
         for hop, dests in groups.items():
             destinations = frozenset(dests)
-            copy = frame.forwarded(node, destinations)
+            copy = frame.forwarded(next(transfer_ids), node, destinations)
             hop_of_copy[copy.transfer_id] = hop
             is_bounce = hop == bounce
             if probe_bounce is not None and is_bounce:
@@ -195,13 +196,14 @@ class _DeliveryTask:
             return
         strategy.frames_forwarded += len(groups)
         arq_send = strategy.arq.send
+        transfer_ids = strategy.ctx.transfer_ids
         hop_of_copy = self._hop_of_copy
         probe_bounce = _probes.on_bounce
         on_acked = self._on_acked
         on_failed = self._on_failed
         forwarded = frame.forwarded
         for hop, destinations, is_bounce in groups:
-            copy = forwarded(node, destinations)
+            copy = forwarded(next(transfer_ids), node, destinations)
             hop_of_copy[copy.transfer_id] = hop
             if is_bounce and probe_bounce is not None:
                 probe_bounce(strategy.ctx.sim._now, node, hop, copy)
@@ -409,12 +411,15 @@ class DcrdStrategy(RoutingStrategy):
         destinations = self._deliver_local_at_origin(spec, msg_id, destinations)
         if not destinations:
             return
+        ctx = self.ctx
         frame = PacketFrame.fresh(
             msg_id=msg_id,
+            transfer_id=next(ctx.transfer_ids),
             topic=spec.topic,
             origin=spec.publisher,
-            publish_time=self.ctx.sim.now,
+            publish_time=ctx.sim.now,
             destinations=destinations,
+            ordering=ctx.ordering,
         )
         self._start_task(spec.publisher, frame)
 

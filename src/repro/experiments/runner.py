@@ -41,7 +41,6 @@ from repro.overlay.topology import (
 )
 from repro.pubsub.broker import BrokerRuntime
 from repro.pubsub.endpoints import PublisherProcess
-from repro.pubsub.messages import reset_message_ids
 from repro.pubsub.topics import Workload, generate_workload
 from repro.routing.base import ProtocolParams, RoutingStrategy, RuntimeContext
 from repro.routing.multipath import MultipathStrategy
@@ -206,7 +205,6 @@ def build_environment(
         raise ConfigurationError(
             f"unknown strategy {strategy_name!r}; known: {sorted(STRATEGIES)}"
         )
-    reset_message_ids()
     streams = RandomStreams(seed)
     if topology is None:
         topology = build_topology(config, streams)

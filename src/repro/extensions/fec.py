@@ -132,6 +132,7 @@ class FecMultipathStrategy(RoutingStrategy):
             for index, route in enumerate(paths):
                 frame = PacketFrame.fresh(
                     msg_id=msg_id,
+                    transfer_id=next(self.ctx.transfer_ids),
                     topic=spec.topic,
                     origin=spec.publisher,
                     publish_time=now,
@@ -140,6 +141,7 @@ class FecMultipathStrategy(RoutingStrategy):
                     fragment_index=index,
                     fragments_needed=self.k,
                     size=1.0 / self.k,
+                    ordering=self.ctx.ordering,
                 )
                 self._forward(spec.publisher, frame)
 
@@ -159,7 +161,10 @@ class FecMultipathStrategy(RoutingStrategy):
             )
         hop = frame.source_route[0]
         copy = frame.forwarded(
-            node, frame.destinations, source_route=frame.source_route[1:]
+            next(self.ctx.transfer_ids),
+            node,
+            frame.destinations,
+            source_route=frame.source_route[1:],
         )
         self.frames_forwarded += 1
         self.arq.send(node, hop, copy, self._on_acked, self._on_failed)

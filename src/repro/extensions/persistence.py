@@ -123,11 +123,13 @@ class PersistentDcrdStrategy(DcrdStrategy):
         # fresh routing path, single destination, new copy.
         fresh = PacketFrame.fresh(
             msg_id=item.frame.msg_id,
+            transfer_id=next(self.ctx.transfer_ids),
             topic=item.frame.topic,
             origin=item.frame.origin,
             publish_time=item.frame.publish_time,
             destinations=frozenset({item.subscriber}),
             routing_path=(),
+            ordering=self.ctx.ordering,
         )
         probe = _probes.on_custody
         if probe is not None:

@@ -21,12 +21,13 @@ changes to the protocol modules.
 
 Multi-process glue, all of it outside the protocol code:
 
-* **Transfer-id striping** — each copy's globally unique ``transfer_id``
-  is normally drawn from one process-wide counter; with many processes
-  the counters would collide. :func:`install_transfer_stripe` rebinds the
-  allocator to a disjoint range per partition (group id shifted past
-  :data:`TRANSFER_STRIPE_BITS`), without touching the protocol module:
-  both allocation sites read the module global at call time.
+* **Transfer-id striping** — each copy's ``transfer_id`` is unique
+  within a run and striped across a fleet: every partition's run
+  context counts transfer ids from the start of its own disjoint range
+  (its stripe group shifted past :data:`TRANSFER_STRIPE_BITS`, passed to
+  :func:`~repro.stack.wire_stack` as ``first_transfer_id``), so the
+  partitions' allocators never collide — not even two partitions
+  sharing one process.
 * **Epoch-pinned clocks** — the coordinator's ``start`` command carries a
   ``time.time()`` epoch; every partition pins its
   :class:`~repro.live.clock.WallClock` to it, so frame timestamps,
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -64,8 +64,6 @@ from repro.live.faults import FaultInjector
 from repro.live.scenarios import AcceptLedger, Scenario, reduce_run, scenario_from_dict
 from repro.live.transport import LiveTransport
 from repro.ordering.plan import plan_from_scenario
-from repro.pubsub import messages as _messages
-from repro.pubsub.messages import next_message_id, reset_message_ids
 from repro.routing.base import RuntimeContext
 from repro.sim.random import RandomStreams
 from repro.stack import observed, wire_stack
@@ -79,23 +77,6 @@ TRANSFER_STRIPE_BITS = 40
 #: How often :meth:`PartitionRuntime.settled` re-tests its exact predicate
 #: (seconds): a settle ends at most this long after the last copy lands.
 _SETTLE_CHECK_S = 0.001
-
-
-def install_transfer_stripe(group: int) -> None:
-    """Move this process's transfer-id allocator to *group*'s stripe.
-
-    Rebinds ``repro.pubsub.messages._transfer_counter`` — the module
-    global both allocation sites read at call time — to count from
-    ``(group << TRANSFER_STRIPE_BITS) + 1``. Call after
-    :func:`~repro.pubsub.messages.reset_message_ids` (which resets the
-    counter to the unstriped range). Message ids are *not* striped: only
-    the publisher's process allocates them, starting at 1.
-    """
-    if group < 1:
-        raise ConfigurationError(f"transfer stripe group must be >= 1, got {group}")
-    _messages._transfer_counter = itertools.count(
-        (group << TRANSFER_STRIPE_BITS) + 1
-    )
 
 
 def split_transfer_id(transfer_id: int) -> Tuple[int, int]:
@@ -121,6 +102,11 @@ class PartitionRuntime:
     Lifecycle: :meth:`start` wires the stack, opens the observer session
     and — last — the sockets; :meth:`close` must run on every path,
     including a failed :meth:`start`.
+
+    With a *stripe_group* (>= 1) the partition's transfer ids count from
+    :attr:`first_transfer_id` ``= (stripe_group << TRANSFER_STRIPE_BITS)
+    + 1``; without one, from 1. Message ids are not striped: only the
+    publisher's partition allocates them, starting at 1.
     """
 
     def __init__(
@@ -140,7 +126,14 @@ class PartitionRuntime:
             raise ConfigurationError("a partition must host at least one node")
         self.config = config if config is not None else LiveConfig()
         self.sanitize = sanitize
-        self.stripe_group = stripe_group
+        if stripe_group is None:
+            self.first_transfer_id = 1
+        elif stripe_group < 1:
+            raise ConfigurationError(
+                f"transfer stripe group must be >= 1, got {stripe_group}"
+            )
+        else:
+            self.first_transfer_id = (stripe_group << TRANSFER_STRIPE_BITS) + 1
         self.clock: Optional[WallClock] = None
         self.transport: Optional[LiveTransport] = None
         self.strategy: Optional[DcrdStrategy] = None
@@ -159,10 +152,7 @@ class PartitionRuntime:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Boot the partition: counters, stack, observers, then sockets."""
-        reset_message_ids()
-        if self.stripe_group is not None:
-            install_transfer_stripe(self.stripe_group)
+        """Boot the partition: stack, observers, then sockets."""
         self.clock = WallClock(asyncio.get_running_loop())
         topology = self.scenario.topology()
         rules = self.scenario.rules()
@@ -186,18 +176,12 @@ class PartitionRuntime:
             self.scenario.params(),
             ordering=plan_from_scenario(self.scenario.ordering),
             nodes=self.local_nodes,
+            first_transfer_id=self.first_transfer_id,
         )
         if self.sanitize:
             self.sanitizer = _sanity.Sanitizer(partitioned=partitioned)
-        # The stamper hook is process-global; only the publisher's
-        # partition ever runs fresh(), and activating just that one keeps
-        # co-located test partitions from clobbering each other.
         self._session = observed(
-            self.ctx,
-            self.sanitizer,
-            self.tracer,
-            observers=[self.ledger],
-            stamps=self.hosts_publisher,
+            self.ctx, self.sanitizer, self.tracer, observers=[self.ledger]
         )
         self._session.__enter__()
         await self.transport.start()
@@ -224,10 +208,10 @@ class PartitionRuntime:
 
     async def _publish_loop(self, spec: Any, publish_times: Sequence[float]) -> None:
         assert self.clock is not None and self.strategy is not None
+        assert self.ctx is not None
         for publish_time in publish_times:
             await self.clock.sleep_until(publish_time)
-            msg_id = next_message_id()
-            self.strategy.publish(spec, msg_id)
+            self.strategy.publish(spec, next(self.ctx.message_ids))
             self.published += 1
         self.done_publishing = True
 

@@ -29,7 +29,6 @@ from repro import trace as _trace
 from repro.live.broker import PartitionRuntime
 from repro.live.config import LiveConfig
 from repro.live.scenarios import Scenario, harvest
-from repro.pubsub.messages import next_message_id
 
 
 async def _run(
@@ -50,7 +49,7 @@ async def _run(
         start = clock.now
         for i in range(scenario.publishes):
             await clock.sleep_until(start + i * scenario.publish_interval)
-            msg_id = next_message_id()
+            msg_id = next(ctx.message_ids)
             ctx.metrics.expect(msg_id, scenario.topic, clock.now, deadlines)
             strategy.publish(spec, msg_id)
         await runtime.settled()

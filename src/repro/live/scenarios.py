@@ -34,7 +34,6 @@ from repro.live.faults import DropRule, ack_loss_rules, dead_link_rules, link_fi
 from repro.ordering.plan import plan_from_scenario
 from repro.overlay.links import OverlayNetwork
 from repro.overlay.topology import Topology, canonical_edge
-from repro.pubsub.messages import next_message_id, reset_message_ids
 from repro.pubsub.topics import Subscription, TopicSpec, Workload
 from repro.routing.base import ProtocolParams, RuntimeContext
 from repro.sim.engine import Simulator
@@ -346,7 +345,6 @@ def run_sim_scenario(
     scenario: Scenario, seed: int = 0, sanitize: bool = True
 ) -> Dict[str, Any]:
     """Execute *scenario* on the discrete-event substrate."""
-    reset_message_ids()
     topology = scenario.topology()
     sim = Simulator()
     streams = RandomStreams(seed)
@@ -369,7 +367,7 @@ def run_sim_scenario(
     deadlines = {sub.node: sub.deadline for sub in spec.subscriptions}
 
     def publish_one() -> None:
-        msg_id = next_message_id()
+        msg_id = next(ctx.message_ids)
         ctx.metrics.expect(msg_id, scenario.topic, sim.now, deadlines)
         strategy.publish(spec, msg_id)
 

@@ -94,8 +94,8 @@ class DeliveryPipeline:
         self.offers += 1
         tag = frame.order_tag
         if tag is None or not self._spec.covers(frame.topic):
-            # Untagged (published before the plan activated) or an
-            # uncovered topic: the guarantee does not apply.
+            # Untagged or an uncovered topic: the guarantee does not
+            # apply.
             self._broker.deliver_frame(frame)
             return
         msg_id = frame.msg_id

@@ -4,11 +4,14 @@ One :class:`OrderingPlan` exists per run (or per partition process in
 the multi-process deployment). It owns everything the guarantee needs
 that is *not* per-node:
 
-* the **stamper** — the :data:`repro.pubsub.messages.ORDER_STAMPER`
-  callback that allocates an :class:`~repro.ordering.tags.OrderTag` for
-  every freshly published frame (idempotent per ``msg_id``, so the
-  persistency extension's custody *redelivery* — which re-freshens the
-  same message — reuses the original tag);
+* the **stamper** — :meth:`OrderingPlan.stamp`, which
+  :meth:`PacketFrame.fresh <repro.pubsub.messages.PacketFrame.fresh>`
+  calls with the run's plan (``ctx.ordering``) to allocate an
+  :class:`~repro.ordering.tags.OrderTag` for every freshly published
+  frame (idempotent per ``msg_id``, so the persistency extension's
+  custody *redelivery* — which re-freshens the same message — reuses the
+  original tag). It is the plan's from construction on: two ordered runs
+  in one process never stamp each other's frames;
 * per-publication-stream sequence counters, per-node observed vector
   clocks (``causal``), and per-node hybrid logical clocks (``total``:
   integer microseconds that follow the publish time and never run
@@ -20,7 +23,8 @@ that is *not* per-node:
 
 Tags ride on the frames themselves (and on the wire in live mode), so
 cross-process deployments need no shared stamping state: only the
-partition hosting a publisher ever stamps its messages.
+partition hosting a publisher ever creates fresh frames, so only its
+plan stamps.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from repro.ordering.spec import (
     parse_ordering,
 )
 from repro.ordering.tags import OrderTag, Stream
-from repro.pubsub import messages as _messages
 from repro.pubsub.messages import PacketFrame
 
 
@@ -69,7 +72,6 @@ class OrderingPlan:
         # Per-node hybrid logical clock in microseconds (total level).
         self._hlc: Dict[int, int] = {}
         self._pipelines: List[DeliveryPipeline] = []
-        self._active = False
 
     @classmethod
     def from_text(cls, text: Optional[str], **kwargs) -> Optional["OrderingPlan"]:
@@ -87,7 +89,7 @@ class OrderingPlan:
 
     # ------------------------------------------------------------------
     def stamp(self, frame: PacketFrame) -> Optional[OrderTag]:
-        """The ``ORDER_STAMPER`` hook: allocate (or recall) a frame's tag."""
+        """Allocate (or recall) a fresh frame's tag."""
         cached = self._tags.get(frame.msg_id)
         if cached is not None:
             return cached
@@ -133,16 +135,8 @@ class OrderingPlan:
                 self._hlc[node] = tag.ts
 
     # ------------------------------------------------------------------
-    def activate(self) -> None:
-        """Install this plan's stamper on the publish path."""
-        _messages.set_order_stamper(self.stamp)
-        self._active = True
-
-    def deactivate(self) -> None:
-        """Remove the stamper and disarm every pipeline."""
-        if self._active:
-            _messages.set_order_stamper(None)
-            self._active = False
+    def close(self) -> None:
+        """Disarm every pipeline; late stall-timer callbacks become no-ops."""
         for pipeline in self._pipelines:
             pipeline.close()
 

@@ -1,7 +1,7 @@
 """Ordering tags: the metadata a guarantee stamps onto each frame.
 
-A tag is allocated once, at the publish origin, by the active
-:class:`~repro.ordering.plan.OrderingPlan` stamper and rides on
+A tag is allocated once, at the publish origin, by the run's
+:class:`~repro.ordering.plan.OrderingPlan` (its ``stamp``) and rides on
 ``PacketFrame.order_tag`` through every copy, retransmission, and (in
 live mode) the wire codec. Hold-back pipelines at subscriber nodes read
 it; nothing in the data plane ever mutates it.

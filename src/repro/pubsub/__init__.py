@@ -2,7 +2,7 @@
 
 from repro.pubsub.broker import BrokerRuntime
 from repro.pubsub.endpoints import PublisherProcess
-from repro.pubsub.messages import AckFrame, PacketFrame, next_message_id, reset_message_ids
+from repro.pubsub.messages import AckFrame, PacketFrame
 from repro.pubsub.topics import Subscription, TopicSpec, Workload, generate_workload
 
 __all__ = [
@@ -14,6 +14,4 @@ __all__ = [
     "TopicSpec",
     "Workload",
     "generate_workload",
-    "next_message_id",
-    "reset_message_ids",
 ]

@@ -120,7 +120,7 @@ class BrokerRuntime:
             ack.transfer_id = frame.transfer_id
             self._send_ack(node, sender, ack)
         # Duplicate suppression (inlined: one bounded seen-set probe on the
-        # dedup key, which is the globally unique transfer id).
+        # dedup key, which is the transfer id, unique within the run).
         key = frame.transfer_id
         seen = self._seen
         if key in seen:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.pubsub.messages import next_message_id
 from repro.pubsub.topics import TopicSpec
 from repro.routing.base import RoutingStrategy, RuntimeContext
 from repro.sim.process import PeriodicProcess
@@ -70,7 +69,7 @@ class PublisherProcess:
         self.spec = spec
         if not spec.subscriptions:
             return
-        msg_id = next_message_id()
+        msg_id = next(self.ctx.message_ids)
         self.ctx.metrics.expect(msg_id, topic, now, deadlines)
         self.strategy.publish(spec, msg_id)
         self.published += 1

@@ -1,18 +1,21 @@
 """Wire frames exchanged between brokers.
 
-A published message is identified by a globally unique ``msg_id``. As it
+A published message is identified by a ``msg_id`` unique within its run
+(drawn from the run's :class:`~repro.routing.base.RuntimeContext`). As it
 moves through the overlay it is wrapped in :class:`PacketFrame` copies; each
 copy carries the subset of subscribers it is responsible for
 (``destinations``) and the ordered list of brokers that have sent it
 (``routing_path``) — the in-band state DCRD uses for loop avoidance and
 upstream rerouting (§III-D).
 
-Every *distinct* copy additionally carries a globally unique ``transfer_id``
-assigned when the copy is created. Retransmissions of a copy reuse the id,
-so (a) the hop-by-hop :class:`AckFrame` can name exactly which transmission
-it confirms even when several copies of one message are in flight between
-the same pair of brokers, and (b) receivers can suppress byte-identical
-duplicates caused by lost ACKs.
+Every *distinct* copy additionally carries a ``transfer_id``, unique
+within a run and striped across a fleet of partition processes, which
+the caller of :meth:`PacketFrame.fresh` / :meth:`PacketFrame.forwarded`
+draws from the same context. Retransmissions of a copy reuse the id, so
+(a) the hop-by-hop :class:`AckFrame` can name exactly which transmission
+it confirms even when several copies of one message are in flight
+between the same pair of brokers, and (b) receivers can suppress
+byte-identical duplicates caused by lost ACKs.
 
 Frames are immutable; every hop builds new copies via
 :meth:`PacketFrame.forwarded`. Frame construction sits on the data-plane
@@ -27,52 +30,14 @@ path_set`) are O(1) instead of scanning the tuple.
 
 from __future__ import annotations
 
-import itertools
 from typing import FrozenSet, Optional, Tuple
 
 from repro import probes as _probes
-
-_message_counter = itertools.count(1)
-_transfer_counter = itertools.count(1)
 
 _INF = float("inf")
 # Bare allocation for the copy fast paths (forwarded/with_destinations),
 # which write every slot themselves instead of round-tripping __init__.
 _new_frame = object.__new__
-
-
-def next_message_id() -> int:
-    """Allocate a fresh globally unique message id."""
-    return next(_message_counter)
-
-
-def next_transfer_id() -> int:
-    """Allocate a fresh globally unique transfer (copy) id."""
-    return next(_transfer_counter)
-
-
-def reset_message_ids() -> None:
-    """Reset both id counters (tests and independent experiment repetitions)."""
-    global _message_counter, _transfer_counter
-    _message_counter = itertools.count(1)
-    _transfer_counter = itertools.count(1)
-
-
-# ---------------------------------------------------------------------------
-# Ordering stamper hook. Mirrors the probe-slot discipline: ``None`` by
-# default, so the ordering-off publish path pays one module-attribute load
-# and one ``is None`` check — the same footprint class the fingerprint
-# suite pins for probe sites. When an OrderingPlan activates, its stamper
-# is installed here and every fresh frame gets an
-# :class:`repro.ordering.tags.OrderTag` before the publish probe fires.
-# ---------------------------------------------------------------------------
-ORDER_STAMPER = None
-
-
-def set_order_stamper(stamper) -> None:
-    """Install (or with ``None`` remove) the publish-time order stamper."""
-    global ORDER_STAMPER
-    ORDER_STAMPER = stamper
 
 
 class PacketFrame:
@@ -81,9 +46,10 @@ class PacketFrame:
     Attributes
     ----------
     msg_id:
-        Globally unique id of the published message.
+        Id of the published message, unique within its run.
     transfer_id:
-        Globally unique id of this copy; shared by its retransmissions.
+        Id of this copy, unique within its run (striped across a fleet);
+        shared by its retransmissions.
     topic:
         Topic the message was published on.
     origin:
@@ -119,8 +85,8 @@ class PacketFrame:
         more urgent). ``inf`` (the default) means "no deadline known";
         FIFO links ignore this field entirely.
     order_tag:
-        Delivery-ordering metadata stamped at publish time when an
-        ordering plan is active (``None`` otherwise — the default for
+        Delivery-ordering metadata stamped at publish time by the run's
+        ordering plan (``None`` when the run has none — the default for
         every ordering-off run). Shared by all copies of a message and
         excluded from ``_key()``: equality/dedup semantics are about the
         copy's wire identity, which the tag (a pure function of
@@ -182,6 +148,7 @@ class PacketFrame:
     @staticmethod
     def fresh(
         msg_id: int,
+        transfer_id: int,
         topic: int,
         origin: int,
         publish_time: float,
@@ -192,11 +159,17 @@ class PacketFrame:
         fragments_needed: int = 0,
         size: float = 1.0,
         priority: float = _INF,
+        ordering=None,
     ) -> "PacketFrame":
-        """Create a brand-new copy with its own transfer id."""
+        """Create a brand-new copy with its own *transfer_id*.
+
+        *ordering* is the run's :class:`~repro.ordering.plan.OrderingPlan`
+        (``None``: ordering off); it stamps the frame's order tag before
+        the ``publish`` probe fires.
+        """
         frame = PacketFrame(
             msg_id,
-            next_transfer_id(),
+            transfer_id,
             topic,
             origin,
             publish_time,
@@ -208,9 +181,8 @@ class PacketFrame:
             size,
             priority,
         )
-        stamper = ORDER_STAMPER
-        if stamper is not None:
-            frame.order_tag = stamper(frame)
+        if ordering is not None:
+            frame.order_tag = ordering.stamp(frame)
         probe = _probes.on_publish
         if probe is not None:
             probe(frame)
@@ -218,12 +190,14 @@ class PacketFrame:
 
     def forwarded(
         self,
+        transfer_id: int,
         sender: int,
         destinations: FrozenSet[int],
         source_route: Tuple[int, ...] = (),
         priority: Optional[float] = None,
     ) -> "PacketFrame":
-        """A new copy for the next hop, with *sender* appended to the path.
+        """A new copy *transfer_id* for the next hop, with *sender*
+        appended to the path.
 
         ``priority`` overrides the inherited urgency (used when a copy's
         destination subset has a different earliest deadline than its
@@ -233,7 +207,7 @@ class PacketFrame:
         """
         copy = _new_frame(PacketFrame)
         copy.msg_id = self.msg_id
-        copy.transfer_id = next(_transfer_counter)
+        copy.transfer_id = transfer_id
         copy.topic = self.topic
         copy.origin = self.origin
         copy.publish_time = self.publish_time

@@ -7,7 +7,8 @@ the link attempt failed. What differs between schemes is only the *reaction*
 to success/failure, expressed here as callbacks.
 
 :class:`ArqSender` is shared by all brokers of a run (transfer ids are
-globally unique, so one table suffices) and tracks every outstanding copy.
+unique within a run, so one table suffices) and tracks every outstanding
+copy.
 
 **The ACK clock starts at the wire.** A copy handed to the network may sit
 in its sender's own output queue (finite-capacity links) before its last

@@ -11,6 +11,10 @@ subscriber delivery — and delegates the forwarding decision here.
 :class:`ProtocolParams` the paper's protocol knobs (``m``, the per-link
 transmission budget of §III-A, and the ACK-timeout factor).
 
+The context also owns the run's identities: the message- and
+transfer-id counters every publisher and frame-building site draws from,
+so two runs in one process never share an id space.
+
 ``RuntimeContext.sim`` and ``RuntimeContext.network`` are duck-typed
 against the :mod:`repro.substrate` protocols rather than concrete
 classes: ``sim`` is any Clock (``_now`` readable as an attribute,
@@ -23,8 +27,10 @@ strategies never branch on the substrate.
 from __future__ import annotations
 
 import abc
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Iterator, Optional
 
 from repro.metrics.collector import MetricsCollector
 from repro.overlay.links import OverlayNetwork
@@ -83,8 +89,15 @@ class RuntimeContext:
     params: ProtocolParams = field(default_factory=ProtocolParams)
     #: The run's :class:`~repro.ordering.plan.OrderingPlan`, or ``None``
     #: (the default — ordering off). Broker runtimes read it to decide
-    #: whether local deliveries flow through a hold-back pipeline.
+    #: whether local deliveries flow through a hold-back pipeline, and
+    #: publish sites hand it to ``PacketFrame.fresh``, which stamps.
     ordering: Any = None
+    #: The run's message-id allocator: publishers take ``next()`` of it.
+    message_ids: Iterator[int] = field(default_factory=partial(itertools.count, 1))
+    #: The run's transfer-id allocator: every frame-building site takes
+    #: ``next()`` of it for each copy it creates. A fleet partition's
+    #: counter starts at its stripe (``repro.live.broker``).
+    transfer_ids: Iterator[int] = field(default_factory=partial(itertools.count, 1))
 
 
 class RoutingStrategy(abc.ABC):

@@ -79,11 +79,13 @@ class MultipathStrategy(RoutingStrategy):
             for route in routes:
                 frame = PacketFrame.fresh(
                     msg_id=msg_id,
+                    transfer_id=next(self.ctx.transfer_ids),
                     topic=spec.topic,
                     origin=spec.publisher,
                     publish_time=now,
                     destinations=frozenset({sub.node}),
                     source_route=tuple(route[1:]),
+                    ordering=self.ctx.ordering,
                 )
                 self._forward(spec.publisher, frame)
 
@@ -103,7 +105,10 @@ class MultipathStrategy(RoutingStrategy):
             )
         hop = frame.source_route[0]
         copy = frame.forwarded(
-            node, frame.destinations, source_route=frame.source_route[1:]
+            next(self.ctx.transfer_ids),
+            node,
+            frame.destinations,
+            source_route=frame.source_route[1:],
         )
         self.frames_forwarded += 1
         self.arq.send(node, hop, copy, self._on_acked, self._on_failed)

@@ -136,10 +136,12 @@ class OracleStrategy(RoutingStrategy):
         self.ctx.sim.schedule(_PATH_STATE_TTL, self._routes.pop, msg_id, None)
         frame = PacketFrame.fresh(
             msg_id=msg_id,
+            transfer_id=next(self.ctx.transfer_ids),
             topic=spec.topic,
             origin=spec.publisher,
             publish_time=now,
             destinations=frozenset(pending),
+            ordering=self.ctx.ordering,
         )
         self._forward(spec.publisher, frame)
 
@@ -158,8 +160,9 @@ class OracleStrategy(RoutingStrategy):
             position = path.index(node)
             groups.setdefault(path[position + 1], set()).add(subscriber)
         self.frames_forwarded += len(groups)
+        transfer_ids = self.ctx.transfer_ids
         for hop, dests in groups.items():
-            copy = frame.forwarded(node, frozenset(dests))
+            copy = frame.forwarded(next(transfer_ids), node, frozenset(dests))
             self.ctx.network.transmit(
                 node, hop, copy, FrameKind.DATA, reliable=True
             )

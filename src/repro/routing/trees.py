@@ -89,11 +89,13 @@ class TreeStrategy(RoutingStrategy):
             return
         frame = PacketFrame.fresh(
             msg_id=msg_id,
+            transfer_id=next(self.ctx.transfer_ids),
             topic=spec.topic,
             origin=spec.publisher,
             publish_time=self.ctx.sim.now,
             destinations=destinations,
             priority=self._copy_priority(spec.topic, self.ctx.sim.now, destinations),
+            ordering=self.ctx.ordering,
         )
         self._forward(spec.publisher, frame)
 
@@ -126,9 +128,11 @@ class TreeStrategy(RoutingStrategy):
                 continue
             groups.setdefault(hop, set()).add(subscriber)
         self.frames_forwarded += len(groups)
+        transfer_ids = self.ctx.transfer_ids
         for hop, dests in groups.items():
             subset = frozenset(dests)
             copy = frame.forwarded(
+                next(transfer_ids),
                 node,
                 subset,
                 priority=self._copy_priority(frame.topic, frame.publish_time, subset),

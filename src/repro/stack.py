@@ -6,13 +6,16 @@ the scripted sim scenarios, the live partitions — goes through this
 module and keeps only what is its own (hazard schedules, publishers,
 fault scripts, sockets, pacing): :func:`wire_stack` assembles the stack
 over whatever clock/transport pair the caller brought
-(:mod:`repro.substrate`), and :class:`observed` owns the process-global
+(:mod:`repro.substrate`) together with the run's identities (message
+ids unique within a run, transfer ids unique within a run and striped
+across a fleet), and :class:`observed` owns the process-global
 observer state of a run — attach order on entry, idle state restored
 on every exit path.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro import probes as _probes
@@ -48,10 +51,15 @@ def wire_stack(
     monitor_mode: str = "analytic",
     ordering: Optional[OrderingPlan] = None,
     nodes: Optional[Iterable[int]] = None,
+    first_transfer_id: int = 1,
 ) -> Stack:
     """``LinkMonitor`` → ``MetricsCollector`` → ``RuntimeContext`` →
     *strategy* (a constructor; then ``setup()``) → one ``BrokerRuntime``
     per hosted node (*nodes*; default: every node of *topology*).
+
+    The context's message ids count from 1 and its transfer ids from
+    *first_transfer_id* — a fleet partition passes the start of its
+    stripe so co-operating processes never collide.
 
     The substrate's fast paths — interned link directions, latent ARQ
     timers — are switched on whenever it offers them and every node is
@@ -67,6 +75,7 @@ def wire_stack(
         streams=streams,
         params=params,
         ordering=ordering,
+        transfer_ids=itertools.count(first_transfer_id),
     )
     routing = strategy(ctx)
     routing.setup()
@@ -92,11 +101,10 @@ class observed:
 
     Entry attaches *sanitizer* then *tracer* (the order fixes the fused
     callback order at shared probe sites) and the extra *observers* to
-    the probe bus, and activates the context's ordering stamper — unless
-    *stamps* is false: the hook is process-global and only a partition
-    hosting a publisher stamps. Exit detaches exactly what entry
-    attached: a ``None`` sanitizer or tracer detaches nothing, and
-    observers attached to the bus directly are left untouched.
+    the probe bus. Exit detaches exactly what entry attached: a ``None``
+    sanitizer or tracer detaches nothing, and observers attached to the
+    bus directly are left untouched. The context's ordering plan stamps
+    from its construction on; :meth:`close` only disarms its pipelines.
 
     :meth:`finish` ends a run that completed: hold-back state is flushed
     while the sanitizer watches, then its end-of-run checks run with the
@@ -113,7 +121,6 @@ class observed:
         sanitizer: Optional[_sanity.Sanitizer] = None,
         tracer: Optional[_trace.FrameTracer] = None,
         observers: Sequence[Any] = (),
-        stamps: bool = True,
     ) -> None:
         self.ctx = ctx
         self.sanitizer = sanitizer
@@ -122,14 +129,11 @@ class observed:
             o for o in (sanitizer, tracer, *observers) if o is not None
         )
         self.plan: Optional[OrderingPlan] = ctx.ordering if ctx is not None else None
-        self.stamps = stamps
         self._finished = False
 
     def __enter__(self) -> "observed":
         for observer in self.observers:
             _probes.attach(observer)
-        if self.plan is not None and self.stamps:
-            self.plan.activate()
         return self
 
     def finish(self) -> None:
@@ -150,9 +154,9 @@ class observed:
                 sanitizer.finish(self.ctx.metrics, now)
 
     def close(self) -> None:
-        """Return every process-global slot this session set to idle."""
+        """Disarm the ordering pipelines and detach every observer."""
         if self.plan is not None:
-            self.plan.deactivate()
+            self.plan.close()
         for observer in self.observers:
             _probes.detach(observer)
 

@@ -35,7 +35,6 @@ from repro.overlay.failures import FailureSchedule
 from repro.overlay.links import OverlayNetwork
 from repro.overlay.topology import Topology, full_mesh, random_regular
 from repro.pubsub.endpoints import PublisherProcess
-from repro.pubsub.messages import next_message_id
 from repro.pubsub.topics import Subscription, TopicSpec, Workload
 from repro.routing.base import ProtocolParams
 from repro.sim.engine import Simulator
@@ -113,8 +112,8 @@ class PubSubSystem:
         self.metrics = self.ctx.metrics
         self.metrics.add_observer(self._on_delivery)
         # Embedded systems stay alive indefinitely, so one observer session
-        # (it activates the ordering stamper, if any) spans the system's
-        # whole lifetime; call close() when the system is done.
+        # spans the system's whole lifetime; call close() when the system
+        # is done (it flushes and disarms the ordering pipelines, if any).
         self._session = observed(self.ctx)
         self._session.__enter__()
 
@@ -208,7 +207,7 @@ class PubSubSystem:
         require(
             bool(spec.subscriptions), f"topic {topic!r} has no subscribers"
         )
-        msg_id = next_message_id()
+        msg_id = next(self.ctx.message_ids)
         now = self.sim.now
         self._payloads[msg_id] = payload
         self._publish_times[msg_id] = now
@@ -233,7 +232,7 @@ class PubSubSystem:
         self.sim.run(until=until)
 
     def close(self) -> None:
-        """Flush hold-back state and release the ordering stamper hook."""
+        """Flush hold-back state and disarm the ordering pipelines."""
         self._session.finish()
         self._session.close()
 

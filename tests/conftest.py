@@ -13,22 +13,12 @@ from repro.overlay.links import OverlayNetwork
 from repro.overlay.monitor import LinkMonitor
 from repro.overlay.topology import Topology, canonical_edge
 from repro.pubsub.broker import BrokerRuntime
-from repro.pubsub import messages
-from repro.pubsub.messages import reset_message_ids
 from repro.pubsub.topics import Subscription, TopicSpec, Workload
 from repro.routing.base import ProtocolParams, RuntimeContext
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
 import networkx as nx
-
-
-@pytest.fixture(autouse=True)
-def _fresh_message_ids():
-    """Keep message/transfer ids independent across tests."""
-    reset_message_ids()
-    yield
-    reset_message_ids()
 
 
 @pytest.fixture(autouse=True)
@@ -45,12 +35,9 @@ def _no_leaked_process_globals():
         if getattr(probes, "on_" + family) is not None
     ]
     leaks += [f"observer still attached: {o!r}" for o in probes.observers()]
-    if messages.ORDER_STAMPER is not None:
-        leaks.append("messages.ORDER_STAMPER is set")
     if leaks:
         for observer in probes.observers():
             probes.detach(observer)
-        messages.set_order_stamper(None)
         pytest.fail("test leaked process-global state:\n  " + "\n  ".join(leaks))
 
 

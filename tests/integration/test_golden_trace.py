@@ -102,9 +102,6 @@ def export_text(tracer) -> str:
 
 
 def write_golden() -> None:  # pragma: no cover - regeneration helper
-    from repro.pubsub.messages import reset_message_ids
-
-    reset_message_ids()
     _, tracer = traced_run()
     GOLDEN_PATH.write_text(export_text(tracer), encoding="utf-8")
 

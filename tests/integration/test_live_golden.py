@@ -20,8 +20,8 @@ the trace deterministic instead:
   "transfer"}`` and sorted by that tuple — causal order within a bucket
   is not pinned, arrival order across sockets is not pinned, but the
   *set* of lifecycle events per bucket is;
-* message/transfer ids are reproducible because the run starts from
-  ``reset_message_ids()`` and the scenario is a single causal chain.
+* message/transfer ids are reproducible because every run counts them
+  from 1 in its own context and the scenario is a single causal chain.
 
 The same world is also pinned on the **multi-process** substrate
 (``data/live_multiproc_golden_trace.jsonl``): two broker OS processes

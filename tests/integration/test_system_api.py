@@ -2,8 +2,20 @@
 
 import pytest
 
+from repro import probes
 from repro.system import Delivery, PubSubSystem
 from repro.util.errors import ConfigurationError
+
+
+class _PublishedSeqs(probes.ProbeObserver):
+    """The order-tag sequence number of every fresh frame, in order."""
+
+    def __init__(self) -> None:
+        self.seqs: list = []
+
+    def on_publish(self, frame):
+        tag = frame.order_tag
+        self.seqs.append(None if tag is None else tag.seq)
 
 
 @pytest.fixture
@@ -138,24 +150,50 @@ class TestStrategies:
         system.run(until=1.0)
         assert [d.payload for d in got] == [name]
 
-    def test_ordered_facade_holds_the_stamper_until_closed(self):
-        from repro.pubsub import messages
+    def test_ordered_facade_orders_and_closes_idempotently(self):
+        for _ in range(2):  # a second ordered system built after close()
+            system = PubSubSystem.build(
+                num_nodes=6, seed=3, loss_rate=0.0, ordering="fifo"
+            )
+            try:
+                system.add_topic("t", publisher=0)
+                got = []
+                system.subscribe("t", node=4, deadline=0.5, callback=got.append)
+                for payload in range(3):
+                    system.publish("t", payload=payload)
+                system.run(until=1.0)
+                assert [d.payload for d in got] == [0, 1, 2]
+                counters = system.ordering.perf_counters()
+                assert counters["ordering.releases"] == counters["ordering.offers"] == 3
+            finally:
+                system.close()
+            system.close()  # idempotent
 
-        system = PubSubSystem.build(num_nodes=6, seed=3, loss_rate=0.0, ordering="fifo")
+    def test_two_ordered_systems_stamp_their_own_frames(self):
+        first = PubSubSystem.build(num_nodes=6, seed=3, loss_rate=0.0, ordering="fifo")
+        second = PubSubSystem.build(num_nodes=6, seed=3, loss_rate=0.0, ordering="fifo")
+        seqs = _PublishedSeqs()
+        probes.attach(seqs)
         try:
-            assert messages.ORDER_STAMPER is not None
-            system.add_topic("t", publisher=0)
+            for system in (first, second):
+                system.add_topic("t", publisher=0)
             got = []
-            system.subscribe("t", node=4, deadline=0.5, callback=got.append)
-            for payload in range(3):
-                system.publish("t", payload=payload)
-            system.run(until=1.0)
-            assert [d.payload for d in got] == [0, 1, 2]
+            first.subscribe("t", node=4, deadline=0.5, callback=got.append)
+            second.subscribe("t", node=4, deadline=0.5)
+            second.publish("t")
+            first.publish("t", payload=0)  # the other system is open ...
+            second.close()
+            first.publish("t", payload=1)  # ... and closed
+            first.run(until=1.0)
         finally:
-            system.close()
-        assert messages.ORDER_STAMPER is None
-        system.close()  # idempotent
-        assert messages.ORDER_STAMPER is None
+            probes.detach(seqs)
+            first.close()
+            second.close()
+        # Each system's stream starts at seq 1, stamped by its own plan.
+        assert seqs.seqs == [1, 1, 2]
+        assert [d.payload for d in got] == [0, 1]
+        counters = first.ordering.perf_counters()
+        assert counters["ordering.releases"] == counters["ordering.offers"] == 2
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigurationError):

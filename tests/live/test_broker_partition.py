@@ -26,11 +26,11 @@ import time
 
 import pytest
 
+from repro import probes
 from repro.live.broker import (
     PartitionRuntime,
     TRANSFER_STRIPE_BITS,
     broker_main,
-    install_transfer_stripe,
     split_transfer_id,
 )
 from repro.live.cluster import allocate_ports, merge_reports, plan_cluster
@@ -38,23 +38,31 @@ from repro.live.config import LiveConfig
 from repro.live.runtime import run_live_scenario
 from repro.live.scenarios import make_scenario, run_sim_scenario, scenario_to_dict
 from repro.live.transport import LiveTransport
-from repro.pubsub.messages import next_transfer_id, reset_message_ids
 from repro.util.errors import ConfigurationError, SimulationError
 
 
 # ---------------------------------------------------------------------------
 # Transfer-id striping
 # ---------------------------------------------------------------------------
+def _first_transfer_id(stripe_group):
+    scenario = make_scenario("failover_bounce")
+    return PartitionRuntime(
+        scenario, 0, [0], stripe_group=stripe_group
+    ).first_transfer_id
+
+
 class TestTransferStripe:
+    def test_first_id_is_the_groups_first_local_sequence(self):
+        assert split_transfer_id(_first_transfer_id(2)) == (2, 1)
+        assert split_transfer_id(_first_transfer_id(5)) == (5, 1)
+        assert _first_transfer_id(None) == 1
+
     def test_striped_ids_live_in_disjoint_ranges(self):
-        reset_message_ids()
-        install_transfer_stripe(2)
-        first = next_transfer_id()
-        assert split_transfer_id(first) == (2, 1)
-        install_transfer_stripe(5)
-        assert split_transfer_id(next_transfer_id()) == (5, 1)
-        reset_message_ids()
-        assert split_transfer_id(next_transfer_id()) == (0, 1)
+        # Group g counts local sequences 1 .. 2^bits - 1 from first(g):
+        # its last id still splits to g, below the next group's first.
+        last_of_2 = _first_transfer_id(2) + (1 << TRANSFER_STRIPE_BITS) - 2
+        assert split_transfer_id(last_of_2) == (2, (1 << TRANSFER_STRIPE_BITS) - 1)
+        assert last_of_2 < _first_transfer_id(3)
 
     def test_unstriped_ids_decompose_to_group_zero(self):
         assert split_transfer_id(1) == (0, 1)
@@ -65,7 +73,7 @@ class TestTransferStripe:
 
     def test_invalid_group_rejected(self):
         with pytest.raises(ConfigurationError, match="stripe group"):
-            install_transfer_stripe(0)
+            _first_transfer_id(0)
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +87,21 @@ def _partition_configs(scenario, groups):
     return [LiveConfig(peers=peers) for _ in groups]
 
 
+class _PublishStripes(probes.ProbeObserver):
+    """The stripe group of every fresh (publish) copy."""
+
+    def __init__(self) -> None:
+        self.groups: set = set()
+
+    def on_publish(self, frame):
+        self.groups.add(split_transfer_id(frame.transfer_id)[0])
+
+
 async def _run_partitions(scenario, groups, seed=0):
+    """Run *groups* as co-located partitions; returns their reports and
+    the stripe groups the publish copies were drawn from."""
     configs = _partition_configs(scenario, groups)
+    stripes = _PublishStripes()
     runtimes = [
         PartitionRuntime(
             scenario,
@@ -92,6 +113,7 @@ async def _run_partitions(scenario, groups, seed=0):
         )
         for group, config in zip(groups, configs)
     ]
+    probes.attach(stripes)
     try:
         # Start concurrently: each partition binds its servers before
         # dialing, and the dial-retry loop covers the boot ordering —
@@ -110,15 +132,16 @@ async def _run_partitions(scenario, groups, seed=0):
             if done and in_flight == 0:
                 break
             await asyncio.sleep(0.02)
-        return [runtime.report() for runtime in runtimes]
+        return [runtime.report() for runtime in runtimes], stripes.groups
     finally:
+        probes.detach(stripes)
         for runtime in runtimes:
             await runtime.close()
 
 
 def test_two_partitions_match_the_sim_delivered_set():
     scenario = make_scenario("failover_bounce")
-    reports = asyncio.run(_run_partitions(scenario, [(0, 2), (1, 3)]))
+    reports, _ = asyncio.run(_run_partitions(scenario, [(0, 2), (1, 3)]))
     merged = merge_reports(scenario, reports, sanitize=False)
     sim = run_sim_scenario(make_scenario("failover_bounce"), seed=0, sanitize=False)
     assert merged["delivered"] == sim["delivered"]
@@ -132,7 +155,9 @@ def test_two_partitions_match_the_sim_delivered_set():
 
 def test_partition_reports_are_disjoint_by_node():
     scenario = make_scenario("failover_bounce")
-    reports = asyncio.run(_run_partitions(scenario, [(0, 2), (1, 3)]))
+    reports, publish_stripes = asyncio.run(
+        _run_partitions(scenario, [(0, 2), (1, 3)])
+    )
     assert reports[0]["nodes"] == [0, 2]
     assert reports[1]["nodes"] == [1, 3]
     # The subscriber (node 3) lives in partition 1: all deliveries and
@@ -140,9 +165,11 @@ def test_partition_reports_are_disjoint_by_node():
     assert reports[0]["deliveries"] == ()
     assert reports[0]["delivered"] == ()
     assert len(reports[1]["delivered"]) == scenario.publishes
-    # Only the publisher's partition publishes.
+    # Only the publisher's partition publishes, from its own stripe
+    # (group min(0, 2) + 1) although the other partition shares its loop.
     assert reports[0]["published"] == scenario.publishes
     assert reports[1]["published"] == 0
+    assert publish_stripes == {1}
 
 
 # ---------------------------------------------------------------------------

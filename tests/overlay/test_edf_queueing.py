@@ -1,5 +1,7 @@
 """Tests for the EDF link queue discipline."""
 
+import itertools
+
 import pytest
 
 from repro.overlay.links import FrameKind, OverlayNetwork
@@ -9,10 +11,13 @@ from repro.sim.random import RandomStreams
 from repro.util.errors import SimulationError
 from tests.conftest import make_topology
 
+_transfer_ids = itertools.count(1)
+
 
 def frame_with_priority(priority, msg_id=1):
     return PacketFrame.fresh(
         msg_id=msg_id,
+        transfer_id=next(_transfer_ids),
         topic=0,
         origin=0,
         publish_time=0.0,

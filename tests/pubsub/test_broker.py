@@ -46,6 +46,7 @@ def data_frame(ctx, destinations, path=(0,), msg_id=1, topic=0):
     ctx.metrics.expect(msg_id, topic, 0.0, {node: 1.0 for node in destinations})
     return PacketFrame.fresh(
         msg_id=msg_id,
+        transfer_id=next(ctx.transfer_ids),
         topic=topic,
         origin=0,
         publish_time=0.0,
@@ -97,7 +98,9 @@ def test_duplicate_copy_is_reacked_but_not_reprocessed():
 def test_distinct_copies_of_same_message_both_processed():
     ctx, strategy, brokers = make_setup()
     frame = data_frame(ctx, {2})
-    bounced = frame.forwarded(sender=1, destinations=frame.destinations)
+    bounced = frame.forwarded(
+        next(ctx.transfer_ids), sender=1, destinations=frame.destinations
+    )
     brokers[1].on_frame(0, frame)
     brokers[1].on_frame(2, bounced)
     assert len(strategy.data_calls) == 2

@@ -29,6 +29,7 @@ def frame_to(ctx, node, msg_id):
     ctx.metrics.expect(msg_id, 0, 0.0, {9: 1.0})
     return PacketFrame.fresh(
         msg_id=msg_id,
+        transfer_id=next(ctx.transfer_ids),
         topic=0,
         origin=0,
         publish_time=0.0,

@@ -1,17 +1,18 @@
 """Unit tests for wire frames and id allocation."""
 
-from repro.pubsub.messages import (
-    AckFrame,
-    PacketFrame,
-    next_message_id,
-    next_transfer_id,
-    reset_message_ids,
-)
+import itertools
+
+from repro.pubsub.messages import AckFrame, PacketFrame
+from tests.conftest import build_ctx, make_topology
+
+#: Transfer ids for the frames these tests build by hand.
+_ids = itertools.count(1)
 
 
 def make_frame(**overrides):
     defaults = dict(
         msg_id=1,
+        transfer_id=next(_ids),
         topic=0,
         origin=0,
         publish_time=0.0,
@@ -22,35 +23,42 @@ def make_frame(**overrides):
     return PacketFrame.fresh(**defaults)
 
 
+def make_ctx():
+    return build_ctx(make_topology([(0, 1, 0.010)]))
+
+
 class TestIds:
     def test_message_ids_monotonic(self):
-        first = next_message_id()
-        second = next_message_id()
+        ctx = make_ctx()
+        first = next(ctx.message_ids)
+        second = next(ctx.message_ids)
         assert second == first + 1
 
-    def test_reset_restarts_counters(self):
-        next_message_id()
-        next_transfer_id()
-        reset_message_ids()
-        assert next_message_id() == 1
-        assert next_transfer_id() == 1
+    def test_each_run_counts_from_one(self):
+        used = make_ctx()
+        next(used.message_ids)
+        next(used.transfer_ids)
+        fresh = make_ctx()
+        assert next(fresh.message_ids) == 1
+        assert next(fresh.transfer_ids) == 1
 
     def test_fresh_frames_get_distinct_transfer_ids(self):
-        a = make_frame()
-        b = make_frame()
+        ctx = make_ctx()
+        a = make_frame(transfer_id=next(ctx.transfer_ids))
+        b = make_frame(transfer_id=next(ctx.transfer_ids))
         assert a.transfer_id != b.transfer_id
 
 
 class TestForwarding:
     def test_forwarded_appends_sender_to_path(self):
         frame = make_frame(routing_path=(0,))
-        copy = frame.forwarded(sender=1, destinations=frozenset({3}))
+        copy = frame.forwarded(next(_ids), sender=1, destinations=frozenset({3}))
         assert copy.routing_path == (0, 1)
         assert copy.destinations == frozenset({3})
 
     def test_forwarded_preserves_message_identity(self):
         frame = make_frame()
-        copy = frame.forwarded(sender=0, destinations=frame.destinations)
+        copy = frame.forwarded(next(_ids), sender=0, destinations=frame.destinations)
         assert copy.msg_id == frame.msg_id
         assert copy.topic == frame.topic
         assert copy.origin == frame.origin
@@ -58,12 +66,13 @@ class TestForwarding:
 
     def test_forwarded_allocates_new_transfer_id(self):
         frame = make_frame()
-        copy = frame.forwarded(sender=0, destinations=frame.destinations)
-        assert copy.transfer_id != frame.transfer_id
+        transfer_id = next(_ids)
+        copy = frame.forwarded(transfer_id, sender=0, destinations=frame.destinations)
+        assert copy.transfer_id == transfer_id != frame.transfer_id
 
     def test_forwarded_carries_source_route(self):
         frame = make_frame(source_route=(5, 6))
-        copy = frame.forwarded(0, frame.destinations, source_route=(6,))
+        copy = frame.forwarded(next(_ids), 0, frame.destinations, source_route=(6,))
         assert copy.source_route == (6,)
 
     def test_visited(self):
@@ -105,7 +114,7 @@ class TestDedup:
 
     def test_distinct_copies_have_distinct_keys(self):
         frame = make_frame()
-        copy = frame.forwarded(0, frame.destinations)
+        copy = frame.forwarded(next(_ids), 0, frame.destinations)
         assert frame.dedup_key() != copy.dedup_key()
 
 
@@ -115,17 +124,17 @@ class TestPriorityAndSize:
 
     def test_forwarded_inherits_priority(self):
         frame = make_frame(priority=3.5)
-        copy = frame.forwarded(0, frame.destinations)
+        copy = frame.forwarded(next(_ids), 0, frame.destinations)
         assert copy.priority == 3.5
 
     def test_forwarded_priority_override(self):
         frame = make_frame(priority=3.5)
-        copy = frame.forwarded(0, frame.destinations, priority=1.25)
+        copy = frame.forwarded(next(_ids), 0, frame.destinations, priority=1.25)
         assert copy.priority == 1.25
 
     def test_forwarded_preserves_size_and_fragments(self):
         frame = make_frame(size=0.5, fragment_index=1, fragments_needed=2)
-        copy = frame.forwarded(0, frame.destinations)
+        copy = frame.forwarded(next(_ids), 0, frame.destinations)
         assert copy.size == 0.5
         assert copy.fragment_index == 1
         assert copy.fragments_needed == 2
@@ -146,7 +155,7 @@ class TestPathSetSync:
 
     def test_forwarded_keeps_path_set_in_sync(self):
         frame = make_frame(routing_path=(0,))
-        copy = frame.forwarded(5, frame.destinations)
+        copy = frame.forwarded(next(_ids), 5, frame.destinations)
         assert copy.routing_path == (0, 5)
         assert copy.path_set == frozenset(copy.routing_path)
         assert isinstance(copy.path_set, frozenset)
@@ -154,13 +163,13 @@ class TestPathSetSync:
     def test_forwarded_chain_keeps_path_set_in_sync(self):
         frame = make_frame()
         for hop in (0, 7, 3, 7):  # a repeated sender must not diverge
-            frame = frame.forwarded(hop, frame.destinations)
+            frame = frame.forwarded(next(_ids), hop, frame.destinations)
         assert frame.routing_path == (0, 7, 3, 7)
         assert frame.path_set == frozenset({0, 7, 3})
 
     def test_forwarded_does_not_mutate_parent(self):
         frame = make_frame(routing_path=(0,))
-        frame.forwarded(5, frame.destinations)
+        frame.forwarded(next(_ids), 5, frame.destinations)
         assert frame.routing_path == (0,)
         assert frame.path_set == frozenset({0})
 

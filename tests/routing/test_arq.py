@@ -1,5 +1,7 @@
 """Unit tests for the hop-by-hop ARQ layer."""
 
+import itertools
+
 import pytest
 
 from repro.overlay.links import FrameKind
@@ -7,10 +9,13 @@ from repro.pubsub.messages import AckFrame, PacketFrame
 from repro.routing.arq import ArqSender
 from tests.conftest import ScriptedFailures, build_ctx, make_topology
 
+_transfer_ids = itertools.count(1)
+
 
 def make_frame(msg_id=1, destinations=frozenset({1})):
     return PacketFrame.fresh(
         msg_id=msg_id,
+        transfer_id=next(_transfer_ids),
         topic=0,
         origin=0,
         publish_time=0.0,

@@ -12,6 +12,7 @@ calls over the production ``send_data`` path; the clock stays at 0, so an
 armed deadline *is* the timeout, bit for bit.
 """
 
+import itertools
 from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
@@ -20,6 +21,8 @@ from repro.pubsub.messages import PacketFrame
 from repro.routing.arq import ArqSender
 from repro.routing.base import ProtocolParams
 from tests.conftest import build_ctx, make_topology
+
+_transfer_ids = itertools.count(1)
 
 MESH = make_topology([(u, v, 0.010) for u in range(6) for v in range(u + 1, 6)])
 
@@ -74,7 +77,12 @@ def _ignore(frame):
 def _armed_timeout(arq, src, dst):
     """Send one copy ``src -> dst`` at t=0; the deadline its timer is armed for."""
     frame = PacketFrame.fresh(
-        msg_id=1, topic=0, origin=src, publish_time=0.0, destinations=frozenset({dst})
+        msg_id=1,
+        transfer_id=next(_transfer_ids),
+        topic=0,
+        origin=src,
+        publish_time=0.0,
+        destinations=frozenset({dst}),
     )
     arq.send(src, dst, frame, _ignore, _ignore)
     return arq._outstanding[frame.transfer_id].event.time

@@ -30,7 +30,6 @@ from repro.metrics.collector import MetricsCollector
 from repro.overlay.links import FrameKind, OverlayNetwork
 from repro.overlay.monitor import LinkMonitor
 from repro.pubsub.broker import BrokerRuntime
-from repro.pubsub.messages import next_message_id, reset_message_ids
 from repro.routing.base import ProtocolParams, RuntimeContext
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -77,7 +76,6 @@ class TimeoutLedger:
 
 def run_world(drops, m=2, elide=False, sanitize=False, publishes=2):
     """One DCRD run over the diamond with the given ACK-loss schedule."""
-    reset_message_ids()
     topology = make_topology(_EDGES)
     sim = Simulator()
     streams = RandomStreams(17)
@@ -108,7 +106,7 @@ def run_world(drops, m=2, elide=False, sanitize=False, publishes=2):
     deadlines = {sub.node: sub.deadline for sub in spec.subscriptions}
 
     def publish_one():
-        msg_id = next_message_id()
+        msg_id = next(ctx.message_ids)
         ctx.metrics.expect(msg_id, 0, sim.now, deadlines)
         strategy.publish(spec, msg_id)
 

@@ -7,6 +7,8 @@ instant the link says the copy's last bit leaves its sender — never while
 the copy still sits in that sender's own output queue.
 """
 
+import itertools
+
 import pytest
 
 from repro import probes
@@ -19,10 +21,13 @@ PROP = 0.010
 SERVICE = 0.020
 TIMEOUT = 2.0 * PROP + 0.001
 
+_transfer_ids = itertools.count(1)
+
 
 def make_frame(msg_id, priority=float("inf")):
     return PacketFrame.fresh(
         msg_id=msg_id,
+        transfer_id=next(_transfer_ids),
         topic=0,
         origin=0,
         publish_time=0.0,

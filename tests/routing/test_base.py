@@ -54,6 +54,7 @@ class TestGiveUp:
         ctx.metrics.expect(1, 0, 0.0, {0: 1.0, 1: 1.0})
         frame = PacketFrame.fresh(
             msg_id=1,
+            transfer_id=next(ctx.transfer_ids),
             topic=0,
             origin=0,
             publish_time=0.0,
