@@ -15,6 +15,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.overlay.links import QUEUE_DISCIPLINES
 from repro.util.validation import (
     require,
     require_positive,
@@ -46,13 +47,11 @@ class ExperimentConfig:
     # Finite link capacity (seconds of serialisation per DATA frame);
     # None reproduces the paper's infinite-capacity links.
     link_service_time: Optional[float] = None
-    # How busy links order waiting frames: "fifo" or "edf" (earliest
-    # deadline first, by frame priority). Only meaningful with finite
-    # capacity.
+    # How busy links order waiting frames: "fifo", "edf" (earliest
+    # deadline first, by frame priority) or "edf+drop" (EDF that drops
+    # frames which can no longer meet their deadline instead of wasting
+    # capacity serving them). Only meaningful with finite capacity.
     queue_discipline: str = "fifo"
-    # EDF overload policy: drop frames whose deadline already passed
-    # instead of wasting capacity serving them.
-    edf_drop_expired: bool = False
 
     # --- workload ----------------------------------------------------
     num_topics: int = 10
@@ -114,7 +113,7 @@ class ExperimentConfig:
         if self.link_service_time is not None:
             require_positive(self.link_service_time, "link_service_time")
         require(
-            self.queue_discipline in ("fifo", "edf"),
+            self.queue_discipline in QUEUE_DISCIPLINES,
             f"unknown queue_discipline {self.queue_discipline!r}",
         )
         require(self.num_topics >= 1, "num_topics must be >= 1")

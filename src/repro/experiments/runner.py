@@ -60,7 +60,8 @@ STRATEGIES: Dict[str, Callable[[RuntimeContext], RoutingStrategy]] = {
     "ORACLE": OracleStrategy,
     "Multipath": MultipathStrategy,
     # The intro's "priority-based queueing + shortest path tree" approach;
-    # only differs from D-Tree when queue_discipline="edf".
+    # only differs from D-Tree on EDF links (queue_discipline "edf" or
+    # "edf+drop").
     "P-DTree": PriorityDTreeStrategy,
     # "DCRD+persist" and the other extension strategies are appended by
     # repro.extensions at import time to keep this module cycle-free.
@@ -254,7 +255,6 @@ def build_environment(
         service_time=config.link_service_time,
         link_loss_rates=link_loss_rates,
         queue_discipline=config.queue_discipline,
-        edf_drop_expired=config.edf_drop_expired,
     )
     # The sanitizer must watch the *build* too: strategy.setup() solves the
     # initial control tables (Theorem-1 order checks) right here.

@@ -25,7 +25,7 @@ The study's findings (recorded in EXPERIMENTS.md) are the textbook ones:
   its losses come only from genuine partitions).
 
 :func:`priority_queueing_study` sweeps offered load with mixed urgency
-classes under three modes (fifo / edf / edf+drop), one
+classes under the three queue disciplines (fifo / edf / edf+drop), one
 :class:`~repro.experiments.sweeps.SweepResult` per mode.
 """
 
@@ -35,16 +35,10 @@ from typing import Dict, Mapping, Optional, Sequence
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweeps import ProgressHook, SweepExecutor, SweepResult, sweep
+from repro.overlay.links import QUEUE_DISCIPLINES
 
 #: Load axis: seconds between packets per topic (last point is overload).
 DEFAULT_INTERVALS = (0.5, 0.125, 0.0625)
-
-#: The queueing modes compared, with their config overrides.
-MODES: Dict[str, Dict[str, object]] = {
-    "fifo": {"queue_discipline": "fifo"},
-    "edf": {"queue_discipline": "edf"},
-    "edf+drop": {"queue_discipline": "edf", "edf_drop_expired": True},
-}
 
 
 def priority_queueing_study(
@@ -55,7 +49,7 @@ def priority_queueing_study(
     degree: int = 5,
     deadline_factor_choices: Sequence[float] = (4.0, 16.0),
     strategies: Sequence[str] = ("P-DTree",),
-    modes: Sequence[str] = ("fifo", "edf", "edf+drop"),
+    modes: Sequence[str] = QUEUE_DISCIPLINES,
     progress: Optional[ProgressHook] = None,
     executor: Optional[SweepExecutor] = None,
 ) -> Mapping[str, SweepResult]:
@@ -68,7 +62,6 @@ def priority_queueing_study(
     """
     results: Dict[str, SweepResult] = {}
     for mode in modes:
-        overrides = MODES[mode]
         configs = {
             interval: ExperimentConfig(
                 topology_kind="regular",
@@ -78,7 +71,7 @@ def priority_queueing_study(
                 publish_interval=interval,
                 link_service_time=service_time,
                 deadline_factor_choices=tuple(deadline_factor_choices),
-                **overrides,  # type: ignore[arg-type]
+                queue_discipline=mode,
             )
             for interval in publish_intervals
         }

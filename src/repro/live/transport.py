@@ -125,6 +125,12 @@ class _EdgeEnd(asyncio.Protocol):
         self._buffer = buffer[start:]
 
 
+def _kind_of(frame: Any) -> FrameKind:
+    if frame.__class__ is AckFrame or isinstance(frame, AckFrame):
+        return FrameKind.ACK
+    return FrameKind.DATA
+
+
 class LiveTransport:
     """The broker stack's transport over per-peer asyncio TCP connections."""
 
@@ -294,11 +300,7 @@ class LiveTransport:
     async def close(self) -> None:
         """Tear down both ends of every connection, then the servers."""
         if self.fault is not None:
-            # Frames still held by the reorder shim die with the run; they
-            # were adversarially withheld, so they count as injected losses
-            # (they never fired on_transmit — the sanitizer never saw them).
-            for _ in self.fault.flush():
-                self.stats._lost_injected[FrameKind.DATA.idx] += 1
+            self.fault.flush()
         for server in self._servers:
             server.close()  # stop accepting before the ends are walked
         for end in self._ends:
@@ -324,16 +326,15 @@ class LiveTransport:
     ) -> bool:
         """Send *frame* on the ``src -> dst`` connection.
 
-        Mirrors ``OverlayNetwork.transmit``: counts the send, consults the
-        fault shim, fires the DATA-only ``on_transmit`` probe per emitted
-        copy, and returns whether at least one copy went onto the wire
-        (tests only — senders learn outcomes via ACKs).
+        Mirrors ``OverlayNetwork.transmit``: consults the fault shim,
+        counts each emitted copy as a send of its own kind and size, fires
+        the DATA-only ``on_transmit`` probe per emitted DATA copy, and
+        returns whether at least one copy went onto the wire (tests only —
+        senders learn outcomes via ACKs).
         """
         if not self.topology.has_edge(src, dst):
             raise SimulationError(f"no overlay link {src} -> {dst}")
-        kidx = kind.idx
         stats = self.stats
-        stats._volume[kidx] += getattr(frame, "size", 1.0)
         payload = self.codec.encode_payload(src, frame)
         if self.fault is not None:
             label = ACK_LABEL if kind is FrameKind.ACK else DATA_LABEL
@@ -341,10 +342,12 @@ class LiveTransport:
         else:
             actions = [(0.0, (frame, payload))]
         if not actions:
-            # Dropped (or held back for reorder) at the seam. Either way
-            # nothing reaches the wire now; a held frame re-emerges inside
-            # a later frame's plan carrying its own (frame, payload) pair.
+            # Dropped (or held back for reorder) at the seam: a send and an
+            # injected loss. A held frame re-emerges inside a later frame's
+            # plan, carrying its own (frame, payload) pair, as a new send.
+            kidx = kind.idx
             stats._sent[kidx] += 1
+            stats._volume[kidx] += getattr(frame, "size", 1.0)
             stats._lost_injected[kidx] += 1
             if kind is FrameKind.DATA:
                 probe = _probes.on_transmit
@@ -361,11 +364,18 @@ class LiveTransport:
                     )
             return False
         prop = self._delays.get((src, dst), 0.0)
-        probe_tx = _probes.on_transmit if kind is FrameKind.DATA else None
         for extra, (copy_frame, copy_payload) in actions:
+            # A frame released from a reorder hold may be of the other kind.
+            copy_kind = kind if copy_frame is frame else _kind_of(copy_frame)
+            kidx = copy_kind.idx
             stats._sent[kidx] += 1
-            if probe_tx is not None:
-                probe_tx(self.clock.now, src, dst, copy_frame, True, None, prop, None)
+            stats._volume[kidx] += getattr(copy_frame, "size", 1.0)
+            if copy_kind is FrameKind.DATA:
+                probe_tx = _probes.on_transmit
+                if probe_tx is not None:
+                    probe_tx(
+                        self.clock.now, src, dst, copy_frame, True, None, prop, None
+                    )
             message = self.codec.frame_message(copy_payload)
             total = prop + extra
             self._unwritten += 1
@@ -404,10 +414,9 @@ class LiveTransport:
     def _dispatch(self, src: int, dst: int, frame: Any) -> None:
         """Hand one received frame to *dst*'s sink (sim-identical dispatch)."""
         self._on_wire[(src, dst)] -= 1
-        is_ack = frame.__class__ is AckFrame or isinstance(frame, AckFrame)
-        kind = FrameKind.ACK if is_ack else FrameKind.DATA
+        kind = _kind_of(frame)
         handler: Optional[FrameHandler] = None
-        if is_ack:
+        if kind is FrameKind.ACK:
             handler = self._ack_handlers.get(dst)
         if handler is None:
             handler = self._handlers.get(dst)

@@ -70,63 +70,11 @@ class FrameKind(enum.Enum):
 FrameKind.DATA.idx = 0
 FrameKind.ACK.idx = 1
 
-_DATA_IDX, _ACK_IDX = 0, 1
+_DATA_IDX = 0
 
 
-class _KindCounters:
-    """Dict-like facade over one flat per-kind counter row.
-
-    The hot path owns the underlying list and increments
-    ``row[kind.idx]`` directly; this view preserves the historical mapping
-    API (``stats.sent[FrameKind.DATA]``, ``.values()``, ``.items()``) for
-    tests, metrics, and external consumers. Writes through the view reach
-    the same flat row.
-    """
-
-    __slots__ = ("_row",)
-
-    def __init__(self, row: list) -> None:
-        self._row = row
-
-    def __getitem__(self, kind: FrameKind):
-        return self._row[kind.idx]
-
-    def __setitem__(self, kind: FrameKind, value) -> None:
-        self._row[kind.idx] = value
-
-    def get(self, kind, default=None):
-        try:
-            return self._row[kind.idx]
-        except AttributeError:
-            return default
-
-    def __contains__(self, kind) -> bool:
-        return isinstance(kind, FrameKind)
-
-    def __len__(self) -> int:
-        return len(self._row)
-
-    def __iter__(self):
-        return iter(FrameKind)
-
-    def keys(self):
-        return tuple(FrameKind)
-
-    def values(self):
-        return tuple(self._row)
-
-    def items(self):
-        return tuple(zip(FrameKind, self._row))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _KindCounters):
-            return self._row == other._row
-        if isinstance(other, dict):
-            return dict(self.items()) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return repr(dict(self.items()))
+def _by_kind(row: list) -> Dict[FrameKind, Any]:
+    return dict(zip(FrameKind, row))
 
 
 class LinkStats:
@@ -135,9 +83,9 @@ class LinkStats:
     Counters live in preallocated parallel lists indexed by
     ``FrameKind.idx`` (DATA=0, ACK=1), so the per-frame hot path
     performs one C-level list index instead of a dict probe per counter.
-    The historical per-kind mappings (``sent``, ``volume``, ``delivered``,
-    ...) remain available as :class:`_KindCounters` views over the same
-    rows.
+    The per-kind properties (``sent``, ``volume``, ``delivered``, ...)
+    return ``{FrameKind: count}`` snapshots of those rows; writing to a
+    snapshot changes nothing.
 
     ``sent`` counts frames (the paper's packets metric); ``volume`` sums
     frame *sizes* (in units of one full message), which differs from the
@@ -166,37 +114,37 @@ class LinkStats:
         self._dropped_expired = [0, 0]
 
     @property
-    def sent(self) -> _KindCounters:
-        return _KindCounters(self._sent)
+    def sent(self) -> Dict[FrameKind, Any]:
+        return _by_kind(self._sent)
 
     @property
-    def volume(self) -> _KindCounters:
-        return _KindCounters(self._volume)
+    def volume(self) -> Dict[FrameKind, Any]:
+        return _by_kind(self._volume)
 
     @property
-    def delivered(self) -> _KindCounters:
-        return _KindCounters(self._delivered)
+    def delivered(self) -> Dict[FrameKind, Any]:
+        return _by_kind(self._delivered)
 
     @property
-    def lost_failure(self) -> _KindCounters:
-        return _KindCounters(self._lost_failure)
+    def lost_failure(self) -> Dict[FrameKind, Any]:
+        return _by_kind(self._lost_failure)
 
     @property
-    def lost_random(self) -> _KindCounters:
-        return _KindCounters(self._lost_random)
+    def lost_random(self) -> Dict[FrameKind, Any]:
+        return _by_kind(self._lost_random)
 
     @property
-    def lost_node_down(self) -> _KindCounters:
-        return _KindCounters(self._lost_node_down)
+    def lost_node_down(self) -> Dict[FrameKind, Any]:
+        return _by_kind(self._lost_node_down)
 
     @property
-    def lost_injected(self) -> _KindCounters:
+    def lost_injected(self) -> Dict[FrameKind, Any]:
         """Frames dropped by an installed deterministic fault filter."""
-        return _KindCounters(self._lost_injected)
+        return _by_kind(self._lost_injected)
 
     @property
-    def dropped_expired(self) -> _KindCounters:
-        return _KindCounters(self._dropped_expired)
+    def dropped_expired(self) -> Dict[FrameKind, Any]:
+        return _by_kind(self._dropped_expired)
 
     def data_sent(self) -> int:
         """Number of DATA-frame link transmissions (the paper's traffic metric)."""
@@ -212,6 +160,169 @@ class LinkStats:
         if sent == 0:
             return 0.0
         return 1.0 - self._delivered[kind.idx] / sent
+
+
+#: The ``queue_discipline`` values a finite-capacity network accepts.
+QUEUE_DISCIPLINES = ("fifo", "edf", "edf+drop")
+
+
+class FifoServer:
+    """First-come first-served link servers, one per link direction.
+
+    A DATA copy waits for its direction to free up, holds it for
+    ``service_time * size``, then propagates; the wait is known at
+    hand-over, so :meth:`admit` returns it.
+    """
+
+    __slots__ = ("_network", "_service_time", "_busy_until")
+
+    def __init__(self, network: "OverlayNetwork", service_time: float) -> None:
+        self._network = network
+        self._service_time = service_time
+        # (src, dst) -> time the direction frees up.
+        self._busy_until: Dict[tuple, float] = {}
+
+    def admit(
+        self, src: int, dst: int, frame: Any, size: float, now: float, prop: float
+    ) -> float:
+        """Queue a surviving copy; seconds until its last bit has left."""
+        key = (src, dst)
+        start, finish = self._slot(key, now, size)
+        self._busy_until[key] = finish
+        probe_tx = _probes.on_transmit
+        if probe_tx is not None:
+            probe_tx(now, src, dst, frame, True, None, prop, start - now)
+        if start > now:
+            probe_enq = _probes.on_enqueue
+            if probe_enq is not None:
+                probe_enq(now, src, dst, frame, start - now)
+        return finish - now
+
+    def lost(self, src: int, dst: int, frame: Any, size: float, now: float) -> None:
+        """Report a copy a link hazard took: it never occupies the link,
+        yet its sender is told the wait a surviving copy would have had."""
+        _, finish = self._slot((src, dst), now, size)
+        self._network._report_wire(src, dst, frame, finish - now)
+
+    def _slot(self, key: tuple, now: float, size: float) -> Tuple[float, float]:
+        """``(start, finish)`` of serialising a copy handed over *now*."""
+        start = self._busy_until.get(key, 0.0)
+        if start < now:
+            start = now
+        return start, start + self._service_time * size
+
+
+class EdfServer:
+    """Earliest-deadline-first link servers, one per link direction.
+
+    Waiting DATA copies are served in ``frame.priority`` order (ties and
+    priority-less frames in arrival order), one at a time; a copy's wait
+    is decided when the server picks it. With ``drop_expired``
+    (``"edf+drop"``) a copy that can no longer meet its deadline even
+    with zero further wait is discarded instead, freeing capacity for
+    copies that still can (the textbook overload policy).
+    """
+
+    __slots__ = (
+        "_network",
+        "_service_time",
+        "_drop_expired",
+        "_waiting",
+        "_busy",
+        "_seq",
+    )
+
+    def __init__(
+        self, network: "OverlayNetwork", service_time: float, drop_expired: bool
+    ) -> None:
+        self._network = network
+        self._service_time = service_time
+        self._drop_expired = drop_expired
+        # Per-direction waiting heaps and busy flags.
+        self._waiting: Dict[tuple, list] = {}
+        self._busy: Dict[tuple, bool] = {}
+        self._seq = 0
+
+    def admit(
+        self, src: int, dst: int, frame: Any, size: float, now: float, prop: float
+    ) -> Optional[float]:
+        """Queue a surviving copy; ``None``: the server delivers it."""
+        probe_tx = _probes.on_transmit
+        if probe_tx is not None:
+            # The server decides the wait later (queue=None).
+            probe_tx(now, src, dst, frame, True, None, prop, None)
+        self._enqueue(src, dst, frame, size, False)
+        return None
+
+    def lost(self, src: int, dst: int, frame: Any, size: float, now: float) -> None:
+        """Queue a copy a link hazard took: it takes its turn (more urgent
+        arrivals overtake it like any other), then never the link."""
+        self._enqueue(src, dst, frame, size, True)
+
+    def _enqueue(
+        self, src: int, dst: int, frame: Any, size: float, lost: bool
+    ) -> None:
+        key = (src, dst)
+        self._seq += 1
+        try:
+            priority = frame.priority
+        except AttributeError:
+            priority = _INF
+        heapq.heappush(
+            self._waiting.setdefault(key, []),
+            (priority, self._seq, frame, size, lost),
+        )
+        if not self._busy.get(key, False):
+            self._serve_next(key)
+
+    def _serve_next(self, key: tuple) -> None:
+        """Start serving the direction's most urgent copy, if any.
+
+        Every copy popped on the way is reported to the wire observers —
+        once the server's own state is settled, because a sender told of
+        a discard may hand the next copy to this very direction.
+        """
+        network = self._network
+        queue = self._waiting.get(key)
+        src, dst = key
+        now = network.sim._now
+        expiry = now + self._propagation(src, dst) if self._drop_expired else -_INF
+        self._busy[key] = False
+        reports = []
+        while queue:
+            priority, _, frame, size, lost = heapq.heappop(queue)
+            if priority < expiry:
+                reports.append((frame, None))
+                if not lost:
+                    network.stats._dropped_expired[_DATA_IDX] += 1
+                    probe = _probes.on_expire
+                    if probe is not None:
+                        probe(now, src, dst, frame)
+                continue
+            service = self._service_time * size
+            reports.append((frame, service))
+            if lost:
+                continue  # took its turn in the queue, never the link
+            self._busy[key] = True
+            network.sim.schedule_fire(service, self._finish, key, frame)
+            break
+        for frame, wait in reports:
+            network._report_wire(src, dst, frame, wait)
+
+    def _finish(self, key: tuple, frame: Any) -> None:
+        network = self._network
+        src, dst = key
+        network.sim.schedule_fire(
+            self._propagation(src, dst), network._deliver, src, dst, frame,
+            FrameKind.DATA,
+        )
+        self._serve_next(key)
+
+    def _propagation(self, src: int, dst: int) -> float:
+        entry = self._network._dir_cache.get((src << 21) | dst)
+        if entry is not None:
+            return entry[0]
+        return self._network.topology.delay(src, dst)
 
 
 class OverlayNetwork:
@@ -246,11 +357,17 @@ class OverlayNetwork:
         ``None`` (the paper's model) means infinite capacity — frames
         never queue. ACKs are assumed negligibly small and skip the queue.
     queue_discipline:
-        How a busy link direction orders waiting DATA frames: ``"fifo"``
-        (default, arrival order) or ``"edf"`` (earliest deadline first,
-        by ``frame.priority``; ties arrival order). EDF implements the
-        classical "priority-based queueing" alternative the paper's
-        introduction contrasts DCRD against.
+        How a busy link direction orders waiting DATA frames, one of
+        :data:`QUEUE_DISCIPLINES`: ``"fifo"`` (default, arrival order),
+        ``"edf"`` (earliest deadline first, by ``frame.priority``; ties
+        arrival order) or ``"edf+drop"`` (EDF that discards a copy which
+        can no longer meet its deadline). EDF implements the classical
+        "priority-based queueing" alternative the paper's introduction
+        contrasts DCRD against. Ignored on infinite-capacity links.
+
+    The finite-capacity server lives in one slot, :attr:`queue`: ``None``
+    on infinite-capacity links, else a :class:`FifoServer` or an
+    :class:`EdfServer` shared by every link direction of the network.
     """
 
     def __init__(
@@ -264,17 +381,15 @@ class OverlayNetwork:
         service_time: Optional[float] = None,
         link_loss_rates: Optional[Dict[tuple, float]] = None,
         queue_discipline: str = "fifo",
-        edf_drop_expired: bool = False,
     ) -> None:
         require_probability(loss_rate, "loss_rate")
         if link_loss_rates:
             for edge, rate in link_loss_rates.items():
                 require_probability(rate, f"link_loss_rates[{edge}]")
-        if queue_discipline not in ("fifo", "edf"):
+        if queue_discipline not in QUEUE_DISCIPLINES:
             raise SimulationError(
                 f"unknown queue_discipline {queue_discipline!r}"
             )
-        self.edf_drop_expired = edf_drop_expired
         if service_time is not None and not service_time > 0:
             raise SimulationError(f"service_time must be > 0, got {service_time}")
         self.sim = sim
@@ -282,12 +397,10 @@ class OverlayNetwork:
         self.loss_rate = loss_rate
         self.failures = failures
         self.node_failures = node_failures
-        self.service_time = service_time
-        self.queue_discipline = queue_discipline
         self.stats = LinkStats()
         # Flat per-kind counter rows, bound once: the hot path increments
-        # ``row[idx]`` (one C-level list index) instead of probing the
-        # facade mapping per frame.
+        # ``row[idx]`` (one C-level list index) instead of a dict probe
+        # per frame.
         stats = self.stats
         self._sent = stats._sent
         self._volume = stats._volume
@@ -337,20 +450,21 @@ class OverlayNetwork:
         self._failure_window_end = -_INF
         self._failed_edges_now: frozenset = frozenset()
         self.link_loss_rates = dict(link_loss_rates or {})
-        self._queueing = service_time is not None
-        self._edf = queue_discipline == "edf"
+        #: The finite-capacity link server (``None``: infinite capacity).
+        self.queue: Optional[Any] = None
+        if service_time is not None:
+            if queue_discipline == "fifo":
+                self.queue = FifoServer(self, service_time)
+            else:
+                self.queue = EdfServer(
+                    self, service_time, drop_expired=queue_discipline == "edf+drop"
+                )
         # Senders told when each DATA copy clears the wire (see watch_wire).
         self._wire_observers: list = []
-        # Per-direction FIFO occupancy: (src, dst) -> time the link frees up.
-        self._busy_until: Dict[tuple, float] = {}
-        # EDF discipline state: per-direction waiting heaps + busy flags.
-        self._edf_queue: Dict[tuple, list] = {}
-        self._edf_busy: Dict[tuple, bool] = {}
-        self._edf_seq = 0
         # The dedicated send_data/send_ack fast paths only cover the
         # infinite-capacity, no-crash configuration (the paper's model);
         # everything else falls back to the generic transmit.
-        self._fast_sends = node_failures is None and service_time is None
+        self._fast_sends = node_failures is None and self.queue is None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -414,16 +528,17 @@ class OverlayNetwork:
         to the network gets exactly one ``observer(frame, wait)`` call:
         ``wait`` seconds from the call, the copy's last bit has left its
         sender — or ``wait`` is ``None``: the sender's own queue discarded
-        the copy (``edf_drop_expired``). FIFO knows the answer at
+        the copy (``"edf+drop"``). FIFO knows the answer at
         hand-over and calls back from inside the send; the EDF server
         calls when it picks the copy. A copy lost to a link hazard never
         occupies the link, but its sender cannot know that: it is told the
         wait a surviving copy would have had. Returns ``False`` (and
         never calls) on infinite-capacity links, where no copy waits.
         """
-        if self._queueing:
-            self._wire_observers.append(observer)
-        return self._queueing
+        if self.queue is None:
+            return False
+        self._wire_observers.append(observer)
+        return True
 
     def ack_round_trip(self, src: int, dst: int) -> Optional[tuple]:
         """``(d_fwd, d_rev)`` when a DATA copy ``src -> dst`` and its ACK
@@ -544,7 +659,7 @@ class OverlayNetwork:
         if entry is None:
             self.dir_fallbacks += 1
             entry = self._resolve_direction(src, dst)
-        delay: Optional[float] = entry[0]
+        delay = entry[0]
         now = self.sim._now
         if kind is FrameKind.DATA:
             kidx = 0
@@ -567,8 +682,8 @@ class OverlayNetwork:
                 probe_tx = _probes.on_transmit
                 if probe_tx is not None:
                     probe_tx(now, src, dst, frame, False, "injected", entry[0], None)
-                if self._queueing:
-                    self._wire_lost(src, dst, frame, size)
+                if self.queue is not None:
+                    self.queue.lost(src, dst, frame, size, now)
             elif kind is FrameKind.ACK:
                 self._notify_ack_loss(frame)
             return False
@@ -615,68 +730,49 @@ class OverlayNetwork:
         probe_tx = _probes.on_transmit if kind is FrameKind.DATA else None
         if survived:
             wire_wait = None
-            if self._queueing and kind is FrameKind.DATA:
-                if self._edf:
-                    if probe_tx is not None:
-                        # The EDF server decides the wait later (queue=None).
-                        probe_tx(now, src, dst, frame, True, None, entry[0], None)
-                    # Delivery is scheduled by the per-direction EDF server.
-                    self._edf_enqueue(src, dst, frame, size)
-                    delay = None
-                else:
-                    # FIFO serialisation: wait for the direction to free
-                    # up, hold it for a size-scaled service time, propagate.
-                    key = (src, dst)
-                    start, finish = self._fifo_slot(key, now, size)
-                    self._busy_until[key] = finish
-                    if probe_tx is not None:
-                        probe_tx(
-                            now, src, dst, frame, True, None, entry[0],
-                            start - now,
-                        )
-                    if start > now:
-                        probe_enq = _probes.on_enqueue
-                        if probe_enq is not None:
-                            probe_enq(now, src, dst, frame, start - now)
-                    wire_wait = finish - now
-                    delay = wire_wait + delay
+            queue = self.queue
+            if queue is not None and kind is FrameKind.DATA:
+                wire_wait = queue.admit(src, dst, frame, size, now, delay)
+                if wire_wait is None:
+                    return True  # the server schedules the delivery itself
+                delay = wire_wait + delay
             elif probe_tx is not None:
                 probe_tx(now, src, dst, frame, True, None, entry[0], 0.0)
-            if delay is not None:
-                # Deliveries are never cancelled: inlined sim.schedule_fire
-                # (link delays are positive by construction, so the
-                # negative-delay guard is statically satisfied). Directions
-                # with a compiled closure schedule it with a 1-tuple
-                # payload; the rest take the generic _deliver.
-                if kind is FrameKind.DATA:
-                    deliver = entry[4]
-                elif kind is FrameKind.ACK:
-                    deliver = entry[5]
-                else:
-                    deliver = None
-                if deliver is not None:
-                    _heappush(
-                        self._sim_heap,
-                        (now + delay, next(self._sim_seq), deliver, (frame,)),
-                    )
-                else:
-                    _heappush(
-                        self._sim_heap,
-                        (
-                            now + delay,
-                            next(self._sim_seq),
-                            self._deliver,
-                            (src, dst, frame, kind),
-                        ),
-                    )
-                self.sim._live += 1
-                if wire_wait is not None:
-                    self._report_wire(src, dst, frame, wire_wait)
+            # Deliveries are never cancelled: inlined sim.schedule_fire
+            # (link delays are positive by construction, so the
+            # negative-delay guard is statically satisfied). Directions
+            # with a compiled closure schedule it with a 1-tuple payload;
+            # the rest take the generic _deliver.
+            if kind is FrameKind.DATA:
+                deliver = entry[4]
+            elif kind is FrameKind.ACK:
+                deliver = entry[5]
+            else:
+                deliver = None
+            if deliver is not None:
+                _heappush(
+                    self._sim_heap,
+                    (now + delay, next(self._sim_seq), deliver, (frame,)),
+                )
+            else:
+                _heappush(
+                    self._sim_heap,
+                    (
+                        now + delay,
+                        next(self._sim_seq),
+                        self._deliver,
+                        (src, dst, frame, kind),
+                    ),
+                )
+            self.sim._live += 1
+            if wire_wait is not None:
+                self._report_wire(src, dst, frame, wire_wait)
         else:
             if probe_tx is not None:
                 probe_tx(now, src, dst, frame, False, cause, entry[0], None)
-            if self._queueing and kind is FrameKind.DATA:
-                self._wire_lost(src, dst, frame, size)
+            queue = self.queue
+            if queue is not None and kind is FrameKind.DATA:
+                queue.lost(src, dst, frame, size, now)
         return survived
 
     def send_data(self, src: int, dst: int, frame: Any) -> Optional[bool]:
@@ -865,74 +961,6 @@ class OverlayNetwork:
         handler(src, frame)
 
     # ------------------------------------------------------------------
-    # EDF link server (queue_discipline="edf")
-    # ------------------------------------------------------------------
-    def _edf_enqueue(
-        self, src: int, dst: int, frame: Any, size: float, lost: bool = False
-    ) -> None:
-        key = (src, dst)
-        self._edf_seq += 1
-        try:
-            priority = frame.priority
-        except AttributeError:
-            priority = _INF
-        heapq.heappush(
-            self._edf_queue.setdefault(key, []),
-            (priority, self._edf_seq, frame, size, lost),
-        )
-        if not self._edf_busy.get(key, False):
-            self._edf_serve_next(key)
-
-    def _edf_serve_next(self, key: tuple) -> None:
-        """Start serving the direction's most urgent copy, if any.
-
-        Every copy popped on the way is reported to the wire observers —
-        once the server's own state is settled, because a sender told of
-        a discard may hand the next copy to this very direction.
-        """
-        queue = self._edf_queue.get(key)
-        src, dst = key
-        now = self.sim._now
-        assert self.service_time is not None
-        expiry = -_INF
-        if self.edf_drop_expired:
-            # Expired frames can no longer meet their deadline even with
-            # zero further delay; dropping them frees capacity for frames
-            # that still can (the textbook overload policy).
-            entry = self._dir_cache.get((src << 21) | dst)
-            expiry = now + (
-                entry[0] if entry is not None else self.topology.delay(src, dst)
-            )
-        self._edf_busy[key] = False
-        reports = []
-        while queue:
-            priority, _, frame, size, lost = heapq.heappop(queue)
-            if priority < expiry:
-                reports.append((frame, None))
-                if not lost:
-                    self.stats._dropped_expired[_DATA_IDX] += 1
-                    probe = _probes.on_expire
-                    if probe is not None:
-                        probe(now, src, dst, frame)
-                continue
-            service = self.service_time * size
-            reports.append((frame, service))
-            if lost:
-                continue  # took its turn in the queue, never the link
-            self._edf_busy[key] = True
-            self.sim.schedule_fire(service, self._edf_finish, key, frame)
-            break
-        for frame, wait in reports:
-            self._report_wire(src, dst, frame, wait)
-
-    def _edf_finish(self, key: tuple, frame: Any) -> None:
-        src, dst = key
-        entry = self._dir_cache.get((src << 21) | dst)
-        delay = entry[0] if entry is not None else self.topology.delay(src, dst)
-        self.sim.schedule_fire(delay, self._deliver, src, dst, frame, FrameKind.DATA)
-        self._edf_serve_next(key)
-
-    # ------------------------------------------------------------------
     # Wire-clear reports (finite-capacity links, see watch_wire)
     # ------------------------------------------------------------------
     def _report_wire(
@@ -943,29 +971,6 @@ class OverlayNetwork:
             probe(self.sim._now, src, dst, frame, wait)
         for observer in self._wire_observers:
             observer(frame, wait)
-
-    def _wire_lost(self, src: int, dst: int, frame: Any, size: float) -> None:
-        """Report a DATA copy that a link hazard took before it queued.
-
-        It never occupies the link, yet its sender must be told the wait a
-        surviving copy would have had: FIFO computes it on the spot, EDF
-        lets the copy take its turn in the queue (``lost``) so that more
-        urgent arrivals overtake it like any other.
-        """
-        if self._edf:
-            self._edf_enqueue(src, dst, frame, size, lost=True)
-            return
-        now = self.sim._now
-        _, finish = self._fifo_slot((src, dst), now, size)
-        self._report_wire(src, dst, frame, finish - now)
-
-    def _fifo_slot(self, key: tuple, now: float, size: float) -> Tuple[float, float]:
-        """``(start, finish)`` of serialising a copy handed over *now*."""
-        start = self._busy_until.get(key, 0.0)
-        if start < now:
-            start = now
-        assert self.service_time is not None
-        return start, start + self.service_time * size
 
     # ------------------------------------------------------------------
     # Convenience queries used by routing layers

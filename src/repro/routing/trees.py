@@ -173,8 +173,8 @@ class PriorityDTreeStrategy(DTreeStrategy):
     path tree" as the standard timely-delivery approach that ignores
     reliability. This is that approach: the shortest-delay tree, with every
     frame stamped with its earliest destination deadline so an EDF link
-    discipline (``queue_discipline="edf"``) serves urgent traffic first.
-    On FIFO links it behaves exactly like D-Tree.
+    discipline (``queue_discipline`` ``"edf"`` or ``"edf+drop"``) serves
+    urgent traffic first. On FIFO links it behaves exactly like D-Tree.
     """
 
     name = "P-DTree"

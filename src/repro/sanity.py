@@ -84,7 +84,7 @@ the matching violation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import probes as _probes
 from repro import trace as _trace
@@ -114,6 +114,9 @@ _PENDING = 0
 _CANCELLED = 1
 _FIRED = 2
 _STATE_NAMES = {_PENDING: "pending", _CANCELLED: "cancelled", _FIRED: "fired"}
+
+#: One expected pair's end state: ``(msg_id, subscriber, delivered, gave_up)``.
+_Outcome = Tuple[int, int, bool, bool]
 
 
 class InvariantViolation(ReproError):
@@ -772,7 +775,10 @@ class Sanitizer(_probes.ProbeObserver):
             cut off by the end of the run).
         """
         self._check_timer_orphans(now)
-        self._check_conservation(metrics)
+        self._check_conservation(
+            (o.msg_id, o.subscriber, o.delivered, o.gave_up)
+            for o in metrics.outcomes()
+        )
         self._check_order_prefixes()
         self._check_order_hold_leaks()
 
@@ -844,10 +850,11 @@ class Sanitizer(_probes.ProbeObserver):
                 now=now,
             )
 
-    def _check_conservation(self, metrics: Any) -> None:
+    def _check_conservation(self, outcomes: Iterable[_Outcome]) -> None:
         """published = delivered + dropped + expired + stranded, itemised.
 
-        Every expected (message, subscriber) pair must end the run in a
+        *outcomes* holds one ``(msg_id, subscriber, delivered, gave_up)``
+        row per expected pair. Every such pair must end the run in a
         provable state: delivered, given up (dropped), or stranded with a
         link-level explanation — a carrying copy lost, expired, still in
         flight, delivered-but-unusable at a broker (e.g. an undecodable
@@ -870,7 +877,7 @@ class Sanitizer(_probes.ProbeObserver):
             "leaked": 0,
         }
         leaked: List[Tuple[int, int]] = []
-        for outcome in metrics.outcomes():
+        for outcome in outcomes:
             counts[self._classify(outcome, by_msg, leaked)] += 1
         self.pair_counts = counts
         if counts["leaked"]:
@@ -886,20 +893,20 @@ class Sanitizer(_probes.ProbeObserver):
 
     def _classify(
         self,
-        outcome: Any,
+        outcome: _Outcome,
         by_msg: Dict[int, List[_TransferRecord]],
         leaked: List[Tuple[int, int]],
     ) -> str:
-        if outcome.delivered:
+        msg_id, subscriber, delivered, gave_up = outcome
+        if delivered:
             return "delivered"
-        if outcome.gave_up:
+        if gave_up:
             return "dropped"
-        pair = (outcome.msg_id, outcome.subscriber)
+        pair = (msg_id, subscriber)
         if pair in self._custody:
             return "stranded_custody"
-        subscriber = outcome.subscriber
         in_flight = lost = expired = carried = 0
-        for record in by_msg.get(outcome.msg_id, ()):
+        for record in by_msg.get(msg_id, ()):
             if subscriber not in record.destinations:
                 continue
             carried += 1
@@ -937,31 +944,6 @@ class Sanitizer(_probes.ProbeObserver):
         for category, count in self.pair_counts.items():
             perf[f"sanity.pairs_{category}"] = float(count)
         return perf
-
-
-class _MergedOutcome:
-    """Outcome shim for :func:`check_merged_conservation` (duck-typed
-    against :meth:`Sanitizer._classify`'s reads)."""
-
-    __slots__ = ("msg_id", "subscriber", "delivered", "gave_up")
-
-    def __init__(
-        self, msg_id: int, subscriber: int, delivered: bool, gave_up: bool
-    ) -> None:
-        self.msg_id = msg_id
-        self.subscriber = subscriber
-        self.delivered = delivered
-        self.gave_up = gave_up
-
-
-class _MergedMetrics:
-    """Metrics shim exposing just ``outcomes()`` over merged fleet pairs."""
-
-    def __init__(self, outcomes: List[_MergedOutcome]) -> None:
-        self._outcomes = outcomes
-
-    def outcomes(self) -> List[_MergedOutcome]:
-        return self._outcomes
 
 
 def check_merged_conservation(
@@ -1005,16 +987,15 @@ def check_merged_conservation(
             )
     delivered_set = set(delivered)
     gave_up_set = set(gave_up)
-    outcomes = [
-        _MergedOutcome(
+    merged._check_conservation(
+        (
             msg_id,
             subscriber,
             (msg_id, subscriber) in delivered_set,
             (msg_id, subscriber) in gave_up_set,
         )
         for msg_id, subscriber in sorted(expected)
-    ]
-    merged._check_conservation(_MergedMetrics(outcomes))
+    )
     return dict(merged.pair_counts)
 
 

@@ -152,7 +152,7 @@ def build_ctx(
     """Assemble a :class:`RuntimeContext` on a fresh simulator.
 
     *link_options* go to :class:`OverlayNetwork` (``service_time``,
-    ``link_loss_rates``, ``queue_discipline``, ``edf_drop_expired``).
+    ``link_loss_rates``, ``queue_discipline``).
     """
     sim = Simulator()
     streams = RandomStreams(seed)

@@ -33,8 +33,7 @@ FIELD_VARIANTS = {
     "failure_epoch": 2.0,
     "node_failure_probability": 0.01,
     "link_service_time": 0.001,
-    "queue_discipline": "edf",
-    "edf_drop_expired": True,
+    "queue_discipline": "edf+drop",
     "num_topics": 3,
     "publish_interval": 0.5,
     "ps_range": (0.3, 0.7),

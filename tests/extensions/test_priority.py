@@ -47,7 +47,7 @@ def test_drop_expired_trades_delivery_for_timeliness():
     overload = BASE.with_updates(publish_interval=0.0625)
     edf = run_single(overload.with_updates(queue_discipline="edf"), "P-DTree", seed=0)
     drop = run_single(
-        overload.with_updates(queue_discipline="edf", edf_drop_expired=True),
+        overload.with_updates(queue_discipline="edf+drop"),
         "P-DTree",
         seed=0,
     )
@@ -59,7 +59,7 @@ def test_drop_expired_is_noop_without_overload():
     light = BASE.with_updates(publish_interval=1.0)
     plain = run_single(light.with_updates(queue_discipline="edf"), "P-DTree", seed=2)
     drop = run_single(
-        light.with_updates(queue_discipline="edf", edf_drop_expired=True),
+        light.with_updates(queue_discipline="edf+drop"),
         "P-DTree",
         seed=2,
     )

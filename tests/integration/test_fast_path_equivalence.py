@@ -61,8 +61,7 @@ CONFIGS = {
         duration=15.0,
         drain=2.0,
         link_service_time=0.02,
-        queue_discipline="edf",
-        edf_drop_expired=True,
+        queue_discipline="edf+drop",
         deadline_factor_choices=(4.0, 16.0),
     ),
     "edf_load": dict(
@@ -75,8 +74,7 @@ CONFIGS = {
         drain=5.0,
         publish_interval=0.0625,
         link_service_time=0.05,
-        queue_discipline="edf",
-        edf_drop_expired=True,
+        queue_discipline="edf+drop",
         deadline_factor_choices=(4.0, 16.0),
     ),
 }

@@ -39,7 +39,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro.extensions  # noqa: F401
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import STRATEGIES, build_environment
-from repro.overlay.links import FrameKind
+from repro.overlay.links import QUEUE_DISCIPLINES, FrameKind
 
 configs = st.fixed_dictionaries(
     {
@@ -52,11 +52,10 @@ configs = st.fixed_dictionaries(
         "m": st.sampled_from([1, 2]),
         "deadline_factor": st.sampled_from([1.5, 3.0]),
         "num_topics": st.sampled_from([2, 4]),
-        # Finite-capacity links: FIFO and EDF disciplines, including the
-        # EDF overload policy that drops already-expired frames.
+        # Finite-capacity links under every queue discipline, including
+        # the EDF overload policy that drops already-expired frames.
         "link_service_time": st.sampled_from([None, 0.0005]),
-        "queue_discipline": st.sampled_from(["fifo", "edf"]),
-        "edf_drop_expired": st.booleans(),
+        "queue_discipline": st.sampled_from(QUEUE_DISCIPLINES),
         # Per-topic urgency classes (the priority extension's workload).
         "deadline_factor_choices": st.sampled_from([None, (1.5, 3.0, 6.0)]),
     }
@@ -144,7 +143,7 @@ def test_universal_invariants(strategy, params, seed):
 
     # Hazard-free worlds with infinite-capacity links must be perfect for
     # every strategy. (Finite capacity is excluded: queueing can push a
-    # frame past an ARQ timeout or — under edf_drop_expired — drop it.)
+    # frame past an ARQ timeout or — under "edf+drop" — drop it.)
     if (
         config.failure_probability == 0.0
         and config.loss_rate == 0.0

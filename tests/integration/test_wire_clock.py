@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import probes
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_environment
+from repro.overlay.links import QUEUE_DISCIPLINES
 from tests.integration.test_fast_path_equivalence import CONFIGS
 
 
@@ -75,12 +76,6 @@ worlds = st.fixed_dictionaries(
     }
 )
 
-DISCIPLINES = {
-    "fifo": dict(queue_discipline="fifo"),
-    "edf": dict(queue_discipline="edf"),
-    "edf+drop": dict(queue_discipline="edf", edf_drop_expired=True),
-}
-
 
 @settings(
     max_examples=200,
@@ -92,7 +87,7 @@ DISCIPLINES = {
     strategy=st.sampled_from(["DCRD", "D-Tree", "P-DTree"]),
     seed=st.integers(min_value=0, max_value=999),
 )
-@pytest.mark.parametrize("discipline", sorted(DISCIPLINES))
+@pytest.mark.parametrize("discipline", sorted(QUEUE_DISCIPLINES))
 def test_silence_means_loss(discipline, world, strategy, seed):
     config = ExperimentConfig(
         topology_kind="regular",
@@ -103,8 +98,8 @@ def test_silence_means_loss(discipline, world, strategy, seed):
         # are what a drain costs.
         drain=120.0,
         sanitize=True,
+        queue_discipline=discipline,
         **world,
-        **DISCIPLINES[discipline],
     )
     env, summary, ledger = run_watched(config, strategy, seed)
     arq = env.strategy.arq

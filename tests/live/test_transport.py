@@ -6,6 +6,8 @@ import asyncio
 import math
 import random
 
+import pytest
+
 from repro.live.clock import WallClock
 from repro.live.codec import LENGTH_PREFIX, FrameCodec
 from repro.live.config import LiveConfig
@@ -241,5 +243,71 @@ def test_in_transit_forgets_the_copies_of_a_closed_connection():
             assert transport.in_transit == 0
         finally:
             await transport.close()
+
+    asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Link ledger: every send ends delivered or lost to the shim, per kind
+# ---------------------------------------------------------------------------
+def _ledger(stats, kind):
+    return (
+        stats.sent[kind],
+        stats.delivered[kind],
+        stats.lost_injected[kind],
+        stats.volume[kind],
+    )
+
+
+def test_close_adds_nothing_for_a_frame_held_back_for_reorder():
+    async def scenario():
+        transport, seen = await _started_transport(fault=FaultInjector(reorder=1.0))
+        transport.transmit(0, 1, AckFrame(1, 0, 9), FrameKind.ACK)
+        await transport.close()
+        assert seen == []
+        # The hold counted a send and an injected loss, under its own kind.
+        assert _ledger(transport.stats, FrameKind.ACK) == (1, 0, 1, 1.0)
+        assert _ledger(transport.stats, FrameKind.DATA) == (0, 0, 0, 0.0)
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [{"drop": 0.5}, {"duplicate": 1.0}, {"reorder": 1.0}, {"delay": 0.005}],
+    ids=["drop", "duplicate", "reorder", "delay"],
+)
+def test_every_send_is_delivered_or_lost_to_the_shim(faults):
+    async def scenario():
+        transport, seen = await _started_transport(
+            fault=FaultInjector(seed=3, **faults)
+        )
+        # Alternating kinds on one direction: a reorder hold releases a
+        # frame behind one of the other kind. An odd count leaves the last
+        # frame held at close.
+        for i in range(9):
+            if i % 2:
+                frame, kind = AckFrame(i, 0, 100 + i), FrameKind.ACK
+            else:
+                frame = PacketFrame(
+                    msg_id=i,
+                    transfer_id=200 + i,
+                    topic=1,
+                    origin=0,
+                    publish_time=0.0,
+                    destinations=frozenset({1}),
+                    routing_path=(0,),
+                )
+                kind = FrameKind.DATA
+            transport.transmit(0, 1, frame, kind)
+        await _until(lambda: transport.in_transit == 0)
+        await transport.close()
+        stats = transport.stats
+        assert stats.sent[FrameKind.DATA] > 0 and stats.sent[FrameKind.ACK] > 0
+        for kind in FrameKind:
+            sent, delivered, lost, volume = _ledger(stats, kind)
+            assert delivered + lost == sent, kind
+            assert volume == sent, kind
+        assert sum(stats.delivered.values()) == len(seen)
 
     asyncio.run(scenario())

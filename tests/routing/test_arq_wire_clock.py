@@ -169,10 +169,10 @@ def test_an_overtaken_edf_copy_is_not_timed_out(clocks):
 
 
 def test_a_copy_its_own_queue_discards_fails_without_a_timeout(clocks):
-    """``edf_drop_expired``: the hop fails at the discard instant — one
+    """``"edf+drop"``: the hop fails at the discard instant — one
     ``on_failed``, no ``ack_timeout`` probe, no timer, and no
     retransmission into the queue that just discarded it."""
-    ctx, arq = make_arq(m=3, queue_discipline="edf", edf_drop_expired=True)
+    ctx, arq = make_arq(m=3, queue_discipline="edf+drop")
     outcomes = []
     send(arq, make_frame(1, priority=5.0), outcomes)
     send(arq, make_frame(2, priority=0.025), outcomes)  # expired by 0.02
