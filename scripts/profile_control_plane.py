@@ -10,13 +10,14 @@ prints the top entries by cumulative time for each. Use this to see
 *where* a control-plane regression landed before reaching for the
 microbenchmark's single number.
 
-It then prints the kernel's Jacobi rounds in bands — tables and cells
-evaluated, milliseconds — for two solves: the setup solve of a
-``dense_dataplane``-shaped world (degree 8, 4 topics, ``--nodes`` brokers)
-and the first in-run refresh of the ``refresh_controlplane`` benchmark
-world. That shows where a solve spends its rounds, that round 1 evaluates
-only the subscribers' neighbours, and that the limit-cycle tail (rounds
-carried forward, ``control_plane.rounds_skipped``) is not run.
+It then prints the kernel's Gauss-Seidel sweeps in bands — block
+evaluations, tables and cells evaluated, milliseconds — for two solves: the
+setup solve of a ``dense_dataplane``-shaped world (degree 8, 4 topics,
+``--nodes`` brokers) and the first in-run refresh of the
+``refresh_controlplane`` benchmark world. That shows where a solve spends
+its sweeps, that sweep 1 evaluates only the wavefront out of the
+subscribers, and how many candidates the exit rule banned
+(``control_plane.candidates_banned``).
 
 Usage::
 
@@ -53,8 +54,7 @@ COUNTERS = (
     "tables_solved_cold",
     "jacobi_rounds",
     "node_recomputes",
-    "cycles_detected",
-    "rounds_skipped",
+    "candidates_banned",
 )
 
 
@@ -70,36 +70,57 @@ def profile(label: str, fn, top: int) -> None:
 
 @contextmanager
 def recorded_solves() -> Iterator[List[dict]]:
-    """Record every solve run inside the block, round by round.
+    """Record every solve run inside the block, sweep by sweep.
 
-    ``ControlPlaneSolver._evaluate`` is the kernel's round seam: ``solve``
-    calls it exactly once per batch round, with the cells that round
-    evaluates. Timestamping it (and ``solve``, which delimits the rounds
-    of one solve and holds the counters) times every round without
-    touching the solver.
+    ``ControlPlaneSolver._evaluate`` is the kernel's block seam: ``solve``
+    calls it exactly once per block of a sweep that has dirty cells, with
+    those cells. Timestamping it (and ``solve``, which delimits the sweeps
+    of one solve and holds the counters) times every block without
+    touching the solver. A sweep starts wherever a block comes at or
+    before the previous one in the sweep order: what a sweep leaves dirty
+    was dirtied after its block's turn, so the next sweep's first block is
+    never later than the last one evaluated.
     """
     solves: List[dict] = []
     evaluate, solve = ControlPlaneSolver._evaluate, ControlPlaneSolver.solve
 
-    def timed_evaluate(self, d, r, budgets, cells, *rest):
+    def timed_evaluate(self, d, r, budgets, flips, cells, nodes, *rest):
         started = time.perf_counter()
-        result = evaluate(self, d, r, budgets, cells, *rest)
-        # The solver never writes into a round's cell array, so it is kept
+        result = evaluate(self, d, r, budgets, flips, cells, nodes, *rest)
+        # The solver never writes into a block's cell array, so it is kept
         # as is and its tables are counted after the solve, untimed.
-        solves[-1]["rounds"].append((started, time.perf_counter(), cells))
+        record = solves[-1]
+        block = record["block_of"][nodes[0]]
+        record["blocks"].append((started, time.perf_counter(), cells, block))
         return result
 
     def timed_solve(self, pairs):
         before = self.perf.snapshot() if self.perf is not None else {}
-        record = {"rounds": [], "started": time.perf_counter()}
+        block_of = np.empty(self.topology.num_nodes, dtype=int)
+        for index, block in enumerate(self._blocks):
+            block_of[block] = index
+        record = {
+            "blocks": [], "block_of": block_of, "started": time.perf_counter()
+        }
         solves.append(record)
         tables = solve(self, pairs)
         record["ended"] = time.perf_counter()
+        record["block_count"] = len(self._blocks)
         stride = self.topology.num_nodes + 1
-        record["rounds"] = [
-            (started, ended, len(np.unique(cells // stride)), len(cells))
-            for started, ended, cells in record["rounds"]
-        ]
+        sweeps: List[dict] = []
+        previous = len(self._blocks)
+        for started, ended, cells, block in record.pop("blocks"):
+            if block <= previous:
+                sweeps.append(
+                    {"started": started, "blocks": 0, "tables": set(), "cells": 0}
+                )
+            sweep = sweeps[-1]
+            sweep["ended"] = ended
+            sweep["blocks"] += 1
+            sweep["tables"].update(np.unique(cells // stride).tolist())
+            sweep["cells"] += len(cells)
+            previous = block
+        record["sweeps"] = sweeps
         after = self.perf.snapshot() if self.perf is not None else {}
         record["counters"] = {
             name: after.get(f"control_plane.{name}", 0)
@@ -117,43 +138,46 @@ def recorded_solves() -> Iterator[List[dict]]:
 
 
 def print_bands(title: str, record: dict) -> None:
-    """One solve's rounds in bands 1, 2-10, 11-20, 21-40, ...
+    """One solve's sweeps in bands 1, 2-10, 11-20, 21-40, ...
 
-    A round lasts from its evaluation to the next one's; the last round's
-    own bookkeeping falls into the time after the rounds, with the
-    sending-list pass and the construction of the tables.
+    A sweep lasts from its first block evaluation to the next sweep's; the
+    last sweep's own bookkeeping falls into the time after the sweeps, with
+    the sending-list pass and the construction of the tables.
     """
-    rounds = record["rounds"]
-    starts = [start for start, _, _, _ in rounds]
-    ends = starts[1:] + [rounds[-1][1]] if rounds else []
-    print(f"=== kernel rounds, {title} ===")
+    sweeps = record["sweeps"]
+    starts = [sweep["started"] for sweep in sweeps]
+    ends = starts[1:] + [sweeps[-1]["ended"]] if sweeps else []
+    print(f"=== kernel sweeps, {title} ===")
     print(
-        f"{'rounds':>9} {'tables evaluated':>17} {'cells evaluated':>16} {'ms':>8}"
+        f"{'sweeps':>9} {'blocks':>7} {'tables evaluated':>17} "
+        f"{'cells evaluated':>16} {'ms':>8}"
     )
     low, high = 0, 1
-    while low < len(rounds):
-        band = rounds[low:high]
+    while low < len(sweeps):
+        band = sweeps[low:high]
         ms = sum(ends[low:high]) - sum(starts[low:high])
         print(
-            f"{low + 1:>4}-{low + len(band):<4} {band[0][2]:>8} -> {band[-1][2]:<6}"
-            f"{sum(cells for _, _, _, cells in band):>16} {ms * 1e3:>8.1f}"
+            f"{low + 1:>4}-{low + len(band):<4} "
+            f"{sum(sweep['blocks'] for sweep in band):>7} "
+            f"{len(band[0]['tables']):>8} -> {len(band[-1]['tables']):<6}"
+            f"{sum(sweep['cells'] for sweep in band):>16} {ms * 1e3:>8.1f}"
         )
         low, high = high, 10 if high == 1 else 2 * high
     counters = record["counters"]
     total_ms = (record["ended"] - record["started"]) * 1e3
-    rounds_ms = (ends[-1] - starts[0]) * 1e3 if rounds else 0.0
+    sweeps_ms = (ends[-1] - starts[0]) * 1e3 if sweeps else 0.0
     print(
-        f"{len(rounds)} batch rounds run for {counters['tables_solved_cold']:.0f} "
-        f"tables ({counters['jacobi_rounds']:.0f} table-rounds, "
-        f"{counters['node_recomputes']:.0f} node recomputes); "
-        f"{counters['cycles_detected']:.0f} limit cycles carried forward "
-        f"{counters['rounds_skipped']:.0f} table-rounds; "
-        f"solve {total_ms:.1f} ms, rounds {rounds_ms:.1f} ms\n"
+        f"{len(sweeps)} sweeps of {record['block_count']} blocks for "
+        f"{counters['tables_solved_cold']:.0f} tables "
+        f"({counters['jacobi_rounds']:.0f} table-sweeps, "
+        f"{counters['node_recomputes']:.0f} node recomputes, "
+        f"{counters['candidates_banned']:.0f} candidates banned); "
+        f"solve {total_ms:.1f} ms, sweeps {sweeps_ms:.1f} ms\n"
     )
 
 
 def round_bands(nodes: int) -> None:
-    """The rounds of a dense setup solve and of one in-run refresh."""
+    """The sweeps of a dense setup solve and of one in-run refresh."""
     dense = ExperimentConfig(
         topology_kind="regular", degree=8, num_nodes=nodes, num_topics=4,
         failure_probability=0.06,

@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--perf",
         action="store_true",
         help="also print per-strategy performance counters "
-        "(control-plane solve time, table reuse, unconverged tables, plus "
+        "(control-plane solve time, table reuse, sweeps, plus "
         "any sanity.*/trace.*/probes.* counters from attached observers)",
     )
     compare.set_defaults(handler=cmd_compare)

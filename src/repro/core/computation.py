@@ -2,13 +2,13 @@
 
 The paper seeds the recursion at the subscriber (``<0, 1>``) and lets every
 broker recompute its own ``<d_X, r_X>`` from its neighbours' advertised
-values, filtered by the delay budget and ordered by Theorem 1. We solve the
-same recursion with synchronous (Jacobi) rounds: round ``k`` recomputes all
-nodes from the round ``k-1`` values, which mirrors the hop-by-hop gossip of
-the distributed protocol and is deterministic. Cyclic dependencies (two
-brokers on each other's sending lists) are permitted, exactly as in the
-paper; ``r`` converges monotonically from below and ``d`` stabilises within
-a few diameters in practice, with a hard round bound as a backstop.
+values, filtered by the delay budget and ordered by Theorem 1. Nothing in
+Algorithm 1 fixes when a broker reads what its neighbours advertise; we
+solve the recursion with deterministic block Gauss-Seidel sweeps (below).
+Cyclic dependencies (two brokers on each other's sending lists) are
+permitted, exactly as in the paper; ``r`` converges monotonically from
+below and ``d`` stabilises within a few sweeps in practice. A table that is
+still moving after ``max_rounds`` sweeps is an error.
 
 The result, a :class:`DrTable`, is the per-(publisher, subscriber) control
 state: each node's ``<d, r>`` plus its ordered sending list.
@@ -23,13 +23,14 @@ estimates, and the budget Dijkstra depends only on the publisher.
 :class:`ControlPlaneSolver` computes each of those artifacts exactly once
 per refresh and then solves **every table of the refresh in one batched
 NumPy kernel** (:meth:`ControlPlaneSolver.solve`): the ``<d, r>`` vectors
-of all tables live in two ``(tables, nodes + 1)`` arrays, and one Jacobi
-round gathers the neighbour values of every dirty ``(table, node)`` pair,
-applies the budget filter, sorts the candidates and folds Eq. 3 — for all
-tables in lock-step, one C loop per arithmetic step instead of one Python
-call per node per round per table. A single pair is a batch of one.
+of all tables live in two ``(tables, nodes + 1)`` arrays, and one block
+evaluation gathers the neighbour values of every dirty ``(table, node)``
+pair of the block, applies the budget filter, sorts the candidates and
+folds Eq. 3 — for all tables at once, one C loop per arithmetic step
+instead of one Python call per node per sweep per table. A single pair is
+a batch of one.
 
-The kernel is bit-identical to the scalar per-node loop it replaced (kept
+The kernel is bit-identical to the scalar per-node loop it batches (kept
 as the oracle in ``tests/core/reference_solver.py``), by construction:
 
 * **operation order** — every float is produced by the same IEEE-754
@@ -43,23 +44,23 @@ as the oracle in ``tests/core/reference_solver.py``), by construction:
   order and the sort is stable, so equal ``d/r`` ratios fall in
   neighbour-id order exactly as the scalar ``(ratio, neighbour)`` tuple
   sort placed them;
-* **same gate, same dirty sets** — a node's update is accepted by the
-  same three-clause tolerance test, and each table keeps its own dirty
-  mask (neighbours of the nodes that moved last round, never the
-  subscriber), so every table runs the rounds, and evaluates the nodes,
-  the scalar loop would have — or accounts for them: ``rounds``,
-  ``converged`` and the ``jacobi_rounds`` / ``node_recomputes`` counters
-  repeat exactly. Two kinds of evaluation are counted, not run. In round
-  1 every node but the subscriber is dirty, yet only the subscriber holds
-  ``r > 0``: a node that is not its live neighbour has no candidate and
-  evaluates to the ``<inf, 0>`` it already holds. And the rounds a table in
-  a limit cycle would spin through (below).
+* **same gate, same dirty sets, same exits** — a node's update is
+  accepted by the same three-clause tolerance test, each table keeps its
+  own dirty mask (neighbours of the nodes that moved, never the
+  subscriber) and its own exit counts, so every table runs the sweeps,
+  and evaluates the nodes, the scalar loop would have: ``rounds`` and the
+  ``jacobi_rounds`` / ``node_recomputes`` / ``candidates_banned``
+  counters repeat exactly. One kind of evaluation is counted, not run: in
+  sweep 1 every node but the subscriber is dirty, yet a node is evaluated
+  only once a live neighbour holds ``r > 0`` — the subscriber or a node
+  that moved earlier in the sweep. Any other node has no candidate and
+  evaluates to the ``<inf, 0>`` it already holds.
 
-A round allocates nothing of its ``(cells, max_degree)`` shape: the gathers,
-Eq. 2, the ratio and the sorted columns are written into buffers made once
-per solve. Allocated afresh, about ten such arrays per round went back to
-the operating system and were faulted in again every round, which cost more
-than the arithmetic on them.
+A block evaluation allocates nothing of its ``(cells, max_degree)`` shape:
+the gathers, Eq. 2, the ratio and the sorted columns are written into
+buffers made once per solve. Allocated afresh, about ten such arrays per
+evaluation went back to the operating system and were faulted in again
+every time, which cost more than the arithmetic on them.
 
 One further acceleration sits on top — **dirty-edge relevance**
 (:meth:`ControlPlaneSolver.table_affected`): a changed edge can only
@@ -69,45 +70,49 @@ provably holds ``<inf, 0>`` forever and its links are never read. Tables
 no changed edge can reach are reused verbatim (bit-identical, the solve
 is skipped entirely).
 
-Earlier versions also *replayed* the previous solve's recorded Jacobi
-trajectory, recomputing only the changed edges' influence cone. It was
-removed when the kernel landed: a replay is a per-table Python loop that
-cannot run inside the batch, a sampled refresh moves every estimate so the
-cone is the whole graph, and even in its best regime (7 of 640 estimates
-changed) it lost to the kernel — see ``docs/ALGORITHMS.md``. A naive warm
-start (seeding Jacobi from the previous ``<d, r>`` values) was never an
+Earlier versions also *replayed* the previous solve's recorded trajectory,
+recomputing only the changed edges' influence cone. It was removed when
+the kernel landed: a replay is a per-table Python loop that cannot run
+inside the batch, a sampled refresh moves every estimate so the cone is
+the whole graph, and even in its best regime (7 of 640 estimates changed)
+it lost to the kernel — see ``docs/ALGORITHMS.md``. A naive warm start
+(seeding the sweeps from the previous ``<d, r>`` values) was never an
 option: the tolerance-gated iteration parks values within ``tol`` of
 budget-eligibility boundaries, so a warm fixed point within ``tol`` of the
 cold one can still flip a strict ``d_i < budget`` comparison and change a
 sending list.
 
-Tables that never converge
---------------------------
+Sweep order and the exit rule
+-----------------------------
+
+The nodes are split into blocks once per solver, from the topology alone
+(:func:`sweep_blocks`): a greedy colouring in node-id order, folded onto
+one block per 16 nodes. A sweep evaluates the blocks in that fixed order,
+so each block reads the values the blocks before it wrote in the same
+sweep; within a block every new value is computed before any is written.
+A node dirtied by a block after its own is evaluated in the same sweep,
+one dirtied by its own or an earlier block in the next. A table stops at
+the end of the first sweep that leaves nothing dirty.
 
 Budget eligibility is a strict comparison on values that feed back through
-cyclic sending lists, so a minority of tables fall into a *bit-exact* limit
-cycle (period 2-12) instead of a fixed point. The table shipped is the
-state after exactly ``max_rounds`` synchronous rounds — a deterministic
-function of the estimates — flagged ``converged=False`` and counted in
-``control_plane.tables_unconverged``. The rounds to that backstop are not
-run: one Jacobi round is a pure function of a table's ``d`` row, ``r`` row
-and dirty mask, so once all three equal, bit for bit, what they were ``p``
-rounds earlier the table is carried forward ``((max_rounds - k) // p) * p``
-rounds arithmetically and only the remaining ``(max_rounds - k) % p``
-rounds are computed. Each running table's three rows are digested every
-round; a digest the table had at round ``s`` nominates it with period
-``p = k - s``, and the table is carried only if its rows ``p`` rounds
-later equal the copies taken at ``k`` bit for bit — a cycle that starts at
-round ``c`` is carried at ``c + 2p``, whenever it starts. ``rounds``,
-``jacobi_rounds`` and ``node_recomputes`` advance by what the skipped
-rounds would have counted (``control_plane.cycles_detected`` and
-``control_plane.rounds_skipped`` say how much that was), so the result is
-the scalar loop's in every field. Detection reads only the table's own
-rows, so it cannot depend on what else is in the batch.
+cyclic sending lists, so a neighbour whose budget test straddles the
+boundary can be pushed in and out of a broker's candidate set for ever:
+under lock-step rounds a minority of tables fell into such a limit cycle.
+The **exit rule** ends it: within one solve, a neighbour that leaves a
+broker's candidate set for the third time stays out of it, in the sweeps
+and in the sending list shipped. Each (table, node, link) holds one int8
+of state, the number of times the link entered or left the candidate set,
+so candidate sets change finitely often, and every table measured then
+reaches a fixed point. Tables whose candidates never leave three times are untouched by
+the rule. A few tables have two fixed points (two brokers each of which
+can hold the other as a backup, but not both at once); the sweep order
+picks one, deterministically. ``control_plane.candidates_banned`` counts
+the (table, node, neighbour) exclusions the rule made.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import (
@@ -128,6 +133,7 @@ from repro.core.linkmath import link_params_m
 from repro.overlay.monitor import LinkEstimate
 from repro.overlay.topology import Edge, Topology, canonical_edge
 from repro.perf import PerfStats
+from repro.util.errors import RoutingError
 from repro.util.validation import require, require_positive
 
 
@@ -249,7 +255,6 @@ class DrTable:
     states: Mapping[int, NodeState]
     budgets: Dict[int, float]
     rounds: int
-    converged: bool
     #: Per-node :meth:`sending_list` results. The forwarding data plane
     #: asks for the same node's list once per dispatched destination and
     #: ``NodeState.neighbor_order`` rebuilds its tuple on every access, so
@@ -280,16 +285,34 @@ class DrTable:
         return self.states[node].r > 0.0
 
 
-def _mixed(count: int) -> np.ndarray:
-    """*count* fixed, well-mixed int64 values: the splitmix64 finaliser of
-    ``1..count``. Cheaper than seeding a generator for every solver."""
-    mixed = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    mixed ^= mixed >> np.uint64(30)
-    mixed *= np.uint64(0xBF58476D1CE4E5B9)
-    mixed ^= mixed >> np.uint64(27)
-    mixed *= np.uint64(0x94D049BB133111EB)
-    mixed ^= mixed >> np.uint64(31)
-    return mixed.view(np.int64)
+#: The exit rule: a neighbour that has left a broker's candidate set three
+#: times in one solve stays out of it. Every exit follows an entry, so the
+#: third exit is the sixth flip of its candidate bit.
+_BANNED_FLIPS = 6
+
+#: ``sweep_blocks`` folds the colouring onto one Gauss-Seidel block per this
+#: many nodes: a block costs a batched evaluation whatever its size, so a
+#: small graph sweeps few blocks.
+_NODES_PER_BLOCK = 16
+
+
+def sweep_blocks(topology: Topology) -> List[np.ndarray]:
+    """The Gauss-Seidel blocks of *topology*, in sweep order.
+
+    A greedy colouring in node-id order (each node takes the smallest colour
+    no lower-numbered neighbour holds), folded by colour modulo onto one
+    block per :data:`_NODES_PER_BLOCK` nodes, at least one; each block
+    lists its nodes in id order. It reads the topology alone, so every
+    table of every solve over it sweeps the same blocks in the same order.
+    """
+    colours: List[int] = []
+    for node in topology.nodes:
+        taken = {colours[n] for n in topology.neighbors(node) if n < node}
+        colours.append(next(c for c in itertools.count() if c not in taken))
+    count = max(1, topology.num_nodes // _NODES_PER_BLOCK)
+    folded = np.array(colours, dtype=np.intp) % count
+    blocks = [np.flatnonzero(folded == block) for block in range(count)]
+    return [block for block in blocks if len(block)]
 
 
 def _estimate_weight_graph(
@@ -331,16 +354,14 @@ class ControlPlaneSolver:
         self.m = m
         num_nodes = topology.num_nodes
         if max_rounds is None:
-            max_rounds = max(64, 2 * num_nodes)
+            max_rounds = max(1000, 2 * num_nodes)
         require(max_rounds >= 1, f"max_rounds must be >= 1, got {max_rounds}")
         # The round-1 wavefront and the two-clause gate both rely on it.
         require(0.0 <= tol < math.inf, f"tol must be finite and >= 0, got {tol}")
         self.max_rounds = max_rounds
         self.tol = tol
         self.perf = perf
-        # One int64 weight row per row the limit-cycle detector digests
-        # (d bits, r bits, dirty mask); products wrap mod 2**64.
-        self._digest_weights = _mixed(3 * (num_nodes + 1)).reshape(3, -1)
+        self._blocks = sweep_blocks(topology)
 
         # Per-link m-transmission parameters (Eq. 1), symmetric.
         link_m = {
@@ -414,6 +435,7 @@ class ControlPlaneSolver:
         d: np.ndarray,
         r: np.ndarray,
         budgets: np.ndarray,
+        flips: np.ndarray,
         cells: np.ndarray,
         nodes: np.ndarray,
         buffers: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -421,15 +443,17 @@ class ControlPlaneSolver:
         """Eq. 2, the budget filter and the Theorem 1 order, batched.
 
         *cells* are flat ``table * (num_nodes + 1) + node`` positions in
-        *d*, *r* and *budgets*, and *nodes* their node ids. Over each
-        cell's link columns: ``eligible``, ``(cells, max_degree)``, marks
-        the real candidates in column order; ``order`` holds flat positions
-        into such rows, sorted ascending by ``d_via / r_via`` (stable, so
-        ties stay in neighbour-id order), and ``d_via`` and ``r_via`` are
-        taken through it. Those three are transposed, ``(max_degree,
-        cells)``: sorted position k of every cell is one contiguous row.
-        The rest — padding, dead links, neighbours that do not expect
-        delivery within the node's budget (Algorithm 1 line 4) or at all —
+        *d*, *r* and *budgets*, *nodes* their node ids and *flips* their
+        exit-rule rows (``solve``). Over each cell's link columns:
+        ``eligible``, ``(cells, max_degree)``, marks the real candidates in
+        column order; ``order`` holds flat positions into such rows, sorted
+        ascending by ``d_via / r_via`` (stable, so ties stay in neighbour-id
+        order), and ``d_via`` and ``r_via`` are taken through it. Those
+        three are transposed, ``(max_degree, cells)``: sorted position k of
+        every cell is one contiguous row. The rest — padding, dead links,
+        neighbours that do not expect delivery within the node's budget
+        (Algorithm 1 line 4) or at all, and neighbours the exit rule
+        banned —
         sort last and carry ``d_via = r_via = 0``. Everything but the sort
         itself is computed in place in *buffers* (``solve``). Called inside
         ``np.errstate``: the ratio of a non-candidate is 0/0.
@@ -448,6 +472,7 @@ class ControlPlaneSolver:
         r.take(via, out=r_i, mode="clip")
         np.less(d_i, budgets.take(cells)[:, None], out=eligible)
         eligible &= np.greater(r_i, 0.0, out=absent)
+        eligible &= np.less(flips, _BANNED_FLIPS, out=absent)
         np.logical_not(eligible, out=absent)
         # Eq. 2, zeroed where there is no candidate: r_via is finite, so
         # multiplying by the mask is exact; d_via may be inf there.
@@ -480,28 +505,41 @@ class ControlPlaneSolver:
         d: np.ndarray,
         r: np.ndarray,
         budgets: np.ndarray,
+        flips: np.ndarray,
         cells: np.ndarray,
         nodes: np.ndarray,
         buffers: Tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One Jacobi round's work: the new ``<d, r>`` of *cells*.
+        """One block's work: the new ``<d, r>`` of *cells*.
 
         Candidates as in :meth:`_candidates`, folded by Eq. 3 position by
         position along the sending list, in place: per position
         ``cumulative += d_via; weighted += cumulative * r_via * survive;
-        survive *= 1 - r_via`` — the scalar fold's operations in its order.
-        :meth:`solve` calls this exactly once per batch round, with the
-        cells that round evaluates, and nothing else calls it.
+        survive *= 1 - r_via`` — the scalar fold's operations in its order —
+        up to the longest candidate list: past it every cell would add
+        ``+ 0.0`` and multiply by ``1.0``, which are exact. The exit rule's
+        state moves with the evaluation: every column that entered or left
+        the candidate set since the cell's previous evaluation counts one
+        more flip in *flips*. :meth:`solve` calls this exactly once per
+        block of a sweep that has dirty cells, and nothing else calls it.
         """
-        _, d_sorted, r_sorted, _ = self._candidates(
-            d, r, budgets, cells, nodes, buffers
+        rows = flips.take(cells, axis=0)
+        _, d_sorted, r_sorted, eligible = self._candidates(
+            d, r, budgets, rows, cells, nodes, buffers
         )
+        # A column is a candidate after an odd number of flips.
+        step = np.bitwise_and(rows, 1)
+        step ^= eligible
+        if step.any():
+            rows += step
+            flips[cells] = rows
         size = len(cells)
         survive = np.ones(size)
         weighted = np.zeros(size)
         cumulative = np.zeros(size)
         term = np.empty(size)
-        for d_via, r_via in zip(d_sorted, r_sorted):
+        longest = np.count_nonzero(eligible, axis=1).max()
+        for d_via, r_via in zip(d_sorted[:longest], r_sorted[:longest]):
             cumulative += d_via
             np.multiply(cumulative, r_via, out=term)
             term *= survive
@@ -515,13 +553,13 @@ class ControlPlaneSolver:
         return new_d, np.where(reaches, r_x, 0.0)
 
     def solve(self, pairs: Sequence[Tuple[int, int, float]]) -> List[DrTable]:
-        """Solve ``(publisher, subscriber, deadline)`` pairs in lock-step.
+        """Solve ``(publisher, subscriber, deadline)`` pairs in one batch.
 
-        All tables advance through the same Jacobi rounds together; each
-        stops on its own, with nothing left dirty or at its round
-        ``max_rounds`` (reached early by a table in a limit cycle, see the
-        module docstring). The result list is aligned with *pairs*, and
-        every table is independent of what else was in the batch.
+        All tables advance through the same Gauss-Seidel sweeps together;
+        each stops on its own, once nothing is left dirty. The result list
+        is aligned with *pairs*, and every table is independent of what
+        else was in the batch. A table still dirty after ``max_rounds``
+        sweeps raises :class:`RoutingError`.
         """
         pairs = list(pairs)
         num = self.topology.num_nodes
@@ -534,7 +572,7 @@ class ControlPlaneSolver:
         count = len(pairs)
         inf = math.inf
         tol = self.tol
-        max_rounds = self.max_rounds
+        width = self._usable.shape[1]
 
         # The state of the whole batch is flat: cell ``t * stride + x`` is
         # node x of table t, and cell ``t * stride + num`` is table t's
@@ -543,6 +581,7 @@ class ControlPlaneSolver:
         first_cell = np.arange(count) * stride
         subscribers = np.array([pair[1] for pair in pairs], dtype=np.intp)
         subscriber_cells = first_cell + subscribers
+        sentinel_cells = first_cell + num
 
         # Remaining budget at each broker: D_XS = D_PS - shortest_delay(P, X),
         # with shortest delays taken over the monitor's alpha estimates.
@@ -562,158 +601,96 @@ class ControlPlaneSolver:
         d[subscriber_cells] = 0.0
         r[subscriber_cells] = 1.0
         dirty = np.zeros(count * stride, dtype=bool)
-
-        # Per-table views of the flat state (floats as their bit patterns),
-        # and per-table bookkeeping: the last batch round a table had dirty
-        # cells in, its node recomputes, the rounds it was carried forward
-        # (a table's own round is the batch round plus those), and whether
-        # max_rounds cut it off.
-        table_shape = (count, stride)
-        d_bits = d.view(np.int64).reshape(table_shape)
-        r_bits = r.view(np.int64).reshape(table_shape)
-        dirty_rows = dirty.reshape(table_shape)
+        dirty_rows = dirty.reshape(count, stride)
+        # The exit rule (module docstring), per (cell, link column): how
+        # often the column entered or left the cell's candidate set. Odd
+        # means it was a candidate at the cell's last evaluation; at
+        # _BANNED_FLIPS it has left three times and is banned.
+        flips = np.zeros((count * stride, width), dtype=np.int8)
         rounds = np.zeros(count, dtype=np.intp)
-        recomputes = np.zeros(count, dtype=np.intp)
-        carried = np.zeros(count, dtype=np.intp)
-        cut_off = np.zeros(count, dtype=bool)
 
-        # Round 1 is a wavefront. Every node but the subscriber starts dirty,
-        # but only the subscriber holds r > 0, so only its live neighbours
-        # can have a candidate: every other node evaluates to the <inf, 0>
-        # it already holds and cannot move. Those are counted, not evaluated.
+        # Sweep 1 is a wavefront. Every node but the subscriber starts dirty,
+        # but only the subscriber holds r > 0, so a node can have a candidate
+        # only if it is a live neighbour of the subscriber or of a node that
+        # moved earlier in the sweep: every other node evaluates to the
+        # <inf, 0> it already holds and cannot move. So the subscribers'
+        # live neighbours start dirty, moves propagate as in every sweep,
+        # and all num - 1 evaluations are counted.
         front = self._usable.take(subscribers, axis=0)
         live = (front != num) & (front != subscribers[:, None])
-        nodes = front[live]
-        cells = (front + first_cell[:, None])[live]
-        # Every table runs round 1 unless its subscriber is the only node.
+        dirty[(front + first_cell[:, None])[live]] = True
+        # Every table runs sweep 1 unless its subscriber is the only node.
         running = np.arange(count if num > 1 else 0)
-        dirty_counts = num - 1
-        # The (cells, max_degree) arrays of every round and of the final
+        recomputes = len(running) * (num - 1)
+        # The (cells, max_degree) arrays of every block and of the final
         # pass are views of these flat buffers: index, four float, two mask
         # blocks (module docstring).
-        size = count * num * self._usable.shape[1]
+        size = count * num * width
         buffers = (
             np.empty(size, dtype=np.intp),
             np.empty((4, size)),
             np.empty((2, size), dtype=bool),
         )
 
-        # Limit-cycle detection (module docstring). ``seen`` maps (table,
-        # digest of its three rows) to the round the digest first appeared;
-        # ``pending`` maps a table whose digest repeated to the round its
-        # rows are due to repeat again, the period, a copy of the rows and
-        # its recomputes at the repeat.
-        weights = self._digest_weights
-        seen: Dict[Tuple[int, int], int] = {}
-        pending: Dict[int, Tuple[int, int, np.ndarray, int]] = {}
-        settled = np.zeros(count, dtype=bool)
-
-        def state_of(table: int, dirty_row: np.ndarray) -> np.ndarray:
-            """A table's d bits, r bits and dirty mask as one int64 row."""
-            return np.concatenate((d_bits[table], r_bits[table], dirty_row))
-
-        # Batch rounds in which some table reaches its own round max_rounds.
-        stops = {max_rounds}
         # Non-candidates divide 0/0 (``_candidates``), and the gate subtracts
         # inf from inf for nodes that stay unreached.
         with np.errstate(divide="ignore", invalid="ignore"):
-            # Jacobi with dirty-set propagation: a node is recomputed only
-            # when one of its neighbours moved in its table's previous
-            # round. Every new value is computed before any is written.
-            for round_number in range(1, max_rounds + 1):
+            # Block Gauss-Seidel with dirty-set propagation: a block
+            # evaluates its nodes that a neighbour's move dirtied since
+            # they were last evaluated, from the values the blocks before
+            # it wrote this sweep; within a block every new value is
+            # computed before any is written.
+            for sweep in range(1, self.max_rounds + 1):
                 if not len(running):
                     break
-                rounds[running] = round_number
-                recomputes[running] += dirty_counts
-                new_d, new_r = self._evaluate(d, r, budgets, cells, nodes, buffers)
-                # A node moves only if it changed beyond tol. With tol
-                # finite this is the scalar three-clause gate: an inf/finite
-                # flip is an infinite change and inf - inf compares false.
-                moved = np.abs(new_r - r.take(cells)) > tol
-                moved |= np.abs(new_d - d.take(cells)) > tol
-                cells = cells[moved]
-                nodes = nodes[moved]
-                d[cells] = new_d[moved]
-                r[cells] = new_r[moved]
-                # Their neighbours are dirty next round, never a sentinel or
-                # a subscriber; only the tables that ran are looked at.
-                targets = self._neighbors.take(nodes, axis=0)
-                targets += (cells - nodes)[:, None]
-                dirty[targets] = True
-                dirty[running * stride + num] = False
-                dirty[subscriber_cells.take(running)] = False
-                block = dirty_rows.take(running, axis=0)
-                still = block.any(axis=1)
-                running = running[still]
-                block = block[still]
-
-                # Limit-cycle fast-forward. A round is a pure function of a
-                # table's d row, r row and dirty row, so a running table
-                # whose three rows equal — bit for bit — its rows ``period``
-                # rounds ago repeats those rounds forever: carry it over
-                # every whole period that fits before max_rounds, counting
-                # the recomputes those rounds would have made, and run only
-                # the remainder for real. A repeated digest only nominates
-                # the table; its rows are copied and must come back, bit for
-                # bit, one period later.
-                watched = ~settled.take(running)
-                tables = running[watched]
-                rows = block[watched]
-                keys = (
-                    d_bits.take(tables, axis=0) @ weights[0]
-                    + r_bits.take(tables, axis=0) @ weights[1]
-                    + rows @ weights[2]
+                rounds[running] = sweep
+                for block in self._blocks:
+                    dirty_block = dirty_rows[np.ix_(running, block)]
+                    positions, columns = np.nonzero(dirty_block)
+                    if not len(positions):
+                        continue
+                    nodes = block.take(columns)
+                    cells = running.take(positions) * stride + nodes
+                    dirty[cells] = False
+                    if sweep > 1:
+                        recomputes += len(cells)
+                    new_d, new_r = self._evaluate(
+                        d, r, budgets, flips, cells, nodes, buffers
+                    )
+                    # A node moves only if it changed beyond tol. With tol
+                    # finite this is the scalar three-clause gate: an
+                    # inf/finite flip is an infinite change and inf - inf
+                    # compares false.
+                    moved = np.abs(new_r - r.take(cells)) > tol
+                    moved |= np.abs(new_d - d.take(cells)) > tol
+                    cells = cells[moved]
+                    nodes = nodes[moved]
+                    d[cells] = new_d[moved]
+                    r[cells] = new_r[moved]
+                    # Their neighbours are dirty, never a sentinel or a
+                    # subscriber.
+                    targets = self._neighbors.take(nodes, axis=0)
+                    targets += (cells - nodes)[:, None]
+                    dirty[targets] = True
+                    dirty[sentinel_cells] = False
+                    dirty[subscriber_cells] = False
+                running = running[dirty_rows.take(running, axis=0).any(axis=1)]
+            if len(running):
+                publisher, subscriber, deadline = pairs[running[0]]
+                raise RoutingError(
+                    f"the <d, r> table of publisher {publisher} -> subscriber "
+                    f"{subscriber} (deadline {deadline!r}) did not converge in "
+                    f"{self.max_rounds} sweeps"
                 )
-                for position, (table, key) in enumerate(
-                    zip(tables.tolist(), keys.tolist())
-                ):
-                    check = pending.get(table)
-                    if check is None:
-                        first = seen.setdefault((table, key), round_number)
-                        if first < round_number:
-                            period = round_number - first
-                            pending[table] = (
-                                round_number + period,
-                                period,
-                                state_of(table, rows[position]),
-                                recomputes[table],
-                            )
-                    elif check[0] == round_number:
-                        _, period, state, then = pending.pop(table)
-                        if not np.array_equal(state_of(table, rows[position]), state):
-                            continue  # the digests collided
-                        settled[table] = True
-                        ahead = max_rounds - round_number
-                        periods = ahead // period
-                        carried[table] = periods * period
-                        recomputes[table] += periods * (recomputes[table] - then)
-                        stops.add(round_number + ahead % period)
-                if round_number in stops:
-                    # Tables still dirty at their own round max_rounds are
-                    # cut off; the ones they were solved with run on.
-                    stopping = round_number + carried.take(running) == max_rounds
-                    cut_off[running[stopping]] = True
-                    running = running[~stopping]
-                    block = block[~stopping]
-
-                positions, nodes = np.nonzero(block)
-                dirty_counts = np.bincount(positions, minlength=len(running))
-                cells = running.take(positions) * stride + nodes
-                dirty[cells] = False
-            rounds += carried
 
             # Sending lists of every node of every table, from the final
-            # values; the subscriber's stays empty.
+            # values and bans; the subscriber's stays empty.
             nodes = np.tile(np.arange(num), count)
+            cells = (first_cell[:, None] + np.arange(num)).ravel()
             order, d_via, r_via, eligible = self._candidates(
-                d,
-                r,
-                budgets,
-                (first_cell[:, None] + np.arange(num)).ravel(),
-                nodes,
-                buffers,
+                d, r, budgets, flips.take(cells, axis=0), cells, nodes, buffers
             )
-        shape = (count, num, self._usable.shape[1])
+        shape = (count, num, width)
         neighbors = self._usable.take(nodes, axis=0).take(order.T).reshape(shape)
         d_via = d_via.T.reshape(shape)
         r_via = r_via.T.reshape(shape)
@@ -727,13 +704,10 @@ class ControlPlaneSolver:
 
         if self.perf is not None:
             self.perf.incr("control_plane.tables_solved_cold", count)
-            self.perf.incr("control_plane.tables_unconverged", int(cut_off.sum()))
             self.perf.incr("control_plane.jacobi_rounds", int(rounds.sum()))
-            self.perf.incr("control_plane.node_recomputes", int(recomputes.sum()))
-            self.perf.incr(
-                "control_plane.cycles_detected", int(np.count_nonzero(carried))
-            )
-            self.perf.incr("control_plane.rounds_skipped", int(carried.sum()))
+            self.perf.incr("control_plane.node_recomputes", recomputes)
+            banned = int(np.count_nonzero(flips == _BANNED_FLIPS))
+            self.perf.incr("control_plane.candidates_banned", banned)
 
         # Each table owns copies of its rows, so a table reused across
         # refreshes does not keep its whole batch alive. The neighbour
@@ -754,7 +728,6 @@ class ControlPlaneSolver:
                 ),
                 budgets=dict(enumerate(budgets[index, :num].tolist())),
                 rounds=int(rounds[index]),
-                converged=not cut_off[index],
                 _orders={
                     node: tuple(row[:length])
                     for node, (row, length) in enumerate(
@@ -791,9 +764,11 @@ def compute_dr_table(
     m:
         Per-link transmission budget (Eq. 1).
     max_rounds:
-        Hard bound on Jacobi rounds; default ``max(64, 2 * num_nodes)``
-        (cyclic feedback damps geometrically, so the constant floor covers
-        small graphs with weak links).
+        Sweeps after which a table that is still moving raises
+        :class:`RoutingError`; default ``max(1000, 2 * num_nodes)``. Cyclic
+        feedback damps geometrically but slowly on weak links: an 8-node
+        graph with ``gamma`` in [0.5, 1] and a loose deadline takes up to
+        about 200 sweeps.
     tol:
         Convergence threshold on the max change of any ``d`` or ``r``.
 

@@ -60,7 +60,6 @@ def reorder_table_by_delay(table: DrTable) -> DrTable:
         states=states,
         budgets=dict(table.budgets),
         rounds=table.rounds,
-        converged=table.converged,
     )
 
 

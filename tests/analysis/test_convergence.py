@@ -17,7 +17,6 @@ def test_report_covers_all_pairs(rng):
     ctx, workload = make_setup(topo, rng)
     report = convergence_report(topo, ctx.monitor, workload)
     assert report.pairs == workload.total_subscriptions
-    assert report.all_converged
     assert report.reachable_fraction == 1.0
     assert report.max_rounds >= 1
 
@@ -37,7 +36,7 @@ def test_empty_workload(rng):
     topo = full_mesh(4, rng)
     ctx = build_ctx(topo)
     report = convergence_report(topo, ctx.monitor, ctx.workload)
-    assert report.pairs == 0 and report.all_converged
+    assert report.pairs == 0
 
 
 def test_as_dict(rng):
@@ -46,5 +45,5 @@ def test_as_dict(rng):
     report = convergence_report(topo, ctx.monitor, workload)
     data = report.as_dict()
     assert set(data) == {
-        "pairs", "all_converged", "mean_rounds", "max_rounds", "reachable_fraction",
+        "pairs", "mean_rounds", "max_rounds", "reachable_fraction",
     }

@@ -1,30 +1,33 @@
 """The scalar ``<d, r>`` solve, kept as the bit-exact oracle of the kernel.
 
-This is the per-node Python loop :class:`repro.core.computation.
-ControlPlaneSolver` ran before its Jacobi became one batched NumPy kernel:
-one ``recompute`` + ``gate`` call per dirty node per round, a tuple sort for
-Theorem 1, eagerly built :class:`NodeState` objects. The arithmetic, the
-gate, the dirty-set propagation and the counters are unchanged, so the
-kernel must reproduce its tables, ``rounds``, ``converged`` and both
-counters exactly (``tests/core/test_batch_solver.py``).
+This is the per-node Python loop that :class:`repro.core.computation.
+ControlPlaneSolver` batches into one NumPy kernel: one ``recompute`` +
+``gate`` call per dirty node per block of a Gauss-Seidel sweep, a tuple sort
+for Theorem 1, eagerly built :class:`NodeState` objects. The arithmetic, the
+gate, the dirty-set propagation, the sweep order and the exit rule are the
+kernel's, so the kernel must reproduce its tables, ``rounds``, the exhausted
+``max_rounds`` error and all three counters exactly
+(``tests/core/test_batch_solver.py``).
 
 It shares nothing with the kernel but the Eq. 1 link model, the budget
-Dijkstra call and the result types.
+Dijkstra call, the blocks (``sweep_blocks``, a function of the topology
+alone) and the result types.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro.core.computation import DrTable, NodeState, ViaNeighbor
+from repro.core.computation import DrTable, NodeState, ViaNeighbor, sweep_blocks
 from repro.core.linkmath import link_params_m
 from repro.core.sending_list import order_sending_list
 from repro.overlay.monitor import LinkEstimate
 from repro.overlay.topology import Edge, Topology, canonical_edge
 from repro.perf import PerfStats
+from repro.util.errors import RoutingError
 
 
 def reference_solve(
@@ -38,10 +41,10 @@ def reference_solve(
     tol: float = 1e-9,
     perf: Optional[PerfStats] = None,
 ) -> DrTable:
-    """Solve one (publisher, subscriber) pair with the scalar Jacobi loop."""
+    """Solve one (publisher, subscriber) pair with the scalar sweep loop."""
     num = topology.num_nodes
     if max_rounds is None:
-        max_rounds = max(64, 2 * num)
+        max_rounds = max(1000, 2 * num)
 
     # Per-link m-transmission parameters (Eq. 1), symmetric.
     link_m: Dict[Edge, Tuple[float, float]] = {}
@@ -59,6 +62,7 @@ def reference_solve(
             if math.isfinite(alpha_m) and gamma_m > 0.0:
                 entries.append((neighbor, alpha_m, gamma_m))
     neighbors_of = [topology.neighbors(node) for node in topology.nodes]
+    blocks = [block.tolist() for block in sweep_blocks(topology)]
 
     # Remaining budget at each broker: D_XS = D_PS - shortest_delay(P, X),
     # with shortest delays taken over the monitor's alpha estimates.
@@ -80,19 +84,38 @@ def reference_solve(
     r = [0.0] * num
     d[subscriber], r[subscriber] = 0.0, 1.0
     dirty = set(topology.nodes) - {subscriber}
+    # The exit rule: each node's candidate set at its last evaluation, and
+    # how often each (node, neighbour) left it; a neighbour that left three
+    # times is banned for the rest of the solve.
+    candidates_of: List[Set[int]] = [set() for _ in range(num)]
+    exits: Dict[Tuple[int, int], int] = {}
+
+    def eligible(node: int) -> List[Tuple[int, float, float, float, float]]:
+        """Node's candidates from current d/r: (neighbour, alpha_m, gamma_m,
+        d_i, r_i) in link order."""
+        budget = budget_of[node]
+        found = []
+        for neighbor, alpha_m, gamma_m in links_of[node]:
+            d_i, r_i = d[neighbor], r[neighbor]
+            # Algorithm 1 line 4: neighbour must expect delivery within
+            # the remaining budget; hopeless and banned neighbours cannot
+            # help either.
+            if not (d_i < budget) or r_i <= 0.0:
+                continue
+            if exits.get((node, neighbor), 0) >= 3:
+                continue
+            found.append((neighbor, alpha_m, gamma_m, d_i, r_i))
+        return found
 
     def recompute(node: int) -> Tuple[float, float]:
         """One Eq. 2 + Theorem 1 + Eq. 3 evaluation from current d/r."""
-        budget = budget_of[node]
+        found = eligible(node)
+        now = {neighbor for neighbor, *_ in found}
+        for neighbor in candidates_of[node] - now:
+            exits[node, neighbor] = exits.get((node, neighbor), 0) + 1
+        candidates_of[node] = now
         candidates: List[Tuple[float, int, float, float]] = []
-        for neighbor, alpha_m, gamma_m in links_of[node]:
-            d_i = d[neighbor]
-            # Algorithm 1 line 4: neighbour must expect delivery within
-            # the remaining budget; hopeless neighbours cannot help
-            # either.
-            r_i = r[neighbor]
-            if not (d_i < budget) or r_i <= 0.0:
-                continue
+        for neighbor, alpha_m, gamma_m, d_i, r_i in found:
             d_via = alpha_m + d_i
             r_via = gamma_m * r_i
             candidates.append((d_via / r_via, neighbor, d_via, r_via))
@@ -127,40 +150,41 @@ def reference_solve(
             return node, new_d, new_r
         return None
 
-    rounds = 0
-    converged = False
-    # Jacobi with dirty-set propagation: a node is recomputed only when
-    # one of its neighbours changed in the previous round.
-    while rounds < max_rounds and dirty:
-        rounds += 1
-        updates: List[Tuple[int, float, float]] = []
-        for node in dirty:
-            update = gate(node)
-            if update is not None:
-                updates.append(update)
-        dirty = set()
-        for node, new_d, new_r in updates:
-            d[node], r[node] = new_d, new_r
-            dirty.update(neighbors_of[node])
-        dirty.discard(subscriber)
-        if not updates:
-            converged = True
-            break
-    if not converged and not dirty:
-        converged = True
+    sweeps = 0
+    # Block Gauss-Seidel with dirty-set propagation: a block recomputes its
+    # nodes that a neighbour's move dirtied since they were last evaluated,
+    # from the values the blocks before it wrote; within a block every new
+    # value is computed before any is written.
+    while dirty:
+        if sweeps == max_rounds:
+            raise RoutingError(
+                f"the <d, r> table of publisher {publisher} -> subscriber "
+                f"{subscriber} (deadline {deadline!r}) did not converge in "
+                f"{max_rounds} sweeps"
+            )
+        sweeps += 1
+        for block in blocks:
+            due = [node for node in block if node in dirty]
+            dirty.difference_update(due)
+            updates = [update for update in map(gate, due) if update is not None]
+            for node, new_d, new_r in updates:
+                d[node], r[node] = new_d, new_r
+                dirty.update(neighbors_of[node])
+            dirty.discard(subscriber)
     if perf is not None:
         perf.incr("control_plane.tables_solved_cold")
-        perf.incr("control_plane.jacobi_rounds", rounds)
+        perf.incr("control_plane.jacobi_rounds", sweeps)
         perf.incr("control_plane.node_recomputes", recomputes)
+        perf.incr(
+            "control_plane.candidates_banned",
+            sum(count >= 3 for count in exits.values()),
+        )
 
     def final_vias(node: int) -> Tuple[ViaNeighbor, ...]:
-        budget = budget_of[node]
-        entries = []
-        for neighbor, alpha_m, gamma_m in links_of[node]:
-            d_i, r_i = d[neighbor], r[neighbor]
-            if not (d_i < budget) or r_i <= 0.0:
-                continue
-            entries.append((neighbor, alpha_m + d_i, gamma_m * r_i))
+        entries = [
+            (neighbor, alpha_m + d_i, gamma_m * r_i)
+            for neighbor, alpha_m, gamma_m, d_i, r_i in eligible(node)
+        ]
         ordered = order_sending_list(entries)
         return tuple(ViaNeighbor(*item) for item in ordered)
 
@@ -174,6 +198,5 @@ def reference_solve(
         deadline=deadline,
         states=states,
         budgets=budgets,
-        rounds=rounds,
-        converged=converged,
+        rounds=sweeps,
     )

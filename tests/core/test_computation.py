@@ -189,7 +189,7 @@ class TestConvergence:
             topo, uniform_estimates(topo, gamma=0.8), publisher=0, subscriber=2,
             deadline=1.0,
         )
-        assert table.converged
+        assert table.rounds < 64  # solve() raises on a table that does not converge
         assert 0.0 < table.state(0).r <= 1.0
         assert math.isfinite(table.state(0).d)
 

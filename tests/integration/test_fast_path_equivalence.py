@@ -15,7 +15,12 @@ and EDF with expired drops), across two seeds each.
 
 The two halves of the file have different ages. The infinite-capacity half
 (``baseline/*``, 4 entries, 16 cells) is still the recording made at the
-commit immediately before the fast path landed, byte for byte. The
+commit immediately before the fast path landed, byte for byte, except
+``baseline/DCRD/seed2``: two of its 39 ``<d, r>`` tables sat in a limit
+cycle under lock-step rounds and shipped whichever phase the round bound
+landed on, and were re-recorded once when the solver's Gauss-Seidel
+sweeps and exit rule made every table converge (3 fewer DATA
+transmissions, 5 fewer events, the same deliveries). The
 finite-capacity half (``edf_storm/DCRD``, ``edf_load/P-DTree``, 4 entries,
 16 cells) was re-recorded once, from a plain run, when the ACK clock moved
 to the wire (PR 19): the old recording pinned the retransmission storm that

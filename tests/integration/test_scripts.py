@@ -42,7 +42,7 @@ def test_extension_study_selection(tmp_path):
 
 
 def test_control_plane_profile_prints_both_round_tables():
-    """The profiler wraps the solver's per-round seam; a refactor that
+    """The profiler wraps the solver's per-block seam; a refactor that
     renames or bypasses it must fail here, not silently print nothing."""
     result = subprocess.run(
         [sys.executable, str(PROFILE), "--nodes", "40", "--top", "3"],
@@ -55,10 +55,14 @@ def test_control_plane_profile_prints_both_round_tables():
     assert result.returncode == 0, result.stderr[-2000:]
     out = result.stdout
     assert "=== batched kernel refresh ===" in out
-    assert "kernel rounds, 40-node setup solve" in out
+    assert "kernel sweeps, 40-node setup solve" in out
     assert "first in-run refresh of refresh_controlplane (80 nodes, seed 1" in out
-    # Each table opens with round 1 alone, then the 2-10 band.
-    assert len(re.findall(r"^ +1-1 +\d+ -> \d+ +\d+ +[\d.]+$", out, re.M)) == 2
+    # Each table opens with sweep 1 alone (its block evaluations, tables
+    # and cells), then the 2-10 band.
+    assert len(re.findall(r"^ +1-1 +\d+ +\d+ -> \d+ +\d+ +[\d.]+$", out, re.M)) == 2
     assert len(re.findall(r"^ +2-10 ", out, re.M)) == 2
-    summaries = re.findall(r"^(\d+) batch rounds run for (\d+) tables", out, re.M)
-    assert [int(tables) for _, tables in summaries] == [53, 201]
+    summaries = re.findall(r"^(\d+) sweeps of (\d+) blocks for (\d+) tables", out, re.M)
+    assert [(int(blocks), int(tables)) for _, blocks, tables in summaries] == [
+        (2, 53),
+        (5, 201),
+    ]

@@ -179,7 +179,7 @@ def _table(vias):
     states = {0: NodeState(d=1.0, r=0.9, sending_list=tuple(vias))}
     return DrTable(
         publisher=0, subscriber=5, deadline=1.0, states=states,
-        budgets={0: 1.0}, rounds=1, converged=True,
+        budgets={0: 1.0}, rounds=1,
     )
 
 
