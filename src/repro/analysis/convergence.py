@@ -7,6 +7,12 @@ convergence of :func:`repro.core.computation.compute_dr_table` across the
 distributed protocol needs after a subscription or a monitoring refresh.
 Every solve converges or raises, so there is no unconverged share to
 report.
+
+``rounds`` counts block Gauss-Seidel sweeps
+(:func:`repro.core.computation.sweep_blocks`). Below 32 nodes a graph is
+one block, and a sweep is one lock-step round: every broker updates from
+its neighbours' values at the sweep's start, so rounds are propagation
+rounds.
 """
 
 from __future__ import annotations
@@ -24,7 +30,11 @@ from repro.pubsub.topics import Workload
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Rounds-to-convergence statistics over all workload pairs."""
+    """Rounds-to-convergence statistics over all workload pairs.
+
+    A round is one block Gauss-Seidel sweep; below 32 nodes (one block) it
+    is one lock-step round.
+    """
 
     pairs: int
     mean_rounds: float

@@ -261,7 +261,6 @@ class DcrdStrategy(RoutingStrategy):
         self._monitor_version: int = -1
         self.perf = PerfStats()
         self.tasks_started = 0
-        self.abandoned = 0
         self.table_rebuilds = 0
 
     # ------------------------------------------------------------------
@@ -408,7 +407,7 @@ class DcrdStrategy(RoutingStrategy):
             destinations = index._members[spec.topic]
         else:
             destinations = frozenset(spec.subscriber_nodes)
-        destinations = self._deliver_local_at_origin(spec, msg_id, destinations)
+        destinations = self.deliver_at_origin(spec, msg_id, destinations)
         if not destinations:
             return
         ctx = self.ctx
@@ -442,16 +441,7 @@ class DcrdStrategy(RoutingStrategy):
         The persistency-mode extension overrides this hook to store the
         packet instead of dropping it (§III's persistency mode).
         """
-        self.abandoned += 1
         probe = _probes.on_abandon
         if probe is not None:
             probe(self.ctx.sim._now, node, frame, subscriber)
-        self.ctx.metrics.record_give_up(frame.msg_id, subscriber)
-
-    def _deliver_local_at_origin(
-        self, spec: TopicSpec, msg_id: int, destinations: FrozenSet[int]
-    ) -> FrozenSet[int]:
-        if spec.publisher in destinations:
-            self.ctx.metrics.record_delivery(msg_id, spec.publisher, self.ctx.sim.now)
-            return destinations - {spec.publisher}
-        return destinations
+        self.give_up(frame.msg_id, (subscriber,))

@@ -16,7 +16,7 @@ from repro.extensions.ablations import (
 )
 from repro.extensions.churn import ChurnProcess, churn_study, run_with_churn
 from repro.extensions.congestion import congestion_study
-from repro.extensions.fec import FecMultipathStrategy, fec_study, select_diverse_paths
+from repro.extensions.fec import FecMultipathStrategy, fec_study
 from repro.extensions.heterogeneous import (
     NaiveOrderDcrdStrategy,
     heterogeneity_study,
@@ -49,5 +49,4 @@ __all__ = [
     "priority_queueing_study",
     "reorder_table_by_delay",
     "run_with_churn",
-    "select_diverse_paths",
 ]

@@ -285,8 +285,14 @@ def reduce_run(
         "delivered": tuple(
             sorted((o.msg_id, o.subscriber) for o in outcomes if o.delivered)
         ),
+        # Given up and never delivered: one branch may abandon a pair that
+        # another delivers, and merge_reports counts such a pair delivered.
         "gave_up": tuple(
-            sorted((o.msg_id, o.subscriber) for o in outcomes if o.gave_up)
+            sorted(
+                (o.msg_id, o.subscriber)
+                for o in outcomes
+                if o.gave_up and not o.delivered
+            )
         ),
         "delays": tuple(
             sorted(

@@ -5,8 +5,8 @@ from repro.routing.multipath import MultipathStrategy
 from repro.routing.oracle import OracleStrategy
 from repro.routing.paths import (
     k_shortest_delay_paths,
-    least_overlapping_path,
     path_delay,
+    select_diverse_paths,
     shared_links,
 )
 from repro.routing.trees import DTreeStrategy, RTreeStrategy, TreeStrategy
@@ -21,7 +21,7 @@ __all__ = [
     "RuntimeContext",
     "TreeStrategy",
     "k_shortest_delay_paths",
-    "least_overlapping_path",
     "path_delay",
+    "select_diverse_paths",
     "shared_links",
 ]

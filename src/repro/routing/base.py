@@ -30,7 +30,7 @@ import abc
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterator, Optional
+from typing import Any, FrozenSet, Iterable, Iterator
 
 from repro.metrics.collector import MetricsCollector
 from repro.overlay.links import OverlayNetwork
@@ -121,6 +121,9 @@ class RoutingStrategy(abc.ABC):
         #: forwarding (retransmissions excluded); surfaced by the perf
         #: snapshot as ``data_plane.frames_forwarded``.
         self.frames_forwarded = 0
+        #: Destinations this strategy gave up on (:meth:`give_up`); surfaced
+        #: as ``data_plane.abandoned``.
+        self.abandoned = 0
 
     # ------------------------------------------------------------------
     # Lifecycle hooks
@@ -165,10 +168,29 @@ class RoutingStrategy(abc.ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def give_up(self, frame: PacketFrame) -> None:
-        """Record that every destination of *frame* is being abandoned."""
-        for subscriber in frame.destinations:
-            self.ctx.metrics.record_give_up(frame.msg_id, subscriber)
+    def deliver_at_origin(
+        self, spec: TopicSpec, msg_id: int, destinations: FrozenSet[int]
+    ) -> FrozenSet[int]:
+        """Deliver to a subscriber at the publisher's own broker.
+
+        Returns *destinations* without the publisher: the subscribers the
+        network still has to reach.
+        """
+        if spec.publisher in destinations:
+            self.ctx.metrics.record_delivery(msg_id, spec.publisher, self.ctx.sim.now)
+            return destinations - {spec.publisher}
+        return destinations
+
+    def give_up(self, msg_id: int, destinations: Iterable[int]) -> None:
+        """Abandon *destinations* of message *msg_id*: count and record each.
+
+        A give-up is advisory. The collector ignores it for a pair already
+        delivered, and another copy may still deliver the pair later.
+        """
+        record = self.ctx.metrics.record_give_up
+        for subscriber in destinations:
+            self.abandoned += 1
+            record(msg_id, subscriber)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

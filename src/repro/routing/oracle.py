@@ -104,7 +104,6 @@ class OracleStrategy(RoutingStrategy):
         super().__init__(ctx)
         # msg_id -> {subscriber: full path}
         self._routes: Dict[int, Dict[int, List[int]]] = {}
-        self.infeasible = 0
 
     # ------------------------------------------------------------------
     def publish(self, spec: TopicSpec, msg_id: int) -> None:
@@ -118,19 +117,14 @@ class OracleStrategy(RoutingStrategy):
             node_failures=self.ctx.network.node_failures,
         )
         routes: Dict[int, List[int]] = {}
-        pending: Set[int] = set()
-        for sub in spec.subscriptions:
-            if sub.node == spec.publisher:
-                self.ctx.metrics.record_delivery(msg_id, sub.node, now)
-                continue
-            path = extract_path(parent, spec.publisher, sub.node)
+        remote = self.deliver_at_origin(spec, msg_id, frozenset(spec.subscriber_nodes))
+        for subscriber in remote:
+            path = extract_path(parent, spec.publisher, subscriber)
             if path is None:
-                self.infeasible += 1
-                self.ctx.metrics.record_give_up(msg_id, sub.node)
-                continue
-            routes[sub.node] = path
-            pending.add(sub.node)
-        if not pending:
+                self.give_up(msg_id, (subscriber,))
+            else:
+                routes[subscriber] = path
+        if not routes:
             return
         self._routes[msg_id] = routes
         self.ctx.sim.schedule(_PATH_STATE_TTL, self._routes.pop, msg_id, None)
@@ -140,7 +134,7 @@ class OracleStrategy(RoutingStrategy):
             topic=spec.topic,
             origin=spec.publisher,
             publish_time=now,
-            destinations=frozenset(pending),
+            destinations=frozenset(routes),
             ordering=self.ctx.ordering,
         )
         self._forward(spec.publisher, frame)

@@ -1,8 +1,8 @@
 """Path utilities shared by the baseline strategies.
 
-The Multipath baseline (§IV-B) needs k-shortest-delay simple paths and a
-minimum-overlap selection rule; the tree baselines need per-pair shortest
-paths under two different metrics. All helpers work on a
+The source-routed baseline (Multipath, §IV-B, and its FEC preset) needs
+k-shortest-delay simple paths and a minimum-overlap selection rule; the
+tree baselines need per-pair shortest paths under two different metrics. All helpers work on a
 :class:`~repro.overlay.topology.Topology` plus (optionally) the monitor's
 per-link delay estimates.
 """
@@ -72,33 +72,37 @@ def k_shortest_delay_paths(
     return list(itertools.islice(generator, k))
 
 
-def least_overlapping_path(
-    topology: Topology,
-    primary: Sequence[int],
-    candidates: Sequence[Path],
-) -> Path:
-    """The candidate sharing fewest links with *primary*.
+def select_diverse_paths(candidates: Sequence[Path], count: int) -> List[Path]:
+    """Greedily pick *count* of *candidates* with the least link overlap.
 
-    This is the paper's secondary-path rule: "another path selected from the
-    top 5 shortest delay paths that has the fewest overlapping links with
-    the shortest delay path". The primary itself is skipped if present; ties
-    break toward the shorter-delay candidate (their input order). With no
-    alternative candidate, the primary is reused (a degenerate topology
-    where duplication cannot diversify).
+    The first pick is the first (shortest-delay) candidate; each next pick
+    is the unpicked candidate sharing the fewest links with everything
+    picked so far, ties going to the earlier candidate. With ``count=2``
+    this is the paper's Multipath rule (§IV-B): the shortest-delay path,
+    plus "another path selected from the top 5 shortest delay paths that
+    has the fewest overlapping links with the shortest delay path". Once
+    the candidates run out, the picked paths are reused round-robin (a
+    degenerate topology where redundancy cannot diversify).
     """
     if not candidates:
-        raise RoutingError("least_overlapping_path needs at least one candidate")
-    primary_list = list(primary)
-    best: Optional[Path] = None
-    best_overlap = -1
-    for candidate in candidates:
-        if list(candidate) == primary_list:
-            continue
-        overlap = shared_links(primary, candidate)
-        if best is None or overlap < best_overlap:
-            best = list(candidate)
-            best_overlap = overlap
-    return best if best is not None else primary_list
+        raise RoutingError("select_diverse_paths needs at least one candidate")
+    chosen: List[Path] = [list(candidates[0])]
+    chosen_links = path_links(candidates[0])
+    while len(chosen) < count:
+        best: Optional[Path] = None
+        best_overlap = -1
+        for candidate in candidates:
+            if list(candidate) in chosen:
+                continue
+            overlap = len(path_links(candidate) & chosen_links)
+            if best is None or overlap < best_overlap:
+                best = list(candidate)
+                best_overlap = overlap
+        if best is None:
+            best = chosen[len(chosen) % len(set(map(tuple, chosen)))]
+        chosen.append(best)
+        chosen_links |= path_links(best)
+    return chosen
 
 
 def build_path_tree(

@@ -40,7 +40,6 @@ class TreeStrategy(RoutingStrategy):
         self.arq = ArqSender(ctx)
         # topic -> node -> subscriber -> next hop
         self._tables: Dict[int, Dict[int, Dict[int, int]]] = {}
-        self.abandoned = 0
 
     # ------------------------------------------------------------------
     # Tree construction
@@ -81,10 +80,9 @@ class TreeStrategy(RoutingStrategy):
     # ------------------------------------------------------------------
     def publish(self, spec: TopicSpec, msg_id: int) -> None:
         """Send a fresh packet down the topic's tree from the publisher."""
-        destinations = frozenset(spec.subscriber_nodes)
-        if spec.publisher in destinations:
-            self.ctx.metrics.record_delivery(msg_id, spec.publisher, self.ctx.sim.now)
-            destinations = destinations - {spec.publisher}
+        destinations = self.deliver_at_origin(
+            spec, msg_id, frozenset(spec.subscriber_nodes)
+        )
         if not destinations:
             return
         frame = PacketFrame.fresh(
@@ -124,7 +122,7 @@ class TreeStrategy(RoutingStrategy):
             if hop is None:
                 # The tree has no route from here; fixed topologies cannot
                 # recover (should not happen with consistent trees).
-                self._abandon(frame.msg_id, frozenset({subscriber}))
+                self.give_up(frame.msg_id, (subscriber,))
                 continue
             groups.setdefault(hop, set()).add(subscriber)
         self.frames_forwarded += len(groups)
@@ -144,12 +142,7 @@ class TreeStrategy(RoutingStrategy):
 
     def _on_failed(self, copy: PacketFrame) -> None:
         """Fixed trees do not reroute: abandon the subtree's destinations."""
-        self._abandon(copy.msg_id, copy.destinations)
-
-    def _abandon(self, msg_id: int, destinations: FrozenSet[int]) -> None:
-        for subscriber in destinations:
-            self.abandoned += 1
-            self.ctx.metrics.record_give_up(msg_id, subscriber)
+        self.give_up(copy.msg_id, copy.destinations)
 
 
 class RTreeStrategy(TreeStrategy):

@@ -1,6 +1,7 @@
 """Tests for the control-plane convergence study."""
 
 from repro.analysis.convergence import convergence_report
+from repro.core.computation import sweep_blocks
 from repro.overlay.topology import full_mesh, random_regular
 from repro.pubsub.topics import generate_workload
 from tests.conftest import build_ctx
@@ -28,7 +29,9 @@ def test_sparse_graphs_take_more_rounds(rng):
     sparse_ctx, sparse_workload = make_setup(sparse, rng)
     mesh_report = convergence_report(mesh, mesh_ctx.monitor, mesh_workload)
     sparse_report = convergence_report(sparse, sparse_ctx.monitor, sparse_workload)
-    # Longer diameters need more propagation rounds.
+    # One block each, so a round is a lock-step propagation round, and
+    # longer diameters need more of them.
+    assert len(sweep_blocks(mesh)) == len(sweep_blocks(sparse)) == 1
     assert sparse_report.mean_rounds >= mesh_report.mean_rounds
 
 

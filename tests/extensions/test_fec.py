@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.extensions.fec import FecMultipathStrategy, fec_study, select_diverse_paths
-from repro.routing.paths import path_links
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import STRATEGIES, build_environment
+from repro.extensions.fec import FecMultipathStrategy, fec_study
+from repro.routing.paths import path_links, select_diverse_paths
 from tests.conftest import (
     ScriptedFailures,
     attach_brokers,
@@ -11,6 +13,7 @@ from tests.conftest import (
     make_topology,
     single_topic_workload,
 )
+from tests.integration.test_golden import GOLDEN_CONFIG
 
 ALWAYS = (0.0, 1e9)
 
@@ -81,8 +84,10 @@ class TestDelivery:
         failures = ScriptedFailures({(0, 1): [ALWAYS], (0, 2): [ALWAYS]})
         workload = single_topic_workload(0, [(4, 1.0)])
         ctx, strategy = run_once(topo, workload, failures=failures, k=2, r=1)
-        assert not ctx.metrics.outcome(1, 4).delivered
-        assert strategy.abandoned_fragments == 2
+        outcome = ctx.metrics.outcome(1, 4)
+        assert not outcome.delivered
+        assert outcome.gave_up
+        assert strategy.abandoned == 2
 
     def test_k1_r1_degenerates_to_multipath_duplicates(self):
         topo = triple_diamond()
@@ -100,10 +105,48 @@ class TestDelivery:
         assert ctx.network.stats.data_sent() == 6  # three 2-hop fragments
 
 
+class UncodedFec(FecMultipathStrategy):
+    """The FEC class set to Multipath's preset: (k, r) = (1, 1), pool 5."""
+
+    k, r, candidate_pool = 1, 1, 5
+
+
+PARITY_WORLDS = {
+    "golden": (GOLDEN_CONFIG, 123),
+    "full_mesh": (
+        ExperimentConfig(num_nodes=10, failure_probability=0.06, duration=10.0),
+        7,
+    ),
+    # One path per pair: the degenerate case, one copy per subscriber.
+    "line": (
+        ExperimentConfig(
+            topology_kind="line", num_nodes=8, failure_probability=0.06, duration=10.0
+        ),
+        7,
+    ),
+}
+
+
+@pytest.mark.parametrize("world", sorted(PARITY_WORLDS))
+def test_k1_r1_pool5_is_multipath(world, monkeypatch):
+    config, seed = PARITY_WORLDS[world]
+    monkeypatch.setitem(STRATEGIES, "FEC(1,1)", UncodedFec)
+    multipath = build_environment(config, "Multipath", seed)
+    uncoded = build_environment(config, "FEC(1,1)", seed)
+    for spec in multipath.ctx.workload.topics:
+        for sub in spec.subscriptions:
+            if sub.node != spec.publisher:
+                assert uncoded.strategy.paths_for(
+                    spec.topic, sub.node
+                ) == multipath.strategy.paths_for(spec.topic, sub.node)
+    expected, got = multipath.execute(), uncoded.execute()
+    assert expected.delivered > 0
+    for counter in ("delivered", "on_time", "data_transmissions", "duplicates"):
+        assert getattr(got, counter) == getattr(expected, counter), counter
+
+
 class TestStudy:
     def test_registered_in_catalogue(self):
-        from repro.experiments.runner import STRATEGIES
-
         assert "FEC" in STRATEGIES
 
     def test_study_runs(self):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.pubsub.messages import PacketFrame
 from repro.routing.base import ProtocolParams, RoutingStrategy
 from repro.util.errors import ConfigurationError
 from tests.conftest import build_ctx, make_topology
@@ -52,18 +51,10 @@ class TestGiveUp:
         ctx = build_ctx(topo)
         strategy = _MinimalStrategy(ctx)
         ctx.metrics.expect(1, 0, 0.0, {0: 1.0, 1: 1.0})
-        frame = PacketFrame.fresh(
-            msg_id=1,
-            transfer_id=next(ctx.transfer_ids),
-            topic=0,
-            origin=0,
-            publish_time=0.0,
-            destinations=frozenset({0, 1}),
-            routing_path=(),
-        )
-        strategy.give_up(frame)
+        strategy.give_up(1, frozenset({0, 1}))
         assert ctx.metrics.outcome(1, 0).gave_up
         assert ctx.metrics.outcome(1, 1).gave_up
+        assert strategy.abandoned == 2
 
     def test_default_hooks_are_noops(self):
         topo = make_topology([(0, 1, 0.010)])

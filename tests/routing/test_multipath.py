@@ -101,3 +101,11 @@ class TestForwarding:
         workload = single_topic_workload(0, [(3, 1.0)])
         ctx, _ = run_once(topo, workload)
         assert ctx.network.stats.data_sent() == 4  # two 2-hop copies
+
+    def test_publisher_self_subscription_delivered_immediately(self):
+        topo = diamond()
+        workload = single_topic_workload(0, [(0, 1.0), (3, 1.0)])
+        ctx, _ = run_once(topo, workload)
+        assert ctx.metrics.outcome(1, 0).delay == 0.0
+        assert ctx.metrics.outcome(1, 3).delivered
+        assert ctx.network.stats.data_sent() == 4  # no copy for the origin

@@ -89,7 +89,8 @@ class TestOracleStrategy:
         workload = single_topic_workload(0, [(1, 1.0)])
         ctx, strategy = run_once(topo, workload, failures=failures)
         assert not ctx.metrics.outcome(1, 1).delivered
-        assert strategy.infeasible == 1
+        assert ctx.metrics.outcome(1, 1).gave_up
+        assert strategy.abandoned == 1
 
     def test_immune_to_random_loss(self):
         topo = triangle()

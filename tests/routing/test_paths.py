@@ -5,9 +5,9 @@ import pytest
 from repro.routing.paths import (
     build_path_tree,
     k_shortest_delay_paths,
-    least_overlapping_path,
     path_delay,
     path_links,
+    select_diverse_paths,
     shared_links,
 )
 from repro.util.errors import RoutingError
@@ -63,32 +63,31 @@ def test_k_shortest_same_node():
     assert k_shortest_delay_paths(topo, 0, 0, k=3) == [[0]]
 
 
-def test_least_overlapping_prefers_disjoint(diamond):
+def test_select_diverse_prefers_disjoint(diamond):
     candidates = k_shortest_delay_paths(diamond, 0, 3, k=5)
     primary = candidates[0]
-    secondary = least_overlapping_path(diamond, primary, candidates)
+    first, secondary = select_diverse_paths(candidates, 2)
+    assert first == primary
     assert shared_links(primary, secondary) == 0
     assert secondary != primary
 
 
-def test_least_overlapping_falls_back_to_primary():
-    topo = make_topology([(0, 1, 0.010)])
+def test_select_diverse_falls_back_to_primary():
     primary = [0, 1]
-    assert least_overlapping_path(topo, primary, [primary]) == primary
+    assert select_diverse_paths([primary], 2) == [primary, primary]
 
 
-def test_least_overlapping_requires_candidates(diamond):
+def test_select_diverse_requires_candidates():
     with pytest.raises(RoutingError):
-        least_overlapping_path(diamond, [0, 1, 3], [])
+        select_diverse_paths([], 2)
 
 
-def test_least_overlapping_tie_breaks_to_earlier_candidate(diamond):
+def test_select_diverse_tie_breaks_to_earlier_candidate():
     # Both alternatives share zero links with the primary; the earlier
     # (shorter-delay) candidate wins.
     primary = [0, 1, 3]
     candidates = [primary, [0, 2, 3], [0, 3]]
-    chosen = least_overlapping_path(diamond, primary, candidates)
-    assert chosen == [0, 2, 3]
+    assert select_diverse_paths(candidates, 2) == [primary, [0, 2, 3]]
 
 
 def test_build_path_tree_next_hops():

@@ -6,11 +6,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.overlay.failures import FailureSchedule
-from repro.overlay.topology import full_mesh, random_regular
+from repro.overlay.topology import full_mesh, line, random_regular, ring, star
 from repro.pubsub.topics import generate_workload
 from repro.routing.multipath import MultipathStrategy
 from repro.routing.oracle import extract_path, time_dependent_paths
-from repro.routing.paths import path_delay, path_links
+from repro.routing.paths import (
+    k_shortest_delay_paths,
+    path_delay,
+    path_links,
+    select_diverse_paths,
+)
 from repro.routing.trees import DTreeStrategy, RTreeStrategy
 from tests.conftest import build_ctx
 
@@ -98,6 +103,43 @@ def test_multipath_paths_are_simple_and_start_end_correctly(seed):
             assert path_delay(topo, primary) == pytest.approx(
                 topo.shortest_delay(spec.publisher, sub.node)
             )
+
+
+OVERLAYS = {
+    "regular": lambda rng: random_regular(10, 3, rng),
+    "ring": lambda rng: ring(8, rng),
+    "line": lambda rng: line(6, rng),
+    "star": lambda rng: star(6, rng),
+}
+
+
+def paper_secondary_path(candidates):
+    """§IV-B's rule, stated on its own: of the top candidates, the one with
+    the fewest links in common with the shortest, earlier winning ties;
+    the shortest itself when there is no other."""
+    primary = candidates[0]
+    best, best_shared = primary, None
+    for candidate in candidates[1:]:
+        shared = len(path_links(candidate) & path_links(primary))
+        if best_shared is None or shared < best_shared:
+            best, best_shared = candidate, shared
+    return best
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, kind=st.sampled_from(sorted(OVERLAYS)))
+def test_two_diverse_paths_are_the_papers_multipath_pair(seed, kind):
+    rng = np.random.default_rng(seed)
+    topo = OVERLAYS[kind](rng)
+    publisher = int(rng.integers(topo.num_nodes))
+    for subscriber in topo.nodes:
+        if subscriber == publisher:
+            continue
+        candidates = k_shortest_delay_paths(topo, publisher, subscriber, 5)
+        assert select_diverse_paths(candidates, 2) == [
+            candidates[0],
+            paper_secondary_path(candidates),
+        ]
 
 
 @settings(max_examples=10, deadline=None)
