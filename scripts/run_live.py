@@ -3,8 +3,8 @@
 
 The live twin of a single simulated run: brokers bind loopback TCP
 servers, DCRD forwards over the wire, and the scripted fault rules of the
-scenario (dead links, dead ACK directions) are injected by the seeded
-transport shim. With ``--differential`` the same scenario also runs on
+scenario (dead links, dead ACK directions) drop frames at the transport's
+fault filter, the same predicate the simulated network takes. With ``--differential`` the same scenario also runs on
 the discrete-event kernel and the two delivered-pair sets are compared —
 the one-shot command-line version of
 ``tests/integration/test_live_conformance.py``.

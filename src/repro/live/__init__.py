@@ -8,8 +8,8 @@ discrete-event kernel, deployed over real loopback TCP:
 * :mod:`repro.live.clock` — :class:`WallClock`, the asyncio-loop Clock
   (its own timer calendar behind one loop handle);
 * :mod:`repro.live.codec` — length-prefixed binary frame codec;
-* :mod:`repro.live.faults` — the seeded deterministic fault-injection
-  shim (drop/duplicate/reorder/delay at the transport seam);
+* :mod:`repro.live.faults` — scripted :class:`DropRule` faults and
+  :func:`link_filter`, the drop predicate both substrates take;
 * :mod:`repro.live.transport` — :class:`LiveTransport`, per-peer TCP
   connection management + probe-bus observability;
 * :mod:`repro.live.config` — :class:`LiveConfig`, validated runtime knobs;
@@ -31,6 +31,6 @@ Equivalence with the sim substrate is pinned by
 """
 
 from repro.live.config import LiveConfig
-from repro.live.faults import DropRule, FaultInjector
+from repro.live.faults import DropRule
 
-__all__ = ["LiveConfig", "DropRule", "FaultInjector"]
+__all__ = ["LiveConfig", "DropRule"]

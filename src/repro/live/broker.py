@@ -60,7 +60,7 @@ from repro import trace as _trace
 from repro.core.forwarding import DcrdStrategy
 from repro.live.clock import WallClock
 from repro.live.config import LiveConfig
-from repro.live.faults import FaultInjector
+from repro.live.faults import link_filter
 from repro.live.scenarios import AcceptLedger, Scenario, reduce_run, scenario_from_dict
 from repro.live.transport import LiveTransport
 from repro.ordering.plan import plan_from_scenario
@@ -156,7 +156,6 @@ class PartitionRuntime:
         self.clock = WallClock(asyncio.get_running_loop())
         topology = self.scenario.topology()
         rules = self.scenario.rules()
-        fault = FaultInjector(seed=self.seed, rules=rules) if rules else None
         # Hosting every broker is the single-process deployment: no peer
         # addresses needed, and no frame ever arrives from outside.
         partitioned = len(self.local_nodes) < topology.num_nodes
@@ -164,7 +163,7 @@ class PartitionRuntime:
             topology,
             self.clock,
             self.config,
-            fault,
+            link_filter(rules) if rules else None,
             local_nodes=self.local_nodes if partitioned else None,
         )
         self.ctx, self.strategy, _ = wire_stack(

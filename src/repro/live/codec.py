@@ -14,9 +14,8 @@ fixed-layout envelope (all fields big-endian, no padding)::
           |       | #vc x (topic u32 | origin u32 | seq u64), sorted]
 
 The encoding is canonical by construction — one layout, sorted sets — so
-equal frames encode to equal bytes, which the shim's byte-transparency
-test relies on (the golden live trace pins tracer events, never wire
-bytes). Floats travel as IEEE doubles: ``inf`` priorities and every
+equal frames encode to equal bytes (the golden live trace pins tracer
+events, never wire bytes). Floats travel as IEEE doubles: ``inf`` priorities and every
 publish time round-trip bit-exactly. :meth:`FrameCodec.describe` turns
 any payload back into a readable dict.
 

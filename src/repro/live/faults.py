@@ -1,43 +1,32 @@
-"""Seeded deterministic fault injection at the transport seam.
+"""Scripted, deterministic faults at the transport seam.
 
-The shim sits between the protocol stack and the socket writes: every
-outbound wire payload is turned into a *plan* — a sequence of
-``(extra_delay, payload)`` actions. A frame can pass through untouched,
-be dropped, duplicated, delayed, or held back and released after the next
-frame on its direction (adjacent reorder). Two rule layers compose:
+Both substrates take faults through one seam, a drop predicate
+``fault_filter(src, dst, kind, frame) -> bool`` (the
+:data:`~repro.overlay.links.FaultFilter` alias): the simulated network
+through :meth:`~repro.overlay.links.OverlayNetwork.install_fault_filter`,
+the socket transport through its ``fault_filter`` constructor argument.
+Each consults it once per send, after counting the send; ``True`` drops
+the frame as an injected loss.
 
-* **Scripted rules** (:class:`DropRule`) — deterministic per-direction
-  per-kind drops with no randomness at all: ``drop all DATA on 1->3``,
-  ``drop the first 2 ACKs on 2->0``. These are the rules the differential
-  conformance suite uses, because their effect on the delivered-pair set
-  is timing-independent — and :func:`link_filter` adapts the same rules
-  onto :meth:`~repro.overlay.links.OverlayNetwork.install_fault_filter`,
-  so sim and live runs face byte-for-byte the same adversary.
-* **Seeded randomness** — drop/duplicate/reorder/delay probabilities
-  drawn from a private ``random.Random(seed)``. Draws are consumed in a
-  fixed per-frame order regardless of outcomes, so the whole fault
-  schedule is a pure function of the seed and the frame sequence.
-
-A shim constructed with no rules and all probabilities zero is
-byte-transparent: the plan is ``[(0.0, payload)]`` with the *identical*
-payload object, and the RNG is never touched.
+:func:`link_filter` builds that predicate from scripted :class:`DropRule`
+objects — per-direction, per-kind drops with no randomness at all: ``drop
+all DATA on 1->3``, ``drop the first 2 ACKs on 2->0``. Built from the same
+rules, the sim and live predicates drop the same frames of the same send
+sequence, so the differential conformance suite faces both substrates
+with one adversary.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.util.validation import (
-    require,
-    require_non_negative,
-    require_probability,
-)
+from repro.overlay.links import FaultFilter, FrameKind
+from repro.util.validation import require
 
-#: Frame-kind labels the shim matches on (`None` in a rule = both).
-DATA = "data"
-ACK = "ack"
+#: Frame-kind values a rule matches on (`None` in a rule = both).
+DATA = FrameKind.DATA.value
+ACK = FrameKind.ACK.value
 
 
 @dataclass
@@ -47,6 +36,10 @@ class DropRule:
     ``src``/``dst``/``kind`` are match patterns (``None`` = wildcard);
     ``count`` bounds how many matching frames are dropped (``None`` =
     all). Rules are stateful — construct a fresh instance per run.
+
+    A count-bounded rule must name its ``src``: every partition of a
+    fleet rebuilds its own rules, so only a rule whose matching frames
+    all leave one process spends its budget once per run.
     """
 
     src: Optional[int] = None
@@ -62,6 +55,11 @@ class DropRule:
         )
         if self.count is not None:
             require(self.count >= 1, f"DropRule count must be >= 1, got {self.count}")
+            require(
+                self.src is not None,
+                "a count-bounded DropRule must name its src (each sending "
+                "process would otherwise spend the budget on its own)",
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe spec of this rule (the drop budget state is excluded).
@@ -110,125 +108,17 @@ def ack_loss_rules(src: int, dst: int) -> Tuple[DropRule]:
     return (DropRule(src=src, dst=dst, kind=ACK),)
 
 
-#: One planned emission: (extra delay in seconds, wire payload).
-Action = Tuple[float, Any]
+def link_filter(rules: Sequence[DropRule]) -> FaultFilter:
+    """The drop predicate of scripted *rules*, for either substrate.
 
-
-class FaultInjector:
-    """Plan per-frame transport faults, deterministically per seed."""
-
-    def __init__(
-        self,
-        seed: int = 0,
-        drop: float = 0.0,
-        duplicate: float = 0.0,
-        reorder: float = 0.0,
-        delay: float = 0.0,
-        delay_jitter: float = 0.0,
-        rules: Sequence[DropRule] = (),
-    ) -> None:
-        require_probability(drop, "drop")
-        require_probability(duplicate, "duplicate")
-        require_probability(reorder, "reorder")
-        require_non_negative(delay, "delay")
-        require_non_negative(delay_jitter, "delay_jitter")
-        self.drop = drop
-        self.duplicate = duplicate
-        self.reorder = reorder
-        self.delay = delay
-        self.delay_jitter = delay_jitter
-        self.rules: Tuple[DropRule, ...] = tuple(rules)
-        self._rng = random.Random(seed)
-        self._random = drop > 0.0 or duplicate > 0.0 or reorder > 0.0 or delay > 0.0
-        # Per-direction held-back payload for the adjacent-reorder action.
-        self._held: Dict[Tuple[int, int], Any] = {}
-        self.frames_seen = 0
-        self.dropped = 0
-        self.duplicated = 0
-        self.reordered = 0
-        self.delayed = 0
-
-    @property
-    def transparent(self) -> bool:
-        """Whether the shim can never alter a frame."""
-        return not self._random and not self.rules
-
-    def plan(self, src: int, dst: int, kind: str, payload: Any) -> List[Action]:
-        """The emission plan for one outbound frame.
-
-        Returns a list of ``(extra_delay, payload)`` actions, possibly
-        empty (dropped or held for reorder). The transparent shim returns
-        the identical payload with zero delay and consumes no randomness.
-        """
-        self.frames_seen += 1
-        for rule in self.rules:
-            if rule.matches(src, dst, kind):
-                rule.consume()
-                self.dropped += 1
-                return []
-        if not self._random:
-            return [(0.0, payload)]
-        # Fixed draw order per frame — the fault schedule depends only on
-        # the seed and the frame sequence, never on prior outcomes.
-        rng = self._rng
-        drop_draw = rng.random() if self.drop > 0.0 else 1.0
-        dup_draw = rng.random() if self.duplicate > 0.0 else 1.0
-        reorder_draw = rng.random() if self.reorder > 0.0 else 1.0
-        extra = 0.0
-        if self.delay > 0.0:
-            extra = self.delay + (
-                self.delay_jitter * rng.random() if self.delay_jitter > 0.0 else 0.0
-            )
-        if drop_draw < self.drop:
-            self.dropped += 1
-            return []
-        if extra > 0.0:
-            self.delayed += 1
-        actions: List[Action] = [(extra, payload)]
-        if dup_draw < self.duplicate:
-            self.duplicated += 1
-            actions.append((extra, payload))
-        direction = (src, dst)
-        held = self._held.pop(direction, None)
-        if held is not None:
-            # Release the held frame *after* this one: adjacent swap.
-            self.reordered += 1
-            actions.append((extra, held))
-            return actions
-        if reorder_draw < self.reorder and len(actions) == 1:
-            self._held[direction] = payload
-            return []
-        return actions
-
-    def flush(self, direction: Optional[Tuple[int, int]] = None) -> List[Action]:
-        """Release held-back frames (end of run / connection close)."""
-        if direction is not None:
-            held = self._held.pop(direction, None)
-            return [(0.0, held)] if held is not None else []
-        actions = [(0.0, payload) for payload in self._held.values()]
-        self._held.clear()
-        return actions
-
-
-def kind_label(kind: Any) -> str:
-    """Map an :class:`~repro.overlay.links.FrameKind` to the shim's label."""
-    name = getattr(kind, "value", kind)
-    return ACK if name == "ack" else DATA
-
-
-def link_filter(
-    rules: Sequence[DropRule],
-) -> Callable[[int, int, Any, Any], bool]:
-    """Adapt scripted *rules* onto ``OverlayNetwork.install_fault_filter``.
-
-    The returned callable implements the sim side of a differential
-    scenario: same rule objects' semantics, same drop decisions, applied
-    at the simulated transport seam instead of the socket seam.
+    The first rule matching a frame consumes one unit of its budget and
+    drops it. Each substrate takes its own predicate built from its own
+    fresh rules.
     """
     rule_list = tuple(rules)
 
-    def fault_filter(src: int, dst: int, kind: Any, frame: Any) -> bool:
-        label = kind_label(kind)
+    def fault_filter(src: int, dst: int, kind: FrameKind, frame: Any) -> bool:
+        label = kind.value
         for rule in rule_list:
             if rule.matches(src, dst, label):
                 rule.consume()

@@ -3,18 +3,18 @@
 A :class:`Scenario` is a complete adversarial world — topology, workload,
 protocol parameters, and a *fault script* — defined once and executed on
 both substrates: :func:`run_sim_scenario` builds the discrete-event stack
-(faults via ``OverlayNetwork.install_fault_filter``) and
-:func:`repro.live.runtime.run_live_scenario` builds the asyncio TCP stack
-(the same rules inside a :class:`~repro.live.faults.FaultInjector`). The
-conformance suite asserts the two executions agree.
+and :func:`repro.live.runtime.run_live_scenario` builds the asyncio TCP
+stack, each with its own :func:`~repro.live.faults.link_filter` of fresh
+rules at its transport seam (``OverlayNetwork.install_fault_filter``, the
+``LiveTransport`` ``fault_filter`` argument). The conformance suite
+asserts the two executions agree.
 
 Scenario fault scripts are deliberately restricted to *whole-run,
 per-direction, per-kind drop-all rules* (dead links, dead ACK
 directions). Those make the delivered-pair set a timing-independent
 function of the world: which copies die never depends on when a frame
 crosses the seam, so wall-clock jitter cannot change what the live run
-delivers. Probabilistic shim modes (drop/duplicate/reorder/delay) are
-exercised by the shim's own test matrix instead.
+delivers.
 
 Timing margins: scenarios run with ``ack_timeout_factor=3.0`` and a
 250 ms slack so a loopback RTT (imposed link delays ≈ 2·alpha plus

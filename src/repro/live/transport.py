@@ -39,10 +39,18 @@ Observability
 The transport fires the same probe families as the sim network —
 ``on_transmit`` (DATA only, with ``survived``/``cause``), ``on_arrive``,
 ``on_arrival_drop`` — so the sanitizer's conservation/settlement checks
-and the tracer work unchanged in live mode. Faults injected by the
-optional :class:`~repro.live.faults.FaultInjector` shim surface as
-``cause="injected"`` losses, mirroring
-``OverlayNetwork.install_fault_filter`` exactly. :attr:`LiveTransport.in_transit`
+and the tracer work unchanged in live mode.
+
+Fault injection
+---------------
+The transport takes the simulated network's fault seam: an optional
+``fault_filter(src, dst, kind, frame) -> bool``
+(:data:`~repro.overlay.links.FaultFilter`, built from scripted rules by
+:func:`repro.live.faults.link_filter`), consulted once per send after
+counting it. A dropped frame is an injected loss with
+``cause="injected"``, exactly as ``OverlayNetwork.install_fault_filter``
+records it; every other frame is encoded once and written after its
+link's propagation delay. :attr:`LiveTransport.in_transit`
 counts the copies between ``transmit`` and their receiver's dispatch —
 one of the three counts whose zero is a settled run
 (:meth:`repro.live.broker.PartitionRuntime.settled`).
@@ -58,10 +66,7 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tup
 from repro import probes as _probes
 from repro.live.codec import CodecError, FrameCodec
 from repro.live.config import LiveConfig
-from repro.live.faults import ACK as ACK_LABEL
-from repro.live.faults import DATA as DATA_LABEL
-from repro.live.faults import FaultInjector
-from repro.overlay.links import FrameKind, LinkStats
+from repro.overlay.links import FaultFilter, FrameKind, LinkStats
 from repro.pubsub.messages import AckFrame
 from repro.util.errors import SimulationError
 
@@ -139,7 +144,7 @@ class LiveTransport:
         topology: Any,
         clock: Any,
         config: Optional[LiveConfig] = None,
-        fault: Optional[FaultInjector] = None,
+        fault_filter: Optional[FaultFilter] = None,
         local_nodes: Optional[Iterable[int]] = None,
     ) -> None:
         self.topology = topology
@@ -155,7 +160,8 @@ class LiveTransport:
                 if node not in topology.nodes:
                     raise SimulationError(f"local node {node} is not in the topology")
         self.codec = FrameCodec(self.config.max_frame_bytes)
-        self.fault = fault
+        #: The drop predicate consulted once per send (``None``: no faults).
+        self.fault_filter = fault_filter
         self.stats = LinkStats()
         self._handlers: Dict[int, FrameHandler] = {}
         self._ack_handlers: Dict[int, FrameHandler] = {}
@@ -182,8 +188,7 @@ class LiveTransport:
     def in_transit(self) -> int:
         """Copies handed to a link and not yet dispatched at their receiver.
 
-        Counted per emitted copy (a fault-shim duplicate is two, a frame
-        the shim drops or holds back for reorder none), released by the
+        Counted per frame ``transmit`` did not drop, released by the
         receiver's dispatch — also when no handler takes the frame — or
         dropped with the copy when its connection is closing or closed:
         a write to it is skipped, and what was written to it is forgotten
@@ -299,8 +304,6 @@ class LiveTransport:
 
     async def close(self) -> None:
         """Tear down both ends of every connection, then the servers."""
-        if self.fault is not None:
-            self.fault.flush()
         for server in self._servers:
             server.close()  # stop accepting before the ends are walked
         for end in self._ends:
@@ -326,63 +329,38 @@ class LiveTransport:
     ) -> bool:
         """Send *frame* on the ``src -> dst`` connection.
 
-        Mirrors ``OverlayNetwork.transmit``: consults the fault shim,
-        counts each emitted copy as a send of its own kind and size, fires
-        the DATA-only ``on_transmit`` probe per emitted DATA copy, and
-        returns whether at least one copy went onto the wire (tests only —
-        senders learn outcomes via ACKs).
+        Mirrors ``OverlayNetwork.transmit``: counts the send under its
+        kind and size, drops the frame as an injected loss if the fault
+        filter says so, fires the DATA-only ``on_transmit`` probe, and
+        returns whether the frame went onto the wire (tests only — senders
+        learn outcomes via ACKs).
         """
         if not self.topology.has_edge(src, dst):
             raise SimulationError(f"no overlay link {src} -> {dst}")
         stats = self.stats
-        payload = self.codec.encode_payload(src, frame)
-        if self.fault is not None:
-            label = ACK_LABEL if kind is FrameKind.ACK else DATA_LABEL
-            actions = self.fault.plan(src, dst, label, (frame, payload))
-        else:
-            actions = [(0.0, (frame, payload))]
-        if not actions:
-            # Dropped (or held back for reorder) at the seam: a send and an
-            # injected loss. A held frame re-emerges inside a later frame's
-            # plan, carrying its own (frame, payload) pair, as a new send.
-            kidx = kind.idx
-            stats._sent[kidx] += 1
-            stats._volume[kidx] += getattr(frame, "size", 1.0)
+        kidx = kind.idx
+        stats._sent[kidx] += 1
+        stats._volume[kidx] += getattr(frame, "size", 1.0)
+        prop = self._delays.get((src, dst), 0.0)
+        fault = self.fault_filter
+        if fault is not None and fault(src, dst, kind, frame):
             stats._lost_injected[kidx] += 1
             if kind is FrameKind.DATA:
                 probe = _probes.on_transmit
                 if probe is not None:
-                    probe(
-                        self.clock.now,
-                        src,
-                        dst,
-                        frame,
-                        False,
-                        "injected",
-                        self._delays.get((src, dst), 0.0),
-                        None,
-                    )
+                    probe(self.clock.now, src, dst, frame, False, "injected", prop, None)
             return False
-        prop = self._delays.get((src, dst), 0.0)
-        for extra, (copy_frame, copy_payload) in actions:
-            # A frame released from a reorder hold may be of the other kind.
-            copy_kind = kind if copy_frame is frame else _kind_of(copy_frame)
-            kidx = copy_kind.idx
-            stats._sent[kidx] += 1
-            stats._volume[kidx] += getattr(copy_frame, "size", 1.0)
-            if copy_kind is FrameKind.DATA:
-                probe_tx = _probes.on_transmit
-                if probe_tx is not None:
-                    probe_tx(
-                        self.clock.now, src, dst, copy_frame, True, None, prop, None
-                    )
-            message = self.codec.frame_message(copy_payload)
-            total = prop + extra
-            self._unwritten += 1
-            if total > 0.0:
-                self.clock.schedule_fire(total, self._write, src, dst, message)
-            else:
-                self._write(src, dst, message)
+        if kind is FrameKind.DATA:
+            probe = _probes.on_transmit
+            if probe is not None:
+                probe(self.clock.now, src, dst, frame, True, None, prop, None)
+        codec = self.codec
+        message = codec.frame_message(codec.encode_payload(src, frame))
+        self._unwritten += 1
+        if prop > 0.0:
+            self.clock.schedule_fire(prop, self._write, src, dst, message)
+        else:
+            self._write(src, dst, message)
         return True
 
     def send_data(self, src: int, dst: int, frame: Any) -> Optional[bool]:

@@ -96,10 +96,6 @@ class FailureSchedule:
         """Whether link (u, v) is failed at virtual time *time*."""
         return canonical_edge(u, v) in self.failed_edges(self.epoch_index(time))
 
-    def long_run_failure_fraction(self) -> float:
-        """Expected fraction of time a link is failed (= Pf)."""
-        return self._pf
-
 
 class NodeFailureSchedule:
     """Optional node-crash model (paper §V future work, built as extension).

@@ -24,10 +24,11 @@ whenever a handler attaches or detaches.
 :class:`OverlayNetwork` is the simulated implementation of the substrate
 :class:`~repro.substrate.Transport` contract; the live runtime substitutes
 :class:`~repro.live.transport.LiveTransport` (asyncio TCP) behind the same
-attach/transmit surface. :meth:`OverlayNetwork.install_fault_filter` is
-the sim-side twin of the live transport's fault-injection shim, so the
-differential conformance suite can script identical adversarial worlds on
-both substrates.
+attach/transmit surface. Both take scripted faults through one seam, a
+:data:`FaultFilter` drop predicate (:meth:`OverlayNetwork.install_fault_filter`
+here, the ``fault_filter`` argument there), so the differential
+conformance suite can script identical adversarial worlds on both
+substrates.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ class FrameKind(enum.Enum):
 #: translate a kind into a list slot with one attribute load.
 FrameKind.DATA.idx = 0
 FrameKind.ACK.idx = 1
+
+#: The fault seam of both substrates: ``fault_filter(src, dst, kind,
+#: frame)`` returns ``True`` to drop the frame as an injected loss
+#: (:func:`repro.live.faults.link_filter` builds one from scripted rules).
+FaultFilter = Callable[[int, int, FrameKind, Any], bool]
 
 _DATA_IDX = 0
 
@@ -409,10 +415,9 @@ class OverlayNetwork:
         self._lost_random = stats._lost_random
         self._lost_node_down = stats._lost_node_down
         self._lost_injected = stats._lost_injected
-        # Optional deterministic fault seam (install_fault_filter): the
-        # sim-side twin of the live transport's fault-injection shim. None
+        # Optional deterministic fault seam (install_fault_filter). None
         # (the default) keeps every hot path on its historical branch.
-        self._fault_filter: Optional[Callable[[int, int, FrameKind, Any], bool]] = None
+        self._fault_filter: Optional[FaultFilter] = None
         self._loss_rng = streams.get("loss")
         self._loss_draw = self._loss_rng.random
         # Direct calendar-queue access for the per-frame delivery push in
@@ -489,18 +494,16 @@ class OverlayNetwork:
         self._ack_handlers[node] = handler
         self._dir_cache.clear()
 
-    def install_fault_filter(
-        self, fault_filter: Optional[Callable[[int, int, FrameKind, Any], bool]]
-    ) -> None:
+    def install_fault_filter(self, fault_filter: Optional[FaultFilter]) -> None:
         """Install a deterministic transport-seam fault filter (or remove it).
 
         ``fault_filter(src, dst, kind, frame) -> bool`` is consulted once
         per transmission, after the send is counted but before any link
         hazard; returning ``True`` drops the frame at the seam (counted in
-        ``stats.lost_injected``, cause ``"injected"``). This is the
-        simulated twin of the live transport's fault-injection shim (see
-        :mod:`repro.live.faults`), letting the differential conformance
-        suite script identical adversarial worlds on both substrates —
+        ``stats.lost_injected``, cause ``"injected"``). The live transport
+        takes the same predicate (see :mod:`repro.live.faults`), letting
+        the differential conformance suite script identical adversarial
+        worlds on both substrates —
         e.g. per-direction per-kind drop-all rules the epoch-granular
         :class:`~repro.overlay.failures.FailureSchedule` cannot express.
         Injected ACK drops notify the registered ACK-loss observers, so
@@ -675,8 +678,8 @@ class OverlayNetwork:
         self._volume[kidx] += size
         fault = self._fault_filter
         if fault is not None and fault(src, dst, kind, frame):
-            # Scripted seam drop: mirrors the live shim's accounting — the
-            # send was counted, the loss is itemised as "injected".
+            # Scripted seam drop, counted as the live transport counts it:
+            # the send was counted, the loss is itemised as "injected".
             self._lost_injected[kidx] += 1
             if kind is FrameKind.DATA:
                 probe_tx = _probes.on_transmit
@@ -980,11 +983,6 @@ class OverlayNetwork:
         if self.failures is None:
             return True
         return not self.failures.is_failed(u, v, self.sim.now)
-
-    def expected_success_probability(self) -> float:
-        """Long-run single-transmission success probability (uniform part)."""
-        pf = self.failures.failure_probability if self.failures is not None else 0.0
-        return (1.0 - pf) * (1.0 - self.loss_rate)
 
     def link_success_probability(self, u: int, v: int) -> float:
         """Long-run single-transmission success probability of link (u, v)."""

@@ -117,6 +117,12 @@ class Transport(Protocol):
     ``register_ack_loss_observer``/``ack_round_trip`` (latent ARQ timer
     elision — kernel transports only), and
     ``link_success_probability`` (the link monitor's analytic estimate).
+
+    Scripted faults enter both implementations through one seam, a
+    :data:`~repro.overlay.links.FaultFilter` drop predicate consulted
+    once per send (``OverlayNetwork.install_fault_filter``, the
+    ``LiveTransport`` ``fault_filter`` argument); a dropped frame counts
+    as a send and an injected loss.
     """
 
     def attach(self, node: int, handler: Callable[[int, Any], None]) -> None:

@@ -1,10 +1,10 @@
-"""Round-trip tests for serialized scenarios and fault-shim rules.
+"""Round-trip tests for serialized scenarios and their drop rules.
 
 A multi-process run ships the scenario — fault script included — to every
-broker process as JSON; the sim side of the differential suite adapts the
-same specs through ``link_filter``. If the rules did not survive the
-round trip bit-exact, each process would face a *different* adversary and
-the conformance matrix would be comparing different worlds.
+broker process as JSON; each process, and the sim side of the differential
+suite, adapts the same specs through ``link_filter``. If the rules did not
+survive the round trip bit-exact, each process would face a *different*
+adversary and the conformance matrix would be comparing different worlds.
 """
 
 from __future__ import annotations
@@ -28,14 +28,21 @@ from repro.live.scenarios import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from repro.overlay.links import FrameKind
 from repro.util.errors import ConfigurationError
 
-rule_strategy = st.builds(
-    DropRule,
-    src=st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
-    dst=st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
-    kind=st.sampled_from([None, DATA, ACK]),
-    count=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+_dst = st.one_of(st.none(), st.integers(min_value=0, max_value=9))
+_kind = st.sampled_from([None, DATA, ACK])
+# A count-bounded rule must name its src.
+rule_strategy = st.one_of(
+    st.builds(DropRule, src=st.none(), dst=_dst, kind=_kind, count=st.none()),
+    st.builds(
+        DropRule,
+        src=st.integers(min_value=0, max_value=9),
+        dst=_dst,
+        kind=_kind,
+        count=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+    ),
 )
 
 
@@ -153,12 +160,9 @@ def test_link_filter_from_deserialized_rules_matches_original():
         rebuilt = link_filter(
             [DropRule.from_dict(json.loads(json.dumps(s))) for s in specs]
         )
-
-        class _Kind:
-            def __init__(self, value):
-                self.value = value
-
-        for src, dst, kind in [(0, 3, "data"), (3, 0, "ack"), (1, 2, "data")]:
-            assert original(src, dst, _Kind(kind), None) == rebuilt(
-                src, dst, _Kind(kind), None
-            )
+        for src, dst, kind in [
+            (0, 3, FrameKind.DATA),
+            (3, 0, FrameKind.ACK),
+            (1, 2, FrameKind.DATA),
+        ]:
+            assert original(src, dst, kind, None) == rebuilt(src, dst, kind, None)

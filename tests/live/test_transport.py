@@ -11,7 +11,7 @@ import pytest
 from repro.live.clock import WallClock
 from repro.live.codec import LENGTH_PREFIX, FrameCodec
 from repro.live.config import LiveConfig
-from repro.live.faults import FaultInjector
+from repro.live.faults import DropRule, ack_loss_rules, dead_link_rules, link_filter
 from repro.live.transport import LiveTransport
 from repro.ordering.tags import OrderTag
 from repro.overlay.links import FrameKind
@@ -80,12 +80,12 @@ def test_any_chunking_of_the_stream_dispatches_the_same_frames():
     asyncio.run(scenario())
 
 
-async def _started_transport(config=None, fault=None):
+async def _started_transport(config=None, rules=()):
     transport = LiveTransport(
         diamond(),
         WallClock(asyncio.get_running_loop()),
         config if config is not None else LiveConfig(max_frame_bytes=256),
-        fault,
+        link_filter(rules) if rules else None,
     )
     seen = []
     transport.attach(1, lambda src, frame: seen.append((src, frame)))
@@ -173,32 +173,16 @@ def test_in_transit_counts_a_delayed_copy_until_its_dispatch():
     asyncio.run(scenario())
 
 
-def test_in_transit_counts_each_copy_of_a_duplicated_frame():
+def test_in_transit_skips_a_dropped_frame():
     async def scenario():
-        transport, seen = await _started_transport(fault=FaultInjector(duplicate=1.0))
+        transport, seen = await _started_transport(rules=ack_loss_rules(0, 1))
         try:
             transport.transmit(0, 1, AckFrame(1, 0, 9), FrameKind.ACK)
-            assert transport.in_transit == 2
-            await _until(lambda: len(seen) == 2)
-            assert transport.in_transit == 0
-        finally:
-            await transport.close()
-
-    asyncio.run(scenario())
-
-
-def test_in_transit_skips_a_frame_held_back_for_reorder():
-    async def scenario():
-        transport, seen = await _started_transport(fault=FaultInjector(reorder=1.0))
-        try:
-            first, second = AckFrame(1, 0, 9), AckFrame(2, 0, 10)
-            transport.transmit(0, 1, first, FrameKind.ACK)
-            assert transport.in_transit == 0  # held by the shim, not on its way
-            transport.transmit(0, 1, second, FrameKind.ACK)
-            assert transport.in_transit == 2  # released behind the next frame
-            await _until(lambda: len(seen) == 2)
-            assert [frame for _, frame in seen] == [second, first]
-            assert transport.in_transit == 0
+            assert transport.in_transit == 0  # dropped at the seam, not on its way
+            transport.transmit(1, 0, AckFrame(2, 1, 10), FrameKind.ACK)
+            assert transport.in_transit == 1  # the reverse direction passes
+            await _until(lambda: transport.in_transit == 0)
+            assert seen == []  # node 0 has no sink; node 1 got nothing
         finally:
             await transport.close()
 
@@ -248,7 +232,7 @@ def test_in_transit_forgets_the_copies_of_a_closed_connection():
 
 
 # ---------------------------------------------------------------------------
-# Link ledger: every send ends delivered or lost to the shim, per kind
+# Link ledger: every send ends delivered or lost to the filter, per kind
 # ---------------------------------------------------------------------------
 def _ledger(stats, kind):
     return (
@@ -259,13 +243,12 @@ def _ledger(stats, kind):
     )
 
 
-def test_close_adds_nothing_for_a_frame_held_back_for_reorder():
+def test_a_dropped_frame_is_a_send_and_an_injected_loss_of_its_kind():
     async def scenario():
-        transport, seen = await _started_transport(fault=FaultInjector(reorder=1.0))
+        transport, seen = await _started_transport(rules=ack_loss_rules(0, 1))
         transport.transmit(0, 1, AckFrame(1, 0, 9), FrameKind.ACK)
         await transport.close()
         assert seen == []
-        # The hold counted a send and an injected loss, under its own kind.
         assert _ledger(transport.stats, FrameKind.ACK) == (1, 0, 1, 1.0)
         assert _ledger(transport.stats, FrameKind.DATA) == (0, 0, 0, 0.0)
 
@@ -273,18 +256,17 @@ def test_close_adds_nothing_for_a_frame_held_back_for_reorder():
 
 
 @pytest.mark.parametrize(
-    "faults",
-    [{"drop": 0.5}, {"duplicate": 1.0}, {"reorder": 1.0}, {"delay": 0.005}],
-    ids=["drop", "duplicate", "reorder", "delay"],
+    "rules",
+    [
+        dead_link_rules(0, 1),
+        ack_loss_rules(0, 1),
+        (DropRule(src=0, dst=1, kind="data", count=2),),
+    ],
+    ids=["dead_link", "ack_only", "count_bounded"],
 )
-def test_every_send_is_delivered_or_lost_to_the_shim(faults):
+def test_every_send_is_delivered_or_lost_to_the_filter(rules):
     async def scenario():
-        transport, seen = await _started_transport(
-            fault=FaultInjector(seed=3, **faults)
-        )
-        # Alternating kinds on one direction: a reorder hold releases a
-        # frame behind one of the other kind. An odd count leaves the last
-        # frame held at close.
+        transport, seen = await _started_transport(rules=rules)
         for i in range(9):
             if i % 2:
                 frame, kind = AckFrame(i, 0, 100 + i), FrameKind.ACK
@@ -303,7 +285,8 @@ def test_every_send_is_delivered_or_lost_to_the_shim(faults):
         await _until(lambda: transport.in_transit == 0)
         await transport.close()
         stats = transport.stats
-        assert stats.sent[FrameKind.DATA] > 0 and stats.sent[FrameKind.ACK] > 0
+        assert stats.sent[FrameKind.DATA] == 5 and stats.sent[FrameKind.ACK] == 4
+        assert sum(stats.lost_injected.values()) > 0
         for kind in FrameKind:
             sent, delivered, lost, volume = _ledger(stats, kind)
             assert delivered + lost == sent, kind

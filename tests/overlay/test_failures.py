@@ -80,8 +80,8 @@ class TestFailureSchedule:
         second = schedule.failed_edges(9)
         assert first is second
 
-    def test_long_run_failure_fraction(self, topo):
-        assert FailureSchedule(topo, 0.07, seed=1).long_run_failure_fraction() == 0.07
+    def test_failure_probability_is_the_long_run_failed_fraction(self, topo):
+        assert FailureSchedule(topo, 0.07, seed=1).failure_probability == 0.07
 
 
 class TestNodeFailureSchedule:

@@ -161,8 +161,9 @@ def test_link_up_reflects_failure_schedule():
     assert not network.link_up(0, 1)
 
 
-def test_expected_success_probability_combines_hazards():
+def test_link_success_probability_combines_hazards():
     topo = make_topology([(0, 1, 0.01)])
     failures = ScriptedFailures({}, failure_probability=0.1)
     sim, network = make_network(topo, loss_rate=0.2, failures=failures)
-    assert network.expected_success_probability() == pytest.approx(0.9 * 0.8)
+    assert network.link_success_probability(0, 1) == pytest.approx(0.9 * 0.8)
+    assert network.link_success_probability(1, 0) == pytest.approx(0.9 * 0.8)
