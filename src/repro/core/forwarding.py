@@ -8,22 +8,24 @@ Theorem 1 order).
 
 Algorithm 2 (the per-packet while loop) cannot block in a discrete-event
 world, so each received packet becomes a :class:`_DeliveryTask` — a state
-machine at broker ``X`` holding:
+machine at broker ``X`` whose one piece of memory is ``failed_neighbors``:
+the neighbours that exhausted their ``m``-transmission budget within this
+task (the "X has tried" memory of the while loop).
 
-* ``pending`` — destinations not yet acknowledged downstream (the paper's
-  ``flag[i] = 0`` set);
-* ``failed_neighbors`` — neighbours that exhausted their ``m``-transmission
-  budget within this task (the "X has tried" memory of the while loop).
-
-Dispatch groups pending destinations by their next hop — the first node on
-each destination's sending list that is neither on the routing path nor
-already failed (lines 8–19) — and sends one copy per distinct hop through
-the shared ARQ layer. An ACK flags the copy's destinations done (lines
-23–26); an ARQ failure marks the neighbour failed and re-dispatches its
-destinations. A destination with no qualified next hop is bounced to the
-upstream broker read from the routing path (lines 10–12); when even that is
-impossible (the broker is the origin, or the upstream link failed too) the
-destination is abandoned and recorded as given up.
+Dispatch groups destinations by their next hop — the first node on each
+destination's sending list that is neither on the routing path nor already
+failed (lines 8–19) — and sends one copy per distinct hop through the
+shared ARQ layer. The paper's ``flag[i]`` (lines 23–26) needs no set here:
+each copy carries its own destinations, and the copies of a task carry
+disjoint ones, so the destinations still unflagged are exactly those of
+the copies the ARQ still holds. An ACK therefore only releases the ARQ's
+copy; an ARQ failure reports the copy and its hop, marks the neighbour
+failed and re-dispatches that copy's destinations — all still unflagged,
+since no other copy carries them. A destination with no qualified next
+hop is bounced to the upstream broker read from the routing path (lines
+10–12); when even that is impossible (the broker is the origin, or the
+upstream link failed too) the destination is abandoned and recorded as
+given up.
 
 Receiving a bounced packet simply starts a new task at the upstream broker —
 "the upstream node running the same DCRD algorithm tries the next node on
@@ -56,42 +58,29 @@ from repro.routing.base import RoutingStrategy, RuntimeContext
 class _DeliveryTask:
     """Algorithm 2 running for one received packet copy at one broker."""
 
-    __slots__ = (
-        "strategy",
-        "node",
-        "frame",
-        "pending",
-        "failed_neighbors",
-        "upstream",
-        "_hop_of_copy",
-    )
+    __slots__ = ("strategy", "node", "frame", "failed_neighbors", "upstream")
 
     def __init__(self, strategy: "DcrdStrategy", node: int, frame: PacketFrame) -> None:
         self.strategy = strategy
         self.node = node
         self.frame = frame
-        self.pending: Set[int] = set(frame.destinations)
         self.failed_neighbors: Set[int] = set()
         # Lazily resolved by _dispatch (-2 = unset): replayed dispatches
         # never consult the upstream at all.
         self.upstream = -2
-        self._hop_of_copy: Dict[int, int] = {}
-        # Flow cache: the initial dispatch (empty failed set, untouched
-        # pending set) is a pure function of the control state and the
-        # frame's (topic, routing path, destination) flow signature, so the
-        # computed plan — next-hop groups plus abandoned destinations — is
-        # memoised on the strategy and replayed for every later copy of
-        # the same flow. Table changes clear the cache (see
-        # _invalidate_dispatch_cache); per-frame side effects (forwarded
-        # copies, ARQ sends, abandon bookkeeping, probes) are re-executed
-        # in the recorded order, so a replay is trace-identical to a
-        # recomputation.
+        # Flow cache: the initial dispatch (empty failed set) is a pure
+        # function of the control state and the frame's (topic, routing
+        # path, destination) flow signature, so the computed plan —
+        # next-hop groups plus abandoned destinations — is memoised on the
+        # strategy and replayed for every later copy of the same flow.
+        # Table changes clear the cache (see _invalidate_dispatch_cache);
+        # per-frame side effects (forwarded copies, ARQ sends, abandon
+        # bookkeeping, probes) are re-executed in the recorded order, so a
+        # replay is trace-identical to a recomputation.
         cache = strategy._dispatch_cache
         key = (frame.topic, node, frame.routing_path, frame.destinations)
         plan = cache.get(key)
         if plan is None:
-            # The frozenset is iterated while ``pending`` (a distinct set)
-            # is mutated, so no defensive copy is needed.
             plan = self._dispatch(frame.destinations, record=True)
             if len(cache) < strategy.DISPATCH_CACHE_CAP:
                 cache[key] = plan
@@ -102,7 +91,7 @@ class _DeliveryTask:
     def _dispatch(
         self, subscribers: FrozenSet[int], record: bool = False
     ) -> Optional[tuple]:
-        """Assign each pending destination to a next hop and send copies.
+        """Assign each destination to a next hop and send copies.
 
         The next hop of a destination (lines 9–12) is the first node on its
         sending list that is neither on the routing path (``path_set`` makes
@@ -118,7 +107,6 @@ class _DeliveryTask:
         """
         groups: Dict[int, Set[int]] = {}
         abandoned = [] if record else None
-        pending = self.pending
         frame = self.frame
         path = frame.path_set
         node = self.node
@@ -132,8 +120,6 @@ class _DeliveryTask:
         # link directions: one int hash per lookup, no tuple allocation.
         topic_key = frame.topic << 21
         for subscriber in subscribers:
-            if subscriber not in pending:
-                continue
             hop = bounce
             table = tables_get(topic_key | subscriber)
             if table is not None:
@@ -146,7 +132,6 @@ class _DeliveryTask:
                     hop = candidate
                     break
             if hop is None:
-                pending.discard(subscriber)
                 self.strategy.abandon(self.node, self.frame, subscriber)
                 if abandoned is not None:
                     abandoned.append(subscriber)
@@ -162,7 +147,6 @@ class _DeliveryTask:
         strategy.frames_forwarded += len(groups)
         arq_send = strategy.arq.send
         transfer_ids = strategy.ctx.transfer_ids
-        hop_of_copy = self._hop_of_copy
         node = self.node
         frame = self.frame
         probe_bounce = _probes.on_bounce
@@ -170,7 +154,6 @@ class _DeliveryTask:
         for hop, dests in groups.items():
             destinations = frozenset(dests)
             copy = frame.forwarded(next(transfer_ids), node, destinations)
-            hop_of_copy[copy.transfer_id] = hop
             is_bounce = hop == bounce
             if probe_bounce is not None and is_bounce:
                 # The upstream fallback won over every sending-list
@@ -178,7 +161,7 @@ class _DeliveryTask:
                 probe_bounce(strategy.ctx.sim._now, node, hop, copy)
             if plan is not None:
                 plan.append((hop, destinations, is_bounce))
-            arq_send(node, hop, copy, self._on_acked, self._on_failed)
+            arq_send(node, hop, copy, self._on_failed)
         return (tuple(abandoned), tuple(plan)) if record else None
 
     def _replay(self, plan: tuple) -> None:
@@ -187,39 +170,25 @@ class _DeliveryTask:
         strategy = self.strategy
         node = self.node
         frame = self.frame
-        if abandons:
-            pending = self.pending
-            for subscriber in abandons:
-                pending.discard(subscriber)
-                strategy.abandon(node, frame, subscriber)
+        for subscriber in abandons:
+            strategy.abandon(node, frame, subscriber)
         if not groups:
             return
         strategy.frames_forwarded += len(groups)
         arq_send = strategy.arq.send
         transfer_ids = strategy.ctx.transfer_ids
-        hop_of_copy = self._hop_of_copy
         probe_bounce = _probes.on_bounce
-        on_acked = self._on_acked
         on_failed = self._on_failed
         forwarded = frame.forwarded
         for hop, destinations, is_bounce in groups:
             copy = forwarded(next(transfer_ids), node, destinations)
-            hop_of_copy[copy.transfer_id] = hop
             if is_bounce and probe_bounce is not None:
                 probe_bounce(strategy.ctx.sim._now, node, hop, copy)
-            arq_send(node, hop, copy, on_acked, on_failed)
+            arq_send(node, hop, copy, on_failed)
 
     # ------------------------------------------------------------------
-    # ARQ callbacks
-    # ------------------------------------------------------------------
-    def _on_acked(self, copy: PacketFrame) -> None:
-        """Lines 23–26: the next hop took responsibility for these dests."""
-        self._hop_of_copy.pop(copy.transfer_id, None)
-        self.pending -= copy.destinations
-
-    def _on_failed(self, copy: PacketFrame) -> None:
+    def _on_failed(self, copy: PacketFrame, hop: int) -> None:
         """m transmissions went unACKed: mark the hop dead, re-dispatch."""
-        hop = self._hop_of_copy.pop(copy.transfer_id)
         self.failed_neighbors.add(hop)
         probe = _probes.on_failover
         if probe is not None:

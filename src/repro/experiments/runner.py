@@ -152,6 +152,7 @@ class SimulationEnvironment:
             perf["arq.timers_cancelled"] = float(arq.timers_cancelled)
             perf["arq.retransmissions"] = float(arq.retransmissions)
             perf["arq.timers_elided"] = float(getattr(arq, "timers_elided", 0))
+            perf["arq.acks_settled_at_send"] = float(arq.acks_settled_at_send)
             perf["arq.ack_timeouts"] = float(arq.ack_timeouts)
             perf["arq.failed"] = float(arq.failed)
             perf["arq.wire_wait_s"] = arq.wire_wait_s

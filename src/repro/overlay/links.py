@@ -432,8 +432,8 @@ class OverlayNetwork:
         # class dispatch. Optional — nodes without one fall back to their
         # generic handler, preserving the historical delivery contract.
         self._ack_handlers: Dict[int, FrameHandler] = {}
-        # Fast-path ACK-loss subscribers (see register_ack_loss_observer).
-        self._ack_loss_observers: list = []
+        # The sender ARQ's ACK-fate hook (see register_ack_fate_hook).
+        self._ack_fate: Optional[Callable[..., bool]] = None
         # Hot-loop per-direction constants, keyed by the packed direction id
         # (src << 21 | dst): (propagation delay, effective loss, handler at
         # dst, canonical edge, compiled DATA delivery closure or None,
@@ -506,23 +506,30 @@ class OverlayNetwork:
         worlds on both substrates —
         e.g. per-direction per-kind drop-all rules the epoch-granular
         :class:`~repro.overlay.failures.FailureSchedule` cannot express.
-        Injected ACK drops notify the registered ACK-loss observers, so
-        latent ARQ timers still materialise correctly. With no filter
+        Injected ACK drops are reported to the ACK-fate hook, so latent
+        ARQ timers still materialise correctly. With no filter
         installed (the default) every path is behaviour-identical to the
         historical network — the fingerprint matrix pins this.
         """
         self._fault_filter = fault_filter
 
-    def register_ack_loss_observer(self, observer: Callable[[int], None]) -> None:
-        """Subscribe to synchronous ACK-send losses on the fast path.
+    def register_ack_fate_hook(
+        self, hook: Callable[[int, int, Any, Optional[float]], bool]
+    ) -> None:
+        """Tell the senders' ARQ the fate of every ACK, the instant it is sent.
 
-        *observer(transfer_id)* is invoked from :meth:`send_ack` at the
-        instant an ACK reply is lost to a link failure or the random-loss
-        draw. The ARQ layer uses this to materialise latent retransmission
-        timers only for copies whose ACK can no longer arrive, instead of
-        scheduling (and almost always cancelling) a timer per copy.
+        ``hook(src, dst, ack, arrival)`` is called from :meth:`send_ack`
+        once the ACK ``src -> dst`` has met every hazard, and for an
+        injected ACK drop from :meth:`transmit` too. ``arrival`` is
+        ``None`` when the ACK was lost (link failure, random loss, fault
+        filter): the ARQ materialises the copy's latent timeout. Otherwise
+        it is the time the direction's compiled ACK delivery would run;
+        the ARQ may then settle the copy at once and return ``True``, and
+        the network counts the ACK as delivered and queues nothing. The
+        receivers' ACK sinks must feed the same ARQ. One hook per network:
+        registering replaces the previous one.
         """
-        self._ack_loss_observers.append(observer)
+        self._ack_fate = hook
 
     def watch_wire(self, observer: Callable[[Any, Optional[float]], None]) -> bool:
         """Subscribe a sender to when its DATA copies leave it.
@@ -688,7 +695,7 @@ class OverlayNetwork:
                 if self.queue is not None:
                     self.queue.lost(src, dst, frame, size, now)
             elif kind is FrameKind.ACK:
-                self._notify_ack_loss(frame)
+                self._ack_lost(src, dst, frame)
             return False
         survived = True
         node_failures = self.node_failures
@@ -866,11 +873,14 @@ class OverlayNetwork:
         Behaviour-identical to ``transmit(src, dst, frame,
         FrameKind.ACK)`` under :attr:`_fast_sends` (ACKs never queue and
         never fire the DATA-only transmit probe); the same loss draws are
-        consumed in the same order. Synchronous losses additionally notify
-        the registered ACK-loss observers (see
-        :meth:`register_ack_loss_observer`) so the ARQ layer can
-        materialise the copy's latent retransmission timer. The tri-state
-        return mirrors :meth:`send_data`.
+        consumed in the same order. The ACK's fate goes to the ACK-fate
+        hook (:meth:`register_ack_fate_hook`): a loss, so the ARQ
+        materialises the copy's latent retransmission timer, or the
+        arrival time of a compiled delivery, which the ARQ may settle
+        there and then — the arrival is then counted as delivered and as
+        an executed kernel event, and never queued. The tri-state return
+        mirrors :meth:`send_data` (``True``: the ACK reaches, or has
+        reached, its sender).
         """
         if not self._fast_sends:
             self.transmit(src, dst, frame, FrameKind.ACK)
@@ -885,7 +895,7 @@ class OverlayNetwork:
         fault = self._fault_filter
         if fault is not None and fault(src, dst, FrameKind.ACK, frame):
             self._lost_injected[1] += 1
-            self._notify_ack_loss(frame)
+            self._ack_lost(src, dst, frame)
             return False
         failures = self.failures
         if failures is not None:
@@ -899,18 +909,22 @@ class OverlayNetwork:
                 link_down = failures.is_failed(src, dst, now)
             if link_down:
                 self._lost_failure[1] += 1
-                self._notify_ack_loss(frame)
+                self._ack_lost(src, dst, frame)
                 return False
         effective_loss = entry[1]
         if effective_loss > 0.0 and self._loss_draw() < effective_loss:
             self._lost_random[1] += 1
-            self._notify_ack_loss(frame)
+            self._ack_lost(src, dst, frame)
             return False
         deliver = entry[5]
         if deliver is not None:
+            arrival = now + entry[0]
+            fate = self._ack_fate
+            if fate is not None and fate(src, dst, frame, arrival):
+                self._delivered[1] += 1
+                return True
             _heappush(
-                self._sim_heap,
-                (now + entry[0], next(self._sim_seq), deliver, (frame,)),
+                self._sim_heap, (arrival, next(self._sim_seq), deliver, (frame,))
             )
             self.sim._live += 1
             return True
@@ -927,15 +941,10 @@ class OverlayNetwork:
         self.sim._live += 1
         return None
 
-    def _notify_ack_loss(self, frame: Any) -> None:
-        observers = self._ack_loss_observers
-        if not observers:
-            return
-        transfer_id = getattr(frame, "transfer_id", None)
-        if transfer_id is None:
-            return
-        for observer in observers:
-            observer(transfer_id)
+    def _ack_lost(self, src: int, dst: int, frame: Any) -> None:
+        fate = self._ack_fate
+        if fate is not None:
+            fate(src, dst, frame, None)
 
     def _deliver(self, src: int, dst: int, frame: Any, kind: FrameKind) -> None:
         # A node that crashed while the frame was in flight cannot receive it.

@@ -4,7 +4,9 @@ DCRD and the tree/multipath baselines all use the same per-link mechanism
 (§III, §IV-D7): transmit, wait ``ack_timeout`` for the hop-by-hop ACK,
 retransmit on silence, and after ``m`` unacknowledged transmissions declare
 the link attempt failed. What differs between schemes is only the *reaction*
-to success/failure, expressed here as callbacks.
+to failure, expressed here as a callback: an ACK only releases the sender's
+state for the copy ("brokers hold no per-packet state after the ACK", §III),
+so no strategy hears of it.
 
 :class:`ArqSender` is shared by all brokers of a run (transfer ids are
 unique within a run, so one table suffices) and tracks every outstanding
@@ -27,14 +29,24 @@ link monitor's propagation-delay estimate of the direction. It is a pure
 function of that estimate, so the sender memoises it per direction until
 ``monitor.version`` moves.
 
-This module sits on the data-plane hot path — every copy sent schedules an
-ACK-timeout event, and in healthy networks nearly every one is cancelled by
-the ACK a propagation round-trip later. Each outstanding copy therefore
-holds the raw kernel :class:`~repro.sim.engine.Event`, the sender memoises
-each direction's transmit constants (:attr:`ArqSender._dir_info`) until the
-link monitor publishes new estimates, and
-:attr:`ArqSender.timers_cancelled` counts the cancellations feeding the
-kernel's tombstone compaction.
+This module sits on the data-plane hot path: every copy sent needs an
+ACK timeout, and in healthy networks nearly every copy is settled by its
+ACK a propagation round-trip later. On the calendar kernel the common case
+therefore costs no heap entry at all (:meth:`ArqSender.enable_timer_elision`):
+
+* *latent timeouts* — a copy whose ACK provably arrives first only reserves
+  its timeout's ``(time, seq)``; the timer is pushed with that key only if
+  the ACK is lost;
+* *ACKs settled at send* — when the receiver sends the ACK of such a copy
+  and the network reports it arriving at ``T``, nothing can observe the
+  copy before ``T``: the sender settles it there and then, with the
+  bookkeeping :meth:`ArqSender.handle_ack` runs, and the kernel counts the
+  arrival as an executed event (:meth:`~repro.sim.engine.Simulator.settle`).
+
+Both keep the eager path's event schedule, executed-event count and ARQ
+counters. The sender also memoises each direction's transmit constants
+(:attr:`ArqSender._dir_info`) until the link monitor publishes new
+estimates.
 
 The sender is substrate-portable (see :mod:`repro.substrate`): when
 ``ctx.sim`` offers ``calendar_kernel()`` — the discrete-event kernel —
@@ -43,12 +55,13 @@ above, byte-identical to every release since the flat-state refactor.
 Any other :class:`~repro.substrate.Clock` (the live wall clock) gets the
 portable path: timeouts go through ``clock.schedule()`` and the returned
 :class:`~repro.substrate.TimerHandle` plays the Event's role. Latent
-timer elision stays kernel-only.
+timeouts and ACKs settled at send stay kernel-only.
 
 Timer starts, cancels and fires are reported on the ``timer_*`` probe
 families and nothing else: this module reads no test flag, and an
 observer on any of those families (the sanitizer's settlement checks)
-keeps every timer eager.
+keeps every timer eager, and an ``ack`` observer (the tracer) keeps every
+ACK arrival queued.
 """
 
 from __future__ import annotations
@@ -77,7 +90,6 @@ class _Outstanding:
         "frame",
         "attempts",
         "event",
-        "on_acked",
         "on_failed",
         "sent_at",
         "latent_time",
@@ -89,15 +101,13 @@ class _Outstanding:
         src: int,
         dst: int,
         frame: PacketFrame,
-        on_acked: Callable[[PacketFrame], None],
-        on_failed: Callable[[PacketFrame], None],
+        on_failed: Callable[[PacketFrame, int], None],
     ) -> None:
         self.src = src
         self.dst = dst
         self.frame = frame
         self.attempts = 0
         self.event: Optional[Event] = None
-        self.on_acked = on_acked
         self.on_failed = on_failed
         self.sent_at = 0.0
         self.latent_time = 0.0
@@ -156,11 +166,14 @@ class ArqSender:
         #: Timeouts that stayed latent: their (time, seq) was reserved but
         #: no heap entry was ever pushed because the ACK settled the copy.
         self.timers_elided = 0
+        #: Copies settled when their ACK was sent: the ACK's arrival never
+        #: became a heap entry (the kernel counted it as executed).
+        self.acks_settled_at_send = 0
 
     def enable_timer_elision(self) -> None:
-        """Opt in to latent ACK-timeout timers (composition-root only).
+        """Opt in to latent ACK timeouts and ACKs settled at send.
 
-        Elision assumes the receiving side ACKs every delivered DATA frame
+        Called by the composition root only. Elision assumes the receiving side ACKs every delivered DATA frame
         synchronously on arrival — true when every node hosts a
         :class:`~repro.pubsub.broker.BrokerRuntime` and the active strategy
         has ``uses_acks`` — and that handler attachments are stable for the
@@ -171,26 +184,48 @@ class ArqSender:
         *delivered* outcome and the ACK's arrival event provably precedes
         the timeout deadline (exact float comparison against the round-trip
         schedule); the reserved kernel sequence number keeps the event
-        schedule bit-identical either way. Lost ACKs materialise the timer
-        via the network's ACK-loss observer hook.
+        schedule bit-identical either way. The network's ACK-fate hook
+        reports each ACK sent for such a copy: a lost one materialises the
+        timer; one that arrives is settled at send when nothing could
+        tell (:meth:`_on_ack_fate`).
         """
         if self._sim_heap is None:
             # Portable Clock: elision reserves raw kernel heap keys, which
             # only exist on the calendar kernel.
             return
         network = self.ctx.network
-        register = getattr(network, "register_ack_loss_observer", None)
+        register = getattr(network, "register_ack_fate_hook", None)
         if register is None or getattr(network, "ack_round_trip", None) is None:
             return
-        register(self._on_ack_send_lost)
+        register(self._on_ack_fate)
         self._elide_timers = True
         self._dir_info.clear()  # entries memoised so far carry no rt_pair
 
-    def _on_ack_send_lost(self, transfer_id: int) -> None:
-        """Materialise the latent timeout of a copy whose ACK was lost."""
-        entry = self._outstanding.get(transfer_id)
-        if entry is None or entry.event is not None or entry.latent_seq < 0:
-            return
+    def _on_ack_fate(
+        self, src: int, dst: int, ack: AckFrame, arrival: Optional[float]
+    ) -> bool:
+        """The network's report on an ACK ``src -> dst`` it just sent.
+
+        Only a copy with a latent timeout is concerned. A lost ACK
+        (*arrival* ``None``) materialises that timeout with its reserved
+        key. An ACK arriving at *arrival* settles the copy now, as
+        :meth:`handle_ack` would then — the latent timer already proves
+        the arrival precedes the deadline, and the copy's entry is touched
+        by nothing else meanwhile — provided no ``ack`` observer waits to
+        see the arrival and the kernel counts it as executed in this run.
+        Returns whether the copy was settled.
+        """
+        entry = self._outstanding.get(ack.transfer_id)
+        if entry is None or entry.latent_seq < 0:
+            return False
+        if entry.src != dst or entry.dst != src:
+            return False
+        if arrival is not None:
+            if _probes.on_ack is not None or not self._sim.settle(arrival):
+                return False
+            self._settle(entry)
+            self.acks_settled_at_send += 1
+            return True
         time = entry.latent_time
         seq = entry.latent_seq
         entry.latent_seq = -1
@@ -199,6 +234,7 @@ class ArqSender:
         )
         _heappush(self._sim_heap, (time, seq, event))
         self._sim._live += 1
+        return False
 
     @property
     def in_flight(self) -> int:
@@ -210,16 +246,15 @@ class ArqSender:
         src: int,
         dst: int,
         frame: PacketFrame,
-        on_acked: Callable[[PacketFrame], None],
-        on_failed: Callable[[PacketFrame], None],
+        on_failed: Callable[[PacketFrame, int], None],
     ) -> None:
         """Transmit *frame* from *src* to the adjacent *dst* with ARQ.
 
-        Exactly one of the callbacks eventually fires: ``on_acked(frame)``
-        when the neighbour confirms reception, ``on_failed(frame)`` after
-        ``m`` transmissions went unacknowledged.
+        ``on_failed(frame, dst)`` fires after ``m`` transmissions went
+        unacknowledged (or the sender's own queue discarded the copy). An
+        ACK settles the copy silently: the neighbour took responsibility.
         """
-        entry = _Outstanding(src, dst, frame, on_acked, on_failed)
+        entry = _Outstanding(src, dst, frame, on_failed)
         self._outstanding[frame.transfer_id] = entry
         self._transmit(entry)
 
@@ -228,7 +263,14 @@ class ArqSender:
         entry = self._outstanding.get(ack.transfer_id)
         if entry is None or entry.src != node or entry.dst != sender:
             return
-        del self._outstanding[ack.transfer_id]
+        self._settle(entry)
+        probe = _probes.on_ack
+        if probe is not None:
+            probe(self._sim._now, node, sender, entry.frame)
+
+    def _settle(self, entry: _Outstanding) -> None:
+        """Release an acknowledged copy: every ACK's bookkeeping."""
+        del self._outstanding[entry.frame.transfer_id]
         event = entry.event
         if event is not None:
             probe = _probes.on_timer_cancelled
@@ -240,13 +282,8 @@ class ArqSender:
             # Latent timeout settled by its ACK: nothing to cancel — the
             # timer was never pushed. Count it as a cancellation so the
             # ARQ counters read the same with elision on or off.
-            entry.latent_seq = -1
             self.timers_cancelled += 1
         self.acked += 1
-        probe = _probes.on_ack
-        if probe is not None:
-            probe(self._sim._now, node, sender, entry.frame)
-        entry.on_acked(entry.frame)
 
     # ------------------------------------------------------------------
     def _transmit(self, entry: _Outstanding) -> None:
@@ -384,5 +421,5 @@ class ArqSender:
     def _fail(self, entry: _Outstanding) -> None:
         del self._outstanding[entry.frame.transfer_id]
         self.failed += 1
-        entry.on_failed(entry.frame)
+        entry.on_failed(entry.frame, entry.dst)
 

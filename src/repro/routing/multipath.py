@@ -128,12 +128,9 @@ class MultipathStrategy(RoutingStrategy):
             source_route=frame.source_route[1:],
         )
         self.frames_forwarded += 1
-        self.arq.send(node, hop, copy, self._on_acked, self._on_failed)
+        self.arq.send(node, hop, copy, self._on_failed)
 
-    def _on_acked(self, copy: PacketFrame) -> None:
-        """Responsibility moved downstream; nothing to do."""
-
-    def _on_failed(self, copy: PacketFrame) -> None:
+    def _on_failed(self, copy: PacketFrame, hop: int) -> None:
         """Fixed paths cannot reroute: this copy dies here.
 
         The give-up is advisory: a twin copy may still deliver, or enough

@@ -135,12 +135,9 @@ class TreeStrategy(RoutingStrategy):
                 subset,
                 priority=self._copy_priority(frame.topic, frame.publish_time, subset),
             )
-            self.arq.send(node, hop, copy, self._on_acked, self._on_failed)
+            self.arq.send(node, hop, copy, self._on_failed)
 
-    def _on_acked(self, copy: PacketFrame) -> None:
-        """Responsibility moved downstream; nothing to do."""
-
-    def _on_failed(self, copy: PacketFrame) -> None:
+    def _on_failed(self, copy: PacketFrame, hop: int) -> None:
         """Fixed trees do not reroute: abandon the subtree's destinations."""
         self.give_up(copy.msg_id, copy.destinations)
 

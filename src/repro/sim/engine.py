@@ -15,7 +15,10 @@ The simulator is the event-time implementation of the substrate
 substitutes :class:`~repro.live.clock.WallClock` behind the same surface.
 Trusted hot paths additionally inline the calendar queue via
 :meth:`Simulator.calendar_kernel` — a capability only this kernel offers,
-which is how the stack distinguishes the two substrates.
+which is how the stack distinguishes the two substrates. A callback
+whose effects can be applied at the instant it is scheduled, with
+nothing able to tell, need not be queued at all: :meth:`Simulator.settle`
+counts it as executed instead (the ARQ's settled ACK arrivals).
 
 Fast path
 ---------
@@ -144,6 +147,12 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self._processed = 0
+        # Events executed by the current run() call, settled ones included
+        # (see settle), and the call's until window and max_events quota.
+        # Outside run() the window is closed (-inf): nothing settles.
+        self._executed = 0
+        self._window = -_INF
+        self._quota = _INF
         # Live (scheduled, not yet fired, not cancelled) event count.
         # Maintained incrementally so ``pending_events`` is O(1) even with
         # lazy cancellation leaving tombstones in the heap.
@@ -213,8 +222,31 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Total number of events executed so far."""
+        """Total number of events executed so far.
+
+        An event :meth:`settle` counted is one of them: it was counted when
+        it was settled, never queued, and never popped.
+        """
         return self._processed
+
+    def settle(self, time: float) -> bool:
+        """Count an event due at *time* as executed now, instead of queueing it.
+
+        For a callback whose effects the caller applies at once, because
+        nothing could observe the difference before *time*. Returns ``True``
+        only inside a running :meth:`run` whose ``until`` window holds
+        *time*, whose ``max_events`` quota has room for one more event,
+        and which has no ``event_pop`` observer (that one sees every pop).
+        Then the ``seq`` the event would have drawn is drawn, and the event
+        counts in :attr:`processed_events` and against the quota as if it
+        had run: the schedule and the count stay those of the queued event.
+        """
+        # The event now running is not counted yet: room for it and this one.
+        if time > self._window or self._executed + 1 >= self._quota:
+            return False
+        next(self._seq)
+        self._executed += 1
+        return True
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -263,12 +295,12 @@ class Simulator:
             Safety valve for runaway schedules: at most ``max_events`` events
             execute; a :class:`SimulationError` is raised as soon as one more
             would run. A schedule of exactly ``max_events`` events finishes
-            cleanly.
+            cleanly. Events :meth:`settle` counted count here too.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        executed = 0
+        self._executed = 0
         limit = _INF if until is None else until
         quota = _INF if max_events is None else max_events
         # Compaction rebuilds the heap *in place*, so this alias stays valid
@@ -287,6 +319,8 @@ class Simulator:
         # default) keeps the loop body at a single local load + identity
         # check per event regardless of how many observers are attached.
         on_event_pop = _probes.on_event_pop
+        self._window = limit if on_event_pop is None else -_INF
+        self._quota = quota
         wall_start = _perf_counter()
         try:
             while heap:
@@ -301,7 +335,7 @@ class Simulator:
                     event = None
                 if entry[0] > limit:
                     break
-                if executed >= quota:
+                if self._executed >= quota:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; runaway schedule?"
                     )
@@ -315,12 +349,13 @@ class Simulator:
                     event.callback(*event.args)
                 else:
                     entry[2](*entry[3])
-                executed += 1
+                self._executed += 1
             if until is not None and self._now < until:
                 self._now = until
         finally:
             self.run_wall_s += _perf_counter() - wall_start
-            self._processed += executed
+            self._processed += self._executed
+            self._window = -_INF
             self._running = False
             if gc_was_enabled:
                 gc.enable()

@@ -114,8 +114,8 @@ class Transport(Protocol):
     caller. Beyond the contract, transports may offer capabilities the
     stack probes with ``getattr``: ``attach_ack`` (dedicated ACK sinks),
     ``prewarm_directions`` (interned link directions),
-    ``register_ack_loss_observer``/``ack_round_trip`` (latent ARQ timer
-    elision — kernel transports only), and
+    ``register_ack_fate_hook``/``ack_round_trip`` (latent ARQ timeouts
+    and ACKs settled when they are sent — kernel transports only), and
     ``link_success_probability`` (the link monitor's analytic estimate).
 
     Scripted faults enter both implementations through one seam, a

@@ -16,15 +16,21 @@ preserve:
 * a sanitized + traced run stays on the interned flat path (zero facade
   fallbacks) while the observation layers see every event;
 * ARQ latent-timer elision is outcome-invariant: an eager-timer run and
-  an eliding run produce bit-identical summaries and outcomes.
+  an eliding run produce bit-identical summaries and outcomes;
+* an ACK settled when it is sent is invisible: stopped mid-flight, watched
+  by an ``ack`` observer, or run under an event quota, the settling run
+  reads what the eager run reads.
 """
 
 import pytest
 
+from repro import probes
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_environment
 from repro.overlay.links import FrameKind
 from repro.pubsub.topics import Subscription
+from repro.system import PubSubSystem
+from repro.util.errors import SimulationError
 
 CONFIGS = {
     "lossy_mesh": ExperimentConfig(
@@ -174,8 +180,9 @@ def test_timer_elision_is_outcome_invariant(name):
     after construction, leaving everything else (seeds, ids, schedule)
     untouched. Every observable — summary, per-pair outcomes, ARQ
     counters including the cancelled count (latent settles count as
-    cancellations) — must match exactly; only the elision counter and the
-    tombstone economy may differ.
+    cancellations), the delivered rows with ACKs settled at send — must
+    match exactly; only the elision and settle counters and the tombstone
+    economy may differ.
     """
     config = CONFIGS[name]
     elided = build_environment(config, "DCRD", seed=13)
@@ -191,6 +198,9 @@ def test_timer_elision_is_outcome_invariant(name):
 
     assert elided.strategy.arq.timers_elided > 0
     assert eager.strategy.arq.timers_elided == 0
+    assert elided.strategy.arq.acks_settled_at_send > 0
+    assert eager.strategy.arq.acks_settled_at_send == 0
+    assert elided.ctx.network.stats.delivered == eager.ctx.network.stats.delivered
     assert (
         elided.strategy.arq.timers_cancelled == eager.strategy.arq.timers_cancelled
     )
@@ -203,3 +213,137 @@ def test_timer_elision_is_outcome_invariant(name):
     assert (
         elided.ctx.sim.processed_events == eager.ctx.sim.processed_events
     )
+
+
+def _started(name, elide):
+    """An environment with its processes started, its run not yet begun;
+    *elide* False makes it the eager twin (no latent timer, no settle)."""
+    env = build_environment(CONFIGS[name], "DCRD", seed=13)
+    env.strategy.arq._elide_timers = elide
+    for publisher in env.publishers:
+        publisher.start()
+    env.monitor_process.start()
+    return env
+
+
+def _ack_ledger(env):
+    """What a stop between an ACK's send and its arrival could expose."""
+    arq = env.strategy.arq
+    stats = env.ctx.network.stats
+    return dict(
+        in_flight=arq.in_flight,
+        acked=arq.acked,
+        acks_delivered=stats.delivered[FrameKind.ACK],
+        processed_events=env.ctx.sim.processed_events,
+    )
+
+
+def _acks_in_transit(env):
+    stats = env.ctx.network.stats
+    lost = sum(
+        row[FrameKind.ACK]
+        for row in (stats.lost_failure, stats.lost_random, stats.lost_injected)
+    )
+    return stats.sent[FrameKind.ACK] - stats.delivered[FrameKind.ACK] - lost
+
+
+class _AckLog(probes.ProbeObserver):
+    def __init__(self):
+        self.acks = []
+
+    def on_ack(self, t, node, sender, frame):
+        self.acks.append((t, node, sender, frame.transfer_id))
+
+
+def _observed_acks(env):
+    """Execute *env* under an ``ack`` observer; every ACK it observed."""
+    log = _AckLog()
+    probes.attach(log)
+    try:
+        env.execute()
+    finally:
+        probes.detach(log)
+    return log.acks
+
+
+def _mid_flight_stops(name, count=12):
+    """Instants halfway between the send and the arrival of *count* ACKs
+    spread over the world's eager run, read off an ``ack`` log."""
+    env = build_environment(CONFIGS[name], "DCRD", seed=13)
+    acks = _observed_acks(env)
+    delay = env.ctx.network.topology.delay
+    every = len(acks) // count
+    return sorted({t - delay(sender, node) / 2 for t, node, sender, _ in acks[::every]})
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_a_stop_between_an_acks_send_and_arrival_sees_the_eager_state(name):
+    """``run(until=t)`` settles no ACK that arrives after ``t``.
+
+    Each stop falls while an ACK is in transit on the eager side; the
+    settling side must hold the same copies, the same ACK counts and the
+    same executed event count there — and again after the run resumes to
+    its end.
+    """
+    stops = _mid_flight_stops(name)
+    assert len(stops) >= 10
+    settling, eager = _started(name, True), _started(name, False)
+    for stop in stops:
+        for env in (settling, eager):
+            env.ctx.sim.run(until=stop)
+        assert _acks_in_transit(eager) > 0
+        assert _ack_ledger(settling) == _ack_ledger(eager)
+    for env in (settling, eager):
+        env.ctx.sim.run(until=env.config.end_time)
+    assert _ack_ledger(settling) == _ack_ledger(eager)
+    assert settling.strategy.arq.acks_settled_at_send > 0
+    assert eager.strategy.arq.acks_settled_at_send == 0
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_an_ack_observer_sees_every_ack_arrive_at_the_eager_time(name):
+    """An ``ack`` observer keeps every arrival queued: nothing is settled
+    at send, and each ACK is observed when the eager run observes it."""
+    logs = []
+    for elide in (True, False):
+        env = build_environment(CONFIGS[name], "DCRD", seed=13)
+        env.strategy.arq._elide_timers = elide
+        logs.append(_observed_acks(env))
+        assert env.strategy.arq.acks_settled_at_send == 0
+        assert (env.strategy.arq.timers_elided > 0) == elide
+    assert logs[0] and logs[0] == logs[1]
+
+
+def _pair_world(elide):
+    """Two brokers, one message 0 -> 1: the ACK's arrival is the last event."""
+    system = PubSubSystem.build(num_nodes=2, seed=3)
+    system.strategy.arq._elide_timers = elide
+    system.add_topic("t", publisher=0)
+    system.subscribe("t", node=1, deadline=1.0)
+    system.publish("t")
+    return system.sim, system.strategy.arq, 1.0, system.close
+
+
+def _runner_world(elide):
+    env = _started("lossy_mesh", elide)
+    return env.ctx.sim, env.strategy.arq, env.config.end_time, lambda: None
+
+
+@pytest.mark.parametrize("world", [_pair_world, _runner_world])
+def test_settled_acks_count_against_max_events(world):
+    """A quota of the eager run's executed count finishes cleanly on both
+    twins; one event less raises on both."""
+    sim, _, until, close = world(False)
+    sim.run(until=until)
+    quota = sim.processed_events
+    close()
+    for elide in (True, False):
+        sim, arq, until, close = world(elide)
+        sim.run(until=until, max_events=quota)
+        assert sim.processed_events == quota
+        assert (arq.acks_settled_at_send > 0) == elide
+        close()
+        sim, _, until, close = world(elide)
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(until=until, max_events=quota - 1)
+        close()

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro import probes
 from repro.overlay.links import FrameKind
 from repro.pubsub.messages import AckFrame, PacketFrame
 from repro.routing.arq import ArqSender
@@ -34,7 +35,25 @@ def make_arq(failures=None, m=1, loss_rate=0.0):
     return ctx, ArqSender(ctx)
 
 
-def test_ack_triggers_on_acked():
+class AckLog(probes.ProbeObserver):
+    """Every ACK that settled a copy: ``(t, node, sender, frame)``."""
+
+    def __init__(self):
+        self.acks = []
+
+    def on_ack(self, t, node, sender, frame):
+        self.acks.append((t, node, sender, frame))
+
+
+@pytest.fixture
+def ack_log():
+    observer = AckLog()
+    probes.attach(observer)
+    yield observer.acks
+    probes.detach(observer)
+
+
+def test_ack_settles_the_copy(ack_log):
     ctx, arq = make_arq()
     outcomes = []
     frame = make_frame()
@@ -46,9 +65,10 @@ def test_ack_triggers_on_acked():
         ),
     )
     ctx.network.attach(0, lambda sender, received: arq.handle_ack(0, sender, received))
-    arq.send(0, 1, frame, outcomes.append, lambda f: outcomes.append("failed"))
+    arq.send(0, 1, frame, lambda f, hop: outcomes.append("failed"))
+    assert arq.in_flight == 1
     ctx.sim.run()
-    assert outcomes == [frame]
+    assert outcomes == [] and ack_log == [(0.02, 0, 1, frame)]
     assert arq.acked == 1 and arq.failed == 0
     assert arq.in_flight == 0
 
@@ -58,9 +78,9 @@ def test_silence_fails_after_m_transmissions():
     ctx, arq = make_arq(failures=failures, m=3)
     outcomes = []
     frame = make_frame()
-    arq.send(0, 1, frame, lambda f: outcomes.append("acked"), outcomes.append)
+    arq.send(0, 1, frame, lambda f, hop: outcomes.append((f, hop)))
     ctx.sim.run()
-    assert outcomes == [frame]
+    assert outcomes == [(frame, 1)]
     assert ctx.network.stats.sent[FrameKind.DATA] == 3
     assert arq.retransmissions == 2
     assert arq.failed == 1
@@ -70,7 +90,7 @@ def test_m_one_gives_single_attempt():
     failures = ScriptedFailures({(0, 1): [(0.0, 100.0)]})
     ctx, arq = make_arq(failures=failures, m=1)
     outcomes = []
-    arq.send(0, 1, make_frame(), lambda f: None, outcomes.append)
+    arq.send(0, 1, make_frame(), lambda f, hop: outcomes.append(f))
     ctx.sim.run()
     assert len(outcomes) == 1
     assert ctx.network.stats.sent[FrameKind.DATA] == 1
@@ -88,9 +108,9 @@ def test_retransmission_recovers_transient_failure():
         ),
     )
     ctx.network.attach(0, lambda sender, received: arq.handle_ack(0, sender, received))
-    arq.send(0, 1, make_frame(), outcomes.append, lambda f: outcomes.append("failed"))
+    arq.send(0, 1, make_frame(), lambda f, hop: outcomes.append("failed"))
     ctx.sim.run()
-    assert outcomes and outcomes[0] != "failed"
+    assert outcomes == [] and arq.acked == 1 and arq.in_flight == 0
     assert ctx.network.stats.sent[FrameKind.DATA] == 2
 
 
@@ -108,9 +128,10 @@ def test_ack_from_wrong_neighbor_ignored():
     arq = ArqSender(ctx)
     outcomes = []
     frame = make_frame()
-    arq.send(0, 1, frame, lambda f: outcomes.append("acked"), lambda f: outcomes.append("failed"))
+    arq.send(0, 1, frame, lambda f, hop: outcomes.append("failed"))
     # A forged ACK for the right transfer id but from node 2.
     arq.handle_ack(0, 2, ack_for(frame, 2))
+    assert arq.acked == 0 and arq.in_flight == 1
     ctx.sim.run()
     assert outcomes == ["failed"]
 
@@ -119,7 +140,7 @@ def test_late_ack_after_failure_is_ignored():
     ctx, arq = make_arq(m=1)
     outcomes = []
     frame = make_frame()
-    arq.send(0, 1, frame, lambda f: outcomes.append("acked"), lambda f: outcomes.append("failed"))
+    arq.send(0, 1, frame, lambda f, hop: outcomes.append("failed"))
     # Let the timer expire (no receiver attached -> frame delivered nowhere).
     ctx.sim.run()
     arq.handle_ack(0, 1, ack_for(frame, 1))
@@ -127,16 +148,15 @@ def test_late_ack_after_failure_is_ignored():
     assert arq.acked == 0
 
 
-def test_duplicate_ack_counted_once():
+def test_duplicate_ack_counted_once(ack_log):
     ctx, arq = make_arq()
-    outcomes = []
     frame = make_frame()
-    arq.send(0, 1, frame, outcomes.append, lambda f: None)
+    arq.send(0, 1, frame, lambda f, hop: None)
     ack = ack_for(frame, 1)
     arq.handle_ack(0, 1, ack)
     arq.handle_ack(0, 1, ack)
-    assert outcomes == [frame]
-    assert arq.acked == 1
+    assert ack_log == [(0.0, 0, 1, frame)]
+    assert arq.acked == 1 and arq.in_flight == 0
 
 
 def test_timeout_scales_with_link_alpha():
@@ -145,6 +165,6 @@ def test_timeout_scales_with_link_alpha():
     failures = ScriptedFailures({(0, 1): [(0.0, 100.0)]})
     ctx, arq = make_arq(failures=failures, m=1)
     failed_at = []
-    arq.send(0, 1, make_frame(), lambda f: None, lambda f: failed_at.append(ctx.sim.now))
+    arq.send(0, 1, make_frame(), lambda f, hop: failed_at.append(ctx.sim.now))
     ctx.sim.run()
     assert failed_at[0] == pytest.approx(0.021, abs=1e-6)

@@ -70,7 +70,7 @@ def _arq(monitor, params):
     return ArqSender(ctx)
 
 
-def _ignore(frame):
+def _ignore(frame, hop):
     pass
 
 
@@ -84,7 +84,7 @@ def _armed_timeout(arq, src, dst):
         publish_time=0.0,
         destinations=frozenset({dst}),
     )
-    arq.send(src, dst, frame, _ignore, _ignore)
+    arq.send(src, dst, frame, _ignore)
     return arq._outstanding[frame.transfer_id].event.time
 
 

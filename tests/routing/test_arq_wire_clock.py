@@ -44,6 +44,10 @@ class Clocks(probes.ProbeObserver):
         self.wire_clear = []  # (msg_id, instant the last bit leaves | None)
         self.deadlines = []  # (msg_id, ACK timer deadline)
         self.timeouts = []  # msg_id of every ack_timeout probe
+        self.outcomes = []  # ("acked", msg_id) per settling ACK, in order
+
+    def on_ack(self, t, node, sender, frame):
+        self.outcomes.append(("acked", frame.msg_id))
 
     def on_wire(self, t, src, dst, frame, wait):
         self.wire_clear.append((frame.msg_id, None if wait is None else t + wait))
@@ -86,20 +90,15 @@ def make_arq(m=1, failures=None, echo_acks=True, **link_options):
 
 
 def send(arq, frame, outcomes=None):
+    """Send *frame* 0 -> 1; a failure lands in *outcomes* (ACKs: ``on_ack``)."""
     outcomes = outcomes if outcomes is not None else []
-    arq.send(
-        0,
-        1,
-        frame,
-        lambda f: outcomes.append(("acked", f.msg_id)),
-        lambda f: outcomes.append(("failed", f.msg_id)),
-    )
+    arq.send(0, 1, frame, lambda f, hop: outcomes.append(("failed", f.msg_id)))
     return outcomes
 
 
 def test_back_to_back_deadlines_are_wire_clear_plus_timeout(clocks):
     ctx, arq = make_arq()
-    outcomes = []
+    outcomes = clocks.outcomes
     for msg_id in (1, 2, 3):
         send(arq, make_frame(msg_id), outcomes)
     # All three were handed over at t=0; each leaves one service time
@@ -118,7 +117,7 @@ def test_a_retransmission_re_queues_and_re_clocks(clocks):
     # The link is down for the first attempt only.
     failures = ScriptedFailures({(0, 1): [(0.0, 0.030)]})
     ctx, arq = make_arq(m=2, failures=failures)
-    outcomes = send(arq, make_frame(1))
+    outcomes = send(arq, make_frame(1), clocks.outcomes)
     ctx.sim.run()
     first = SERVICE + TIMEOUT  # lost, yet clocked like a survivor
     assert clocks.deadlines == [(1, first), (1, (first + SERVICE) + TIMEOUT)]
@@ -151,7 +150,7 @@ def test_a_lost_copy_is_clocked_like_a_survivor(clocks, discipline):
 
 def test_an_overtaken_edf_copy_is_not_timed_out(clocks):
     ctx, arq = make_arq(queue_discipline="edf")
-    outcomes = []
+    outcomes = clocks.outcomes
     send(arq, make_frame(1, priority=5.0), outcomes)  # in service at once
     send(arq, make_frame(2, priority=9.0), outcomes)  # waits ...
     send(arq, make_frame(3, priority=1.0), outcomes)  # ... and is overtaken
@@ -173,7 +172,7 @@ def test_a_copy_its_own_queue_discards_fails_without_a_timeout(clocks):
     ``on_failed``, no ``ack_timeout`` probe, no timer, and no
     retransmission into the queue that just discarded it."""
     ctx, arq = make_arq(m=3, queue_discipline="edf+drop")
-    outcomes = []
+    outcomes = clocks.outcomes
     send(arq, make_frame(1, priority=5.0), outcomes)
     send(arq, make_frame(2, priority=0.025), outcomes)  # expired by 0.02
     assert outcomes == []

@@ -300,7 +300,7 @@ def test_network_capability_probes_do_not_grow_back():
     }
     assert found == {
         ("stack.py", "prewarm_directions"),
-        ("routing/arq.py", "register_ack_loss_observer"),
+        ("routing/arq.py", "register_ack_fate_hook"),
         ("routing/arq.py", "ack_round_trip"),
         ("pubsub/broker.py", "attach_ack"),
     }
