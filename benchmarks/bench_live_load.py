@@ -154,7 +154,7 @@ async def _ramp_point(rate: float):
         await runtime.close()
         probes.detach(published)
     result = harvest(
-        scenario, runtime.ctx, runtime.strategy, runtime.ledger, runtime.sanitizer
+        scenario, runtime.ctx, runtime.strategy, runtime.ledger, runtime.record
     )
     instants = published.instants
     return {

@@ -4,8 +4,8 @@
 The :mod:`repro.probes` bus is the extension seam for new observability:
 any object with ``on_<family>`` methods (or a ``probe_handlers()``
 mapping) can watch the data plane without touching ``src/repro`` — the
-same hook sites that feed the sanitizer and the tracer feed it, and with
-no observer attached every site is a literal no-op.
+same hook sites that feed the run record (:mod:`repro.record`) feed
+it, and with no observer attached every site is a literal no-op.
 
 This example attaches a ~50-line observer that tallies, per broker, how
 many DATA frames arrived versus how many turned into first deliveries,

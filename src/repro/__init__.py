@@ -55,7 +55,8 @@ from repro.routing.base import ProtocolParams, RoutingStrategy, RuntimeContext
 from repro.routing.multipath import MultipathStrategy
 from repro.routing.oracle import OracleStrategy
 from repro.routing.trees import DTreeStrategy, RTreeStrategy
-from repro.sanity import InvariantViolation, Sanitizer
+from repro.record import RunRecord
+from repro.sanity import InvariantViolation
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 

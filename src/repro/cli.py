@@ -46,6 +46,7 @@ from repro.experiments.runner import (
     run_comparison,
 )
 from repro.experiments.sweeps import sweep as run_sweep
+from repro.trace import export_jsonl
 
 #: Swept axis -> (value parser, config overrides for one parsed value).
 AXES = {
@@ -83,9 +84,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sanitize",
         action="store_true",
-        help="attach the SimSanitizer (repro.sanity) to the probe bus: "
-        "live invariant checks + end-of-drain conservation accounting "
-        "(slower)",
+        help="sanitize the run record (repro.record): live invariant "
+        "checks + end-of-drain conservation accounting (slower)",
     )
     parser.add_argument(
         "--trace",
@@ -93,8 +93,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         const="",
         default=None,
         metavar="PATH",
-        help="attach the FrameTracer (repro.trace) to the probe bus and, "
-        "for compare, export one JSONL lifecycle trace per strategy; PATH "
+        help="trace the run record (repro.record) and, for compare, "
+        "export one JSONL lifecycle trace per strategy; PATH "
         "may contain a {strategy} placeholder "
         "(default: trace-<strategy>.jsonl)",
     )
@@ -136,14 +136,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
             config, seed=args.seed, strategies=args.strategies
         )
     else:
-        # Tracing: keep each environment around so its tracer can be
+        # Tracing: keep each environment around so its record can be
         # exported after the run (run_comparison only returns summaries).
         results = {}
         for name in args.strategies:
             env = build_environment(config, name, args.seed)
             results[name] = env.execute()
             path = _trace_path(args.trace, name)
-            env.tracer.export_jsonl(path)
+            export_jsonl(env.record, path)
             print(f"[trace written to {path}]")
     print(render_comparison(results))
     if args.perf:

@@ -80,16 +80,17 @@ class ExperimentConfig:
     drain: float = 10.0
 
     # --- debugging ----------------------------------------------------
-    # Both flags register an observer on the repro.probes bus for the run.
-    # Attach the SimSanitizer (repro.sanity): live invariant checks plus
-    # end-of-drain conservation accounting. Observation-only — the event
-    # trace is bit-identical either way — but costs time and memory, so it
+    # Either flag attaches the run's one record (repro.record) to the
+    # repro.probes bus; both set, it does both jobs.
+    # Sanitize: live invariant checks (repro.sanity) plus end-of-drain
+    # conservation accounting. Observation-only — the event trace is
+    # bit-identical either way — but costs time and memory, so it
     # defaults to off.
     sanitize: bool = False
-    # Attach the FrameTracer (repro.trace): ring-buffered per-frame
-    # lifecycle events (publish, transmit, ack, failover, deliver, ...)
-    # queryable after the run and exportable as JSONL. Observation-only,
-    # same bit-identical guarantee as the sanitizer; defaults to off.
+    # Trace: ring-buffered per-frame lifecycle events (publish, transmit,
+    # ack, failover, deliver, ...) queryable after the run (repro.trace)
+    # and exportable as JSONL. Observation-only, same bit-identical
+    # guarantee; defaults to off.
     trace: bool = False
 
     def __post_init__(self) -> None:

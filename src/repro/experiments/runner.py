@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro import probes as _probes
-from repro import sanity as _sanity
-from repro import trace as _trace
 from repro.core.forwarding import DcrdStrategy
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.summary import MetricsSummary, summarize
@@ -42,6 +40,7 @@ from repro.overlay.topology import (
 from repro.pubsub.broker import BrokerRuntime
 from repro.pubsub.endpoints import PublisherProcess
 from repro.pubsub.topics import Workload, generate_workload
+from repro.record import RunRecord
 from repro.routing.base import ProtocolParams, RoutingStrategy, RuntimeContext
 from repro.routing.multipath import MultipathStrategy
 from repro.routing.oracle import OracleStrategy
@@ -107,21 +106,21 @@ class SimulationEnvironment:
     brokers: List[BrokerRuntime]
     publishers: List[PublisherProcess]
     monitor_process: PeriodicProcess
-    sanitizer: Optional[_sanity.Sanitizer] = None
-    tracer: Optional[_trace.FrameTracer] = None
+    record: Optional[RunRecord] = None
 
     def execute(self) -> MetricsSummary:
         """Run to the configured end time and summarise.
 
-        Runs inside one :class:`~repro.stack.observed` session: with
-        ``config.sanitize`` on, invariant violations raise
+        Runs inside one :class:`~repro.stack.observed` session with the
+        environment's :class:`~repro.record.RunRecord` (present when
+        ``config.sanitize`` or ``config.trace`` is on): sanitizing,
+        invariant violations raise
         :class:`~repro.sanity.InvariantViolation` mid-run and the
         end-of-drain checks (timer orphans, frame conservation) run before
-        the summary is assembled; with ``config.trace`` on, the
-        environment's :class:`~repro.trace.FrameTracer` records the run
-        and stays attached through those checks.
+        the summary is assembled; tracing, the record keeps the run's
+        lifecycle events for :mod:`repro.trace`.
         """
-        with observed(self.ctx, self.sanitizer, self.tracer):
+        with observed(self.ctx, self.record):
             for publisher in self.publishers:
                 publisher.start()
             self.monitor_process.start()
@@ -174,16 +173,14 @@ class SimulationEnvironment:
         index = self.ctx.workload.index()
         perf["flat.subgroup_lookups"] = float(index.lookups)
         perf["flat.subgroup_topics"] = float(len(index._members))
-        if self.sanitizer is not None:
-            perf.update(self.sanitizer.perf_counters())
-        if self.tracer is not None:
-            perf.update(self.tracer.perf_counters())
+        if self.record is not None:
+            perf.update(self.record.perf_counters())
         if self.ctx.ordering is not None:
             perf.update(self.ctx.ordering.perf_counters())
         # External bus observers (attached via repro.probes.attach) surface
         # their counters too, e.g. ProbeCounters' probes.* entries.
         for observer in _probes.observers():
-            if observer is self.sanitizer or observer is self.tracer:
+            if observer is self.record:
                 continue
             counters = getattr(observer, "perf_counters", None)
             if callable(counters):
@@ -257,10 +254,14 @@ def build_environment(
         link_loss_rates=link_loss_rates,
         queue_discipline=config.queue_discipline,
     )
-    # The sanitizer must watch the *build* too: strategy.setup() solves the
+    # The record must watch the *build* too: strategy.setup() solves the
     # initial control tables (Theorem-1 order checks) right here.
-    sanitizer = _sanity.Sanitizer() if config.sanitize else None
-    with observed(sanitizer=sanitizer):
+    record = (
+        RunRecord(sanitize=config.sanitize, trace=config.trace)
+        if config.sanitize or config.trace
+        else None
+    )
+    with observed(record=record):
         ctx, strategy, brokers = wire_stack(
             sim,
             topology,
@@ -290,8 +291,7 @@ def build_environment(
         brokers=brokers,
         publishers=publishers,
         monitor_process=monitor_process,
-        sanitizer=sanitizer,
-        tracer=_trace.FrameTracer() if config.trace else None,
+        record=record,
     )
 
 

@@ -36,9 +36,9 @@ Multi-process glue, all of it outside the protocol code:
   expected ``(message, subscriber)`` pairs at start (with the scheduled
   publish times), so deliveries and give-ups are recorded in whichever
   process they happen; the coordinator merges by union.
-* **Partitioned sanitizer** — a partition hosting only part of the
-  overlay runs :class:`repro.sanity.Sanitizer` in ``partitioned`` mode
-  (remote transmissions legitimately arrive without a local send
+* **Partitioned record** — a partition hosting only part of the
+  overlay runs its :class:`repro.record.RunRecord` in ``partitioned``
+  mode (remote transmissions legitimately arrive without a local send
   record); timer settlement is checked locally, frame conservation is
   re-proved over the merged fleet ledgers at the coordinator.
 
@@ -56,7 +56,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import sanity as _sanity
-from repro import trace as _trace
 from repro.core.forwarding import DcrdStrategy
 from repro.live.clock import WallClock
 from repro.live.config import LiveConfig
@@ -64,6 +63,7 @@ from repro.live.faults import link_filter
 from repro.live.scenarios import AcceptLedger, Scenario, reduce_run, scenario_from_dict
 from repro.live.transport import LiveTransport
 from repro.ordering.plan import plan_from_scenario
+from repro.record import RunRecord
 from repro.routing.base import RuntimeContext
 from repro.sim.random import RandomStreams
 from repro.stack import observed, wire_stack
@@ -93,7 +93,7 @@ class PartitionRuntime:
 
     Composes the full protocol stack over a (possibly partitioned)
     :class:`LiveTransport` and owns the partition-local observability
-    (accept ledger, sanitizer, optional tracer). The class is
+    (accept ledger, run record). The class is
     loop-agnostic and in-process testable: the cluster coordinator drives
     it inside :func:`broker_main`, :func:`repro.live.runtime.run_live_scenario`
     drives one instance hosting every node, and the test suite runs two
@@ -116,7 +116,7 @@ class PartitionRuntime:
         local_nodes: Sequence[int],
         config: Optional[LiveConfig] = None,
         sanitize: bool = True,
-        tracer: Optional[_trace.FrameTracer] = None,
+        trace: bool = False,
         stripe_group: Optional[int] = None,
     ) -> None:
         self.scenario = scenario
@@ -126,6 +126,7 @@ class PartitionRuntime:
             raise ConfigurationError("a partition must host at least one node")
         self.config = config if config is not None else LiveConfig()
         self.sanitize = sanitize
+        self.trace = trace
         if stripe_group is None:
             self.first_transfer_id = 1
         elif stripe_group < 1:
@@ -138,9 +139,8 @@ class PartitionRuntime:
         self.transport: Optional[LiveTransport] = None
         self.strategy: Optional[DcrdStrategy] = None
         self.ctx: Optional[RuntimeContext] = None
-        self.sanitizer: Optional[_sanity.Sanitizer] = None
+        self.record: Optional[RunRecord] = None
         self.ledger = AcceptLedger()
-        self.tracer = tracer
         self.published = 0
         self.done_publishing = not self.hosts_publisher
         self._publish_task: Optional["asyncio.Task[None]"] = None
@@ -177,11 +177,9 @@ class PartitionRuntime:
             nodes=self.local_nodes,
             first_transfer_id=self.first_transfer_id,
         )
-        if self.sanitize:
-            self.sanitizer = _sanity.Sanitizer(partitioned=partitioned)
-        self._session = observed(
-            self.ctx, self.sanitizer, self.tracer, observers=[self.ledger]
-        )
+        if self.sanitize or self.trace:
+            self.record = RunRecord(self.sanitize, self.trace, partitioned=partitioned)
+        self._session = observed(self.ctx, self.record, observers=[self.ledger])
         self._session.__enter__()
         await self.transport.start()
 
@@ -279,11 +277,11 @@ class PartitionRuntime:
 
     def finish(self) -> None:
         """End of a settled run: flush hold-back buffers, then run the
-        sanitizer's end-of-run checks (raises on a violation; idempotent)."""
+        record's end-of-run checks (raises on a violation; idempotent)."""
         assert self._session is not None
         self._session.finish()
 
-    def report(self, include_trace: bool = False) -> Dict[str, Any]:
+    def report(self) -> Dict[str, Any]:
         """Reduce the partition to its mergeable end-of-run facts.
 
         Finishes the run first (:meth:`finish`), so end-of-run releases
@@ -297,16 +295,11 @@ class PartitionRuntime:
             "nodes": sorted(self.local_nodes),
             "published": self.published,
             **reduce_run(
-                self.ctx, self.strategy, self.ledger, self.sanitizer, self.local_nodes
+                self.ctx, self.strategy, self.ledger, self.record, self.local_nodes
             ),
         }
-        if self.sanitizer is not None:
-            result["sanitizer"] = self.sanitizer.export_partition()
-        if include_trace and self.tracer is not None:
-            result["trace"] = [
-                [event.t, event.kind, event.msg, event.transfer, event.node, event.peer]
-                for event in self.tracer.events()
-            ]
+        if self.record is not None and self.record.sanitize:
+            result["sanitizer"] = self.record.export_partition()
         return result
 
     async def close(self) -> None:
@@ -355,9 +348,7 @@ async def _control_session(
             send({"type": "status", **runtime.status()})
         elif kind == "report":
             try:
-                report = runtime.report(
-                    include_trace=bool(command.get("trace", False))
-                )
+                report = runtime.report()
             except _sanity.InvariantViolation as violation:
                 send({"type": "error", "error": violation.report()})
             else:
@@ -389,7 +380,7 @@ async def broker_main(args: argparse.Namespace) -> int:
         nodes,
         config,
         sanitize=not args.no_sanitize,
-        tracer=_trace.FrameTracer() if args.trace else None,
+        trace=args.trace,
         stripe_group=min(nodes) + 1,
     )
     control_host, _, control_port = args.control.rpartition(":")

@@ -26,9 +26,9 @@ Design points:
   hanging, and the whole wait is bounded by the publish window plus the
   settle timeout.
 * **Merged verification** — the coordinator re-proves fleet-wide frame
-  conservation from the partitions' exported sanitizer ledgers
-  (:func:`repro.sanity.check_merged_conservation`); timer settlement was
-  already checked inside each process.
+  conservation and total-order agreement from the partitions' exported
+  record ledgers (:func:`repro.record.check_merged`); timer settlement
+  was already checked inside each process.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import sanity as _sanity
+from repro import record as _record
 from repro.live.config import LiveConfig
 from repro.live.scenarios import Scenario, scenario_to_dict
 from repro.util.errors import ConfigurationError, ReproError
@@ -472,9 +472,7 @@ class LiveCluster:
         reports = []
         for peer in self._peers:
             assert peer is not None
-            reply = peer.request(
-                {"type": "report", "trace": self.trace}, self.connect_timeout
-            )
+            reply = peer.request({"type": "report"}, self.connect_timeout)
             if reply.get("type") == "error":
                 raise ClusterError(
                     f"nodes {sorted(peer.nodes)} failed their end-of-run "
@@ -590,19 +588,14 @@ def merge_reports(
         result["timers_started"] = sum(r["timers_started"] for r in reports)
         result["timers_settled"] = sum(r["timers_settled"] for r in reports)
         result["violations"] = sum(r["violations"] for r in reports)
-        result["conservation"] = _sanity.check_merged_conservation(
+        # Conservation, and total-order agreement between subscribers that
+        # partitions only saw one side of, re-proved over the merge.
+        result["conservation"] = _record.check_merged(
             [report["sanitizer"] for report in reports],
             expected_pairs,
             delivered,
             gave_up,
         )
-        if scenario.ordering is not None:
-            # Fleet-wide total-order agreement: partitions only see their
-            # own subscribers' ready-release prefixes, so the pairwise
-            # identical-prefix invariant is re-proved over the merge.
-            _sanity.check_merged_order_prefixes(
-                [report["sanitizer"] for report in reports]
-            )
     if any("trace" in report for report in reports):
         result["trace"] = sorted(
             (tuple(row) for report in reports for row in report.get("trace", ())),

@@ -25,7 +25,6 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Optional
 
-from repro import trace as _trace
 from repro.live.broker import PartitionRuntime
 from repro.live.config import LiveConfig
 from repro.live.scenarios import Scenario, harvest
@@ -36,10 +35,10 @@ async def _run(
     seed: int,
     sanitize: bool,
     config: LiveConfig,
-    tracer: Optional[_trace.FrameTracer] = None,
+    trace: bool,
 ) -> Dict[str, Any]:
     runtime = PartitionRuntime(
-        scenario, seed, scenario.topology().nodes, config, sanitize, tracer
+        scenario, seed, scenario.topology().nodes, config, sanitize, trace
     )
     try:
         await runtime.start()
@@ -56,7 +55,7 @@ async def _run(
         runtime.finish()
     finally:
         await runtime.close()
-    return harvest(scenario, ctx, strategy, runtime.ledger, runtime.sanitizer)
+    return harvest(scenario, ctx, strategy, runtime.ledger, runtime.record)
 
 
 def run_live_scenario(
@@ -64,9 +63,14 @@ def run_live_scenario(
     seed: int = 0,
     sanitize: bool = True,
     config: Optional[LiveConfig] = None,
-    tracer: Optional[_trace.FrameTracer] = None,
+    trace: bool = False,
 ) -> Dict[str, Any]:
-    """Execute *scenario* on the asyncio TCP substrate (blocking wrapper)."""
+    """Execute *scenario* on the asyncio TCP substrate (blocking wrapper).
+
+    With *trace* on, the facts carry the run's lifecycle stream as
+    ``trace`` rows ``[t, kind, msg, transfer, node, peer]`` — the shape a
+    fleet's merged report has.
+    """
     if config is None:
         config = LiveConfig()
-    return asyncio.run(_run(scenario, seed, sanitize, config, tracer))
+    return asyncio.run(_run(scenario, seed, sanitize, config, trace))

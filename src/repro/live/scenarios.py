@@ -28,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
-from repro import sanity as _sanity
 from repro.core.forwarding import DcrdStrategy
 from repro.live.faults import DropRule, ack_loss_rules, dead_link_rules, link_filter
 from repro.ordering.plan import plan_from_scenario
 from repro.overlay.links import OverlayNetwork
 from repro.overlay.topology import Topology, canonical_edge
 from repro.pubsub.topics import Subscription, TopicSpec, Workload
+from repro.record import RunRecord
 from repro.routing.base import ProtocolParams, RuntimeContext
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -245,7 +245,7 @@ class AcceptLedger:
 
     ``accepts[(transfer_id, node)]`` must never exceed 1 — that is the
     at-most-once-post-dedup contract the conformance suite asserts on both
-    substrates (the sanitizer checks it live; the ledger makes it an
+    substrates (a sanitizing record checks it live; the ledger makes it an
     explicit, comparable artifact).
     """
 
@@ -268,7 +268,7 @@ def reduce_run(
     ctx: RuntimeContext,
     strategy: DcrdStrategy,
     ledger: AcceptLedger,
-    sanitizer: Optional[_sanity.Sanitizer],
+    record: Optional[RunRecord],
     nodes: Collection[int],
 ) -> Dict[str, Any]:
     """The JSON-safe end-of-run facts of one finished stack.
@@ -317,11 +317,17 @@ def reduce_run(
         # Wire frames a live transport had to reject (the sim has no wire).
         "codec_errors": getattr(ctx.network, "codec_errors", 0),
     }
-    if sanitizer is not None:
-        perf = sanitizer.perf_counters()
+    if record is not None and record.sanitize:
+        perf = record.perf_counters()
         facts["timers_started"] = perf["sanity.timers_started"]
         facts["timers_settled"] = perf["sanity.timers_settled"]
         facts["violations"] = perf["sanity.violations"]
+    if record is not None and record.trace:
+        # The lifecycle stream as JSON-safe rows; a fleet merges and
+        # sorts the partitions' rows.
+        facts["trace"] = [
+            [e.t, e.kind, e.msg, e.transfer, e.node, e.peer] for e in record.events()
+        ]
     return facts
 
 
@@ -330,10 +336,10 @@ def harvest(
     ctx: RuntimeContext,
     strategy: DcrdStrategy,
     ledger: AcceptLedger,
-    sanitizer: Optional[_sanity.Sanitizer],
+    record: Optional[RunRecord],
 ) -> Dict[str, Any]:
     """Reduce one finished run (either substrate) to its comparable facts."""
-    facts = reduce_run(ctx, strategy, ledger, sanitizer, ctx.topology.nodes)
+    facts = reduce_run(ctx, strategy, ledger, record, ctx.topology.nodes)
     return {
         "scenario": scenario.name,
         "published": ctx.metrics.messages_published,
@@ -367,7 +373,7 @@ def run_sim_scenario(
         scenario.params(),
         ordering=plan_from_scenario(scenario.ordering),
     )
-    sanitizer = _sanity.Sanitizer() if sanitize else None
+    record = RunRecord(sanitize=True) if sanitize else None
     ledger = AcceptLedger()
     spec = ctx.workload.topic(scenario.topic)
     deadlines = {sub.node: sub.deadline for sub in spec.subscriptions}
@@ -379,6 +385,6 @@ def run_sim_scenario(
 
     for i in range(scenario.publishes):
         sim.schedule(i * scenario.publish_interval, publish_one)
-    with observed(ctx, sanitizer, observers=[ledger]):
+    with observed(ctx, record, observers=[ledger]):
         sim.run(until=scenario.end_time)
-    return harvest(scenario, ctx, strategy, ledger, sanitizer)
+    return harvest(scenario, ctx, strategy, ledger, record)

@@ -28,8 +28,9 @@ return an explicit ``{family: callable}`` mapping (what
 :class:`ProbeCounters` does to register closures). The repository's
 built-in observers are:
 
-* :class:`repro.sanity.Sanitizer` — live invariant checks;
-* :class:`repro.trace.FrameTracer` — per-frame lifecycle recording;
+* :class:`repro.record.RunRecord` — the run's one record: live invariant
+  checks (``sanitize``) and per-frame lifecycle recording (``trace``)
+  over one per-transfer ledger, one handler per family;
 * :class:`ProbeCounters` (below) — per-family event counting, the perf
   facet of the bus.
 
@@ -215,10 +216,9 @@ def _fuse(handlers: List[Callable[..., Any]]) -> Callable[..., Any]:
 class ProbeRegistry:
     """Owns the observer list and compiles the per-family slots.
 
-    ``attach`` order is call order within every fused chain (the runner
-    attaches the sanitizer before the tracer, preserving the historical
-    sanitizer-first ordering at shared sites). Attaching an already
-    attached observer is a no-op; handlers are snapshotted at attach time.
+    ``attach`` order is call order within every fused chain. Attaching an
+    already attached observer is a no-op; handlers are snapshotted at
+    attach time.
 
     ``namespace`` is the mapping the compiled slots are written into —
     this module's globals for the default :data:`REGISTRY`, a plain dict
@@ -275,8 +275,8 @@ class ProbeRegistry:
 
 #: The process-wide registry the hook sites are wired to. Observers attach
 #: here (directly or via the module-level :func:`attach`/:func:`detach`
-#: aliases); :class:`repro.stack.observed` does so for a run's sanitizer,
-#: tracer and extra observers.
+#: aliases); :class:`repro.stack.observed` does so for a run's record and
+#: extra observers.
 REGISTRY = ProbeRegistry()
 
 attach = REGISTRY.attach

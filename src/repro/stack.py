@@ -9,8 +9,8 @@ over whatever clock/transport pair the caller brought
 (:mod:`repro.substrate`) together with the run's identities (message
 ids unique within a run, transfer ids unique within a run and striped
 across a fleet), and :class:`observed` owns the process-global
-observer state of a run — attach order on entry, idle state restored
-on every exit path.
+observer state of a run — its record and extra observers attached on
+entry, idle state restored on every exit path.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import itertools
 from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro import probes as _probes
-from repro import sanity as _sanity
-from repro import trace as _trace
 from repro.core.forwarding import DcrdStrategy
 from repro.metrics.collector import MetricsCollector
 from repro.ordering.plan import OrderingPlan
@@ -28,6 +26,7 @@ from repro.overlay.monitor import LinkMonitor
 from repro.overlay.topology import Topology
 from repro.pubsub.broker import BrokerRuntime
 from repro.pubsub.topics import Workload
+from repro.record import RunRecord
 from repro.routing.base import ProtocolParams, RoutingStrategy, RuntimeContext
 from repro.sim.random import RandomStreams
 
@@ -99,16 +98,16 @@ def wire_stack(
 class observed:
     """Context manager owning one run's process-global observer state.
 
-    Entry attaches *sanitizer* then *tracer* (the order fixes the fused
-    callback order at shared probe sites) and the extra *observers* to
-    the probe bus. Exit detaches exactly what entry attached: a ``None``
-    sanitizer or tracer detaches nothing, and observers attached to the
-    bus directly are left untouched. The context's ordering plan stamps
-    from its construction on; :meth:`close` only disarms its pipelines.
+    Entry attaches the run's *record* — its one
+    :class:`~repro.record.RunRecord`, sanitizing and/or tracing — and the
+    extra *observers* to the probe bus. Exit detaches exactly what entry
+    attached: a ``None`` record detaches nothing, and observers attached
+    to the bus directly are left untouched. The context's ordering plan
+    stamps from its construction on; :meth:`close` only disarms its
+    pipelines.
 
     :meth:`finish` ends a run that completed: hold-back state is flushed
-    while the sanitizer watches, then its end-of-run checks run with the
-    tracer still attached (violations capture trace excerpts). A clean
+    while the record watches, then its end-of-run checks run. A clean
     ``with`` exit calls it; an owner whose run spans several calls (a
     live partition) enters, calls :meth:`finish` once settled, and
     :meth:`close` on every path — a run that failed is torn down, not
@@ -118,16 +117,13 @@ class observed:
     def __init__(
         self,
         ctx: Optional[RuntimeContext] = None,
-        sanitizer: Optional[_sanity.Sanitizer] = None,
-        tracer: Optional[_trace.FrameTracer] = None,
+        record: Optional[RunRecord] = None,
         observers: Sequence[Any] = (),
     ) -> None:
         self.ctx = ctx
-        self.sanitizer = sanitizer
-        #: Everything this session attaches, in attach (= call) order.
-        self.observers = tuple(
-            o for o in (sanitizer, tracer, *observers) if o is not None
-        )
+        self.record = record
+        #: Everything this session attaches.
+        self.observers = tuple(o for o in (record, *observers) if o is not None)
         self.plan: Optional[OrderingPlan] = ctx.ordering if ctx is not None else None
         self._finished = False
 
@@ -143,15 +139,8 @@ class observed:
         self._finished = True
         if self.plan is not None:
             self.plan.flush()
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            now = self.ctx.sim.now
-            if sanitizer.partitioned:
-                # Conservation needs the whole fleet's ledgers; the
-                # coordinator re-proves it over the merged exports.
-                sanitizer.finish_partition(now)
-            else:
-                sanitizer.finish(self.ctx.metrics, now)
+        if self.record is not None:
+            self.record.finish(self.ctx.metrics, self.ctx.sim.now)
 
     def close(self) -> None:
         """Disarm the ordering pipelines and detach every observer."""

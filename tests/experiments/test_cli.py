@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import trace
 from repro.cli import _trace_path, build_parser, main
 from repro.trace import load_jsonl
 
@@ -89,7 +90,7 @@ def test_compare_trace_exports_queryable_jsonl(tmp_path, capsys, monkeypatch):
         }
         assert delivered
         for msg, subscriber in delivered:
-            journey = tracer.journey(msg, subscriber)
+            journey = trace.journey(tracer, msg, subscriber)
             assert journey.chain[-1] == subscriber
             for previous, current in zip(journey.hops, journey.hops[1:]):
                 assert previous.dst == current.src

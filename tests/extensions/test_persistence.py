@@ -114,7 +114,7 @@ def test_full_run_dominates_plain_dcrd_on_delivery():
 
 
 def test_traced_custody_journeys_are_complete(tmp_path):
-    """Custody events flow through the probe bus into the tracer, so a
+    """Custody events flow through the probe bus into the run record, so a
     stored-then-redelivered frame has a *complete* journey: the lineage
     link recorded at redelivery stitches the fresh copy to the transfer
     that carried the frame into the storing broker, and ``journey()``
@@ -122,6 +122,7 @@ def test_traced_custody_journeys_are_complete(tmp_path):
     """
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import build_environment
+    from repro import trace
     from repro.trace import load_jsonl
 
     config = ExperimentConfig(
@@ -136,7 +137,7 @@ def test_traced_custody_journeys_are_complete(tmp_path):
     )
     env = build_environment(config, "DCRD+persist", seed=1)
     env.execute()
-    tracer = env.tracer
+    tracer = env.record
 
     custody = [e for e in tracer.events() if e.kind == "custody"]
     stored = [e for e in custody if e.info["action"] == "stored"]
@@ -149,7 +150,7 @@ def test_traced_custody_journeys_are_complete(tmp_path):
         pair = (event.msg, event.info["subscriber"])
         if pair not in delivered:
             continue  # retry still in flight (or lost again) at run end
-        journey = tracer.journey(*pair)
+        journey = trace.journey(tracer, *pair)
         # Pre-bus behaviour was complete=False here: the walk hit the
         # fresh copy's parentless transfer and gave up at the broker.
         assert journey.complete
@@ -159,10 +160,12 @@ def test_traced_custody_journeys_are_complete(tmp_path):
 
     # The custody lineage survives a JSONL round trip.
     path = tmp_path / "persist.jsonl"
-    tracer.export_jsonl(path)
+    trace.export_jsonl(tracer, path)
     loaded = load_jsonl(str(path))
     for event in redelivered:
         pair = (event.msg, event.info["subscriber"])
         if pair in delivered:
-            assert loaded.journey(*pair).chain == tracer.journey(*pair).chain
-            assert loaded.journey(*pair).complete
+            assert (
+                trace.journey(loaded, *pair).chain == trace.journey(tracer, *pair).chain
+            )
+            assert trace.journey(loaded, *pair).complete

@@ -121,8 +121,9 @@ def _digest(env, summary) -> dict:
 
 
 #: The four observation modes every cell must be bit-identical in. The
-#: probe bus compiles its slots to None (plain), one bound handler, or a
-#: fused sanitizer+tracer chain — none of which may perturb the run.
+#: probe bus compiles its slots to None (plain) or the run record's bound
+#: handlers — checking, tracing or both — none of which may perturb the
+#: run.
 MODES = {
     "plain": dict(),
     "sanitized": dict(sanitize=True),
@@ -143,11 +144,11 @@ def test_matches_pre_fast_path_reference(config_name, strategy, seed, mode):
     perf."""
     env, summary = _run(config_name, strategy, seed, **MODES[mode])
     if "traced" in mode:
-        assert env.tracer is not None
-        assert env.tracer.events_recorded > 0
+        assert env.record is not None and env.record.trace
+        assert env.record.events_recorded > 0
     if "sanitized" in mode:
-        assert env.sanitizer is not None
-        assert env.sanitizer.events_checked > 0
+        assert env.record is not None and env.record.sanitize
+        assert env.record.events_popped > 0
     got = _digest(env, summary)
     want = REFERENCE[f"{config_name}/{strategy}/seed{seed}"]
     assert got == want

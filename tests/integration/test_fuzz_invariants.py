@@ -13,18 +13,18 @@ violate:
 * the run is reproducible: a second run with the same seed matches, and a
   *sanitized* run matches too (the sanitizer observes, never perturbs).
 
-Every fuzzed world runs under the SimSanitizer (``sanitize=True``), so the
+Every fuzzed world runs with a sanitizing record (``sanitize=True``), so the
 whole invariant suite of :mod:`repro.sanity` — event-order, path-cycle,
 duplicate-delivery, timer-lifecycle, Theorem-1 order, conservation — is
 enforced inside every example on top of the explicit assertions below.
 
-The worlds also run under the FrameTracer (``trace=True``), adding the
+The worlds' run records also trace (``trace=True``), adding the
 trace-level properties:
 
-* every delivered pair's :meth:`~repro.trace.FrameTracer.journey` is a
-  contiguous hop chain ending at the subscriber (and, for non-persistency
-  strategies, starting at the publisher);
-* its :meth:`~repro.trace.FrameTracer.delay_breakdown` components are
+* every delivered pair's :func:`~repro.trace.journey` is a contiguous hop
+  chain ending at the subscriber (and, for non-persistency strategies,
+  starting at the publisher);
+* its :func:`~repro.trace.delay_breakdown` components are
   non-negative and sum *exactly* (``==`` under ``math.fsum``, not
   ``approx``) to the recorded delivery delay.
 """
@@ -37,6 +37,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 # Imported for its side effect: registers the extension strategies so the
 # fuzz matrix below is the same regardless of test-collection order.
 import repro.extensions  # noqa: F401
+from repro import trace
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import STRATEGIES, build_environment
 from repro.overlay.links import QUEUE_DISCIPLINES, FrameKind
@@ -108,13 +109,13 @@ def test_universal_invariants(strategy, params, seed):
 
     # Trace-level properties: every delivered pair reconstructs to a
     # contiguous journey whose delay decomposes exactly.
-    tracer = env.tracer
+    tracer = env.record
     assert tracer is not None
     assert tracer.events_dropped == 0  # worlds fit the ring buffer
     for outcome in env.ctx.metrics.outcomes():
         if not outcome.delivered:
             continue
-        journey = tracer.journey(outcome.msg_id, outcome.subscriber)
+        journey = trace.journey(tracer, outcome.msg_id, outcome.subscriber)
         assert journey.chain[-1] == outcome.subscriber
         for previous, current in zip(journey.hops, journey.hops[1:]):
             assert previous.dst == current.src
@@ -123,7 +124,7 @@ def test_universal_invariants(strategy, params, seed):
             # custody broker; everything else must chain from the origin.
             assert journey.complete
             assert journey.chain[0] == journey.origin
-        breakdown = tracer.delay_breakdown(outcome.msg_id, outcome.subscriber)
+        breakdown = trace.delay_breakdown(tracer, outcome.msg_id, outcome.subscriber)
         assert breakdown.total == outcome.delay
         assert breakdown.transmission >= 0.0
         assert breakdown.queueing >= 0.0
@@ -172,7 +173,7 @@ def test_bitwise_reproducibility(params, seed):
     b.pop("perf", None)
     assert a == b
 
-    # Same guarantee for the FrameTracer: a traced run differs solely by
+    # Same guarantee for tracing: a traced run differs solely by
     # its trace.* perf counters.
     traced = build_environment(
         config.with_updates(trace=True), "DCRD", seed

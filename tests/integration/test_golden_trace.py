@@ -8,7 +8,7 @@ downstream candidate and *bounces* the copy back upstream to 0 (§III-D),
 which re-dispatches over the slow branch — redelivering at 3 with the
 revisit chain ``0 -> 1 -> 0 -> 2 -> 3``.
 
-``data/golden_trace.jsonl`` pins the FrameTracer's JSONL export of that
+``data/golden_trace.jsonl`` pins the tracing record's JSONL export of that
 run byte-for-byte: every event, timestamp, transfer id and info field.
 The run derives deterministically from the scripted world, so any drift
 is a behavioural change that must be reviewed (and the pin regenerated)
@@ -27,6 +27,7 @@ import pytest
 from repro import probes as _probes
 from repro import trace as _trace
 from repro.core.forwarding import DcrdStrategy
+from repro.record import RunRecord
 from repro.trace import load_jsonl
 from tests.conftest import (
     ScriptedFailures,
@@ -64,7 +65,7 @@ EXPECTED_KINDS = (
 
 
 def traced_run():
-    """Execute the scenario under a FrameTracer; returns (ctx, tracer)."""
+    """Execute the scenario under a tracing record; returns (ctx, tracer)."""
     topo = make_topology(
         [
             (0, 1, 0.010),
@@ -76,7 +77,7 @@ def traced_run():
     failures = ScriptedFailures({(1, 3): [(0.0, 1e9)]})
     workload = single_topic_workload(0, [(3, 1.0)])
     ctx = build_ctx(topo, workload, failures=failures, m=1)
-    tracer = _trace.FrameTracer()
+    tracer = RunRecord(trace=True)
     _probes.attach(tracer)
     try:
         strategy = DcrdStrategy(ctx)
@@ -97,7 +98,7 @@ def export_text(tracer) -> str:
     import io
 
     buffer = io.StringIO()
-    tracer.export_jsonl(buffer)
+    _trace.export_jsonl(tracer, buffer)
     return buffer.getvalue()
 
 
@@ -133,7 +134,7 @@ def test_failover_bounce_redeliver_sequence():
 
 def test_journey_chain_revisits_the_origin():
     _, tracer = traced_run()
-    journey = tracer.journey(1, 3)
+    journey = _trace.journey(tracer, 1, 3)
     assert journey.chain == (0, 1, 0, 2, 3)
     assert journey.complete
     assert journey.origin == 0
@@ -144,7 +145,7 @@ def test_journey_chain_revisits_the_origin():
 
 def test_delay_breakdown_blames_the_ack_timeout():
     ctx, tracer = traced_run()
-    breakdown = tracer.delay_breakdown(1, 3)
+    breakdown = _trace.delay_breakdown(tracer, 1, 3)
     assert breakdown.total == ctx.metrics.outcome(1, 3).delay
     # The only non-propagation delay is broker 1 waiting out the ACK timer
     # before the failover (2*alpha + slack = 21 ms on the 10 ms link).
@@ -156,7 +157,7 @@ def test_delay_breakdown_blames_the_ack_timeout():
 
 def test_retransmission_tree_shows_the_dead_branch():
     _, tracer = traced_run()
-    (root,) = tracer.retransmission_tree(1)
+    (root,) = _trace.retransmission_tree(tracer, 1)
     assert (root["src"], root["dst"], root["fate"]) == (0, 1, "arrived")
     fates = {(c["src"], c["dst"]): c["fate"] for c in root["children"]}
     assert fates == {(1, 3): "lost", (1, 0): "arrived"}
@@ -165,8 +166,8 @@ def test_retransmission_tree_shows_the_dead_branch():
 def test_pinned_jsonl_reconstructs_the_journey_offline():
     """The exported artefact alone supports the full query API."""
     tracer = load_jsonl(str(GOLDEN_PATH))
-    journey = tracer.journey(1, 3)
+    journey = _trace.journey(tracer, 1, 3)
     assert journey.chain == (0, 1, 0, 2, 3)
-    breakdown = tracer.delay_breakdown(1, 3)
+    breakdown = _trace.delay_breakdown(tracer, 1, 3)
     assert breakdown.components_sum() == breakdown.total
     assert breakdown.timeout_wait == pytest.approx(0.021)

@@ -46,7 +46,6 @@ import json
 import math
 from pathlib import Path
 
-from repro import trace as _trace
 from repro.live.broker import split_transfer_id
 from repro.live.cluster import START_DELAY, run_cluster_scenario
 from repro.live.faults import dead_link_rules
@@ -101,20 +100,20 @@ def golden_scenario() -> Scenario:
     )
 
 
-def normalize(tracer: _trace.FrameTracer):
+def normalize(trace_rows):
     """Reduce a live trace to its deterministic, quantized skeleton."""
     rows = []
-    for event in tracer.events():
-        if event.kind not in PINNED_KINDS:
+    for t, kind, msg, transfer, node, peer in trace_rows:
+        if kind not in PINNED_KINDS:
             continue
         rows.append(
             {
-                "q": bucket(event.t),
-                "kind": event.kind,
-                "node": -1 if event.node is None else event.node,
-                "peer": -1 if event.peer is None else event.peer,
-                "msg": -1 if event.msg is None else event.msg,
-                "transfer": -1 if event.transfer is None else event.transfer,
+                "q": bucket(t),
+                "kind": kind,
+                "node": -1 if node is None else node,
+                "peer": -1 if peer is None else peer,
+                "msg": -1 if msg is None else msg,
+                "transfer": -1 if transfer is None else transfer,
             }
         )
     rows.sort(
@@ -124,9 +123,7 @@ def normalize(tracer: _trace.FrameTracer):
 
 
 def traced_live_run():
-    tracer = _trace.FrameTracer()
-    result = run_live_scenario(golden_scenario(), seed=0, sanitize=True, tracer=tracer)
-    return result, tracer
+    return run_live_scenario(golden_scenario(), seed=0, sanitize=True, trace=True)
 
 
 def render(rows) -> str:
@@ -134,8 +131,8 @@ def render(rows) -> str:
 
 
 def write_live_golden() -> None:  # pragma: no cover - regeneration helper
-    _, tracer = traced_live_run()
-    GOLDEN_PATH.write_text(render(normalize(tracer)), encoding="utf-8")
+    result = traced_live_run()
+    GOLDEN_PATH.write_text(render(normalize(result["trace"])), encoding="utf-8")
 
 
 def normalize_multiproc(rows):
@@ -186,14 +183,14 @@ def write_multiproc_golden() -> None:  # pragma: no cover - regeneration helper
 
 
 def test_live_trace_matches_pinned_quantized_jsonl():
-    result, tracer = traced_live_run()
+    result = traced_live_run()
     assert result["violations"] == 0
-    assert render(normalize(tracer)) == GOLDEN_PATH.read_text(encoding="utf-8")
+    assert render(normalize(result["trace"])) == GOLDEN_PATH.read_text(encoding="utf-8")
 
 
 def test_live_golden_exercises_the_full_recovery_sequence():
-    result, tracer = traced_live_run()
-    kinds = [e.kind for e in tracer.events()]
+    result = traced_live_run()
+    kinds = [kind for _, kind, *_ in result["trace"]]
     # The §III-D chain: drop on the dead link, budget exhausted, failover,
     # bounce upstream, redelivery over the slow branch.
     for kind in ("link_drop", "ack_timeout", "failover", "bounce", "deliver"):
@@ -201,8 +198,8 @@ def test_live_golden_exercises_the_full_recovery_sequence():
     assert result["delivered"] == frozenset({(1, 3)})
     # The delivery happens ~1.0 s in (0.1 publish hop + 0.4 timeout +
     # bounce and slow-branch hops); quantization must put it at bucket 10.
-    deliver = next(e for e in tracer.events() if e.kind == "deliver")
-    assert bucket(deliver.t) == 10
+    deliver_t = next(t for t, kind, *_ in result["trace"] if kind == "deliver")
+    assert bucket(deliver_t) == 10
 
 
 def test_multiproc_trace_matches_pinned_quantized_jsonl():

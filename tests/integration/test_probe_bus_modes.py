@@ -1,12 +1,12 @@
-"""Combined-observer runs over the probe bus (satellite of the bus refactor).
+"""Combined-mode runs over the probe bus.
 
 Three guarantees when ``--sanitize --trace --perf`` are stacked on one run:
 
 * the observed run is bit-identical to an unobserved one (the comparison
   table the CLI prints must not change by a character);
-* the sanitizer and the tracer see the *same* event stream — the fused
-  callback chain hands every probe event to both, in attach order;
-* tearing the run down detaches both observers, restoring every
+* the run's one record — checking and tracing — sees the same event
+  stream as any other observer on the bus;
+* tearing the run down detaches the record, restoring every
   ``repro.probes`` slot to the literal-``None`` no-op state.
 """
 
@@ -62,15 +62,15 @@ def test_cli_combined_flags_match_plain_run(tmp_path, monkeypatch, capsys):
     combined = capsys.readouterr().out
 
     assert _comparison_table(combined) == _comparison_table(plain)
-    # Both observers surfaced through the merged perf snapshot.
+    # Both modes surfaced through the merged perf snapshot.
     assert "sanity.events_checked" in combined
     assert "trace.events_recorded" in combined
     assert (tmp_path / "trace-DCRD.jsonl").exists()
 
 
 def test_combined_observers_share_one_event_stream():
-    """Sanitizer, tracer, and an external counter all subscribe to the same
-    fused chains: per-family counts must agree across all three."""
+    """The run's record and an external counter subscribe to the same
+    slots: per-family counts must agree between the two."""
     counters = probes.ProbeCounters()
     probes.attach(counters)
     try:
@@ -80,22 +80,20 @@ def test_combined_observers_share_one_event_stream():
     finally:
         probes.detach(counters)
 
-    sanitizer, tracer = env.sanitizer, env.tracer
-    assert sanitizer is not None and tracer is not None
-    # Every kernel pop reached both built-in observers and the external one.
-    assert sanitizer.events_checked == tracer.sim_events
-    assert counters.counts["event_pop"] == tracer.sim_events > 0
-    # Data-plane families line up with the tracer's recorded stream.
+    record = env.record
+    assert record is not None and record.sanitize and record.trace
+    # Every kernel pop reached the record (once) and the external counter.
+    assert counters.counts["event_pop"] == record.events_popped > 0
+    assert summary.perf["sanity.events_checked"] == float(record.events_popped)
+    assert summary.perf["trace.sim_events"] == float(record.events_popped)
+    # Data-plane families line up with the record's buffered stream.
     by_kind = {}
-    for event in tracer.events():
+    for event in record.events():
         by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
     assert counters.counts["deliver"] == by_kind.get("deliver", 0) > 0
     assert counters.counts["publish"] == by_kind.get("publish", 0) > 0
     # The runner merged the external observer's counters into the summary.
     assert summary.perf["probes.event_pop"] == float(counters.counts["event_pop"])
-    assert summary.perf["sanity.events_checked"] == float(
-        sanitizer.events_checked
-    )
 
 
 def test_run_teardown_restores_noop_slots():
@@ -103,8 +101,8 @@ def test_run_teardown_restores_noop_slots():
     slot is the literal ``None`` no-op and no observer remains attached."""
     config = COMBINED_CONFIG.with_updates(sanitize=True, trace=True)
     env = build_environment(config, "DCRD", seed=5)
-    # build_environment detaches its build-time sanitizer; execute() attaches
-    # both observers for the run and must detach them again on the way out.
+    # build_environment detaches its record after the build; execute()
+    # attaches it for the run and must detach it again on the way out.
     assert probes.observers() == ()
     env.execute()
     assert probes.observers() == ()

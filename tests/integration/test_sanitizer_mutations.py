@@ -22,8 +22,8 @@ import pytest
 from repro import probes, sanity
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_environment, run_single
+from repro.record import RunRecord
 from repro.sanity import InvariantViolation
-from repro.trace import FrameTracer
 from tests import mutations
 
 CONFIG = ExperimentConfig(
@@ -96,7 +96,7 @@ def test_violation_report_carries_context(skip_cancel_mutation):
 
 def test_violation_report_embeds_trace_excerpt(skip_cancel_mutation):
     """--sanitize --trace: the violation carries the offending frame's
-    lifecycle excerpt, captured at raise time from the installed tracer."""
+    lifecycle excerpt, captured at raise time from the run's record."""
     with pytest.raises(InvariantViolation) as excinfo:
         run_single(CONFIG.with_updates(trace=True), "DCRD", seed=3)
     violation = excinfo.value
@@ -116,20 +116,27 @@ def test_violation_report_embeds_trace_excerpt(skip_cancel_mutation):
     assert violation.trace_excerpt[-1] in report
 
 
-def test_violation_excerpt_comes_from_any_attached_tracer(skip_cancel_mutation):
-    """A tracer attached to the bus directly, not through the runner's
-    ``trace`` option, still lends the violation its excerpt."""
-    tracer = FrameTracer()
-    probes.attach(tracer)
+def test_violation_excerpt_comes_only_from_the_raising_record(skip_cancel_mutation):
+    """A tracing record attached to the bus directly lends nothing: a
+    sanitize-only run's violation carries no excerpt, and a traced run's
+    excerpt is its own record's, not the bystander's."""
+    bystander = RunRecord(trace=True)
+    probes.attach(bystander)
     try:
-        with pytest.raises(InvariantViolation) as excinfo:
+        with pytest.raises(InvariantViolation) as untraced:
             run_single(CONFIG, "DCRD", seed=3)
+        with pytest.raises(InvariantViolation) as traced:
+            run_single(CONFIG.with_updates(trace=True), "DCRD", seed=3)
     finally:
-        probes.detach(tracer)
-    violation = excinfo.value
-    assert violation.kind == sanity.TIMER_ORPHAN
-    assert violation.trace_excerpt
+        probes.detach(bystander)
+    assert bystander.events_recorded > 0
+    assert untraced.value.trace_excerpt == ()
+    # Ids restart per run and the bystander heard both runs, so its
+    # excerpt of the frame is not the raising record's.
+    violation = traced.value
     frame = violation.frames[0]
+    own = bystander.excerpt(frames=(frame,))
+    assert violation.trace_excerpt and violation.trace_excerpt != own
     assert any(
         f"transfer={frame.transfer_id}" in line for line in violation.trace_excerpt
     )

@@ -24,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import probes as _probes
-from repro import sanity as _sanity
 from repro.core.forwarding import DcrdStrategy
 from repro.metrics.collector import MetricsCollector
 from repro.overlay.links import FrameKind, OverlayNetwork
 from repro.overlay.monitor import LinkMonitor
 from repro.pubsub.broker import BrokerRuntime
+from repro.record import RunRecord
 from repro.routing.base import ProtocolParams, RuntimeContext
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -100,7 +100,7 @@ def run_world(drops, m=2, elide=False, sanitize=False, publishes=2):
     assert brokers
     if elide:
         strategy.arq.enable_timer_elision()
-    sanitizer = _sanity.Sanitizer() if sanitize else None
+    sanitizer = RunRecord(sanitize=True) if sanitize else None
     ledger = TimeoutLedger()
     spec = workload.topic(0)
     deadlines = {sub.node: sub.deadline for sub in spec.subscriptions}

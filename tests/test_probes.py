@@ -172,8 +172,12 @@ def test_no_active_hook_checks_outside_registered_observers():
 
 
 def test_only_the_composition_roots_import_the_sanitizer():
-    """AST-enforced: no protocol layer depends on :mod:`repro.sanity`."""
-    importers = set()
+    """AST-enforced: no protocol layer depends on the run record or on
+    what it checks and reports (:mod:`repro.record`, :mod:`repro.sanity`,
+    :mod:`repro.trace`); only the composition roots and front ends do,
+    and the three modules import one another one way."""
+    observer_modules = ("repro.record", "repro.sanity", "repro.trace")
+    importers = {}
     for path in _SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
@@ -183,15 +187,21 @@ def test_only_the_composition_roots_import_the_sanitizer():
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            if any(name.startswith("repro.sanity") for name in names):
-                importers.add(str(path.relative_to(_SRC)))
+            for module in observer_modules:
+                if any(name.startswith(module) for name in names):
+                    importers.setdefault(str(path.relative_to(_SRC)), set()).add(
+                        module.split(".")[1]
+                    )
     assert importers == {
-        "__init__.py",
-        "stack.py",
-        "experiments/runner.py",
-        "live/broker.py",
-        "live/cluster.py",
-        "live/scenarios.py",
+        "__init__.py": {"record", "sanity"},
+        "cli.py": {"trace"},
+        "stack.py": {"record"},
+        "experiments/runner.py": {"record"},
+        "live/broker.py": {"record", "sanity"},
+        "live/cluster.py": {"record"},
+        "live/scenarios.py": {"record"},
+        "record.py": {"sanity"},
+        "trace.py": {"record"},
     }
 
 

@@ -1,8 +1,9 @@
-"""Unit tests for the SimSanitizer's hooks, checks, and reporting.
+"""Unit tests for the invariant checks, through a sanitizing run record.
 
-These drive :class:`repro.sanity.Sanitizer` directly with stub frames and
-tables — no simulation — so each invariant's trigger condition, violation
-kind, and report payload is pinned in isolation. Integration-level
+These drive a :class:`repro.record.RunRecord` in its ``sanitize`` mode
+directly with stub frames and tables — no simulation — so each
+invariant's trigger condition, violation kind, and report payload is
+pinned in isolation. Integration-level
 behaviour (hooks wired into real runs) lives in
 ``tests/integration/test_conformance.py`` and
 ``tests/integration/test_sanitizer_mutations.py``.
@@ -10,9 +11,10 @@ behaviour (hooks wired into real runs) lives in
 
 import pytest
 
-from repro import probes, sanity
+from repro import sanity
 from repro.core.computation import DrTable, NodeState, ViaNeighbor
-from repro.sanity import InvariantViolation, Sanitizer
+from repro.record import RunRecord
+from repro.sanity import InvariantViolation
 from tests import mutations
 
 
@@ -48,6 +50,11 @@ class Metrics:
         return list(self._outcomes)
 
 
+def sanitizer():
+    """A record that only checks."""
+    return RunRecord(sanitize=True)
+
+
 def violation(call, *args, **kwargs):
     with pytest.raises(InvariantViolation) as excinfo:
         call(*args, **kwargs)
@@ -58,15 +65,15 @@ def violation(call, *args, **kwargs):
 # Kernel event order
 # ---------------------------------------------------------------------------
 def test_event_pop_in_order_is_clean():
-    s = Sanitizer()
+    s = sanitizer()
     s.on_event_pop(1.0, 1.0)
     s.on_event_pop(2.0, 1.0)
-    assert s.events_checked == 2
+    assert s.events_popped == 2
     assert s.violations == 0
 
 
 def test_event_pop_back_in_time_violates():
-    s = Sanitizer()
+    s = sanitizer()
     error = violation(s.on_event_pop, 0.5, 1.0)
     assert error.kind == sanity.EVENT_ORDER
     assert error.details == {"time": 0.5, "now": 1.0}
@@ -77,7 +84,7 @@ def test_event_pop_back_in_time_violates():
 # Broker accept: dedup, path sync, loop freedom
 # ---------------------------------------------------------------------------
 def test_duplicate_post_dedup_accept_violates():
-    s = Sanitizer()
+    s = sanitizer()
     s.on_broker_accept(3, 2, Frame(transfer_id=7, routing_path=(1, 2)))
     error = violation(
         s.on_broker_accept, 3, 2, Frame(transfer_id=7, routing_path=(1, 2))
@@ -87,14 +94,14 @@ def test_duplicate_post_dedup_accept_violates():
 
 
 def test_path_set_desync_violates():
-    s = Sanitizer()
+    s = sanitizer()
     frame = Frame(routing_path=(1, 2))
     frame.path_set = frozenset({1})  # drifted
     assert violation(s.on_broker_accept, 3, 2, frame).kind == sanity.PATH_DESYNC
 
 
 def test_path_tail_must_match_sender():
-    s = Sanitizer()
+    s = sanitizer()
     frame = Frame(routing_path=(1, 2))
     error = violation(s.on_broker_accept, 3, 9, frame)
     assert error.kind == sanity.PATH_DESYNC
@@ -104,7 +111,7 @@ def test_path_tail_must_match_sender():
 def test_legal_upstream_bounce_is_clean():
     # 1 -> 2 -> 3 got stuck at 3, which bounces the copy back to its
     # upstream 2: path (1, 2, 3), arriving at node 2 from sender 3.
-    s = Sanitizer()
+    s = sanitizer()
     s.on_broker_accept(2, 3, Frame(routing_path=(1, 2, 3)))
     assert s.violations == 0
 
@@ -112,14 +119,14 @@ def test_legal_upstream_bounce_is_clean():
 def test_second_hop_bounce_uses_first_occurrence_upstream():
     # Path (1, 2, 3, 2): node 2 already bounced once and forwarded again;
     # its upstream stays 1 (entry before 2's FIRST appearance).
-    s = Sanitizer()
+    s = sanitizer()
     s.on_broker_accept(1, 2, Frame(routing_path=(1, 2, 3, 2)))
     assert s.violations == 0
 
 
 def test_revisit_that_is_not_a_bounce_violates():
     # Arriving at node 1 from sender 3 whose upstream is 2 — a loop.
-    s = Sanitizer()
+    s = sanitizer()
     error = violation(s.on_broker_accept, 1, 3, Frame(routing_path=(1, 2, 3)))
     assert error.kind == sanity.PATH_CYCLE
     assert error.details["node"] == 1
@@ -127,7 +134,7 @@ def test_revisit_that_is_not_a_bounce_violates():
 
 
 def test_fresh_broker_accept_is_clean():
-    s = Sanitizer()
+    s = sanitizer()
     s.on_broker_accept(4, 3, Frame(routing_path=(1, 2, 3)))
     assert s.accepts_checked == 1
     assert s.violations == 0
@@ -137,19 +144,19 @@ def test_fresh_broker_accept_is_clean():
 # ARQ timer lifecycle
 # ---------------------------------------------------------------------------
 def test_timer_start_then_cancel_settles_once():
-    s = Sanitizer()
+    s = sanitizer()
     s.on_timer_started(11, deadline=2.0)
     s.on_timer_cancelled(11)
     assert (s.timers_started, s.timers_settled) == (1, 1)
 
 
 def test_timer_settle_without_start_violates():
-    s = Sanitizer()
+    s = sanitizer()
     assert violation(s.on_timer_fired, 99).kind == sanity.TIMER_UNKNOWN
 
 
 def test_timer_double_settle_violates():
-    s = Sanitizer()
+    s = sanitizer()
     s.on_timer_started(11, deadline=2.0)
     s.on_timer_cancelled(11)
     error = violation(s.on_timer_fired, 11)
@@ -158,7 +165,7 @@ def test_timer_double_settle_violates():
 
 
 def test_due_pending_timer_is_an_orphan_at_finish():
-    s = Sanitizer()
+    s = sanitizer()
     s.on_timer_started(11, deadline=2.0)
     error = violation(s.finish, Metrics(), now=5.0)
     assert error.kind == sanity.TIMER_ORPHAN
@@ -166,7 +173,7 @@ def test_due_pending_timer_is_an_orphan_at_finish():
 
 
 def test_timer_still_in_the_future_is_not_an_orphan():
-    s = Sanitizer()
+    s = sanitizer()
     s.on_timer_started(11, deadline=9.0)
     s.finish(Metrics(), now=5.0)  # run ended before the deadline: fine
     assert s.violations == 0
@@ -184,7 +191,7 @@ def _table(vias):
 
 
 def test_ordered_sending_list_is_clean():
-    s = Sanitizer()
+    s = sanitizer()
     s.on_table_solved(_table([
         ViaNeighbor(neighbor=1, d_via=0.1, r_via=0.9),   # key ~0.111
         ViaNeighbor(neighbor=2, d_via=0.2, r_via=0.9),   # key ~0.222
@@ -195,7 +202,7 @@ def test_ordered_sending_list_is_clean():
 
 
 def test_missorted_sending_list_violates():
-    s = Sanitizer()
+    s = sanitizer()
     error = violation(s.on_table_solved, _table([
         ViaNeighbor(neighbor=2, d_via=0.2, r_via=0.9),
         ViaNeighbor(neighbor=1, d_via=0.1, r_via=0.9),
@@ -206,7 +213,7 @@ def test_missorted_sending_list_violates():
 
 
 def test_tie_on_ratio_breaks_by_neighbor_id():
-    s = Sanitizer()
+    s = sanitizer()
     error = violation(s.on_table_solved, _table([
         ViaNeighbor(neighbor=2, d_via=0.1, r_via=0.9),
         ViaNeighbor(neighbor=1, d_via=0.1, r_via=0.9),  # same key, lower id
@@ -215,7 +222,7 @@ def test_tie_on_ratio_breaks_by_neighbor_id():
 
 
 def test_missort_mutation_corrupts_a_checked_table():
-    s = Sanitizer()
+    s = sanitizer()
     table = _table([
         ViaNeighbor(neighbor=1, d_via=0.1, r_via=0.9),
         ViaNeighbor(neighbor=2, d_via=0.2, r_via=0.9),
@@ -233,7 +240,7 @@ def _send(s, frame, survived=True, cause=None):
 
 
 def test_conservation_partitions_every_pair():
-    s = Sanitizer()
+    s = sanitizer()
     carried = Frame(transfer_id=1, msg_id=10, destinations=frozenset({5, 6}))
     _send(s, carried)
     s.on_arrive(0.01, 0, 1, carried)
@@ -257,21 +264,21 @@ def test_conservation_partitions_every_pair():
 
 
 def test_pair_never_carried_is_leaked():
-    s = Sanitizer()
+    s = sanitizer()
     error = violation(s.finish, Metrics(Outcome(10, 5)), now=1.0)
     assert error.kind == sanity.CONSERVATION
     assert error.details["leaked_pairs"] == [(10, 5)]
 
 
 def test_custody_pairs_are_not_leaked():
-    s = Sanitizer()
+    s = sanitizer()
     s.on_custody(0.5, 3, Frame(msg_id=10), 5, "stored")
     s.finish(Metrics(Outcome(10, 5)), now=1.0)
     assert s.pair_counts["stranded_custody"] == 1
 
 
 def test_in_flight_copy_explains_a_stranded_pair():
-    s = Sanitizer()
+    s = sanitizer()
     frame = Frame(transfer_id=1, msg_id=10, destinations=frozenset({5}))
     _send(s, frame)  # transmitted, neither delivered nor lost by run end
     s.finish(Metrics(Outcome(10, 5)), now=1.0)
@@ -279,7 +286,7 @@ def test_in_flight_copy_explains_a_stranded_pair():
 
 
 def test_delivery_without_transmission_violates():
-    s = Sanitizer()
+    s = sanitizer()
     error = violation(s.on_arrive, 0.01, 0, 1, Frame(transfer_id=3))
     assert error.kind == sanity.CONSERVATION
 
@@ -288,7 +295,7 @@ def test_delivery_without_transmission_violates():
 # Reporting, counters, bus subscription
 # ---------------------------------------------------------------------------
 def test_report_lists_details_and_frames():
-    s = Sanitizer()
+    s = sanitizer()
     frame = Frame(transfer_id=7, routing_path=(1, 2))
     s.on_broker_accept(3, 2, frame)
     error = violation(s.on_broker_accept, 3, 2, frame)
@@ -299,7 +306,7 @@ def test_report_lists_details_and_frames():
 
 
 def test_perf_counters_cover_all_dimensions():
-    s = Sanitizer()
+    s = sanitizer()
     s.on_event_pop(1.0, 0.5)  # counted even though clean
     s.on_timer_started(1, 2.0)
     s.on_timer_cancelled(1)
@@ -311,13 +318,3 @@ def test_perf_counters_cover_all_dimensions():
     assert perf["sanity.violations"] == 0.0
     assert perf["sanity.pairs_leaked"] == 0.0
 
-
-
-def test_sanitizer_subscribes_exactly_its_checked_families():
-    """Handlers are discovered by ``on_<family>`` name: none may drop out."""
-    assert set(probes.handlers_of(Sanitizer())) == {
-        "event_pop", "transmit", "arrive", "arrival_drop", "expire", "wire",
-        "broker_accept", "timer_started", "timer_cancelled", "timer_fired",
-        "table_solved", "custody", "order_hold", "order_release",
-        "order_stall",
-    }

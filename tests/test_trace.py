@@ -1,9 +1,10 @@
-"""Unit tests for the FrameTracer (repro.trace).
+"""Unit tests for a tracing run record and its reports (repro.trace).
 
-These drive the tracer directly with scripted hook calls — no simulator —
-so every query path (journeys, delay breakdowns, retransmission trees,
-excerpts, JSONL round-trips) is pinned against hand-computed expectations.
-The integration suites cover the hook *sites*; here the subject is the
+These drive a :class:`repro.record.RunRecord` in its ``trace`` mode
+directly with scripted hook calls — no simulator — so every query path
+(journeys, delay breakdowns, retransmission trees, excerpts, JSONL
+round-trips) is pinned against hand-computed expectations. The
+integration suites cover the hook *sites*; here the subject is the
 recorder itself. The one exception is :class:`TestSimulatedDiamond`, which
 reconstructs journeys from a real DCRD run over the production
 ``send_data``/``send_ack`` path.
@@ -15,16 +16,16 @@ import math
 import pytest
 
 from repro import probes, trace
-from repro.trace import (
+from repro.record import (
     ARRIVE,
     DEFAULT_CAPACITY,
-    FrameTracer,
     LINK_DROP,
     PUBLISH,
     TRANSMIT,
-    TraceError,
-    load_jsonl,
+    RunRecord,
 )
+from repro.trace import TraceError, load_jsonl
+from repro.util.errors import ConfigurationError
 from tests.conftest import ScriptedFailures, single_topic_workload
 from tests.core.test_forwarding import diamond, run_once
 
@@ -55,6 +56,11 @@ class FakeFrame:
         self.fragment_index = fragment_index
 
 
+def traced(capacity=DEFAULT_CAPACITY):
+    """A record that only traces."""
+    return RunRecord(trace=True, capacity=capacity)
+
+
 def scripted_two_hop_tracer():
     """One message 0 -> 1 -> 2 with a lost first attempt on the second hop.
 
@@ -67,7 +73,7 @@ def scripted_two_hop_tracer():
     * t=0.05  transfer 3 retransmitted 1->2, prop 0.01
     * t=0.06  transfer 3 arrives at 2; delivered to the local subscriber
     """
-    tracer = FrameTracer()
+    tracer = traced()
     root = FakeFrame(1, 1)
     tracer.on_publish(root)
     tracer.on_fork(1, 2)
@@ -86,7 +92,7 @@ def scripted_two_hop_tracer():
 
 class TestRecording:
     def test_ring_buffer_evicts_oldest_and_counts_drops(self):
-        tracer = FrameTracer(capacity=4)
+        tracer = traced(capacity=4)
         for msg in range(6):
             tracer.on_publish(FakeFrame(msg, msg + 10, publish_time=float(msg)))
         events = tracer.events()
@@ -96,11 +102,11 @@ class TestRecording:
         assert [e.msg for e in events] == [2, 3, 4, 5]
 
     def test_capacity_must_be_positive(self):
-        with pytest.raises(TraceError):
-            FrameTracer(capacity=0)
+        with pytest.raises(ConfigurationError):
+            traced(capacity=0)
 
     def test_departure_loss_records_transmit_and_link_drop(self):
-        tracer = FrameTracer()
+        tracer = traced()
         frame = FakeFrame(1, 2)
         tracer.on_transmit(0.5, 0, 1, frame, False, "link_failed", 0.01, 0.0)
         kinds = [e.kind for e in tracer.events()]
@@ -109,7 +115,7 @@ class TestRecording:
         assert drop.info == {"cause": "link_failed"}
 
     def test_bare_objects_without_transfer_id_are_ignored(self):
-        tracer = FrameTracer()
+        tracer = traced()
         tracer.on_transmit(0.0, 0, 1, object(), True, None, 0.01, 0.0)
         tracer.on_arrive(0.0, 0, 1, object())
         assert tracer.events() == []
@@ -139,7 +145,7 @@ class TestRecording:
 class TestJourney:
     def test_chain_and_hops(self):
         tracer = scripted_two_hop_tracer()
-        journey = tracer.journey(1, 2)
+        journey = trace.journey(tracer, 1, 2)
         assert journey.chain == (0, 1, 2)
         assert journey.complete
         assert journey.origin == 0
@@ -152,9 +158,9 @@ class TestJourney:
         assert second.arrival == 0.06
 
     def test_publisher_local_delivery_is_a_trivial_journey(self):
-        tracer = FrameTracer()
+        tracer = traced()
         tracer.on_publish(FakeFrame(4, 9, origin=5, publish_time=2.5))
-        journey = tracer.journey(4, 5)
+        journey = trace.journey(tracer, 4, 5)
         assert journey.chain == (5,)
         assert journey.hops == ()
         assert journey.total_delay == 0.0
@@ -163,16 +169,16 @@ class TestJourney:
     def test_unknown_pair_raises(self):
         tracer = scripted_two_hop_tracer()
         with pytest.raises(TraceError):
-            tracer.journey(1, 9)
+            trace.journey(tracer, 1, 9)
         with pytest.raises(TraceError):
-            tracer.journey(42, 2)
+            trace.journey(tracer, 42, 2)
 
     def test_retransmit_after_arrival_keeps_send_tx_at_first_arrival(self):
         # DATA arrived but its ACK was lost: the sender retransmits a copy
         # that already reached its receiver. The arriving attempt is still
         # the first one — the late retransmit must not inflate the
         # retransmission component.
-        tracer = FrameTracer()
+        tracer = traced()
         tracer.on_publish(FakeFrame(1, 1))
         tracer.on_fork(1, 2)
         frame = FakeFrame(1, 2)
@@ -182,12 +188,12 @@ class TestJourney:
         tracer.on_ack_timeout(0.5, 0, 1, frame, 1, True)
         tracer.on_transmit(0.5, 0, 1, frame, True, None, 0.01, 0.0)
         tracer.on_arrive(0.51, 0, 1, frame)
-        journey = tracer.journey(1, 1)
+        journey = trace.journey(tracer, 1, 1)
         (hop,) = journey.hops
         assert hop.send_tx == 0.0
         assert hop.arrival == 0.01
         assert hop.attempts == 2
-        breakdown = tracer.delay_breakdown(1, 1)
+        breakdown = trace.delay_breakdown(tracer, 1, 1)
         assert breakdown.retransmission == 0.0
 
 
@@ -204,7 +210,7 @@ class TestSimulatedDiamond:
     )
     def test_journey_and_lost_copies(self, dead, hops, lost):
         failures = ScriptedFailures({edge: [(0.0, 1e9)] for edge in dead})
-        tracer = FrameTracer()
+        tracer = traced()
         probes.attach(tracer)
         try:
             ctx, _ = run_once(
@@ -212,9 +218,9 @@ class TestSimulatedDiamond:
             )
         finally:
             probes.detach(tracer)
-        journey = tracer.journey(1, 3)
+        journey = trace.journey(tracer, 1, 3)
         assert [(hop.src, hop.dst) for hop in journey.hops] == hops
-        copies = tracer.retransmission_tree(1)
+        copies = trace.retransmission_tree(tracer, 1)
         flat = []
         while copies:
             copy = copies.pop()
@@ -228,7 +234,7 @@ class TestSimulatedDiamond:
 class TestDelayBreakdown:
     def test_components_match_hand_computation(self):
         tracer = scripted_two_hop_tracer()
-        breakdown = tracer.delay_breakdown(1, 2)
+        breakdown = trace.delay_breakdown(tracer, 1, 2)
         assert breakdown.total == pytest.approx(0.06)
         # Broker 1 held the frame 0.01s before first transmitting it.
         assert breakdown.timeout_wait == pytest.approx(0.01)
@@ -239,7 +245,7 @@ class TestDelayBreakdown:
 
     def test_components_sum_is_exact(self):
         tracer = scripted_two_hop_tracer()
-        breakdown = tracer.delay_breakdown(1, 2)
+        breakdown = trace.delay_breakdown(tracer, 1, 2)
         assert breakdown.components_sum() == breakdown.total
         assert math.fsum(
             (
@@ -251,7 +257,7 @@ class TestDelayBreakdown:
         ) == breakdown.total
 
     def test_fifo_queue_wait_is_classified_as_queueing(self):
-        tracer = FrameTracer()
+        tracer = traced()
         tracer.on_publish(FakeFrame(1, 1))
         tracer.on_fork(1, 2)
         frame = FakeFrame(1, 2)
@@ -260,13 +266,13 @@ class TestDelayBreakdown:
         tracer.on_enqueue(0.0, 0, 1, frame, 0.3)
         tracer.on_arrive(0.36, 0, 1, frame)  # 0.3 wait + 0.05 serialise + 0.01 prop
         tracer.on_deliver(0.36, 1, frame)
-        breakdown = tracer.delay_breakdown(1, 1)
+        breakdown = trace.delay_breakdown(tracer, 1, 1)
         assert breakdown.queueing == pytest.approx(0.3)
         assert breakdown.transmission == pytest.approx(0.06)
         assert breakdown.components_sum() == breakdown.total
 
     def test_edf_queueing_derived_from_arrival(self):
-        tracer = FrameTracer()
+        tracer = traced()
         tracer.on_publish(FakeFrame(1, 1))
         tracer.on_fork(1, 2)
         frame = FakeFrame(1, 2)
@@ -275,7 +281,7 @@ class TestDelayBreakdown:
         tracer.on_enqueue(0.0, 0, 1, frame, None, qlen=4)
         tracer.on_arrive(0.21, 0, 1, frame)
         tracer.on_deliver(0.21, 1, frame)
-        breakdown = tracer.delay_breakdown(1, 1)
+        breakdown = trace.delay_breakdown(tracer, 1, 1)
         assert breakdown.queueing == pytest.approx(0.20)
         assert breakdown.components_sum() == breakdown.total
 
@@ -283,7 +289,7 @@ class TestDelayBreakdown:
 class TestRetransmissionTree:
     def test_tree_structure_and_fates(self):
         tracer = scripted_two_hop_tracer()
-        (root,) = tracer.retransmission_tree(1)
+        (root,) = trace.retransmission_tree(tracer, 1)
         assert root["transfer"] == 2
         assert (root["src"], root["dst"]) == (0, 1)
         assert root["fate"] == "arrived"
@@ -293,17 +299,17 @@ class TestRetransmissionTree:
         assert child["fate"] == "arrived"
 
     def test_lost_copy_fate(self):
-        tracer = FrameTracer()
+        tracer = traced()
         tracer.on_publish(FakeFrame(1, 1))
         tracer.on_fork(1, 2)
         frame = FakeFrame(1, 2)
         tracer.on_transmit(0.0, 0, 1, frame, False, "loss", 0.01, 0.0)
-        (root,) = tracer.retransmission_tree(1)
+        (root,) = trace.retransmission_tree(tracer, 1)
         assert root["fate"] == "lost"
 
     def test_format_renders_every_copy(self):
         tracer = scripted_two_hop_tracer()
-        text = tracer.format_retransmission_tree(1)
+        text = trace.format_retransmission_tree(tracer, 1)
         assert "msg 1" in text
         assert "#2 0->1" in text
         assert "#3 1->2" in text
@@ -334,36 +340,50 @@ class TestJsonlRoundTrip:
     def test_export_then_load_preserves_queries(self):
         tracer = scripted_two_hop_tracer()
         buffer = io.StringIO()
-        tracer.export_jsonl(buffer)
+        trace.export_jsonl(tracer, buffer)
         loaded = load_jsonl(io.StringIO(buffer.getvalue()))
         assert loaded.events_recorded == tracer.events_recorded
         assert [e.as_dict() for e in loaded.events()] == [
             e.as_dict() for e in tracer.events()
         ]
-        original = tracer.journey(1, 2)
-        recovered = loaded.journey(1, 2)
+        original = trace.journey(tracer, 1, 2)
+        recovered = trace.journey(loaded, 1, 2)
         assert recovered.chain == original.chain
         assert recovered.delivery_time == original.delivery_time
         assert (
-            loaded.delay_breakdown(1, 2).as_dict()
-            == tracer.delay_breakdown(1, 2).as_dict()
+            trace.delay_breakdown(loaded, 1, 2).as_dict()
+            == trace.delay_breakdown(tracer, 1, 2).as_dict()
         )
 
     def test_export_to_path(self, tmp_path):
         tracer = scripted_two_hop_tracer()
         path = tmp_path / "trace.jsonl"
-        tracer.export_jsonl(str(path))
+        trace.export_jsonl(tracer, str(path))
         loaded = load_jsonl(str(path))
-        assert loaded.journey(1, 2).chain == (0, 1, 2)
+        assert trace.journey(loaded, 1, 2).chain == (0, 1, 2)
 
     def test_meta_line_first_and_versioned(self):
         buffer = io.StringIO()
-        scripted_two_hop_tracer().export_jsonl(buffer)
+        trace.export_jsonl(scripted_two_hop_tracer(), buffer)
         import json
 
         first = json.loads(buffer.getvalue().splitlines()[0])
         assert first["kind"] == "meta"
         assert first["version"] == trace.JSONL_VERSION
+
+    def test_reexport_of_an_overflowed_ring_is_byte_identical(self):
+        # The meta line's counts survive the load: five events through a
+        # ring of three record 5 and drop 2, not the 3 lines in the file.
+        tracer = traced(capacity=3)
+        for transfer in range(1, 6):
+            tracer.on_arrive(0.1 * transfer, 0, 1, FakeFrame(1, transfer))
+        first = io.StringIO()
+        trace.export_jsonl(tracer, first)
+        loaded = load_jsonl(io.StringIO(first.getvalue()))
+        assert (loaded.events_recorded, loaded.events_dropped) == (5, 2)
+        second = io.StringIO()
+        trace.export_jsonl(loaded, second)
+        assert second.getvalue() == first.getvalue()
 
     def test_missing_meta_line_rejected(self):
         with pytest.raises(TraceError):
@@ -376,20 +396,11 @@ class TestJsonlRoundTrip:
 
 class TestInstall:
     def test_default_capacity_is_large(self):
-        assert FrameTracer().capacity == DEFAULT_CAPACITY
-
-    def test_subscribes_exactly_its_recorded_families(self):
-        """Handlers are discovered by ``on_<family>`` name: none may drop out."""
-        assert set(probes.handlers_of(FrameTracer())) == {
-            "event_pop", "publish", "fork", "transmit", "enqueue", "arrive",
-            "arrival_drop", "expire", "dedup_discard", "deliver", "ack",
-            "ack_timeout", "failover", "bounce", "abandon", "custody",
-            "order_hold", "order_release", "order_stall",
-        }
+        assert RunRecord(trace=True).capacity == DEFAULT_CAPACITY
 
 
 def test_publish_event_carries_topic_and_destinations():
-    tracer = FrameTracer()
+    tracer = traced()
     tracer.on_publish(
         FakeFrame(1, 1, destinations=frozenset({2, 5}), topic=3, publish_time=1.5)
     )
@@ -400,7 +411,7 @@ def test_publish_event_carries_topic_and_destinations():
 
 
 def test_arrive_event_names_receiver_and_sender():
-    tracer = FrameTracer()
+    tracer = traced()
     tracer.on_arrive(0.25, 4, 7, FakeFrame(1, 2))
     (event,) = tracer.events()
     assert event.kind == ARRIVE
