@@ -279,28 +279,23 @@ def reduce_run(
     ledger of a partition co-located with others (the in-process
     partition tests) hears all of them and is filtered here.
     """
-    outcomes = ctx.metrics.outcomes()
+    delivered: List[Tuple[int, int]] = []
+    gave_up: List[Tuple[int, int]] = []
+    delays: List[Tuple[int, int, float]] = []
+    for o in ctx.metrics.outcomes():
+        if o.delivered:
+            delivered.append((o.msg_id, o.subscriber))
+            delays.append((o.msg_id, o.subscriber, o.delay))
+        elif o.gave_up:
+            # Given up and never delivered: one branch may abandon a pair
+            # that another delivers, and merge_reports counts such a pair
+            # delivered.
+            gave_up.append((o.msg_id, o.subscriber))
     deliveries = tuple(pair for pair in ledger.deliveries if pair[1] in nodes)
     facts: Dict[str, Any] = {
-        "delivered": tuple(
-            sorted((o.msg_id, o.subscriber) for o in outcomes if o.delivered)
-        ),
-        # Given up and never delivered: one branch may abandon a pair that
-        # another delivers, and merge_reports counts such a pair delivered.
-        "gave_up": tuple(
-            sorted(
-                (o.msg_id, o.subscriber)
-                for o in outcomes
-                if o.gave_up and not o.delivered
-            )
-        ),
-        "delays": tuple(
-            sorted(
-                (o.msg_id, o.subscriber, o.delay)
-                for o in outcomes
-                if o.delay is not None
-            )
-        ),
+        "delivered": tuple(sorted(delivered)),
+        "gave_up": tuple(sorted(gave_up)),
+        "delays": tuple(sorted(delays)),
         "duplicates": ctx.metrics.duplicate_count(),
         # At-most-once post-dedup: must never exceed 1.
         "max_accepts_per_transfer": max(

@@ -128,7 +128,6 @@ class PubSubSystem:
         self._topic_names: Dict[int, str] = {}
         self._callbacks: Dict[Tuple[int, int], Callable[[Delivery], None]] = {}
         self._payloads: Dict[int, Any] = {}
-        self._publish_times: Dict[int, float] = {}
         self._publishers: List[PublisherProcess] = []
 
     # ------------------------------------------------------------------
@@ -210,7 +209,6 @@ class PubSubSystem:
         msg_id = next(self.ctx.message_ids)
         now = self.sim.now
         self._payloads[msg_id] = payload
-        self._publish_times[msg_id] = now
         deadlines = {sub.node: sub.deadline for sub in spec.subscriptions}
         self.metrics.expect(msg_id, topic_id, now, deadlines)
         self.strategy.publish(spec, msg_id)
@@ -261,16 +259,16 @@ class PubSubSystem:
         return topic_id
 
     def _on_delivery(self, msg_id: int, subscriber: int, time: float) -> None:
-        outcome = self.metrics.outcome(msg_id, subscriber)
-        callback = self._callbacks.get((outcome.topic, subscriber))
+        topic, publish_time = self.metrics.published(msg_id)
+        callback = self._callbacks.get((topic, subscriber))
         if callback is None:
             return
         callback(
             Delivery(
-                topic=self._topic_names[outcome.topic],
+                topic=self._topic_names[topic],
                 msg_id=msg_id,
                 subscriber=subscriber,
-                publish_time=outcome.publish_time,
+                publish_time=publish_time,
                 delivery_time=time,
                 payload=self._payloads.get(msg_id),
             )

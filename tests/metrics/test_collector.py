@@ -107,3 +107,93 @@ def test_publish_time_offsets_delay():
     collector.record_delivery(5, 2, 10.05)
     assert collector.outcome(5, 2).delay == pytest.approx(0.05)
     assert collector.outcome(5, 2).on_time
+
+
+def test_rejected_expect_registers_nothing():
+    collector = MetricsCollector()
+    collector.expect(1, 0, 0.0, {2: 0.1})
+    with pytest.raises(SimulationError, match=r"duplicate expectation for \(1, 2\)"):
+        collector.expect(1, 0, 0.0, {3: 0.1, 2: 0.1})
+    assert collector.messages_published == 1
+    assert collector.expected_deliveries == 1
+    assert collector.record_delivery(1, 3, 0.05) is False
+    with pytest.raises(KeyError):
+        collector.outcome(1, 3)
+
+
+def test_message_expected_again_with_other_subscribers():
+    collector = MetricsCollector()
+    collector.expect(1, 0, 0.0, {2: 0.1})
+    collector.expect(1, 5, 1.0, {3: 0.2})
+    assert collector.messages_published == 2
+    assert collector.record_delivery(1, 3, 1.1, hops=2) is True
+    collector.record_give_up(1, 2)
+    assert [(o.msg_id, o.subscriber, o.topic, o.delivered, o.gave_up, o.hops)
+            for o in collector.outcomes()] == [(1, 2, 0, False, True, None),
+                                               (1, 3, 5, True, False, 2)]
+    assert collector.published(1) == (0, 0.0)
+
+
+def test_snapshot_fields_are_read_only():
+    collector = MetricsCollector()
+    collector.expect(1, 0, 0.0, {2: 0.1})
+    outcome = collector.outcome(1, 2)
+    with pytest.raises(AttributeError):
+        outcome.delivery_time = 0.05
+    with pytest.raises(AttributeError):
+        outcome.gave_up = True
+    assert not hasattr(outcome, "__dict__")
+    # A snapshot does not follow later writes to the table.
+    collector.record_delivery(1, 2, 0.05)
+    assert not outcome.delivered
+    assert collector.outcome(1, 2).delivered
+
+
+def test_outcomes_is_a_lazy_read_only_sequence():
+    collector = MetricsCollector()
+    collector.expect(1, 0, 0.0, {2: 0.1, 3: 0.2})
+    collector.expect(2, 1, 1.0, {2: 0.1})
+    rows = collector.outcomes()
+    assert not isinstance(rows, list)
+    assert len(rows) == 3
+    assert [(o.msg_id, o.subscriber) for o in rows] == [(1, 2), (1, 3), (2, 2)]
+    assert rows[-1] == collector.outcome(2, 2)
+    assert rows[1].subscriber == 3
+    with pytest.raises(IndexError):
+        rows[3]
+    with pytest.raises(TypeError):
+        rows[0] = rows[1]
+    # The length is fixed when the view is taken; values are read live.
+    collector.expect(3, 0, 2.0, {2: 0.1})
+    collector.record_delivery(1, 3, 0.1)
+    assert len(rows) == 3 and len(collector.outcomes()) == 4
+    assert rows[1].delivered
+
+
+def test_hops_recorded_with_first_copy_only():
+    collector = MetricsCollector()
+    collector.expect(1, 0, 0.0, {2: 0.1, 3: 0.1})
+    collector.record_delivery(1, 2, 0.05, hops=0)
+    collector.record_delivery(1, 2, 0.06, hops=4)
+    collector.record_delivery(1, 3, 0.07)
+    assert collector.outcome(1, 2).hops == 0
+    assert collector.outcome(1, 3).hops is None
+
+
+def test_queries_on_an_empty_table():
+    collector = MetricsCollector()
+    assert collector.delivered_count() == 0
+    assert collector.on_time_count() == 0
+    assert collector.duplicate_count() == 0
+    assert collector.delays() == []
+    assert collector.late_normalized_delays() == []
+    assert list(collector.outcomes()) == []
+
+
+def test_equal_maps_share_one_roster():
+    collector = MetricsCollector()
+    for msg_id in range(1, 5):
+        collector.expect(msg_id, 0, float(msg_id), {2: 0.1, 3: 0.2})
+    collector.expect(5, 0, 5.0, {3: 0.2, 2: 0.1})  # other order: other rows
+    assert len(collector._rosters) == 2
+    assert [o.subscriber for o in collector.outcomes()][-2:] == [3, 2]
