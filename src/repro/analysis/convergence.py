@@ -2,9 +2,11 @@
 
 The ``<d, r>`` recursion (§III-B) is solved by repeated local updates; the
 paper never reports how fast it settles. This module measures it: sweeps to
-convergence of :func:`repro.core.computation.compute_dr_table` across the
-(topic, subscriber) pairs of a workload, which bounds the time the
-distributed protocol needs after a subscription or a monitoring refresh.
+convergence of the ``<d, r>`` table of every (topic, subscriber) pair of a
+workload, solved through one
+:class:`repro.core.computation.ControlPlaneSolver` (every table is
+independent of its batch mates), which bounds the time the distributed
+protocol needs after a subscription or a monitoring refresh.
 Every solve converges or raises, so there is no unconverged share to
 report.
 
@@ -18,11 +20,11 @@ rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from repro.core.computation import compute_dr_table
+from repro.core.computation import ControlPlaneSolver
 from repro.overlay.monitor import LinkMonitor
 from repro.overlay.topology import Topology
 from repro.pubsub.topics import Workload
@@ -58,21 +60,16 @@ def convergence_report(
     m: int = 1,
 ) -> ConvergenceReport:
     """Solve every pair's recursion and summarise convergence behaviour."""
-    estimates = monitor.estimates()
-    rounds: List[int] = []
-    reachable: List[bool] = []
-    for spec in workload.topics:
-        for sub in spec.subscriptions:
-            table = compute_dr_table(
-                topology,
-                estimates,
-                publisher=spec.publisher,
-                subscriber=sub.node,
-                deadline=sub.deadline,
-                m=m,
-            )
-            rounds.append(table.rounds)
-            reachable.append(table.reachable(spec.publisher))
+    solver = ControlPlaneSolver(topology, monitor.estimates(), m=m)
+    tables = solver.solve(
+        [
+            (spec.publisher, sub.node, sub.deadline)
+            for spec in workload.topics
+            for sub in spec.subscriptions
+        ]
+    )
+    rounds = [table.rounds for table in tables]
+    reachable = [table.reachable(table.publisher) for table in tables]
     if not rounds:
         return ConvergenceReport(
             pairs=0,

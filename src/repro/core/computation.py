@@ -21,14 +21,36 @@ one (publisher, subscriber) solve is *pair-independent*: the Eq. 1
 ``(alpha_m, gamma_m)`` link table and the adjacency depend only on the
 estimates, and the budget Dijkstra depends only on the publisher.
 :class:`ControlPlaneSolver` computes each of those artifacts exactly once
-per refresh and then solves **every table of the refresh in one batched
-NumPy kernel** (:meth:`ControlPlaneSolver.solve`): the ``<d, r>`` vectors
-of all tables live in two ``(tables, nodes + 1)`` arrays, and one block
-evaluation gathers the neighbour values of every dirty ``(table, node)``
-pair of the block, applies the budget filter, sorts the candidates and
-folds Eq. 3 — for all tables at once, one C loop per arithmetic step
+per refresh and then solves **the tables of the refresh in batched NumPy
+kernels** (:meth:`ControlPlaneSolver.solve`): the ``<d, r>`` vectors of
+the tables of a batch live in two ``(tables, nodes + 1)`` arrays, and one
+block evaluation gathers the neighbour values of every dirty ``(table,
+node)`` pair of the block, applies the budget filter, sorts the candidates
+and folds Eq. 3 — for all tables at once, one C loop per arithmetic step
 instead of one Python call per node per sweep per table. A single pair is
 a batch of one.
+
+Storage and chunks
+------------------
+
+A batch's kernel buffers grow as tables x nodes x max degree, so
+``solve`` cuts its pairs into consecutive chunks of at most
+:data:`_CHUNK_CELLS` such cells and runs one batch per chunk. A table is
+independent of its batch mates, so where the cuts fall changes no table,
+no error and no summed work counter; a refresh of a few hundred tables on
+a few hundred nodes is one chunk.
+
+A solved table keeps only what cannot be derived: its final ``d`` and
+``r`` rows and, per node, the sending list's length and its link columns
+in Theorem 1 order, in the narrowest integer dtype that holds the
+degree. It shares the solver's per-link ``(neighbour, alpha_m, gamma_m)``
+arrays, which nothing writes after the solver is built, and its
+publisher's distance row. The rest is derived on access, with the
+kernel's own operations: a :class:`NodeState` recomputes ``d_via = alpha
++ d_i`` and ``r_via = gamma * r_i`` from the rows, a budget is ``deadline
+- distance``, and a sending list is read through the column order and
+kept once asked for. Nothing derived is cached but the sending lists the
+data plane reads.
 
 The kernel is bit-identical to the scalar per-node loop it batches (kept
 as the oracle in ``tests/core/reference_solver.py``), by construction:
@@ -58,7 +80,7 @@ as the oracle in ``tests/core/reference_solver.py``), by construction:
 
 A block evaluation allocates nothing of its ``(cells, max_degree)`` shape:
 the gathers, Eq. 2, the ratio and the sorted columns are written into
-buffers made once per solve. Allocated afresh, about ten such arrays per
+buffers made once per batch. Allocated afresh, about ten such arrays per
 evaluation went back to the operating system and were faulted in again
 every time, which cost more than the arithmetic on them.
 
@@ -184,62 +206,94 @@ def aggregate_dr(vias: Sequence[ViaNeighbor]) -> Tuple[float, float]:
 
 
 class _SolvedStates(Mapping[int, NodeState]):
-    """The ``states`` of a solved table, read from the solver's array rows.
+    """The ``states`` of a solved table, derived from its compact rows.
 
-    A refresh produces tens of thousands of (table, node) states and the
-    data plane reads a handful per table, so :class:`NodeState` and
-    :class:`ViaNeighbor` objects are built on first access and cached.
-    Being a :class:`~collections.abc.Mapping`, it iterates, compares and
-    copies (``dict(states)``) like the plain dict of a hand-built table.
+    A table keeps its final ``d`` and ``r`` rows, each node's sending-list
+    length and its Theorem 1 column order (which of the node's link columns
+    come first), and a reference to the solver's per-link arrays. A
+    :class:`NodeState` is derived from those on every access, with the
+    kernel's own operations (``alpha + d_i``, ``gamma * r_i``), so it is
+    bit-identical to the one the final pass sorted; nothing is cached, so
+    reading every state (a sanitizer pass) retains nothing. Being a
+    :class:`~collections.abc.Mapping`, it iterates, compares and copies
+    (``dict(states)``) like the plain dict of a hand-built table.
     """
 
-    __slots__ = ("_d", "_r", "_lengths", "_neighbors", "_d_via", "_r_via", "_built")
+    __slots__ = ("_d", "_r", "_lengths", "_columns", "_links")
 
     def __init__(
         self,
         d: np.ndarray,
         r: np.ndarray,
         lengths: np.ndarray,
-        neighbors: np.ndarray,
-        d_via: np.ndarray,
-        r_via: np.ndarray,
+        columns: np.ndarray,
+        links: Tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
-        # Per-node ``<d, r>``, sending-list length, and the sending list's
-        # (neighbour, d_via, r_via) columns in Theorem 1 order.
         self._d = d
         self._r = r
         self._lengths = lengths
-        self._neighbors = neighbors
-        self._d_via = d_via
-        self._r_via = r_via
-        self._built: Dict[int, NodeState] = {}
+        self._columns = columns
+        # The solver's (usable neighbour, alpha_m, gamma_m) per link column,
+        # shared by every table of the solver and never written.
+        self._links = links
+
+    def _sorted(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
+        """*node*'s sending-list columns and neighbours, in Theorem 1 order."""
+        if node not in range(len(self._d)):
+            raise KeyError(node)
+        columns = self._columns[node, : self._lengths[node]]
+        return columns, self._links[0][node].take(columns)
+
+    def neighbor_order(self, node: int) -> Tuple[int, ...]:
+        """``self[node].neighbor_order``, without building the state."""
+        return tuple(self._sorted(node)[1].tolist())
 
     def __getitem__(self, node: int) -> NodeState:
-        state = self._built.get(node)
-        if state is None:
-            if node not in range(len(self._d)):
-                raise KeyError(node)
-            length = self._lengths[node]
-            state = NodeState(
-                d=self._d[node].item(),
-                r=self._r[node].item(),
-                sending_list=tuple(
-                    map(
-                        ViaNeighbor,
-                        self._neighbors[node, :length].tolist(),
-                        self._d_via[node, :length].tolist(),
-                        self._r_via[node, :length].tolist(),
-                    )
-                ),
-            )
-            self._built[node] = state
-        return state
+        columns, neighbors = self._sorted(node)
+        _, alpha, gamma = self._links
+        d_via = alpha[node].take(columns) + self._d.take(neighbors)
+        r_via = gamma[node].take(columns) * self._r.take(neighbors)
+        return NodeState(
+            d=self._d[node].item(),
+            r=self._r[node].item(),
+            sending_list=tuple(
+                map(ViaNeighbor, neighbors.tolist(), d_via.tolist(), r_via.tolist())
+            ),
+        )
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(len(self._d)))
 
     def __len__(self) -> int:
         return len(self._d)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+class _Budgets(Mapping[int, float]):
+    """The ``budgets`` of a solved table: ``deadline - distance`` per node.
+
+    The distance row is the publisher's, shared by all of its tables; each
+    budget is the same subtraction the solve made.
+    """
+
+    __slots__ = ("_deadline", "_distances")
+
+    def __init__(self, deadline: float, distances: np.ndarray) -> None:
+        self._deadline = float(deadline)
+        self._distances = distances
+
+    def __getitem__(self, node: int) -> float:
+        if node not in range(len(self._distances)):
+            raise KeyError(node)
+        return self._deadline - self._distances[node].item()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._distances)))
+
+    def __len__(self) -> int:
+        return len(self._distances)
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -253,13 +307,11 @@ class DrTable:
     subscriber: int
     deadline: float
     states: Mapping[int, NodeState]
-    budgets: Dict[int, float]
+    budgets: Mapping[int, float]
     rounds: int
-    #: Per-node :meth:`sending_list` results. The forwarding data plane
-    #: asks for the same node's list once per dispatched destination and
-    #: ``NodeState.neighbor_order`` rebuilds its tuple on every access, so
-    #: they are kept here (states are immutable after the solve): filled by
-    #: the solver for every node, on first use for a hand-built table.
+    #: Per-node :meth:`sending_list` results, filled on first use. The
+    #: forwarding data plane asks for the same node's list once per
+    #: dispatched destination, and reads it here directly.
     _orders: Dict[int, Tuple[int, ...]] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -272,7 +324,11 @@ class DrTable:
         """Ordered candidate next hops of *node* for this subscriber."""
         order = self._orders.get(node)
         if order is None:
-            order = self.states[node].neighbor_order
+            states = self.states
+            if isinstance(states, _SolvedStates):
+                order = states.neighbor_order(node)
+            else:
+                order = states[node].neighbor_order
             self._orders[node] = order
         return order
 
@@ -294,6 +350,12 @@ _BANNED_FLIPS = 6
 #: many nodes: a block costs a batched evaluation whatever its size, so a
 #: small graph sweeps few blocks.
 _NODES_PER_BLOCK = 16
+
+#: ``solve`` runs its pairs in consecutive chunks of at most this many
+#: ``(table, node, link column)`` cells, about 43 MiB of kernel buffers, so
+#: a refresh's peak memory stops growing with its table count. Tables are
+#: independent of their batch mates, so the chunking changes no result.
+_CHUNK_CELLS = 1 << 20
 
 
 def sweep_blocks(topology: Topology) -> List[np.ndarray]:
@@ -389,8 +451,12 @@ class ControlPlaneSolver:
                     self._alpha[node, column] = alpha_m
                     self._gamma[node, column] = gamma_m
 
+        # What a solved table reads of the links: never written again.
+        self._links = (self._usable, self._alpha, self._gamma)
+
         self._weight_graph = _estimate_weight_graph(topology, estimates)
         self._dist_cache: Dict[int, Dict[int, float]] = {}
+        self._distance_rows: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def distances_from(self, publisher: int) -> Dict[int, float]:
@@ -408,6 +474,16 @@ class ControlPlaneSolver:
             if self.perf is not None:
                 self.perf.incr("control_plane.dijkstra_calls")
         return dist
+
+    def _distance_row(self, publisher: int) -> np.ndarray:
+        """:meth:`distances_from` as a per-node row, inf where unreachable;
+        one row per publisher, shared by all of its tables."""
+        row = self._distance_rows.get(publisher)
+        if row is None:
+            dist = self.distances_from(publisher)
+            row = np.array([dist.get(node, math.inf) for node in self.topology.nodes])
+            self._distance_rows[publisher] = row
+        return row
 
     def table_affected(
         self, publisher: int, deadline: float, changed_edges: Iterable[Edge]
@@ -444,7 +520,7 @@ class ControlPlaneSolver:
 
         *cells* are flat ``table * (num_nodes + 1) + node`` positions in
         *d*, *r* and *budgets*, *nodes* their node ids and *flips* their
-        exit-rule rows (``solve``). Over each cell's link columns:
+        exit-rule rows (``_solve_chunk``). Over each cell's link columns:
         ``eligible``, ``(cells, max_degree)``, marks the real candidates in
         column order; ``order`` holds flat positions into such rows, sorted
         ascending by ``d_via / r_via`` (stable, so ties stay in neighbour-id
@@ -453,10 +529,10 @@ class ControlPlaneSolver:
         every cell is one contiguous row. The rest — padding, dead links,
         neighbours that do not expect delivery within the node's budget
         (Algorithm 1 line 4) or at all, and neighbours the exit rule
-        banned —
-        sort last and carry ``d_via = r_via = 0``. Everything but the sort
-        itself is computed in place in *buffers* (``solve``). Called inside
-        ``np.errstate``: the ratio of a non-candidate is 0/0.
+        banned — sort last and carry ``d_via = r_via = 0``. Everything but
+        the sort itself is computed in place in *buffers*
+        (``_solve_chunk``). Called inside ``np.errstate``: the ratio of a
+        non-candidate is 0/0.
         """
         shape = (len(cells), self._usable.shape[1])
         size = shape[0] * shape[1]
@@ -520,8 +596,9 @@ class ControlPlaneSolver:
         ``+ 0.0`` and multiply by ``1.0``, which are exact. The exit rule's
         state moves with the evaluation: every column that entered or left
         the candidate set since the cell's previous evaluation counts one
-        more flip in *flips*. :meth:`solve` calls this exactly once per
-        block of a sweep that has dirty cells, and nothing else calls it.
+        more flip in *flips*. :meth:`_solve_chunk` calls this exactly once
+        per block of a sweep that has dirty cells, and nothing else calls
+        it.
         """
         rows = flips.take(cells, axis=0)
         _, d_sorted, r_sorted, eligible = self._candidates(
@@ -553,13 +630,16 @@ class ControlPlaneSolver:
         return new_d, np.where(reaches, r_x, 0.0)
 
     def solve(self, pairs: Sequence[Tuple[int, int, float]]) -> List[DrTable]:
-        """Solve ``(publisher, subscriber, deadline)`` pairs in one batch.
+        """Solve ``(publisher, subscriber, deadline)`` pairs in batches.
 
-        All tables advance through the same Gauss-Seidel sweeps together;
-        each stops on its own, once nothing is left dirty. The result list
-        is aligned with *pairs*, and every table is independent of what
-        else was in the batch. A table still dirty after ``max_rounds``
-        sweeps raises :class:`RoutingError`.
+        The pairs run in consecutive chunks of at most
+        :data:`_CHUNK_CELLS` cells. Within a chunk all tables advance
+        through the same Gauss-Seidel sweeps together; each stops on its
+        own, once nothing is left dirty. The result list is aligned with
+        *pairs*, and every table is independent of what else was in the
+        batch. A table still dirty after ``max_rounds`` sweeps raises
+        :class:`RoutingError` for the first such table, and then no work
+        counter moves.
         """
         pairs = list(pairs)
         num = self.topology.num_nodes
@@ -567,8 +647,28 @@ class ControlPlaneSolver:
             require(0 <= publisher < num, f"no broker {publisher}")
             require(0 <= subscriber < num, f"no broker {subscriber}")
             require_positive(deadline, "deadline")
-        if not pairs:
-            return []
+        chunk = max(1, _CHUNK_CELLS // (num * self._usable.shape[1]))
+        tables: List[DrTable] = []
+        work: List[Tuple[int, int, int]] = []
+        for start in range(0, len(pairs), chunk):
+            solved, counts = self._solve_chunk(pairs[start : start + chunk])
+            tables += solved
+            work.append(counts)
+        if self.perf is not None and tables:
+            rounds, recomputes, banned = map(sum, zip(*work))
+            self.perf.incr("control_plane.chunks", len(work))
+            self.perf.incr("control_plane.tables_solved_cold", len(tables))
+            self.perf.incr("control_plane.jacobi_rounds", rounds)
+            self.perf.incr("control_plane.node_recomputes", recomputes)
+            self.perf.incr("control_plane.candidates_banned", banned)
+        return tables
+
+    def _solve_chunk(
+        self, pairs: Sequence[Tuple[int, int, float]]
+    ) -> Tuple[List[DrTable], Tuple[int, int, int]]:
+        """Solve validated *pairs* as one batch: the tables and the batch's
+        ``(jacobi_rounds, node_recomputes, candidates_banned)``."""
+        num = self.topology.num_nodes
         count = len(pairs)
         inf = math.inf
         tol = self.tol
@@ -586,15 +686,10 @@ class ControlPlaneSolver:
         # Remaining budget at each broker: D_XS = D_PS - shortest_delay(P, X),
         # with shortest delays taken over the monitor's alpha estimates.
         # The sentinel, like an unreachable broker, is infinitely far.
-        distance_rows: Dict[int, np.ndarray] = {}
         budgets = np.empty((count, stride))
+        budgets[:, num] = -inf
         for index, (publisher, _, deadline) in enumerate(pairs):
-            row = distance_rows.get(publisher)
-            if row is None:
-                dist = self.distances_from(publisher)
-                row = np.array([dist.get(node, inf) for node in range(stride)])
-                distance_rows[publisher] = row
-            budgets[index] = deadline - row
+            budgets[index, :num] = deadline - self._distance_row(publisher)
 
         d = np.full(count * stride, inf)
         r = np.zeros(count * stride)
@@ -687,33 +782,25 @@ class ControlPlaneSolver:
             # values and bans; the subscriber's stays empty.
             nodes = np.tile(np.arange(num), count)
             cells = (first_cell[:, None] + np.arange(num)).ravel()
-            order, d_via, r_via, eligible = self._candidates(
+            order, _, _, eligible = self._candidates(
                 d, r, budgets, flips.take(cells, axis=0), cells, nodes, buffers
             )
-        shape = (count, num, width)
-        neighbors = self._usable.take(nodes, axis=0).take(order.T).reshape(shape)
-        d_via = d_via.T.reshape(shape)
-        r_via = r_via.T.reshape(shape)
-        lengths = eligible.sum(axis=1).reshape(count, num)
+        # A table keeps, per node, the sending list's length and its link
+        # columns in Theorem 1 order, in the narrowest dtype that holds
+        # them; everything else of a NodeState is derived on access.
+        small = np.min_scalar_type(width)
+        lengths = eligible.sum(axis=1).astype(small).reshape(count, num)
         lengths[np.arange(count), subscribers] = 0
-        # Everything kept from here on is a copy: free the buffers before
-        # the tables copy their rows out.
-        del buffers, order, eligible
+        columns = (order.T % width).astype(small).reshape(count, num, width)
+        banned = int(np.count_nonzero(flips == _BANNED_FLIPS))
+        # Free the batch's buffers before the tables copy their rows out.
+        del buffers, order, eligible, flips
         d = d.reshape(count, stride)
         r = r.reshape(count, stride)
 
-        if self.perf is not None:
-            self.perf.incr("control_plane.tables_solved_cold", count)
-            self.perf.incr("control_plane.jacobi_rounds", int(rounds.sum()))
-            self.perf.incr("control_plane.node_recomputes", recomputes)
-            banned = int(np.count_nonzero(flips == _BANNED_FLIPS))
-            self.perf.incr("control_plane.candidates_banned", banned)
-
         # Each table owns copies of its rows, so a table reused across
-        # refreshes does not keep its whole batch alive. The neighbour
-        # orders are all the data plane reads, so they are made up front;
-        # full states are built when something asks for them.
-        return [
+        # refreshes does not keep its whole batch alive.
+        tables = [
             DrTable(
                 publisher=publisher,
                 subscriber=subscriber,
@@ -722,21 +809,15 @@ class ControlPlaneSolver:
                     d[index, :num].copy(),
                     r[index, :num].copy(),
                     lengths[index].copy(),
-                    neighbors[index].copy(),
-                    d_via[index].copy(),
-                    r_via[index].copy(),
+                    columns[index].copy(),
+                    self._links,
                 ),
-                budgets=dict(enumerate(budgets[index, :num].tolist())),
+                budgets=_Budgets(deadline, self._distance_row(publisher)),
                 rounds=int(rounds[index]),
-                _orders={
-                    node: tuple(row[:length])
-                    for node, (row, length) in enumerate(
-                        zip(neighbors[index].tolist(), lengths[index].tolist())
-                    )
-                },
             )
             for index, (publisher, subscriber, deadline) in enumerate(pairs)
         ]
+        return tables, (int(rounds.sum()), recomputes, banned)
 
 
 def compute_dr_table(

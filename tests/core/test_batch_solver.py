@@ -12,13 +12,16 @@ exactly what a from-scratch solve would produce.
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import computation
 from repro.core.computation import (
     ControlPlaneSolver,
     ViaNeighbor,
@@ -282,6 +285,18 @@ def solver_cases(draw):
     return topology, estimates, pairs, solver_args, rng
 
 
+def batch_of_200():
+    """A 20-node world and 200 of its pairs, at 2.5 times the shortest delay."""
+    topology, monitor = build_world(5, "sampled", num_nodes=20)
+    pairs = [
+        (publisher, subscriber, 2.5 * topology.shortest_delay(publisher, subscriber))
+        for publisher in topology.nodes
+        for subscriber in topology.nodes
+        if publisher != subscriber
+    ][:200]
+    return topology, monitor.estimates(), pairs
+
+
 class TestKernelEqualsReference:
     """The batched kernel against the scalar loop it replaced."""
 
@@ -335,23 +350,15 @@ class TestKernelEqualsReference:
         states = table.states
         assert len(states) == topology.num_nodes
         assert list(states) == list(topology.nodes)
-        assert states[0] is states[0]  # built once, then kept
+        assert states[0] == states[0]  # derived afresh on every access
         assert topology.num_nodes not in states
         with pytest.raises(KeyError):
             states[-1]
         assert repr(states) == repr(dict(states))
 
     def test_batch_of_200_matches_solving_alone(self):
-        topology, monitor = build_world(5, "sampled", num_nodes=20)
-        pairs = [
-            (publisher, subscriber, 2.5 * topology.shortest_delay(publisher, subscriber))
-            for publisher in topology.nodes
-            for subscriber in topology.nodes
-            if publisher != subscriber
-        ][:200]
-        solver, tables = assert_kernel_equals_reference(
-            topology, monitor.estimates(), pairs
-        )
+        topology, estimates, pairs = batch_of_200()
+        solver, tables = assert_kernel_equals_reference(topology, estimates, pairs)
         for index in range(0, 200, 23):
             assert solver.solve([pairs[index]]) == [tables[index]]
 
@@ -437,6 +444,151 @@ class TestKernelEqualsReference:
         ):
             ControlPlaneSolver(topology, estimates, max_rounds=rounds - 1).solve([pair])
         assert solver.perf.get("control_plane.candidates_banned") == 0
+
+
+def solve_in_chunks(topology, estimates, pairs, per_chunk, **solver_args):
+    """Solve *pairs* with ``_CHUNK_CELLS`` set to hold *per_chunk* tables.
+
+    Returns the tables, or the :class:`RoutingError` text if the solve
+    raised, and the work counters; asserts the batch ran in as many chunks
+    as *per_chunk* makes.
+    """
+    width = max(topology.degree(node) for node in topology.nodes)
+    perf = PerfStats()
+    solver = ControlPlaneSolver(topology, estimates, perf=perf, **solver_args)
+    chunks = []
+    solve_chunk = ControlPlaneSolver._solve_chunk
+
+    def counted(self, chunk):
+        chunks.append(len(chunk))
+        return solve_chunk(self, chunk)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            computation, "_CHUNK_CELLS", per_chunk * topology.num_nodes * width
+        )
+        patch.setattr(ControlPlaneSolver, "_solve_chunk", counted)
+        try:
+            result = solver.solve(pairs)
+        except RoutingError as error:
+            result = str(error)
+    if not isinstance(result, str):
+        assert len(chunks) == -(-len(pairs) // per_chunk)
+    assert max(chunks) <= per_chunk
+    return result, [perf.get(counter) for counter in WORK_COUNTERS]
+
+
+def assert_chunking_invisible(topology, estimates, pairs, **solver_args):
+    """One batch, two chunks and many chunks solve *pairs* identically."""
+    whole, work = solve_in_chunks(topology, estimates, pairs, len(pairs), **solver_args)
+    for per_chunk in sorted({-(-len(pairs) // 2), 3, 1}, reverse=True):
+        tables, chunked_work = solve_in_chunks(
+            topology, estimates, pairs, per_chunk, **solver_args
+        )
+        assert chunked_work == work, per_chunk
+        assert tables == whole
+        if isinstance(whole, str):
+            continue
+        for table, expected in zip(tables, whole):
+            assert table.rounds == expected.rounds
+            for node in topology.nodes:
+                assert table.sending_list(node) == expected.sending_list(node)
+    return whole
+
+
+class TestChunkedBatches:
+    """``solve`` runs its pairs in chunks of at most ``_CHUNK_CELLS`` cells;
+    where the batch is cut changes no table, counter or error."""
+
+    def test_batch_of_200_in_chunks(self):
+        assert_chunking_invisible(*batch_of_200())
+
+    @settings(max_examples=100, deadline=None)
+    @given(solver_cases())
+    def test_solver_cases_in_chunks(self, case):
+        topology, estimates, pairs, solver_args, _ = case
+        assert_chunking_invisible(topology, estimates, pairs, **solver_args)
+
+    def test_unconverged_table_in_a_later_chunk_raises_as_one_batch(self):
+        """Converging tables first, then one that exhausts ``max_rounds``:
+        cut after each table, the error names the same table in the same
+        words, and no work counter moves."""
+        topology, monitor = build_world(1, "analytic")
+        estimates = monitor.estimates()
+        solver = ControlPlaneSolver(topology, estimates, max_rounds=13)
+        converging, failing = [], []
+        for pair in make_pairs(topology, per_publisher=4):
+            try:
+                solver.solve([pair])
+                converging.append(pair)
+            except RoutingError:
+                failing.append(pair)
+        assert len(converging) >= 2 and len(failing) >= 2
+        pairs = converging + failing
+        error = assert_chunking_invisible(topology, estimates, pairs, max_rounds=13)
+        assert f"subscriber {failing[0][1]} " in error
+        _, work = solve_in_chunks(topology, estimates, pairs, 1, max_rounds=13)
+        assert work == [0.0] * len(WORK_COUNTERS)
+
+
+class TestCompactTables:
+    """A solved table keeps its ``<d, r>`` rows, sending-list lengths and
+    column orders; states, budgets and sending lists are derived from
+    them on access (``docs/PERFORMANCE.md``, "Memory per solved table")."""
+
+    def test_a_solved_table_retains_at_most_64_bytes_per_node(self, monkeypatch):
+        topology, monitor = build_world(1, "sampled", num_nodes=80, degree=6)
+        solver = ControlPlaneSolver(topology, monitor.estimates())
+        pairs = [
+            (source, sink, 2.5 * topology.shortest_delay(source, sink))
+            for source in range(6)
+            for sink in range(6, 40)
+        ]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tables = solver.solve(pairs)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cells = len(tables) * topology.num_nodes
+        assert retained / cells <= 64, f"{retained / cells:.1f} B per (table, node)"
+
+        # The data plane's read builds no NodeState.
+        table = tables[0]
+        node = table.publisher
+        expected = table.state(node).neighbor_order
+        assert expected
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("sending_list built a NodeState")
+
+        monkeypatch.setattr(computation, "NodeState", no_state)
+        assert table.sending_list(node) == expected
+
+    def test_reading_every_state_retains_nothing(self):
+        """A sanitizer pass reads every state of every table it checks;
+        the table must not keep them."""
+        topology, estimates, pairs = batch_of_200()
+        tables = ControlPlaneSolver(topology, estimates).solve(pairs)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            read = sum(
+                len(state.sending_list)
+                for table in tables
+                for _, state in table.states.items()
+            )
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert read > len(tables)
+        # What stays is the interpreter's float free list, not per state.
+        assert retained < 16 * 1024, f"{retained} B retained after reading every state"
 
 
 #: The two benchmark worlds whose setup solves held tables in a limit cycle
