@@ -150,7 +150,7 @@ class SimulationEnvironment:
         if arq is not None:
             perf["arq.timers_cancelled"] = float(arq.timers_cancelled)
             perf["arq.retransmissions"] = float(arq.retransmissions)
-            perf["arq.timers_elided"] = float(getattr(arq, "timers_elided", 0))
+            perf["arq.timers_elided"] = float(arq.timers_elided)
             perf["arq.acks_settled_at_send"] = float(arq.acks_settled_at_send)
             perf["arq.ack_timeouts"] = float(arq.ack_timeouts)
             perf["arq.failed"] = float(arq.failed)
@@ -159,8 +159,8 @@ class SimulationEnvironment:
         perf["sim.events_processed"] = float(sim.processed_events)
         perf["sim.heap_compactions"] = float(sim.heap_compactions)
         perf["sim.tombstones_reaped"] = float(sim.tombstones_reaped)
-        wall = getattr(sim, "run_wall_s", 0.0)
-        perf["sim.run_wall_s"] = float(wall)
+        wall = sim.run_wall_s
+        perf["sim.run_wall_s"] = wall
         if wall > 0.0:
             perf["sim.events_per_s"] = sim.processed_events / wall
         perf["monitor.refreshes"] = float(self.ctx.monitor.refreshes)
@@ -168,7 +168,7 @@ class SimulationEnvironment:
         # facade fallbacks (directions resolved outside the prewarmed
         # table — the benchmark's timed region asserts this stays zero).
         network = self.ctx.network
-        perf["flat.dir_fallbacks"] = float(getattr(network, "dir_fallbacks", 0))
+        perf["flat.dir_fallbacks"] = float(network.dir_fallbacks)
         perf["flat.interned_directions"] = float(len(network._dir_cache))
         index = self.ctx.workload.index()
         perf["flat.subgroup_lookups"] = float(index.lookups)

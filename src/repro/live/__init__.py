@@ -6,7 +6,7 @@ This package is the wall-clock/socket substrate behind the
 discrete-event kernel, deployed over real loopback TCP:
 
 * :mod:`repro.live.clock` — :class:`WallClock`, the asyncio-loop Clock
-  (its own timer calendar behind one loop handle);
+  (the simulator's timer calendar, drained from one loop handle);
 * :mod:`repro.live.codec` — length-prefixed binary frame codec;
 * :mod:`repro.live.faults` — scripted :class:`DropRule` faults and
   :func:`link_filter`, the drop predicate both substrates take;

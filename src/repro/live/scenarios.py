@@ -25,7 +25,7 @@ counter comparisons noisy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.forwarding import DcrdStrategy
@@ -108,21 +108,11 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
     (and the sim runner, through :func:`~repro.live.faults.link_filter`)
     rebuilds the same fresh rules from the same dicts.
     """
-    return {
-        "name": scenario.name,
-        "edges": [[u, v, delay] for u, v, delay in scenario.edges],
-        "publisher": scenario.publisher,
-        "subscribers": [[node, deadline] for node, deadline in scenario.subscribers],
-        "rules": [rule.to_dict() for rule in scenario.rules()],
-        "topic": scenario.topic,
-        "publishes": scenario.publishes,
-        "publish_interval": scenario.publish_interval,
-        "m": scenario.m,
-        "ack_timeout_factor": scenario.ack_timeout_factor,
-        "ack_timeout_slack": scenario.ack_timeout_slack,
-        "end_time": scenario.end_time,
-        "ordering": scenario.ordering,
-    }
+    data = {field.name: getattr(scenario, field.name) for field in fields(Scenario)}
+    data["edges"] = [[u, v, delay] for u, v, delay in scenario.edges]
+    data["subscribers"] = [[node, deadline] for node, deadline in scenario.subscribers]
+    data["rules"] = [rule.to_dict() for rule in scenario.rules()]
+    return data
 
 
 def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
@@ -132,41 +122,20 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     :class:`DropRule` instances on every call, matching the construction
     convention of the scripted scenarios.
     """
-    known = {
-        "name",
-        "edges",
-        "publisher",
-        "subscribers",
-        "rules",
-        "topic",
-        "publishes",
-        "publish_interval",
-        "m",
-        "ack_timeout_factor",
-        "ack_timeout_slack",
-        "end_time",
-        "ordering",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {field.name for field in fields(Scenario)}
     if unknown:
         raise ConfigurationError(f"unknown scenario field(s): {sorted(unknown)}")
     rule_specs = tuple(dict(spec) for spec in data.get("rules", ()))
     for spec in rule_specs:
         DropRule.from_dict(spec)  # validate eagerly, not at first rules() call
+    # An omitted field takes the dataclass default.
     return Scenario(
-        name=data["name"],
-        edges=tuple((u, v, delay) for u, v, delay in data["edges"]),
-        publisher=data["publisher"],
-        subscribers=tuple((node, deadline) for node, deadline in data["subscribers"]),
-        rules=lambda: tuple(DropRule.from_dict(spec) for spec in rule_specs),
-        topic=data.get("topic", 0),
-        publishes=data.get("publishes", 3),
-        publish_interval=data.get("publish_interval", 0.06),
-        m=data.get("m", 2),
-        ack_timeout_factor=data.get("ack_timeout_factor", 3.0),
-        ack_timeout_slack=data.get("ack_timeout_slack", 0.25),
-        end_time=data.get("end_time", 20.0),
-        ordering=data.get("ordering"),
+        **{
+            **data,
+            "edges": tuple((u, v, delay) for u, v, delay in data["edges"]),
+            "subscribers": tuple((node, deadline) for node, deadline in data["subscribers"]),
+            "rules": lambda: tuple(DropRule.from_dict(spec) for spec in rule_specs),
+        }
     )
 
 

@@ -48,14 +48,15 @@ counters. The sender also memoises each direction's transmit constants
 (:attr:`ArqSender._dir_info`) until the link monitor publishes new
 estimates.
 
-The sender is substrate-portable (see :mod:`repro.substrate`): when
-``ctx.sim`` offers ``calendar_kernel()`` — the discrete-event kernel —
-timeouts are pushed onto the raw calendar queue exactly as described
-above, byte-identical to every release since the flat-state refactor.
-Any other :class:`~repro.substrate.Clock` (the live wall clock) gets the
-portable path: timeouts go through ``clock.schedule()`` and the returned
-:class:`~repro.substrate.TimerHandle` plays the Event's role. Latent
-timeouts and ACKs settled at send stay kernel-only.
+The sender runs unchanged on both substrates (see :mod:`repro.substrate`):
+every timeout, eager or materialised from a latent one, is armed through
+the clock's one absolute-time push, ``clock.push(time, seq, ...)``, with
+a ``seq`` drawn from the clock's counter when the copy was handed over;
+the returned :class:`~repro.sim.engine.Event` is the cancellation handle
+on the kernel and on the live wall clock alike. Latent timeouts and ACKs
+settled at send need what only the simulated substrate has — the
+network's ACK-fate hook and :meth:`~repro.sim.engine.Simulator.settle` —
+so on the live substrate every timer is eager.
 
 Timer starts, cancels and fires are reported on the ``timer_*`` probe
 families and nothing else: this module reads no test flag, and an
@@ -66,7 +67,6 @@ ACK arrival queued.
 
 from __future__ import annotations
 
-from heapq import heappush as _heappush
 from typing import Callable, Dict, Optional
 
 from repro import probes as _probes
@@ -125,19 +125,6 @@ class ArqSender:
         self._network = ctx.network
         self._send_data = ctx.network.send_data
         self._m = ctx.params.m
-        # Direct calendar-queue access for the per-copy timeout push —
-        # inlined sim.schedule minus the call overhead (timeouts are always
-        # positive). Both aliases stay valid: the kernel mutates its heap
-        # strictly in place. A portable Clock (no calendar_kernel — e.g.
-        # the live wall clock) routes timeouts through its schedule() API
-        # instead; the handle only needs .seq/.cancel() (TimerHandle).
-        kernel = getattr(ctx.sim, "calendar_kernel", None)
-        if kernel is not None:
-            self._sim_heap, self._sim_seq, self._on_event_cancelled = kernel()
-        else:
-            self._sim_heap = None
-            self._sim_seq = None
-            self._on_event_cancelled = None
         self._outstanding: Dict[int, _Outstanding] = {}
         # Whether the transport reports when each copy clears the wire
         # (finite-capacity links); the ACK clock then starts in _on_wire.
@@ -189,13 +176,13 @@ class ArqSender:
         timer; one that arrives is settled at send when nothing could
         tell (:meth:`_on_ack_fate`).
         """
-        if self._sim_heap is None:
-            # Portable Clock: elision reserves raw kernel heap keys, which
-            # only exist on the calendar kernel.
-            return
         network = self.ctx.network
         register = getattr(network, "register_ack_fate_hook", None)
-        if register is None or getattr(network, "ack_round_trip", None) is None:
+        if (
+            register is None
+            or getattr(network, "ack_round_trip", None) is None
+            or getattr(self._sim, "settle", None) is None
+        ):
             return
         register(self._on_ack_fate)
         self._elide_timers = True
@@ -226,14 +213,10 @@ class ArqSender:
             self._settle(entry)
             self.acks_settled_at_send += 1
             return True
-        time = entry.latent_time
-        seq = entry.latent_seq
-        entry.latent_seq = -1
-        entry.event = event = Event(
-            time, seq, self._on_timeout, (entry,), self._on_event_cancelled
+        entry.event = self._sim.push(
+            entry.latent_time, entry.latent_seq, self._on_timeout, (entry,)
         )
-        _heappush(self._sim_heap, (time, seq, event))
-        self._sim._live += 1
+        entry.latent_seq = -1
         return False
 
     @property
@@ -346,26 +329,13 @@ class ArqSender:
             self._dir_info[key] = info
         delay, pair = info
         time = start + delay
-        if self._sim_heap is None:
-            # Portable Clock path (no calendar kernel): the timeout goes
-            # through the clock's schedule() API and the returned handle
-            # stands in for the kernel Event — handle_ack/_on_timeout only
-            # touch .seq and .cancel(). Latent elision is a kernel-only
-            # optimisation (it reserves raw heap keys), so the timer is
-            # always eager here.
-            entry.latent_seq = -1
-            entry.event = event = sim.schedule(wait + delay, self._on_timeout, entry)
-            probe = _probes.on_timer_started
-            if probe is not None:
-                probe(event.seq, time, entry.frame)
-            return
-        seq = next(self._sim_seq)
+        seq = next(sim._seq)
         if (
             outcome
             and pair is not None
             # The copy will reach the receiver; its ACK either arrives
             # (settling the entry before the deadline) or is lost, which
-            # the network reports synchronously via _on_ack_send_lost.
+            # the network reports synchronously via _on_ack_fate.
             # The exact float comparison below proves the unlossed ACK's
             # arrival event — scheduled at (now + d_fwd) + d_rev with a
             # later seq — pops strictly before the (time, seq) deadline,
@@ -381,11 +351,7 @@ class ArqSender:
             self.timers_elided += 1
             return
         entry.latent_seq = -1
-        entry.event = event = Event(
-            time, seq, self._on_timeout, (entry,), self._on_event_cancelled
-        )
-        _heappush(self._sim_heap, (time, seq, event))
-        sim._live += 1
+        entry.event = sim.push(time, seq, self._on_timeout, (entry,))
         probe = _probes.on_timer_started
         if probe is not None:
             probe(seq, time, entry.frame)

@@ -1,8 +1,9 @@
 """Discrete-event simulation kernel.
 
 ``simpy`` is not available in this environment, so the kernel is implemented
-from scratch: a heap-based calendar queue (:class:`~repro.sim.engine.Simulator`),
-cancellable events, periodic processes, and per-component seeded random
+from scratch: a heap-based calendar queue (:class:`~repro.sim.engine.Calendar`,
+popped by :class:`~repro.sim.engine.Simulator` and, on wall time, by the
+live clock), cancellable events, periodic processes, and per-component seeded random
 streams (:class:`~repro.sim.random.RandomStreams`).
 """
 

@@ -1,9 +1,16 @@
-"""The discrete-event engine.
+"""The discrete-event engine and the one timer calendar.
 
-A :class:`Simulator` owns a virtual clock and a binary-heap calendar queue.
-Components schedule callbacks at future virtual times; :meth:`Simulator.run`
-pops events in (time, insertion-order) order and invokes them. Cancellation
-is lazy: a cancelled :class:`Event` stays in the heap but is skipped when it
+:class:`Calendar` is the timer calendar of both substrates: a binary heap
+of C-comparable ``(time, seq, Event)`` / ``(time, seq, callback, args)``
+tuples, one ``seq`` counter shared by both entry shapes (so ties break
+FIFO and a comparison never reaches the payload), lazy cancellation and
+one tombstone-compaction rule. :class:`Simulator` pops it in virtual
+time; :class:`~repro.live.clock.WallClock` drains it on an asyncio loop.
+
+A :class:`Simulator` owns a virtual clock. Components schedule callbacks
+at future virtual times; :meth:`Simulator.run` pops events in
+(time, insertion-order) order and invokes them. Cancellation is lazy: a
+cancelled :class:`Event` stays in the heap but is skipped when it
 surfaces, which keeps both operations O(log n).
 
 The engine is single-threaded and deterministic: two runs with the same
@@ -11,33 +18,27 @@ schedule of callbacks and the same random seeds produce identical traces.
 
 The simulator is the event-time implementation of the substrate
 :class:`~repro.substrate.Clock` contract (``now``/``schedule``/
-``schedule_fire`` plus the hot-path ``_now`` attribute); the live runtime
-substitutes :class:`~repro.live.clock.WallClock` behind the same surface.
-Trusted hot paths additionally inline the calendar queue via
-:meth:`Simulator.calendar_kernel` — a capability only this kernel offers,
-which is how the stack distinguishes the two substrates. A callback
-whose effects can be applied at the instant it is scheduled, with
-nothing able to tell, need not be queued at all: :meth:`Simulator.settle`
-counts it as executed instead (the ARQ's settled ACK arrivals).
+``schedule_fire``/``push`` plus the hot-path ``_now`` attribute); the
+live runtime substitutes :class:`~repro.live.clock.WallClock` behind the
+same surface. :meth:`Calendar.push` arms a timer at an absolute time
+with a ``seq`` its caller drew from ``_seq`` — possibly well before, as
+the ARQ's latent timeouts do. A callback whose effects can be applied at
+the instant it is scheduled, with nothing able to tell, need not be
+queued at all: :meth:`Simulator.settle` counts it as executed instead
+(the ARQ's settled ACK arrivals).
 
-Fast path
----------
+Tombstone compaction
+--------------------
 
-The heap stores C-comparable ``(time, seq, event)`` tuples rather than the
-:class:`Event` objects themselves, so every sift comparison during
-``heappush``/``heappop`` is resolved by the tuple's float/int prefix in C —
-``Event.__lt__`` is never called on the hot path. ``seq`` is unique per
-event, so a comparison never reaches the third element.
-
-Lazy cancellation is supplemented by *tombstone compaction*: when the
-cancelled entries exceed a configurable fraction of the heap
-(:attr:`Simulator.compaction_ratio`), the heap is rebuilt in place without
+When cancelled entries number at least ``_COMPACTION_MIN`` and at least
+``_COMPACTION_SHARE`` of the heap, the heap is rebuilt in place without
 them. Compaction removes only entries that could never fire, and the heap
 order is a pure function of the live ``(time, seq)`` keys, so the pop
-sequence — and therefore the whole run — is bit-identical with compaction
-on or off (set ``compaction_ratio`` to ``None`` for the legacy
-lazy-deletion-only behaviour). :attr:`heap_compactions` and
-:attr:`tombstones_reaped` expose the activity to the perf layer.
+sequence — and therefore the whole run — is the same whether or not it
+ran. It is priced on the live substrate, where every ARQ timer is armed
+and then cancelled by its ACK; on the simulator the ARQ's latent timers
+leave few tombstones. :attr:`Calendar.heap_compactions` and
+:attr:`Calendar.tombstones_reaped` expose the activity to the perf layer.
 """
 
 from __future__ import annotations
@@ -46,22 +47,28 @@ import gc
 import heapq
 import itertools
 from time import perf_counter as _perf_counter
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro import probes as _probes
 from repro.util.errors import SimulationError
 
 _heappush = heapq.heappush
-_heappop = heapq.heappop
 _INF = float("inf")
+
+#: The compaction rule: at least this many tombstones (amortising the
+#: O(n) rebuild away from small heaps) ...
+_COMPACTION_MIN = 64
+#: ... and at least this share of the heap.
+_COMPACTION_SHARE = 0.5
 
 
 class Event:
     """A scheduled callback.
 
-    Instances are returned by :meth:`Simulator.schedule` and are primarily
-    useful as cancellation handles. ``time`` is the virtual time at which the
-    callback fires; ``seq`` breaks ties FIFO for events at the same time.
+    Instances are returned by :meth:`Calendar.push` (and the ``schedule``
+    built on it) and are primarily useful as cancellation handles.
+    ``time`` is the deadline on the owning clock's time axis; ``seq``
+    breaks ties FIFO for events at the same time.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "_on_cancel")
@@ -113,7 +120,92 @@ def _noop(*_args: Any) -> None:
     """Placeholder callback installed on cancelled events."""
 
 
-class Simulator:
+class Calendar:
+    """A timer calendar: one heap, one ``seq`` counter, lazy cancellation.
+
+    Entries are ``(key, seq, Event)`` (cancellable) or ``(key, seq,
+    callback, args)`` (fire-and-forget). The owner pops them: it
+    decrements :attr:`_live` for every live entry it pops and
+    :attr:`_tombstones` for every cancelled one it skips. The heap is only
+    ever mutated in place, so an owner's alias of it stays valid across a
+    compaction triggered from a callback.
+    """
+
+    def __init__(self) -> None:
+        self._heap: List[tuple] = []
+        self._seq = itertools.count()
+        # Live (scheduled, not yet fired, not cancelled) entries, kept
+        # incrementally so pending_events is O(1) despite lazy cancellation.
+        self._live = 0
+        # Cancelled entries still sitting in the heap.
+        self._tombstones = 0
+        #: Number of tombstone-compaction passes performed.
+        self.heap_compactions = 0
+        #: Cancelled entries removed by compaction (instead of surfacing).
+        self.tombstones_reaped = 0
+
+    @property
+    def pending_events(self) -> int:
+        """Number of not-yet-fired, not-cancelled events in the queue (O(1))."""
+        return self._live
+
+    def push(
+        self, time: float, seq: int, callback: Callable[..., None], args: tuple
+    ) -> Event:
+        """Arm ``callback(*args)`` at the absolute *time* with the reserved *seq*.
+
+        *seq* comes from :attr:`_seq`: drawn now, or earlier by a caller
+        that reserved the entry's place in the FIFO tie order before it
+        knew whether the entry would be needed.
+        """
+        event = Event(time, seq, callback, args, self._on_event_cancelled)
+        _heappush(self._heap, (time, seq, event))
+        self._live += 1
+        return event
+
+    def _on_event_cancelled(self) -> None:
+        self._live -= 1
+        self._tombstones = tombstones = self._tombstones + 1
+        if (
+            tombstones >= _COMPACTION_MIN
+            and tombstones >= _COMPACTION_SHARE * len(self._heap)
+        ):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap without cancelled entries (in place).
+
+        Only dead entries are removed and the heap invariant is restored
+        over the unchanged live ``(key, seq)`` pairs, so the subsequent pop
+        order is identical to what lazy deletion would have produced.
+        """
+        heap = self._heap
+        before = len(heap)
+        # Fire-and-forget entries (len 4) have no cancel handle: always live.
+        heap[:] = [entry for entry in heap if len(entry) == 4 or not entry[2].cancelled]
+        heapq.heapify(heap)
+        self.heap_compactions += 1
+        self.tombstones_reaped += before - len(heap)
+        self._tombstones = 0
+
+    def clear(self) -> None:
+        """Drop all pending entries without running them."""
+        for entry in self._heap:
+            if len(entry) != 3:
+                continue  # fire-and-forget entries have no handle to neuter
+            event = entry[2]
+            # Mark dropped events cancelled so late cancel() calls on their
+            # handles stay no-ops (and don't corrupt the counters).
+            event.cancelled = True
+            event.callback = _noop
+            event.args = ()
+            event._on_cancel = None
+        self._heap.clear()
+        self._live = 0
+        self._tombstones = 0
+
+
+class Simulator(Calendar):
     """Deterministic single-threaded discrete-event simulator.
 
     Example
@@ -129,22 +221,9 @@ class Simulator:
     1.5
     """
 
-    #: Tombstone fraction of the heap that triggers compaction. ``None``
-    #: restores the legacy kernel behaviour (lazy deletion only, cancelled
-    #: events pinned until their deadline surfaces). Class attribute so
-    #: tests can flip the whole process into legacy mode.
-    compaction_ratio: Optional[float] = 0.5
-    #: Minimum number of tombstones before compaction is considered
-    #: (amortises the O(n) rebuild away from tiny heaps).
-    compaction_min: int = 64
-
     def __init__(self) -> None:
+        super().__init__()
         self._now = 0.0
-        # C-comparable heap entries; ``seq`` is unique, so comparisons never
-        # reach the payload. Entries are either ``(time, seq, Event)`` or —
-        # for fire-and-forget schedules — ``(time, seq, callback, args)``.
-        self._heap: List[tuple] = []
-        self._seq = itertools.count()
         self._running = False
         self._processed = 0
         # Events executed by the current run() call, settled ones included
@@ -153,72 +232,14 @@ class Simulator:
         self._executed = 0
         self._window = -_INF
         self._quota = _INF
-        # Live (scheduled, not yet fired, not cancelled) event count.
-        # Maintained incrementally so ``pending_events`` is O(1) even with
-        # lazy cancellation leaving tombstones in the heap.
-        self._live = 0
-        # Cancelled entries still sitting in the heap.
-        self._tombstones = 0
-        #: Number of tombstone-compaction passes performed.
-        self.heap_compactions = 0
-        #: Cancelled entries removed by compaction (instead of surfacing).
-        self.tombstones_reaped = 0
         #: Accumulated wall-clock seconds spent inside :meth:`run`
         #: (observation only — feeds the perf layer's events/s figure).
         self.run_wall_s = 0.0
-
-    def _on_event_cancelled(self) -> None:
-        self._live -= 1
-        self._tombstones = tombstones = self._tombstones + 1
-        ratio = self.compaction_ratio
-        if (
-            ratio is not None
-            and tombstones >= self.compaction_min
-            and tombstones >= ratio * len(self._heap)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries (in place).
-
-        Only dead entries are removed and the heap invariant is restored
-        over the unchanged live ``(time, seq)`` keys, so the subsequent pop
-        order is identical to what lazy deletion would have produced.
-        """
-        heap = self._heap
-        before = len(heap)
-        # Fire-and-forget entries (len 4) have no cancel handle: always live.
-        heap[:] = [entry for entry in heap if len(entry) == 4 or not entry[2].cancelled]
-        heapq.heapify(heap)
-        self.heap_compactions += 1
-        self.tombstones_reaped += before - len(heap)
-        self._tombstones = 0
 
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    def calendar_kernel(self) -> Tuple[List[tuple], Any, Callable[[], None]]:
-        """Expose the raw calendar-queue internals for trusted hot paths.
-
-        Returns ``(heap, seq_counter, on_event_cancelled)``. Callers push
-        C-comparable ``(time, seq, Event)`` / ``(time, seq, callback,
-        args)`` entries directly (incrementing :attr:`_live` per push),
-        skipping the :meth:`schedule` call overhead — the ARQ timeout push
-        and the overlay's delivery push live on this. All three aliases
-        stay valid for the simulator's lifetime: the kernel mutates its
-        heap strictly in place (compaction included) and never rebinds the
-        sequence counter. Portable :class:`~repro.substrate.Clock`
-        implementations do not offer this method; the absence is the
-        signal that sends the ARQ layer down its portable scheduling path.
-        """
-        return self._heap, self._seq, self._on_event_cancelled
-
-    @property
-    def pending_events(self) -> int:
-        """Number of not-yet-fired, not-cancelled events in the queue (O(1))."""
-        return self._live
 
     @property
     def processed_events(self) -> int:
@@ -259,12 +280,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
-        seq = next(self._seq)
-        event = Event(time, seq, callback, args, self._on_event_cancelled)
-        _heappush(self._heap, (time, seq, event))
-        self._live += 1
-        return event
+        return self.push(self._now + delay, next(self._seq), callback, args)
 
     def schedule_fire(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -359,50 +375,3 @@ class Simulator:
             self._running = False
             if gc_was_enabled:
                 gc.enable()
-
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the queue was empty.
-        Useful in tests that need fine-grained control.
-        """
-        heap = self._heap
-        on_event_pop = _probes.on_event_pop
-        while heap:
-            entry = heapq.heappop(heap)
-            if len(entry) == 3:
-                event = entry[2]
-                if event.cancelled:
-                    self._tombstones -= 1
-                    continue
-                self._live -= 1
-                if on_event_pop is not None:
-                    on_event_pop(entry[0], self._now)
-                self._now = entry[0]
-                event.fired = True
-                event.callback(*event.args)
-            else:
-                self._live -= 1
-                if on_event_pop is not None:
-                    on_event_pop(entry[0], self._now)
-                self._now = entry[0]
-                entry[2](*entry[3])
-            self._processed += 1
-            return True
-        return False
-
-    def clear(self) -> None:
-        """Drop all pending events without running them (keeps the clock)."""
-        for entry in self._heap:
-            if len(entry) != 3:
-                continue  # fire-and-forget entries have no handle to neuter
-            event = entry[2]
-            # Mark dropped events cancelled so late cancel() calls on their
-            # handles stay no-ops (and don't corrupt the live counter).
-            event.cancelled = True
-            event.callback = _noop
-            event.args = ()
-            event._on_cancel = None
-        self._heap.clear()
-        self._live = 0
-        self._tombstones = 0

@@ -6,12 +6,12 @@ The DCRD protocol logic — :class:`~repro.pubsub.broker.BrokerRuntime`,
 runs. This module names the two seams that make that true:
 
 * :class:`Clock` — a source of time plus cancellable timers: ``now``
-  (and the ``_now`` attribute, below), ``schedule`` and
-  ``schedule_fire``. The discrete-event kernel
+  (and the ``_now`` attribute, below), ``schedule``, ``schedule_fire``
+  and ``push``. Both implementations keep their timers in the one
+  calendar of :mod:`repro.sim.engine`: the discrete-event kernel
   (:class:`~repro.sim.engine.Simulator`) advances virtual time by popping
-  a calendar queue; the live runtime
-  (:class:`~repro.live.clock.WallClock`) reads the asyncio event loop's
-  wall clock and arms real timers.
+  it; the live runtime (:class:`~repro.live.clock.WallClock`) reads the
+  asyncio event loop's wall clock and drains it from one loop timer.
 * :class:`Transport` — frame delivery between adjacent brokers:
   ``attach``/``detach``, the generic ``transmit``, and the two
   kind-specialised sends ``send_data``/``send_ack`` that carry every ARQ
@@ -36,12 +36,14 @@ the duck typing work:
    read ``ctx.sim._now`` (one attribute load instead of a property call).
    A non-kernel clock must expose ``_now`` — the live clock aliases it to
    the ``now`` property.
-2. **Kernel internals are opt-in.** Trusted hot paths (the ARQ timer
-   push, the overlay's delivery push) inline the kernel's heap access via
-   :meth:`~repro.sim.engine.Simulator.calendar_kernel`. A clock that does
-   not offer ``calendar_kernel`` gets the portable
-   ``schedule()``/``cancel()`` path instead; timer handles then only need
-   ``seq``, ``time`` and ``cancel()`` (:class:`TimerHandle`).
+2. **Timers are armed at an absolute time with a reserved ``seq``.**
+   ``push(time, seq, callback, args)`` arms ``callback(*args)`` at
+   *time* on the clock's own axis, with a ``seq`` the caller drew from
+   the clock's ``_seq`` counter — at once, or earlier to reserve the
+   timer's place in the tie order before knowing it is needed (the ARQ's
+   latent timeouts). It is how the ARQ arms every timeout on both
+   substrates; the returned handle needs ``seq``, ``time`` and
+   ``cancel()`` (:class:`TimerHandle`).
 
 The differential conformance suite
 (``tests/integration/test_live_conformance.py``) is the executable form of
@@ -78,9 +80,9 @@ class Clock(Protocol):
 
     Implementations: :class:`~repro.sim.engine.Simulator` (virtual
     event time) and :class:`~repro.live.clock.WallClock` (asyncio wall
-    time). ``_now`` must stay readable as a plain attribute access (see
-    module docstring); kernel implementations additionally offer
-    ``calendar_kernel()`` for the inlined hot paths.
+    time). ``_now`` must stay readable as a plain attribute access and
+    ``_seq`` is the iterator ``push`` takes its ``seq`` from (see module
+    docstring).
     """
 
     @property
@@ -98,6 +100,12 @@ class Clock(Protocol):
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> None:
         """Fire-and-forget :meth:`schedule`: no cancellation handle."""
+        ...
+
+    def push(
+        self, time: float, seq: int, callback: Callable[..., None], args: tuple
+    ) -> TimerHandle:
+        """Run ``callback(*args)`` at the absolute *time*, ordered by *seq*."""
         ...
 
 

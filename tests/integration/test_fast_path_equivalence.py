@@ -28,20 +28,22 @@ change removed — every copy timed out in its sender's own queue — and
 ``edf_storm`` was lengthened from 2 s to 15 s so that, without the storm,
 the cell still pins a few thousand events of EDF/DCRD schedule.
 
-A second test pins fast-vs-legacy kernel equivalence *within* the current
-code: compaction merely reaps entries that could never fire, so disabling
-it (``compaction_ratio = None``) must not change a single outcome.
+A second test pins that compaction is invisible *within* the current code:
+it merely reaps entries that could never fire, so forcing it on every
+cancel or switching it off (patching the engine's private rule) must not
+change a single outcome.
 """
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_environment
-from repro.sim.engine import Simulator
+from repro.sim import engine
 
 REFERENCE = json.loads(
     (Path(__file__).parent / "data" / "fast_path_reference.json").read_text()
@@ -154,24 +156,24 @@ def test_matches_pre_fast_path_reference(config_name, strategy, seed, mode):
     assert got == want
 
 
-def test_fast_and_legacy_kernels_trace_identically(monkeypatch):
-    """Compaction forced on every cancel vs disabled: bit-identical runs.
+def test_compaction_forced_and_off_trace_identically(monkeypatch):
+    """Compaction forced on every cancel vs switched off: bit-identical runs.
 
-    The default thresholds rarely trip on a 20-node world, so the "fast"
-    side drops them to the floor — every cancelled ACK timer triggers a
-    heap rebuild — while the "legacy" side (``compaction_ratio = None``)
-    falls back to pure lazy deletion. Both must pop the same live events
-    in the same order, and both must match the pre-change reference.
+    The default rule rarely trips on a 20-node world, so the "forced"
+    side drops it to the floor — every cancelled ACK timer triggers a
+    heap rebuild — while the "off" side never compacts and falls back to
+    pure lazy deletion. Both must pop the same live events in the same
+    order, and both must match the pre-change reference.
     """
-    monkeypatch.setattr(Simulator, "compaction_ratio", 0.01)
-    monkeypatch.setattr(Simulator, "compaction_min", 1)
+    monkeypatch.setattr(engine, "_COMPACTION_MIN", 1)
+    monkeypatch.setattr(engine, "_COMPACTION_SHARE", 0.01)
     env, summary = _run("baseline", "DCRD", 1)
     assert env.ctx.sim.heap_compactions > 0
     aggressive = _digest(env, summary)
     assert aggressive == REFERENCE["baseline/DCRD/seed1"]
 
-    monkeypatch.setattr(Simulator, "compaction_ratio", None)
-    monkeypatch.setattr(Simulator, "compaction_min", 64)
+    monkeypatch.setattr(engine, "_COMPACTION_MIN", math.inf)
+    monkeypatch.setattr(engine, "_COMPACTION_SHARE", 0.5)
     env, summary = _run("baseline", "DCRD", 1)
     assert env.ctx.sim.heap_compactions == 0
     assert _digest(env, summary) == aggressive

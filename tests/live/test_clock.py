@@ -196,10 +196,15 @@ def test_cancelling_from_a_callback_mid_drain_compacts_safely(loop):
 def test_close_cancels_the_armed_handle_and_drops_pending_timers(loop):
     clock = WallClock(loop)
     fired = []
-    clock.schedule(0.010, fired.append, 1)
+    pending = clock.schedule(0.010, fired.append, 1)
     clock.schedule_fire(0.020, fired.append, 2)
     clock.close()
     assert loop.armed() == []
+    # A dropped timer reads cancelled, and a late cancel() of it counts
+    # no tombstone against the emptied heap.
+    assert pending.cancelled and not pending.fired
+    pending.cancel()
+    assert clock._tombstones == 0
     loop.advance(101.0)
     assert fired == []
 

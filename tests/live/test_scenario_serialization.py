@@ -9,6 +9,7 @@ adversary and the conformance matrix would be comparing different worlds.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from repro.live.faults import (
 )
 from repro.live.scenarios import (
     SCENARIO_KINDS,
+    Scenario,
     make_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -136,6 +138,22 @@ def test_rebuilt_rules_callable_returns_fresh_state(kind):
             rule.consume()
     # A second call must not see the first call's consumed budgets.
     assert all(rule.dropped == 0 for rule in rebuilt.rules())
+
+
+def test_scenario_with_only_the_required_keys_takes_the_dataclass_defaults():
+    required = [
+        field.name
+        for field in dataclasses.fields(Scenario)
+        if field.default is dataclasses.MISSING
+    ]
+    assert required == ["name", "edges", "publisher", "subscribers"]
+    full = scenario_to_dict(make_scenario("clean"))
+    rebuilt = scenario_from_dict(json.loads(json.dumps({key: full[key] for key in required})))
+    assert rebuilt.rules() == ()
+    for field in dataclasses.fields(Scenario):
+        if field.name not in required and field.name != "rules":
+            assert getattr(rebuilt, field.name) == field.default, field.name
+    assert rebuilt.edges == tuple(tuple(edge) for edge in full["edges"])
 
 
 def test_scenario_unknown_field_rejected():

@@ -100,16 +100,19 @@ def test_events_scheduled_during_run_execute():
     assert sim.now == 3.0
 
 
-def test_step_executes_single_event():
+def test_run_until_executes_only_the_events_due_by_then():
     sim = Simulator()
     fired = []
     sim.schedule(1.0, fired.append, "a")
     sim.schedule(2.0, fired.append, "b")
-    assert sim.step() is True
+    sim.run(until=1.0)
     assert fired == ["a"]
-    assert sim.step() is True
-    assert sim.step() is False
+    assert sim.now == 1.0 and sim.pending_events == 1
+    sim.run(until=2.0)
     assert fired == ["a", "b"]
+    sim.run(until=3.0)  # an empty queue runs nothing
+    assert fired == ["a", "b"]
+    assert sim.processed_events == 2
 
 
 def test_clear_drops_pending_events():
@@ -189,8 +192,8 @@ def test_pending_events_through_cancel_fire_and_clear():
     assert sim.pending_events == 4
     events[0].cancel()
     assert sim.pending_events == 3
-    sim.step()  # pops the cancelled event and fires the first live one
-    assert sim.pending_events == 2
+    sim.run(until=2.0)  # pops the cancelled event and fires the first live one
+    assert sim.pending_events == 2 and sim.processed_events == 1
     sim.clear()
     assert sim.pending_events == 0
 
@@ -201,7 +204,7 @@ def test_cancel_after_fire_is_a_noop():
     fired = []
     event = sim.schedule(1.0, fired.append, "x")
     sim.schedule(2.0, lambda: None)
-    sim.step()
+    sim.run(until=1.0)
     assert fired == ["x"]
     event.cancel()
     event.cancel()

@@ -6,17 +6,25 @@ keys — so every test here checks both the perf counters *and* that the
 observable firing order is untouched.
 """
 
+import math
+
 import pytest
 
+from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.util.errors import SimulationError
+
+
+def compaction_rule(monkeypatch, minimum, share):
+    """Patch the engine's one compaction rule for the test's duration."""
+    monkeypatch.setattr(engine, "_COMPACTION_MIN", minimum)
+    monkeypatch.setattr(engine, "_COMPACTION_SHARE", share)
 
 
 @pytest.fixture
 def aggressive_sim(monkeypatch):
     """A simulator whose every cancellation triggers a compaction pass."""
-    monkeypatch.setattr(Simulator, "compaction_ratio", 0.5)
-    monkeypatch.setattr(Simulator, "compaction_min", 2)
+    compaction_rule(monkeypatch, 2, 0.5)
     return Simulator()
 
 
@@ -46,9 +54,8 @@ def test_compaction_reaps_cancelled_entries(aggressive_sim):
 def test_compaction_preserves_firing_order(monkeypatch):
     """Same schedule, compaction forced vs disabled: identical pop order."""
 
-    def trace(ratio, minimum):
-        monkeypatch.setattr(Simulator, "compaction_ratio", ratio)
-        monkeypatch.setattr(Simulator, "compaction_min", minimum)
+    def trace(minimum, share):
+        compaction_rule(monkeypatch, minimum, share)
         sim = Simulator()
         fired = []
         events = [
@@ -60,13 +67,12 @@ def test_compaction_preserves_firing_order(monkeypatch):
         sim.run()
         return fired
 
-    assert trace(0.01, 1) == trace(None, 64)
+    assert trace(1, 0.01) == trace(math.inf, 0.5)
 
 
 def test_compaction_counter_threshold(monkeypatch):
-    """No pass runs below ``compaction_min`` tombstones."""
-    monkeypatch.setattr(Simulator, "compaction_ratio", 0.01)
-    monkeypatch.setattr(Simulator, "compaction_min", 5)
+    """No pass runs below ``_COMPACTION_MIN`` tombstones."""
+    compaction_rule(monkeypatch, 5, 0.01)
     sim = Simulator()
     events = [sim.schedule(1.0 + i, lambda: None) for i in range(10)]
     for event in events[:4]:
@@ -95,9 +101,8 @@ def test_cancel_after_compaction_is_a_noop(aggressive_sim):
     assert survivor.fired
 
 
-def test_legacy_mode_never_compacts(monkeypatch):
-    monkeypatch.setattr(Simulator, "compaction_ratio", None)
-    monkeypatch.setattr(Simulator, "compaction_min", 1)
+def test_without_compaction_tombstones_wait_to_surface(monkeypatch):
+    compaction_rule(monkeypatch, math.inf, 0.01)
     sim = Simulator()
     events = [sim.schedule(1.0 + i, lambda: None) for i in range(20)]
     for event in events:
@@ -159,12 +164,13 @@ def test_clear_discards_fire_and_forget_entries():
     assert fired == []
 
 
-def test_step_handles_both_entry_shapes():
+def test_run_until_dispatches_both_entry_shapes():
     sim = Simulator()
     fired = []
     sim.schedule_fire(1.0, fired.append, "bare")
     sim.schedule(2.0, fired.append, "event")
-    assert sim.step() and fired == ["bare"] and sim.now == 1.0
-    assert sim.step() and fired == ["bare", "event"] and sim.now == 2.0
-    assert not sim.step()
+    sim.run(until=1.0)
+    assert fired == ["bare"] and sim.now == 1.0 and sim.pending_events == 1
+    sim.run(until=2.0)
+    assert fired == ["bare", "event"] and sim.now == 2.0 and sim.pending_events == 0
     assert sim.processed_events == 2

@@ -1,7 +1,8 @@
 """The substrate contract (repro.substrate) and who satisfies it.
 
 The broker stack binds ``network.send_data``/``network.send_ack`` and the
-clock's ``schedule`` family directly — no capability probe, no fallback —
+clock's ``schedule`` family and ``push`` directly — no capability probe,
+no fallback —
 so both transports and both clocks must offer the whole contract, and the
 unit-test harness must run the same sends production runs.
 """
@@ -39,7 +40,18 @@ def wall_clock():
     ids=["Simulator", "WallClock", "OverlayNetwork", "LiveTransport"],
 )
 def test_substrates_satisfy_the_contract(protocol, build, wall_clock):
-    assert isinstance(build(wall_clock), protocol)
+    substrate = build(wall_clock)
+    assert isinstance(substrate, protocol)
+    if protocol is Clock:
+        # The one push: an absolute time on the clock's own axis and a
+        # seq reserved from the clock's counter, kept by the handle.
+        seq = next(substrate._seq)
+        at = substrate.now + 1.0
+        handle = substrate.push(at, seq, lambda: None, ())
+        assert (handle.seq, handle.time) == (seq, at)
+        assert substrate.pending_events == 1
+        handle.cancel()
+        assert substrate.pending_events == 0
 
 
 def test_the_unit_harness_sends_through_the_contract(monkeypatch):

@@ -16,10 +16,13 @@ import math
 import pytest
 
 from repro import probes, trace
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import build_environment
 from repro.record import (
     ARRIVE,
     DEFAULT_CAPACITY,
     LINK_DROP,
+    ORDER_RELEASE,
     PUBLISH,
     TRANSMIT,
     RunRecord,
@@ -229,6 +232,35 @@ class TestSimulatedDiamond:
         assert [(c["src"], c["dst"]) for c in flat if c["fate"] == "lost"] == lost
         assert len(flat) == len(hops) + len(lost)
         assert ctx.network.stats.data_sent() == len(flat)  # one attempt each
+
+
+class TestHoldbackLatencies:
+    """``holdback_latencies`` over traced runs with total order on and off."""
+
+    @staticmethod
+    def traced_run(ordering):
+        config = ExperimentConfig(
+            ordering=ordering, trace=True, failure_probability=0.06, duration=10.0
+        )
+        env = build_environment(config, "DCRD", 1)
+        env.execute()
+        return env.record
+
+    def test_each_released_pair_maps_to_its_first_hold(self):
+        record = self.traced_run("total")
+        first = {}
+        for event in record.events():
+            if event.kind == ORDER_RELEASE:
+                first.setdefault((event.msg, event.node), event.info)
+        assert first
+        latencies = trace.holdback_latencies(record)
+        assert set(latencies) == set(first)
+        for pair, info in first.items():
+            assert latencies[pair] == info.get("held", 0.0) >= 0.0
+        assert any(held > 0.0 for held in latencies.values())
+
+    def test_a_run_without_ordering_has_none(self):
+        assert trace.holdback_latencies(self.traced_run(None)) == {}
 
 
 class TestDelayBreakdown:
