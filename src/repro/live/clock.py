@@ -119,7 +119,6 @@ class WallClock(Calendar):
     def _insert(self, entry: tuple) -> None:
         heap = self._heap
         heapq.heappush(heap, entry)
-        self._live += 1
         self.timers_scheduled += 1
         # A drain arms once, after everything due has run.
         if heap[0] is entry and not self._draining:
@@ -143,14 +142,12 @@ class WallClock(Calendar):
             while heap and heap[0][0] <= loop_time():
                 entry = heappop(heap)
                 if len(entry) == 4:
-                    self._live -= 1
                     entry[2](*entry[3])
                     continue
                 event = entry[2]
                 if event.cancelled:
                     self._tombstones -= 1
                     continue
-                self._live -= 1
                 event.fired = True
                 event.callback(*event.args)
         finally:

@@ -2,11 +2,10 @@
 
 :class:`LiveTransport` is the wall-clock twin of
 :class:`~repro.overlay.links.OverlayNetwork`. It exposes the same
-data-plane surface — ``attach``/``attach_ack``/``detach``, ``transmit``,
-the ``send_data``/``send_ack`` fast-path names, ``stats``,
-``link_success_probability`` — so :class:`BrokerRuntime`,
-:class:`ArqSender` and the DCRD forwarding logic run over it without a
-single branch on the substrate.
+data-plane surface — the whole :class:`~repro.substrate.Transport`
+contract, ``stats`` and ``link_success_probability`` — so
+:class:`BrokerRuntime`, :class:`ArqSender` and the DCRD forwarding logic
+run over it without a single branch on the substrate.
 
 Topology and wiring
 -------------------
@@ -376,6 +375,21 @@ class LiveTransport:
     def watch_wire(self, observer: Callable[[Any, Optional[float]], None]) -> bool:
         """No wait: a frame goes straight to its socket, nothing to report."""
         return False
+
+    def prewarm_directions(self) -> None:
+        """Nothing to intern: a direction is its connection, dialled in
+        :meth:`start`."""
+
+    def register_ack_fate_hook(
+        self, hook: Callable[[int, int, Any, Optional[float]], bool]
+    ) -> None:
+        """Store nothing: an ACK's fate is unknown until it arrives, so the
+        hook is never called."""
+
+    def ack_round_trip(self, src: int, dst: int) -> Optional[tuple]:
+        """``None``: a socket round trip is not knowable in advance, so
+        every ARQ timer stays eager."""
+        return None
 
     def _write(self, src: int, dst: int, message: bytes) -> None:
         self._unwritten -= 1

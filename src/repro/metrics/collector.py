@@ -302,10 +302,13 @@ class MetricsCollector:
         """``delay / deadline`` of pairs delivered *after* their deadline.
 
         This is exactly the population Figure 7 plots (values start at 1).
+        A zero deadline (a co-located subscriber) has no ratio and is left
+        out; a deadline so small that the ratio overflows reads ``inf``.
         """
         delay, deadline = self._delays_and_deadlines()
         late = (delay > deadline) & (deadline > 0)
-        return (delay[late] / deadline[late]).tolist()
+        with np.errstate(over="ignore"):
+            return (delay[late] / deadline[late]).tolist()
 
     def delays(self) -> List[float]:
         """End-to-end delays of all delivered pairs."""

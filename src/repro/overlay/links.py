@@ -49,7 +49,6 @@ FrameHandler = Callable[[int, Any], None]
 """Signature of a node's receive hook: ``handler(sender, frame)``."""
 
 _INF = float("inf")
-_heappush = heapq.heappush
 
 
 class FrameKind(enum.Enum):
@@ -420,12 +419,9 @@ class OverlayNetwork:
         self._fault_filter: Optional[FaultFilter] = None
         self._loss_rng = streams.get("loss")
         self._loss_draw = self._loss_rng.random
-        # Direct calendar-queue access for the per-frame delivery push in
-        # transmit (the hottest call of a run). Equivalent to
-        # sim.schedule_fire minus the call overhead; both aliases stay valid
-        # because the kernel mutates its heap strictly in place.
-        self._sim_heap = sim._heap
-        self._sim_seq = sim._seq
+        # The calendar's fire-and-forget push, bound once: every delivery
+        # of a frame that survived its hazards is one call of it.
+        self._fire = sim.schedule_fire
         self._handlers: Dict[int, FrameHandler] = {}
         # Dedicated ACK sinks (attach_ack): deliveries of ACK frames go
         # straight to the sink, skipping the generic handler's per-frame
@@ -748,11 +744,9 @@ class OverlayNetwork:
                 delay = wire_wait + delay
             elif probe_tx is not None:
                 probe_tx(now, src, dst, frame, True, None, entry[0], 0.0)
-            # Deliveries are never cancelled: inlined sim.schedule_fire
-            # (link delays are positive by construction, so the
-            # negative-delay guard is statically satisfied). Directions
-            # with a compiled closure schedule it with a 1-tuple payload;
-            # the rest take the generic _deliver.
+            # Deliveries are never cancelled: a fire-and-forget push.
+            # Directions with a compiled closure schedule it with the frame
+            # alone; the rest take the generic _deliver.
             if kind is FrameKind.DATA:
                 deliver = entry[4]
             elif kind is FrameKind.ACK:
@@ -760,21 +754,9 @@ class OverlayNetwork:
             else:
                 deliver = None
             if deliver is not None:
-                _heappush(
-                    self._sim_heap,
-                    (now + delay, next(self._sim_seq), deliver, (frame,)),
-                )
+                self._fire(delay, deliver, frame)
             else:
-                _heappush(
-                    self._sim_heap,
-                    (
-                        now + delay,
-                        next(self._sim_seq),
-                        self._deliver,
-                        (src, dst, frame, kind),
-                    ),
-                )
-            self.sim._live += 1
+                self._fire(delay, self._deliver, src, dst, frame, kind)
             if wire_wait is not None:
                 self._report_wire(src, dst, frame, wire_wait)
         else:
@@ -848,23 +830,10 @@ class OverlayNetwork:
             probe_tx(now, src, dst, frame, True, None, entry[0], 0.0)
         deliver = entry[4]
         if deliver is not None:
-            _heappush(
-                self._sim_heap,
-                (now + entry[0], next(self._sim_seq), deliver, (frame,)),
-            )
-            self.sim._live += 1
+            self._fire(entry[0], deliver, frame)
             return True
         self.dir_fallbacks += 1
-        _heappush(
-            self._sim_heap,
-            (
-                now + entry[0],
-                next(self._sim_seq),
-                self._deliver,
-                (src, dst, frame, FrameKind.DATA),
-            ),
-        )
-        self.sim._live += 1
+        self._fire(entry[0], self._deliver, src, dst, frame, FrameKind.DATA)
         return None
 
     def send_ack(self, src: int, dst: int, frame: Any) -> Optional[bool]:
@@ -918,27 +887,14 @@ class OverlayNetwork:
             return False
         deliver = entry[5]
         if deliver is not None:
-            arrival = now + entry[0]
             fate = self._ack_fate
-            if fate is not None and fate(src, dst, frame, arrival):
+            if fate is not None and fate(src, dst, frame, now + entry[0]):
                 self._delivered[1] += 1
                 return True
-            _heappush(
-                self._sim_heap, (arrival, next(self._sim_seq), deliver, (frame,))
-            )
-            self.sim._live += 1
+            self._fire(entry[0], deliver, frame)
             return True
         self.dir_fallbacks += 1
-        _heappush(
-            self._sim_heap,
-            (
-                now + entry[0],
-                next(self._sim_seq),
-                self._deliver,
-                (src, dst, frame, FrameKind.ACK),
-            ),
-        )
-        self.sim._live += 1
+        self._fire(entry[0], self._deliver, src, dst, frame, FrameKind.ACK)
         return None
 
     def _ack_lost(self, src: int, dst: int, frame: Any) -> None:

@@ -84,11 +84,9 @@ class BrokerRuntime:
         self.duplicates_suppressed = 0
         self.local_deliveries = 0
         ctx.network.attach(node, self.on_frame)
-        attach_ack = getattr(ctx.network, "attach_ack", None)
-        if attach_ack is not None:
-            # partial(handle_ack, node) prepends this node in C — no
-            # Python wrapper frame on the per-ACK path.
-            attach_ack(node, partial(self._handle_ack, node))
+        # partial(handle_ack, node) prepends this node in C — no Python
+        # wrapper frame on the per-ACK path.
+        ctx.network.attach_ack(node, partial(self._handle_ack, node))
 
     @property
     def local_topics(self) -> Set[int]:

@@ -54,9 +54,10 @@ the clock's one absolute-time push, ``clock.push(time, seq, ...)``, with
 a ``seq`` drawn from the clock's counter when the copy was handed over;
 the returned :class:`~repro.sim.engine.Event` is the cancellation handle
 on the kernel and on the live wall clock alike. Latent timeouts and ACKs
-settled at send need what only the simulated substrate has — the
-network's ACK-fate hook and :meth:`~repro.sim.engine.Simulator.settle` —
-so on the live substrate every timer is eager.
+settled at send need what only the simulated substrate has — a
+transport's exact ``ack_round_trip`` and
+:meth:`~repro.sim.engine.Simulator.settle` — so on the live substrate,
+whose transport answers ``None``, every timer is eager.
 
 Timer starts, cancels and fires are reported on the ``timer_*`` probe
 families and nothing else: this module reads no test flag, and an
@@ -160,8 +161,9 @@ class ArqSender:
     def enable_timer_elision(self) -> None:
         """Opt in to latent ACK timeouts and ACKs settled at send.
 
-        Called by the composition root only. Elision assumes the receiving side ACKs every delivered DATA frame
-        synchronously on arrival — true when every node hosts a
+        Called by the composition root only. Elision assumes the receiving
+        side ACKs every delivered DATA frame synchronously on arrival —
+        true when every node hosts a
         :class:`~repro.pubsub.broker.BrokerRuntime` and the active strategy
         has ``uses_acks`` — and that handler attachments are stable for the
         rest of the run. Unit harnesses that drive ACKs by hand must stay
@@ -174,17 +176,12 @@ class ArqSender:
         schedule bit-identical either way. The network's ACK-fate hook
         reports each ACK sent for such a copy: a lost one materialises the
         timer; one that arrives is settled at send when nothing could
-        tell (:meth:`_on_ack_fate`).
+        tell (:meth:`_on_ack_fate`). A transport that cannot tell the
+        round trip (``ack_round_trip`` answers ``None``, as the live one
+        always does) keeps every timer eager, so only the simulated links
+        over a :class:`~repro.sim.engine.Simulator` ever reach ``settle``.
         """
-        network = self.ctx.network
-        register = getattr(network, "register_ack_fate_hook", None)
-        if (
-            register is None
-            or getattr(network, "ack_round_trip", None) is None
-            or getattr(self._sim, "settle", None) is None
-        ):
-            return
-        register(self._on_ack_fate)
+        self._network.register_ack_fate_hook(self._on_ack_fate)
         self._elide_timers = True
         self._dir_info.clear()  # entries memoised so far carry no rt_pair
 

@@ -106,11 +106,6 @@ class Event:
             self._on_cancel()
             self._on_cancel = None
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -124,8 +119,8 @@ class Calendar:
     """A timer calendar: one heap, one ``seq`` counter, lazy cancellation.
 
     Entries are ``(key, seq, Event)`` (cancellable) or ``(key, seq,
-    callback, args)`` (fire-and-forget). The owner pops them: it
-    decrements :attr:`_live` for every live entry it pops and
+    callback, args)`` (fire-and-forget), and only the calendar's own
+    methods push them. The owner pops them and decrements
     :attr:`_tombstones` for every cancelled one it skips. The heap is only
     ever mutated in place, so an owner's alias of it stays valid across a
     compaction triggered from a callback.
@@ -134,10 +129,8 @@ class Calendar:
     def __init__(self) -> None:
         self._heap: List[tuple] = []
         self._seq = itertools.count()
-        # Live (scheduled, not yet fired, not cancelled) entries, kept
-        # incrementally so pending_events is O(1) despite lazy cancellation.
-        self._live = 0
-        # Cancelled entries still sitting in the heap.
+        # Cancelled entries still sitting in the heap: every other entry
+        # is live, so pending_events is O(1) despite lazy cancellation.
         self._tombstones = 0
         #: Number of tombstone-compaction passes performed.
         self.heap_compactions = 0
@@ -147,7 +140,7 @@ class Calendar:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-fired, not-cancelled events in the queue (O(1))."""
-        return self._live
+        return len(self._heap) - self._tombstones
 
     def push(
         self, time: float, seq: int, callback: Callable[..., None], args: tuple
@@ -160,11 +153,9 @@ class Calendar:
         """
         event = Event(time, seq, callback, args, self._on_event_cancelled)
         _heappush(self._heap, (time, seq, event))
-        self._live += 1
         return event
 
     def _on_event_cancelled(self) -> None:
-        self._live -= 1
         self._tombstones = tombstones = self._tombstones + 1
         if (
             tombstones >= _COMPACTION_MIN
@@ -201,7 +192,6 @@ class Calendar:
             event.args = ()
             event._on_cancel = None
         self._heap.clear()
-        self._live = 0
         self._tombstones = 0
 
 
@@ -297,7 +287,6 @@ class Simulator(Calendar):
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         _heappush(self._heap, (self._now + delay, next(self._seq), callback, args))
-        self._live += 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Execute events in order.
@@ -356,7 +345,6 @@ class Simulator(Calendar):
                         f"exceeded max_events={max_events}; runaway schedule?"
                     )
                 heappop(heap)
-                self._live -= 1
                 if on_event_pop is not None:
                     on_event_pop(entry[0], self._now)
                 self._now = entry[0]

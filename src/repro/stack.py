@@ -61,8 +61,8 @@ def wire_stack(
     stripe so co-operating processes never collide.
 
     The substrate's fast paths — interned link directions, latent ARQ
-    timers — are switched on whenever it offers them and every node is
-    hosted here.
+    timers — are switched on whenever every node is hosted here; a
+    substrate without them answers those calls trivially.
     """
     ctx = RuntimeContext(
         sim=clock,
@@ -83,12 +83,10 @@ def wire_stack(
     if len(hosted) == len(topology.nodes):
         # Every handler of the run is attached: intern the link table so
         # the run never falls back to lazy resolution ...
-        prewarm = getattr(network, "prewarm_directions", None)
-        if prewarm is not None:
-            prewarm()
+        network.prewarm_directions()
         # ... and every receiver ACKs delivered DATA synchronously, so ACK
-        # timeouts may stay latent (ArqSender declines by itself on a
-        # substrate that cannot reserve kernel heap keys).
+        # timeouts may stay latent (where the transport reports a round
+        # trip: the simulated links only).
         arq = getattr(routing, "arq", None)
         if arq is not None and routing.uses_acks:
             arq.enable_timer_elision()

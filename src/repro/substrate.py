@@ -13,24 +13,23 @@ runs. This module names the two seams that make that true:
   it; the live runtime (:class:`~repro.live.clock.WallClock`) reads the
   asyncio event loop's wall clock and drains it from one loop timer.
 * :class:`Transport` — frame delivery between adjacent brokers:
-  ``attach``/``detach``, the generic ``transmit``, and the two
+  ``attach``/``attach_ack``/``detach``, the generic ``transmit``, the two
   kind-specialised sends ``send_data``/``send_ack`` that carry every ARQ
-  copy and every ACK reply (required, not probed for — the stack has one
-  send path on every substrate), and ``watch_wire``, through which a
-  transport whose links have finite capacity tells a sender when each
-  DATA copy's last bit leaves it — the instant the sender's ACK clock
-  starts. The simulated data plane
+  copy and every ACK reply, ``watch_wire``, through which a transport
+  whose links have finite capacity tells a sender when each DATA copy's
+  last bit leaves it — the instant the sender's ACK clock starts — and
+  the members behind the simulator's fast paths, which the live
+  transport answers trivially. The simulated data plane
   (:class:`~repro.overlay.links.OverlayNetwork`) models loss, queueing
   and propagation on a calendar queue; the live transport
   (:class:`~repro.live.transport.LiveTransport`) moves length-prefixed
   frames over asyncio TCP sockets.
 
-Both seams are *structural* (duck-typed): the hot paths predate the
-protocols and bind concrete attributes directly, so the sim
-implementations are untouched — zero behavioural drift, pinned by the
-32-cell fingerprint matrix in
-``tests/integration/test_fast_path_equivalence.py``. Two conventions make
-the duck typing work:
+Every member the stack uses is in the contract, and the stack calls each
+one directly: no capability is probed for, so the stack has one path on
+every substrate. The seams are *structural* protocols — the hot paths
+bind concrete attributes, not the protocol classes — and two conventions
+go beyond plain method calls:
 
 1. **``_now`` is part of the Clock contract.** The data-plane hot paths
    read ``ctx.sim._now`` (one attribute load instead of a property call).
@@ -119,12 +118,12 @@ class Transport(Protocol):
     through (:class:`~repro.routing.arq.ArqSender` and
     :class:`~repro.pubsub.broker.BrokerRuntime` bind them directly);
     ``transmit`` is the generic form for every other frame kind and
-    caller. Beyond the contract, transports may offer capabilities the
-    stack probes with ``getattr``: ``attach_ack`` (dedicated ACK sinks),
-    ``prewarm_directions`` (interned link directions),
-    ``register_ack_fate_hook``/``ack_round_trip`` (latent ARQ timeouts
-    and ACKs settled when they are sent — kernel transports only), and
-    ``link_success_probability`` (the link monitor's analytic estimate).
+    caller. The stack calls every member directly. Three of them carry
+    the simulator's fast paths and have a trivial live answer:
+    ``prewarm_directions`` (interned link directions; live: nothing to
+    do) and ``register_ack_fate_hook``/``ack_round_trip`` (latent ARQ
+    timeouts and ACKs settled when they are sent; live: no hook is ever
+    called and no round trip is known, so every timer stays eager).
 
     Scripted faults enter both implementations through one seam, a
     :data:`~repro.overlay.links.FaultFilter` drop predicate consulted
@@ -135,6 +134,10 @@ class Transport(Protocol):
 
     def attach(self, node: int, handler: Callable[[int, Any], None]) -> None:
         """Register ``handler(sender, frame)`` as *node*'s frame sink."""
+        ...
+
+    def attach_ack(self, node: int, handler: Callable[[int, Any], None]) -> None:
+        """Register ``handler(sender, ack)`` as *node*'s ACK sink."""
         ...
 
     def detach(self, node: int) -> None:
@@ -167,6 +170,27 @@ class Transport(Protocol):
         transport on which no copy ever waits returns ``False`` and never
         calls: the clock starts at hand-over.
         """
+        ...
+
+    def prewarm_directions(self) -> None:
+        """Prepare every link direction once all handlers are attached."""
+        ...
+
+    def register_ack_fate_hook(
+        self, hook: Callable[[int, int, Any, Optional[float]], bool]
+    ) -> None:
+        """Report each ACK's fate to ``hook(src, dst, ack, arrival)`` when
+        it is sent (``arrival`` ``None``: lost); a transport that cannot
+        know the fate then never calls it."""
+        ...
+
+    def ack_round_trip(self, src: int, dst: int) -> Optional[tuple]:
+        """The exact ``(d_fwd, d_rev)`` delays of a DATA copy ``src ->
+        dst`` and its ACK, or ``None`` when they are not known in advance."""
+        ...
+
+    def link_success_probability(self, u: int, v: int) -> float:
+        """The link monitor's analytic estimate for link (u, v)."""
         ...
 
 

@@ -1,5 +1,8 @@
 """Unit tests for the delivery collector."""
 
+import math
+import warnings
+
 import pytest
 
 from repro.metrics.collector import MetricsCollector
@@ -92,6 +95,15 @@ def test_late_normalized_delays():
     collector.record_delivery(1, 2, 0.05)   # on time: excluded
     collector.record_delivery(1, 3, 0.15)   # late: 1.5x the requirement
     assert collector.late_normalized_delays() == [pytest.approx(1.5)]
+
+
+def test_late_normalized_delay_past_a_subnormal_deadline_reads_inf():
+    collector = MetricsCollector()
+    collector.expect(1, 0, 0.0, {3: 5e-324})
+    collector.record_delivery(1, 3, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert collector.late_normalized_delays() == [math.inf]
 
 
 def test_delays_list():

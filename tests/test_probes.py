@@ -295,25 +295,22 @@ def test_the_stack_is_wired_and_observed_from_one_module(pattern):
 
 
 def test_network_capability_probes_do_not_grow_back():
-    """Grep-enforced: the stack sends through the Transport contract.
+    """Grep-enforced: the stack uses the substrate through its contract.
 
-    ``send_data``/``send_ack`` are bound directly; a ``getattr(network,
-    "...", None)`` probe is a second path in waiting, so the only ones
-    allowed are the three optional capabilities that exist on one
-    substrate only.
+    Every transport and clock member the stack uses is a
+    ``repro.substrate`` protocol member, called directly; a
+    ``getattr(network, "...", None)`` or ``getattr(sim, "...", None)``
+    probe is a second path in waiting, so there is none.
     """
-    regex = re.compile(r'getattr\(\s*(?:\w+\.)*network,\s*"(\w+)",\s*None\s*\)')
+    regex = re.compile(
+        r'getattr\(\s*(?:\w+\.)*(?:_?network|_?sim|clock),\s*"(\w+)",\s*None\s*\)'
+    )
     found = {
         (str(path.relative_to(_SRC)), name)
         for path in _SRC.rglob("*.py")
         for name in regex.findall(path.read_text())
     }
-    assert found == {
-        ("stack.py", "prewarm_directions"),
-        ("routing/arq.py", "register_ack_fate_hook"),
-        ("routing/arq.py", "ack_round_trip"),
-        ("pubsub/broker.py", "attach_ack"),
-    }
+    assert found == set()
 
 
 _EXPERIMENTS = _SRC / "experiments"

@@ -1,10 +1,11 @@
 """The substrate contract (repro.substrate) and who satisfies it.
 
-The broker stack binds ``network.send_data``/``network.send_ack`` and the
-clock's ``schedule`` family and ``push`` directly — no capability probe,
-no fallback —
-so both transports and both clocks must offer the whole contract, and the
-unit-test harness must run the same sends production runs.
+The broker stack calls every transport member it uses —
+``send_data``/``send_ack``, ``attach_ack``, the fast-path members — and
+the clock's ``schedule`` family and ``push`` directly, with no capability
+probe and no fallback, so both transports and both clocks must offer the
+whole contract, and the unit-test harness must run the same sends
+production runs.
 """
 
 import asyncio
@@ -15,6 +16,7 @@ import pytest
 from repro.live.clock import WallClock
 from repro.live.transport import LiveTransport
 from repro.overlay.links import OverlayNetwork
+from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.substrate import Clock, Transport
@@ -39,7 +41,7 @@ def wall_clock():
     ],
     ids=["Simulator", "WallClock", "OverlayNetwork", "LiveTransport"],
 )
-def test_substrates_satisfy_the_contract(protocol, build, wall_clock):
+def test_substrates_satisfy_the_contract(protocol, build, wall_clock, monkeypatch):
     substrate = build(wall_clock)
     assert isinstance(substrate, protocol)
     if protocol is Clock:
@@ -52,6 +54,52 @@ def test_substrates_satisfy_the_contract(protocol, build, wall_clock):
         assert substrate.pending_events == 1
         handle.cancel()
         assert substrate.pending_events == 0
+        substrate.clear()
+        # Fire-and-forget entries count as pending until they run.
+        fired = []
+        for i in range(3):
+            substrate.schedule_fire(0.01, fired.append, i)
+        assert substrate.pending_events == 3
+        _run_due(substrate)
+        assert fired == [0, 1, 2]
+        assert substrate.pending_events == 0
+        # The count stays exact across a compaction (every second
+        # tombstone rebuilds the heap here) and past a tombstone that
+        # surfaces when the heap is drained.
+        monkeypatch.setattr(engine, "_COMPACTION_MIN", 2)
+        monkeypatch.setattr(engine, "_COMPACTION_SHARE", 0.0)
+        handles = [substrate.schedule(0.01, fired.append, i) for i in range(3, 7)]
+        substrate.schedule_fire(0.01, fired.append, "fire")
+        for handle, pending in zip(handles[:3], [4, 3, 2]):
+            handle.cancel()
+            assert substrate.pending_events == pending
+        assert substrate.heap_compactions == 1
+        _run_due(substrate)
+        assert fired[3:] == [6, "fire"]
+        assert substrate.pending_events == 0
+    else:
+        # The simulator's fast paths are contract members too; the live
+        # transport answers them trivially.
+        for node in substrate.topology.nodes:
+            substrate.attach(node, lambda sender, frame: None)
+            substrate.attach_ack(node, lambda sender, ack: None)
+        substrate.prewarm_directions()
+        substrate.register_ack_fate_hook(lambda src, dst, ack, arrival: False)
+        u, v = next(iter(substrate.topology.edges()))
+        pair = substrate.ack_round_trip(u, v)
+        if isinstance(substrate, LiveTransport):
+            assert pair is None
+        else:
+            topology = substrate.topology
+            assert pair == (topology.delay(u, v), topology.delay(v, u))
+
+
+def _run_due(clock):
+    """Run every timer armed on *clock* (all are due within 10 ms)."""
+    if isinstance(clock, Simulator):
+        clock.run()
+    else:
+        clock._loop.run_until_complete(asyncio.sleep(0.05))
 
 
 def test_the_unit_harness_sends_through_the_contract(monkeypatch):
