@@ -154,7 +154,12 @@ async def _ramp_point(rate: float):
         await runtime.close()
         probes.detach(published)
     result = harvest(
-        scenario, runtime.ctx, runtime.strategy, runtime.ledger, runtime.record
+        scenario,
+        runtime.ctx,
+        runtime.strategy,
+        runtime.ledger,
+        runtime.record,
+        runtime.transport.codec_errors,
     )
     instants = published.instants
     return {

@@ -146,7 +146,7 @@ class SimulationEnvironment:
         rebuilds = getattr(self.strategy, "table_rebuilds", None)
         if rebuilds is not None:
             perf["control_plane.table_rebuilds"] = float(rebuilds)
-        arq = getattr(self.strategy, "arq", None)
+        arq = self.strategy.arq
         if arq is not None:
             perf["arq.timers_cancelled"] = float(arq.timers_cancelled)
             perf["arq.retransmissions"] = float(arq.retransmissions)

@@ -10,8 +10,9 @@ discrete-event kernel, deployed over real loopback TCP:
 * :mod:`repro.live.codec` — length-prefixed binary frame codec;
 * :mod:`repro.live.faults` — scripted :class:`DropRule` faults and
   :func:`link_filter`, the drop predicate both substrates take;
-* :mod:`repro.live.transport` — :class:`LiveTransport`, per-peer TCP
-  connection management + probe-bus observability;
+* :mod:`repro.live.transport` — :class:`LiveTransport`, the simulated
+  network's link model whose last step is a write to a per-peer TCP
+  connection;
 * :mod:`repro.live.config` — :class:`LiveConfig`, validated runtime knobs;
 * :mod:`repro.live.scenarios` — scripted differential scenarios shared
   with the sim substrate;

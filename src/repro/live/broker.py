@@ -159,18 +159,21 @@ class PartitionRuntime:
         # Hosting every broker is the single-process deployment: no peer
         # addresses needed, and no frame ever arrives from outside.
         partitioned = len(self.local_nodes) < topology.num_nodes
+        streams = RandomStreams(self.seed)
         self.transport = LiveTransport(
-            topology,
             self.clock,
+            topology,
+            streams,
             self.config,
-            link_filter(rules) if rules else None,
             local_nodes=self.local_nodes if partitioned else None,
         )
+        if rules:
+            self.transport.install_fault_filter(link_filter(rules))
         self.ctx, self.strategy, _ = wire_stack(
             self.clock,
             topology,
             self.transport,
-            RandomStreams(self.seed),
+            streams,
             self.scenario.workload(),
             self.scenario.params(),
             ordering=plan_from_scenario(self.scenario.ordering),
@@ -290,12 +293,18 @@ class PartitionRuntime:
         the exported ledgers.
         """
         assert self.ctx is not None and self.strategy is not None
+        assert self.transport is not None
         self.finish()
         result: Dict[str, Any] = {
             "nodes": sorted(self.local_nodes),
             "published": self.published,
             **reduce_run(
-                self.ctx, self.strategy, self.ledger, self.record, self.local_nodes
+                self.ctx,
+                self.strategy,
+                self.ledger,
+                self.record,
+                self.local_nodes,
+                self.transport.codec_errors,
             ),
         }
         if self.record is not None and self.record.sanitize:

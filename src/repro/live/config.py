@@ -46,12 +46,6 @@ class LiveConfig:
         Upper bound on one encoded frame; oversized frames are rejected
         at both ends (a malformed length prefix must never cause an
         unbounded read).
-    impose_link_delays:
-        When true (default), each frame's write is delayed by the
-        topology's propagation delay for its link — the live runtime's
-        latency-emulation knob, which keeps live timings comparable to
-        the simulated world. False sends every frame immediately
-        (loopback latency only).
     """
 
     host: str = "127.0.0.1"
@@ -59,7 +53,6 @@ class LiveConfig:
     connect_timeout: float = 5.0
     settle_timeout: float = 5.0
     max_frame_bytes: int = 1 << 20
-    impose_link_delays: bool = True
 
     def __post_init__(self) -> None:
         require_type(self.host, str, "host")

@@ -2,11 +2,11 @@
 
 Both substrates take faults through one seam, a drop predicate
 ``fault_filter(src, dst, kind, frame) -> bool`` (the
-:data:`~repro.overlay.links.FaultFilter` alias): the simulated network
-through :meth:`~repro.overlay.links.OverlayNetwork.install_fault_filter`,
-the socket transport through its ``fault_filter`` constructor argument.
-Each consults it once per send, after counting the send; ``True`` drops
-the frame as an injected loss.
+:data:`~repro.overlay.links.FaultFilter` alias) installed with
+:meth:`~repro.overlay.links.OverlayNetwork.install_fault_filter` — the
+socket transport is a subclass of the simulated network and inherits the
+member. It is consulted once per send, after counting the send; ``True``
+drops the frame as an injected loss.
 
 :func:`link_filter` builds that predicate from scripted :class:`DropRule`
 objects — per-direction, per-kind drops with no randomness at all: ``drop

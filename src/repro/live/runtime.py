@@ -55,7 +55,14 @@ async def _run(
         runtime.finish()
     finally:
         await runtime.close()
-    return harvest(scenario, ctx, strategy, runtime.ledger, runtime.record)
+    return harvest(
+        scenario,
+        ctx,
+        strategy,
+        runtime.ledger,
+        runtime.record,
+        runtime.transport.codec_errors,
+    )
 
 
 def run_live_scenario(

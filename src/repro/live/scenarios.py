@@ -5,9 +5,9 @@ protocol parameters, and a *fault script* — defined once and executed on
 both substrates: :func:`run_sim_scenario` builds the discrete-event stack
 and :func:`repro.live.runtime.run_live_scenario` builds the asyncio TCP
 stack, each with its own :func:`~repro.live.faults.link_filter` of fresh
-rules at its transport seam (``OverlayNetwork.install_fault_filter``, the
-``LiveTransport`` ``fault_filter`` argument). The conformance suite
-asserts the two executions agree.
+rules installed at its transport seam
+(``OverlayNetwork.install_fault_filter``, which ``LiveTransport``
+inherits). The conformance suite asserts the two executions agree.
 
 Scenario fault scripts are deliberately restricted to *whole-run,
 per-direction, per-kind drop-all rules* (dead links, dead ACK
@@ -239,6 +239,7 @@ def reduce_run(
     ledger: AcceptLedger,
     record: Optional[RunRecord],
     nodes: Collection[int],
+    codec_errors: int = 0,
 ) -> Dict[str, Any]:
     """The JSON-safe end-of-run facts of one finished stack.
 
@@ -247,6 +248,8 @@ def reduce_run(
     brokers the caller hosts: the probe bus is process-global, so the
     ledger of a partition co-located with others (the in-process
     partition tests) hears all of them and is filtered here.
+    *codec_errors* counts the wire frames the caller's socket transport
+    had to reject (a simulated run has no wire: 0).
     """
     delivered: List[Tuple[int, int]] = []
     gave_up: List[Tuple[int, int]] = []
@@ -278,8 +281,7 @@ def reduce_run(
         "retransmissions": strategy.arq.retransmissions,
         "abandoned": strategy.abandoned,
         "in_flight": strategy.arq.in_flight,
-        # Wire frames a live transport had to reject (the sim has no wire).
-        "codec_errors": getattr(ctx.network, "codec_errors", 0),
+        "codec_errors": codec_errors,
     }
     if record is not None and record.sanitize:
         perf = record.perf_counters()
@@ -301,9 +303,10 @@ def harvest(
     strategy: DcrdStrategy,
     ledger: AcceptLedger,
     record: Optional[RunRecord],
+    codec_errors: int = 0,
 ) -> Dict[str, Any]:
     """Reduce one finished run (either substrate) to its comparable facts."""
-    facts = reduce_run(ctx, strategy, ledger, record, ctx.topology.nodes)
+    facts = reduce_run(ctx, strategy, ledger, record, ctx.topology.nodes, codec_errors)
     return {
         "scenario": scenario.name,
         "published": ctx.metrics.messages_published,

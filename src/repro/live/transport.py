@@ -1,11 +1,25 @@
 """The socket :class:`~repro.substrate.Transport`: brokers over real TCP.
 
-:class:`LiveTransport` is the wall-clock twin of
-:class:`~repro.overlay.links.OverlayNetwork`. It exposes the same
-data-plane surface — the whole :class:`~repro.substrate.Transport`
-contract, ``stats`` and ``link_success_probability`` — so
+:class:`LiveTransport` *is* an :class:`~repro.overlay.links.OverlayNetwork`
+whose last step is a socket write. Everything up to that step is the
+simulated network's own code: the handler registry, the send counters,
+the fault filter, the link hazards (``Pl``, ``Pf`` epochs, node crashes),
+the ``on_transmit`` probe and the delivery at the receiver
+(:meth:`~repro.overlay.links.OverlayNetwork._deliver`). Where the
+simulator pushes a compiled delivery closure onto its calendar, this
+transport pushes a write onto the wall clock's calendar: after the link's
+topology delay the frame is encoded and written to its direction's
+socket, and the receiving end hands it to the inherited delivery. So
 :class:`BrokerRuntime`, :class:`ArqSender` and the DCRD forwarding logic
-run over it without a single branch on the substrate.
+run over it without a single branch on the substrate, and live runs face
+every hazard the simulated network models through the one link model.
+
+The seam is chosen at construction: the per-direction delivery closures
+(:meth:`_deliveries`) write instead of calling the handler, ``_fire``
+counts the copy as unwritten before it arms the write, and the
+in-process fast sends are off — a socket round trip is not known in
+advance, so ``ack_round_trip`` answers ``None`` and every ARQ timer
+stays eager.
 
 Topology and wiring
 -------------------
@@ -16,10 +30,7 @@ One asyncio TCP server per broker node, one persistent connection per
 connections need no handshake. Both ends of a connection are an
 :class:`_EdgeEnd` protocol: the reading end's ``data_received`` appends
 to one buffer and dispatches every complete frame in place — no reader
-task, no per-frame await. When
-:attr:`~repro.live.config.LiveConfig.impose_link_delays` is set (the
-default) every write is postponed by the topology's propagation delay for
-its link, keeping live timings comparable to the simulated world.
+task, no per-frame await.
 
 Partitioned (multi-process) deployment
 --------------------------------------
@@ -33,26 +44,11 @@ single-process case — the per-node server / per-directed-edge wiring
 never assumed co-location, which is what makes this mode a pure
 deployment change.
 
-Observability
--------------
-The transport fires the same probe families as the sim network —
-``on_transmit`` (DATA only, with ``survived``/``cause``), ``on_arrive``,
-``on_arrival_drop`` — so the sanitizer's conservation/settlement checks
-and the tracer work unchanged in live mode.
-
-Fault injection
----------------
-The transport takes the simulated network's fault seam: an optional
-``fault_filter(src, dst, kind, frame) -> bool``
-(:data:`~repro.overlay.links.FaultFilter`, built from scripted rules by
-:func:`repro.live.faults.link_filter`), consulted once per send after
-counting it. A dropped frame is an injected loss with
-``cause="injected"``, exactly as ``OverlayNetwork.install_fault_filter``
-records it; every other frame is encoded once and written after its
-link's propagation delay. :attr:`LiveTransport.in_transit`
-counts the copies between ``transmit`` and their receiver's dispatch —
-one of the three counts whose zero is a settled run
-(:meth:`repro.live.broker.PartitionRuntime.settled`).
+In transit
+----------
+:attr:`LiveTransport.in_transit` counts the copies between ``transmit``
+and their receiver's dispatch — one of the three counts whose zero is a
+settled run (:meth:`repro.live.broker.PartitionRuntime.settled`).
 """
 
 from __future__ import annotations
@@ -62,14 +58,14 @@ import functools
 from collections import defaultdict
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro import probes as _probes
+from repro.live.clock import WallClock
 from repro.live.codec import CodecError, FrameCodec
 from repro.live.config import LiveConfig
-from repro.overlay.links import FaultFilter, FrameKind, LinkStats
+from repro.overlay.links import FrameKind, OverlayNetwork
+from repro.overlay.topology import Topology
 from repro.pubsub.messages import AckFrame
+from repro.sim.random import RandomStreams
 from repro.util.errors import SimulationError
-
-FrameHandler = Callable[[int, Any], None]
 
 
 class _EdgeEnd(asyncio.Protocol):
@@ -135,19 +131,18 @@ def _kind_of(frame: Any) -> FrameKind:
     return FrameKind.DATA
 
 
-class LiveTransport:
-    """The broker stack's transport over per-peer asyncio TCP connections."""
+class LiveTransport(OverlayNetwork):
+    """The simulated network's link model over per-peer asyncio TCP connections."""
 
     def __init__(
         self,
-        topology: Any,
-        clock: Any,
+        clock: WallClock,
+        topology: Topology,
+        streams: RandomStreams,
         config: Optional[LiveConfig] = None,
-        fault_filter: Optional[FaultFilter] = None,
         local_nodes: Optional[Iterable[int]] = None,
     ) -> None:
-        self.topology = topology
-        self.clock = clock
+        super().__init__(clock, topology, streams)
         self.config = config if config is not None else LiveConfig()
         #: Nodes this transport instance hosts (``None`` = all of them,
         #: the single-process deployment).
@@ -159,15 +154,14 @@ class LiveTransport:
                 if node not in topology.nodes:
                     raise SimulationError(f"local node {node} is not in the topology")
         self.codec = FrameCodec(self.config.max_frame_bytes)
-        #: The drop predicate consulted once per send (``None``: no faults).
-        self.fault_filter = fault_filter
-        self.stats = LinkStats()
-        self._handlers: Dict[int, FrameHandler] = {}
-        self._ack_handlers: Dict[int, FrameHandler] = {}
+        # A socket round trip is not known in advance: every send takes
+        # the generic transmit, and no ARQ timer is ever latent.
+        self._fast_sends = False
+        # Every copy that survives its hazards is armed as a write.
+        self._fire = self._fire_write
         # Directed-edge wiring, built by start(): the socket u writes the
-        # u -> v frames to and the imposed per-direction propagation delay.
+        # u -> v frames to.
         self._writers: Dict[Tuple[int, int], asyncio.Transport] = {}
-        self._delays: Dict[Tuple[int, int], float] = {}
         self._servers: List[asyncio.AbstractServer] = []
         # Both ends of every connection this transport dialled or accepted
         # (closed with the run: Server.close() only stops listening).
@@ -187,35 +181,16 @@ class LiveTransport:
     def in_transit(self) -> int:
         """Copies handed to a link and not yet dispatched at their receiver.
 
-        Counted per frame ``transmit`` did not drop, released by the
+        Counted per frame the link hazards did not take, released by the
         receiver's dispatch — also when no handler takes the frame — or
         dropped with the copy when its connection is closing or closed:
         a write to it is skipped, and what was written to it is forgotten
-        when it closes. Exact when this transport hosts every node. In a partition the sender counts a copy to a
-        remote node and the receiver's partition releases it, so only the
-        sum over the fleet means "in transit".
+        when it closes. Exact when this transport hosts every node. In a
+        partition the sender counts a copy to a remote node and the
+        receiver's partition releases it, so only the sum over the fleet
+        means "in transit".
         """
         return self._unwritten + sum(self._on_wire.values())
-
-    # ------------------------------------------------------------------
-    # Handler registry (identical contract to OverlayNetwork)
-    # ------------------------------------------------------------------
-    def attach(self, node: int, handler: FrameHandler) -> None:
-        """Register *handler* as the frame sink of *node*."""
-        if node not in self.topology.nodes:
-            raise SimulationError(f"node {node} is not in the topology")
-        self._handlers[node] = handler
-
-    def attach_ack(self, node: int, handler: FrameHandler) -> None:
-        """Register a dedicated ACK sink for *node* (pure fast path)."""
-        if node not in self.topology.nodes:
-            raise SimulationError(f"node {node} is not in the topology")
-        self._ack_handlers[node] = handler
-
-    def detach(self, node: int) -> None:
-        """Remove *node*'s handlers; frames to it are silently dropped."""
-        self._handlers.pop(node, None)
-        self._ack_handlers.pop(node, None)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -249,7 +224,6 @@ class LiveTransport:
             )
             self._servers.append(server)
             self._ports[node] = server.sockets[0].getsockname()[1]
-        impose = self.config.impose_link_delays
         for u, v in self.topology.edges():
             for src, dst in ((u, v), (v, u)):
                 if local is not None and src not in local:
@@ -263,9 +237,6 @@ class LiveTransport:
                         )
                     address = (host, self._ports[dst])
                 self._writers[(src, dst)] = await self._dial(src, dst, *address)
-                self._delays[(src, dst)] = (
-                    self.topology.delay(src, dst) if impose else 0.0
-                )
         self.started = True
 
     async def _dial(self, src: int, dst: int, host: str, port: int) -> asyncio.Transport:
@@ -321,117 +292,30 @@ class LiveTransport:
         return self._ports[node]
 
     # ------------------------------------------------------------------
-    # Send side
+    # The last step: a socket write instead of an in-process delivery
     # ------------------------------------------------------------------
-    def transmit(
-        self, src: int, dst: int, frame: Any, kind: FrameKind, reliable: bool = False
-    ) -> bool:
-        """Send *frame* on the ``src -> dst`` connection.
+    def _deliveries(
+        self, src: int, dst: int, handler: Optional[Callable[[int, Any], None]]
+    ) -> Tuple[Callable[[Any], None], Callable[[Any], None]]:
+        """Both kinds of the ``src -> dst`` direction end in its socket:
+        the receiver's sink runs where the frame is read."""
+        write = functools.partial(self._write, src, dst)
+        return write, write
 
-        Mirrors ``OverlayNetwork.transmit``: counts the send under its
-        kind and size, drops the frame as an injected loss if the fault
-        filter says so, fires the DATA-only ``on_transmit`` probe, and
-        returns whether the frame went onto the wire (tests only — senders
-        learn outcomes via ACKs).
-        """
-        if not self.topology.has_edge(src, dst):
-            raise SimulationError(f"no overlay link {src} -> {dst}")
-        stats = self.stats
-        kidx = kind.idx
-        stats._sent[kidx] += 1
-        stats._volume[kidx] += getattr(frame, "size", 1.0)
-        prop = self._delays.get((src, dst), 0.0)
-        fault = self.fault_filter
-        if fault is not None and fault(src, dst, kind, frame):
-            stats._lost_injected[kidx] += 1
-            if kind is FrameKind.DATA:
-                probe = _probes.on_transmit
-                if probe is not None:
-                    probe(self.clock.now, src, dst, frame, False, "injected", prop, None)
-            return False
-        if kind is FrameKind.DATA:
-            probe = _probes.on_transmit
-            if probe is not None:
-                probe(self.clock.now, src, dst, frame, True, None, prop, None)
-        codec = self.codec
-        message = codec.frame_message(codec.encode_payload(src, frame))
+    def _fire_write(self, delay: float, write: Callable[[Any], None], frame: Any) -> None:
         self._unwritten += 1
-        if prop > 0.0:
-            self.clock.schedule_fire(prop, self._write, src, dst, message)
-        else:
-            self._write(src, dst, message)
-        return True
+        self.sim.schedule_fire(delay, write, frame)
 
-    def send_data(self, src: int, dst: int, frame: Any) -> Optional[bool]:
-        """DATA fast-path name; the live outcome is never knowable here."""
-        self.transmit(src, dst, frame, FrameKind.DATA)
-        return None
-
-    def send_ack(self, src: int, dst: int, frame: Any) -> Optional[bool]:
-        """ACK fast-path name; the live outcome is never knowable here."""
-        self.transmit(src, dst, frame, FrameKind.ACK)
-        return None
-
-    def watch_wire(self, observer: Callable[[Any, Optional[float]], None]) -> bool:
-        """No wait: a frame goes straight to its socket, nothing to report."""
-        return False
-
-    def prewarm_directions(self) -> None:
-        """Nothing to intern: a direction is its connection, dialled in
-        :meth:`start`."""
-
-    def register_ack_fate_hook(
-        self, hook: Callable[[int, int, Any, Optional[float]], bool]
-    ) -> None:
-        """Store nothing: an ACK's fate is unknown until it arrives, so the
-        hook is never called."""
-
-    def ack_round_trip(self, src: int, dst: int) -> Optional[tuple]:
-        """``None``: a socket round trip is not knowable in advance, so
-        every ARQ timer stays eager."""
-        return None
-
-    def _write(self, src: int, dst: int, message: bytes) -> None:
+    def _write(self, src: int, dst: int, frame: Any) -> None:
         self._unwritten -= 1
         direction = (src, dst)
         writer = self._writers.get(direction)
         if writer is None or writer.is_closing():
             return  # the connection is gone, and the copy with it
-        writer.write(message)
+        writer.write(self.codec.encode(src, frame))
         self._on_wire[direction] += 1
 
-    # ------------------------------------------------------------------
-    # Receive side
-    # ------------------------------------------------------------------
     def _dispatch(self, src: int, dst: int, frame: Any) -> None:
-        """Hand one received frame to *dst*'s sink (sim-identical dispatch)."""
+        """Hand one frame read off the ``src -> dst`` socket to its receiver."""
         self._on_wire[(src, dst)] -= 1
-        kind = _kind_of(frame)
-        handler: Optional[FrameHandler] = None
-        if kind is FrameKind.ACK:
-            handler = self._ack_handlers.get(dst)
-        if handler is None:
-            handler = self._handlers.get(dst)
-        if handler is None:
-            if kind is FrameKind.DATA:
-                probe = _probes.on_arrival_drop
-                if probe is not None:
-                    probe(self.clock.now, src, dst, frame, "no_handler")
-            return
-        self.stats._delivered[kind.idx] += 1
-        if kind is FrameKind.DATA:
-            probe = _probes.on_arrive
-            if probe is not None:
-                probe(self.clock.now, src, dst, frame)
-        handler(src, frame)
-
-    # ------------------------------------------------------------------
-    # Convenience queries used by routing layers
-    # ------------------------------------------------------------------
-    def link_success_probability(self, u: int, v: int) -> float:
-        """TCP is reliable; injected faults are adversarial, not stochastic."""
-        return 1.0
-
-    def link_up(self, u: int, v: int) -> bool:
-        """Live links have no scripted failure epochs."""
-        return True
+        self._deliver(src, dst, frame, _kind_of(frame))

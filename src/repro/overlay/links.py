@@ -21,14 +21,16 @@ propagation delay, effective loss rate, receiver handler — is resolved once
 into :attr:`OverlayNetwork._dir_cache` and reused; the cache is invalidated
 whenever a handler attaches or detaches.
 
-:class:`OverlayNetwork` is the simulated implementation of the substrate
-:class:`~repro.substrate.Transport` contract; the live runtime substitutes
-:class:`~repro.live.transport.LiveTransport` (asyncio TCP) behind the same
-attach/transmit surface. Both take scripted faults through one seam, a
-:data:`FaultFilter` drop predicate (:meth:`OverlayNetwork.install_fault_filter`
-here, the ``fault_filter`` argument there), so the differential
-conformance suite can script identical adversarial worlds on both
-substrates.
+:class:`OverlayNetwork` is the one link model of the substrate
+:class:`~repro.substrate.Transport` contract. The live runtime's
+:class:`~repro.live.transport.LiveTransport` (asyncio TCP) is a subclass
+that changes only the last step: its per-direction delivery closures
+(:meth:`OverlayNetwork._deliveries`) write the frame to a socket, and the
+receiving end hands what it reads to :meth:`OverlayNetwork._deliver`.
+Every hazard, counter, probe and the :data:`FaultFilter` seam
+(:meth:`OverlayNetwork.install_fault_filter`) is this module's code on
+both substrates, so the differential conformance suite scripts identical
+adversarial worlds on both.
 """
 
 from __future__ import annotations
@@ -497,7 +499,7 @@ class OverlayNetwork:
         per transmission, after the send is counted but before any link
         hazard; returning ``True`` drops the frame at the seam (counted in
         ``stats.lost_injected``, cause ``"injected"``). The live transport
-        takes the same predicate (see :mod:`repro.live.faults`), letting
+        inherits this member (see :mod:`repro.live.faults`), letting
         the differential conformance suite script identical adversarial
         worlds on both substrates —
         e.g. per-direction per-kind drop-all rules the epoch-granular
@@ -580,45 +582,17 @@ class OverlayNetwork:
         """Build and memoise the per-direction hot-loop constants.
 
         Besides the flat per-direction fields (delay, effective loss,
-        handler, canonical edge) the entry carries two *compiled delivery
-        closures* — one per data-plane frame kind — that capture the
-        direction's endpoints, the receiver's sink, and the flat delivered
-        row, so a scheduled delivery runs without re-resolving any of them.
-        Closures are only compiled when delivery is unconditional (a
-        handler exists and no node-crash schedule can interpose); other
-        directions keep the generic :meth:`_deliver` path. Handler changes
-        invalidate the whole table (attach/detach clear it), so compiled
-        closures are never stale for frames transmitted afterwards.
+        handler, canonical edge) the entry carries the direction's two
+        delivery closures, one per data-plane frame kind
+        (:meth:`_deliveries`). Handler changes invalidate the whole table
+        (attach/detach clear it), so compiled closures are never stale
+        for frames transmitted afterwards.
         """
         if not self.topology.has_edge(src, dst):
             raise SimulationError(f"no overlay link {src} -> {dst}")
         cedge = canonical_edge(src, dst)
         handler = self._handlers.get(dst)
-        deliver_data = deliver_ack = None
-        if handler is not None and self.node_failures is None:
-            sim = self.sim
-            delivered = self._delivered
-
-            def deliver_data(frame):
-                delivered[0] += 1
-                probe = _probes.on_arrive
-                if probe is not None:
-                    probe(sim._now, src, dst, frame)
-                handler(src, frame)
-
-            ack_sink = self._ack_handlers.get(dst)
-            if ack_sink is not None:
-
-                def deliver_ack(frame):
-                    delivered[1] += 1
-                    ack_sink(src, frame)
-
-            else:
-
-                def deliver_ack(frame):
-                    delivered[1] += 1
-                    handler(src, frame)
-
+        deliver_data, deliver_ack = self._deliveries(src, dst, handler)
         entry = (
             self.topology.delay(src, dst),
             self.link_loss_rates.get(cedge, self.loss_rate),
@@ -629,6 +603,45 @@ class OverlayNetwork:
         )
         self._dir_cache[(src << 21) | dst] = entry
         return entry
+
+    def _deliveries(
+        self, src: int, dst: int, handler: Optional[FrameHandler]
+    ) -> Tuple[Optional[Callable[[Any], None]], Optional[Callable[[Any], None]]]:
+        """The ``src -> dst`` direction's compiled DATA and ACK deliveries.
+
+        Each closure captures the direction's endpoints, the receiver's
+        sink and the flat delivered row, so a scheduled delivery runs
+        without re-resolving any of them. They are only compiled when
+        delivery is unconditional (a handler exists and no node-crash
+        schedule can interpose); otherwise both are ``None`` and the
+        direction keeps the generic :meth:`_deliver` path.
+        """
+        if handler is None or self.node_failures is not None:
+            return None, None
+        sim = self.sim
+        delivered = self._delivered
+
+        def deliver_data(frame):
+            delivered[0] += 1
+            probe = _probes.on_arrive
+            if probe is not None:
+                probe(sim._now, src, dst, frame)
+            handler(src, frame)
+
+        ack_sink = self._ack_handlers.get(dst)
+        if ack_sink is not None:
+
+            def deliver_ack(frame):
+                delivered[1] += 1
+                ack_sink(src, frame)
+
+        else:
+
+            def deliver_ack(frame):
+                delivered[1] += 1
+                handler(src, frame)
+
+        return deliver_data, deliver_ack
 
     def prewarm_directions(self) -> None:
         """Intern every link direction, then zero the fallback counter.

@@ -78,7 +78,7 @@ class BrokerRuntime:
         # ordering-off default is ``None`` — one slot load and an
         # ``is None`` check on the delivery path, the zero-cost
         # passthrough the fingerprint matrix pins.
-        plan = getattr(ctx, "ordering", None)
+        plan = ctx.ordering
         self._pipeline = plan.pipeline_for(self) if plan is not None else None
         self.frames_received = 0
         self.duplicates_suppressed = 0

@@ -30,7 +30,7 @@ import abc
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, FrozenSet, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, FrozenSet, Iterable, Iterator, Optional
 
 from repro.metrics.collector import MetricsCollector
 from repro.overlay.links import OverlayNetwork
@@ -41,6 +41,9 @@ from repro.pubsub.topics import TopicSpec, Workload
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.util.validation import require, require_positive
+
+if TYPE_CHECKING:  # pragma: no cover - the ARQ module imports this one
+    from repro.routing.arq import ArqSender
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,9 @@ class RoutingStrategy(abc.ABC):
 
     #: Whether broker runtimes should send hop-by-hop ACKs for this scheme.
     uses_acks: bool = True
+
+    #: The run's hop-by-hop ARQ sender; ``None`` for a scheme without ACKs.
+    arq: Optional["ArqSender"] = None
 
     def __init__(self, ctx: RuntimeContext) -> None:
         self.ctx = ctx

@@ -87,9 +87,8 @@ def wire_stack(
         # ... and every receiver ACKs delivered DATA synchronously, so ACK
         # timeouts may stay latent (where the transport reports a round
         # trip: the simulated links only).
-        arq = getattr(routing, "arq", None)
-        if arq is not None and routing.uses_acks:
-            arq.enable_timer_elision()
+        if routing.arq is not None:
+            routing.arq.enable_timer_elision()
     return Stack(ctx, routing, brokers)
 
 

@@ -19,11 +19,14 @@ runs. This module names the two seams that make that true:
   whose links have finite capacity tells a sender when each DATA copy's
   last bit leaves it — the instant the sender's ACK clock starts — and
   the members behind the simulator's fast paths, which the live
-  transport answers trivially. The simulated data plane
-  (:class:`~repro.overlay.links.OverlayNetwork`) models loss, queueing
-  and propagation on a calendar queue; the live transport
-  (:class:`~repro.live.transport.LiveTransport`) moves length-prefixed
-  frames over asyncio TCP sockets.
+  transport answers trivially. There is one link model: the simulated
+  data plane (:class:`~repro.overlay.links.OverlayNetwork`) decides each
+  send's hazards (faults, link failures, loss, node crashes) and
+  delivers the survivors one link delay later from its calendar; the
+  live transport (:class:`~repro.live.transport.LiveTransport`) is that
+  network with a different last step — the delivery writes a
+  length-prefixed frame to an asyncio TCP socket, and the receiver's
+  read hands it to the same delivery code.
 
 Every member the stack uses is in the contract, and the stack calls each
 one directly: no capability is probed for, so the stack has one path on
@@ -113,23 +116,24 @@ class Transport(Protocol):
     """Frame delivery between adjacent brokers — the substrate's data seam.
 
     Implementations: :class:`~repro.overlay.links.OverlayNetwork`
-    (simulated links) and :class:`~repro.live.transport.LiveTransport`
-    (asyncio TCP). ``send_data``/``send_ack`` are what the stack sends
-    through (:class:`~repro.routing.arq.ArqSender` and
-    :class:`~repro.pubsub.broker.BrokerRuntime` bind them directly);
+    (simulated links) and its subclass
+    :class:`~repro.live.transport.LiveTransport` (the same links, each
+    delivery a write to an asyncio TCP socket). ``send_data``/``send_ack``
+    are what the stack sends through (:class:`~repro.routing.arq.ArqSender`
+    and :class:`~repro.pubsub.broker.BrokerRuntime` bind them directly);
     ``transmit`` is the generic form for every other frame kind and
     caller. The stack calls every member directly. Three of them carry
-    the simulator's fast paths and have a trivial live answer:
-    ``prewarm_directions`` (interned link directions; live: nothing to
-    do) and ``register_ack_fate_hook``/``ack_round_trip`` (latent ARQ
-    timeouts and ACKs settled when they are sent; live: no hook is ever
-    called and no round trip is known, so every timer stays eager).
+    the simulator's fast paths: ``prewarm_directions`` (interned link
+    directions) and ``register_ack_fate_hook``/``ack_round_trip``
+    (latent ARQ timeouts and ACKs settled when they are sent). The live
+    transport has no in-process fast sends, so its ``ack_round_trip``
+    is ``None`` and every ARQ timer stays eager; the hook hears only of
+    ACKs lost at send, and no latent timer exists to materialise.
 
-    Scripted faults enter both implementations through one seam, a
+    Scripted faults enter both through one seam, a
     :data:`~repro.overlay.links.FaultFilter` drop predicate consulted
-    once per send (``OverlayNetwork.install_fault_filter``, the
-    ``LiveTransport`` ``fault_filter`` argument); a dropped frame counts
-    as a send and an injected loss.
+    once per send (``install_fault_filter``); a dropped frame counts as
+    a send and an injected loss.
     """
 
     def attach(self, node: int, handler: Callable[[int, Any], None]) -> None:
@@ -181,7 +185,7 @@ class Transport(Protocol):
     ) -> None:
         """Report each ACK's fate to ``hook(src, dst, ack, arrival)`` when
         it is sent (``arrival`` ``None``: lost); a transport that cannot
-        know the fate then never calls it."""
+        know an arrival in advance reports only the ACKs lost at send."""
         ...
 
     def ack_round_trip(self, src: int, dst: int) -> Optional[tuple]:

@@ -1,9 +1,10 @@
 """Scripted drop rules through ``link_filter``, the one fault seam.
 
-Both substrates take the predicate ``link_filter`` builds: the simulated
-network through ``install_fault_filter``, the socket transport through its
-``fault_filter`` argument. The last test sends one frame schedule through
-each and asserts they drop the same frames.
+Both substrates take the predicate ``link_filter`` builds through one
+member, ``install_fault_filter``: the socket transport is a simulated
+network whose last step is a socket write. The last test sends one frame
+schedule through each and asserts they drop the same frames and fire the
+same ``transmit`` probe stream.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import asyncio
 
 import pytest
 
+from repro import probes
 from repro.live.clock import WallClock
-from repro.live.config import LiveConfig
 from repro.live.faults import (
     ACK,
     DATA,
@@ -119,33 +120,66 @@ def _rows(stats):
     return stats.sent, stats.volume, stats.lost_injected
 
 
+class _Transmits:
+    """Every ``on_transmit`` call, less its time and frame."""
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def probe_handlers(self):
+        return {"transmit": self._on_transmit}
+
+    def _on_transmit(self, t, src, dst, frame, survived, cause, prop, queue):
+        self.calls.append((src, dst, survived, cause, prop, queue))
+
+
 def test_sim_and_live_transports_drop_the_same_frames():
     frames = parity_schedule()
     network = OverlayNetwork(Simulator(), diamond(), RandomStreams(0), loss_rate=0.0)
     network.install_fault_filter(link_filter(parity_rules()))
-    sim_outcomes = [
-        network.transmit(src, dst, frame, kind) for src, dst, frame, kind in frames
-    ]
+    sim_probes = _Transmits()
+    probes.attach(sim_probes)
+    try:
+        sim_outcomes = [
+            network.transmit(src, dst, frame, kind) for src, dst, frame, kind in frames
+        ]
+    finally:
+        probes.detach(sim_probes)
 
     async def live():
         transport = LiveTransport(
-            diamond(),
-            WallClock(asyncio.get_running_loop()),
-            LiveConfig(impose_link_delays=False),
-            link_filter(parity_rules()),
+            WallClock(asyncio.get_running_loop()), diamond(), RandomStreams(0)
         )
+        transport.install_fault_filter(link_filter(parity_rules()))
         await transport.start()
         try:
-            return transport, [
+            outcomes = [
                 transport.transmit(src, dst, frame, kind)
                 for src, dst, frame, kind in frames
             ]
+            # Every surviving copy is written after its link's delay and
+            # read at its receiver (no node has a sink here).
+            deadline = asyncio.get_running_loop().time() + 2.0
+            while transport.in_transit:
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.005)
+            return transport, outcomes
         finally:
             await transport.close()
 
-    transport, live_outcomes = asyncio.run(live())
+    live_probes = _Transmits()
+    probes.attach(live_probes)
+    try:
+        transport, live_outcomes = asyncio.run(live())
+    finally:
+        probes.detach(live_probes)
     assert live_outcomes == sim_outcomes
     assert _rows(transport.stats) == _rows(network.stats)
+    # One probe stream: the same (src, dst, survived, cause, prop, queue)
+    # for every DATA send, the propagation delay and zero queueing of a
+    # surviving copy included.
+    assert live_probes.calls == sim_probes.calls
+    assert any(call[2] and call[5] == 0.0 for call in sim_probes.calls)
     # The schedule exercises every rule and still passes frames.
     assert 0 < sum(network.stats.lost_injected.values()) < len(frames)
     assert network.stats.lost_injected[FrameKind.ACK] > 0

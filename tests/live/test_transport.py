@@ -16,6 +16,7 @@ from repro.live.transport import LiveTransport
 from repro.ordering.tags import OrderTag
 from repro.overlay.links import FrameKind
 from repro.pubsub.messages import AckFrame, PacketFrame
+from repro.sim.random import RandomStreams
 from tests.core.test_forwarding import diamond
 
 
@@ -56,7 +57,9 @@ async def _receive(chunks):
     """Feed *chunks* to one accepting end; what its node's sinks saw."""
     from repro.live.transport import _EdgeEnd
 
-    transport = LiveTransport(diamond(), WallClock(asyncio.get_running_loop()))
+    transport = LiveTransport(
+        WallClock(asyncio.get_running_loop()), diamond(), RandomStreams(0)
+    )
     seen = []
     transport.attach(1, lambda src, frame: seen.append(_identity(src, frame)))
     end = _EdgeEnd(transport, 1)
@@ -82,11 +85,13 @@ def test_any_chunking_of_the_stream_dispatches_the_same_frames():
 
 async def _started_transport(config=None, rules=()):
     transport = LiveTransport(
-        diamond(),
         WallClock(asyncio.get_running_loop()),
+        diamond(),
+        RandomStreams(0),
         config if config is not None else LiveConfig(max_frame_bytes=256),
-        link_filter(rules) if rules else None,
     )
+    if rules:
+        transport.install_fault_filter(link_filter(rules))
     seen = []
     transport.attach(1, lambda src, frame: seen.append((src, frame)))
     await transport.start()
@@ -205,7 +210,7 @@ def test_in_transit_releases_a_frame_no_handler_takes():
 
 def test_in_transit_forgets_the_copies_of_a_closed_connection():
     async def scenario():
-        transport, seen = await _started_transport(LiveConfig(impose_link_delays=False))
+        transport, seen = await _started_transport()
         try:
             transport.transmit(0, 1, AckFrame(1, 0, 9), FrameKind.ACK)
             await _until(lambda: seen)
@@ -215,7 +220,9 @@ def test_in_transit_forgets_the_copies_of_a_closed_connection():
                 for end in transport._ends
                 if (end.src, end.dst) == (0, 1) and end.transport is not writer
             )
+            reader.transport.pause_reading()
             transport.transmit(0, 1, AckFrame(2, 0, 10), FrameKind.ACK)
+            await _until(lambda: transport._unwritten == 0)  # the link's delay
             assert transport.in_transit == 1  # written, not yet read ...
             reader.transport.close()  # ... and now it never will be
             await reader.closed
@@ -224,7 +231,10 @@ def test_in_transit_forgets_the_copies_of_a_closed_connection():
             # dropped at the write, never counted.
             await _until(writer.is_closing)
             transport.transmit(0, 1, AckFrame(3, 0, 11), FrameKind.ACK)
+            assert transport.in_transit == 1  # in the calendar for the link
+            await _until(lambda: transport._unwritten == 0)
             assert transport.in_transit == 0
+            assert (0, 1) not in transport._on_wire and len(seen) == 1
         finally:
             await transport.close()
 

@@ -299,12 +299,11 @@ def test_network_capability_probes_do_not_grow_back():
 
     Every transport and clock member the stack uses is a
     ``repro.substrate`` protocol member, called directly; a
-    ``getattr(network, "...", None)`` or ``getattr(sim, "...", None)``
-    probe is a second path in waiting, so there is none.
+    ``getattr(network, "...", <default>)`` or ``getattr(sim, "...",
+    <default>)`` probe — whatever its default — is a second path in
+    waiting, so there is none.
     """
-    regex = re.compile(
-        r'getattr\(\s*(?:\w+\.)*(?:_?network|_?sim|clock),\s*"(\w+)",\s*None\s*\)'
-    )
+    regex = re.compile(r'getattr\(\s*(?:\w+\.)*(?:_?network|_?sim|clock)\s*,\s*"(\w+)"')
     found = {
         (str(path.relative_to(_SRC)), name)
         for path in _SRC.rglob("*.py")

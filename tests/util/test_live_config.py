@@ -12,7 +12,6 @@ class TestTimeouts:
     def test_defaults_are_valid(self):
         config = LiveConfig()
         assert config.host == "127.0.0.1"
-        assert config.impose_link_delays
 
     @pytest.mark.parametrize("value", [0.0, -1.0, -0.001])
     def test_negative_connect_timeout_rejected(self, value):
