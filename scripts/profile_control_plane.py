@@ -192,7 +192,7 @@ def round_bands(nodes: int) -> None:
     print_bands(
         "first in-run refresh of refresh_controlplane "
         f"({refresh.config.num_nodes} nodes, seed 1; "
-        f"{len(solves) - 1} refreshes)",
+        f"{len(solves) - 1} refreshes solved)",
         solves[1],
     )
 

@@ -16,8 +16,10 @@ state: each node's ``<d, r>`` plus its ordered sending list.
 Batching and incrementality
 ---------------------------
 
-Algorithm 1 re-runs after every monitoring cycle, and most of the work of
-one (publisher, subscriber) solve is *pair-independent*: the Eq. 1
+Algorithm 1 re-runs for every monitoring cycle that moved the estimates
+(when the data plane first reads a table after it, see
+:mod:`repro.core.forwarding`), and most of the work of one (publisher,
+subscriber) solve is *pair-independent*: the Eq. 1
 ``(alpha_m, gamma_m)`` link table and the adjacency depend only on the
 estimates, and the budget Dijkstra depends only on the publisher.
 :class:`ControlPlaneSolver` computes each of those artifacts exactly once
@@ -90,7 +92,9 @@ influence a table if at least one endpoint has a positive delay budget
 (``dist(P, endpoint) < deadline``); a broker whose budget is non-positive
 provably holds ``<inf, 0>`` forever and its links are never read. Tables
 no changed edge can reach are reused verbatim (bit-identical, the solve
-is skipped entirely).
+is skipped entirely). The test needs one number per publisher, the delay
+to the nearest changed endpoint (:meth:`ControlPlaneSolver.change_distance`),
+which every deadline of that publisher's tables is compared with.
 
 Earlier versions also *replayed* the previous solve's recorded trajectory,
 recomputing only the changed edges' influence cone. It was removed when
@@ -485,6 +489,19 @@ class ControlPlaneSolver:
             self._distance_rows[publisher] = row
         return row
 
+    def change_distance(self, publisher: int, changed_edges: Iterable[Edge]) -> float:
+        """The shortest delay from *publisher* to an endpoint of a changed
+        edge (inf when none is reachable): a table of *publisher* is
+        affected by the change exactly when its deadline exceeds it
+        (:meth:`table_affected`), so one scan of the changed edges serves
+        all of the publisher's tables."""
+        dist = self.distances_from(publisher)
+        inf = math.inf
+        return min(
+            (min(dist.get(u, inf), dist.get(v, inf)) for u, v in changed_edges),
+            default=inf,
+        )
+
     def table_affected(
         self, publisher: int, deadline: float, changed_edges: Iterable[Edge]
     ) -> bool:
@@ -498,12 +515,7 @@ class ControlPlaneSolver:
         for gamma-only changes (alpha changes move the distances
         themselves).
         """
-        dist = self.distances_from(publisher)
-        inf = float("inf")
-        for u, v in changed_edges:
-            if dist.get(u, inf) < deadline or dist.get(v, inf) < deadline:
-                return True
-        return False
+        return self.change_distance(publisher, changed_edges) < deadline
 
     # ------------------------------------------------------------------
     def _candidates(

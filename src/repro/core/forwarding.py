@@ -1,10 +1,16 @@
 """DCRD forwarding: Algorithms 1 and 2 as an event-driven strategy.
 
 Algorithm 1 (routing setup) runs at :meth:`DcrdStrategy.setup` and again
-after every link-monitoring cycle: for every (topic, subscriber) pair the
-strategy solves the ``<d, r>`` recursion and stores the resulting
-:class:`~repro.core.computation.DrTable` (per-broker sending lists in
-Theorem 1 order).
+for every link-monitoring cycle that moved the estimates: for every
+(topic, subscriber) pair the strategy solves the ``<d, r>`` recursion and
+stores the resulting :class:`~repro.core.computation.DrTable` (per-broker
+sending lists in Theorem 1 order). After setup it runs on demand: a
+refresh that moved the estimates only marks the tables stale, and the
+first read of a table (a dispatch, :meth:`DcrdStrategy.table`,
+:meth:`DcrdStrategy.sending_list` or a join) solves every stale table in
+one batch. Estimates change only inside a refresh, so that solve sees
+exactly the inputs an eager one would have, and a refresh no packet reads
+is never solved.
 
 Algorithm 2 (the per-packet while loop) cannot block in a discrete-event
 world, so each received packet becomes a :class:`_DeliveryTask` — a state
@@ -73,7 +79,7 @@ class _DeliveryTask:
         # path, destination) flow signature, so the computed plan —
         # next-hop groups plus abandoned destinations — is memoised on the
         # strategy and replayed for every later copy of the same flow.
-        # Table changes clear the cache (see _invalidate_dispatch_cache);
+        # Table changes, and refreshes that move the estimates, clear it;
         # per-frame side effects (forwarded copies, ARQ sends, abandon
         # bookkeeping, probes) are re-executed in the recorded order, so a
         # replay is trace-identical to a recomputation.
@@ -115,7 +121,7 @@ class _DeliveryTask:
         if upstream == -2:
             upstream = self.upstream = frame.upstream_of(node)
         bounce = upstream if upstream >= 0 and upstream not in failed else None
-        tables_get = self.strategy._tables.get
+        tables_get = self.strategy._fresh_tables().get
         # Packed (topic, subscriber) key — matches the interning used for
         # link directions: one int hash per lookup, no tuple allocation.
         topic_key = frame.topic << 21
@@ -227,7 +233,11 @@ class DcrdStrategy(RoutingStrategy):
         # table change clears it, so cached plans never outlive the control
         # state they were computed from.
         self._dispatch_cache: Dict[tuple, tuple] = {}
+        # The estimates version the tables were solved for, and the one the
+        # latest refresh (or solve) saw: the tables are stale while the two
+        # differ, from a refresh that moved the estimates to the next read.
         self._monitor_version: int = -1
+        self._refreshed_version: int = -1
         self.perf = PerfStats()
         self.tasks_started = 0
         self.table_rebuilds = 0
@@ -244,8 +254,26 @@ class DcrdStrategy(RoutingStrategy):
             self.handle_ack = self.arq.handle_ack
 
     def on_monitor_refresh(self) -> None:
-        """Re-run Algorithm 1 when the monitor publishes new estimates."""
-        self._rebuild_tables()
+        """Mark the tables stale when the monitor published new estimates.
+
+        Nothing is solved here: the next read of a table (:meth:`_fresh_tables`)
+        re-runs Algorithm 1 for whatever the latest refresh left, so a
+        refresh that no packet reads before the next one costs nothing. A
+        refresh that changed no estimate keeps the tables and the flow cache.
+        """
+        version = self.ctx.monitor.version
+        if version == self._refreshed_version:
+            self.perf.incr("control_plane.refreshes_noop")
+            return
+        self._refreshed_version = version
+        self._dispatch_cache.clear()
+
+    def _fresh_tables(self) -> Dict[int, DrTable]:
+        """The tables, solved for the latest refresh's estimates first if
+        they are stale."""
+        if self._refreshed_version != self._monitor_version:
+            self._rebuild_tables()
+        return self._tables
 
     def _current_solver(self) -> ControlPlaneSolver:
         """The solver for the monitor's current estimates (one per version)."""
@@ -272,6 +300,7 @@ class DcrdStrategy(RoutingStrategy):
     def _rebuild_tables(self) -> None:
         monitor = self.ctx.monitor
         version = monitor.version
+        self._refreshed_version = version
         if version == self._monitor_version:
             # Estimates unchanged since the last rebuild: every table is
             # still the exact solution. O(1) thanks to the version counter.
@@ -293,10 +322,15 @@ class DcrdStrategy(RoutingStrategy):
         self.perf.incr("control_plane.refreshes")
         with self.perf.timer("control_plane.solve_time_s"):
             solver = self._current_solver()
+            # Per publisher, the delay to the nearest changed edge: a table
+            # whose deadline does not exceed it is out of the change's reach
+            # (ControlPlaneSolver.table_affected).
+            reach: Dict[int, float] = {}
             keys = []
             pairs = []
             for spec in self.ctx.workload.topics:
                 topic_key = spec.topic << 21
+                publisher = spec.publisher
                 for sub in spec.subscriptions:
                     key = topic_key | sub.node
                     previous = self._tables.get(key)
@@ -304,17 +338,20 @@ class DcrdStrategy(RoutingStrategy):
                         changed is not None
                         and previous is not None
                         and previous.deadline == sub.deadline
-                        and not solver.table_affected(
-                            spec.publisher, sub.deadline, changed
-                        )
                     ):
-                        # No changed edge can reach this table's positive-
-                        # budget region: the from-scratch solve would
-                        # reproduce it bit for bit, so keep it.
-                        self.perf.incr("control_plane.tables_reused")
-                        continue
+                        nearest = reach.get(publisher)
+                        if nearest is None:
+                            nearest = reach[publisher] = solver.change_distance(
+                                publisher, changed
+                            )
+                        if sub.deadline <= nearest:
+                            # No changed edge can reach this table's positive-
+                            # budget region: the from-scratch solve would
+                            # reproduce it bit for bit, so keep it.
+                            self.perf.incr("control_plane.tables_reused")
+                            continue
                     keys.append(key)
-                    pairs.append((spec.publisher, sub.node, sub.deadline))
+                    pairs.append((publisher, sub.node, sub.deadline))
             # Everything that survived is solved as one batch; tables are
             # published in workload order.
             for key, table in zip(keys, solver.solve(pairs)):
@@ -323,7 +360,7 @@ class DcrdStrategy(RoutingStrategy):
     def table(self, topic: int, subscriber: int) -> DrTable:
         """The control state of one (topic, subscriber) pair."""
         try:
-            return self._tables[(topic << 21) | subscriber]
+            return self._fresh_tables()[(topic << 21) | subscriber]
         except KeyError:
             raise KeyError((topic, subscriber)) from None
 
@@ -334,7 +371,7 @@ class DcrdStrategy(RoutingStrategy):
         were in flight) yield an empty list, so the forwarding task
         abandons the destination cleanly.
         """
-        table = self._tables.get((topic << 21) | subscriber)
+        table = self._fresh_tables().get((topic << 21) | subscriber)
         if table is None:
             return ()
         return table.sending_list(node)
@@ -343,7 +380,15 @@ class DcrdStrategy(RoutingStrategy):
     # Subscription churn (incremental Algorithm 1)
     # ------------------------------------------------------------------
     def on_subscription_added(self, topic: int, subscription) -> None:
-        """Solve the recursion for just the new (topic, subscriber) pair."""
+        """Solve the recursion for just the new (topic, subscriber) pair.
+
+        While the tables are stale the workload already lists the new pair,
+        so the pending rebuild solves it in one batch with every other
+        stale table, once for the current estimates.
+        """
+        if self._refreshed_version != self._monitor_version:
+            self._rebuild_tables()
+            return
         spec = self.ctx.workload.topic(topic)
         with self.perf.timer("control_plane.solve_time_s"):
             (table,) = self._current_solver().solve(

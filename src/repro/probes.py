@@ -81,7 +81,9 @@ order_release       ``(t, node, frame, level, reason, held_for)`` — a
                     ``stall`` / ``flush``
 order_stall         ``(t, node, level, info)`` — the hold-back watchdog
                     skipped a gap or a straggler missed its slot
-table_solved        ``(table)`` — raw solver output, as it is published
+table_solved        ``(table)`` — raw solver output, as it is published:
+                    at setup, at a join, and after a refresh that moved
+                    the estimates when the table is first needed
 ==================  =====================================================
 
 The module imports only :mod:`repro.util.errors`, so every instrumented

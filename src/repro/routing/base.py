@@ -138,7 +138,11 @@ class RoutingStrategy(abc.ABC):
         """Build routing state before traffic starts (trees, sending lists)."""
 
     def on_monitor_refresh(self) -> None:
-        """Called after each periodic link-monitoring cycle (default: no-op)."""
+        """Called after each periodic link-monitoring cycle (default: no-op).
+
+        A strategy may defer the work the new estimates call for until it
+        next reads its control state (DCRD marks its tables stale here and
+        solves them at the first read)."""
 
     def on_subscription_added(self, topic: int, subscription) -> None:
         """A subscriber joined *topic* at runtime.

@@ -183,3 +183,12 @@ def build_ctx(
 def attach_brokers(ctx: RuntimeContext, strategy) -> list:
     """Create one :class:`BrokerRuntime` per topology node."""
     return [BrokerRuntime(node, ctx, strategy) for node in ctx.topology.nodes]
+
+
+def outcome_digest(env) -> list:
+    """Every (message, subscriber) outcome of a finished run, comparable
+    bit for bit across two runs of one world."""
+    return sorted(
+        (o.msg_id, o.subscriber, o.delivered, repr(o.delivery_time))
+        for o in env.ctx.metrics.outcomes()
+    )

@@ -187,6 +187,22 @@ class TestIncrementalRefresh:
         # And indeed re-solving from scratch reproduces the table exactly.
         assert solver0.solve([(publisher, subscriber, deadline)]) == [table]
 
+    def test_one_change_distance_decides_every_deadline(self):
+        """The publisher's distance to the nearest changed endpoint decides
+        each table as a scan of the changed edges against its deadline
+        does: an edge counts when either endpoint is strictly inside."""
+        topology, monitor = build_world(3, "analytic")
+        solver = ControlPlaneSolver(topology, monitor.estimates())
+        dist = solver.distances_from(0)
+        edges = sorted(topology.edges())
+        deadlines = sorted(set(dist.values())) + [math.inf]
+        for changed in ([], edges[:1], edges[10:14], edges[-3:], edges):
+            nearest = solver.change_distance(0, changed)
+            for deadline in deadlines:
+                scan = any(dist[u] < deadline or dist[v] < deadline for u, v in changed)
+                assert (nearest < deadline) == scan
+                assert solver.table_affected(0, deadline, changed) == scan
+
 
 def cycling_ring():
     """A 7-ring on which the pair ``(1, 4, 0.2)`` at ``m = 3`` fell into a

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.computation import compute_dr_table
 from repro.core.forwarding import DcrdStrategy
+from repro.pubsub.topics import Subscription
 from tests.conftest import (
     ScriptedFailures,
     attach_brokers,
@@ -144,13 +146,47 @@ class TestControlPlane:
     def test_unchanged_estimates_skip_rebuild(self):
         topo = diamond()
         workload = single_topic_workload(0, [(3, 1.0)])
+        ctx, strategy = run_once(topo, workload)
+        assert strategy.table_rebuilds == 1
+        cached = dict(strategy._dispatch_cache)
+        assert cached
+        ctx.monitor.refresh()
+        strategy.on_monitor_refresh()
+        # A read after the refresh would solve stale tables; analytic
+        # estimates are unchanged, so there are none, and the flow cache
+        # survives.
+        assert strategy.sending_list(0, 3, 0) == (1, 2)
+        assert strategy.table_rebuilds == 1
+        assert strategy.perf.get("control_plane.refreshes_noop") == 1
+        assert strategy._dispatch_cache == cached
+
+    @pytest.mark.parametrize(
+        "edge, near_deadline, reused",
+        # Only brokers 0 and 1 have a positive budget towards subscriber 1:
+        # (3, 4) lies past that horizon and (2, 3) on it (broker 2's budget
+        # is exactly 0); (1, 2) has one endpoint inside, which is enough to
+        # reach the table.
+        [((3, 4), 0.015, 1), ((2, 3), 0.02, 1), ((1, 2), 0.015, 0)],
+    )
+    def test_gamma_change_out_of_reach_reuses_the_table(
+        self, edge, near_deadline, reused
+    ):
+        topo = make_topology([(n, n + 1, 0.010) for n in range(4)])
+        workload = single_topic_workload(0, [(1, near_deadline), (4, 1.0)])
         ctx = build_ctx(topo, workload)
         strategy = DcrdStrategy(ctx)
         strategy.setup()
-        assert strategy.table_rebuilds == 1
+        ctx.network.link_loss_rates[edge] = 0.1
         ctx.monitor.refresh()
+        assert ctx.monitor.last_changed == {edge}
         strategy.on_monitor_refresh()
-        assert strategy.table_rebuilds == 1  # analytic estimates unchanged
+        assert strategy.table(0, 4).subscriber == 4
+        assert strategy.perf.get("control_plane.tables_reused") == reused
+        assert strategy.perf.get("control_plane.tables_solved_cold") == 4 - reused
+        for subscriber, deadline in ((1, near_deadline), (4, 1.0)):
+            assert strategy.table(0, subscriber) == compute_dr_table(
+                topo, ctx.monitor.estimates(), 0, subscriber, deadline
+            )
 
     def test_publish_with_self_subscription(self):
         topo = diamond()
@@ -158,6 +194,67 @@ class TestControlPlane:
         ctx, _ = run_once(topo, workload)
         assert ctx.metrics.outcome(1, 0).delay == 0.0
         assert ctx.metrics.outcome(1, 3).delivered
+
+
+class TestOnDemandRefresh:
+    """A refresh that moved the estimates only marks the tables stale; the
+    first read solves them, once, in one batch."""
+
+    def sampled(self):
+        topo = diamond()
+        workload = single_topic_workload(0, [(2, 1.0), (3, 1.0)])
+        # Sampled estimates of lossy links move at (almost) every refresh.
+        ctx = build_ctx(topo, workload, monitor_mode="sampled", loss_rate=0.2)
+        strategy = DcrdStrategy(ctx)
+        strategy.setup()
+        return ctx, strategy
+
+    def refresh(self, ctx, strategy):
+        version = ctx.monitor.version
+        ctx.monitor.refresh()
+        assert ctx.monitor.version == version + 1
+        strategy.on_monitor_refresh()
+
+    def work(self, strategy):
+        return (
+            strategy.table_rebuilds,
+            strategy.perf.get("control_plane.tables_solved_cold"),
+        )
+
+    def test_refresh_without_a_read_solves_nothing(self):
+        ctx, strategy = self.sampled()
+        assert self.work(strategy) == (1, 2)
+        self.refresh(ctx, strategy)
+        assert self.work(strategy) == (1, 2)
+        assert strategy.perf.get("control_plane.refreshes_noop") == 0
+
+    def test_first_read_solves_once(self):
+        ctx, strategy = self.sampled()
+        self.refresh(ctx, strategy)
+        first = strategy.table(0, 3)
+        assert self.work(strategy) == (2, 4)
+        assert strategy.table(0, 3) is first
+        strategy.sending_list(0, 2, 0)
+        assert self.work(strategy) == (2, 4)
+
+    def test_two_refreshes_before_one_read_solve_once(self):
+        ctx, strategy = self.sampled()
+        self.refresh(ctx, strategy)
+        self.refresh(ctx, strategy)
+        assert self.work(strategy) == (1, 2)
+        strategy.sending_list(0, 3, 0)
+        assert self.work(strategy) == (2, 4)
+
+    def test_join_while_stale_solves_each_table_once(self):
+        ctx, strategy = self.sampled()
+        self.refresh(ctx, strategy)
+        joined = Subscription(node=1, deadline=1.0)
+        ctx.workload.add_subscription(0, joined)
+        strategy.on_subscription_added(0, joined)
+        # One batch for the current estimates, the new pair included.
+        assert self.work(strategy) == (2, 5)
+        assert strategy.table(0, 1).subscriber == 1
+        assert self.work(strategy) == (2, 5)
 
 
 class TestTermination:

@@ -31,6 +31,7 @@ from repro.overlay.links import FrameKind
 from repro.pubsub.topics import Subscription
 from repro.system import PubSubSystem
 from repro.util.errors import SimulationError
+from tests.conftest import outcome_digest
 
 CONFIGS = {
     "lossy_mesh": ExperimentConfig(
@@ -165,13 +166,6 @@ def test_flat_path_holds_under_sanitize_and_trace():
     assert perf["arq.timers_elided"] == 0.0
 
 
-def _outcome_digest(env):
-    return sorted(
-        (o.msg_id, o.subscriber, o.delivered, repr(o.delivery_time))
-        for o in env.ctx.metrics.outcomes()
-    )
-
-
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_timer_elision_is_outcome_invariant(name):
     """Eager vs latent ARQ timers: bit-identical runs, fewer heap events.
@@ -194,7 +188,7 @@ def test_timer_elision_is_outcome_invariant(name):
     eager_summary = eager.execute()
 
     assert elided_summary.as_dict() == eager_summary.as_dict()
-    assert _outcome_digest(elided) == _outcome_digest(eager)
+    assert outcome_digest(elided) == outcome_digest(eager)
 
     assert elided.strategy.arq.timers_elided > 0
     assert eager.strategy.arq.timers_elided == 0
