@@ -61,16 +61,27 @@ from repro.routing.arq import ArqSender
 from repro.routing.base import RoutingStrategy, RuntimeContext
 
 
+#: A task's failed neighbours before its first failover (shared: a
+#: failover replaces the task's set instead of adding to it).
+_NONE_FAILED: FrozenSet[int] = frozenset()
+
+
 class _DeliveryTask:
-    """Algorithm 2 running for one received packet copy at one broker."""
+    """Algorithm 2 running for one received packet copy at one broker.
+
+    Constructing the task runs it (and counts it in the strategy's
+    ``tasks_started``); it stays alive only as the ARQ's failure callback
+    of the copies it sent.
+    """
 
     __slots__ = ("strategy", "node", "frame", "failed_neighbors", "upstream")
 
     def __init__(self, strategy: "DcrdStrategy", node: int, frame: PacketFrame) -> None:
+        strategy.tasks_started += 1
         self.strategy = strategy
         self.node = node
         self.frame = frame
-        self.failed_neighbors: Set[int] = set()
+        self.failed_neighbors: FrozenSet[int] = _NONE_FAILED
         # Lazily resolved by _dispatch (-2 = unset): replayed dispatches
         # never consult the upstream at all.
         self.upstream = -2
@@ -82,7 +93,8 @@ class _DeliveryTask:
         # Table changes, and refreshes that move the estimates, clear it;
         # per-frame side effects (forwarded copies, ARQ sends, abandon
         # bookkeeping, probes) are re-executed in the recorded order, so a
-        # replay is trace-identical to a recomputation.
+        # replay is trace-identical to a recomputation. The child copies'
+        # routing path is part of the plan too: the key fixes it.
         cache = strategy._dispatch_cache
         key = (frame.topic, node, frame.routing_path, frame.destinations)
         plan = cache.get(key)
@@ -100,21 +112,23 @@ class _DeliveryTask:
         """Assign each destination to a next hop and send copies.
 
         The next hop of a destination (lines 9–12) is the first node on its
-        sending list that is neither on the routing path (``path_set`` makes
-        that test O(1)) nor already failed, else the upstream broker. The
-        selection is inlined here with its loop invariants (path, failed
-        set, upstream fallback, table plumbing) hoisted out of the
-        per-subscriber iteration.
+        sending list that is neither on the routing path nor already
+        failed, else the upstream broker. The selection is inlined here
+        with its loop invariants (path set, failed set, upstream fallback,
+        table plumbing) hoisted out of the per-subscriber iteration.
 
         With ``record=True`` (initial dispatch only) the computed plan is
         returned for the strategy's flow cache: ``(abandons, groups)``
-        where ``groups`` is ``((hop, destinations, is_bounce), ...)`` in
-        send order.
+        where ``groups`` is ``((hop, destinations, is_bounce,
+        routing_path), ...)`` in send order, ``routing_path`` being the
+        child copies' path.
         """
         groups: Dict[int, Set[int]] = {}
         abandoned = [] if record else None
         frame = self.frame
-        path = frame.path_set
+        # One set per dispatch: dispatches run on flow-cache misses and
+        # failovers only, so no forwarded copy carries one.
+        path = set(frame.routing_path)
         node = self.node
         failed = self.failed_neighbors
         upstream = self.upstream
@@ -166,7 +180,7 @@ class _DeliveryTask:
                 # candidate: this copy is a §III-D bounce.
                 probe_bounce(strategy.ctx.sim._now, node, hop, copy)
             if plan is not None:
-                plan.append((hop, destinations, is_bounce))
+                plan.append((hop, destinations, is_bounce, copy.routing_path))
             arq_send(node, hop, copy, self._on_failed)
         return (tuple(abandoned), tuple(plan)) if record else None
 
@@ -186,8 +200,10 @@ class _DeliveryTask:
         probe_bounce = _probes.on_bounce
         on_failed = self._on_failed
         forwarded = frame.forwarded
-        for hop, destinations, is_bounce in groups:
-            copy = forwarded(next(transfer_ids), node, destinations)
+        for hop, destinations, is_bounce, routing_path in groups:
+            copy = forwarded(
+                next(transfer_ids), node, destinations, routing_path=routing_path
+            )
             if is_bounce and probe_bounce is not None:
                 probe_bounce(strategy.ctx.sim._now, node, hop, copy)
             arq_send(node, hop, copy, on_failed)
@@ -195,7 +211,7 @@ class _DeliveryTask:
     # ------------------------------------------------------------------
     def _on_failed(self, copy: PacketFrame, hop: int) -> None:
         """m transmissions went unACKed: mark the hop dead, re-dispatch."""
-        self.failed_neighbors.add(hop)
+        self.failed_neighbors = self.failed_neighbors | {hop}
         probe = _probes.on_failover
         if probe is not None:
             probe(self.strategy.ctx.sim._now, self.node, hop, copy)
@@ -434,21 +450,22 @@ class DcrdStrategy(RoutingStrategy):
             destinations=destinations,
             ordering=ctx.ordering,
         )
-        self._start_task(spec.publisher, frame)
+        _DeliveryTask(self, spec.publisher, frame)
 
     def handle_data(self, node: int, sender: int, frame: PacketFrame) -> None:
         """A copy arrived (fresh or bounced): run Algorithm 2 at *node*."""
-        self._start_task(node, frame)
+        _DeliveryTask(self, node, frame)
 
     def handle_ack(self, node: int, sender: int, ack: AckFrame) -> None:
         """Route hop-by-hop ACKs into the ARQ layer."""
         self.arq.handle_ack(node, sender, ack)
 
-    # ------------------------------------------------------------------
     def _start_task(self, node: int, frame: PacketFrame) -> None:
-        self.tasks_started += 1
+        """Run Algorithm 2 for a copy no neighbour sent (the persistency
+        mode's redelivery)."""
         _DeliveryTask(self, node, frame)
 
+    # ------------------------------------------------------------------
     def abandon(self, node: int, frame: PacketFrame, subscriber: int) -> None:
         """Record a destination no broker could make progress on.
 

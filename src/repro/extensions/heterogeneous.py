@@ -68,20 +68,15 @@ class NaiveOrderDcrdStrategy(DcrdStrategy):
 
     name = "DCRD-naive-order"
 
-    def _rebuild_tables(self) -> None:
-        before = self.table_rebuilds
-        super()._rebuild_tables()
-        if self.table_rebuilds == before:
-            return  # estimates unchanged; tables untouched
-        self._tables = {
-            key: reorder_table_by_delay(table)
-            for key, table in self._tables.items()
-        }
+    def _publish_table(self, key: int, table: DrTable) -> None:
+        """Publish the delay-ordered copy of each table the solver solved.
 
-    def on_subscription_added(self, topic: int, subscription) -> None:
-        super().on_subscription_added(topic, subscription)
-        key = (topic << 21) | subscription.node  # packed pair id
-        self._tables[key] = reorder_table_by_delay(self._tables[key])
+        Every solved table passes here once (setup, a rebuild's re-solved
+        tables, a join); reused tables keep the copy published before. The
+        ``table_solved`` probe still sees the solver's Theorem-1 order.
+        """
+        super()._publish_table(key, table)
+        self._tables[key] = reorder_table_by_delay(table)
 
 
 #: Loss-spread axis: (low, high) per-link loss ranges with equal means.

@@ -342,7 +342,9 @@ class OverlayNetwork:
     topology:
         The overlay graph with link delays.
     streams:
-        Named RNG streams; random loss draws come from ``streams.get("loss")``.
+        Named RNG streams; random loss draws come from the ``"loss"``
+        stream, which the network reads alone
+        (:meth:`~repro.sim.random.RandomStreams.uniform_draws`).
     loss_rate:
         ``Pl``, independent per-transmission loss probability (uniform).
     link_loss_rates:
@@ -419,8 +421,10 @@ class OverlayNetwork:
         # Optional deterministic fault seam (install_fault_filter). None
         # (the default) keeps every hot path on its historical branch.
         self._fault_filter: Optional[FaultFilter] = None
-        self._loss_rng = streams.get("loss")
-        self._loss_draw = self._loss_rng.random
+        # The next uniform of the "loss" stream, drawn a block at a time
+        # (the same values, in the same order, as one Generator.random()
+        # per draw): one C-level call per draw on the send paths.
+        self._loss_draw = streams.uniform_draws("loss").__next__
         # The calendar's fire-and-forget push, bound once: every delivery
         # of a frame that survived its hazards is one call of it.
         self._fire = sim.schedule_fire

@@ -86,7 +86,13 @@ class LinkMonitor:
         self._estimates: Dict[Edge, LinkEstimate] = {}
         self._view = MappingProxyType(self._estimates)
         self._refreshes = 0
-        self._version = 0
+        #: Monotone estimate version: bumps only when a refresh changed at
+        #: least one link's estimate. Consumers (the DCRD control plane,
+        #: the ARQ's per-direction timeouts) compare this counter instead
+        #: of hashing/sorting all estimates, so the "nothing changed"
+        #: check is O(1). A plain attribute, not a property: the ARQ reads
+        #: it once per copy sent. Only :meth:`refresh` writes it.
+        self.version = 0
         self._last_changed: FrozenSet[Edge] = frozenset()
         self._last_alpha_changed = False
         self.refresh()
@@ -100,17 +106,6 @@ class LinkMonitor:
     def refreshes(self) -> int:
         """How many monitoring cycles have completed."""
         return self._refreshes
-
-    @property
-    def version(self) -> int:
-        """Monotone estimate version: bumps only when a refresh changed
-        at least one link's estimate.
-
-        Consumers (the DCRD control plane) compare this counter instead of
-        hashing/sorting all estimates, making the "nothing changed" check
-        O(1) per monitoring cycle.
-        """
-        return self._version
 
     @property
     def last_changed(self) -> FrozenSet[Edge]:
@@ -164,7 +159,7 @@ class LinkMonitor:
             )
             self._last_changed = frozenset(changed)
             self._estimates.update(new)
-            self._version += 1
+            self.version += 1
         self._refreshes += 1
 
     # ------------------------------------------------------------------

@@ -101,14 +101,15 @@ class BrokerRuntime:
     # ------------------------------------------------------------------
     def on_frame(self, sender: int, frame: object) -> None:
         """Network delivery hook for this node."""
-        kind = frame.__class__
-        if kind is AckFrame:
-            self._handle_ack(self.node, sender, frame)
-            return
-        if kind is not PacketFrame and not isinstance(frame, PacketFrame):
-            raise SimulationError(f"broker {self.node} got unknown frame {frame!r}")
-        self.frames_received += 1
         node = self.node
+        if frame.__class__ is not PacketFrame:
+            # An ACK the transport did not hand to the node's ACK sink.
+            if frame.__class__ is AckFrame:
+                self._handle_ack(node, sender, frame)
+                return
+            if not isinstance(frame, PacketFrame):
+                raise SimulationError(f"broker {node} got unknown frame {frame!r}")
+        self.frames_received += 1
         if self._uses_acks:
             # Slot-written AckFrame (no __init__ frame) — one reply per
             # received DATA copy makes this one of the hottest allocations.
@@ -135,7 +136,7 @@ class BrokerRuntime:
         probe = _probes.on_broker_accept
         if probe is not None:
             # Post-dedup: the same transfer must never pass twice, and the
-            # carried routing path must be loop-free and in sync.
+            # carried routing path must be loop-free and end in the sender.
             probe(node, sender, frame)
         # Local delivery (inlined): deliver to a subscriber hosted here,
         # then forward whatever destinations remain.

@@ -22,10 +22,11 @@ Frames are immutable; every hop builds new copies via
 hot path (one copy per hop per message, plus retransmissions), so both
 frame types are hand-written ``__slots__`` classes rather than frozen
 dataclasses: a plain ``__init__`` skips the frozen-dataclass
-``object.__setattr__`` indirection per field. Each frame also carries
-``path_set``, a :class:`frozenset` view of ``routing_path`` maintained by
-the constructors, so loop-avoidance membership tests (`candidate in
-path_set`) are O(1) instead of scanning the tuple.
+``object.__setattr__`` indirection per field. A frame carries its path as
+the ``routing_path`` tuple and nothing else: membership tests on it run
+only where a broker computes a dispatch (a flow-cache miss or a
+failover), which builds what it needs from the tuple, so a forwarded copy
+never pays for a per-copy set it would not read.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class PacketFrame:
     routing_path:
         Ordered brokers that have *sent* this copy (each sender appends
         itself before transmitting — Algorithm 2, line 20).
-    path_set:
-        Frozenset view of ``routing_path`` for O(1) membership tests;
-        derived, never passed by callers.
     source_route:
         Remaining explicit hops, used by the source-routed baselines
         (Multipath, FEC); their paths are fixed at publish time. Empty for
@@ -104,7 +102,6 @@ class PacketFrame:
         "publish_time",
         "destinations",
         "routing_path",
-        "path_set",
         "source_route",
         "fragment_index",
         "fragments_needed",
@@ -127,7 +124,6 @@ class PacketFrame:
         fragments_needed: int = 0,
         size: float = 1.0,
         priority: float = _INF,
-        _path_set: Optional[FrozenSet[int]] = None,
         order_tag=None,
     ) -> None:
         self.msg_id = msg_id
@@ -137,7 +133,6 @@ class PacketFrame:
         self.publish_time = publish_time
         self.destinations = destinations
         self.routing_path = routing_path
-        self.path_set = frozenset(routing_path) if _path_set is None else _path_set
         self.source_route = source_route
         self.fragment_index = fragment_index
         self.fragments_needed = fragments_needed
@@ -195,15 +190,19 @@ class PacketFrame:
         destinations: FrozenSet[int],
         source_route: Tuple[int, ...] = (),
         priority: Optional[float] = None,
+        routing_path: Optional[Tuple[int, ...]] = None,
     ) -> "PacketFrame":
         """A new copy *transfer_id* for the next hop, with *sender*
         appended to the path.
 
         ``priority`` overrides the inherited urgency (used when a copy's
         destination subset has a different earliest deadline than its
-        parent frame). ``path_set`` is extended incrementally rather than
-        rebuilt from the tuple. Slots are written directly (no ``__init__``
-        marshalling) — this runs once per forwarded copy.
+        parent frame). ``routing_path`` is the copy's path,
+        ``self.routing_path + (sender,)``, when the caller already holds
+        that tuple (DCRD's flow cache keeps it per cached plan entry), so
+        the copy shares it instead of concatenating a new one. Slots are
+        written directly (no ``__init__`` marshalling) — this runs once
+        per forwarded copy.
         """
         copy = _new_frame(PacketFrame)
         copy.msg_id = self.msg_id
@@ -212,8 +211,9 @@ class PacketFrame:
         copy.origin = self.origin
         copy.publish_time = self.publish_time
         copy.destinations = destinations
-        copy.routing_path = self.routing_path + (sender,)
-        copy.path_set = self.path_set.union((sender,))
+        copy.routing_path = (
+            self.routing_path + (sender,) if routing_path is None else routing_path
+        )
         copy.source_route = source_route
         copy.fragment_index = self.fragment_index
         copy.fragments_needed = self.fragments_needed
@@ -240,7 +240,6 @@ class PacketFrame:
         copy.publish_time = self.publish_time
         copy.destinations = destinations
         copy.routing_path = self.routing_path
-        copy.path_set = self.path_set
         copy.source_route = self.source_route
         copy.fragment_index = self.fragment_index
         copy.fragments_needed = self.fragments_needed
@@ -251,7 +250,7 @@ class PacketFrame:
 
     def visited(self, node: int) -> bool:
         """Whether *node* already appears on the routing path."""
-        return node in self.path_set
+        return node in self.routing_path
 
     def upstream_of(self, node: int) -> int:
         """The broker *node* originally received this copy from.
@@ -262,8 +261,8 @@ class PacketFrame:
         when no upstream exists (*node* is the origin).
         """
         path = self.routing_path
-        if node not in self.path_set:
-            # Common case (the receiver is not on the path yet): O(1) probe
+        if node not in path:
+            # Common case (the receiver is not on the path yet): a scan
             # instead of a raised-and-caught ValueError from tuple.index.
             return path[-1] if path else -1
         index = path.index(node)

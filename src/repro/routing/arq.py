@@ -107,7 +107,8 @@ class _Outstanding:
         self.src = src
         self.dst = dst
         self.frame = frame
-        self.attempts = 0
+        # ArqSender.send makes the first transmission as it creates the entry.
+        self.attempts = 1
         self.event: Optional[Event] = None
         self.on_failed = on_failed
         self.sent_at = 0.0
@@ -207,7 +208,12 @@ class ArqSender:
         if arrival is not None:
             if _probes.on_ack is not None or not self._sim.settle(arrival):
                 return False
-            self._settle(entry)
+            # _settle's bookkeeping, for a latent timeout: nothing was
+            # pushed, so nothing is cancelled (counted as cancelled all
+            # the same, like every latent timeout its ACK settles).
+            del self._outstanding[ack.transfer_id]
+            self.timers_cancelled += 1
+            self.acked += 1
             self.acks_settled_at_send += 1
             return True
         entry.event = self._sim.push(
@@ -236,7 +242,13 @@ class ArqSender:
         """
         entry = _Outstanding(src, dst, frame, on_failed)
         self._outstanding[frame.transfer_id] = entry
-        self._transmit(entry)
+        if self._wire_reported:
+            # The link reports when the copy clears the wire: _on_wire
+            # starts the clock, and measures the wait from this hand-over.
+            entry.sent_at = self._sim._now
+            self._send_data(src, dst, frame)
+        else:
+            self._start_clock(entry, 0.0, self._send_data(src, dst, frame))
 
     def handle_ack(self, node: int, sender: int, ack: AckFrame) -> None:
         """Process an ACK received at *node*; unknown/duplicate ACKs are ignored."""
@@ -249,7 +261,9 @@ class ArqSender:
             probe(self._sim._now, node, sender, entry.frame)
 
     def _settle(self, entry: _Outstanding) -> None:
-        """Release an acknowledged copy: every ACK's bookkeeping."""
+        """Release an acknowledged copy: the bookkeeping of every ACK that
+        arrives (:meth:`_on_ack_fate` does the latent-timeout part of it
+        for an ACK it settles at send)."""
         del self._outstanding[entry.frame.transfer_id]
         event = entry.event
         if event is not None:
@@ -266,19 +280,17 @@ class ArqSender:
         self.acked += 1
 
     # ------------------------------------------------------------------
-    def _transmit(self, entry: _Outstanding) -> None:
-        """Hand one (re)transmission of the copy to the network."""
+    def _retransmit(self, entry: _Outstanding) -> None:
+        """Hand the copy to the network once more, as :meth:`send` did first."""
         entry.attempts += 1
-        if entry.attempts > 1:
-            self.retransmissions += 1
-        if not self._wire_reported:
-            outcome = self._send_data(entry.src, entry.dst, entry.frame)
-            self._start_clock(entry, 0.0, outcome)
-            return
-        # The link reports when the copy clears the wire: _on_wire starts
-        # the clock, and measures the wait from this hand-over.
-        entry.sent_at = self._sim._now
-        self._send_data(entry.src, entry.dst, entry.frame)
+        self.retransmissions += 1
+        if self._wire_reported:
+            entry.sent_at = self._sim._now
+            self._send_data(entry.src, entry.dst, entry.frame)
+        else:
+            self._start_clock(
+                entry, 0.0, self._send_data(entry.src, entry.dst, entry.frame)
+            )
 
     def _on_wire(self, frame: PacketFrame, wait: Optional[float]) -> None:
         """The link's report on a copy handed to it (see ``watch_wire``)."""
@@ -377,7 +389,7 @@ class ArqSender:
                 entry.attempts < self._m,
             )
         if entry.attempts < self._m:
-            self._transmit(entry)
+            self._retransmit(entry)
             return
         self._fail(entry)
 

@@ -22,7 +22,8 @@ kind                  meaning
 EVENT_ORDER           the kernel popped an event dated before ``now``
 PATH_CYCLE            a frame re-entered a visited broker and the move was
                       not a legal DCRD upstream bounce
-PATH_DESYNC           ``frame.path_set`` drifted from ``routing_path``
+PATH_DESYNC           a frame's ``routing_path`` does not end in the
+                      broker it arrived from
 DUPLICATE_DELIVERY    one transfer id passed a broker's dedup twice
 TIMER_UNKNOWN         an ARQ timer settled that was never started
 TIMER_DOUBLE_SETTLE   an ARQ timer cancelled/fired more than once
@@ -163,16 +164,6 @@ def check_accept(
     ``(node, transfer)`` pairs that passed dedup before.
     """
     path = frame.routing_path
-    if frozenset(path) != frame.path_set:
-        violate(
-            PATH_DESYNC,
-            f"frame at broker {node} has path_set out of sync with "
-            f"routing_path={path}",
-            (frame,),
-            node=node,
-            routing_path=path,
-            path_set=sorted(frame.path_set),
-        )
     if path and path[-1] != sender:
         violate(
             PATH_DESYNC,
@@ -183,7 +174,7 @@ def check_accept(
             sender=sender,
             routing_path=path,
         )
-    if node in frame.path_set:
+    if node in path:
         # The path the sender's task held is everything before the
         # sender's own appended entry; its upstream is the entry just
         # before the sender's first appearance there (or the last sender

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.core.computation import compute_dr_table
+from repro.extensions import heterogeneous
 from repro.extensions.heterogeneous import (
     NaiveOrderDcrdStrategy,
     heterogeneity_study,
     reorder_table_by_delay,
 )
 from repro.overlay.monitor import LinkEstimate
+from repro.pubsub.topics import Subscription
 from tests.conftest import build_ctx, make_topology, single_topic_workload
 
 
@@ -79,6 +81,62 @@ class TestNaiveStrategy:
         strategy = NaiveOrderDcrdStrategy(ctx)
         strategy.setup()
         assert strategy.sending_list(0, 3, 0)[0] == 1  # fast-but-lossy first
+
+    @staticmethod
+    def line_world(monkeypatch):
+        """A 5-node line, subscribers 1 (deadline 15 ms: only brokers 0
+        and 1 have budget) and 4, and the subscriber of every reorder."""
+        reordered = []
+
+        def counted(table):
+            reordered.append(table.subscriber)
+            return reorder_table_by_delay(table)
+
+        monkeypatch.setattr(heterogeneous, "reorder_table_by_delay", counted)
+        topo = make_topology([(n, n + 1, 0.010) for n in range(4)])
+        ctx = build_ctx(topo, single_topic_workload(0, [(1, 0.015), (4, 1.0)]))
+        strategy = NaiveOrderDcrdStrategy(ctx)
+        strategy.setup()
+        assert sorted(reordered) == [1, 4]
+        # A gamma change on (3, 4) lies past subscriber 1's horizon: its
+        # table is reused, subscriber 4's is re-solved at the next read.
+        ctx.network.link_loss_rates[(3, 4)] = 0.1
+        ctx.monitor.refresh()
+        strategy.on_monitor_refresh()
+        return ctx, strategy, reordered
+
+    def test_refresh_reorders_only_the_resolved_tables(self, monkeypatch):
+        ctx, strategy, reordered = self.line_world(monkeypatch)
+        kept = strategy.table(0, 1)  # the read solves the stale tables
+        assert strategy.perf.get("control_plane.tables_reused") == 1
+        assert sorted(reordered) == [1, 4, 4]
+        assert strategy.table(0, 1) is kept
+
+    def test_stale_join_reorders_the_joined_pair_once(self, monkeypatch):
+        ctx, strategy, reordered = self.line_world(monkeypatch)
+        joined = Subscription(node=3, deadline=1.0)
+        ctx.workload.add_subscription(0, joined)
+        strategy.on_subscription_added(0, joined)
+        assert sorted(reordered) == [1, 3, 4, 4]
+
+    def test_sanitized_run_checks_the_solver_order(self):
+        """The ``table_solved`` probe sees the solver's output: the
+        sanitizer's Theorem-1 check passes although every published
+        sending list is delay-ordered."""
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import run_single
+
+        config = ExperimentConfig(
+            topology_kind="regular",
+            degree=5,
+            duration=4.0,
+            failure_probability=0.0,
+            loss_rate_range=(0.0, 0.4),
+            sanitize=True,
+        )
+        summary = run_single(config, "DCRD-naive-order", seed=0)
+        assert summary.perf["sanity.tables_checked"] > 0
+        assert summary.perf["sanity.violations"] == 0.0
 
     def test_theorem1_order_wins_under_heterogeneous_loss(self):
         # Per-seed results are noisy; average a few repetitions. The

@@ -66,3 +66,34 @@ def test_control_plane_profile_prints_both_round_tables():
         (2, 53),
         (5, 201),
     ]
+
+
+def test_hop_cost_attributes_the_per_hop_chain():
+    """The attribution tool counts a short simulated run deterministically
+    and names the data-plane functions it found."""
+    command = [
+        sys.executable,
+        str(REPO / "scripts" / "hop_cost.py"),
+        "lossy_failover",
+        "--duration",
+        "3",
+        "--top",
+        "40",
+    ]
+    outputs = []
+    for _ in range(2):
+        result = subprocess.run(
+            command, capture_output=True, text=True, timeout=600, cwd=REPO
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    out = outputs[0]
+    totals = {}
+    for line in out.splitlines():
+        name, _, value = line.partition(" ")
+        if name in ("bytecodes_per_pair", "calls_per_pair"):
+            totals[name] = float(value)
+    assert totals["bytecodes_per_pair"] > 0 and totals["calls_per_pair"] > 0
+    assert "send_data (repro/overlay/links.py:" in out
+    assert "_start_clock (repro/routing/arq.py:" in out

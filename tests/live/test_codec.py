@@ -80,7 +80,6 @@ class TestRoundTrip:
         sender, decoded = codec.decode_payload(codec.encode_payload(4, frame))
         assert sender == 4
         assert_same_packet(decoded, frame)
-        assert decoded.path_set == frozenset(frame.routing_path)
 
     @settings(max_examples=300, deadline=None)
     @given(sender=node_ids, frame=packets)

@@ -49,16 +49,25 @@ def skip_timer_cancel(monkeypatch):
 
 
 def arm_clock_at_enqueue(monkeypatch):
-    """Start every ACK clock at hand-over, ignoring the link's wire report."""
-    transmit = ArqSender._transmit
+    """Start every ACK clock at hand-over, ignoring the link's wire report:
+    after the first transmission (``send``) and after every retransmission."""
+    send = ArqSender.send
+    retransmit = ArqSender._retransmit
 
-    def at_enqueue(self, entry):
-        transmit(self, entry)
+    def sent_at_enqueue(self, src, dst, frame, on_failed):
+        send(self, src, dst, frame, on_failed)
+        entry = self._outstanding.get(frame.transfer_id)
+        if entry is not None and self._wire_reported:
+            self._start_clock(entry, 0.0, None)
+
+    def resent_at_enqueue(self, entry):
+        retransmit(self, entry)
         if self._wire_reported:
             self._start_clock(entry, 0.0, None)
 
     monkeypatch.setattr(ArqSender, "_on_wire", lambda self, frame, wait: None)
-    monkeypatch.setattr(ArqSender, "_transmit", at_enqueue)
+    monkeypatch.setattr(ArqSender, "send", sent_at_enqueue)
+    monkeypatch.setattr(ArqSender, "_retransmit", resent_at_enqueue)
 
 
 def _withhold(pipeline, frame):

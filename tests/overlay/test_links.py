@@ -1,5 +1,7 @@
 """Unit tests for the overlay data plane."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.overlay.failures import NodeFailureSchedule
@@ -167,3 +169,33 @@ def test_link_success_probability_combines_hazards():
     sim, network = make_network(topo, loss_rate=0.2, failures=failures)
     assert network.link_success_probability(0, 1) == pytest.approx(0.9 * 0.8)
     assert network.link_success_probability(1, 0) == pytest.approx(0.9 * 0.8)
+
+
+def test_random_loss_follows_the_scalar_draws():
+    """The network's block-drawn loss stream loses exactly the sends that
+    one ``Generator.random()`` per lossy send would lose, DATA and ACK
+    sends drawing from the one stream in send order."""
+    topo = make_topology([(0, 1, 0.01)])
+    sim, network = make_network(topo, loss_rate=0.3, seed=5)
+    network.attach(0, lambda s, f: None)
+    network.attach(1, lambda s, f: None)
+    frame = SimpleNamespace(size=1.0)
+    sends = [
+        lambda: network.send_data(0, 1, frame),
+        lambda: network.send_ack(1, 0, frame),
+        lambda: network.transmit(0, 1, frame, FrameKind.DATA),
+    ] * 1000
+    survived = [send() for send in sends]
+    draws = RandomStreams(5).get("loss")
+    assert survived == [not draws.random() < 0.3 for _ in sends]
+    lost = network.stats.lost_random
+    assert lost[FrameKind.DATA] + lost[FrameKind.ACK] == survived.count(False)
+
+
+def test_network_is_the_only_reader_of_the_loss_stream():
+    streams = RandomStreams(1)
+    OverlayNetwork(Simulator(), make_topology([(0, 1, 0.01)]), streams)
+    with pytest.raises(SimulationError):
+        streams.get("loss")
+    with pytest.raises(SimulationError):
+        OverlayNetwork(Simulator(), make_topology([(0, 1, 0.01)]), streams)

@@ -140,59 +140,36 @@ class TestPriorityAndSize:
         assert copy.fragments_needed == 2
 
 
-class TestPathSetSync:
-    """``path_set`` must stay a frozenset view of ``routing_path``.
+class TestPathCopies:
+    """A copy's path is the ``routing_path`` tuple alone: forked copies
+    extend it without touching their parent's, and narrowed or replayed
+    copies share it."""
 
-    The copy fast paths write slots directly and extend ``path_set``
-    incrementally, so these pin the derived-field invariant through every
-    constructor.
-    """
-
-    def test_fresh_derives_path_set(self):
-        frame = make_frame(routing_path=(0, 5, 2))
-        assert frame.path_set == frozenset(frame.routing_path)
-        assert isinstance(frame.path_set, frozenset)
-
-    def test_forwarded_keeps_path_set_in_sync(self):
-        frame = make_frame(routing_path=(0,))
-        copy = frame.forwarded(next(_ids), 5, frame.destinations)
-        assert copy.routing_path == (0, 5)
-        assert copy.path_set == frozenset(copy.routing_path)
-        assert isinstance(copy.path_set, frozenset)
-
-    def test_forwarded_chain_keeps_path_set_in_sync(self):
+    def test_forwarded_chain_keeps_repeated_senders(self):
         frame = make_frame()
-        for hop in (0, 7, 3, 7):  # a repeated sender must not diverge
+        for hop in (0, 7, 3, 7):  # a repeated sender stays on the path twice
             frame = frame.forwarded(next(_ids), hop, frame.destinations)
         assert frame.routing_path == (0, 7, 3, 7)
-        assert frame.path_set == frozenset({0, 7, 3})
+        assert frame.visited(7) and not frame.visited(5)
+        assert frame.upstream_of(7) == 0
 
     def test_forwarded_does_not_mutate_parent(self):
         frame = make_frame(routing_path=(0,))
         frame.forwarded(next(_ids), 5, frame.destinations)
         assert frame.routing_path == (0,)
-        assert frame.path_set == frozenset({0})
 
-    def test_with_destinations_preserves_path_set(self):
+    def test_with_destinations_shares_the_path(self):
         frame = make_frame(routing_path=(0, 5))
         copy = frame.with_destinations(frozenset({4}))
-        assert copy.routing_path == frame.routing_path
-        assert copy.path_set == frame.path_set
+        assert copy.routing_path is frame.routing_path
         assert copy.transfer_id == frame.transfer_id
 
-    def test_explicit_path_set_override_used_verbatim(self):
-        explicit = frozenset({0, 5})
-        frame = PacketFrame(
-            msg_id=1,
-            transfer_id=9,
-            topic=0,
-            origin=0,
-            publish_time=0.0,
-            destinations=frozenset({4}),
-            routing_path=(0, 5),
-            _path_set=explicit,
-        )
-        assert frame.path_set is explicit
+    def test_forwarded_takes_a_held_path_verbatim(self):
+        frame = make_frame(routing_path=(0,))
+        held = (0, 5)
+        copy = frame.forwarded(next(_ids), 5, frame.destinations, routing_path=held)
+        assert copy.routing_path is held
+        assert copy == frame.forwarded(copy.transfer_id, 5, frame.destinations)
 
 
 class TestAckFrame:

@@ -1,6 +1,11 @@
 """Unit tests for named random streams."""
 
-from repro.sim.random import RandomStreams
+from itertools import islice
+
+import pytest
+
+from repro.sim.random import DRAW_BLOCK, RandomStreams
+from repro.util.errors import SimulationError
 
 
 def test_same_seed_and_name_reproduces_sequence():
@@ -52,3 +57,29 @@ def test_fork_is_deterministic():
 
 def test_seed_property():
     assert RandomStreams(seed=11).seed == 11
+
+
+def test_uniform_draws_equal_scalar_draws_across_blocks():
+    count = 2 * DRAW_BLOCK + 5  # crosses two block boundaries
+    drawn = list(islice(RandomStreams(seed=9).uniform_draws("loss"), count))
+    scalar = RandomStreams(seed=9).get("loss")
+    expected = [scalar.random() for _ in range(count)]
+    assert drawn == expected  # exact: the same floats, not approximately
+    assert all(type(value) is float for value in drawn)
+
+
+def test_block_read_stream_has_no_second_reader():
+    streams = RandomStreams(seed=9)
+    streams.uniform_draws("loss")
+    with pytest.raises(SimulationError):
+        streams.get("loss")
+    with pytest.raises(SimulationError):
+        streams.uniform_draws("loss")
+    streams.get("topology")  # other streams are unaffected
+
+
+def test_scalar_read_stream_cannot_be_block_read():
+    streams = RandomStreams(seed=9)
+    streams.get("loss").random()
+    with pytest.raises(SimulationError):
+        streams.uniform_draws("loss")

@@ -27,7 +27,6 @@ class Frame:
         self.msg_id = msg_id
         self.destinations = destinations
         self.routing_path = tuple(routing_path)
-        self.path_set = frozenset(routing_path)
         self.topic = topic
         self.origin = origin
 
@@ -81,7 +80,7 @@ def test_event_pop_back_in_time_violates():
 
 
 # ---------------------------------------------------------------------------
-# Broker accept: dedup, path sync, loop freedom
+# Broker accept: dedup, path tail, loop freedom
 # ---------------------------------------------------------------------------
 def test_duplicate_post_dedup_accept_violates():
     s = sanitizer()
@@ -93,11 +92,13 @@ def test_duplicate_post_dedup_accept_violates():
     assert error.details["transfer_id"] == 7
 
 
-def test_path_set_desync_violates():
+def test_path_missing_its_forwarder_violates():
+    # Broker 2 forwarded the copy to 3 without appending itself: the path
+    # still ends in 1, so 3 would read 1 as its upstream.
     s = sanitizer()
-    frame = Frame(routing_path=(1, 2))
-    frame.path_set = frozenset({1})  # drifted
-    assert violation(s.on_broker_accept, 3, 2, frame).kind == sanity.PATH_DESYNC
+    error = violation(s.on_broker_accept, 3, 2, Frame(routing_path=(1,)))
+    assert error.kind == sanity.PATH_DESYNC
+    assert error.details == {"node": 3, "sender": 2, "routing_path": (1,)}
 
 
 def test_path_tail_must_match_sender():
