@@ -220,7 +220,7 @@ class PartitionRuntime:
 
         Quiescent means three counts are zero at once: ARQ copies awaiting
         an ACK, frames held back by an ordering pipeline (a stall timer
-        will release them), and copies between ``transmit`` and their
+        will release them), and copies between their send and their
         receiver's dispatch (:attr:`LiveTransport.in_transit` — a duplicate
         or retransmitted copy can still be on its way after its transfer
         was ACKed). Every event that could start new work is the arrival

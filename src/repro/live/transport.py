@@ -15,11 +15,12 @@ run over it without a single branch on the substrate, and live runs face
 every hazard the simulated network models through the one link model.
 
 The seam is chosen at construction: the per-direction delivery closures
-(:meth:`_deliveries`) write instead of calling the handler, ``_fire``
-counts the copy as unwritten before it arms the write, and the
-in-process fast sends are off — a socket round trip is not known in
-advance, so ``ack_round_trip`` answers ``None`` and every ARQ timer
-stays eager.
+(:meth:`_deliveries`) write instead of calling the handler, and ``_fire``
+counts the copy as unwritten before it arms the write. The one contract
+member it overrides is :meth:`ack_round_trip`: a socket round trip is
+not known in advance, so it answers ``None`` and every ARQ timer stays
+eager. ACKs and DATA copies alike reach the receiving broker's
+``on_frame``.
 
 Topology and wiring
 -------------------
@@ -46,7 +47,7 @@ deployment change.
 
 In transit
 ----------
-:attr:`LiveTransport.in_transit` counts the copies between ``transmit``
+:attr:`LiveTransport.in_transit` counts the copies between their send
 and their receiver's dispatch — one of the three counts whose zero is a
 settled run (:meth:`repro.live.broker.PartitionRuntime.settled`).
 """
@@ -154,9 +155,6 @@ class LiveTransport(OverlayNetwork):
                 if node not in topology.nodes:
                     raise SimulationError(f"local node {node} is not in the topology")
         self.codec = FrameCodec(self.config.max_frame_bytes)
-        # A socket round trip is not known in advance: every send takes
-        # the generic transmit, and no ARQ timer is ever latent.
-        self._fast_sends = False
         # Every copy that survives its hazards is armed as a write.
         self._fire = self._fire_write
         # Directed-edge wiring, built by start(): the socket u writes the
@@ -167,7 +165,7 @@ class LiveTransport(OverlayNetwork):
         # (closed with the run: Server.close() only stops listening).
         self._ends: List[_EdgeEnd] = []
         self._ports: Dict[int, int] = {}
-        # The copies between transmit and their receiver's dispatch, in two
+        # The copies between their send and their receiver's dispatch, in two
         # parts: those not yet through _write, and those written to a
         # direction's socket. A closed connection drops its direction's
         # second part (see _EdgeEnd); the first part drains through _write.
@@ -290,6 +288,12 @@ class LiveTransport(OverlayNetwork):
     def bound_port(self, node: int) -> int:
         """The TCP port *node*'s server actually bound (after start)."""
         return self._ports[node]
+
+    def ack_round_trip(self, src: int, dst: int) -> None:
+        """Never known in advance on sockets: every ARQ timer stays eager,
+        so no ACK is ever settled at send (:class:`WallClock` has no
+        ``settle``)."""
+        return None
 
     # ------------------------------------------------------------------
     # The last step: a socket write instead of an in-process delivery

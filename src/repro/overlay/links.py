@@ -4,9 +4,10 @@
 :class:`~repro.overlay.topology.Topology`, a per-transmission random-loss
 model (``Pl``), the per-second :class:`~repro.overlay.failures.FailureSchedule`
 (``Pf``), and optionally a node-crash schedule. Broker runtimes attach a
-frame handler per node and call :meth:`OverlayNetwork.transmit`; the network
-decides whether the frame survives and, if so, delivers it one link delay
-later.
+frame handler per node and send through one method per frame kind,
+:meth:`OverlayNetwork.send_data` and :meth:`OverlayNetwork.send_ack`; the
+network decides whether the frame survives and, if so, delivers it one
+link delay later.
 
 Loss semantics (documented in DESIGN.md §5.3):
 
@@ -15,10 +16,11 @@ Loss semantics (documented in DESIGN.md §5.3):
 * node failures (extension) drop frames whose sender or receiver is down;
 * DATA and ACK frames are subject to the same hazards.
 
-``transmit`` is the single hottest call of the data plane (every DATA frame,
-ACK, and retransmission goes through it), so per-direction immutable state —
-propagation delay, effective loss rate, receiver handler — is resolved once
-into :attr:`OverlayNetwork._dir_cache` and reused; the cache is invalidated
+The two sends are the hottest calls of the data plane (every DATA copy,
+ACK and retransmission goes through one of them), so per-direction
+immutable state — propagation delay, effective loss rate, receiver
+handler, compiled delivery closures — is resolved once into
+:attr:`OverlayNetwork._dir_cache` and reused; the cache is invalidated
 whenever a handler attaches or detaches.
 
 :class:`OverlayNetwork` is the one link model of the substrate
@@ -429,11 +431,6 @@ class OverlayNetwork:
         # of a frame that survived its hazards is one call of it.
         self._fire = sim.schedule_fire
         self._handlers: Dict[int, FrameHandler] = {}
-        # Dedicated ACK sinks (attach_ack): deliveries of ACK frames go
-        # straight to the sink, skipping the generic handler's per-frame
-        # class dispatch. Optional — nodes without one fall back to their
-        # generic handler, preserving the historical delivery contract.
-        self._ack_handlers: Dict[int, FrameHandler] = {}
         # The sender ARQ's ACK-fate hook (see register_ack_fate_hook).
         self._ack_fate: Optional[Callable[..., bool]] = None
         # Hot-loop per-direction constants, keyed by the packed direction id
@@ -449,7 +446,7 @@ class OverlayNetwork:
         # Current-epoch failed-edge set, refreshed when the clock crosses an
         # epoch boundary (equivalent to failures.is_failed per frame). Only
         # valid for the real epoch-granular FailureSchedule — duck-typed
-        # doubles (e.g. scripted sub-epoch windows) take the generic path.
+        # doubles (e.g. scripted sub-epoch windows) are asked per frame.
         self._epoch_failures = failures is not None and type(failures) is FailureSchedule
         self._failure_epoch_len = failures.epoch if failures is not None else 1.0
         # End of the epoch window _failed_edges_now is valid for; a float
@@ -468,10 +465,6 @@ class OverlayNetwork:
                 )
         # Senders told when each DATA copy clears the wire (see watch_wire).
         self._wire_observers: list = []
-        # The dedicated send_data/send_ack fast paths only cover the
-        # infinite-capacity, no-crash configuration (the paper's model);
-        # everything else falls back to the generic transmit.
-        self._fast_sends = node_failures is None and self.queue is None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -481,19 +474,6 @@ class OverlayNetwork:
         if node not in self.topology.nodes:
             raise SimulationError(f"node {node} is not in the topology")
         self._handlers[node] = handler
-        self._dir_cache.clear()
-
-    def attach_ack(self, node: int, handler: FrameHandler) -> None:
-        """Register a dedicated ACK sink for *node*.
-
-        ACK frames delivered to *node* are handed to ``handler(sender,
-        ack)`` directly, skipping the generic handler's per-frame class
-        dispatch. A node without an ACK sink keeps receiving ACKs through
-        its generic handler, so attaching one is a pure fast path.
-        """
-        if node not in self.topology.nodes:
-            raise SimulationError(f"node {node} is not in the topology")
-        self._ack_handlers[node] = handler
         self._dir_cache.clear()
 
     def install_fault_filter(self, fault_filter: Optional[FaultFilter]) -> None:
@@ -521,15 +501,16 @@ class OverlayNetwork:
         """Tell the senders' ARQ the fate of every ACK, the instant it is sent.
 
         ``hook(src, dst, ack, arrival)`` is called from :meth:`send_ack`
-        once the ACK ``src -> dst`` has met every hazard, and for an
-        injected ACK drop from :meth:`transmit` too. ``arrival`` is
-        ``None`` when the ACK was lost (link failure, random loss, fault
-        filter): the ARQ materialises the copy's latent timeout. Otherwise
-        it is the time the direction's compiled ACK delivery would run;
-        the ARQ may then settle the copy at once and return ``True``, and
-        the network counts the ACK as delivered and queues nothing. The
-        receivers' ACK sinks must feed the same ARQ. One hook per network:
-        registering replaces the previous one.
+        once the ACK ``src -> dst`` has met every hazard. ``arrival`` is
+        ``None`` when the ACK was lost (fault filter, node crash, link
+        failure, random loss): the ARQ materialises the copy's latent
+        timeout. Otherwise it is the time the direction's compiled ACK
+        delivery would run; the ARQ may then settle the copy at once and
+        return ``True``, and the network counts the ACK as delivered and
+        queues nothing. A direction without a compiled delivery (node
+        crashes) reports no arrival. The receivers' frame handlers must
+        feed ACKs to the same ARQ. One hook per network: registering
+        replaces the previous one.
         """
         self._ack_fate = hook
 
@@ -554,16 +535,15 @@ class OverlayNetwork:
 
     def ack_round_trip(self, src: int, dst: int) -> Optional[tuple]:
         """``(d_fwd, d_rev)`` when a DATA copy ``src -> dst`` and its ACK
-        reply both run on compiled fast-path deliveries, else ``None``.
+        reply both run on compiled deliveries, else ``None``.
 
         The pair lets the ARQ layer decide *exactly* whether an unlossed
         ACK's arrival event ``(now + d_fwd) + d_rev`` precedes a timeout
         deadline (same float arithmetic the scheduler performs). Valid
         while the attachment set is stable — the composition root attaches
-        every handler before the run and never detaches mid-run.
+        every handler before the run and never detaches mid-run. A
+        node-crash schedule compiles no deliveries, so it answers ``None``.
         """
-        if not self._fast_sends:
-            return None
         key = (src << 21) | dst
         fwd = self._dir_cache.get(key)
         if fwd is None:
@@ -577,9 +557,8 @@ class OverlayNetwork:
         return (fwd[0], rev[0])
 
     def detach(self, node: int) -> None:
-        """Remove *node*'s handlers; frames to it are silently dropped."""
+        """Remove *node*'s handler; frames to it are silently dropped."""
         self._handlers.pop(node, None)
-        self._ack_handlers.pop(node, None)
         self._dir_cache.clear()
 
     def _resolve_direction(self, src: int, dst: int) -> tuple:
@@ -632,18 +611,9 @@ class OverlayNetwork:
                 probe(sim._now, src, dst, frame)
             handler(src, frame)
 
-        ack_sink = self._ack_handlers.get(dst)
-        if ack_sink is not None:
-
-            def deliver_ack(frame):
-                delivered[1] += 1
-                ack_sink(src, frame)
-
-        else:
-
-            def deliver_ack(frame):
-                delivered[1] += 1
-                handler(src, frame)
+        def deliver_ack(frame):
+            delivered[1] += 1
+            handler(src, frame)
 
         return deliver_data, deliver_ack
 
@@ -662,147 +632,25 @@ class OverlayNetwork:
         self.dir_fallbacks = 0
 
     # ------------------------------------------------------------------
-    # Data plane
+    # Data plane: one send per frame kind
     # ------------------------------------------------------------------
-    def transmit(
-        self, src: int, dst: int, frame: Any, kind: FrameKind, reliable: bool = False
-    ) -> bool:
-        """Send *frame* from *src* to the adjacent node *dst*.
+    def send_data(
+        self, src: int, dst: int, frame: Any, reliable: bool = False
+    ) -> Optional[bool]:
+        """Send the DATA *frame* from *src* to the adjacent node *dst*.
 
-        ``reliable=True`` skips the random-loss draw (transient link
-        failures and node crashes still apply); it exists solely for the
-        ORACLE upper-bound baseline, which by definition is not hampered by
-        recoverable randomness.
+        The copy meets the fault filter, node crashes, its link's failed
+        epoch and one draw of the loss stream, in that order; a survivor
+        waits its turn on a finite-capacity link, then arrives one link
+        delay later. ``reliable=True`` skips only the loss draw (the
+        ORACLE upper bound is not hampered by recoverable randomness).
 
-        Returns whether the frame survived the link hazards (the *caller
-        must not use this for protocol decisions* — real senders learn the
-        outcome only via ACKs; the return value exists for tests).
+        Returns ``True`` when a compiled delivery closure was scheduled,
+        ``False`` when the copy was lost here, and ``None`` when the queue
+        server or the generic :meth:`_deliver` (node crashes) delivers
+        it. Only the ARQ's latent timer elision reads this tri-state:
+        real senders learn the outcome from ACKs.
         """
-        entry = self._dir_cache.get((src << 21) | dst)
-        if entry is None:
-            self.dir_fallbacks += 1
-            entry = self._resolve_direction(src, dst)
-        delay = entry[0]
-        now = self.sim._now
-        if kind is FrameKind.DATA:
-            kidx = 0
-            # PacketFrame always carries size; tests transmit bare objects.
-            try:
-                size = frame.size
-            except AttributeError:
-                size = 1.0
-        else:
-            kidx = kind.idx
-            size = 1.0  # ACKs/probes are negligibly small (no size field)
-        self._sent[kidx] += 1
-        self._volume[kidx] += size
-        fault = self._fault_filter
-        if fault is not None and fault(src, dst, kind, frame):
-            # Scripted seam drop, counted as the live transport counts it:
-            # the send was counted, the loss is itemised as "injected".
-            self._lost_injected[kidx] += 1
-            if kind is FrameKind.DATA:
-                probe_tx = _probes.on_transmit
-                if probe_tx is not None:
-                    probe_tx(now, src, dst, frame, False, "injected", entry[0], None)
-                if self.queue is not None:
-                    self.queue.lost(src, dst, frame, size, now)
-            elif kind is FrameKind.ACK:
-                self._ack_lost(src, dst, frame)
-            return False
-        survived = True
-        node_failures = self.node_failures
-        if node_failures is not None and (
-            node_failures.is_failed(src, now) or node_failures.is_failed(dst, now)
-        ):
-            self._lost_node_down[kidx] += 1
-            survived = False
-            cause = "node_down"
-        else:
-            failures = self.failures
-            link_down = False
-            if failures is not None:
-                if self._epoch_failures:
-                    # Inlined _link_failed fast path: refresh the cached
-                    # failed-edge set on epoch crossings only.
-                    if now >= self._failure_window_end:
-                        epoch = int(now // self._failure_epoch_len)
-                        self._failure_window_end = (
-                            epoch + 1
-                        ) * self._failure_epoch_len
-                        self._failed_edges_now = failures.failed_edges(epoch)
-                    link_down = entry[3] in self._failed_edges_now
-                else:
-                    link_down = failures.is_failed(src, dst, now)
-            if link_down:
-                self._lost_failure[kidx] += 1
-                survived = False
-                cause = "link_failure"
-            else:
-                effective_loss = entry[1]
-                if (
-                    not reliable
-                    and effective_loss > 0.0
-                    and self._loss_draw() < effective_loss
-                ):
-                    self._lost_random[kidx] += 1
-                    survived = False
-                    cause = "random_loss"
-        # Probe hook (observation-only, DATA frames only; ACK arrivals are
-        # traced at the ARQ layer where they are matched to their copy).
-        probe_tx = _probes.on_transmit if kind is FrameKind.DATA else None
-        if survived:
-            wire_wait = None
-            queue = self.queue
-            if queue is not None and kind is FrameKind.DATA:
-                wire_wait = queue.admit(src, dst, frame, size, now, delay)
-                if wire_wait is None:
-                    return True  # the server schedules the delivery itself
-                delay = wire_wait + delay
-            elif probe_tx is not None:
-                probe_tx(now, src, dst, frame, True, None, entry[0], 0.0)
-            # Deliveries are never cancelled: a fire-and-forget push.
-            # Directions with a compiled closure schedule it with the frame
-            # alone; the rest take the generic _deliver.
-            if kind is FrameKind.DATA:
-                deliver = entry[4]
-            elif kind is FrameKind.ACK:
-                deliver = entry[5]
-            else:
-                deliver = None
-            if deliver is not None:
-                self._fire(delay, deliver, frame)
-            else:
-                self._fire(delay, self._deliver, src, dst, frame, kind)
-            if wire_wait is not None:
-                self._report_wire(src, dst, frame, wire_wait)
-        else:
-            if probe_tx is not None:
-                probe_tx(now, src, dst, frame, False, cause, entry[0], None)
-            queue = self.queue
-            if queue is not None and kind is FrameKind.DATA:
-                queue.lost(src, dst, frame, size, now)
-        return survived
-
-    def send_data(self, src: int, dst: int, frame: Any) -> Optional[bool]:
-        """DATA-frame fast path for the ARQ layer (PacketFrames only).
-
-        Behaviour-identical to ``transmit(src, dst, frame,
-        FrameKind.DATA)`` restricted to the configuration it is specialised
-        for — infinite-capacity links, no node-crash schedule
-        (:attr:`_fast_sends`); anything else delegates to the generic
-        path. Consumes the same loss draws in the same order and fires the
-        same ``on_transmit`` probe.
-
-        Returns ``True`` when a compiled delivery closure was scheduled
-        (the copy *will* reach the receiver's handler), ``False`` when the
-        copy was lost synchronously, and ``None`` when the outcome is not
-        knowable here (generic fallback). The ARQ layer keys its latent
-        timer elision off this tri-state.
-        """
-        if not self._fast_sends:
-            self.transmit(src, dst, frame, FrameKind.DATA)
-            return None
         entry = self._dir_cache.get((src << 21) | dst)
         if entry is None:
             self.dir_fallbacks += 1
@@ -813,64 +661,54 @@ class OverlayNetwork:
         fault = self._fault_filter
         if fault is not None and fault(src, dst, FrameKind.DATA, frame):
             self._lost_injected[0] += 1
-            probe_tx = _probes.on_transmit
-            if probe_tx is not None:
-                probe_tx(now, src, dst, frame, False, "injected", entry[0], None)
-            return False
+            return self._data_lost(src, dst, frame, "injected", entry[0], now)
+        crashes = self.node_failures
+        if crashes is not None and (
+            crashes.is_failed(src, now) or crashes.is_failed(dst, now)
+        ):
+            self._lost_node_down[0] += 1
+            return self._data_lost(src, dst, frame, "node_down", entry[0], now)
         failures = self.failures
         if failures is not None:
             if self._epoch_failures:
                 if now >= self._failure_window_end:
-                    epoch = int(now // self._failure_epoch_len)
-                    self._failure_window_end = (epoch + 1) * self._failure_epoch_len
-                    self._failed_edges_now = failures.failed_edges(epoch)
+                    self._refresh_failed_edges(now)
                 link_down = entry[3] in self._failed_edges_now
             else:
                 link_down = failures.is_failed(src, dst, now)
             if link_down:
                 self._lost_failure[0] += 1
-                probe_tx = _probes.on_transmit
-                if probe_tx is not None:
-                    probe_tx(
-                        now, src, dst, frame, False, "link_failure", entry[0], None
-                    )
-                return False
+                return self._data_lost(src, dst, frame, "link_failure", entry[0], now)
         effective_loss = entry[1]
-        if effective_loss > 0.0 and self._loss_draw() < effective_loss:
+        if effective_loss > 0.0 and not reliable and self._loss_draw() < effective_loss:
             self._lost_random[0] += 1
-            probe_tx = _probes.on_transmit
-            if probe_tx is not None:
-                probe_tx(now, src, dst, frame, False, "random_loss", entry[0], None)
-            return False
+            return self._data_lost(src, dst, frame, "random_loss", entry[0], now)
+        if self.queue is not None:
+            self._enqueue(src, dst, frame, entry, now)
+            return None
         probe_tx = _probes.on_transmit
         if probe_tx is not None:
             probe_tx(now, src, dst, frame, True, None, entry[0], 0.0)
+        # Deliveries are never cancelled: a fire-and-forget push of the
+        # direction's compiled closure, else of the generic _deliver.
         deliver = entry[4]
         if deliver is not None:
             self._fire(entry[0], deliver, frame)
             return True
-        self.dir_fallbacks += 1
         self._fire(entry[0], self._deliver, src, dst, frame, FrameKind.DATA)
         return None
 
     def send_ack(self, src: int, dst: int, frame: Any) -> Optional[bool]:
-        """ACK-frame fast path for broker replies.
+        """Send the ACK *frame* from *src* to the adjacent node *dst*.
 
-        Behaviour-identical to ``transmit(src, dst, frame,
-        FrameKind.ACK)`` under :attr:`_fast_sends` (ACKs never queue and
-        never fire the DATA-only transmit probe); the same loss draws are
-        consumed in the same order. The ACK's fate goes to the ACK-fate
-        hook (:meth:`register_ack_fate_hook`): a loss, so the ARQ
-        materialises the copy's latent retransmission timer, or the
-        arrival time of a compiled delivery, which the ARQ may settle
-        there and then — the arrival is then counted as delivered and as
-        an executed kernel event, and never queued. The tri-state return
-        mirrors :meth:`send_data` (``True``: the ACK reaches, or has
-        reached, its sender).
+        The hazards of :meth:`send_data`, in the same order and from the
+        same loss stream; ACKs are negligibly small, so they never queue,
+        and fire no ``transmit`` probe (the ARQ layer traces them). The
+        ACK's fate goes to the ACK-fate hook (:meth:`register_ack_fate_hook`):
+        a loss, or the arrival time of a compiled delivery, which the ARQ
+        may settle at once — the ACK is then counted as delivered and
+        never queued. The tri-state return mirrors :meth:`send_data`.
         """
-        if not self._fast_sends:
-            self.transmit(src, dst, frame, FrameKind.ACK)
-            return None
         entry = self._dir_cache.get((src << 21) | dst)
         if entry is None:
             self.dir_fallbacks += 1
@@ -881,43 +719,85 @@ class OverlayNetwork:
         fault = self._fault_filter
         if fault is not None and fault(src, dst, FrameKind.ACK, frame):
             self._lost_injected[1] += 1
-            self._ack_lost(src, dst, frame)
-            return False
+            return self._ack_lost(src, dst, frame)
+        crashes = self.node_failures
+        if crashes is not None and (
+            crashes.is_failed(src, now) or crashes.is_failed(dst, now)
+        ):
+            self._lost_node_down[1] += 1
+            return self._ack_lost(src, dst, frame)
         failures = self.failures
         if failures is not None:
             if self._epoch_failures:
                 if now >= self._failure_window_end:
-                    epoch = int(now // self._failure_epoch_len)
-                    self._failure_window_end = (epoch + 1) * self._failure_epoch_len
-                    self._failed_edges_now = failures.failed_edges(epoch)
+                    self._refresh_failed_edges(now)
                 link_down = entry[3] in self._failed_edges_now
             else:
                 link_down = failures.is_failed(src, dst, now)
             if link_down:
                 self._lost_failure[1] += 1
-                self._ack_lost(src, dst, frame)
-                return False
+                return self._ack_lost(src, dst, frame)
         effective_loss = entry[1]
         if effective_loss > 0.0 and self._loss_draw() < effective_loss:
             self._lost_random[1] += 1
-            self._ack_lost(src, dst, frame)
-            return False
+            return self._ack_lost(src, dst, frame)
         deliver = entry[5]
-        if deliver is not None:
-            fate = self._ack_fate
-            if fate is not None and fate(src, dst, frame, now + entry[0]):
-                self._delivered[1] += 1
-                return True
-            self._fire(entry[0], deliver, frame)
+        if deliver is None:
+            self._fire(entry[0], self._deliver, src, dst, frame, FrameKind.ACK)
+            return None
+        fate = self._ack_fate
+        if fate is not None and fate(src, dst, frame, now + entry[0]):
+            self._delivered[1] += 1
             return True
-        self.dir_fallbacks += 1
-        self._fire(entry[0], self._deliver, src, dst, frame, FrameKind.ACK)
-        return None
+        self._fire(entry[0], deliver, frame)
+        return True
 
-    def _ack_lost(self, src: int, dst: int, frame: Any) -> None:
+    def _refresh_failed_edges(self, now: float) -> None:
+        """Cache the failed-edge set of the epoch *now* falls in; the
+        sends call it only when the clock has crossed the cached
+        epoch's end."""
+        epoch = int(now // self._failure_epoch_len)
+        self._failure_window_end = (epoch + 1) * self._failure_epoch_len
+        self._failed_edges_now = self.failures.failed_edges(epoch)
+
+    def _data_lost(
+        self, src: int, dst: int, frame: Any, cause: str, prop: float, now: float
+    ) -> bool:
+        """Report a DATA copy a hazard took: to the ``transmit`` probe, and
+        to the finite-capacity queue, whose sender still waits to hear
+        when the copy would have cleared the wire."""
+        probe_tx = _probes.on_transmit
+        if probe_tx is not None:
+            probe_tx(now, src, dst, frame, False, cause, prop, None)
+        queue = self.queue
+        if queue is not None:
+            queue.lost(src, dst, frame, frame.size, now)
+        return False
+
+    def _enqueue(
+        self, src: int, dst: int, frame: Any, entry: tuple, now: float
+    ) -> None:
+        """Hand a DATA copy that survived its hazards to the finite-capacity
+        server, which fires its ``transmit`` probe. FIFO knows the copy's
+        wait at once, so its delivery is scheduled here; EDF schedules it
+        when the server picks the copy."""
+        wait = self.queue.admit(src, dst, frame, frame.size, now, entry[0])
+        if wait is None:
+            return
+        deliver = entry[4]
+        if deliver is not None:
+            self._fire(wait + entry[0], deliver, frame)
+        else:
+            self._fire(
+                wait + entry[0], self._deliver, src, dst, frame, FrameKind.DATA
+            )
+        self._report_wire(src, dst, frame, wait)
+
+    def _ack_lost(self, src: int, dst: int, frame: Any) -> bool:
         fate = self._ack_fate
         if fate is not None:
             fate(src, dst, frame, None)
+        return False
 
     def _deliver(self, src: int, dst: int, frame: Any, kind: FrameKind) -> None:
         # A node that crashed while the frame was in flight cannot receive it.

@@ -5,7 +5,8 @@ the node's frame handler on the overlay network and implements the pieces
 that are identical across DCRD and the baselines:
 
 * immediate hop-by-hop ACK of received DATA frames (Algorithm 2, line 2) —
-  when the active strategy uses ACKs;
+  when the active strategy uses ACKs — and the hand-over of every ACK it
+  receives to the strategy;
 * duplicate suppression: a lost ACK makes the sender retransmit, so a broker
   can legitimately receive a byte-identical copy it already processed; the
   copy is re-ACKed (the sender is still waiting) but not re-forwarded;
@@ -29,7 +30,6 @@ conformance suite pins.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Deque, Dict, Set
 
 from repro import probes as _probes
@@ -84,9 +84,6 @@ class BrokerRuntime:
         self.duplicates_suppressed = 0
         self.local_deliveries = 0
         ctx.network.attach(node, self.on_frame)
-        # partial(handle_ack, node) prepends this node in C — no Python
-        # wrapper frame on the per-ACK path.
-        ctx.network.attach_ack(node, partial(self._handle_ack, node))
 
     @property
     def local_topics(self) -> Set[int]:
@@ -100,10 +97,9 @@ class BrokerRuntime:
 
     # ------------------------------------------------------------------
     def on_frame(self, sender: int, frame: object) -> None:
-        """Network delivery hook for this node."""
+        """Network delivery hook for this node: every DATA copy and ACK."""
         node = self.node
         if frame.__class__ is not PacketFrame:
-            # An ACK the transport did not hand to the node's ACK sink.
             if frame.__class__ is AckFrame:
                 self._handle_ack(node, sender, frame)
                 return

@@ -355,7 +355,7 @@ class RunRecord(_probes.ProbeObserver):
         """
         transfer = getattr(frame, "transfer_id", None)
         if transfer is None:
-            return  # tests transmit bare objects; nothing to track
+            return  # tests send stand-in frames; nothing to track
         entry = self.ledger.get(transfer)
         if entry is None:
             entry = self.ledger[transfer] = Transfer(frame.msg_id, frame.destinations)

@@ -19,7 +19,7 @@ so two runs in one process never share an id space.
 against the :mod:`repro.substrate` protocols rather than concrete
 classes: ``sim`` is any Clock (``_now`` readable as an attribute,
 ``schedule``/``schedule_fire``), ``network`` any Transport
-(``attach``/``detach``/``transmit``/``send_data``/``send_ack``). The
+(``attach``/``detach``/``send_data``/``send_ack``). The
 discrete-event kernel and the live asyncio stack both satisfy them, so
 strategies never branch on the substrate.
 """

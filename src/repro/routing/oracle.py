@@ -23,7 +23,6 @@ import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.overlay.failures import FailureSchedule, NodeFailureSchedule
-from repro.overlay.links import FrameKind
 from repro.overlay.topology import Topology
 from repro.pubsub.messages import PacketFrame
 from repro.pubsub.topics import TopicSpec
@@ -157,6 +156,4 @@ class OracleStrategy(RoutingStrategy):
         transfer_ids = self.ctx.transfer_ids
         for hop, dests in groups.items():
             copy = frame.forwarded(next(transfer_ids), node, frozenset(dests))
-            self.ctx.network.transmit(
-                node, hop, copy, FrameKind.DATA, reliable=True
-            )
+            self.ctx.network.send_data(node, hop, copy, reliable=True)

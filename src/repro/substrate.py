@@ -13,9 +13,9 @@ runs. This module names the two seams that make that true:
   it; the live runtime (:class:`~repro.live.clock.WallClock`) reads the
   asyncio event loop's wall clock and drains it from one loop timer.
 * :class:`Transport` — frame delivery between adjacent brokers:
-  ``attach``/``attach_ack``/``detach``, the generic ``transmit``, the two
-  kind-specialised sends ``send_data``/``send_ack`` that carry every ARQ
-  copy and every ACK reply, ``watch_wire``, through which a transport
+  ``attach``/``detach`` of each node's one frame handler, one send per
+  frame kind — ``send_data`` carries every DATA copy, ``send_ack`` every
+  ACK reply — and ``watch_wire``, through which a transport
   whose links have finite capacity tells a sender when each DATA copy's
   last bit leaves it — the instant the sender's ACK clock starts — and
   the members behind the simulator's fast paths, which the live
@@ -118,17 +118,19 @@ class Transport(Protocol):
     Implementations: :class:`~repro.overlay.links.OverlayNetwork`
     (simulated links) and its subclass
     :class:`~repro.live.transport.LiveTransport` (the same links, each
-    delivery a write to an asyncio TCP socket). ``send_data``/``send_ack``
-    are what the stack sends through (:class:`~repro.routing.arq.ArqSender`
-    and :class:`~repro.pubsub.broker.BrokerRuntime` bind them directly);
-    ``transmit`` is the generic form for every other frame kind and
-    caller. The stack calls every member directly. Three of them carry
-    the simulator's fast paths: ``prewarm_directions`` (interned link
-    directions) and ``register_ack_fate_hook``/``ack_round_trip``
-    (latent ARQ timeouts and ACKs settled when they are sent). The live
-    transport has no in-process fast sends, so its ``ack_round_trip``
-    is ``None`` and every ARQ timer stays eager; the hook hears only of
-    ACKs lost at send, and no latent timer exists to materialise.
+    delivery a write to an asyncio TCP socket). A frame enters by one
+    send per kind, ``send_data`` or ``send_ack``
+    (:class:`~repro.routing.arq.ArqSender` and
+    :class:`~repro.pubsub.broker.BrokerRuntime` bind them directly), and
+    reaches its receiver through the one handler ``attach`` registered,
+    ACKs included. The stack calls every member directly. Three of them
+    carry the simulator's fast paths: ``prewarm_directions`` (interned
+    link directions) and ``register_ack_fate_hook``/``ack_round_trip``
+    (latent ARQ timeouts and ACKs settled when they are sent). A socket
+    round trip is not known in advance, so the live transport's
+    ``ack_round_trip`` is ``None`` and every ARQ timer stays eager; the
+    hook hears of every ACK, and no latent timer exists to settle or
+    materialise.
 
     Scripted faults enter both through one seam, a
     :data:`~repro.overlay.links.FaultFilter` drop predicate consulted
@@ -140,21 +142,16 @@ class Transport(Protocol):
         """Register ``handler(sender, frame)`` as *node*'s frame sink."""
         ...
 
-    def attach_ack(self, node: int, handler: Callable[[int, Any], None]) -> None:
-        """Register ``handler(sender, ack)`` as *node*'s ACK sink."""
-        ...
-
     def detach(self, node: int) -> None:
-        """Remove *node*'s handlers; frames to it are silently dropped."""
+        """Remove *node*'s handler; frames to it are silently dropped."""
         ...
 
-    def transmit(self, src: int, dst: int, frame: Any, kind: Any) -> Any:
-        """Send *frame* of *kind* from *src* to the adjacent *dst*."""
-        ...
-
-    def send_data(self, src: int, dst: int, frame: Any) -> Optional[bool]:
+    def send_data(
+        self, src: int, dst: int, frame: Any, reliable: bool = False
+    ) -> Optional[bool]:
         """Send a DATA *frame*: ``True`` = will reach *dst*'s handler,
-        ``False`` = lost synchronously, ``None`` = not knowable here."""
+        ``False`` = lost synchronously, ``None`` = not knowable here.
+        ``reliable`` skips the random-loss draw (the ORACLE baseline)."""
         ...
 
     def send_ack(self, src: int, dst: int, frame: Any) -> Optional[bool]:
@@ -184,8 +181,9 @@ class Transport(Protocol):
         self, hook: Callable[[int, int, Any, Optional[float]], bool]
     ) -> None:
         """Report each ACK's fate to ``hook(src, dst, ack, arrival)`` when
-        it is sent (``arrival`` ``None``: lost); a transport that cannot
-        know an arrival in advance reports only the ACKs lost at send."""
+        it is sent: ``arrival`` is ``None`` when it was lost, else when it
+        is expected; only a copy whose round trip :meth:`ack_round_trip`
+        reported exactly may be settled at that time."""
         ...
 
     def ack_round_trip(self, src: int, dst: int) -> Optional[tuple]:

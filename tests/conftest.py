@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,6 +86,12 @@ def make_topology(
         nodes.update((u, v))
     graph.add_nodes_from(range(max(nodes) + 1))
     return Topology(graph, delay_map, name=name)
+
+
+def data_frame(label: str, size: float = 1.0) -> SimpleNamespace:
+    """A stand-in DATA frame for link-level tests: a label to compare it
+    by, and the ``size`` every DATA send adds to the sent volume."""
+    return SimpleNamespace(label=label, size=size)
 
 
 class ScriptedFailures:

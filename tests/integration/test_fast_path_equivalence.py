@@ -28,6 +28,14 @@ change removed — every copy timed out in its sender's own queue — and
 ``edf_storm`` was lengthened from 2 s to 15 s so that, without the storm,
 the cell still pins a few thousand events of EDF/DCRD schedule.
 
+Two more cells (``lossy/ORACLE``, ``node_crash/DCRD``, 2 entries each)
+reach what the matrix above does not, and were recorded from a plain run
+at the commit before the generic ``transmit`` was folded into the two
+kind-specific sends: ORACLE's ``reliable`` sends (5 % random loss that
+its copies must never draw), and the node-crash checks at send time and
+at arrival (``node_failure_probability`` over 0.1 s epochs, so copies in
+flight across an epoch boundary find their receiver down).
+
 A second test pins that compaction is invisible *within* the current code:
 it merely reaps entries that could never fire, so forcing it on every
 cancel or switching it off (patching the engine's private rule) must not
@@ -85,12 +93,21 @@ CONFIGS = {
         deadline_factor_choices=(4.0, 16.0),
     ),
 }
+CONFIGS["lossy"] = dict(CONFIGS["baseline"], loss_rate=0.05)
+CONFIGS["node_crash"] = dict(
+    CONFIGS["baseline"],
+    node_failure_probability=0.03,
+    loss_rate=0.01,
+    failure_epoch=0.1,
+)
 
 CELLS = [
     ("baseline", "DCRD"),
     ("baseline", "D-Tree"),
     ("edf_storm", "DCRD"),
     ("edf_load", "P-DTree"),
+    ("lossy", "ORACLE"),
+    ("node_crash", "DCRD"),
 ]
 
 

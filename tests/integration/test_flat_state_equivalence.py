@@ -28,7 +28,10 @@ from repro import probes
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_environment
 from repro.overlay.links import FrameKind
+from repro.pubsub.broker import BrokerRuntime
+from repro.pubsub.messages import AckFrame
 from repro.pubsub.topics import Subscription
+from repro.routing.arq import ArqSender
 from repro.system import PubSubSystem
 from repro.util.errors import SimulationError
 from tests.conftest import outcome_digest
@@ -306,6 +309,35 @@ def test_an_ack_observer_sees_every_ack_arrive_at_the_eager_time(name):
         assert env.strategy.arq.acks_settled_at_send == 0
         assert (env.strategy.arq.timers_elided > 0) == elide
     assert logs[0] and logs[0] == logs[1]
+
+
+def test_an_ack_not_settled_at_send_reaches_the_arq_through_on_frame(monkeypatch):
+    """ACKs have one way into a broker. With an ``ack`` observer no ACK
+    is settled at send, so the network delivers every surviving one — to
+    its receiver's ``BrokerRuntime.on_frame``, which hands it straight to
+    ``ArqSender.handle_ack``."""
+    route = []
+    on_frame, handle_ack = BrokerRuntime.on_frame, ArqSender.handle_ack
+
+    def broker_sees(self, sender, frame):
+        if frame.__class__ is AckFrame:
+            route.append(("on_frame", self.node, sender, frame.transfer_id))
+        on_frame(self, sender, frame)
+
+    def arq_sees(self, node, sender, ack):
+        route.append(("handle_ack", node, sender, ack.transfer_id))
+        handle_ack(self, node, sender, ack)
+
+    monkeypatch.setattr(BrokerRuntime, "on_frame", broker_sees)
+    monkeypatch.setattr(ArqSender, "handle_ack", arq_sees)
+    env = build_environment(CONFIGS["regular"], "DCRD", seed=13)
+    acks = _observed_acks(env)
+    assert env.strategy.arq.acks_settled_at_send == 0
+    delivered = env.ctx.network.stats.delivered[FrameKind.ACK]
+    assert delivered >= len(acks) > 0
+    assert len(route) == 2 * delivered
+    assert {step[0] for step in route[0::2]} == {"on_frame"}
+    assert [step[1:] for step in route[1::2]] == [step[1:] for step in route[0::2]]
 
 
 def _pair_world(elide):

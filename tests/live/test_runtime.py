@@ -20,7 +20,6 @@ from repro.live.config import LiveConfig
 from repro.live.faults import ACK, DropRule
 from repro.live.runtime import run_live_scenario
 from repro.live.scenarios import Scenario, make_scenario
-from repro.overlay.links import FrameKind
 from repro.pubsub.messages import AckFrame
 from repro.util.errors import SimulationError
 
@@ -109,7 +108,7 @@ def test_a_partition_that_does_not_settle_in_time_says_what_is_left():
         try:
             await runtime.start()
             # A copy 20 ms from its receiver outlives a 5 ms settle timeout.
-            runtime.transport.transmit(0, 1, AckFrame(1, 0, 1), FrameKind.ACK)
+            runtime.transport.send_ack(0, 1, AckFrame(1, 0, 1))
             assert runtime.status()["in_transit"] == 1
             with pytest.raises(SimulationError, match="1 copies in transit"):
                 await runtime.settled()

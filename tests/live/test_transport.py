@@ -119,7 +119,7 @@ def test_an_oversized_prefix_is_counted_and_closes_only_that_connection():
             writer.close()
             # ... and every overlay edge into the same node still delivers.
             frame = AckFrame(1, 0, 9)
-            transport.transmit(0, 1, frame, FrameKind.ACK)
+            transport.send_ack(0, 1, frame)
             await _until(lambda: seen == [(0, frame)])
         finally:
             await transport.close()
@@ -162,13 +162,13 @@ def test_close_awaits_both_ends_and_leaves_nothing_pending():
 
 
 # ---------------------------------------------------------------------------
-# in_transit: copies between transmit and their receiver's dispatch
+# in_transit: copies between their send and their receiver's dispatch
 # ---------------------------------------------------------------------------
 def test_in_transit_counts_a_delayed_copy_until_its_dispatch():
     async def scenario():
         transport, seen = await _started_transport()
         try:
-            transport.transmit(0, 1, AckFrame(1, 0, 9), FrameKind.ACK)
+            transport.send_ack(0, 1, AckFrame(1, 0, 9))
             assert transport.in_transit == 1  # in the calendar for the 10 ms link
             await _until(lambda: seen)
             assert transport.in_transit == 0
@@ -182,9 +182,9 @@ def test_in_transit_skips_a_dropped_frame():
     async def scenario():
         transport, seen = await _started_transport(rules=ack_loss_rules(0, 1))
         try:
-            transport.transmit(0, 1, AckFrame(1, 0, 9), FrameKind.ACK)
+            transport.send_ack(0, 1, AckFrame(1, 0, 9))
             assert transport.in_transit == 0  # dropped at the seam, not on its way
-            transport.transmit(1, 0, AckFrame(2, 1, 10), FrameKind.ACK)
+            transport.send_ack(1, 0, AckFrame(2, 1, 10))
             assert transport.in_transit == 1  # the reverse direction passes
             await _until(lambda: transport.in_transit == 0)
             assert seen == []  # node 0 has no sink; node 1 got nothing
@@ -198,7 +198,7 @@ def test_in_transit_releases_a_frame_no_handler_takes():
     async def scenario():
         transport, seen = await _started_transport()
         try:
-            transport.transmit(0, 2, AckFrame(1, 0, 9), FrameKind.ACK)  # node 2 has no sink
+            transport.send_ack(0, 2, AckFrame(1, 0, 9))  # node 2 has no sink
             assert transport.in_transit == 1
             await _until(lambda: transport.in_transit == 0)
             assert seen == []
@@ -212,7 +212,7 @@ def test_in_transit_forgets_the_copies_of_a_closed_connection():
     async def scenario():
         transport, seen = await _started_transport()
         try:
-            transport.transmit(0, 1, AckFrame(1, 0, 9), FrameKind.ACK)
+            transport.send_ack(0, 1, AckFrame(1, 0, 9))
             await _until(lambda: seen)
             writer = transport._writers[(0, 1)]
             reader = next(
@@ -221,7 +221,7 @@ def test_in_transit_forgets_the_copies_of_a_closed_connection():
                 if (end.src, end.dst) == (0, 1) and end.transport is not writer
             )
             reader.transport.pause_reading()
-            transport.transmit(0, 1, AckFrame(2, 0, 10), FrameKind.ACK)
+            transport.send_ack(0, 1, AckFrame(2, 0, 10))
             await _until(lambda: transport._unwritten == 0)  # the link's delay
             assert transport.in_transit == 1  # written, not yet read ...
             reader.transport.close()  # ... and now it never will be
@@ -230,7 +230,7 @@ def test_in_transit_forgets_the_copies_of_a_closed_connection():
             # The dialling end sees the close too: a copy written to it is
             # dropped at the write, never counted.
             await _until(writer.is_closing)
-            transport.transmit(0, 1, AckFrame(3, 0, 11), FrameKind.ACK)
+            transport.send_ack(0, 1, AckFrame(3, 0, 11))
             assert transport.in_transit == 1  # in the calendar for the link
             await _until(lambda: transport._unwritten == 0)
             assert transport.in_transit == 0
@@ -256,7 +256,7 @@ def _ledger(stats, kind):
 def test_a_dropped_frame_is_a_send_and_an_injected_loss_of_its_kind():
     async def scenario():
         transport, seen = await _started_transport(rules=ack_loss_rules(0, 1))
-        transport.transmit(0, 1, AckFrame(1, 0, 9), FrameKind.ACK)
+        transport.send_ack(0, 1, AckFrame(1, 0, 9))
         await transport.close()
         assert seen == []
         assert _ledger(transport.stats, FrameKind.ACK) == (1, 0, 1, 1.0)
@@ -279,7 +279,7 @@ def test_every_send_is_delivered_or_lost_to_the_filter(rules):
         transport, seen = await _started_transport(rules=rules)
         for i in range(9):
             if i % 2:
-                frame, kind = AckFrame(i, 0, 100 + i), FrameKind.ACK
+                transport.send_ack(0, 1, AckFrame(i, 0, 100 + i))
             else:
                 frame = PacketFrame(
                     msg_id=i,
@@ -290,8 +290,7 @@ def test_every_send_is_delivered_or_lost_to_the_filter(rules):
                     destinations=frozenset({1}),
                     routing_path=(0,),
                 )
-                kind = FrameKind.DATA
-            transport.transmit(0, 1, frame, kind)
+                transport.send_data(0, 1, frame)
         await _until(lambda: transport.in_transit == 0)
         await transport.close()
         stats = transport.stats

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.overlay.links import FrameKind, OverlayNetwork
+from repro.overlay.links import OverlayNetwork
 from repro.pubsub.messages import PacketFrame
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -45,9 +45,9 @@ def test_urgent_frame_overtakes_queued_frames():
     network.attach(1, lambda s, f: arrivals.append((f.msg_id, sim.now)))
     # The first frame starts service immediately; while it serialises,
     # a low-priority and then a high-priority frame arrive.
-    network.transmit(0, 1, frame_with_priority(5.0, msg_id=1), FrameKind.DATA)
-    network.transmit(0, 1, frame_with_priority(9.0, msg_id=2), FrameKind.DATA)
-    network.transmit(0, 1, frame_with_priority(1.0, msg_id=3), FrameKind.DATA)
+    network.send_data(0, 1, frame_with_priority(5.0, msg_id=1))
+    network.send_data(0, 1, frame_with_priority(9.0, msg_id=2))
+    network.send_data(0, 1, frame_with_priority(1.0, msg_id=3))
     sim.run()
     order = [msg for msg, _ in arrivals]
     assert order == [1, 3, 2]  # in-service first, then by deadline
@@ -58,7 +58,7 @@ def test_equal_priorities_serve_fifo():
     arrivals = []
     network.attach(1, lambda s, f: arrivals.append(f.msg_id))
     for msg_id in (1, 2, 3):
-        network.transmit(0, 1, frame_with_priority(5.0, msg_id=msg_id), FrameKind.DATA)
+        network.send_data(0, 1, frame_with_priority(5.0, msg_id=msg_id))
     sim.run()
     assert arrivals == [1, 2, 3]
 
@@ -67,8 +67,8 @@ def test_service_and_propagation_times_accumulate():
     sim, network = make_network(service_time=0.010)
     arrivals = []
     network.attach(1, lambda s, f: arrivals.append(sim.now))
-    network.transmit(0, 1, frame_with_priority(1.0, msg_id=1), FrameKind.DATA)
-    network.transmit(0, 1, frame_with_priority(2.0, msg_id=2), FrameKind.DATA)
+    network.send_data(0, 1, frame_with_priority(1.0, msg_id=1))
+    network.send_data(0, 1, frame_with_priority(2.0, msg_id=2))
     sim.run()
     assert arrivals == [pytest.approx(0.020), pytest.approx(0.030)]
 
@@ -77,8 +77,8 @@ def test_server_idles_and_resumes():
     sim, network = make_network()
     arrivals = []
     network.attach(1, lambda s, f: arrivals.append(sim.now))
-    network.transmit(0, 1, frame_with_priority(1.0, msg_id=1), FrameKind.DATA)
-    sim.schedule(1.0, network.transmit, 0, 1, frame_with_priority(1.0, msg_id=2), FrameKind.DATA)
+    network.send_data(0, 1, frame_with_priority(1.0, msg_id=1))
+    sim.schedule(1.0, network.send_data, 0, 1, frame_with_priority(1.0, msg_id=2))
     sim.run()
     assert arrivals == [pytest.approx(0.020), pytest.approx(1.020)]
 
@@ -87,8 +87,8 @@ def test_acks_bypass_edf_queue():
     sim, network = make_network(service_time=0.050)
     arrivals = []
     network.attach(1, lambda s, f: arrivals.append((f, sim.now)))
-    network.transmit(0, 1, frame_with_priority(1.0), FrameKind.DATA)
-    network.transmit(0, 1, "ack", FrameKind.ACK)
+    network.send_data(0, 1, frame_with_priority(1.0))
+    network.send_ack(0, 1, "ack")
     sim.run()
     assert ("ack", pytest.approx(0.010)) in [(f, pytest.approx(t)) for f, t in arrivals]
 
@@ -100,8 +100,8 @@ def test_backlog_accounts_for_queue():
     assert network.watch_wire(
         lambda frame, wait: clears.append((frame.msg_id, sim.now + wait))
     )
-    network.transmit(0, 1, frame_with_priority(1.0, msg_id=1), FrameKind.DATA)
-    network.transmit(0, 1, frame_with_priority(2.0, msg_id=2), FrameKind.DATA)
+    network.send_data(0, 1, frame_with_priority(1.0, msg_id=1))
+    network.send_data(0, 1, frame_with_priority(2.0, msg_id=2))
     # The server reports a copy when it picks it: the queued one only
     # once the first has been served.
     assert clears == [(1, pytest.approx(0.010))]
@@ -118,8 +118,8 @@ def test_priorityless_frames_fall_to_back():
     sim, network = make_network()
     arrivals = []
     network.attach(1, lambda s, f: arrivals.append(f.msg_id))
-    network.transmit(0, 1, frame_with_priority(1.0, msg_id=1), FrameKind.DATA)
-    network.transmit(0, 1, frame_with_priority(float("inf"), msg_id=2), FrameKind.DATA)
-    network.transmit(0, 1, frame_with_priority(3.0, msg_id=3), FrameKind.DATA)
+    network.send_data(0, 1, frame_with_priority(1.0, msg_id=1))
+    network.send_data(0, 1, frame_with_priority(float("inf"), msg_id=2))
+    network.send_data(0, 1, frame_with_priority(3.0, msg_id=3))
     sim.run()
     assert arrivals == [1, 3, 2]

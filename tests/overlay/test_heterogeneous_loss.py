@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.overlay.links import FrameKind, OverlayNetwork
+from repro.overlay.links import OverlayNetwork
 from repro.overlay.monitor import LinkMonitor
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.util.errors import ConfigurationError
-from tests.conftest import make_topology
+from tests.conftest import data_frame, make_topology
 
 
 def make_network(link_loss_rates=None, loss_rate=0.0, seed=3):
@@ -31,10 +31,10 @@ def test_per_link_rate_overrides_uniform():
     received = []
     network.attach(1, lambda s, f: received.append(f))
     network.attach(2, lambda s, f: received.append(f))
-    network.transmit(0, 1, "dead", FrameKind.DATA)
-    network.transmit(1, 2, "clean", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("dead"))
+    network.send_data(1, 2, data_frame("clean"))
     sim.run()
-    assert received == ["clean"]
+    assert received == [data_frame("clean")]
 
 
 def test_missing_links_fall_back_to_uniform():
@@ -44,10 +44,10 @@ def test_missing_links_fall_back_to_uniform():
     received = []
     network.attach(1, lambda s, f: received.append(f))
     network.attach(2, lambda s, f: received.append(f))
-    network.transmit(0, 1, "clean", FrameKind.DATA)
-    network.transmit(1, 2, "dead", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("clean"))
+    network.send_data(1, 2, data_frame("dead"))
     sim.run()
-    assert received == ["clean"]
+    assert received == [data_frame("clean")]
 
 
 def test_link_success_probability_query():

@@ -10,7 +10,7 @@ from repro.overlay.topology import full_mesh
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.util.errors import SimulationError
-from tests.conftest import ScriptedFailures, make_topology
+from tests.conftest import ScriptedFailures, data_frame, make_topology
 
 
 def make_network(topology, loss_rate=0.0, failures=None, node_failures=None, seed=1):
@@ -31,16 +31,16 @@ def test_frame_arrives_after_link_delay():
     sim, network = make_network(topo)
     received = []
     network.attach(1, lambda sender, frame: received.append((sender, frame, sim.now)))
-    network.transmit(0, 1, "hello", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("hello"))
     sim.run()
-    assert received == [(0, "hello", 0.025)]
+    assert received == [(0, data_frame("hello"), 0.025)]
 
 
 def test_transmit_to_non_neighbor_rejected():
     topo = make_topology([(0, 1, 0.01), (1, 2, 0.01)])
     sim, network = make_network(topo)
     with pytest.raises(SimulationError):
-        network.transmit(0, 2, "x", FrameKind.DATA)
+        network.send_data(0, 2, data_frame("x"))
 
 
 def test_loss_rate_one_drops_everything():
@@ -49,7 +49,7 @@ def test_loss_rate_one_drops_everything():
     received = []
     network.attach(1, lambda s, f: received.append(f))
     for _ in range(20):
-        network.transmit(0, 1, "x", FrameKind.DATA)
+        network.send_data(0, 1, data_frame("x"))
     sim.run()
     assert received == []
     assert network.stats.lost_random[FrameKind.DATA] == 20
@@ -60,7 +60,7 @@ def test_loss_rate_statistics():
     sim, network = make_network(topo, loss_rate=0.3, seed=5)
     network.attach(1, lambda s, f: None)
     for _ in range(2000):
-        network.transmit(0, 1, "x", FrameKind.DATA)
+        network.send_data(0, 1, data_frame("x"))
     sim.run()
     fraction = network.stats.loss_fraction(FrameKind.DATA)
     assert fraction == pytest.approx(0.3, abs=0.05)
@@ -72,10 +72,10 @@ def test_failed_link_drops_frames_during_window():
     sim, network = make_network(topo, failures=failures)
     received = []
     network.attach(1, lambda s, f: received.append((f, sim.now)))
-    network.transmit(0, 1, "lost", FrameKind.DATA)
-    sim.schedule(1.5, network.transmit, 0, 1, "ok", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("lost"))
+    sim.schedule(1.5, network.send_data, 0, 1, data_frame("ok"))
     sim.run()
-    assert received == [("ok", pytest.approx(1.51))]
+    assert received == [(data_frame("ok"), pytest.approx(1.51))]
     assert network.stats.lost_failure[FrameKind.DATA] == 1
 
 
@@ -84,7 +84,7 @@ def test_ack_frames_subject_to_same_hazards():
     failures = ScriptedFailures({(0, 1): [(0.0, 1.0)]})
     sim, network = make_network(topo, failures=failures)
     network.attach(0, lambda s, f: None)
-    network.transmit(1, 0, "ack", FrameKind.ACK)
+    network.send_ack(1, 0, "ack")
     sim.run()
     assert network.stats.lost_failure[FrameKind.ACK] == 1
 
@@ -94,9 +94,9 @@ def test_reliable_flag_skips_random_loss_only():
     sim, network = make_network(topo, loss_rate=1.0)
     received = []
     network.attach(1, lambda s, f: received.append(f))
-    network.transmit(0, 1, "x", FrameKind.DATA, reliable=True)
+    network.send_data(0, 1, data_frame("x"), reliable=True)
     sim.run()
-    assert received == ["x"]
+    assert received == [data_frame("x")]
 
 
 def test_reliable_flag_does_not_bypass_failures():
@@ -105,7 +105,7 @@ def test_reliable_flag_does_not_bypass_failures():
     sim, network = make_network(topo, failures=failures)
     received = []
     network.attach(1, lambda s, f: received.append(f))
-    network.transmit(0, 1, "x", FrameKind.DATA, reliable=True)
+    network.send_data(0, 1, data_frame("x"), reliable=True)
     sim.run()
     assert received == []
 
@@ -116,10 +116,41 @@ def test_node_failure_drops_frames_from_down_sender():
     sim, network = make_network(topo, node_failures=node_failures)
     received = []
     network.attach(1, lambda s, f: received.append(f))
-    network.transmit(0, 1, "x", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("x"))
     sim.run()
     assert received == []
     assert network.stats.lost_node_down[FrameKind.DATA] == 1
+
+
+def test_a_node_crash_network_delivers_through_the_generic_path():
+    """Where a crash can interpose nothing is compiled: ``send_data`` and
+    ``send_ack`` answer ``None``, no ACK arrival is reported, no round
+    trip is known, and the interned table counts no fallback."""
+    topo = make_topology([(0, 1, 0.01)])
+    node_failures = NodeFailureSchedule(topo, 0.0, seed=1)
+    sim, network = make_network(topo, node_failures=node_failures)
+    received, fates = [], []
+    network.attach(0, lambda s, f: received.append(f))
+    network.attach(1, lambda s, f: received.append(f))
+    network.register_ack_fate_hook(lambda *fate: fates.append(fate))
+    network.prewarm_directions()
+    assert network.send_data(0, 1, data_frame("d")) is None
+    assert network.send_ack(1, 0, "a") is None
+    sim.run()
+    assert received == [data_frame("d"), "a"]
+    assert fates == [] and network.ack_round_trip(0, 1) is None
+    assert network.dir_fallbacks == 0
+
+
+def test_an_ack_lost_to_a_node_crash_is_reported_to_the_fate_hook():
+    topo = make_topology([(0, 1, 0.01)])
+    node_failures = NodeFailureSchedule(topo, 1.0, seed=1)
+    sim, network = make_network(topo, node_failures=node_failures)
+    fates = []
+    network.register_ack_fate_hook(lambda *fate: fates.append(fate))
+    assert network.send_ack(1, 0, "a") is False
+    assert fates == [(1, 0, "a", None)]
+    assert network.stats.lost_node_down[FrameKind.ACK] == 1
 
 
 def test_detached_node_silently_drops():
@@ -128,7 +159,7 @@ def test_detached_node_silently_drops():
     received = []
     network.attach(1, lambda s, f: received.append(f))
     network.detach(1)
-    network.transmit(0, 1, "x", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("x"))
     sim.run()
     assert received == []
 
@@ -145,8 +176,8 @@ def test_stats_track_per_kind():
     sim, network = make_network(topo)
     network.attach(1, lambda s, f: None)
     network.attach(0, lambda s, f: None)
-    network.transmit(0, 1, "d", FrameKind.DATA)
-    network.transmit(1, 0, "a", FrameKind.ACK)
+    network.send_data(0, 1, data_frame("d"))
+    network.send_ack(1, 0, "a")
     sim.run()
     assert network.stats.sent[FrameKind.DATA] == 1
     assert network.stats.sent[FrameKind.ACK] == 1
@@ -183,7 +214,7 @@ def test_random_loss_follows_the_scalar_draws():
     sends = [
         lambda: network.send_data(0, 1, frame),
         lambda: network.send_ack(1, 0, frame),
-        lambda: network.transmit(0, 1, frame, FrameKind.DATA),
+        lambda: network.send_data(0, 1, frame, reliable=False),
     ] * 1000
     survived = [send() for send in sends]
     draws = RandomStreams(5).get("loss")

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.overlay.links import FrameKind, OverlayNetwork
+from repro.overlay.links import OverlayNetwork
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.util.errors import SimulationError
-from tests.conftest import make_topology
+from tests.conftest import data_frame, make_topology
 
 
 def make_network(service_time=None):
@@ -20,23 +20,31 @@ def test_single_frame_pays_service_plus_propagation():
     sim, network = make_network(service_time=0.005)
     arrivals = []
     network.attach(1, lambda s, f: arrivals.append(sim.now))
-    network.transmit(0, 1, "a", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("a"))
     sim.run()
     assert arrivals == [pytest.approx(0.015)]
+
+
+def test_a_queued_copy_is_left_to_the_queue_path():
+    """A copy handed to a link server answers ``None``: the server, not
+    the send, decides when it leaves."""
+    sim, network = make_network(service_time=0.005)
+    network.attach(1, lambda s, f: None)
+    assert network.send_data(0, 1, data_frame("a")) is None
 
 
 def test_back_to_back_frames_queue_fifo():
     sim, network = make_network(service_time=0.005)
     arrivals = []
     network.attach(1, lambda s, f: arrivals.append((f, sim.now)))
-    network.transmit(0, 1, "a", FrameKind.DATA)
-    network.transmit(0, 1, "b", FrameKind.DATA)
-    network.transmit(0, 1, "c", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("a"))
+    network.send_data(0, 1, data_frame("b"))
+    network.send_data(0, 1, data_frame("c"))
     sim.run()
     assert arrivals == [
-        ("a", pytest.approx(0.015)),
-        ("b", pytest.approx(0.020)),
-        ("c", pytest.approx(0.025)),
+        (data_frame("a"), pytest.approx(0.015)),
+        (data_frame("b"), pytest.approx(0.020)),
+        (data_frame("c"), pytest.approx(0.025)),
     ]
 
 
@@ -45,8 +53,8 @@ def test_directions_are_independent_servers():
     arrivals = []
     network.attach(1, lambda s, f: arrivals.append(("fwd", sim.now)))
     network.attach(0, lambda s, f: arrivals.append(("rev", sim.now)))
-    network.transmit(0, 1, "a", FrameKind.DATA)
-    network.transmit(1, 0, "b", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("a"))
+    network.send_data(1, 0, data_frame("b"))
     sim.run()
     assert set(arrivals) == {("fwd", 0.015), ("rev", 0.015)}
 
@@ -56,8 +64,8 @@ def test_links_are_independent_servers():
     arrivals = []
     network.attach(1, lambda s, f: arrivals.append(sim.now))
     network.attach(2, lambda s, f: arrivals.append(sim.now))
-    network.transmit(0, 1, "a", FrameKind.DATA)
-    network.transmit(1, 2, "b", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("a"))
+    network.send_data(1, 2, data_frame("b"))
     sim.run()
     assert arrivals == [pytest.approx(0.015), pytest.approx(0.015)]
 
@@ -66,8 +74,8 @@ def test_acks_skip_the_queue():
     sim, network = make_network(service_time=0.050)
     arrivals = []
     network.attach(1, lambda s, f: arrivals.append((f, sim.now)))
-    network.transmit(0, 1, "big", FrameKind.DATA)
-    network.transmit(0, 1, "ack", FrameKind.ACK)
+    network.send_data(0, 1, data_frame("big"))
+    network.send_ack(0, 1, "ack")
     sim.run()
     assert ("ack", pytest.approx(0.010)) in [
         (f, pytest.approx(t)) for f, t in arrivals
@@ -85,7 +93,7 @@ def test_idle_link_has_no_backlog():
     sim, network = make_network(service_time=0.005)
     waits = watched(network)
     network.attach(1, lambda s, f: None)
-    network.transmit(0, 1, "a", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("a"))
     # Nothing ahead of it: the copy clears the wire after its own service.
     assert waits == [0.005]
 
@@ -94,8 +102,8 @@ def test_backlog_reflects_queue_depth():
     sim, network = make_network(service_time=0.005)
     waits = watched(network)
     network.attach(1, lambda s, f: None)
-    network.transmit(0, 1, "a", FrameKind.DATA)
-    network.transmit(0, 1, "b", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("a"))
+    network.send_data(0, 1, data_frame("b"))
     assert waits == [pytest.approx(0.005), pytest.approx(0.010)]
 
 
@@ -103,7 +111,7 @@ def test_infinite_capacity_reports_no_wire_wait():
     sim, network = make_network(service_time=None)
     assert network.watch_wire(lambda frame, wait: pytest.fail("never called")) is False
     network.attach(1, lambda s, f: None)
-    network.transmit(0, 1, "a", FrameKind.DATA)
+    network.send_data(0, 1, data_frame("a"))
 
 
 def test_no_service_time_means_no_queueing():
@@ -111,7 +119,7 @@ def test_no_service_time_means_no_queueing():
     arrivals = []
     network.attach(1, lambda s, f: arrivals.append(sim.now))
     for _ in range(5):
-        network.transmit(0, 1, "x", FrameKind.DATA)
+        network.send_data(0, 1, data_frame("x"))
     sim.run()
     assert all(t == pytest.approx(0.010) for t in arrivals)
 

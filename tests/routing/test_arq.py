@@ -60,8 +60,8 @@ def test_ack_settles_the_copy(ack_log):
     # Echo an ACK back whenever node 1 receives the frame.
     ctx.network.attach(
         1,
-        lambda sender, received: ctx.network.transmit(
-            1, sender, ack_for(received, 1), FrameKind.ACK
+        lambda sender, received: ctx.network.send_ack(
+            1, sender, ack_for(received, 1)
         ),
     )
     ctx.network.attach(0, lambda sender, received: arq.handle_ack(0, sender, received))
@@ -103,8 +103,8 @@ def test_retransmission_recovers_transient_failure():
     outcomes = []
     ctx.network.attach(
         1,
-        lambda sender, received: ctx.network.transmit(
-            1, sender, ack_for(received, 1), FrameKind.ACK
+        lambda sender, received: ctx.network.send_ack(
+            1, sender, ack_for(received, 1)
         ),
     )
     ctx.network.attach(0, lambda sender, received: arq.handle_ack(0, sender, received))

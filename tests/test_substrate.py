@@ -1,7 +1,7 @@
 """The substrate contract (repro.substrate) and who satisfies it.
 
 The broker stack calls every transport member it uses —
-``send_data``/``send_ack``, ``attach_ack``, the fast-path members — and
+``attach``, ``send_data``/``send_ack``, the fast-path members — and
 the clock's ``schedule`` family and ``push`` directly, with no capability
 probe and no fallback, so both transports and both clocks must offer the
 whole contract, and the unit-test harness must run the same sends
@@ -80,12 +80,11 @@ def test_substrates_satisfy_the_contract(protocol, build, wall_clock, monkeypatc
         assert substrate.pending_events == 0
     else:
         # One link model: the socket transport is the simulated network
-        # with a socket write as its last step, and it has no in-process
-        # fast sends, so no round trip is known in advance.
+        # with a socket write as its last step, and a socket round trip
+        # is not known in advance.
         assert isinstance(substrate, OverlayNetwork)
         for node in substrate.topology.nodes:
             substrate.attach(node, lambda sender, frame: None)
-            substrate.attach_ack(node, lambda sender, ack: None)
         substrate.prewarm_directions()
         substrate.register_ack_fate_hook(lambda src, dst, ack, arrival: False)
         u, v = next(iter(substrate.topology.edges()))
@@ -107,7 +106,7 @@ def _run_due(clock):
 
 def test_the_unit_harness_sends_through_the_contract(monkeypatch):
     """A ``build_ctx`` world carries its frames on ``send_data``/``send_ack``
-    themselves — the generic ``transmit`` is never entered."""
+    and nothing else."""
     calls = Counter()
 
     def counted(name):
@@ -119,7 +118,7 @@ def test_the_unit_harness_sends_through_the_contract(monkeypatch):
 
         return wrapper
 
-    for name in ("transmit", "send_data", "send_ack"):
+    for name in ("send_data", "send_ack"):
         monkeypatch.setattr(OverlayNetwork, name, counted(name))
     ctx, _ = run_once(diamond(), single_topic_workload(0, [(3, 1.0)]))
     assert ctx.metrics.outcome(1, 3).delivered
