@@ -9,7 +9,14 @@ that are identical across DCRD and the baselines:
   receives to the strategy;
 * duplicate suppression: a lost ACK makes the sender retransmit, so a broker
   can legitimately receive a byte-identical copy it already processed; the
-  copy is re-ACKed (the sender is still waiting) but not re-forwarded;
+  copy is re-ACKed (the sender is still waiting) but not re-forwarded. A
+  transfer id repeats only as such a retransmission, so the window of
+  accepted ids need only reach back one *horizon* — the longest time that
+  can separate two arrivals of one transfer, which the composition root
+  derives (:func:`repro.stack.dedup_horizon`). It is two generations of
+  ids: a lookup probes both, an accept joins the newer, and the older is
+  dropped once the newer is one horizon old (:meth:`BrokerRuntime.bound_window`);
+  with no horizon a generation retires at :data:`DEDUP_CAPACITY` ids;
 * local delivery to subscribers hosted on this broker, including
   fragment reassembly for FEC-coded messages (a message with
   ``fragments_needed = k`` delivers when the k-th *distinct* fragment
@@ -29,6 +36,7 @@ conformance suite pins.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, Set
 
@@ -40,8 +48,13 @@ _new_ack = object.__new__
 from repro.routing.base import RoutingStrategy, RuntimeContext
 from repro.util.errors import SimulationError
 
-#: Bound on the per-broker duplicate-suppression window.
+#: Where no horizon is known, a dedup generation retires once it holds this
+#: many ids, so no id is forgotten before as many later ones were accepted.
 DEDUP_CAPACITY = 1 << 17
+
+#: Where no horizon is known, the seconds between two looks at the size of
+#: the current dedup generation.
+CAPACITY_CHECK_S = 1.0
 
 
 class BrokerRuntime:
@@ -61,8 +74,12 @@ class BrokerRuntime:
         self._handle_ack = strategy.handle_ack
         self._handle_data = strategy.handle_data
         self._send_ack = ctx.network.send_ack
+        # The dedup window: the current generation of accepted transfer
+        # ids and the one before it, with no horizon until the composition
+        # root bounds it (bound_window).
         self._seen: Set[int] = set()
-        self._seen_order: Deque[int] = deque()
+        self._older: Set[int] = set()
+        self.bound_window(math.inf)
         # FEC reassembly: msg_id -> set of distinct fragment indices seen.
         self._fragments: Dict[int, Set[int]] = {}
         self._fragment_order: Deque[int] = deque()
@@ -80,7 +97,6 @@ class BrokerRuntime:
         # passthrough the fingerprint matrix pins.
         plan = ctx.ordering
         self._pipeline = plan.pipeline_for(self) if plan is not None else None
-        self.frames_received = 0
         self.duplicates_suppressed = 0
         self.local_deliveries = 0
         ctx.network.attach(node, self.on_frame)
@@ -105,7 +121,6 @@ class BrokerRuntime:
                 return
             if not isinstance(frame, PacketFrame):
                 raise SimulationError(f"broker {node} got unknown frame {frame!r}")
-        self.frames_received += 1
         if self._uses_acks:
             # Slot-written AckFrame (no __init__ frame) — one reply per
             # received DATA copy makes this one of the hottest allocations.
@@ -114,21 +129,20 @@ class BrokerRuntime:
             ack.acker = node
             ack.transfer_id = frame.transfer_id
             self._send_ack(node, sender, ack)
-        # Duplicate suppression (inlined: one bounded seen-set probe on the
-        # dedup key, which is the transfer id, unique within the run).
+        # Duplicate suppression (inlined: the dedup key is the transfer id,
+        # unique within the run but for retransmissions; both generations
+        # of the window are probed, an accept joins the current one).
         key = frame.transfer_id
         seen = self._seen
-        if key in seen:
+        if key in seen or key in self._older:
             self.duplicates_suppressed += 1
             probe = _probes.on_dedup_discard
             if probe is not None:
                 probe(self._sim._now, node, sender, frame)
             return
+        if self._sim._now >= self._retire_at:
+            seen = self._retire()
         seen.add(key)
-        order = self._seen_order
-        order.append(key)
-        if len(order) > DEDUP_CAPACITY:
-            seen.discard(order.popleft())
         probe = _probes.on_broker_accept
         if probe is not None:
             # Post-dedup: the same transfer must never pass twice, and the
@@ -173,6 +187,50 @@ class BrokerRuntime:
         elif not destinations:
             return
         self._handle_data(node, sender, frame)
+
+    def bound_window(self, horizon: float) -> None:
+        """Let the dedup window reach back *horizon* seconds, not further.
+
+        *horizon* is the longest time that can separate two arrivals of
+        one transfer here; ``math.inf`` means no bound is known, and only
+        :data:`DEDUP_CAPACITY` retires a generation. Called by the
+        composition root once per broker, before the run.
+        """
+        self._horizon = horizon
+        self._retire_at = self._sim._now + (
+            horizon if horizon < math.inf else CAPACITY_CHECK_S
+        )
+
+    def _retire(self) -> Set[int]:
+        """Retire the current generation if it is due; returns the current one.
+
+        Called at the first accept at or after ``_retire_at``. With a
+        horizon ``H``, generations are ``H`` apart: the current one holds
+        the ids accepted in ``[retire_at - H, retire_at)``, so it becomes
+        the older one while a copy of an id in it may still come, and both
+        are dropped once the clock has passed ``retire_at + H``, when none
+        can. An id thus stays in the window at least ``H``, and the window
+        holds nothing accepted more than ``2 H`` before the accept at
+        hand. With no horizon, the current generation retires when a look
+        finds :data:`DEDUP_CAPACITY` ids in it, so an id stays at least
+        that many accepts.
+        """
+        now = self._sim._now
+        horizon = self._horizon
+        seen = self._seen
+        if horizon == math.inf:
+            self._retire_at = now + CAPACITY_CHECK_S
+            if len(seen) < DEDUP_CAPACITY:
+                return seen
+            self._older = seen
+        elif now < self._retire_at + horizon:
+            self._older = seen
+            self._retire_at += horizon
+        else:
+            self._older = set()
+            self._retire_at = now + horizon
+        seen = self._seen = set()
+        return seen
 
     def deliver_frame(self, frame: PacketFrame) -> bool:
         """Terminal delivery stage: metrics + ``deliver`` probe.

@@ -128,9 +128,9 @@ class ArqSender:
         self._send_data = ctx.network.send_data
         self._m = ctx.params.m
         self._outstanding: Dict[int, _Outstanding] = {}
-        # Whether the transport reports when each copy clears the wire
-        # (finite-capacity links); the ACK clock then starts in _on_wire.
-        self._wire_reported = ctx.network.watch_wire(self._on_wire)
+        #: Whether the transport reports when each copy clears the wire
+        #: (finite-capacity links); the ACK clock then starts in _on_wire.
+        self.wire_reported = ctx.network.watch_wire(self._on_wire)
         # Latent-timer elision (opt-in, see enable_timer_elision).
         self._elide_timers = False
         # The one per-direction memo: packed direction id (src << 21 | dst,
@@ -162,8 +162,11 @@ class ArqSender:
     def enable_timer_elision(self) -> None:
         """Opt in to latent ACK timeouts and ACKs settled at send.
 
-        Called by the composition root only. Elision assumes the receiving
-        side ACKs every delivered DATA frame synchronously on arrival —
+        Called by the composition root only, and only where the transport
+        states every direction's round trip in advance
+        (``ack_round_trip``): elsewhere no timer can be latent. Elision
+        assumes the receiving side ACKs every delivered DATA frame
+        synchronously on arrival —
         true when every node hosts a
         :class:`~repro.pubsub.broker.BrokerRuntime` and the active strategy
         has ``uses_acks`` — and that handler attachments are stable for the
@@ -177,11 +180,15 @@ class ArqSender:
         schedule bit-identical either way. The network's ACK-fate hook
         reports each ACK sent for such a copy: a lost one materialises the
         timer; one that arrives is settled at send when nothing could
-        tell (:meth:`_on_ack_fate`). A transport that cannot tell the
-        round trip (``ack_round_trip`` answers ``None``, as the live one
-        always does) keeps every timer eager, so only the simulated links
-        over a :class:`~repro.sim.engine.Simulator` ever reach ``settle``.
+        tell (:meth:`_on_ack_fate`). A copy whose clock starts at the wire
+        report (finite-capacity links) is never latent, so there the hook
+        is not registered and ``send_ack`` calls nothing; nor is it on a
+        transport that cannot tell the round trip, such as the live one,
+        so only the simulated links over a
+        :class:`~repro.sim.engine.Simulator` ever reach ``settle``.
         """
+        if self.wire_reported:
+            return
         self._network.register_ack_fate_hook(self._on_ack_fate)
         self._elide_timers = True
         self._dir_info.clear()  # entries memoised so far carry no rt_pair
@@ -242,7 +249,7 @@ class ArqSender:
         """
         entry = _Outstanding(src, dst, frame, on_failed)
         self._outstanding[frame.transfer_id] = entry
-        if self._wire_reported:
+        if self.wire_reported:
             # The link reports when the copy clears the wire: _on_wire
             # starts the clock, and measures the wait from this hand-over.
             entry.sent_at = self._sim._now
@@ -284,7 +291,7 @@ class ArqSender:
         """Hand the copy to the network once more, as :meth:`send` did first."""
         entry.attempts += 1
         self.retransmissions += 1
-        if self._wire_reported:
+        if self.wire_reported:
             entry.sent_at = self._sim._now
             self._send_data(entry.src, entry.dst, entry.frame)
         else:

@@ -16,6 +16,7 @@ entry, idle state restored on every exit path.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro import probes as _probes
@@ -27,8 +28,15 @@ from repro.overlay.topology import Topology
 from repro.pubsub.broker import BrokerRuntime
 from repro.pubsub.topics import Workload
 from repro.record import RunRecord
+from repro.routing.arq import ArqSender
 from repro.routing.base import ProtocolParams, RoutingStrategy, RuntimeContext
 from repro.sim.random import RandomStreams
+
+#: Seconds added to the longest spread of a transfer's arrivals to give
+#: the dedup horizon: orders of magnitude above the float rounding of a
+#: timer schedule, and long enough that a broker retires a generation
+#: rarely next to how often it accepts an id.
+DEDUP_MARGIN_S = 1.0
 
 
 class Stack(NamedTuple):
@@ -61,8 +69,9 @@ def wire_stack(
     stripe so co-operating processes never collide.
 
     The substrate's fast paths — interned link directions, latent ARQ
-    timers — are switched on whenever every node is hosted here; a
-    substrate without them answers those calls trivially.
+    timers — are switched on whenever every node is hosted here and the
+    transport states its round trips in advance (``ack_round_trip``).
+    Every broker's dedup window reaches back :func:`dedup_horizon`.
     """
     ctx = RuntimeContext(
         sim=clock,
@@ -80,16 +89,57 @@ def wire_stack(
     routing.setup()
     hosted = topology.nodes if nodes is None else sorted(nodes)
     brokers = [BrokerRuntime(node, ctx, routing) for node in hosted]
-    if len(hosted) == len(topology.nodes):
+    every_node = len(hosted) == len(topology.nodes)
+    if every_node:
         # Every handler of the run is attached: intern the link table so
-        # the run never falls back to lazy resolution ...
+        # the run never falls back to lazy resolution.
         network.prewarm_directions()
-        # ... and every receiver ACKs delivered DATA synchronously, so ACK
-        # timeouts may stay latent (where the transport reports a round
-        # trip: the simulated links only).
-        if routing.arq is not None:
-            routing.arq.enable_timer_elision()
+    round_trips = all(
+        network.ack_round_trip(u, v) is not None
+        and network.ack_round_trip(v, u) is not None
+        for u, v in topology.edges()
+    )
+    if every_node and round_trips and routing.arq is not None:
+        # Every receiver ACKs delivered DATA synchronously, and the
+        # transport reports each round trip (the simulated links only), so
+        # ACK timeouts may stay latent.
+        routing.arq.enable_timer_elision()
+    horizon = dedup_horizon(topology, params, routing.arq, round_trips)
+    for broker in brokers:
+        broker.bound_window(horizon)
     return Stack(ctx, routing, brokers)
+
+
+def dedup_horizon(
+    topology: Topology,
+    params: ProtocolParams,
+    arq: Optional[ArqSender],
+    round_trips: bool,
+) -> float:
+    """The dedup horizon of a world: how long a broker must remember an id.
+
+    It is the longest time that can separate two arrivals of one transfer
+    at its receiver, plus :data:`DEDUP_MARGIN_S`. A transfer id repeats
+    only when *arq* retransmits it over the same direction — every other
+    sender draws a fresh id from ``ctx.transfer_ids`` — and successive
+    copies are handed to the link one ACK timeout apart, each then taking
+    the link's fixed delay. The timeout is a function of the monitor's
+    alpha, which is the configured link delay in both monitor modes, so
+    all ``m`` copies arrive within ``(m - 1)`` timeouts of the slowest
+    link; with ``m = 1`` (or no ARQ) no id ever repeats. The bound needs
+    copies handed straight to their link on time. Where a retransmission
+    can wait in its sender's queue (finite-capacity links: the ARQ's
+    ``wire_reported``) or the transport states no round trip in advance
+    (*round_trips* false: the wall clock, whose timers have no lateness
+    ceiling), none exists and the horizon is ``math.inf``.
+    """
+    spread = 0.0
+    if arq is not None and params.m > 1:
+        if arq.wire_reported or not round_trips:
+            return math.inf
+        slowest = max((topology.delay(u, v) for u, v in topology.edges()), default=0.0)
+        spread = (params.m - 1) * params.ack_timeout(slowest)
+    return spread + DEDUP_MARGIN_S
 
 
 class observed:

@@ -128,9 +128,10 @@ class Transport(Protocol):
     link directions) and ``register_ack_fate_hook``/``ack_round_trip``
     (latent ARQ timeouts and ACKs settled when they are sent). A socket
     round trip is not known in advance, so the live transport's
-    ``ack_round_trip`` is ``None`` and every ARQ timer stays eager; the
-    hook hears of every ACK, and no latent timer exists to settle or
-    materialise.
+    ``ack_round_trip`` is ``None``: every ARQ timer stays eager, and no
+    hook is registered. ``watch_wire`` and ``ack_round_trip`` also tell
+    the composition root whether two copies of one transfer can arrive
+    a bounded time apart (:func:`repro.stack.dedup_horizon`).
 
     Scripted faults enter both through one seam, a
     :data:`~repro.overlay.links.FaultFilter` drop predicate consulted

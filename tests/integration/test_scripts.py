@@ -97,3 +97,22 @@ def test_hop_cost_attributes_the_per_hop_chain():
     assert totals["bytecodes_per_pair"] > 0 and totals["calls_per_pair"] > 0
     assert "send_data (repro/overlay/links.py:" in out
     assert "_start_clock (repro/routing/arq.py:" in out
+
+
+def test_dedup_window_check_passes_on_a_lossy_world():
+    """The CI gate: every broker's dedup window within its horizon bound."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(REPO / "scripts" / "dedup_window.py"),
+            "lossy_failover",
+            "--duration",
+            "20",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        cwd=REPO,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr[-2000:]
+    assert re.search(r"horizon=1\.101 s brokers=20 .* ok$", result.stdout, re.M)

@@ -57,12 +57,12 @@ def arm_clock_at_enqueue(monkeypatch):
     def sent_at_enqueue(self, src, dst, frame, on_failed):
         send(self, src, dst, frame, on_failed)
         entry = self._outstanding.get(frame.transfer_id)
-        if entry is not None and self._wire_reported:
+        if entry is not None and self.wire_reported:
             self._start_clock(entry, 0.0, None)
 
     def resent_at_enqueue(self, entry):
         retransmit(self, entry)
-        if self._wire_reported:
+        if self.wire_reported:
             self._start_clock(entry, 0.0, None)
 
     monkeypatch.setattr(ArqSender, "_on_wire", lambda self, frame, wait: None)
