@@ -124,7 +124,7 @@ def test_control_plane_batched_refresh(benchmark):
     def kernel():
         solver = ControlPlaneSolver(topology, estimates)
         affected = [
-            pair for pair in pairs if solver.table_affected(pair[0], pair[2], changed)
+            pair for pair in pairs if pair[2] > solver.change_distance(pair[0], changed)
         ]
         return affected, solver.solve(affected)
 

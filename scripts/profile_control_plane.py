@@ -222,7 +222,7 @@ def main() -> int:
             [
                 pair
                 for pair in pairs
-                if solver.table_affected(pair[0], pair[2], changed)
+                if pair[2] > solver.change_distance(pair[0], changed)
             ]
         )
 

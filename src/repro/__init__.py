@@ -25,7 +25,6 @@ from repro.core.computation import (
     NodeState,
     ViaNeighbor,
     compute_dr_table,
-    compute_dr_tables,
 )
 from repro.core.forwarding import DcrdStrategy
 from repro.perf import PerfStats
@@ -102,7 +101,6 @@ __all__ = [
     "Workload",
     "build_environment",
     "compute_dr_table",
-    "compute_dr_tables",
     "expected_delay_m",
     "expected_delivery_ratio_m",
     "full_mesh",

@@ -170,12 +170,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for metric in args.metrics:
         print(render_sweep(result, metric))
         print()
-    if args.chart:
-        from repro.experiments.charts import chart_sweep
-
-        for metric in args.metrics:
-            print(chart_sweep(result, metric))
-            print()
     if args.csv:
         sweep_to_csv(result, args.csv)
         print(f"[csv written to {args.csv}]")
@@ -271,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=["delivery_ratio", "qos_delivery_ratio", "packets_per_subscriber"],
     )
     sweep_cmd.add_argument("--csv", default=None)
-    sweep_cmd.add_argument(
-        "--chart", action="store_true", help="also render ASCII charts"
-    )
     _add_config_arguments(sweep_cmd)
     sweep_cmd.set_defaults(handler=cmd_sweep)
 

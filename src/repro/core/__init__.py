@@ -4,7 +4,6 @@
 * :mod:`repro.core.computation` — Eq. 2/3, the distributed ``<d, r>``
   recursion and its synchronous fixed-point solver;
 * :mod:`repro.core.sending_list` — Theorem 1 ordering and eligibility;
-* :mod:`repro.core.theory` — brute-force validators used by property tests;
 * :mod:`repro.core.forwarding` — Algorithm 1 + Algorithm 2 as an
   event-driven strategy (:class:`DcrdStrategy`).
 """
@@ -15,12 +14,10 @@ from repro.core.computation import (
     NodeState,
     ViaNeighbor,
     compute_dr_table,
-    compute_dr_tables,
 )
 from repro.core.forwarding import DcrdStrategy
 from repro.core.linkmath import expected_delay_m, expected_delivery_ratio_m, link_params_m
 from repro.core.sending_list import eligible_neighbors, order_sending_list
-from repro.core.theory import brute_force_best_order, expected_delay_of_order
 
 __all__ = [
     "ControlPlaneSolver",
@@ -28,12 +25,9 @@ __all__ = [
     "DrTable",
     "NodeState",
     "ViaNeighbor",
-    "brute_force_best_order",
     "compute_dr_table",
-    "compute_dr_tables",
     "eligible_neighbors",
     "expected_delay_m",
-    "expected_delay_of_order",
     "expected_delivery_ratio_m",
     "link_params_m",
     "order_sending_list",

@@ -86,15 +86,15 @@ buffers made once per batch. Allocated afresh, about ten such arrays per
 evaluation went back to the operating system and were faulted in again
 every time, which cost more than the arithmetic on them.
 
-One further acceleration sits on top — **dirty-edge relevance**
-(:meth:`ControlPlaneSolver.table_affected`): a changed edge can only
-influence a table if at least one endpoint has a positive delay budget
-(``dist(P, endpoint) < deadline``); a broker whose budget is non-positive
-provably holds ``<inf, 0>`` forever and its links are never read. Tables
-no changed edge can reach are reused verbatim (bit-identical, the solve
-is skipped entirely). The test needs one number per publisher, the delay
-to the nearest changed endpoint (:meth:`ControlPlaneSolver.change_distance`),
-which every deadline of that publisher's tables is compared with.
+One further acceleration sits on top — **dirty-edge relevance**: a
+changed edge can only influence a table if at least one endpoint has a
+positive delay budget (``dist(P, endpoint) < deadline``); a broker whose
+budget is non-positive provably holds ``<inf, 0>`` forever and its links
+are never read. Tables no changed edge can reach are reused verbatim
+(bit-identical, the solve is skipped entirely). The test needs one number
+per publisher, the delay to the nearest changed endpoint
+(:meth:`ControlPlaneSolver.change_distance`), which every deadline of
+that publisher's tables is compared with.
 
 Earlier versions also *replayed* the previous solve's recorded trajectory,
 recomputing only the changed edges' influence cone. It was removed when
@@ -492,30 +492,21 @@ class ControlPlaneSolver:
     def change_distance(self, publisher: int, changed_edges: Iterable[Edge]) -> float:
         """The shortest delay from *publisher* to an endpoint of a changed
         edge (inf when none is reachable): a table of *publisher* is
-        affected by the change exactly when its deadline exceeds it
-        (:meth:`table_affected`), so one scan of the changed edges serves
-        all of the publisher's tables."""
-        dist = self.distances_from(publisher)
-        inf = math.inf
-        return min(
-            (min(dist.get(u, inf), dist.get(v, inf)) for u, v in changed_edges),
-            default=inf,
-        )
-
-    def table_affected(
-        self, publisher: int, deadline: float, changed_edges: Iterable[Edge]
-    ) -> bool:
-        """Whether any changed edge can influence the (publisher, deadline)
-        table at all.
+        affected by the change exactly when its deadline exceeds it, so one
+        scan of the changed edges serves all of the publisher's tables.
 
         An edge both of whose endpoints have non-positive budget
         (``dist(P, endpoint) >= deadline``) is provably inert: those
         brokers hold ``<inf, 0>`` in every round regardless of the edge's
         parameters, and no other broker ever reads the edge. Only valid
         for gamma-only changes (alpha changes move the distances
-        themselves).
-        """
-        return self.change_distance(publisher, changed_edges) < deadline
+        themselves)."""
+        dist = self.distances_from(publisher)
+        inf = math.inf
+        return min(
+            (min(dist.get(u, inf), dist.get(v, inf)) for u, v in changed_edges),
+            default=inf,
+        )
 
     # ------------------------------------------------------------------
     def _candidates(
@@ -866,40 +857,11 @@ def compute_dr_table(
         Convergence threshold on the max change of any ``d`` or ``r``.
 
     This is the one-shot convenience wrapper; to solve many pairs against
-    the same estimates, build one :class:`ControlPlaneSolver` (or call
-    :func:`compute_dr_tables`) so the link arrays and per-publisher
-    Dijkstra are shared and the tables advance in one batch.
+    the same estimates, build one :class:`ControlPlaneSolver` so the link
+    arrays and per-publisher Dijkstra are shared and the tables advance in
+    one batch.
     """
     solver = ControlPlaneSolver(
         topology, estimates, m=m, max_rounds=max_rounds, tol=tol
     )
     return solver.solve([(publisher, subscriber, deadline)])[0]
-
-
-def compute_dr_tables(
-    topology: Topology,
-    estimates: Mapping[Edge, LinkEstimate],
-    publisher: int,
-    pairs: Sequence[Tuple[int, float]],
-    m: int = 1,
-    max_rounds: Optional[int] = None,
-    tol: float = 1e-9,
-    perf: Optional[PerfStats] = None,
-) -> List[DrTable]:
-    """Solve all subscribers of one publisher in a single batch.
-
-    Parameters
-    ----------
-    pairs:
-        ``(subscriber, deadline)`` tuples; the result list is aligned with
-        this sequence.
-
-    The results are bit-identical to calling :func:`compute_dr_table` once
-    per pair.
-    """
-    solver = ControlPlaneSolver(
-        topology, estimates, m=m, max_rounds=max_rounds, tol=tol, perf=perf
-    )
-    return solver.solve(
-        [(publisher, subscriber, deadline) for subscriber, deadline in pairs]
-    )

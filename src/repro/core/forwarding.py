@@ -340,7 +340,7 @@ class DcrdStrategy(RoutingStrategy):
             solver = self._current_solver()
             # Per publisher, the delay to the nearest changed edge: a table
             # whose deadline does not exceed it is out of the change's reach
-            # (ControlPlaneSolver.table_affected).
+            # (ControlPlaneSolver.change_distance).
             reach: Dict[int, float] = {}
             keys = []
             pairs = []
@@ -372,6 +372,15 @@ class DcrdStrategy(RoutingStrategy):
             # published in workload order.
             for key, table in zip(keys, solver.solve(pairs)):
                 self._publish_table(key, table)
+
+    def perf_counters(self) -> Dict[str, float]:
+        """The control plane's counters, the tasks started and the table
+        rebuilds, then the shared data-plane and ARQ counters."""
+        perf = self.perf.snapshot()
+        perf["data_plane.tasks_started"] = float(self.tasks_started)
+        perf["control_plane.table_rebuilds"] = float(self.table_rebuilds)
+        perf.update(super().perf_counters())
+        return perf
 
     def table(self, topic: int, subscriber: int) -> DrTable:
         """The control state of one (topic, subscriber) pair."""

@@ -102,6 +102,12 @@ class ExperimentConfig:
         )
         if self.topology_kind == "regular":
             require(self.degree is not None, "regular topology needs a degree")
+        if self.topology_kind in ("regular", "erdos_renyi") and self.degree is not None:
+            require(
+                1 <= self.degree < self.num_nodes,
+                f"degree must be in [1, {self.num_nodes - 1}] on {self.num_nodes} "
+                f"nodes, got {self.degree}",
+            )
         require_probability(self.loss_rate, "loss_rate")
         if self.loss_rate_range is not None:
             low, high = self.loss_rate_range

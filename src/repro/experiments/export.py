@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
-from repro.experiments.cache import SweepCache
 from repro.experiments.sweeps import SweepResult
 
 #: Summary fields exported per cell, in column order.
@@ -64,86 +62,6 @@ def sweep_to_csv(
         )
         writer.writeheader()
         writer.writerows(rows)
-    text = buffer.getvalue()
-    if path is not None:
-        Path(path).write_text(text)
-    return text
-
-
-def journal_rows(cache: SweepCache) -> List[Dict[str, object]]:
-    """Flatten a sweep cache's journal into one dict per cached cell.
-
-    Columns: the cell digest, strategy, seed, the config fields that vary
-    across the paper's sweeps, and every :data:`EXPORT_FIELDS` metric —
-    enough for a plotting pipeline to regenerate any figure from the cache
-    without re-running a single cell.
-    """
-    rows: List[Dict[str, object]] = []
-    if not cache.journal_path.exists():
-        return rows
-    for line in cache.journal_path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            config = record["config"]
-            summary = record["summary"]
-        except (ValueError, KeyError, TypeError):
-            continue  # truncated trailing line from a killed writer
-        row: Dict[str, object] = {
-            "digest": record["digest"],
-            "strategy": record["strategy"],
-            "seed": record["seed"],
-        }
-        for key in (
-            "topology_kind",
-            "num_nodes",
-            "degree",
-            "failure_probability",
-            "loss_rate",
-            "deadline_factor",
-            "m",
-            "duration",
-        ):
-            row[key] = config.get(key)
-        for field in EXPORT_FIELDS:
-            row[field] = summary.get(field)
-        rows.append(row)
-    return rows
-
-
-def journal_to_csv(
-    cache: SweepCache,
-    path: Optional[Union[str, Path]] = None,
-) -> str:
-    """Render every journalled cell as CSV; optionally write to *path*."""
-    rows = journal_rows(cache)
-    buffer = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(
-            buffer, fieldnames=list(rows[0].keys()), lineterminator="\n"
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    text = buffer.getvalue()
-    if path is not None:
-        Path(path).write_text(text)
-    return text
-
-
-def curves_to_csv(
-    curves: Dict[str, Sequence],
-    path: Optional[Union[str, Path]] = None,
-    x_label: str = "x",
-) -> str:
-    """Render Figure-7-style ``{label: (xs, ys)}`` curves as long-form CSV."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([x_label, "curve", "cdf"])
-    for label, (xs, ys) in curves.items():
-        for x, y in zip(xs, ys):
-            writer.writerow([x, label, y])
     text = buffer.getvalue()
     if path is not None:
         Path(path).write_text(text)

@@ -135,26 +135,7 @@ class SimulationEnvironment:
 
     def _perf_snapshot(self) -> Dict[str, float]:
         """Assemble the run's perf counters (strategy + simulator)."""
-        perf: Dict[str, float] = {}
-        strategy_perf = getattr(self.strategy, "perf", None)
-        if strategy_perf is not None:
-            perf.update(strategy_perf.snapshot())
-        for counter in ("tasks_started", "abandoned", "frames_forwarded"):
-            value = getattr(self.strategy, counter, None)
-            if value is not None:
-                perf[f"data_plane.{counter}"] = float(value)
-        rebuilds = getattr(self.strategy, "table_rebuilds", None)
-        if rebuilds is not None:
-            perf["control_plane.table_rebuilds"] = float(rebuilds)
-        arq = self.strategy.arq
-        if arq is not None:
-            perf["arq.timers_cancelled"] = float(arq.timers_cancelled)
-            perf["arq.retransmissions"] = float(arq.retransmissions)
-            perf["arq.timers_elided"] = float(arq.timers_elided)
-            perf["arq.acks_settled_at_send"] = float(arq.acks_settled_at_send)
-            perf["arq.ack_timeouts"] = float(arq.ack_timeouts)
-            perf["arq.failed"] = float(arq.failed)
-            perf["arq.wire_wait_s"] = arq.wire_wait_s
+        perf = self.strategy.perf_counters()
         sim = self.ctx.sim
         perf["sim.events_processed"] = float(sim.processed_events)
         perf["sim.heap_compactions"] = float(sim.heap_compactions)

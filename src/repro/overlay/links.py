@@ -840,12 +840,6 @@ class OverlayNetwork:
     # ------------------------------------------------------------------
     # Convenience queries used by routing layers
     # ------------------------------------------------------------------
-    def link_up(self, u: int, v: int) -> bool:
-        """Whether link (u, v) is outside any failed epoch right now."""
-        if self.failures is None:
-            return True
-        return not self.failures.is_failed(u, v, self.sim.now)
-
     def link_success_probability(self, u: int, v: int) -> float:
         """Long-run single-transmission success probability of link (u, v)."""
         pf = self.failures.failure_probability if self.failures is not None else 0.0

@@ -19,7 +19,7 @@ import networkx as nx
 import numpy as np
 
 from repro.util.errors import TopologyError
-from repro.util.validation import require
+from repro.util.validation import require, require_probability
 
 Edge = Tuple[int, int]
 
@@ -265,6 +265,7 @@ def erdos_renyi(
 ) -> Topology:
     """Connected Erdős–Rényi G(n, p) overlay (used by extension studies)."""
     require(num_nodes >= 2, "erdos_renyi needs >= 2 nodes")
+    require_probability(edge_probability, "edge_probability")
     for _ in range(max_attempts):
         seed = int(rng.integers(0, 2**31 - 1))
         graph = nx.gnp_random_graph(num_nodes, edge_probability, seed=seed)

@@ -360,31 +360,3 @@ def generate_workload(
             )
         )
     return Workload(topics=topics)
-
-
-def rescale_deadlines(workload: Workload, topology: Topology, factor: float) -> Workload:
-    """A copy of *workload* with deadlines set to ``factor`` × shortest delay.
-
-    Used by the Figure 6 sweep so that all deadline factors share the same
-    topic population and publisher placement.
-    """
-    require_positive(factor, "factor")
-    topics = []
-    for spec in workload.topics:
-        subscriptions = tuple(
-            Subscription(
-                node=sub.node,
-                deadline=factor * topology.shortest_delay(spec.publisher, sub.node),
-            )
-            for sub in spec.subscriptions
-        )
-        topics.append(
-            TopicSpec(
-                topic=spec.topic,
-                publisher=spec.publisher,
-                subscriptions=subscriptions,
-                publish_interval=spec.publish_interval,
-                phase=spec.phase,
-            )
-        )
-    return Workload(topics=topics)

@@ -30,7 +30,7 @@ import abc
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, FrozenSet, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, Iterator, Optional
 
 from repro.metrics.collector import MetricsCollector
 from repro.overlay.links import OverlayNetwork
@@ -124,8 +124,8 @@ class RoutingStrategy(abc.ABC):
     def __init__(self, ctx: RuntimeContext) -> None:
         self.ctx = ctx
         #: DATA frame copies this strategy handed to the link layer for
-        #: forwarding (retransmissions excluded); surfaced by the perf
-        #: snapshot as ``data_plane.frames_forwarded``.
+        #: forwarding (retransmissions excluded); surfaced by
+        #: :meth:`perf_counters` as ``data_plane.frames_forwarded``.
         self.frames_forwarded = 0
         #: Destinations this strategy gave up on (:meth:`give_up`); surfaced
         #: as ``data_plane.abandoned``.
@@ -190,6 +190,25 @@ class RoutingStrategy(abc.ABC):
             self.ctx.metrics.record_delivery(msg_id, spec.publisher, self.ctx.sim.now)
             return destinations - {spec.publisher}
         return destinations
+
+    def perf_counters(self) -> Dict[str, float]:
+        """This strategy's entries of ``MetricsSummary.perf``: the
+        destinations it gave up on, the copies it forwarded and, when it
+        runs an ARQ, the ARQ's counters."""
+        perf = {
+            "data_plane.abandoned": float(self.abandoned),
+            "data_plane.frames_forwarded": float(self.frames_forwarded),
+        }
+        arq = self.arq
+        if arq is not None:
+            perf["arq.timers_cancelled"] = float(arq.timers_cancelled)
+            perf["arq.retransmissions"] = float(arq.retransmissions)
+            perf["arq.timers_elided"] = float(arq.timers_elided)
+            perf["arq.acks_settled_at_send"] = float(arq.acks_settled_at_send)
+            perf["arq.ack_timeouts"] = float(arq.ack_timeouts)
+            perf["arq.failed"] = float(arq.failed)
+            perf["arq.wire_wait_s"] = arq.wire_wait_s
+        return perf
 
     def give_up(self, msg_id: int, destinations: Iterable[int]) -> None:
         """Abandon *destinations* of message *msg_id*: count and record each.

@@ -1,8 +1,9 @@
 """The composition root: one stack builder, one observer session.
 
 Every broker runs the same hop-by-hop stack whatever hosts it, so every
-world-builder — the experiment runner, :class:`~repro.system.PubSubSystem`,
-the scripted sim scenarios, the live partitions — goes through this
+world-builder — the experiment runner (which also builds
+:class:`~repro.system.PubSubSystem`'s world), the scripted sim
+scenarios, the live partitions — goes through this
 module and keeps only what is its own (hazard schedules, publishers,
 fault scripts, sockets, pacing): :func:`wire_stack` assembles the stack
 over whatever clock/transport pair the caller brought

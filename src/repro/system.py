@@ -29,18 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import build_environment
 from repro.metrics.summary import MetricsSummary, summarize
-from repro.ordering.plan import OrderingPlan
-from repro.overlay.failures import FailureSchedule
-from repro.overlay.links import OverlayNetwork
 from repro.overlay.topology import Topology, full_mesh, random_regular
 from repro.pubsub.endpoints import PublisherProcess
 from repro.pubsub.topics import Subscription, TopicSpec, Workload
-from repro.routing.base import ProtocolParams
-from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
 from repro.sim.random import RandomStreams
-from repro.stack import observed, wire_stack
+from repro.stack import observed
 from repro.util.errors import ConfigurationError
 from repro.util.validation import require, require_positive
 
@@ -77,37 +73,27 @@ class PubSubSystem:
         monitor_period: float = 300.0,
         ordering: Optional[str] = None,
     ) -> None:
-        # Imported here to avoid a cycle (runner imports strategies which
-        # import the routing base this module also uses).
-        from repro.experiments.runner import STRATEGIES
-
-        if strategy not in STRATEGIES:
-            raise ConfigurationError(
-                f"unknown strategy {strategy!r}; known: {sorted(STRATEGIES)}"
-            )
+        config = ExperimentConfig(
+            num_nodes=topology.num_nodes,
+            loss_rate=loss_rate,
+            failure_probability=failure_probability,
+            m=m,
+            ack_timeout_factor=ack_timeout_factor,
+            monitor_period=monitor_period,
+            ordering=ordering,
+        )
+        env = build_environment(
+            config, strategy, seed, topology=topology, workload=Workload(topics=[])
+        )
         self.topology = topology
-        self.sim = Simulator()
-        self.streams = RandomStreams(seed)
-        failures = (
-            FailureSchedule(topology, failure_probability, seed=seed)
-            if failure_probability > 0.0
-            else None
-        )
-        self.network = OverlayNetwork(
-            self.sim, topology, self.streams, loss_rate=loss_rate, failures=failures
-        )
-        self.workload = Workload(topics=[])
-        self.ordering = OrderingPlan.from_text(ordering)
-        self.ctx, self.strategy, self.brokers = wire_stack(
-            self.sim,
-            topology,
-            self.network,
-            self.streams,
-            self.workload,
-            ProtocolParams(m=m, ack_timeout_factor=ack_timeout_factor),
-            strategy=STRATEGIES[strategy],
-            ordering=self.ordering,
-        )
+        self.ctx = env.ctx
+        self.strategy = env.strategy
+        self.brokers = env.brokers
+        self.sim = self.ctx.sim
+        self.streams = self.ctx.streams
+        self.network = self.ctx.network
+        self.workload = self.ctx.workload
+        self.ordering = self.ctx.ordering
         self.monitor = self.ctx.monitor
         self.metrics = self.ctx.metrics
         self.metrics.add_observer(self._on_delivery)
@@ -116,12 +102,7 @@ class PubSubSystem:
         # is done (it flushes and disarms the ordering pipelines, if any).
         self._session = observed(self.ctx)
         self._session.__enter__()
-
-        def monitor_cycle() -> None:
-            self.monitor.refresh()
-            self.strategy.on_monitor_refresh()
-
-        self._monitor_process = PeriodicProcess(self.sim, monitor_period, monitor_cycle)
+        self._monitor_process = env.monitor_process
         self._monitor_process.start()
 
         self._topic_ids: Dict[str, int] = {}

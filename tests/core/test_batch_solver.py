@@ -27,7 +27,6 @@ from repro.core.computation import (
     ViaNeighbor,
     aggregate_dr,
     compute_dr_table,
-    compute_dr_tables,
 )
 from repro.core.linkmath import link_params_m
 from repro.experiments.config import ExperimentConfig
@@ -126,7 +125,9 @@ class TestBatchedColdSolves:
         pairs = make_pairs(topology)
         for publisher in {p for p, _, _ in pairs}:
             pub_pairs = [(s, dl) for p, s, dl in pairs if p == publisher]
-            batched = compute_dr_tables(topology, estimates, publisher, pub_pairs)
+            batched = ControlPlaneSolver(topology, estimates).solve(
+                [(publisher, subscriber, dl) for subscriber, dl in pub_pairs]
+            )
             for table, (subscriber, deadline) in zip(batched, pub_pairs):
                 reference = compute_dr_table(
                     topology, estimates, publisher, subscriber, deadline
@@ -161,7 +162,7 @@ class TestIncrementalRefresh:
             solver = ControlPlaneSolver(topology, estimates)
             affected = [
                 pair for pair in pairs
-                if solver.table_affected(pair[0], pair[2], changed)
+                if pair[2] > solver.change_distance(pair[0], changed)
             ]
             previous.update(zip(affected, solver.solve(affected)))
             for pair in pairs:
@@ -183,7 +184,7 @@ class TestIncrementalRefresh:
             if min(distances[u], distances[v]) >= deadline
         ]
         assert far_edges, "scenario needs at least one out-of-horizon edge"
-        assert not solver0.table_affected(publisher, deadline, far_edges)
+        assert deadline <= solver0.change_distance(publisher, far_edges)
         # And indeed re-solving from scratch reproduces the table exactly.
         assert solver0.solve([(publisher, subscriber, deadline)]) == [table]
 
@@ -201,7 +202,6 @@ class TestIncrementalRefresh:
             for deadline in deadlines:
                 scan = any(dist[u] < deadline or dist[v] < deadline for u, v in changed)
                 assert (nearest < deadline) == scan
-                assert solver.table_affected(0, deadline, changed) == scan
 
 
 def cycling_ring():

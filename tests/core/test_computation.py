@@ -5,15 +5,21 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 from repro.core.computation import (
+    ControlPlaneSolver,
     ViaNeighbor,
     aggregate_dr,
     compute_dr_table,
+    sweep_blocks,
 )
 from repro.core.linkmath import expected_delay_m, expected_delivery_ratio_m
-from repro.core.theory import expected_delay_of_order
 from repro.overlay.monitor import LinkEstimate
-from tests.conftest import make_topology
+from repro.overlay.topology import full_mesh, random_regular
+from repro.pubsub.topics import generate_workload
+from tests.conftest import build_ctx, make_topology
+from tests.core.theory import expected_delay_of_order
 
 
 def uniform_estimates(topology, gamma=1.0):
@@ -209,6 +215,28 @@ class TestConvergence:
             topo, uniform_estimates(topo), publisher=0, subscriber=1, deadline=1.0
         )
         assert table.rounds >= 1
+
+    def test_sparse_graphs_take_more_rounds(self, rng):
+        mesh = full_mesh(12, rng)
+        sparse = random_regular(12, 3, rng)
+
+        def mean_rounds(topology, workload):
+            estimates = build_ctx(topology, workload).monitor.estimates()
+            tables = ControlPlaneSolver(topology, estimates).solve(
+                [
+                    (spec.publisher, sub.node, sub.deadline)
+                    for spec in workload.topics
+                    for sub in spec.subscriptions
+                ]
+            )
+            return np.mean([table.rounds for table in tables])
+
+        mesh_workload = generate_workload(mesh, rng, num_topics=4)
+        sparse_workload = generate_workload(sparse, rng, num_topics=4)
+        # One block each, so a round is a lock-step propagation round, and
+        # longer diameters need more of them.
+        assert len(sweep_blocks(mesh)) == len(sweep_blocks(sparse)) == 1
+        assert mean_rounds(sparse, sparse_workload) >= mean_rounds(mesh, mesh_workload)
 
     def test_invalid_m_rejected(self):
         topo = make_topology([(0, 1, 0.010)])

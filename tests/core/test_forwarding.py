@@ -56,6 +56,16 @@ class TestHealthyNetwork:
         # exactly the two hops of the fast path
         assert ctx.network.stats.data_sent() == 2
 
+    def test_delivery_records_the_hops_of_its_copy(self):
+        # With a slow direct link 0-3 added, DCRD still takes the fast two-hop
+        # route: delay-optimal is not hop-optimal.
+        topo = make_topology(
+            [(0, 1, 0.010), (1, 3, 0.010), (0, 2, 0.020), (2, 3, 0.020), (0, 3, 0.060)]
+        )
+        workload = single_topic_workload(0, [(3, 1.0)])
+        ctx, _ = run_once(topo, workload)
+        assert ctx.metrics.outcome(1, 3).hops == 2
+
     def test_destination_merging_shares_frames(self, data_sends):
         # Subscribers at 2 and 3 both behind node 1.
         topo = make_topology([(0, 1, 0.010), (1, 2, 0.010), (1, 3, 0.010)])

@@ -8,7 +8,7 @@ from repro.core.sending_list import (
     order_sending_list,
     theorem1_key,
 )
-from repro.core.theory import expected_delay_of_order, theorem1_order
+from tests.core.theory import expected_delay_of_order, theorem1_order
 
 
 class TestEligibility:

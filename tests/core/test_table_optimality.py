@@ -15,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.computation import compute_dr_table
-from repro.core.theory import brute_force_best_order, expected_delay_of_order
 from repro.overlay.monitor import LinkEstimate
 from repro.overlay.topology import random_regular
+from tests.core.theory import brute_force_best_order, expected_delay_of_order
 
 
 def heterogeneous_estimates(topology, rng):

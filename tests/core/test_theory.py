@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.theory import (
+from tests.core.theory import (
     brute_force_best_order,
     delivery_ratio_of_order,
     expected_delay_of_order,

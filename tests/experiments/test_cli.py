@@ -42,22 +42,6 @@ def test_sweep_prints_each_metric(capsys):
     assert "Delivery Ratio" in out and "0.0500" in out
 
 
-def test_sweep_chart_flag(capsys):
-    argv = [
-        "sweep", "pf",
-        "--values", "0", "0.1",
-        "--duration", "4",
-        "--nodes", "6",
-        "--topics", "2",
-        "--strategies", "DCRD",
-        "--metrics", "delivery_ratio",
-        "--chart",
-    ]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert "*=DCRD" in out
-
-
 def test_sweep_writes_csv(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     argv = [

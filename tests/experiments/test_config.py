@@ -24,6 +24,22 @@ def test_regular_topology_requires_degree():
         ExperimentConfig(topology_kind="regular")
 
 
+def test_regular_degree_beyond_the_node_count_rejected_at_config_time():
+    # Refused here, not later inside a sweep worker building the world.
+    with pytest.raises(ConfigurationError, match="degree"):
+        ExperimentConfig(topology_kind="regular", degree=25, num_nodes=20)
+
+
+def test_erdos_renyi_degree_beyond_the_node_count_rejected():
+    # degree / (n - 1) > 1 would build a complete graph while describe()
+    # still reports the impossible degree.
+    with pytest.raises(ConfigurationError, match="degree"):
+        ExperimentConfig(topology_kind="erdos_renyi", degree=40, num_nodes=20)
+    with pytest.raises(ConfigurationError, match="degree"):
+        ExperimentConfig(topology_kind="erdos_renyi", degree=0, num_nodes=20)
+    assert ExperimentConfig(topology_kind="erdos_renyi", degree=19, num_nodes=20)
+
+
 def test_unknown_topology_rejected():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(topology_kind="hypercube")

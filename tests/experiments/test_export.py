@@ -6,14 +6,10 @@ import io
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.export import (
     EXPORT_FIELDS,
-    curves_to_csv,
-    journal_rows,
-    journal_to_csv,
     sweep_rows,
     sweep_to_csv,
 )
-from repro.experiments.sweeps import SweepExecutor, sweep
-from repro.experiments.cache import SweepCache
+from repro.experiments.sweeps import sweep
 
 FAST = ExperimentConfig(duration=5.0, drain=1.0, num_topics=2, num_nodes=5)
 
@@ -45,41 +41,3 @@ def test_csv_round_trip(tmp_path):
     parsed = list(csv.DictReader(io.StringIO(text)))
     assert len(parsed) == 4
     assert float(parsed[0]["delivery_ratio"]) <= 1.0
-
-
-def test_curves_to_csv_long_form(tmp_path):
-    curves = {"mesh": ([1.0, 1.5], [0.3, 1.0])}
-    path = tmp_path / "cdf.csv"
-    text = curves_to_csv(curves, path, x_label="ratio")
-    parsed = list(csv.DictReader(io.StringIO(text)))
-    assert parsed == [
-        {"ratio": "1.0", "curve": "mesh", "cdf": "0.3"},
-        {"ratio": "1.5", "curve": "mesh", "cdf": "1.0"},
-    ]
-
-
-def test_journal_rows_flatten_cached_cells(tmp_path):
-    configs = {0.0: FAST, 0.05: FAST.with_updates(failure_probability=0.05)}
-    cache = SweepCache(tmp_path / "cache")
-    with SweepExecutor(cache=cache) as executor:
-        sweep("demo", "pf", configs, seeds=(1,), strategies=("DCRD",),
-              executor=executor)
-    rows = journal_rows(cache)
-    assert len(rows) == 2
-    assert {row["failure_probability"] for row in rows} == {0.0, 0.05}
-    for row in rows:
-        assert row["strategy"] == "DCRD" and row["seed"] == 1
-        for field in EXPORT_FIELDS:
-            assert field in row
-    path = tmp_path / "journal.csv"
-    text = journal_to_csv(cache, path)
-    assert path.read_text() == text
-    assert len(list(csv.DictReader(io.StringIO(text)))) == 2
-    # Corrupt trailing line: skipped, not fatal.
-    with cache.journal_path.open("a") as handle:
-        handle.write('{"broken')
-    assert len(journal_rows(cache)) == 2
-
-
-def test_journal_rows_empty_without_journal(tmp_path):
-    assert journal_rows(SweepCache(tmp_path / "cache")) == []

@@ -1,5 +1,8 @@
 """Unit tests for run assembly and execution."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig
@@ -113,3 +116,20 @@ def test_monitor_process_wired_to_strategy():
     env = build_environment(config, "DCRD", seed=1)
     env.execute()
     assert env.monitor_process.ticks >= 3
+
+
+#: Each strategy's ``summary.perf`` keys (sorted) on the run below, as the
+#: runner assembled them when it probed the strategy attribute by
+#: attribute. The end-to-end benchmark reads these keys.
+PERF_KEYS = json.loads((Path(__file__).parent / "perf_keys.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PERF_KEYS))
+def test_perf_keys_are_stable(name):
+    config = ExperimentConfig(
+        topology_kind="regular", degree=4, num_nodes=12, num_topics=3,
+        failure_probability=0.05, monitor_mode="sampled", monitor_period=2.0,
+        duration=6.0, drain=2.0,
+    )
+    assert sorted(PERF_KEYS) == sorted(STRATEGIES)
+    assert sorted(run_single(config, name, seed=3).perf) == PERF_KEYS[name]

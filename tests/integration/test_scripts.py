@@ -116,3 +116,32 @@ def test_dedup_window_check_passes_on_a_lossy_world():
     )
     assert result.returncode == 0, result.stdout + result.stderr[-2000:]
     assert re.search(r"horizon=1\.101 s brokers=20 .* ok$", result.stdout, re.M)
+
+
+def test_census_counts_the_lines_a_driver_reaches(tmp_path):
+    """The line census runs a driver under the tracer and reports reached
+    and executable lines per module, and the functions none of whose
+    lines ran."""
+    out = tmp_path / "census.txt"
+    result = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "census.py"), "--quick", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        cwd=REPO,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    text = out.read_text()
+    rows = {}
+    for line in text.splitlines():
+        match = re.match(r"^(\S+)\s+(\d+)\s+(\d+)\s+[\d.]+%$", line)
+        if match:
+            rows[match.group(1)] = (int(match.group(2)), int(match.group(3)))
+    reached, lines = rows.pop("TOTAL")
+    assert 0 < reached < lines
+    assert (reached, lines) == tuple(map(sum, zip(*rows.values())))
+    # The embedding example builds its world through the runner and never
+    # touches the command line.
+    assert rows["repro/experiments/runner.py"][0] > 0
+    assert rows["repro/cli.py"][0] == 0
+    assert "repro/cli.py:" in text.split("functions with no reached line")[1]

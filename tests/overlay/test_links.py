@@ -185,15 +185,6 @@ def test_stats_track_per_kind():
     assert network.stats.delivered[FrameKind.ACK] == 1
 
 
-def test_link_up_reflects_failure_schedule():
-    topo = make_topology([(0, 1, 0.01)])
-    failures = ScriptedFailures({(0, 1): [(1.0, 2.0)]})
-    sim, network = make_network(topo, failures=failures)
-    assert network.link_up(0, 1)
-    sim.run(until=1.5)
-    assert not network.link_up(0, 1)
-
-
 def test_link_success_probability_combines_hazards():
     topo = make_topology([(0, 1, 0.01)])
     failures = ScriptedFailures({}, failure_probability=0.1)

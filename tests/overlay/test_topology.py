@@ -17,7 +17,7 @@ from repro.overlay.topology import (
 )
 from repro.pubsub.topics import generate_workload
 from repro.routing.paths import delay_graph
-from repro.util.errors import TopologyError
+from repro.util.errors import ConfigurationError, TopologyError
 from tests.conftest import make_topology
 
 
@@ -171,6 +171,10 @@ class TestGenerators:
     def test_erdos_renyi_connected(self, rng):
         topo = erdos_renyi(15, 0.4, rng)
         assert nx.is_connected(topo.graph)
+
+    def test_erdos_renyi_edge_probability_must_be_a_probability(self, rng):
+        with pytest.raises(ConfigurationError, match="edge_probability"):
+            erdos_renyi(20, 40 / 19, rng)
 
     def test_waxman_connected(self, rng):
         topo = waxman(15, rng)

@@ -9,7 +9,6 @@ from repro.pubsub.topics import (
     TopicSpec,
     Workload,
     generate_workload,
-    rescale_deadlines,
 )
 from repro.util.errors import ConfigurationError
 
@@ -145,14 +144,3 @@ class TestGenerateWorkload:
     def test_invalid_deadline_factor_rejected(self, topo, rng):
         with pytest.raises(ConfigurationError):
             generate_workload(topo, rng, deadline_factor=0.5)
-
-
-class TestRescaleDeadlines:
-    def test_rescale_changes_only_deadlines(self, topo, rng):
-        workload = generate_workload(topo, rng, deadline_factor=3.0)
-        rescaled = rescale_deadlines(workload, topo, factor=6.0)
-        for original, updated in zip(workload.topics, rescaled.topics):
-            assert original.publisher == updated.publisher
-            assert original.subscriber_nodes == updated.subscriber_nodes
-            for sub_old, sub_new in zip(original.subscriptions, updated.subscriptions):
-                assert sub_new.deadline == pytest.approx(2.0 * sub_old.deadline)
