@@ -35,12 +35,16 @@ a batch of one.
 Storage and chunks
 ------------------
 
-A batch's kernel buffers grow as tables x nodes x max degree, so
-``solve`` cuts its pairs into consecutive chunks of at most
-:data:`_CHUNK_CELLS` such cells and runs one batch per chunk. A table is
-independent of its batch mates, so where the cuts fall changes no table,
-no error and no summed work counter; a refresh of a few hundred tables on
-a few hundred nodes is one chunk.
+A batch's state (``d``, ``r``, budgets, dirty marks and the exit rule's
+flips) grows as tables x nodes x max degree, so ``solve`` cuts its pairs
+into consecutive chunks of at most :data:`_CHUNK_CELLS` such cells and
+runs one batch per chunk. A table is independent of its batch mates, so
+where the cuts fall changes no table, no error and no summed work
+counter; a refresh of a few hundred tables on a few hundred nodes is one
+chunk. The kernel's scratch buffers are smaller again: every evaluation,
+the sweeps' and the final sending-list pass alike, covers one sweep block
+of the batch's tables, so they hold tables x largest block x max degree
+cells (a quarter of the batch on ``dense_dataplane``'s 160 nodes).
 
 A solved table keeps only what cannot be derived: its final ``d`` and
 ``r`` rows and, per node, the sending list's length and its link columns
@@ -152,12 +156,11 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
 import numpy as np
 
 from repro.core.linkmath import link_params_m
 from repro.overlay.monitor import LinkEstimate
-from repro.overlay.topology import Edge, Topology, canonical_edge
+from repro.overlay.topology import Edge, Topology, canonical_edge, dijkstra
 from repro.perf import PerfStats
 from repro.util.errors import RoutingError
 from repro.util.validation import require, require_positive
@@ -356,9 +359,10 @@ _BANNED_FLIPS = 6
 _NODES_PER_BLOCK = 16
 
 #: ``solve`` runs its pairs in consecutive chunks of at most this many
-#: ``(table, node, link column)`` cells, about 43 MiB of kernel buffers, so
-#: a refresh's peak memory stops growing with its table count. Tables are
-#: independent of their batch mates, so the chunking changes no result.
+#: ``(table, node, link column)`` cells of batch state, so a refresh's peak
+#: memory stops growing with its table count; the kernel's scratch buffers
+#: hold one sweep block of a chunk. Tables are independent of their batch
+#: mates, so the chunking changes no result.
 _CHUNK_CELLS = 1 << 20
 
 
@@ -381,25 +385,15 @@ def sweep_blocks(topology: Topology) -> List[np.ndarray]:
     return [block for block in blocks if len(block)]
 
 
-def _estimate_weight_graph(
-    topology: Topology, estimates: Mapping[Edge, LinkEstimate]
-) -> nx.Graph:
-    graph = nx.Graph()
-    graph.add_nodes_from(topology.nodes)
-    for edge in topology.edges():
-        graph.add_edge(*edge, weight=estimates[edge].alpha)
-    return graph
-
-
 class ControlPlaneSolver:
     """Shared-artifact batch solver for all ``<d, r>`` tables of one refresh.
 
     Constructing the solver resolves everything that is independent of the
     (publisher, subscriber) pair — the Eq. 1 ``(alpha_m, gamma_m)`` table,
-    laid out as padded per-node link arrays, and the alpha-weighted graph
-    for budget Dijkstras — exactly once. Per-publisher shortest-delay maps
-    are then computed lazily and cached, so solving all subscribers of one
-    publisher costs a single ``single_source_dijkstra_path_length`` call.
+    laid out as padded per-node link arrays, and the alpha-weighted
+    adjacency for budget Dijkstras — exactly once. Per-publisher
+    shortest-delay maps are then computed lazily and cached, so solving all
+    subscribers of one publisher costs a single :func:`dijkstra` call.
 
     One solver instance is valid for one immutable estimates snapshot;
     build a fresh instance after every monitoring refresh.
@@ -458,7 +452,9 @@ class ControlPlaneSolver:
         # What a solved table reads of the links: never written again.
         self._links = (self._usable, self._alpha, self._gamma)
 
-        self._weight_graph = _estimate_weight_graph(topology, estimates)
+        self._alpha_adjacency = topology.weighted_adjacency(
+            lambda edge: estimates[edge].alpha
+        )
         self._dist_cache: Dict[int, Dict[int, float]] = {}
         self._distance_rows: Dict[int, np.ndarray] = {}
 
@@ -471,9 +467,7 @@ class ControlPlaneSolver:
         """
         dist = self._dist_cache.get(publisher)
         if dist is None:
-            dist = nx.single_source_dijkstra_path_length(
-                self._weight_graph, publisher, weight="weight"
-            )
+            dist = dijkstra(self._alpha_adjacency, publisher)
             self._dist_cache[publisher] = dist
             if self.perf is not None:
                 self.perf.incr("control_plane.dijkstra_calls")
@@ -720,10 +714,11 @@ class ControlPlaneSolver:
         # Every table runs sweep 1 unless its subscriber is the only node.
         running = np.arange(count if num > 1 else 0)
         recomputes = len(running) * (num - 1)
-        # The (cells, max_degree) arrays of every block and of the final
-        # pass are views of these flat buffers: index, four float, two mask
-        # blocks (module docstring).
-        size = count * num * width
+        # The (cells, max_degree) arrays of every block evaluation, of the
+        # sweeps and of the final pass alike, are views of these flat
+        # buffers: index, four float, two mask blocks (module docstring). An
+        # evaluation covers at most every table's nodes of the largest block.
+        size = count * max(map(len, self._blocks)) * width
         buffers = (
             np.empty(size, dtype=np.intp),
             np.empty((4, size)),
@@ -782,19 +777,24 @@ class ControlPlaneSolver:
                 )
 
             # Sending lists of every node of every table, from the final
-            # values and bans; the subscriber's stays empty.
-            nodes = np.tile(np.arange(num), count)
-            cells = (first_cell[:, None] + np.arange(num)).ravel()
-            order, _, _, eligible = self._candidates(
-                d, r, budgets, flips.take(cells, axis=0), cells, nodes, buffers
-            )
-        # A table keeps, per node, the sending list's length and its link
-        # columns in Theorem 1 order, in the narrowest dtype that holds
-        # them; everything else of a NodeState is derived on access.
-        small = np.min_scalar_type(width)
-        lengths = eligible.sum(axis=1).astype(small).reshape(count, num)
+            # values and bans, one block at a time (a cell's candidates read
+            # nothing of the other cells evaluated with it). A table keeps,
+            # per node, the list's length and its link columns in Theorem 1
+            # order, in the narrowest dtype that holds them; everything else
+            # of a NodeState is derived on access.
+            small = np.min_scalar_type(width)
+            lengths = np.empty((count, num), dtype=small)
+            columns = np.empty((count, num, width), dtype=small)
+            for block in self._blocks:
+                nodes = np.tile(block, count)
+                cells = (first_cell[:, None] + block).ravel()
+                order, _, _, eligible = self._candidates(
+                    d, r, budgets, flips.take(cells, axis=0), cells, nodes, buffers
+                )
+                lengths[:, block] = eligible.sum(axis=1).reshape(count, len(block))
+                columns[:, block] = (order.T % width).reshape(count, len(block), width)
+        # The subscriber's list stays empty.
         lengths[np.arange(count), subscribers] = 0
-        columns = (order.T % width).astype(small).reshape(count, num, width)
         banned = int(np.count_nonzero(flips == _BANNED_FLIPS))
         # Free the batch's buffers before the tables copy their rows out.
         del buffers, order, eligible, flips

@@ -102,6 +102,11 @@ class ExperimentConfig:
         )
         if self.topology_kind == "regular":
             require(self.degree is not None, "regular topology needs a degree")
+            require(
+                self.num_nodes * self.degree % 2 == 0,
+                f"a {self.degree}-regular graph on {self.num_nodes} nodes needs "
+                f"num_nodes * degree even",
+            )
         if self.topology_kind in ("regular", "erdos_renyi") and self.degree is not None:
             require(
                 1 <= self.degree < self.num_nodes,

@@ -32,7 +32,7 @@ from repro.core.forwarding import DcrdStrategy
 from repro.live.faults import DropRule, ack_loss_rules, dead_link_rules, link_filter
 from repro.ordering.plan import plan_from_scenario
 from repro.overlay.links import OverlayNetwork
-from repro.overlay.topology import Topology, canonical_edge
+from repro.overlay.topology import Graph, Topology, canonical_edge
 from repro.pubsub.topics import Subscription, TopicSpec, Workload
 from repro.record import RunRecord
 from repro.routing.base import ProtocolParams, RuntimeContext
@@ -40,8 +40,6 @@ from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.stack import observed, wire_stack
 from repro.util.errors import ConfigurationError
-
-import networkx as nx
 
 #: Scenario kinds the conformance suite iterates over.
 SCENARIO_KINDS = ("clean", "link_loss", "ack_loss", "failover_bounce")
@@ -70,12 +68,12 @@ class Scenario:
     ordering: Optional[str] = None
 
     def topology(self) -> Topology:
-        graph = nx.Graph()
+        graph = Graph()
         delays = {}
         for u, v, delay in self.edges:
             graph.add_edge(u, v)
             delays[canonical_edge(u, v)] = delay
-        graph.add_nodes_from(range(max(graph.nodes) + 1))
+        graph.add_nodes_from(range(max(graph.nodes()) + 1))
         return Topology(graph, delays, name=self.name)
 
     def workload(self) -> Workload:

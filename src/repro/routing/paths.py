@@ -4,20 +4,22 @@ The source-routed baseline (Multipath, §IV-B, and its FEC preset) needs
 k-shortest-delay simple paths and a minimum-overlap selection rule; the
 tree baselines need per-pair shortest paths under two different metrics. All helpers work on a
 :class:`~repro.overlay.topology.Topology` plus (optionally) the monitor's
-per-link delay estimates.
+per-link delay estimates. networkx is imported by the helpers that need
+it, so a process that runs none of these baselines never loads it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.overlay.monitor import LinkEstimate
 from repro.overlay.topology import Edge, Topology, canonical_edge
 from repro.util.errors import RoutingError
 from repro.util.validation import require
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Path = List[int]
 
@@ -26,6 +28,8 @@ def delay_graph(
     topology: Topology, estimates: Optional[Dict[Edge, LinkEstimate]] = None
 ) -> nx.Graph:
     """A weighted graph whose edge weights are (estimated) link delays."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(topology.nodes)
     for edge in topology.edges():
@@ -67,6 +71,8 @@ def k_shortest_delay_paths(
     require(k >= 1, f"k must be >= 1, got {k}")
     if source == target:
         return [[source]]
+    import networkx as nx
+
     graph = delay_graph(topology, estimates)
     generator = nx.shortest_simple_paths(graph, source, target, weight="weight")
     return list(itertools.islice(generator, k))

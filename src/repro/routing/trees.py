@@ -16,8 +16,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, FrozenSet, Set, Tuple
 
-import networkx as nx
-
 from repro.pubsub.messages import AckFrame, PacketFrame
 from repro.pubsub.topics import TopicSpec
 from repro.routing.arq import ArqSender
@@ -48,6 +46,8 @@ class TreeStrategy(RoutingStrategy):
         """Build the per-topic routing trees."""
         topology = self.ctx.topology
         if self.metric == "delay":
+            import networkx as nx
+
             # One estimate-weighted graph for every path of this setup.
             graph = delay_graph(topology, self.ctx.monitor.estimates())
             path = partial(nx.dijkstra_path, graph, weight="weight")

@@ -88,6 +88,15 @@ def make_topology(
     return Topology(graph, delay_map, name=name)
 
 
+def networkx_graph(topology: Topology) -> nx.Graph:
+    """*topology*'s nodes and links as a networkx graph, in its edge order:
+    an independent oracle for connectivity and path-length checks."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topology.nodes)
+    graph.add_edges_from(topology.edges())
+    return graph
+
+
 def data_frame(label: str, size: float = 1.0) -> SimpleNamespace:
     """A stand-in DATA frame for link-level tests: a label to compare it
     by, and the ``size`` every DATA send adds to the sent volume."""

@@ -30,6 +30,15 @@ def test_regular_degree_beyond_the_node_count_rejected_at_config_time():
         ExperimentConfig(topology_kind="regular", degree=25, num_nodes=20)
 
 
+def test_regular_degree_with_an_odd_stub_count_rejected_at_config_time():
+    # No 5-regular graph on 21 nodes exists: refused here, not inside a
+    # sweep worker building the world.
+    with pytest.raises(ConfigurationError, match="num_nodes \\* degree even"):
+        ExperimentConfig(topology_kind="regular", degree=5, num_nodes=21)
+    assert ExperimentConfig(topology_kind="regular", degree=4, num_nodes=21)
+    assert ExperimentConfig(topology_kind="regular", degree=5, num_nodes=20)
+
+
 def test_erdos_renyi_degree_beyond_the_node_count_rejected():
     # degree / (n - 1) > 1 would build a complete graph while describe()
     # still reports the impossible degree.

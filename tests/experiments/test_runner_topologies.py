@@ -6,6 +6,7 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_topology, run_single
 from repro.sim.random import RandomStreams
+from tests.conftest import networkx_graph
 
 
 @pytest.mark.parametrize(
@@ -26,7 +27,7 @@ def test_every_family_builds_connected(kind, extra):
     )
     topology = build_topology(config, RandomStreams(3))
     assert topology.num_nodes == 12
-    assert nx.is_connected(topology.graph)
+    assert nx.is_connected(networkx_graph(topology))
 
 
 @pytest.mark.parametrize("kind,extra", [("waxman", {}), ("ring", {})])

@@ -5,6 +5,7 @@ import pytest
 
 from repro.overlay.topology import canonical_edge, clustered
 from repro.util.errors import ConfigurationError
+from tests.conftest import networkx_graph
 
 
 def members(cluster, size):
@@ -14,7 +15,7 @@ def members(cluster, size):
 def test_shape_and_connectivity(rng):
     topo = clustered(4, 5, rng)
     assert topo.num_nodes == 20
-    assert nx.is_connected(topo.graph)
+    assert nx.is_connected(networkx_graph(topo))
 
 
 def test_full_mesh_inside_clusters(rng):

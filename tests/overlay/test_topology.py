@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.overlay import topology
 from repro.overlay.topology import (
     Topology,
     canonical_edge,
@@ -18,7 +19,7 @@ from repro.overlay.topology import (
 from repro.pubsub.topics import generate_workload
 from repro.routing.paths import delay_graph
 from repro.util.errors import ConfigurationError, TopologyError
-from tests.conftest import make_topology
+from tests.conftest import make_topology, networkx_graph
 
 
 class TestCanonicalEdge:
@@ -47,7 +48,6 @@ class TestTopologyQueries:
 
     def test_shortest_hops_prefers_direct_link(self):
         topo = make_topology([(0, 1, 0.010), (1, 2, 0.020), (0, 2, 0.050)])
-        assert topo.shortest_hops(0, 2) == 1
         assert topo.shortest_hop_path(0, 2) == [0, 2]
 
     def test_delay_missing_edge_raises(self):
@@ -65,7 +65,7 @@ class TestTopologyQueries:
 
 
 class TestShortestPathRows:
-    """Shortest delays and hops are computed one source at a time."""
+    """Shortest delays are computed one source at a time."""
 
     @pytest.mark.parametrize(
         "make",
@@ -76,11 +76,9 @@ class TestShortestPathRows:
     def test_every_pair_equals_the_all_pairs_result(self, make):
         topo = make(np.random.default_rng(4))
         delays = dict(nx.all_pairs_dijkstra_path_length(delay_graph(topo), weight="weight"))
-        hops = dict(nx.all_pairs_shortest_path_length(topo.graph))
         for u in reversed(topo.nodes):  # rows fill in any order
             for v in topo.nodes:
                 assert topo.shortest_delay(u, v) == delays[u][v]  # exact floats
-                assert topo.shortest_hops(u, v) == hops[u][v]
 
     def test_a_workload_costs_one_dijkstra_per_publisher(self, monkeypatch):
         """Deadlines need the publishers' rows only: building a workload
@@ -88,13 +86,13 @@ class TestShortestPathRows:
         ``num_topics`` single-source Dijkstras."""
         topo = random_regular(160, 8, np.random.default_rng(1))
         sources = []
-        single_source = nx.single_source_dijkstra_path_length
+        single_source = topology.dijkstra
 
-        def counted(graph, source, **kwargs):
+        def counted(adjacency, source):
             sources.append(source)
-            return single_source(graph, source, **kwargs)
+            return single_source(adjacency, source)
 
-        monkeypatch.setattr(nx, "single_source_dijkstra_path_length", counted)
+        monkeypatch.setattr(topology, "dijkstra", counted)
         workload = generate_workload(topo, np.random.default_rng(1), num_topics=4)
         publishers = [spec.publisher for spec in workload.topics]
         assert len(set(publishers)) == 4
@@ -156,7 +154,7 @@ class TestGenerators:
     def test_random_regular_is_connected(self, rng):
         for _ in range(5):
             topo = random_regular(12, 3, rng)
-            assert nx.is_connected(topo.graph)
+            assert nx.is_connected(networkx_graph(topo))
 
     def test_random_regular_odd_product_rejected(self, rng):
         with pytest.raises(Exception):
@@ -170,7 +168,7 @@ class TestGenerators:
 
     def test_erdos_renyi_connected(self, rng):
         topo = erdos_renyi(15, 0.4, rng)
-        assert nx.is_connected(topo.graph)
+        assert nx.is_connected(networkx_graph(topo))
 
     def test_erdos_renyi_edge_probability_must_be_a_probability(self, rng):
         with pytest.raises(ConfigurationError, match="edge_probability"):
@@ -178,7 +176,7 @@ class TestGenerators:
 
     def test_waxman_connected(self, rng):
         topo = waxman(15, rng)
-        assert nx.is_connected(topo.graph)
+        assert nx.is_connected(networkx_graph(topo))
         assert topo.num_nodes == 15
 
     def test_ring_shape(self, rng):
