@@ -47,11 +47,9 @@ namespace: ``cells_cached``, ``cells_computed``, ``checkpoint_writes``.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -67,6 +65,9 @@ from repro.experiments.runner import DEFAULT_STRATEGIES, run_single
 from repro.metrics.summary import MetricsSummary, mean_summaries
 from repro.perf import PerfStats
 from repro.util.errors import ConfigurationError, ReproError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 ProgressHook = Callable[[str], None]
 
@@ -148,8 +149,13 @@ class SweepExecutor:
         Spawn rather than fork: fork pools can deadlock when the parent
         holds allocator or BLAS locks at fork time. The spawn cost is paid
         once per driver invocation instead of once per ``sweep()`` call.
+        The pool's modules load here, so a process that never runs cells
+        in parallel never imports them.
         """
         if self._pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("spawn"),
@@ -227,6 +233,9 @@ class SweepExecutor:
         digests: List[Optional[str]],
         results: List[Optional[MetricsSummary]],
     ) -> None:
+        from concurrent.futures import as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         pool = self._ensure_pool()
         futures = {}
         failures: Dict[int, BaseException] = {}

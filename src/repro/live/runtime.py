@@ -18,14 +18,17 @@ run with the same :func:`~repro.live.scenarios.harvest` as the sim.
 A run that does not settle within the configured settle timeout raises
 :class:`~repro.util.errors.SimulationError` — a live run with copies
 still in flight is wedged, not slow.
+
+The socket stack (:mod:`asyncio`, which loads :mod:`ssl`, and the
+partition runtime built on it) is imported by the run, not by this
+module: a simulator process that imports this module (the benchmark
+harness, the census) never loads it.
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import Any, Dict, Optional
 
-from repro.live.broker import PartitionRuntime
 from repro.live.config import LiveConfig
 from repro.live.scenarios import Scenario, harvest
 
@@ -37,6 +40,8 @@ async def _run(
     config: LiveConfig,
     trace: bool,
 ) -> Dict[str, Any]:
+    from repro.live.broker import PartitionRuntime
+
     runtime = PartitionRuntime(
         scenario, seed, scenario.topology().nodes, config, sanitize, trace
     )
@@ -78,6 +83,8 @@ def run_live_scenario(
     ``trace`` rows ``[t, kind, msg, transfer, node, peer]`` — the shape a
     fleet's merged report has.
     """
+    import asyncio
+
     if config is None:
         config = LiveConfig()
     return asyncio.run(_run(scenario, seed, sanitize, config, trace))

@@ -522,8 +522,10 @@ class OverlayNetwork:
         ``wait`` seconds from the call, the copy's last bit has left its
         sender — or ``wait`` is ``None``: the sender's own queue discarded
         the copy (``"edf+drop"``). FIFO knows the answer at
-        hand-over and calls back from inside the send; the EDF server
-        calls when it picks the copy. A copy lost to a link hazard never
+        hand-over and calls back from inside the send, as its last step
+        (so a sender may start the copy's clock once ``send_data``
+        returns, with its tri-state); the EDF server calls when it picks
+        the copy. A copy lost to a link hazard never
         occupies the link, but its sender cannot know that: it is told the
         wait a surviving copy would have had. Returns ``False`` (and
         never calls) on infinite-capacity links, where no copy waits.
@@ -538,11 +540,14 @@ class OverlayNetwork:
         reply both run on compiled deliveries, else ``None``.
 
         The pair lets the ARQ layer decide *exactly* whether an unlossed
-        ACK's arrival event ``(now + d_fwd) + d_rev`` precedes a timeout
-        deadline (same float arithmetic the scheduler performs). Valid
-        while the attachment set is stable — the composition root attaches
-        every handler before the run and never detaches mid-run. A
-        node-crash schedule compiles no deliveries, so it answers ``None``.
+        ACK's arrival event ``(now + (wait + d_fwd)) + d_rev`` precedes a
+        timeout deadline (same float arithmetic the scheduler performs;
+        ``wait`` is the copy's FIFO wait, ``0.0`` on infinite-capacity
+        links). Valid while the attachment set is stable — the
+        composition root attaches every handler before the run and never
+        detaches mid-run. A node-crash schedule compiles no deliveries, and
+        an EDF server delivers a copy through :meth:`_deliver` once it
+        picks it, so both answer ``None``.
         """
         key = (src << 21) | dst
         fwd = self._dir_cache.get(key)
@@ -552,7 +557,7 @@ class OverlayNetwork:
         rev = self._dir_cache.get(rkey)
         if rev is None:
             rev = self._resolve_direction(dst, src)
-        if fwd[4] is None or rev[5] is None:
+        if fwd[4] is None or rev[5] is None or isinstance(self.queue, EdfServer):
             return None
         return (fwd[0], rev[0])
 
@@ -645,11 +650,13 @@ class OverlayNetwork:
         delay later. ``reliable=True`` skips only the loss draw (the
         ORACLE upper bound is not hampered by recoverable randomness).
 
-        Returns ``True`` when a compiled delivery closure was scheduled,
-        ``False`` when the copy was lost here, and ``None`` when the queue
-        server or the generic :meth:`_deliver` (node crashes) delivers
-        it. Only the ARQ's latent timer elision reads this tri-state:
-        real senders learn the outcome from ACKs.
+        Returns ``True`` when a compiled delivery closure was scheduled
+        (one link delay from now, or from the end of the copy's FIFO wait,
+        which the wire report inside this call told the sender), ``False``
+        when the copy was lost here, and ``None`` when an EDF server (which
+        picks the copy later) or the generic :meth:`_deliver` (node
+        crashes) delivers it. Only the ARQ's latent timer elision reads
+        this tri-state: real senders learn the outcome from ACKs.
         """
         entry = self._dir_cache.get((src << 21) | dst)
         if entry is None:
@@ -684,8 +691,7 @@ class OverlayNetwork:
             self._lost_random[0] += 1
             return self._data_lost(src, dst, frame, "random_loss", entry[0], now)
         if self.queue is not None:
-            self._enqueue(src, dst, frame, entry, now)
-            return None
+            return self._enqueue(src, dst, frame, entry, now)
         probe_tx = _probes.on_transmit
         if probe_tx is not None:
             probe_tx(now, src, dst, frame, True, None, entry[0], 0.0)
@@ -776,22 +782,28 @@ class OverlayNetwork:
 
     def _enqueue(
         self, src: int, dst: int, frame: Any, entry: tuple, now: float
-    ) -> None:
+    ) -> Optional[bool]:
         """Hand a DATA copy that survived its hazards to the finite-capacity
-        server, which fires its ``transmit`` probe. FIFO knows the copy's
-        wait at once, so its delivery is scheduled here; EDF schedules it
-        when the server picks the copy."""
+        server, which fires its ``transmit`` probe; returns :meth:`send_data`'s
+        tri-state. FIFO knows the copy's wait at once, so its delivery is
+        scheduled here, at ``now + (wait + d_fwd)``, and reported like an
+        unqueued send: ``True`` for a compiled delivery. The wire report is
+        the last step: nothing draws a ``seq`` between it and the return.
+        EDF schedules the delivery when the server picks the copy
+        (``None``)."""
         wait = self.queue.admit(src, dst, frame, frame.size, now, entry[0])
         if wait is None:
-            return
+            return None
         deliver = entry[4]
-        if deliver is not None:
-            self._fire(wait + entry[0], deliver, frame)
-        else:
+        if deliver is None:
             self._fire(
                 wait + entry[0], self._deliver, src, dst, frame, FrameKind.DATA
             )
+            self._report_wire(src, dst, frame, wait)
+            return None
+        self._fire(wait + entry[0], deliver, frame)
         self._report_wire(src, dst, frame, wait)
+        return True
 
     def _ack_lost(self, src: int, dst: int, frame: Any) -> bool:
         fate = self._ack_fate

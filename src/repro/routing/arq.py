@@ -18,10 +18,11 @@ bit leaves; silence only means loss once the copy has left. So a copy's
 deadline is always *wire-clear instant + timeout*. On a transport where no
 copy ever waits (``watch_wire`` returns ``False``: infinite-capacity and
 live links) that instant is the hand-over; on the others the link reports
-it — FIFO from inside the send, the EDF server when it picks the copy —
-and a copy the sender's own queue discards is failed on the spot, with no
-timeout and no retransmission into the queue that just discarded it.
-:meth:`ArqSender._start_clock` is the one place a deadline is computed.
+it — FIFO from inside the send, as the send's last step, the EDF server
+when it picks the copy — and a copy the sender's own queue discards is
+failed on the spot, with no timeout and no retransmission into the queue
+that just discarded it. :meth:`ArqSender._start_clock` is the one place a
+deadline is computed.
 
 **There is one timeout rule**, the paper's static timer:
 ``params.ack_timeout(alpha)`` — ``factor * alpha`` plus slack — from the
@@ -32,7 +33,9 @@ function of that estimate, so the sender memoises it per direction until
 This module sits on the data-plane hot path: every copy sent needs an
 ACK timeout, and in healthy networks nearly every copy is settled by its
 ACK a propagation round-trip later. On the calendar kernel the common case
-therefore costs no heap entry at all (:meth:`ArqSender.enable_timer_elision`):
+therefore costs no heap entry at all (:meth:`ArqSender.enable_timer_elision`),
+on infinite-capacity links and on FIFO links alike — a FIFO copy's wait is
+known at hand-over, so its deadline and its ACK's arrival are too:
 
 * *latent timeouts* — a copy whose ACK provably arrives first only reserves
   its timeout's ``(time, seq)``; the timer is pushed with that key only if
@@ -51,13 +54,14 @@ estimates.
 The sender runs unchanged on both substrates (see :mod:`repro.substrate`):
 every timeout, eager or materialised from a latent one, is armed through
 the clock's one absolute-time push, ``clock.push(time, seq, ...)``, with
-a ``seq`` drawn from the clock's counter when the copy was handed over;
+a ``seq`` drawn from the clock's counter when the copy's clock started;
 the returned :class:`~repro.sim.engine.Event` is the cancellation handle
 on the kernel and on the live wall clock alike. Latent timeouts and ACKs
 settled at send need what only the simulated substrate has — a
 transport's exact ``ack_round_trip`` and
 :meth:`~repro.sim.engine.Simulator.settle` — so on the live substrate,
-whose transport answers ``None``, every timer is eager.
+whose transport answers ``None``, every timer is eager; so is it on EDF
+links, whose server picks a copy's wait after the send.
 
 Timer starts, cancels and fires are reported on the ``timer_*`` probe
 families and nothing else: this module reads no test flag, and an
@@ -129,8 +133,11 @@ class ArqSender:
         self._m = ctx.params.m
         self._outstanding: Dict[int, _Outstanding] = {}
         #: Whether the transport reports when each copy clears the wire
-        #: (finite-capacity links); the ACK clock then starts in _on_wire.
+        #: (finite-capacity links); the ACK clock then starts in _on_wire,
+        #: or, on FIFO links with elision, once send_data returns.
         self.wire_reported = ctx.network.watch_wire(self._on_wire)
+        # The wait the FIFO report inside the current send told _on_wire.
+        self._handover_wait = 0.0
         # Latent-timer elision (opt-in, see enable_timer_elision).
         self._elide_timers = False
         # The one per-direction memo: packed direction id (src << 21 | dst,
@@ -180,15 +187,21 @@ class ArqSender:
         schedule bit-identical either way. The network's ACK-fate hook
         reports each ACK sent for such a copy: a lost one materialises the
         timer; one that arrives is settled at send when nothing could
-        tell (:meth:`_on_ack_fate`). A copy whose clock starts at the wire
-        report (finite-capacity links) is never latent, so there the hook
-        is not registered and ``send_ack`` calls nothing; nor is it on a
+        tell (:meth:`_on_ack_fate`).
+
+        On FIFO finite-capacity links the copy's wait is known at
+        hand-over: the link reports it from inside ``send_data``, as the
+        send's last step, and schedules the copy's compiled delivery at
+        ``now + (wait + d_fwd)``. With elision on, :meth:`_on_wire` then
+        only notes the wait, and :meth:`send` / :meth:`_retransmit` start
+        the clock once ``send_data`` returns — drawing the timeout's
+        ``seq`` where the report would have — so the copy may be latent
+        like an unqueued one. An EDF server picks a copy's wait later, so
+        EDF links state no round trip and keep eager timers; nor does a
         transport that cannot tell the round trip, such as the live one,
         so only the simulated links over a
         :class:`~repro.sim.engine.Simulator` ever reach ``settle``.
         """
-        if self.wire_reported:
-            return
         self._network.register_ack_fate_hook(self._on_ack_fate)
         self._elide_timers = True
         self._dir_info.clear()  # entries memoised so far carry no rt_pair
@@ -250,10 +263,14 @@ class ArqSender:
         entry = _Outstanding(src, dst, frame, on_failed)
         self._outstanding[frame.transfer_id] = entry
         if self.wire_reported:
-            # The link reports when the copy clears the wire: _on_wire
-            # starts the clock, and measures the wait from this hand-over.
+            # The link reports when the copy clears the wire, and _on_wire
+            # measures the wait from this hand-over and starts the clock —
+            # except with elision on (FIFO links): there the report came
+            # from inside this send, and the clock starts here.
             entry.sent_at = self._sim._now
-            self._send_data(src, dst, frame)
+            outcome = self._send_data(src, dst, frame)
+            if self._elide_timers:
+                self._start_clock(entry, self._handover_wait, outcome)
         else:
             self._start_clock(entry, 0.0, self._send_data(src, dst, frame))
 
@@ -293,15 +310,22 @@ class ArqSender:
         self.retransmissions += 1
         if self.wire_reported:
             entry.sent_at = self._sim._now
-            self._send_data(entry.src, entry.dst, entry.frame)
+            outcome = self._send_data(entry.src, entry.dst, entry.frame)
+            if self._elide_timers:
+                self._start_clock(entry, self._handover_wait, outcome)
         else:
             self._start_clock(
                 entry, 0.0, self._send_data(entry.src, entry.dst, entry.frame)
             )
 
     def _on_wire(self, frame: PacketFrame, wait: Optional[float]) -> None:
-        """The link's report on a copy handed to it (see ``watch_wire``)."""
-        entry = self._outstanding.get(getattr(frame, "transfer_id", None))
+        """The link's report on a copy handed to it (see ``watch_wire``).
+
+        With elision on, the links are FIFO (EDF links state no round
+        trip): the report is the last step of the copy's own send, which
+        starts the clock with this wait once ``send_data`` returns.
+        """
+        entry = self._outstanding.get(frame.transfer_id)
         if entry is None:
             return
         if wait is None:
@@ -310,6 +334,9 @@ class ArqSender:
             self._fail(entry)
             return
         self.wire_wait_s += (self._sim._now + wait) - entry.sent_at
+        if self._elide_timers:
+            self._handover_wait = wait
+            return
         self._start_clock(entry, wait, None)
 
     def _start_clock(
@@ -320,12 +347,11 @@ class ArqSender:
         The clock starts when the copy's last bit leaves its sender,
         *wait* seconds from now (0.0 where copies never wait — adding it
         leaves every float of that schedule unchanged) and runs for the
-        direction's static timeout. *outcome* is ``send_data``'s tri-state.
+        direction's static timeout. *outcome* is ``send_data``'s tri-state:
+        ``True`` means the copy's compiled delivery runs at
+        ``now + (wait + d_fwd)``.
         """
         sim = self._sim
-        start = sim._now + wait
-        src = entry.src
-        dst = entry.dst
         # Timeout and exact round-trip delay pair in one dict probe,
         # refreshed when the monitor version moves (the timeout is a pure
         # function of the current alpha estimate).
@@ -333,9 +359,11 @@ class ArqSender:
         if monitor.version != self._dir_version:
             self._dir_info.clear()
             self._dir_version = monitor.version
-        key = (src << 21) | dst
+        key = (entry.src << 21) | entry.dst
         info = self._dir_info.get(key)
         if info is None:
+            src = entry.src
+            dst = entry.dst
             info = (
                 self.ctx.params.ack_timeout(monitor.estimate(src, dst).alpha),
                 self._network.ack_round_trip(src, dst)
@@ -344,7 +372,7 @@ class ArqSender:
             )
             self._dir_info[key] = info
         delay, pair = info
-        time = start + delay
+        time = (sim._now + wait) + delay
         seq = next(sim._seq)
         if (
             outcome
@@ -353,10 +381,11 @@ class ArqSender:
             # (settling the entry before the deadline) or is lost, which
             # the network reports synchronously via _on_ack_fate.
             # The exact float comparison below proves the unlossed ACK's
-            # arrival event — scheduled at (now + d_fwd) + d_rev with a
-            # later seq — pops strictly before the (time, seq) deadline,
-            # so keeping the timer latent cannot change the schedule.
-            and (sim._now + pair[0]) + pair[1] < time
+            # arrival event — scheduled at (now + (wait + d_fwd)) + d_rev
+            # with a later seq — pops strictly before the (time, seq)
+            # deadline, so keeping the timer latent cannot change the
+            # schedule. With wait 0.0, wait + d_fwd is d_fwd exactly.
+            and (sim._now + (wait + pair[0])) + pair[1] < time
             and _probes.on_timer_started is None
             and _probes.on_timer_cancelled is None
             and _probes.on_timer_fired is None

@@ -71,8 +71,11 @@ def wire_stack(
 
     The substrate's fast paths — interned link directions, latent ARQ
     timers — are switched on whenever every node is hosted here and the
-    transport states its round trips in advance (``ack_round_trip``).
-    Every broker's dedup window reaches back :func:`dedup_horizon`.
+    transport states its round trips in advance (``ack_round_trip``):
+    the simulated links of infinite capacity or with a FIFO queue, whose
+    copies' waits are known at hand-over. EDF queues, node crashes and
+    the live sockets keep eager timers. Every broker's dedup window
+    reaches back :func:`dedup_horizon`.
     """
     ctx = RuntimeContext(
         sim=clock,
@@ -102,8 +105,8 @@ def wire_stack(
     )
     if every_node and round_trips and routing.arq is not None:
         # Every receiver ACKs delivered DATA synchronously, and the
-        # transport reports each round trip (the simulated links only), so
-        # ACK timeouts may stay latent.
+        # transport reports each round trip (the simulated links without
+        # an EDF queue or node crashes), so ACK timeouts may stay latent.
         routing.arq.enable_timer_elision()
     horizon = dedup_horizon(topology, params, routing.arq, round_trips)
     for broker in brokers:

@@ -196,7 +196,12 @@ def test_live_world_horizon(monkeypatch, m):
     "options, latent",
     [
         ({}, True),
-        ({"link_service_time": 0.02}, False),  # the clock starts at the wire
+        # FIFO tells each copy's wait at hand-over: the clock starts once
+        # the send returns, and the copy may be latent like an unqueued one.
+        ({"link_service_time": 0.02}, True),
+        # EDF picks a copy's wait later: no round trip known in advance.
+        ({"link_service_time": 0.02, "queue_discipline": "edf"}, False),
+        ({"link_service_time": 0.02, "queue_discipline": "edf+drop"}, False),
         ({"node_failure_probability": 0.05}, False),  # no round trip known
     ],
 )

@@ -36,6 +36,12 @@ its copies must never draw), and the node-crash checks at send time and
 at arrival (``node_failure_probability`` over 0.1 s epochs, so copies in
 flight across an epoch boundary find their receiver down).
 
+The last cell (``fifo_queue/DCRD``, 2 entries) pins the FIFO queueing path
+of a lossy, failing world with ``m = 2``: copies wait behind each other,
+latent ACK timeouts materialise when an ACK is lost, and retransmissions
+queue. It was recorded from a plain run at the commit before latent
+timeouts and ACKs settled at send were extended to FIFO links.
+
 A second test pins that compaction is invisible *within* the current code:
 it merely reaps entries that could never fire, so forcing it on every
 cancel or switching it off (patching the engine's private rule) must not
@@ -100,6 +106,13 @@ CONFIGS["node_crash"] = dict(
     loss_rate=0.01,
     failure_epoch=0.1,
 )
+CONFIGS["fifo_queue"] = dict(
+    CONFIGS["baseline"],
+    loss_rate=0.03,
+    m=2,
+    publish_interval=0.25,
+    link_service_time=0.02,
+)
 
 CELLS = [
     ("baseline", "DCRD"),
@@ -108,6 +121,7 @@ CELLS = [
     ("edf_load", "P-DTree"),
     ("lossy", "ORACLE"),
     ("node_crash", "DCRD"),
+    ("fifo_queue", "DCRD"),
 ]
 
 

@@ -52,6 +52,19 @@ CONFIGS = {
         failure_probability=0.06,
         duration=8.0,
     ),
+    # FIFO finite-capacity links: copies queue, a lost ACK materialises a
+    # latent timeout, and retransmissions queue behind other copies.
+    "fifo_queue": ExperimentConfig(
+        topology_kind="regular",
+        num_nodes=20,
+        degree=5,
+        loss_rate=0.03,
+        failure_probability=0.06,
+        m=2,
+        publish_interval=0.25,
+        link_service_time=0.02,
+        duration=8.0,
+    ),
 }
 
 
@@ -350,12 +363,16 @@ def _pair_world(elide):
     return system.sim, system.strategy.arq, 1.0, system.close
 
 
-def _runner_world(elide):
-    env = _started("lossy_mesh", elide)
+def _runner_world(elide, name="lossy_mesh"):
+    env = _started(name, elide)
     return env.ctx.sim, env.strategy.arq, env.config.end_time, lambda: None
 
 
-@pytest.mark.parametrize("world", [_pair_world, _runner_world])
+def _fifo_world(elide):
+    return _runner_world(elide, "fifo_queue")
+
+
+@pytest.mark.parametrize("world", [_pair_world, _runner_world, _fifo_world])
 def test_settled_acks_count_against_max_events(world):
     """A quota of the eager run's executed count finishes cleanly on both
     twins; one event less raises on both."""

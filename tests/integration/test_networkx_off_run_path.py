@@ -7,8 +7,15 @@ imported only inside the baselines' path helpers and the extension
 generators (Erdős–Rényi, Waxman).
 These cells run a DCRD world in a fresh interpreter and check that nothing
 on the way loaded it.
+
+A simulator process does not load the socket stack or the process pool
+either: :mod:`asyncio` (with :mod:`ssl`) is imported by a live run, and
+:mod:`concurrent.futures` where a sweep builds its worker pool, so
+importing :mod:`repro.live.runtime` or :mod:`repro.experiments.sweeps`
+costs a simulator run nothing (about 8 MiB of resident memory).
 """
 
+import functools
 import json
 import os
 import re
@@ -18,14 +25,23 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
+#: What a simulator process must not load besides networkx: the socket
+#: stack and the process pool.
+SOCKETS_AND_POOL = ("asyncio", "ssl", "concurrent.futures")
+
 #: Each step runs in order in one fresh interpreter; after each, the script
-#: records whether networkx has been imported.
+#: records which of networkx and :data:`SOCKETS_AND_POOL` have been
+#: imported. The live broker comes last: it is the socket stack.
 SCRIPT = """
 import json, sys
+WATCHED = ("networkx",) + tuple(sys.argv[1:])
 loaded = {}
 
-import repro.live.broker
-loaded["import repro.live.broker"] = "networkx" in sys.modules
+def note(step):
+    loaded[step] = [name for name in WATCHED if name in sys.modules]
+
+import repro, repro.live.runtime
+note("import repro, repro.live.runtime")
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_environment
@@ -35,23 +51,28 @@ for kind, extra in (("regular", {"degree": 4}), ("full_mesh", {})):
     )
     summary = build_environment(config, "DCRD", 1).execute()
     assert summary.delivery_ratio > 0
-    loaded[kind + " world executed"] = "networkx" in sys.modules
+    note(kind + " world executed")
 
 from repro.live.scenarios import make_scenario, run_sim_scenario
 run_sim_scenario(make_scenario("clean", 1))
-loaded["run_sim_scenario(clean)"] = "networkx" in sys.modules
+note("run_sim_scenario(clean)")
+
+import repro.live.broker
+note("import repro.live.broker")
 
 print(json.dumps(loaded))
 """
 
 
-def test_a_dcrd_process_never_imports_networkx():
+@functools.lru_cache(maxsize=None)
+def _loaded_after_each_step():
+    """``{step: [watched modules loaded so far]}`` from one fresh run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [env.get("PYTHONPATH")])]
     )
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", SCRIPT, *SOCKETS_AND_POOL],
         capture_output=True,
         text=True,
         env=env,
@@ -59,8 +80,22 @@ def test_a_dcrd_process_never_imports_networkx():
     )
     assert result.returncode == 0, result.stderr
     loaded = json.loads(result.stdout.strip().splitlines()[-1])
-    assert len(loaded) == 4
-    assert not any(loaded.values()), loaded
+    assert len(loaded) == 5
+    return loaded
+
+
+def test_a_dcrd_process_never_imports_networkx():
+    loaded = _loaded_after_each_step()
+    assert not any("networkx" in names for names in loaded.values()), loaded
+
+
+def test_a_simulator_run_loads_no_socket_stack_or_process_pool():
+    loaded = _loaded_after_each_step()
+    *simulated, (last, live) = loaded.items()
+    assert simulated and all(names == [] for _, names in simulated), loaded
+    # The check can see these modules: the live broker loads the stack.
+    assert last == "import repro.live.broker"
+    assert {"asyncio", "ssl"} <= set(live), loaded
 
 
 def test_no_module_imports_networkx_at_top_level():

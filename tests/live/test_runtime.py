@@ -76,8 +76,12 @@ def test_a_late_wake_up_publishes_the_due_messages_back_to_back():
     assert all(offset >= i * INTERVAL - 1e-4 for i, offset in enumerate(offsets))
     # The overdue messages go out back to back, not an interval apart ...
     assert offsets[59] - offsets[50] < 5 * INTERVAL
-    # ... and the rest of the schedule has not moved by the 20 ms.
-    assert offsets[99] < 99 * INTERVAL + 0.01
+    # ... and the rest of the schedule has not moved by the 20 ms: past the
+    # backlog, some message leaves within 10 ms of its own instant. One
+    # message's lateness is one wake-up's slop, which host load stretches
+    # past 10 ms now and then; a shifted schedule makes every one of them
+    # at least 20 ms late.
+    assert min(offsets[i] - i * INTERVAL for i in range(80, 100)) < 0.01
 
 
 def test_an_already_quiescent_partition_settles_without_sleeping():

@@ -50,20 +50,23 @@ def skip_timer_cancel(monkeypatch):
 
 def arm_clock_at_enqueue(monkeypatch):
     """Start every ACK clock at hand-over, ignoring the link's wire report:
-    after the first transmission (``send``) and after every retransmission."""
+    after the first transmission (``send``) and after every retransmission.
+    Where the ARQ starts the clock itself once the send returns (FIFO links
+    with latent timers), it then starts it with no wait, the report unread."""
     send = ArqSender.send
     retransmit = ArqSender._retransmit
 
+    def arm_at_hand_over(self, entry):
+        if entry is not None and self.wire_reported and not self._elide_timers:
+            self._start_clock(entry, 0.0, None)
+
     def sent_at_enqueue(self, src, dst, frame, on_failed):
         send(self, src, dst, frame, on_failed)
-        entry = self._outstanding.get(frame.transfer_id)
-        if entry is not None and self.wire_reported:
-            self._start_clock(entry, 0.0, None)
+        arm_at_hand_over(self, self._outstanding.get(frame.transfer_id))
 
     def resent_at_enqueue(self, entry):
         retransmit(self, entry)
-        if self.wire_reported:
-            self._start_clock(entry, 0.0, None)
+        arm_at_hand_over(self, entry)
 
     monkeypatch.setattr(ArqSender, "_on_wire", lambda self, frame, wait: None)
     monkeypatch.setattr(ArqSender, "send", sent_at_enqueue)

@@ -9,10 +9,16 @@ from repro.util.errors import SimulationError
 from tests.conftest import data_frame, make_topology
 
 
-def make_network(service_time=None):
+def make_network(service_time=None, queue_discipline="fifo"):
     topo = make_topology([(0, 1, 0.010), (1, 2, 0.010)])
     sim = Simulator()
-    network = OverlayNetwork(sim, topo, RandomStreams(1), service_time=service_time)
+    network = OverlayNetwork(
+        sim,
+        topo,
+        RandomStreams(1),
+        service_time=service_time,
+        queue_discipline=queue_discipline,
+    )
     return sim, network
 
 
@@ -26,11 +32,32 @@ def test_single_frame_pays_service_plus_propagation():
 
 
 def test_a_queued_copy_is_left_to_the_queue_path():
-    """A copy handed to a link server answers ``None``: the server, not
+    """A copy handed to an EDF server answers ``None``: the server, not
     the send, decides when it leaves."""
+    for discipline in ("edf", "edf+drop"):
+        sim, network = make_network(service_time=0.005, queue_discipline=discipline)
+        network.attach(1, lambda s, f: None)
+        network.attach(0, lambda s, f: None)
+        network.send_data(0, 1, data_frame("a"))  # busies the direction
+        assert network.send_data(0, 1, data_frame("b")) is None
+        assert network.ack_round_trip(0, 1) is None
+
+
+def test_a_fifo_copy_answers_like_an_unqueued_one():
+    """FIFO knows a copy's wait at hand-over: the send reports the wait,
+    then answers ``True`` — its compiled delivery is scheduled at
+    ``now + (wait + d_fwd)`` — and the round trip is stated in advance."""
     sim, network = make_network(service_time=0.005)
-    network.attach(1, lambda s, f: None)
-    assert network.send_data(0, 1, data_frame("a")) is None
+    arrivals, waits = [], []
+    network.attach(1, lambda s, f: arrivals.append(sim.now))
+    network.attach(0, lambda s, f: None)
+    assert network.watch_wire(lambda frame, wait: waits.append(wait))
+    assert network.send_data(0, 1, data_frame("a")) is True
+    assert network.send_data(0, 1, data_frame("b")) is True
+    assert waits == [pytest.approx(0.005), pytest.approx(0.010)]
+    assert network.ack_round_trip(0, 1) == (0.010, 0.010)
+    sim.run()
+    assert arrivals == [0.0 + (waits[0] + 0.010), 0.0 + (waits[1] + 0.010)]
 
 
 def test_back_to_back_frames_queue_fifo():
