@@ -1,10 +1,10 @@
-"""Shared helpers for the per-figure benchmark drivers.
+"""Shared helpers for the benchmark files.
 
-Every benchmark regenerates one figure of the paper at a reduced scale
+``bench_figures.py`` regenerates every figure and study at a reduced scale
 (identical code paths, shorter simulated duration, fewer topologies) and
-writes the resulting tables to ``benchmarks/output/<name>.txt`` so the
-numbers can be inspected and compared against EXPERIMENTS.md after
-``pytest benchmarks/ --benchmark-only``.
+the other benches measure the implementation; each writes its tables to
+``benchmarks/output/<name>.txt`` so the numbers can be inspected and
+compared against EXPERIMENTS.md.
 
 Scale knobs can be raised via environment variables:
 

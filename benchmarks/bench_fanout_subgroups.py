@@ -22,7 +22,7 @@ every topic's destination set and deadline map.
 import numpy as np
 
 from repro.perf import time_call
-from repro.pubsub.topics import Subscription, SubscriptionIndex, TopicSpec, Workload
+from repro.pubsub.topics import Subscription, TopicSpec, Workload
 
 from _common import save_report
 

@@ -1,15 +1,10 @@
-"""Figure 5: network size 10 → 160 at degree 8, Pf = 0.06.
+"""Figure 5 at mega scale: DCRD alone on 1000 to 5000 brokers.
 
-Paper shapes: with a fixed degree, all strategies degrade as the overlay
-(and hence path length) grows; DCRD stays within a few points of ORACLE
-while the fixed trees fall away; DCRD's relative traffic overhead grows
-with size (longer detours) but stays below Multipath.
+Figure 5 itself (network size 10 → 160 at degree 8, Pf = 0.06) runs with
+every other figure and study in ``bench_figures.py``.
 
-The benchmark's default sizes stop at 80 nodes to keep the run short;
-set ``REPRO_BENCH_FULL_FIG5=1`` for the paper's full {10..160} axis.
-
-Set ``REPRO_BENCH_MEGA_FIG5=1`` for the mega-scale tier: DCRD alone on
-1000-, 2000- and 5000-node overlays (the flat index-addressed data
+Set ``REPRO_BENCH_MEGA_FIG5=1`` to run the tier: 1000-, 2000- and
+5000-node overlays (the flat index-addressed data
 plane's design point), reporting the kernel event rate next to the
 delivery metrics, with the time to build the world (topology, workload,
 the setup solve of every ``<d, r>`` table) and the time to execute it
@@ -28,13 +23,9 @@ import time
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import NETWORK_SIZES, PANEL_METRICS, figure5
-from repro.experiments.report import render_panels
 from repro.experiments.runner import build_environment
 
 from _common import bench_duration, bench_seeds, save_report
-
-SIZES = NETWORK_SIZES if os.environ.get("REPRO_BENCH_FULL_FIG5") else (10, 20, 40, 80)
 
 MEGA = bool(os.environ.get("REPRO_BENCH_MEGA_FIG5"))
 MEGA_SIZES = (1000, 2000, 5000)
@@ -93,25 +84,6 @@ def run_mega():
         )
     save_report("fig5_mega", "\n".join(lines))
     return {size: summary for size, (summary, _, _, _) in rows.items()}
-
-
-def run():
-    result = figure5(
-        duration=bench_duration(10.0), seeds=bench_seeds(1), sizes=SIZES
-    )
-    save_report("fig5_scalability", render_panels(result, PANEL_METRICS))
-    return result
-
-
-def test_figure5(benchmark):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    sizes = result.x_values
-    dcrd = dict(zip(sizes, result.series("DCRD", "delivery_ratio")))
-    dtree = dict(zip(sizes, result.series("D-Tree", "delivery_ratio")))
-    largest = sizes[-1]
-    # Longer paths hurt the fixed tree far more than DCRD.
-    assert dcrd[largest] > dtree[largest]
-    assert dcrd[largest] > 0.97
 
 
 @pytest.mark.skipif(not MEGA, reason="set REPRO_BENCH_MEGA_FIG5=1 to run")

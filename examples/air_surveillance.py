@@ -24,17 +24,8 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
-from repro import (
-    ExperimentConfig,
-    Subscription,
-    TopicSpec,
-    Workload,
-    run_single,
-)
+from repro import ExperimentConfig, Subscription, TopicSpec, Workload
 from repro.experiments.runner import build_environment, build_topology
-from repro.metrics.summary import summarize
 from repro.sim.random import RandomStreams
 
 

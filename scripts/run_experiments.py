@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Regenerate every figure of the paper and dump the tables.
 
-This is the driver behind EXPERIMENTS.md: it runs Figures 2–8 (plus the
-extension studies) at a configurable scale and writes all tables to
-``results/`` (and stdout). The paper's full scale is
-``--duration 7200 --repetitions 10``; the EXPERIMENTS.md numbers were
-recorded with the defaults below, which keep the wall-clock in the
-tens-of-minutes range on one core.
+This is the driver behind EXPERIMENTS.md: it runs Figures 2–8, the
+ablations and the extension studies — every entry of
+:data:`repro.experiments.figures.ARTIFACTS` — at a configurable scale,
+writes all tables to ``results/`` (and stdout) and reports each entry's
+claims as PASS/FAIL lines (a failed claim is reported, not an error).
+The paper's full scale is ``--duration 7200 --repetitions 10``; the
+EXPERIMENTS.md numbers were recorded with the defaults below, which keep
+the wall-clock in the tens-of-minutes range on one core.
 
 Re-runs are incremental: every (config, strategy, seed) grid cell is
 content-addressed and journalled under ``<out>/.sweep_cache/`` (see
@@ -25,19 +27,11 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments import figures
 from repro.experiments.cache import SweepCache
-from repro.experiments.figures import PANEL_METRICS
-from repro.experiments.report import render_cache_stats, render_cdf, render_panels, render_sweep
+from repro.experiments.figures import ARTIFACTS
+from repro.experiments.report import render_cache_stats
 from repro.experiments.sweeps import SweepExecutor
-from repro.experiments.validation import FIGURE_CHECKS, render_outcomes, verify_figure
-from repro.extensions.ablations import ack_timeout_ablation, monitoring_mode_ablation
-from repro.extensions.churn import churn_study
-from repro.extensions.congestion import congestion_study
-from repro.extensions.fec import fec_study
-from repro.extensions.heterogeneous import heterogeneity_study
-from repro.extensions.node_failures import node_failure_study
-from repro.extensions.priority import priority_queueing_study
+from repro.experiments.validation import render_outcomes
 
 
 def main() -> None:
@@ -46,8 +40,8 @@ def main() -> None:
     parser.add_argument("--repetitions", type=int, default=3)
     parser.add_argument("--out", type=Path, default=Path("results"))
     parser.add_argument(
-        "--only", nargs="*", default=None,
-        help="subset of {fig2..fig8,ablations,nodes,congestion} to run",
+        "--only", nargs="*", default=None, choices=list(ARTIFACTS),
+        metavar="NAME", help=f"subset of {{{','.join(ARTIFACTS)}}} to run",
     )
     parser.add_argument(
         "--workers", type=int, default=1,
@@ -67,8 +61,7 @@ def main() -> None:
     )
     args = parser.parse_args()
     args.out.mkdir(exist_ok=True)
-    seeds = tuple(range(args.repetitions))
-    wanted = set(args.only) if args.only else None
+    wanted = set(args.only) if args.only else set(ARTIFACTS)
 
     cache = None
     if not args.no_cache:
@@ -77,161 +70,40 @@ def main() -> None:
     def progress(line: str) -> None:
         print(f"    …{line}", file=sys.stderr)
 
-    def should(name: str) -> bool:
-        return wanted is None or name in wanted
-
-    verdicts = []
-
-    def check(figure: str, result) -> None:
-        if figure in FIGURE_CHECKS:
-            outcomes = verify_figure(figure, result)
-            verdicts.extend(outcomes)
-            print(render_outcomes(outcomes))
-
     start = time.time()
     with SweepExecutor(
         workers=args.workers, cache=cache, fresh=args.fresh
     ) as executor:
-        snapshot = executor.counters()
-
-        def emit(name: str, text: str) -> None:
-            """Write the figure's table — but only when its cells changed.
-
-            A figure none of whose cells were recomputed this run (every
-            cell came from the cache) produces byte-identical text, so the
-            existing output file is left untouched and the skip reported.
-            """
-            nonlocal snapshot
-            current = executor.counters()
-            computed = current.get("sweep.cells_computed", 0.0) - snapshot.get(
-                "sweep.cells_computed", 0.0
+        for artifact in ARTIFACTS.values():
+            if artifact.name not in wanted:
+                continue
+            before = executor.counters()
+            result = artifact.run(
+                args.duration, args.repetitions, progress=progress, executor=executor
             )
-            cached = current.get("sweep.cells_cached", 0.0) - snapshot.get(
-                "sweep.cells_cached", 0.0
+            after = executor.counters()
+            computed, cached = (
+                after.get(key, 0.0) - before.get(key, 0.0)
+                for key in ("sweep.cells_computed", "sweep.cells_cached")
             )
-            snapshot = current
-            path = args.out / f"{name}.txt"
-            body = text + "\n"
-            if computed == 0 and path.exists() and path.read_text() == body:
-                print(
-                    f"[{name}] unchanged ({int(cached)} cells cached); "
-                    f"kept {path}",
-                    file=sys.stderr,
-                )
-            else:
-                path.write_text(body)
-            print(f"\n===== {name} =====\n{text}")
-
-        if should("fig2"):
-            result = figures.figure2(
-                args.duration, seeds, progress=progress, executor=executor
-            )
-            emit("fig2", render_panels(result, PANEL_METRICS))
-            check("figure2", result)
-        if should("fig3"):
-            result = figures.figure3(
-                args.duration, seeds, progress=progress, executor=executor
-            )
-            emit("fig3", render_panels(result, PANEL_METRICS))
-            check("figure3", result)
-        if should("fig4"):
-            result = figures.figure4(
-                args.duration, seeds, progress=progress, executor=executor
-            )
-            emit("fig4", render_panels(result, PANEL_METRICS))
-            check("figure4", result)
-        if should("fig5"):
-            result = figures.figure5(
-                max(args.duration / 2, 10.0), seeds[: max(1, len(seeds) - 1)],
-                progress=progress, executor=executor,
-            )
-            emit("fig5", render_panels(result, PANEL_METRICS))
-            check("figure5", result)
-        if should("fig6"):
-            result = figures.figure6(
-                args.duration, seeds, progress=progress, executor=executor
-            )
-            emit("fig6", render_sweep(result, "qos_delivery_ratio"))
-            check("figure6", result)
-        if should("fig7"):
-            curves = figures.figure7(
-                max(args.duration, 120.0), seeds, progress=progress,
-                executor=executor,
-            )
-            emit("fig7", render_cdf(curves))
-            check("figure7", curves)
-        if should("fig8"):
-            results = figures.figure8(
-                args.duration, seeds, progress=progress, executor=executor
-            )
-            text = "\n\n".join(
-                render_sweep(results[m], "qos_delivery_ratio") for m in sorted(results)
-            )
-            emit("fig8", text)
-            check("figure8", results)
-        if should("ablations"):
-            result = monitoring_mode_ablation(
-                args.duration / 2, seeds, progress=progress, executor=executor
-            )
-            emit("ablation_monitoring", render_sweep(result, "qos_delivery_ratio"))
-            result = ack_timeout_ablation(
-                args.duration / 2, seeds, progress=progress, executor=executor
-            )
-            text = (
-                render_sweep(result, "qos_delivery_ratio")
-                + "\n\n"
-                + render_sweep(result, "packets_per_subscriber")
-            )
-            emit("ablation_ack_timeout", text)
-        if should("nodes"):
-            result = node_failure_study(
-                args.duration / 2, seeds, progress=progress, executor=executor
-            )
-            emit(
-                "extension_node_failures",
-                render_panels(result, ("delivery_ratio", "qos_delivery_ratio")),
-            )
-        if should("congestion"):
-            result = congestion_study(
-                args.duration / 3, seeds, progress=progress, executor=executor
-            )
-            emit(
-                "extension_congestion",
-                render_panels(
-                    result, ("qos_delivery_ratio", "packets_per_subscriber")
-                ),
-            )
-        if should("churn"):
-            # Churn mutates the live workload mid-run (a custom driver, not
-            # a plain (config, strategy, seed) cell), so it stays outside
-            # the cell cache.
-            result = churn_study(args.duration / 2, seeds, progress=progress)
-            emit(
-                "extension_churn",
-                render_panels(result, ("delivery_ratio", "qos_delivery_ratio")),
-            )
-        if should("fec"):
-            result = fec_study(
-                args.duration / 2, seeds, progress=progress, executor=executor
-            )
-            emit(
-                "extension_fec",
-                render_panels(
-                    result,
-                    ("delivery_ratio", "qos_delivery_ratio", "traffic_per_subscriber"),
-                ),
-            )
-        if should("priority"):
-            results = priority_queueing_study(
-                args.duration / 2, seeds, progress=progress, executor=executor
-            )
-            text = "\n\n".join(
-                render_sweep(results[mode], "qos_delivery_ratio")
-                + "\n"
-                + render_sweep(results[mode], "delivery_ratio")
-                for mode in results
-            )
-            emit("extension_priority", text)
+            for name, text in artifact.tables(result).items():
+                # A table none of whose cells were recomputed this run
+                # (every cell came from the cache) is byte-identical, so
+                # the existing file is left untouched and the skip reported.
+                path = args.out / f"{name}.txt"
+                body = text + "\n"
+                if computed == 0 and path.exists() and path.read_text() == body:
+                    print(
+                        f"[{name}] unchanged ({int(cached)} cells cached); "
+                        f"kept {path}",
+                        file=sys.stderr,
+                    )
+                else:
+                    path.write_text(body)
+                print(f"\n===== {name} =====\n{text}")
+            outcomes = artifact.verify(result)
+            if outcomes:
+                print(render_outcomes(outcomes))
         print(render_cache_stats(executor.counters()))
     if cache is not None:
         cache.close()

@@ -1,6 +1,6 @@
 """Command-line interface: ``repro-sim``.
 
-Three subcommands:
+Four subcommands:
 
 * ``compare`` — run every strategy against one configuration and print the
   comparison table (the quickstart, as a CLI);
@@ -8,8 +8,13 @@ Three subcommands:
   ``loss``) and print/export the resulting tables;
 * ``figure`` — regenerate one of the paper's figures (2–8) at a chosen
   scale;
-* ``study`` — run one of the extension studies (congestion, churn, fec,
-  nodes, ablation-timeout, ablation-monitoring).
+* ``study`` — run the ablations or one of the extension studies (nodes,
+  congestion, churn, fec, priority, heterogeneous).
+
+``figure`` and ``study`` run an entry of
+:data:`repro.experiments.figures.ARTIFACTS` exactly as
+``scripts/run_experiments.py`` does for the same ``--duration`` and
+``--repetitions``, print its tables and report its claims.
 
 Examples
 --------
@@ -18,7 +23,7 @@ Examples
     repro-sim compare --topology regular --degree 5 --pf 0.06
     repro-sim sweep pf --values 0 0.02 0.04 --duration 30 --csv out.csv
     repro-sim figure 6 --duration 60 --repetitions 3
-    repro-sim study congestion --duration 15
+    repro-sim study congestion --duration 30
 """
 
 from __future__ import annotations
@@ -27,25 +32,19 @@ import argparse
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.experiments import figures as figure_drivers
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.export import sweep_to_csv
-from repro.experiments.figures import PANEL_METRICS
-from repro.experiments.report import (
-    render_cdf,
-    render_comparison,
-    render_panels,
-    render_perf,
-    render_sweep,
-)
+from repro.experiments.figures import ARTIFACTS
+from repro.experiments.report import render_comparison, render_perf, render_sweep
 from repro.experiments.runner import (
     DEFAULT_STRATEGIES,
     build_environment,
     run_comparison,
 )
 from repro.experiments.sweeps import sweep as run_sweep
+from repro.experiments.validation import render_outcomes
 from repro.trace import export_jsonl
 
 #: Swept axis -> (value parser, config overrides for one parsed value).
@@ -176,65 +175,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
-    seeds = tuple(range(args.repetitions))
-    number = args.number
-    if number == 7:
-        curves = figure_drivers.figure7(args.duration, seeds)
-        print(render_cdf(curves))
-        return 0
-    if number == 8:
-        results = figure_drivers.figure8(args.duration, seeds)
-        for m in sorted(results):
-            print(render_sweep(results[m], "qos_delivery_ratio"))
-            print()
-        return 0
-    driver = {
-        2: figure_drivers.figure2,
-        3: figure_drivers.figure3,
-        4: figure_drivers.figure4,
-        5: figure_drivers.figure5,
-        6: figure_drivers.figure6,
-    }[number]
-    result = driver(args.duration, seeds)
-    metrics = ("qos_delivery_ratio",) if number == 6 else PANEL_METRICS
-    print(render_panels(result, metrics))
-    return 0
-
-
-def cmd_study(args: argparse.Namespace) -> int:
-    from repro.extensions.ablations import (
-        ack_timeout_ablation,
-        monitoring_mode_ablation,
-    )
-    from repro.extensions.churn import churn_study
-    from repro.extensions.congestion import congestion_study
-    from repro.extensions.fec import fec_study
-    from repro.extensions.heterogeneous import heterogeneity_study
-    from repro.extensions.node_failures import node_failure_study
-
-    seeds = tuple(range(args.repetitions))
-    studies = {
-        "heterogeneous": (
-            heterogeneity_study,
-            ("qos_delivery_ratio", "packets_per_subscriber"),
-        ),
-        "congestion": (
-            congestion_study,
-            ("qos_delivery_ratio", "packets_per_subscriber"),
-        ),
-        "churn": (churn_study, ("delivery_ratio", "qos_delivery_ratio")),
-        "fec": (
-            fec_study,
-            ("delivery_ratio", "qos_delivery_ratio", "traffic_per_subscriber"),
-        ),
-        "nodes": (node_failure_study, ("delivery_ratio", "qos_delivery_ratio")),
-        "ablation-timeout": (ack_timeout_ablation, ("qos_delivery_ratio",)),
-        "ablation-monitoring": (monitoring_mode_ablation, ("qos_delivery_ratio",)),
-    }
-    driver, metrics = studies[args.name]
-    result = driver(duration=args.duration, seeds=seeds)
-    print(render_panels(result, metrics))
+def run_artifact(name: str, args: argparse.Namespace) -> int:
+    artifact = ARTIFACTS[name]
+    result = artifact.run(args.duration, args.repetitions)
+    print("\n\n".join(artifact.tables(result).values()))
+    outcomes = artifact.verify(result)
+    if outcomes:
+        print(render_outcomes(outcomes))
     return 0
 
 
@@ -268,28 +215,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(sweep_cmd)
     sweep_cmd.set_defaults(handler=cmd_sweep)
 
+    figures = [name for name in ARTIFACTS if name.startswith("fig")]
     figure = subparsers.add_parser("figure", help="regenerate a paper figure")
-    figure.add_argument("number", type=int, choices=range(2, 9))
-    figure.add_argument("--duration", type=float, default=30.0)
-    figure.add_argument("--repetitions", type=int, default=1)
-    figure.set_defaults(handler=cmd_figure)
-
-    study = subparsers.add_parser("study", help="run an extension study")
-    study.add_argument(
-        "name",
-        choices=(
-            "congestion",
-            "churn",
-            "fec",
-            "heterogeneous",
-            "nodes",
-            "ablation-timeout",
-            "ablation-monitoring",
-        ),
-    )
-    study.add_argument("--duration", type=float, default=15.0)
-    study.add_argument("--repetitions", type=int, default=1)
-    study.set_defaults(handler=cmd_study)
+    figure.add_argument("number", type=int, choices=[int(n[3:]) for n in figures])
+    figure.set_defaults(handler=lambda args: run_artifact(f"fig{args.number}", args))
+    study = subparsers.add_parser("study", help="run an ablation or extension study")
+    study.add_argument("name", choices=[n for n in ARTIFACTS if n not in figures])
+    study.set_defaults(handler=lambda args: run_artifact(args.name, args))
+    for command in (figure, study):
+        # Scaled per entry, as scripts/run_experiments.py scales them.
+        command.add_argument("--duration", type=float, default=30.0)
+        command.add_argument("--repetitions", type=int, default=1)
     return parser
 
 

@@ -8,7 +8,7 @@ serialises one DATA frame per service time, so offered load above capacity
 builds queues and queueing delay.
 
 The result (measured: degree 5, 20 ms service time, 10–50 ms propagation,
-10 topics, no link failures; ``benchmarks/output/ext_congestion.txt``):
+10 topics, no link failures; ``benchmarks/output/extension_congestion.txt``):
 
 * **The ACK clock must start at the wire.** A hop-by-hop timer armed when
   a copy is *handed to* its link runs while the copy still sits in its

@@ -21,16 +21,9 @@ variant, and D-Tree.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.computation import (
-    DrTable,
-    NodeState,
-    ViaNeighbor,
-    aggregate_dr,
-    compute_dr_table,
-)
+from repro.core.computation import DrTable, NodeState, ViaNeighbor, aggregate_dr
 from repro.core.forwarding import DcrdStrategy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweeps import ProgressHook, SweepExecutor, SweepResult, sweep

@@ -24,7 +24,7 @@ Design:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro import probes as _probes
 from repro.core.forwarding import DcrdStrategy

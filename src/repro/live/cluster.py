@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import record as _record
-from repro.live.config import LiveConfig
 from repro.live.scenarios import Scenario, scenario_to_dict
 from repro.util.errors import ConfigurationError, ReproError
 from repro.util.validation import require, require_in_range, require_type

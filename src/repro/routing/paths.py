@@ -11,7 +11,7 @@ it, so a process that runs none of these baselines never loads it.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.overlay.monitor import LinkEstimate
 from repro.overlay.topology import Edge, Topology, canonical_edge

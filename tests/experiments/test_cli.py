@@ -125,6 +125,14 @@ def test_unknown_study_rejected():
         build_parser().parse_args(["study", "quantum"])
 
 
+def test_study_choices_are_the_table_entries():
+    for name in ("ablations", "priority", "heterogeneous"):
+        assert build_parser().parse_args(["study", name]).name == name
+    for name in ("ablation-timeout", "ablation-monitoring", "fig2"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["study", name])
+
+
 def test_unknown_axis_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["sweep", "magic", "--values", "1"])

@@ -87,3 +87,40 @@ def test_figure8_produces_one_sweep_per_m():
     assert set(results) == {1, 2}
     for m, result in results.items():
         assert result.x_values == [1e-3, 1e-1]
+
+
+def test_table_scales_duration_and_seeds_per_entry():
+    """One --duration / --repetitions pair means one thing for every
+    consumer of the table: these are the experiment script's rules."""
+    table = figures.ARTIFACTS
+    assert table["fig2"].scale(60.0, 3) == (60.0, (0, 1, 2))
+    assert table["fig5"].scale(60.0, 3) == (30.0, (0, 1))
+    assert table["fig5"].scale(8.0, 1) == (10.0, (0,))
+    assert table["fig7"].scale(60.0, 3) == (120.0, (0, 1, 2))
+    assert table["ablations"].scale(60.0, 3) == (30.0, (0, 1, 2))
+    assert table["congestion"].scale(60.0, 3) == (20.0, (0, 1, 2))
+    assert table["heterogeneous"].scale(60.0, 3) == (30.0, (0, 1, 2))
+    assert [name for name, entry in table.items() if not entry.cached] == ["churn"]
+
+
+def test_table_renders_one_text_per_output():
+    ablations = figures.ARTIFACTS["ablations"]
+    result = ablations.run(duration=4.0, repetitions=1)
+    tables = ablations.tables(result)
+    assert list(tables) == ["ablation_monitoring", "ablation_ack_timeout"]
+    assert "Packets Sent / Subscriber" in tables["ablation_ack_timeout"]
+    assert "Packets Sent / Subscriber" not in tables["ablation_monitoring"]
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in figures.ARTIFACTS if not name.startswith("fig")]
+)
+def test_every_study_claim_reads_its_result(name):
+    """Each claim check reads the real shape of its driver's result (the
+    claims gate itself runs in benchmarks/bench_figures.py)."""
+    artifact = figures.ARTIFACTS[name]
+    result = artifact.run(duration=2.0, repetitions=1)
+    outcomes = artifact.verify(result)
+    assert [o.claim for o in outcomes] == [claim for claim, _ in artifact.claims]
+    assert all(o.artifact == name and o.detail for o in outcomes)
+    assert set(artifact.tables(result)) == {table for table, _ in artifact.outputs}

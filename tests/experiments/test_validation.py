@@ -1,52 +1,44 @@
-"""Tests for the paper-claims verifier."""
+"""Tests for the paper-claims verifier and the claims of the table."""
 
 import pytest
 
-from repro.experiments import figures
-from repro.experiments.validation import (
-    FIGURE_CHECKS,
-    ClaimOutcome,
-    render_outcomes,
-    verify_figure,
-)
+from repro.experiments.figures import ARTIFACTS
+from repro.experiments.validation import ClaimOutcome, render_outcomes
 
 
 def test_unknown_figure_rejected():
     with pytest.raises(KeyError):
-        verify_figure("figure99", None)
+        ARTIFACTS["figure99"]
 
 
 def test_registry_covers_main_figures():
-    assert {"figure2", "figure3", "figure4", "figure5", "figure6", "figure8"} <= set(
-        FIGURE_CHECKS
-    )
+    for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"):
+        assert ARTIFACTS[name].claims, name
 
 
 def test_render_outcomes_format():
     outcomes = [
-        ClaimOutcome(figure="figure2", claim="x", passed=True, detail="ok"),
-        ClaimOutcome(figure="figure2", claim="y", passed=False, detail="bad"),
+        ClaimOutcome(artifact="figure2", claim="x", passed=True, detail="ok"),
+        ClaimOutcome(artifact="figure2", claim="y", passed=False, detail="bad"),
     ]
     text = render_outcomes(outcomes)
     assert "[PASS]" in text and "[FAIL]" in text
 
 
-def test_figure2_claims_verify_at_small_scale():
-    result = figures.figure2(duration=15.0, seeds=(0,))
-    outcomes = verify_figure("figure2", result)
+def _verify_at_small_scale(name):
+    artifact = ARTIFACTS[name]
+    outcomes = artifact.verify(artifact.driver(duration=15.0, seeds=(0,)))
     failed = [o for o in outcomes if not o.passed]
     assert failed == [], render_outcomes(outcomes)
+
+
+def test_figure2_claims_verify_at_small_scale():
+    _verify_at_small_scale("fig2")
 
 
 def test_figure6_claims_verify_at_small_scale():
-    result = figures.figure6(duration=15.0, seeds=(0,))
-    outcomes = verify_figure("figure6", result)
-    failed = [o for o in outcomes if not o.passed]
-    assert failed == [], render_outcomes(outcomes)
+    _verify_at_small_scale("fig6")
 
 
 def test_figure8_claims_verify_at_small_scale():
-    results = figures.figure8(duration=15.0, seeds=(0,))
-    outcomes = verify_figure("figure8", results)
-    failed = [o for o in outcomes if not o.passed]
-    assert failed == [], render_outcomes(outcomes)
+    _verify_at_small_scale("fig8")

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.cli import main
+
 REPO = Path(__file__).resolve().parents[2]
 SCRIPT = REPO / "scripts" / "run_experiments.py"
 PROFILE = REPO / "scripts" / "profile_control_plane.py"
@@ -39,6 +41,38 @@ def test_extension_study_selection(tmp_path):
     )
     assert (tmp_path / "extension_node_failures.txt").exists()
     assert "node crash probability" in out
+
+
+def test_heterogeneous_study_selection(tmp_path):
+    out = run_script(
+        tmp_path, "--duration", "4", "--repetitions", "1", "--only", "heterogeneous"
+    )
+    assert (tmp_path / "extension_heterogeneous.txt").exists()
+    assert "DCRD-naive-order" in out
+    assert "heterogeneous: Theorem 1's order" in out
+
+
+def test_unknown_name_exits_2(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "--out", str(tmp_path), "--only", "fig9"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=REPO,
+    )
+    assert result.returncode == 2
+    assert "invalid choice: 'fig9'" in result.stderr
+
+
+def test_cli_prints_the_script_table(tmp_path, capsys):
+    """`--duration` means one thing to the script and to `repro-sim study`."""
+    run_script(
+        tmp_path, "--duration", "4", "--repetitions", "1", "--only", "nodes",
+        "--no-cache",
+    )
+    assert main(["study", "nodes", "--duration", "4", "--repetitions", "1"]) == 0
+    table = (tmp_path / "extension_node_failures.txt").read_text()
+    assert table in capsys.readouterr().out
 
 
 def test_control_plane_profile_prints_both_round_tables():
