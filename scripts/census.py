@@ -22,7 +22,10 @@ never count. The report (default ``benchmarks/output/census.txt``) lists
 reached and executable lines per module, the totals, and every ``src/``
 function none of whose lines ran. A function listed there is reached by
 tests alone (or by nothing): a candidate for deletion unless it is safety
-code that only fires on a violation, or the benchmark calls it.
+code that only fires on a violation, or the benchmark calls it. The
+report names the Python minor it was written with: line tables differ
+between minors, and on that minor the suite checks that its executable
+column is the tree's own (``tests/integration/test_scripts.py``).
 
 The trace slows the run down by about an order of magnitude; the full
 census takes several minutes. ``--quick`` runs one example driver only
@@ -164,6 +167,22 @@ def _qualname(code: CodeType) -> str:
     return getattr(code, "co_qualname", code.co_name)
 
 
+def module_name(path: Path) -> str:
+    """*path*'s name in the report: relative to ``src``, e.g. ``repro/cli.py``."""
+    return path.relative_to(SRC.resolve()).as_posix()
+
+
+def executable_lines(codes: List[CodeType]) -> Set[int]:
+    """The executable lines of a module compiled to *codes*."""
+    return set().union(*(_lines(code) for code in codes))
+
+
+def python_minor() -> str:
+    """The running interpreter's ``major.minor``: line tables differ
+    between minors, so a census is only comparable on its own."""
+    return f"{sys.version_info.major}.{sys.version_info.minor}"
+
+
 def compile_package() -> Dict[Path, List[CodeType]]:
     """Every code object of every module under ``src/repro``, by file."""
     modules: Dict[Path, List[CodeType]] = {}
@@ -273,8 +292,8 @@ def report(
     unreached: List[str] = []
     total_reached = total_lines = 0
     for path, codes in modules.items():
-        name = path.relative_to(SRC.resolve()).as_posix()
-        lines: Set[int] = set().union(*(_lines(code) for code in codes))
+        name = module_name(path)
+        lines = executable_lines(codes)
         hit = set().union(*(reached.get(_key(code), set()) for code in codes)) & lines
         rows.append((name, len(hit), len(lines)))
         total_reached += len(hit)
@@ -292,6 +311,7 @@ def report(
         "# Line census of src/repro under the production drivers "
         "(scripts/census.py).",
         f"# drivers: {', '.join(drivers)}",
+        f"# python: {python_minor()}",
         "",
         f"{'module':<40} {'reached':>8} {'lines':>6} {'share':>7}",
     ]

@@ -373,6 +373,42 @@ class DcrdStrategy(RoutingStrategy):
             for key, table in zip(keys, solver.solve(pairs)):
                 self._publish_table(key, table)
 
+    def copy_span(self, timeout: float, delay: float) -> float:
+        """Algorithm 2's bound: ``2 (N - 1)`` hops of ``(Δ m - 1) timeout + delay``.
+
+        Follow one copy back through the copies it descends from: each
+        was sent by a task that a copy's arrival started (the first by
+        the publish). *N* is the number of brokers, *Δ* the largest
+        degree, *m* the transmissions per link.
+
+        *One hop.* A task hands a destination to neighbour after
+        neighbour, each only once the previous one failed — ``m``
+        unACKed transmissions, ``m * timeout`` — and a failed neighbour
+        joins the task's failed set, which only grows, so the hops are
+        distinct neighbours: at most *Δ*. The last is handed over within
+        ``(Δ - 1) m timeout`` of the task's start, transmitted for the
+        last time ``(m - 1) timeout`` later and lands ``delay`` after
+        that: every copy a task sends arrives within
+        ``(Δ m - 1) timeout + delay`` of its start, and so does the next
+        task's start.
+
+        *Hops per chain.* A forward goes to a node not on the copy's
+        routing path, which then joins the path when it sends — so no
+        node is forwarded to twice in a chain, and not the publisher:
+        at most ``N - 1`` forwards. A bounce goes from a node to the
+        one it was first forwarded from, its parent in the chain's
+        forward tree. Once a node has bounced, the chain is above it and
+        can only re-enter its subtree by a forward into it, whose nodes
+        are all on the path already: so each node but the publisher
+        bounces at most once, ``N - 1`` bounces. A chain of ``2 (N - 1)``
+        hops or fewer ends within the bound of its publish.
+        """
+        topology = self.ctx.topology
+        nodes = topology.nodes
+        degree = max((topology.degree(node) for node in nodes), default=0)
+        per_hop = (degree * self.ctx.params.m - 1) * timeout + delay
+        return 2 * (len(nodes) - 1) * per_hop
+
     def perf_counters(self) -> Dict[str, float]:
         """The control plane's counters, the tasks started and the table
         rebuilds, then the shared data-plane and ARQ counters."""

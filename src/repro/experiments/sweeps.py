@@ -204,7 +204,7 @@ class SweepExecutor:
         if self.workers == 1:
             self._run_serial(tasks, pending, digests, results, progress)
         else:
-            self._run_pooled(tasks, pending, digests, results)
+            self._run_pooled(tasks, pending, digests, results, progress)
         return results  # type: ignore[return-value]
 
     def _run_serial(
@@ -232,6 +232,7 @@ class SweepExecutor:
         pending: List[int],
         digests: List[Optional[str]],
         results: List[Optional[MetricsSummary]],
+        progress: Optional[ProgressHook],
     ) -> None:
         from concurrent.futures import as_completed
         from concurrent.futures.process import BrokenProcessPool
@@ -255,6 +256,10 @@ class SweepExecutor:
             except Exception as exc:
                 failures[index] = exc
                 continue
+            if progress is not None:
+                # Cells land in completion order, each reported as it does.
+                config, strategy, seed = tasks[index]
+                progress(f"{strategy} seed={seed} {config.describe()} [done]")
             self._finish(tasks, index, digests, results, summary)
         if failures:
             if any(isinstance(exc, BrokenProcessPool) for exc in failures.values()):

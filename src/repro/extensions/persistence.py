@@ -23,6 +23,7 @@ Design:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -75,6 +76,12 @@ class PersistentDcrdStrategy(DcrdStrategy):
         self.max_retries = max_retries
         self.store = PersistentStore()
         self._retired: set = set()
+
+    def copy_span(self, timeout: float, delay: float) -> float:
+        """None proven: a stored copy waits in the custody store and then
+        re-enters Algorithm 2 with a clean routing path, which the
+        bound of :meth:`DcrdStrategy.copy_span` does not cover."""
+        return math.inf
 
     def abandon(self, node: int, frame: PacketFrame, subscriber: int) -> None:
         """Persist instead of dropping; schedule the first retry."""

@@ -37,12 +37,13 @@ patching it from outside (``tests/mutations.py``).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import probes as _probes
 from repro.ordering.spec import OrderingSpec
 from repro.ordering.tags import OrderTag, Stream
 from repro.pubsub.messages import PacketFrame
+from repro.util.generations import Generations
 from repro.util.rtt import RttEstimate, jacobson_update
 
 #: Slack when comparing held durations against the stall timeout, so a
@@ -73,8 +74,10 @@ class DeliveryPipeline:
         self._stall_timeout: float = plan.stall_timeout
         # msg_id -> held-since time, for every frame currently buffered.
         self._holding: Dict[int, float] = {}
-        # msg_ids whose primary copy already reached the terminal stage.
-        self._released: Set[int] = set()
+        # msg_ids whose primary copy already reached the terminal stage,
+        # kept one message horizon past their release (bound_horizon;
+        # for the whole run until the plan hands one over).
+        self._released = Generations()
         # Duplicate copies (distinct transfer ids, e.g. multipath) that
         # arrived while the primary was held: delivered right after it,
         # preserving the substrate-conformant duplicate counts.
@@ -99,7 +102,8 @@ class DeliveryPipeline:
             self._broker.deliver_frame(frame)
             return
         msg_id = frame.msg_id
-        if msg_id in self._released:
+        released = self._released
+        if msg_id in released.current or msg_id in released.older:
             # A late duplicate copy of an already-released message: the
             # terminal stage counts it as the duplicate it is.
             self._broker.deliver_frame(frame)
@@ -126,8 +130,11 @@ class DeliveryPipeline:
         """Run the terminal stage for *frame*."""
         msg_id = frame.msg_id
         held_since = self._holding.pop(msg_id, None)
-        self._released.add(msg_id)
         now = self._clock._now
+        released = self._released
+        if now >= released.retire_at:
+            released.at(now)  # retires the current generation
+        released.current.add(msg_id)
         self.releases += 1
         if reason == "stall":
             self.stall_releases += 1
@@ -150,6 +157,17 @@ class DeliveryPipeline:
                 self._broker.deliver_frame(dup)
 
     # ------------------------------------------------------------------
+    def bound_horizon(self, horizon: float) -> None:
+        """Keep a released id *horizon* seconds, not longer.
+
+        *horizon* is the run's message horizon: no copy of a message
+        reaches a broker later than that after its publish, and a
+        message is released here after its publish, so a late duplicate
+        comes within one horizon of the release and still finds its id.
+        ``math.inf`` keeps every id for the whole run.
+        """
+        self._released.bound(horizon, self._clock._now)
+
     def held_count(self) -> int:
         """Frames currently buffered (the cluster quiescence signal)."""
         return len(self._holding)

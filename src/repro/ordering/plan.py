@@ -41,6 +41,7 @@ from repro.ordering.spec import (
 )
 from repro.ordering.tags import OrderTag, Stream
 from repro.pubsub.messages import PacketFrame
+from repro.util.generations import Generations
 
 
 class OrderingPlan:
@@ -65,8 +66,9 @@ class OrderingPlan:
         # Next publish sequence per (topic, origin) publication stream.
         self._seqs: Dict[Stream, int] = {}
         # Idempotent stamp cache: msg_id -> tag (custody redelivery
-        # re-freshens an already-stamped message).
-        self._tags: Dict[int, OrderTag] = {}
+        # re-freshens an already-stamped message), kept one message
+        # horizon past the publish.
+        self._tags = Generations(dict)
         # Per-node observed vector clock (causal level).
         self._observed: Dict[int, Dict[Stream, int]] = {}
         # Per-node hybrid logical clock in microseconds (total level).
@@ -81,6 +83,20 @@ class OrderingPlan:
         return cls(parse_ordering(text), **kwargs)
 
     # ------------------------------------------------------------------
+    def bound_horizon(self, horizon: float, now: float) -> None:
+        """Keep per-message state one message *horizon*, from *now* on.
+
+        *horizon* is the longest time from a message's publish to the
+        arrival of any copy of it at a broker
+        (:func:`repro.stack.message_horizon`). The stamp cache keeps a
+        tag that long past its publish, and every pipeline a released id
+        that long past its release; ``math.inf`` keeps both for the
+        whole run.
+        """
+        self._tags.bound(horizon, now)
+        for pipeline in self._pipelines:
+            pipeline.bound_horizon(horizon)
+
     def pipeline_for(self, broker) -> DeliveryPipeline:
         """The per-broker pipeline stage for this plan's level."""
         pipeline = PIPELINES[self.level](broker, self)
@@ -90,7 +106,8 @@ class OrderingPlan:
     # ------------------------------------------------------------------
     def stamp(self, frame: PacketFrame) -> Optional[OrderTag]:
         """Allocate (or recall) a fresh frame's tag."""
-        cached = self._tags.get(frame.msg_id)
+        tags = self._tags
+        cached = tags.get(frame.msg_id)
         if cached is not None:
             return cached
         if not self.spec.covers(frame.topic):
@@ -115,7 +132,7 @@ class OrderingPlan:
             ts = max(self._hlc.get(origin, 0) + 1, int(frame.publish_time * 1e6))
             self._hlc[origin] = ts
         tag = OrderTag(origin=origin, seq=seq, vc=vc, ts=ts)
-        self._tags[frame.msg_id] = tag
+        tags.at(frame.publish_time)[frame.msg_id] = tag
         return tag
 
     def note_delivery(self, node: int, frame: PacketFrame, tag: OrderTag) -> None:

@@ -10,17 +10,34 @@ The schedule here is *lazy and deterministic*: the failed-link set of epoch
 ``k`` is derived from ``(seed, k)`` alone, so (a) the injector and the
 ORACLE baseline see the exact same failures, (b) the ORACLE can query the
 *future* without the simulation having reached it, and (c) memory stays
-bounded by the number of distinct epochs actually touched.
+bounded: each schedule memoises only the last :data:`EPOCH_WINDOW` epochs
+it computed. Queries follow the clock — the network asks once per epoch
+crossing, the ORACLE from a publish a few link delays ahead — so an
+evicted epoch is rarely asked for again, and recomputing it gives the
+same set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
 from repro.overlay.topology import Edge, Topology, canonical_edge
 from repro.util.validation import require_positive, require_probability
+
+#: Epochs each schedule memoises, the most recently computed ones.
+EPOCH_WINDOW = 16
+
+
+def _remember(
+    cache: Dict[int, FrozenSet[Any]], epoch_index: int, value: FrozenSet[Any]
+) -> None:
+    """Memoise *value* for *epoch_index*, evicting the oldest computed epoch
+    once :data:`EPOCH_WINDOW` are kept."""
+    if len(cache) >= EPOCH_WINDOW:
+        del cache[next(iter(cache))]
+    cache[epoch_index] = value
 
 
 class FailureSchedule:
@@ -55,7 +72,6 @@ class FailureSchedule:
         # always belongs to the same link.
         self._edges: Tuple[Edge, ...] = tuple(sorted(topology.edges()))
         self._cache: Dict[int, FrozenSet[Edge]] = {}
-        self._max_cache = 4096
 
     @property
     def failure_probability(self) -> float:
@@ -87,9 +103,7 @@ class FailureSchedule:
             failed = frozenset(
                 edge for edge, draw in zip(self._edges, draws) if draw < self._pf
             )
-        if len(self._cache) >= self._max_cache:
-            self._cache.clear()
-        self._cache[epoch_index] = failed
+        _remember(self._cache, epoch_index, failed)
         return failed
 
     def is_failed(self, u: int, v: int, time: float) -> bool:
@@ -121,7 +135,6 @@ class NodeFailureSchedule:
         self._epoch = epoch
         self._protected = protected_nodes or frozenset()
         self._cache: Dict[int, FrozenSet[int]] = {}
-        self._max_cache = 4096
 
     @property
     def failure_probability(self) -> float:
@@ -150,9 +163,7 @@ class NodeFailureSchedule:
                 for node, draw in zip(self._topology.nodes, draws)
                 if draw < self._pf and node not in self._protected
             )
-        if len(self._cache) >= self._max_cache:
-            self._cache.clear()
-        self._cache[epoch_index] = failed
+        _remember(self._cache, epoch_index, failed)
         return failed
 
     def is_failed(self, node: int, time: float) -> bool:

@@ -64,6 +64,7 @@ order_stall     the hold-back watchdog skipped a gap / flagged a
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
 from typing import (
     Any, Callable, Deque, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple,
@@ -231,6 +232,9 @@ class RunRecord(_probes.ProbeObserver):
         #: (the persistency store) instead of giving up on.
         self.custody: Set[Tuple[int, int]] = set()
         self.order = _sanity.OrderChecks(self._violate)
+        #: The run's message horizon; every DATA arrival is checked
+        #: against it when it is finite (set by ``repro.stack.observed``).
+        self.message_horizon = math.inf
         #: End-of-run conservation partition, filled by finish().
         self.pair_counts: Dict[str, int] = {}
         self._events: Optional[Deque[TraceEvent]] = (
@@ -391,6 +395,8 @@ class RunRecord(_probes.ProbeObserver):
         transfer = getattr(frame, "transfer_id", None)
         if transfer is None:
             return
+        if self.sanitize and self.message_horizon < math.inf:
+            _sanity.check_horizon(t, dst, frame, self.message_horizon, self._violate)
         checked = self.sanitize and not self.partitioned
         entry = self.ledger.get(transfer)
         if entry is None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import abc
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, Iterator, Optional
@@ -101,6 +102,11 @@ class RuntimeContext:
     #: ``next()`` of it for each copy it creates. A fleet partition's
     #: counter starts at its stripe (``repro.live.broker``).
     transfer_ids: Iterator[int] = field(default_factory=partial(itertools.count, 1))
+    #: The longest time from a message's publish to the arrival of any
+    #: copy of it at a broker, plus a margin; ``math.inf`` where no bound
+    #: is proven. Set by the composition root
+    #: (:func:`repro.stack.message_horizon`).
+    message_horizon: float = math.inf
 
 
 class RoutingStrategy(abc.ABC):
@@ -190,6 +196,17 @@ class RoutingStrategy(abc.ABC):
             self.ctx.metrics.record_delivery(msg_id, spec.publisher, self.ctx.sim.now)
             return destinations - {spec.publisher}
         return destinations
+
+    def copy_span(self, timeout: float, delay: float) -> float:
+        """The longest time from a message's publish to the arrival of any
+        copy of it at a broker, or ``math.inf`` where none is proven.
+
+        It may assume what :func:`repro.stack.message_horizon` checks
+        before it asks: every ACK timeout is at most *timeout* and fires
+        on time, every copy is handed straight to its link, and every
+        link delivers within *delay*. The default proves nothing.
+        """
+        return math.inf
 
     def perf_counters(self) -> Dict[str, float]:
         """This strategy's entries of ``MetricsSummary.perf``: the

@@ -54,6 +54,11 @@ ORDER_KEY_BEHIND_CLOCK  a ``total`` tag's key time (``ts`` microseconds)
                       time — a key that does not follow time, so an idle
                       publisher sorts into the agreed past (checked when
                       a pipeline first holds or releases the frame)
+COPY_PAST_HORIZON     a DATA copy reached a broker later than its
+                      publish time plus the run's message horizon
+                      (:func:`repro.stack.message_horizon`), after which
+                      the ordering stage has forgotten the message
+                      (checked only where the horizon is finite)
 ====================  ====================================================
 
 The ordering checks consume the ``order_release`` probe family emitted by
@@ -91,6 +96,7 @@ ORDER_TOTAL_INVERSION = "order_total_inversion"
 ORDER_TOTAL_PREFIX = "order_total_prefix"
 ORDER_HOLD_LEAK = "order_hold_leak"
 ORDER_KEY_BEHIND_CLOCK = "order_key_behind_clock"
+COPY_PAST_HORIZON = "copy_past_horizon"
 
 #: ``violate(kind, message, frames=(), **details)``: raises, never returns.
 Violate = Callable[..., None]
@@ -207,6 +213,25 @@ def check_accept(
             transfer_id=frame.transfer_id,
         )
     accepted.add(key)
+
+
+def check_horizon(
+    t: float, node: int, frame: Any, horizon: float, violate: Violate
+) -> None:
+    """A DATA copy reached broker *node* at *t*: within *horizon* of its
+    publish, or the horizon's derivation is wrong."""
+    if t > frame.publish_time + horizon:
+        violate(
+            COPY_PAST_HORIZON,
+            f"a copy of msg {frame.msg_id} reached broker {node} at t={t!r}, "
+            f"{t - frame.publish_time:.6f} s after its publish, past the "
+            f"message horizon of {horizon!r} s",
+            (frame,),
+            node=node,
+            publish_time=frame.publish_time,
+            arrival=t,
+            horizon=horizon,
+        )
 
 
 def check_sending_lists(table: Any, violate: Violate) -> None:

@@ -39,6 +39,11 @@ from repro.sim.random import RandomStreams
 #: rarely next to how often it accepts an id.
 DEDUP_MARGIN_S = 1.0
 
+#: Seconds added to the strategy's proven span of a message's copies to
+#: give the message horizon: orders of magnitude above the float
+#: rounding of a chain of timer schedules.
+MESSAGE_MARGIN_S = 1.0
+
 
 class Stack(NamedTuple):
     """What :func:`wire_stack` hands back to its composition root."""
@@ -75,7 +80,8 @@ def wire_stack(
     the simulated links of infinite capacity or with a FIFO queue, whose
     copies' waits are known at hand-over. EDF queues, node crashes and
     the live sockets keep eager timers. Every broker's dedup window
-    reaches back :func:`dedup_horizon`.
+    reaches back :func:`dedup_horizon`, and the ordering stage's
+    per-message state :func:`message_horizon` (``ctx.message_horizon``).
     """
     ctx = RuntimeContext(
         sim=clock,
@@ -111,6 +117,9 @@ def wire_stack(
     horizon = dedup_horizon(topology, params, routing.arq, round_trips)
     for broker in brokers:
         broker.bound_window(horizon)
+    ctx.message_horizon = message_horizon(topology, params, routing, round_trips)
+    if ordering is not None:
+        ordering.bound_horizon(ctx.message_horizon, clock.now)
     return Stack(ctx, routing, brokers)
 
 
@@ -136,6 +145,10 @@ def dedup_horizon(
     ``wire_reported``) or the transport states no round trip in advance
     (*round_trips* false: the wall clock, whose timers have no lateness
     ceiling), none exists and the horizon is ``math.inf``.
+
+    It spans the copies of one *transfer*, so it is short (one or two
+    timeouts); :func:`message_horizon` spans every copy of a *message*,
+    whatever its transfer, and is far longer.
     """
     spread = 0.0
     if arq is not None and params.m > 1:
@@ -144,6 +157,45 @@ def dedup_horizon(
         slowest = max((topology.delay(u, v) for u, v in topology.edges()), default=0.0)
         spread = (params.m - 1) * params.ack_timeout(slowest)
     return spread + DEDUP_MARGIN_S
+
+
+def message_horizon(
+    topology: Topology,
+    params: ProtocolParams,
+    routing: RoutingStrategy,
+    round_trips: bool,
+) -> float:
+    """The message horizon of a world: how long a message's state may matter.
+
+    It is the longest time from a message's publish to the arrival of
+    any copy of it at a broker, plus :data:`MESSAGE_MARGIN_S`. After it,
+    no pipeline can be offered the message again, so a pipeline forgets
+    its released id and the plan its tag one horizon on
+    (:class:`~repro.util.generations.Generations`) and no release,
+    stall or delivery changes.
+
+    The span is the running strategy's (:meth:`RoutingStrategy.copy_span
+    <repro.routing.base.RoutingStrategy.copy_span>`; for DCRD
+    ``2 (N - 1)`` hops of ``(Δ m - 1)`` ACK timeouts plus a link delay,
+    proven at :meth:`DcrdStrategy.copy_span
+    <repro.core.forwarding.DcrdStrategy.copy_span>`), asked with the
+    ACK timeout and the delay of the slowest link. The monitor's alpha
+    is the configured link delay in both monitor modes, so no timeout
+    is longer. That bound needs timers that fire on time and copies
+    handed straight to their link. Where a copy can wait in its
+    sender's queue (finite-capacity links: the ARQ's ``wire_reported``)
+    or the transport states no round trip in advance (*round_trips*
+    false: the wall clock and the fleet, whose timers have no lateness
+    ceiling, EDF queues, node crashes), none exists and the horizon is
+    ``math.inf``; so it is for every strategy that proves no span
+    (the baselines, and custody, whose store holds a copy for later).
+    """
+    arq = routing.arq
+    if not round_trips or (arq is not None and arq.wire_reported):
+        return math.inf
+    slowest = max((topology.delay(u, v) for u, v in topology.edges()), default=0.0)
+    span = routing.copy_span(params.ack_timeout(slowest), slowest)
+    return span + MESSAGE_MARGIN_S
 
 
 class observed:
@@ -177,6 +229,9 @@ class observed:
         self.observers = tuple(o for o in (record, *observers) if o is not None)
         self.plan: Optional[OrderingPlan] = ctx.ordering if ctx is not None else None
         self._finished = False
+        if ctx is not None and record is not None:
+            # The record checks every arrival against the run's horizon.
+            record.message_horizon = ctx.message_horizon
 
     def __enter__(self) -> "observed":
         for observer in self.observers:

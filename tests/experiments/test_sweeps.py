@@ -32,6 +32,15 @@ def test_run_repetitions_reports_progress():
     assert len(lines) == 1 and "DCRD" in lines[0]
 
 
+def test_pooled_cells_report_progress():
+    """A pool reports every cell it runs, once, as the cell lands."""
+    lines = []
+    run_repetitions(FAST, "DCRD", seeds=(1, 2), workers=2, progress=lines.append)
+    assert len(lines) == 2
+    assert all(line.startswith("DCRD") and line.endswith("[done]") for line in lines)
+    assert sorted("seed=2" in line for line in lines) == [False, True]
+
+
 def test_sweep_grid_complete():
     configs = {
         0.0: FAST,

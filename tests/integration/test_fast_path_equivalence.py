@@ -42,6 +42,18 @@ latent ACK timeouts materialise when an ACK is lost, and retransmissions
 queue. It was recorded from a plain run at the commit before latent
 timeouts and ACKs settled at send were extended to FIFO links.
 
+The ordered cell (``ordered_lossy/DCRD``, 2 entries) pins a ``total``
+hold-back run on a lossy, failing world with ``m = 2``: lost ACKs make
+senders fail over to a second neighbour, so a subscriber's pipeline is
+offered late duplicate copies of messages it already released. The run
+lasts over three message horizons (:func:`repro.stack.message_horizon`,
+about 37 s here), so the released-id generations really retire. Besides
+the usual fields it pins ``ordering.releases`` and
+``ordering.stall_releases``: a late duplicate that found no id and was
+misread as a stall would move only those. It was recorded from a plain
+run at the commit before the horizon bounded the pipelines' released ids
+and the plan's stamp cache.
+
 A second test pins that compaction is invisible *within* the current code:
 it merely reaps entries that could never fire, so forcing it on every
 cancel or switching it off (patching the engine's private rule) must not
@@ -113,6 +125,14 @@ CONFIGS["fifo_queue"] = dict(
     publish_interval=0.25,
     link_service_time=0.02,
 )
+CONFIGS["ordered_lossy"] = dict(
+    CONFIGS["baseline"],
+    loss_rate=0.05,
+    failure_probability=0.1,
+    m=2,
+    ordering="total",
+    duration=120.0,
+)
 
 CELLS = [
     ("baseline", "DCRD"),
@@ -122,6 +142,7 @@ CELLS = [
     ("lossy", "ORACLE"),
     ("node_crash", "DCRD"),
     ("fifo_queue", "DCRD"),
+    ("ordered_lossy", "DCRD"),
 ]
 
 
@@ -141,7 +162,7 @@ def _digest(env, summary) -> dict:
     digest = hashlib.md5(
         "|".join(",".join(map(str, row)) for row in outcomes).encode()
     ).hexdigest()
-    return dict(
+    fields = dict(
         delivered=summary.delivered,
         on_time=summary.on_time,
         duplicates=summary.duplicates,
@@ -151,6 +172,10 @@ def _digest(env, summary) -> dict:
         processed_events=env.ctx.sim.processed_events,
         outcome_digest=digest,
     )
+    if "ordering.releases" in summary.perf:
+        for counter in ("releases", "stall_releases"):
+            fields[f"ordering_{counter}"] = int(summary.perf[f"ordering.{counter}"])
+    return fields
 
 
 #: The four observation modes every cell must be bit-identical in. The

@@ -14,7 +14,10 @@ of exactly the matching kind:
   to its link instead of when its last bit leaves the sender →
   ``timer_before_wire`` on finite-capacity links, at the first timer armed
   short of its copy's serialisation (and nothing at all on
-  infinite-capacity links, where the two instants coincide).
+  infinite-capacity links, where the two instants coincide);
+* ``shrink_message_horizon`` derives a 10 ms message horizon where a
+  finite one is proven → ``copy_past_horizon`` at the first copy that
+  arrives later than that after its publish.
 """
 
 import pytest
@@ -177,3 +180,19 @@ def test_clock_armed_at_enqueue_is_invisible_without_queues(monkeypatch):
     mutated = run_single(CONFIG, "DCRD", seed=3)
     assert mutated.perf["sanity.violations"] == 0.0
     assert mutated == baseline
+
+
+def test_a_shrunk_message_horizon_is_caught(monkeypatch):
+    """The derived horizon holds on the lossy world (no violation); cut to
+    10 ms, the first copy that takes longer dies on arrival."""
+    config = CONFIG.with_updates(ordering="total")
+    clean = run_single(config, "DCRD", seed=3)
+    assert clean.perf["sanity.violations"] == 0.0
+    mutations.shrink_message_horizon(monkeypatch)
+    with pytest.raises(InvariantViolation) as excinfo:
+        run_single(config, "DCRD", seed=3)
+    violation = excinfo.value
+    assert violation.kind == sanity.COPY_PAST_HORIZON
+    assert violation.details["horizon"] == 0.01
+    assert violation.details["arrival"] > violation.details["publish_time"] + 0.01
+

@@ -1,10 +1,13 @@
 """Smoke tests for the top-level experiment and profiling scripts."""
 
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 
@@ -179,3 +182,39 @@ def test_census_counts_the_lines_a_driver_reaches(tmp_path):
     assert rows["repro/experiments/runner.py"][0] > 0
     assert rows["repro/cli.py"][0] == 0
     assert "repro/cli.py:" in text.split("functions with no reached line")[1]
+
+
+def _load_census():
+    """``scripts/census.py`` as a module, leaving ``sys.path`` as it was."""
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("census", REPO / "scripts" / "census.py")
+        census = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(census)
+    finally:
+        sys.path[:] = path
+    return census
+
+
+def test_the_committed_census_counts_the_tree_s_lines():
+    """``benchmarks/output/census.txt`` gives every module of ``src/repro``
+    the executable lines the tree compiles to — checked on the Python
+    minor the census was written with, since line tables differ between
+    minors. A change to ``src/`` regenerates the census with it."""
+    text = (REPO / "benchmarks" / "output" / "census.txt").read_text()
+    census = _load_census()
+    written = re.search(r"^# python: (\S+)$", text, re.M)
+    assert written, "the census names no Python minor"
+    if written.group(1) != census.python_minor():
+        pytest.skip(f"census written with Python {written.group(1)}")
+    committed = {}
+    for line in text.splitlines():
+        match = re.match(r"^(repro/\S+)\s+\d+\s+(\d+)\s+[\d.]+%$", line)
+        if match:
+            committed[match.group(1)] = int(match.group(2))
+    tree = {
+        census.module_name(path): len(census.executable_lines(codes))
+        for path, codes in census.compile_package().items()
+    }
+    assert committed == tree
+

@@ -6,6 +6,7 @@ stack binds ``_on_wire`` and the ordering stamper at construction."""
 import copy
 import dataclasses
 
+from repro import stack
 from repro.core.forwarding import DcrdStrategy
 from repro.ordering.pipeline import DeliveryPipeline
 from repro.ordering.plan import OrderingPlan
@@ -76,7 +77,7 @@ def arm_clock_at_enqueue(monkeypatch):
 def _withhold(pipeline, frame):
     """What ``_release`` does before the terminal stage, and nothing more."""
     pipeline._holding.pop(frame.msg_id, None)
-    pipeline._released.add(frame.msg_id)
+    pipeline._released.at(pipeline._clock._now).add(frame.msg_id)
 
 
 def missort_order_release(monkeypatch):
@@ -118,6 +119,16 @@ def drop_order_release(monkeypatch):
         release(self, frame, tag, reason)
 
     monkeypatch.setattr(DeliveryPipeline, "_release", dropping)
+
+
+def shrink_message_horizon(monkeypatch):
+    """Derive a 10 ms message horizon wherever a finite one is proven."""
+    derive = stack.message_horizon
+
+    def shrunk(*args):
+        return min(derive(*args), 0.01)
+
+    monkeypatch.setattr(stack, "message_horizon", shrunk)
 
 
 def logical_only_stamp(monkeypatch):

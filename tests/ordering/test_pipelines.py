@@ -580,10 +580,10 @@ def test_plan_counters_aggregate_across_pipelines():
 
 def test_plan_stamp_is_idempotent_per_message():
     plan = OrderingPlan(parse_ordering("fifo"))
-    frame = SimpleNamespace(msg_id=1, topic=0, origin=0, order_tag=None)
+    frame = SimpleNamespace(msg_id=1, topic=0, origin=0, publish_time=0.0, order_tag=None)
     first = plan.stamp(frame)
     again = plan.stamp(frame)  # custody redelivery re-freshens the message
     assert first is again
     assert plan.stamp(
-        SimpleNamespace(msg_id=2, topic=0, origin=0, order_tag=None)
+        SimpleNamespace(msg_id=2, topic=0, origin=0, publish_time=0.0, order_tag=None)
     ).seq == first.seq + 1
